@@ -1,5 +1,8 @@
 //! Criterion micro-benchmarks of the simulation kernel: event queue
-//! throughput, process churn, and fluid-flow rate recomputation.
+//! throughput, process churn, and fluid-flow rate solving. `FlowNet`
+//! solves max-min rates lazily — `start` and `tick` only mark them
+//! stale and the next query (`next_completion` here) solves once — so
+//! the flow benches time a burst of changes plus the solve it costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -47,8 +50,8 @@ fn bench_process_churn(c: &mut Criterion) {
 }
 
 fn bench_flow_recompute(c: &mut Criterion) {
-    // 64 NIC-limited flows over one backbone; starting each flow triggers
-    // a max-min recomputation over all active flows.
+    // 64 NIC-limited flows start over one backbone at one instant; the
+    // closing query solves max-min rates once over all 64.
     c.bench_function("flow/start_64_shared_backbone", |b| {
         b.iter(|| {
             let mut net = FlowNet::new();
@@ -71,11 +74,12 @@ fn bench_flow_recompute(c: &mut Criterion) {
 
 /// Sustained churn at high concurrency: `n` NIC-limited flows over one
 /// shared backbone, then a scheduler-style drain loop (advance to the
-/// next completion, tick, repeat) that retires every flow. Each start
-/// and each tick triggers a rate recompute with ~n flows active, so
-/// this is the stress case the incremental flow network must keep
-/// proportional to *what changed* — before the rewrite its cost grew
-/// with the full active set per event.
+/// next completion, tick, repeat) that retires every flow. The starts
+/// share one instant and so one solve; every drain step then re-solves
+/// over the survivors (~n flows active), so this is the stress case
+/// the incremental flow network must keep proportional to *what
+/// changed* — before the rewrite its cost grew with the full active set
+/// per event.
 fn flow_stress(n: u32) {
     let mut net = FlowNet::new();
     let backbone = net.add_link(Bandwidth::mib_per_sec(10_000.0));

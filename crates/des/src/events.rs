@@ -6,6 +6,11 @@
 //! numbers make the ordering of simultaneous events FIFO and therefore
 //! deterministic.
 //!
+//! Inside the crate a sequence number can also be reserved before its
+//! event's time is known and used later (`reserve`, `schedule_reserved`):
+//! the event then fires where it would have, had it been scheduled at the
+//! moment of reservation.
+//!
 //! Payload slots are recycled through a free list instead of growing a
 //! dense vector for the life of the run: an [`EventId`] packs a slot index
 //! with a per-slot generation, so a handle to an event that already fired
@@ -112,6 +117,23 @@ impl EventQueue {
     /// Schedules `wake` to fire at `time`. Events scheduled for the same
     /// instant fire in scheduling order.
     pub fn schedule(&mut self, time: SimTime, wake: Wake) -> EventId {
+        let seq = self.reserve();
+        self.schedule_reserved(time, seq, wake)
+    }
+
+    /// Takes the next sequence number without scheduling anything, for an
+    /// event whose time is not known yet.
+    pub(crate) fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `wake` at `time` with a sequence number from
+    /// [`EventQueue::reserve`]: among events at `time` it fires where an
+    /// event scheduled at the moment of reservation would have.
+    pub(crate) fn schedule_reserved(&mut self, time: SimTime, seq: u64, wake: Wake) -> EventId {
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -121,8 +143,6 @@ impl EventQueue {
         };
         self.slots[slot as usize].wake = Some(wake);
         let id = EventId::new(slot, self.slots[slot as usize].gen);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(Reverse(Entry { time, seq, id }));
         self.live += 1;
         id
@@ -143,6 +163,17 @@ impl EventQueue {
         if self.slots[slot].gen == id.generation() && self.slots[slot].wake.take().is_some() {
             self.release(slot);
         }
+    }
+
+    /// The time of the next live event, discarding tombstones ahead of it.
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if self.slots[entry.id.slot()].gen == entry.id.generation() {
+                return Some(entry.time);
+            }
+            self.heap.pop();
+        }
+        None
     }
 
     /// Pops the next live event, skipping tombstones.
@@ -267,6 +298,22 @@ mod tests {
         assert_eq!(q.live_len(), 1);
         assert_eq!(q.pop(), Some((t(2), Wake::Process(2))));
         let _ = b;
+    }
+
+    #[test]
+    fn reserved_sequence_keeps_its_place_among_same_instant_events() {
+        let mut q = EventQueue::new();
+        q.schedule(t(5), Wake::Process(0));
+        let seq = q.reserve();
+        q.schedule(t(5), Wake::Process(2));
+        let a = q.schedule(t(1), Wake::Process(3));
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(t(5)), "tombstone is skipped");
+        q.schedule_reserved(t(5), seq, Wake::FlowTick);
+        assert_eq!(q.pop(), Some((t(5), Wake::Process(0))));
+        assert_eq!(q.pop(), Some((t(5), Wake::FlowTick)));
+        assert_eq!(q.pop(), Some((t(5), Wake::Process(2))));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (e.g. a function's NIC, the object store's per-connection cap, the
 //! store's aggregate backbone). At any instant each flow progresses at its
 //! **max-min fair** rate given all concurrently active flows; rates are
-//! recomputed whenever a flow starts or finishes (progressive filling /
-//! water-filling algorithm).
+//! solved by progressive filling (water-filling) whenever a query needs
+//! them after flows started or finished.
 //!
 //! This is what makes "the huge aggregated bandwidth of object storage" —
 //! the paper's central performance argument — an emergent, measurable
@@ -15,29 +15,44 @@
 //!
 //! # Scaling discipline
 //!
-//! Every flow start/finish triggers a rate recompute, so with `A` active
-//! flows and `T` links carrying them the per-event budget must be
-//! `O(A·ℓ + T)` (ℓ = links per flow, a small constant), never
-//! `O(A·rounds)` or `O(slots·links)`:
+//! `start` and `tick` only mark the rates stale; every query that reads
+//! rates (`next_completion`, `next_completion_reference`, `link_rate`,
+//! `take_stalled`, `flow_rates`, and any `settle` that advances time)
+//! solves them first if they are stale. Rates depend only on the active
+//! flows and the link capacities, so a burst of starts and finishes at
+//! one virtual instant costs one solve, and every call sequence observes
+//! exactly the rates it would if each change had re-solved at once. The
+//! scheduler asks once per instant: it defers its query past the
+//! instant's other events unless a flow can finish at that very instant
+//! (see `FlowNet::may_complete_now`). With `A` active flows and `T`
+//! links carrying them a solve costs `O((A·ℓ + T) log T)` (ℓ = links per
+//! flow, a small constant), never `O(A·rounds)` or `O(slots·links)`:
 //!
 //! * per-link **membership lists** (`members`) let each progressive-filling
 //!   round freeze exactly the flows crossing the bottleneck instead of
 //!   re-scanning every unfrozen flow;
-//! * the bottleneck itself comes from a lazily-revalidated **min-heap** of
-//!   `(fair share, link id)` keys instead of a scan over every touched
-//!   link per round;
+//! * the bottleneck itself comes from a min-heap of `(fair share, link
+//!   id)` keys, built in one heapify, instead of a scan over every touched
+//!   link per round. Keys are **lazy lower bounds**: freezing flows at the
+//!   minimum share never lowers another link's share in exact arithmetic,
+//!   so a freeze queues a link's new share only when rounding pushed it
+//!   below the link's lowest queued key (`low`); a popped key that no
+//!   longer matches its link's live share is re-queued at the live value
+//!   if it is that lowest key, and dropped otherwise;
 //! * per-flow **completion deadlines** are folded into `recompute` the
 //!   moment a rate freezes, so the scheduler's `next_completion` query is
-//!   O(1) instead of a scan over all flows after every start/finish;
+//!   O(1) instead of a scan over all flows;
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
-//! All of it is bit-identity-preserving: the heap key orders exactly like
-//! the dense scan's `(share, ascending link id)` tie-break, freezing walks
-//! members in ascending slot order (the dense scan's flow order), and the
-//! accepted share is re-derived from the *current* `residual/count` at pop
-//! time, so every floating-point operation happens on the same operands in
-//! the same order as the reference implementation.
+//! All of it is bit-identity-preserving. Every live link always has a
+//! queued key no larger than its live share, so the first popped key that
+//! equals its link's live `residual/count` is the same `(share, ascending
+//! link id)` minimum the dense scan picks; freezing walks members in
+//! ascending slot order (the dense scan's flow order); and the accepted
+//! share is re-derived from the live `residual/count` at pop time, so
+//! every floating-point operation happens on the same operands in the
+//! same order as the reference implementation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -131,6 +146,13 @@ pub struct FlowNet {
     /// excluded, exactly as the reference scan excludes them.
     earliest: Option<SimDuration>,
     earliest_fresh: bool,
+    /// Whether a flow started or finished since the last recompute, so
+    /// rates, `earliest` and `stalled` must be solved again before use.
+    stale: bool,
+    /// Upper bound on the active flows that can complete at `last_settle`
+    /// without time passing: those with `EPSILON_BYTES` or fewer left and
+    /// those crossing only infinite-capacity links. Never an under-count.
+    finishing: usize,
     /// Wakers of flows frozen at a non-positive rate with bytes still
     /// remaining during the last recompute. A non-empty list means the
     /// rate computation starved a flow that can never finish.
@@ -139,13 +161,15 @@ pub struct FlowNet {
 }
 
 /// Scratch reused across calls so the hot path does no per-event
-/// allocation. `counts` and `residual` are link-indexed and only the
-/// entries named by `touched` are ever initialised or read before being
-/// written; `frozen_at` is slot-indexed and compared against `epoch`.
+/// allocation. `counts`, `residual` and `low` are link-indexed and only
+/// the entries named by `touched` are ever initialised or read before
+/// being written; `low[l]` is the smallest share key queued for finite
+/// link `l`; `frozen_at` is slot-indexed and compared against `epoch`.
 #[derive(Debug, Default)]
 struct RecomputeScratch {
     counts: Vec<u32>,
     residual: Vec<f64>,
+    low: Vec<f64>,
     heap: BinaryHeap<Reverse<ShareKey>>,
     frozen_at: Vec<u64>,
     epoch: u64,
@@ -175,7 +199,8 @@ impl FlowNet {
 
     /// The instantaneous aggregate rate through `link`, in bytes/sec.
     /// Useful for instrumentation (e.g. the aggregate-bandwidth experiment).
-    pub fn link_rate(&self, link: LinkId) -> f64 {
+    pub fn link_rate(&mut self, link: LinkId) -> f64 {
+        self.refresh();
         let Some(members) = self.members.get(link.0 as usize) else {
             return 0.0;
         };
@@ -196,16 +221,39 @@ impl FlowNet {
         sum
     }
 
-    /// Wakers of flows starved by the last rate recompute (frozen at a
+    /// The current rate of every active flow as `(waker, bytes/sec)`, in
+    /// ascending slot order (the order progressive filling freezes them).
+    pub fn flow_rates(&mut self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.refresh();
+        self.active.iter().map(|&fi| {
+            let f = self.flows[fi as usize].as_ref().expect("active flow");
+            (f.waker, f.rate)
+        })
+    }
+
+    /// Wakers of flows starved by the current rates (frozen at a
     /// non-positive rate with bytes still to move). Such a flow can never
     /// complete unless a competing flow finishes first; the scheduler
     /// surfaces it as a loud error instead of deadlocking silently.
     pub fn take_stalled(&mut self) -> Option<u32> {
+        self.refresh();
         self.stalled.pop()
     }
 
-    /// Starts a new flow owned by process `waker`. Call
-    /// [`FlowNet::next_completion`] afterwards to reschedule the tick.
+    /// Whether an active flow may complete at the instant of the latest
+    /// start or tick without more time passing: one with `EPSILON_BYTES`
+    /// or fewer left, or one crossing only infinite-capacity links. It
+    /// may answer `true` spuriously but never `false` wrongly, so while it
+    /// is `false` [`FlowNet::next_completion`] lies strictly in the future
+    /// and a scheduler may defer asking until that instant's other events
+    /// have run.
+    pub(crate) fn may_complete_now(&self) -> bool {
+        self.finishing > 0
+    }
+
+    /// Starts a new flow owned by process `waker`. Rates are solved
+    /// lazily: the next query (e.g. [`FlowNet::next_completion`]) sees
+    /// them with this flow included.
     ///
     /// # Panics
     /// Panics if the spec references an unknown link.
@@ -218,8 +266,17 @@ impl FlowNet {
             );
         }
         self.settle(now);
+        let remaining = spec.bytes.as_f64();
+        if remaining <= EPSILON_BYTES
+            || spec
+                .links
+                .iter()
+                .all(|l| self.links[l.0 as usize].capacity.is_infinite())
+        {
+            self.finishing += 1;
+        }
         let flow = Flow {
-            remaining: spec.bytes.as_f64(),
+            remaining,
             links: spec.links,
             waker,
             rate: 0.0,
@@ -246,7 +303,7 @@ impl FlowNet {
             let mpos = self.members[li].partition_point(|&m| m < slot);
             self.members[li].insert(mpos, slot);
         }
-        self.recompute();
+        self.stale = true;
         FlowKey(i)
     }
 
@@ -255,7 +312,10 @@ impl FlowNet {
     /// in deterministic flow order). The caller owns the buffer so the
     /// per-tick allocation can be amortised away.
     pub fn tick(&mut self, now: SimTime, woken: &mut Vec<u32>) {
+        self.refresh();
         self.settle(now);
+        // Every flow that can complete at `now` completes here.
+        self.finishing = 0;
         woken.clear();
         let done = &mut self.scratch.done;
         done.clear();
@@ -293,19 +353,20 @@ impl FlowNet {
             self.free.push(i);
         }
         self.active.retain(|&fi| self.flows[fi as usize].is_some());
-        self.recompute();
+        self.stale = true;
     }
 
     /// When the earliest active flow will complete, if any.
     ///
-    /// O(1): rates only change inside `FlowNet::recompute`, which folds
-    /// each flow's completion deadline into a maintained minimum the
-    /// moment the rate freezes. The cached value is relative to the last
-    /// settle instant; every scheduler query happens right after a
-    /// settle+recompute at the same timestamp, so the fast path always
-    /// applies there. Any other call pattern (e.g. a probe at an
-    /// arbitrary time) falls back to the reference scan.
-    pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+    /// O(1) once rates are solved: rates only change inside
+    /// `FlowNet::recompute`, which folds each flow's completion deadline
+    /// into a maintained minimum the moment the rate freezes. The cached
+    /// value is relative to the last settle instant; every scheduler query
+    /// happens at the instant of the latest start or tick, so the fast
+    /// path always applies there. Any other call pattern (e.g. a probe at
+    /// an arbitrary time) falls back to the reference scan.
+    pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
+        self.refresh();
         if self.earliest_fresh && now == self.last_settle {
             return self.earliest.map(|d| now.saturating_add(d));
         }
@@ -315,7 +376,8 @@ impl FlowNet {
     /// Reference implementation of [`FlowNet::next_completion`]: a full
     /// scan over every flow slot. Kept as the oracle the incremental
     /// completion index is property-tested against.
-    pub fn next_completion_reference(&self, now: SimTime) -> Option<SimTime> {
+    pub fn next_completion_reference(&mut self, now: SimTime) -> Option<SimTime> {
+        self.refresh();
         let mut best: Option<SimDuration> = None;
         for f in self.flows.iter().flatten() {
             let d = if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
@@ -348,11 +410,15 @@ impl FlowNet {
         }
     }
 
-    /// Advances all remaining-byte counters to `now` at current rates.
+    /// Advances all remaining-byte counters to `now` at the rates in
+    /// effect since the last settle.
     fn settle(&mut self, now: SimTime) {
         let dt = now
             .saturating_duration_since(self.last_settle)
             .as_secs_f64();
+        if dt > 0.0 {
+            self.refresh();
+        }
         self.last_settle = now;
         if dt <= 0.0 {
             return;
@@ -360,6 +426,7 @@ impl FlowNet {
         // Remaining-byte counters moved; cached deadlines are measured
         // from the old settle instant and must be re-derived.
         self.earliest_fresh = false;
+        self.finishing = 0;
         for &fi in &self.active {
             let f = self.flows[fi as usize].as_mut().expect("active flow");
             if f.rate.is_infinite() {
@@ -367,6 +434,16 @@ impl FlowNet {
             } else {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
+            if f.remaining <= EPSILON_BYTES {
+                self.finishing += 1;
+            }
+        }
+    }
+
+    /// Solves the rates if a flow started or finished since the last solve.
+    fn refresh(&mut self) {
+        if self.stale {
+            self.recompute();
         }
     }
 
@@ -376,13 +453,12 @@ impl FlowNet {
     /// The work done here is proportional to the *active* flows and the
     /// links they touch — counts and residuals come from the per-link
     /// membership lists, the bottleneck of each filling round comes from
-    /// a lazily-revalidated min-heap (stale keys are discarded when the
-    /// current `residual/count` no longer matches), and each round
-    /// freezes only the members of the bottleneck link. Tie-breaking and
-    /// floating-point evaluation order are kept exactly as the dense scan
-    /// had them (ascending link id, ascending flow slot, shares derived
-    /// from the live residual/count at selection time), so computed
-    /// rates — and therefore virtual time — are bit-identical.
+    /// a min-heap of lazy lower-bound keys (see the module docs), and
+    /// each round freezes only the members of the bottleneck link.
+    /// Tie-breaking and floating-point evaluation order are kept exactly
+    /// as the dense scan had them (ascending link id, ascending flow slot,
+    /// shares derived from the live residual/count at selection time), so
+    /// computed rates — and therefore virtual time — are bit-identical.
     fn recompute(&mut self) {
         let FlowNet {
             links,
@@ -392,6 +468,7 @@ impl FlowNet {
             touched,
             earliest,
             earliest_fresh,
+            stale,
             stalled,
             scratch,
             ..
@@ -399,6 +476,7 @@ impl FlowNet {
         let RecomputeScratch {
             counts,
             residual,
+            low,
             heap,
             frozen_at,
             epoch,
@@ -408,32 +486,33 @@ impl FlowNet {
         let epoch = *epoch;
         counts.resize(links.len(), 0);
         residual.resize(links.len(), 0.0);
+        low.resize(links.len(), 0.0);
         frozen_at.resize(flows.len(), 0);
-        heap.clear();
         stalled.clear();
         *earliest = None;
         *earliest_fresh = true;
+        *stale = false;
         let mut unfrozen = active.len();
+        let mut keys = std::mem::take(heap).into_vec();
+        keys.clear();
         for &li in touched.iter() {
             let l = li as usize;
             counts[l] = members[l].len() as u32;
             residual[l] = links[l].capacity;
             if !links[l].capacity.is_infinite() {
-                heap.push(Reverse(ShareKey {
-                    share: residual[l] / counts[l] as f64,
-                    li,
-                }));
+                low[l] = residual[l] / counts[l] as f64;
+                keys.push(Reverse(ShareKey { share: low[l], li }));
             }
         }
+        *heap = BinaryHeap::from(keys);
         while unfrozen > 0 {
-            // Pop heap keys until one still matches the live share of its
-            // link; anything a freeze invalidated was re-pushed with the
-            // fresh value, so the first match is the true bottleneck.
+            // Pop keys until one equals the live share of its link. Every
+            // live link keeps its `low` key queued and `low` never exceeds
+            // the live share, so the first match is the true bottleneck.
             let mut bottleneck = None;
-            while let Some(&Reverse(key)) = heap.peek() {
+            while let Some(Reverse(key)) = heap.pop() {
                 let l = key.li as usize;
                 if counts[l] == 0 {
-                    heap.pop();
                     continue;
                 }
                 let share = residual[l] / counts[l] as f64;
@@ -441,7 +520,12 @@ impl FlowNet {
                     bottleneck = Some((l, share));
                     break;
                 }
-                heap.pop();
+                if key.share == low[l] {
+                    // The link's share rose since its lowest key was
+                    // queued; queue the live value in its place.
+                    low[l] = share;
+                    heap.push(Reverse(ShareKey { share, li: key.li }));
+                }
             }
             match bottleneck {
                 None => {
@@ -458,7 +542,6 @@ impl FlowNet {
                     break;
                 }
                 Some((bli, share)) => {
-                    heap.pop();
                     let share = share.max(0.0);
                     // Freeze all unfrozen flows crossing the bottleneck in
                     // ascending slot order (the dense scan's flow order).
@@ -476,10 +559,12 @@ impl FlowNet {
                             residual[li] = (residual[li] - share).max(0.0);
                             counts[li] -= 1;
                             if counts[li] > 0 && !links[li].capacity.is_infinite() {
-                                heap.push(Reverse(ShareKey {
-                                    share: residual[li] / counts[li] as f64,
-                                    li: l.0,
-                                }));
+                                // Only rounding can lower a share here.
+                                let s = residual[li] / counts[li] as f64;
+                                if s < low[li] {
+                                    low[li] = s;
+                                    heap.push(Reverse(ShareKey { share: s, li: l.0 }));
+                                }
                             }
                         }
                         if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
@@ -524,8 +609,8 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
-    fn rates(net: &FlowNet) -> Vec<f64> {
-        net.flows.iter().flatten().map(|f| f.rate).collect()
+    fn rates(net: &mut FlowNet) -> Vec<f64> {
+        net.flow_rates().map(|(_, rate)| rate).collect()
     }
 
     fn tick(net: &mut FlowNet, now: SimTime) -> Vec<u32> {
@@ -546,7 +631,7 @@ mod tests {
             },
             0,
         );
-        assert_eq!(rates(&net), vec![100.0]);
+        assert_eq!(rates(&mut net), vec![100.0]);
         let done_at = net.next_completion(t(0)).expect("one active flow");
         assert!(done_at.as_nanos().abs_diff(t(2000).as_nanos()) <= 2);
     }
@@ -561,7 +646,7 @@ mod tests {
         };
         net.start(t(0), spec(100), 0);
         net.start(t(0), spec(100), 1);
-        assert_eq!(rates(&net), vec![50.0, 50.0]);
+        assert_eq!(rates(&mut net), vec![50.0, 50.0]);
     }
 
     #[test]
@@ -587,7 +672,7 @@ mod tests {
             },
             1,
         );
-        let r = rates(&net);
+        let r = rates(&mut net);
         assert_eq!(r[0], 10.0);
         assert_eq!(r[1], 90.0);
     }
@@ -618,7 +703,7 @@ mod tests {
         let woken = tick(&mut net, first);
         assert_eq!(woken, vec![0]);
         // Flow 1 had 500-50=450 left, now at full 100 B/s.
-        assert_eq!(rates(&net), vec![100.0]);
+        assert_eq!(rates(&mut net), vec![100.0]);
         let second = net.next_completion(first).expect("one active flow");
         assert!(second.as_nanos().abs_diff(t(1000 + 4500).as_nanos()) <= 4);
     }
@@ -691,7 +776,7 @@ mod tests {
             );
         }
         // Fair share on the backbone is 62.5 B/s < NIC cap.
-        for r in rates(&net) {
+        for r in rates(&mut net) {
             assert!((r - 62.5).abs() < 1e-9);
         }
         assert!((net.link_rate(backbone) - 250.0).abs() < 1e-9);

@@ -152,6 +152,9 @@ pub struct Sim {
     limiter_events: Vec<Option<EventId>>,
     flownet: FlowNet,
     flow_event: Option<EventId>,
+    /// Sequence number reserved for the flow tick by the latest flow start
+    /// or finish; [`Sim::flush_flows`] schedules the tick with it.
+    flow_seq: Option<u64>,
     /// Reusable buffer for flow/limiter tick wake lists, so steady-state
     /// ticks do no per-event allocation.
     tick_woken: Vec<u32>,
@@ -204,6 +207,7 @@ impl Sim {
             limiter_events: Vec::new(),
             flownet: FlowNet::new(),
             flow_event: None,
+            flow_seq: None,
             tick_woken: Vec::new(),
             fatal: None,
             yields,
@@ -295,7 +299,15 @@ impl Sim {
     /// a joiner observing it, and [`SimError::Deadlock`] if the event queue
     /// drained while processes were still blocked.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        while let Some((time, wake)) = self.queue.pop() {
+        loop {
+            self.flush_flows();
+            if let Some(err) = self.fatal.take() {
+                self.teardown();
+                return Err(err);
+            }
+            let Some((time, wake)) = self.queue.pop() else {
+                break;
+            };
             debug_assert!(time >= self.now(), "time must be monotone");
             self.clock.store(time.as_nanos(), Ordering::SeqCst);
             self.events_dispatched += 1;
@@ -311,8 +323,7 @@ impl Sim {
                     }
                     woken.clear();
                     self.tick_woken = woken;
-                    self.check_flow_stall();
-                    self.reschedule_flow_tick();
+                    self.flow_changed();
                 }
                 Wake::LimiterTick(li) => {
                     self.limiter_events[li as usize] = None;
@@ -326,10 +337,6 @@ impl Sim {
                     self.tick_woken = woken;
                     self.reschedule_limiter_tick(li);
                 }
-            }
-            if let Some(err) = self.fatal.take() {
-                self.teardown();
-                return Err(err);
             }
         }
         self.finished = true;
@@ -375,8 +382,8 @@ impl Sim {
         self.queue.schedule(self.now(), Wake::Process(pidx));
     }
 
-    /// Records a fatal error if the last rate recompute starved a flow;
-    /// the run loop terminates with it after the current event.
+    /// Records a fatal error if the current rates starve a flow; the run
+    /// loop terminates with it before the next event.
     fn check_flow_stall(&mut self) {
         if let Some(waker) = self.flownet.take_stalled() {
             if self.fatal.is_none() {
@@ -387,12 +394,35 @@ impl Sim {
         }
     }
 
-    fn reschedule_flow_tick(&mut self) {
+    /// A flow started or finished, so the scheduled tick is stale: cancel
+    /// it and reserve the sequence number its replacement takes. The tick
+    /// is scheduled by [`Sim::flush_flows`], keeping the place among
+    /// same-instant events it would have had if scheduled now.
+    fn flow_changed(&mut self) {
         if let Some(ev) = self.flow_event.take() {
             self.queue.cancel(ev);
         }
-        if let Some(at) = self.flownet.next_completion(self.now()) {
-            self.flow_event = Some(self.queue.schedule(at, Wake::FlowTick));
+        self.flow_seq = (self.flownet.active_flows() > 0).then(|| self.queue.reserve());
+    }
+
+    /// Solves the flow rates and schedules the tick reserved by the latest
+    /// flow change, before the next event pops. Deferred while the next
+    /// event is at the current instant and no flow can complete at it:
+    /// the tick then falls after every event of this instant, so a burst
+    /// of same-instant starts and finishes costs one rate solve.
+    fn flush_flows(&mut self) {
+        let Some(seq) = self.flow_seq else {
+            return;
+        };
+        let now = self.now();
+        if !self.flownet.may_complete_now() && self.queue.peek_time() == Some(now) {
+            return;
+        }
+        self.flow_seq = None;
+        let next = self.flownet.next_completion(now);
+        self.check_flow_stall();
+        if let Some(at) = next {
+            self.flow_event = Some(self.queue.schedule_reserved(at, seq, Wake::FlowTick));
         }
     }
 
@@ -635,8 +665,7 @@ impl Sim {
             YieldMsg::Transfer(spec) => {
                 self.flownet.start(now, spec, pidx);
                 self.procs[pidx as usize].resume_with = ResumeMsg::Go;
-                self.check_flow_stall();
-                self.reschedule_flow_tick();
+                self.flow_changed();
                 Flow::Blocked
             }
             YieldMsg::Spawn { name, body } => {
@@ -1594,5 +1623,156 @@ mod tests {
         assert_eq!(report.pool_workers, 2);
         let draws = draws.lock().unwrap();
         assert_ne!(draws[0], draws[1], "streams must differ across processes");
+    }
+
+    #[test]
+    fn same_instant_transfers_resume_in_a_pinned_order() {
+        // Processes wake together and, at one instant, start a zero-byte
+        // transfer, a transfer over UNLIMITED links only and normal
+        // transfers, while a neighbour yields with zero-length sleeps in
+        // between. The second burst (t = 3 s) starts only normal transfers
+        // around the zero sleeps, then one zero-byte transfer. At t = 9 s a
+        // transfer starts and a neighbour sleeps to exactly its completion
+        // instant, then yields. At t = 12 s an UNLIMITED-only transfer
+        // starts alone before zero sleeps. At t = 16 s + 1 ns a transfer
+        // starts at the instant another one runs out of bytes, before its
+        // tick, with zero sleeps after. Every resume is logged as (virtual
+        // time, pid); the order pins where flow ticks fall among
+        // same-instant events.
+        enum Step {
+            Sleep(u64),
+            Send(u64, Vec<LinkId>),
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new();
+        let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
+        let open = sim.create_link(Bandwidth::UNLIMITED);
+        const MS: u64 = 1_000_000;
+        let scripts = vec![
+            vec![
+                Step::Sleep(MS),
+                Step::Send(0, vec![link]),
+                Step::Send(0, vec![link]),
+            ],
+            vec![
+                Step::Sleep(MS),
+                Step::Sleep(0),
+                Step::Sleep(0),
+                Step::Sleep(0),
+                Step::Sleep(0),
+                Step::Sleep(0),
+                Step::Sleep(0),
+            ],
+            vec![Step::Sleep(MS), Step::Send(1 << 30, vec![open, open])],
+            vec![
+                Step::Sleep(MS),
+                Step::Sleep(0),
+                Step::Send(50, vec![link, open]),
+            ],
+            vec![Step::Sleep(MS), Step::Send(100, vec![link])],
+            vec![Step::Sleep(3_000 * MS), Step::Send(100, vec![link])],
+            vec![Step::Sleep(3_000 * MS), Step::Sleep(0), Step::Sleep(0)],
+            vec![Step::Sleep(3_000 * MS), Step::Send(200, vec![link])],
+            vec![
+                Step::Sleep(3_000 * MS),
+                Step::Sleep(0),
+                Step::Send(0, vec![link]),
+            ],
+            vec![Step::Sleep(9_000 * MS), Step::Send(100, vec![link])],
+            vec![
+                Step::Sleep(9_000 * MS),
+                Step::Sleep(1_000 * MS + 1),
+                Step::Sleep(0),
+                Step::Sleep(0),
+            ],
+            vec![Step::Sleep(12_000 * MS), Step::Send(1 << 20, vec![open])],
+            vec![
+                Step::Sleep(12_000 * MS),
+                Step::Sleep(0),
+                Step::Sleep(0),
+                Step::Sleep(0),
+            ],
+            vec![
+                Step::Sleep(15_000 * MS),
+                Step::Sleep(1_000 * MS + 1),
+                Step::Send(100, vec![link]),
+            ],
+            vec![Step::Sleep(15_000 * MS), Step::Send(100, vec![link])],
+            vec![
+                Step::Sleep(15_000 * MS),
+                Step::Sleep(1_000 * MS + 1),
+                Step::Sleep(0),
+                Step::Sleep(0),
+            ],
+        ];
+        for (i, script) in scripts.into_iter().enumerate() {
+            let log = Arc::clone(&log);
+            sim.spawn_task(format!("p{}", i), move |ctx| async move {
+                for step in script {
+                    match step {
+                        Step::Sleep(ns) => ctx.sleep_async(SimDuration::from_nanos(ns)).await,
+                        Step::Send(b, links) => ctx.transfer_async(ByteSize::new(b), &links).await,
+                    }
+                    log.lock()
+                        .unwrap()
+                        .push((ctx.now().as_nanos(), ctx.pid().0));
+                }
+            });
+        }
+        let report = sim.run().expect("run");
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![
+                (MS, 0),
+                (MS, 1),
+                (MS, 2),
+                (MS, 3),
+                (MS, 4),
+                (MS, 1),
+                (MS, 3),
+                (MS, 1),
+                (MS, 1),
+                (MS, 0),
+                (MS, 2),
+                (MS, 1),
+                (MS, 1),
+                (MS, 0),
+                (MS, 1),
+                (1_001 * MS + 1, 3),
+                (1_501 * MS + 2, 4),
+                (3_000 * MS, 5),
+                (3_000 * MS, 6),
+                (3_000 * MS, 7),
+                (3_000 * MS, 8),
+                (3_000 * MS, 6),
+                (3_000 * MS, 8),
+                (3_000 * MS, 6),
+                (3_000 * MS, 8),
+                (5_000 * MS + 1, 5),
+                (6_000 * MS + 2, 7),
+                (9_000 * MS, 9),
+                (9_000 * MS, 10),
+                (10_000 * MS + 1, 10),
+                (10_000 * MS + 1, 9),
+                (10_000 * MS + 1, 10),
+                (10_000 * MS + 1, 10),
+                (12_000 * MS, 11),
+                (12_000 * MS, 12),
+                (12_000 * MS, 12),
+                (12_000 * MS, 11),
+                (12_000 * MS, 12),
+                (12_000 * MS, 12),
+                (15_000 * MS, 13),
+                (15_000 * MS, 14),
+                (15_000 * MS, 15),
+                (16_000 * MS + 1, 13),
+                (16_000 * MS + 1, 15),
+                (16_000 * MS + 1, 15),
+                (16_000 * MS + 1, 14),
+                (16_000 * MS + 1, 15),
+                (17_000 * MS + 2, 13),
+            ]
+        );
+        assert_eq!(report.events, 75);
     }
 }

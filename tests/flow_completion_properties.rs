@@ -1,15 +1,18 @@
-//! Property tests pinning the flow network's incremental
-//! earliest-completion index to the reference full scan.
+//! Property tests pinning the flow network's rates and its incremental
+//! earliest-completion index to reference implementations.
 //!
 //! [`FlowNet::next_completion`] answers the scheduler's "when does the
 //! next transfer finish?" in O(1) by folding each flow's completion
 //! deadline into a maintained minimum during `recompute`.
 //! [`FlowNet::next_completion_reference`] is the original O(flows) scan,
-//! kept as the oracle. These tests drive random interleavings of flow
-//! starts, arbitrary-time ticks, and scheduler-style
-//! advance-to-completion ticks over random topologies, asserting the two
-//! agree (to the nanosecond) after every operation and across a full
-//! drain to quiescence.
+//! kept as the oracle. The rates themselves are solved lazily, once per
+//! burst of changes, with lazily refreshed bottleneck keys;
+//! [`dense_rates`] below is the dense progressive filling they must equal
+//! bit for bit. These tests drive random interleavings of flow starts
+//! (zero-byte ones and same-instant bursts among them), arbitrary-time
+//! ticks, and scheduler-style advance-to-completion ticks over random
+//! topologies, asserting agreement after every operation and across a
+//! full drain to quiescence.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -21,19 +24,117 @@ use faaspipe::des::{Bandwidth, ByteSize, FlowSpec, LinkId, SimDuration, SimTime}
 // kind 1 advances an arbitrary `dt` and ticks, kind 2 advances exactly
 // to the predicted completion and ticks (the scheduler's own pattern,
 // which exercises the O(1) fast path at the same timestamp as the
-// preceding settle).
+// preceding settle), kind 3 starts a zero-byte flow, and kind 4 starts a
+// burst of flows at one instant with a same-instant tick in the middle,
+// so several starts and finishes share one rate solve.
 
-fn non_empty_subset(links: &[LinkId], bits: u8) -> Vec<LinkId> {
-    let picked: Vec<LinkId> = links
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| (bits >> (i % 8)) & 1 == 1)
-        .map(|(_, &l)| l)
-        .collect();
+/// Indices (into a topology of `n` links) of the links a flow crosses.
+fn non_empty_subset(n: usize, bits: u8) -> Vec<usize> {
+    let picked: Vec<usize> = (0..n).filter(|&i| (bits >> (i % 8)) & 1 == 1).collect();
     if picked.is_empty() {
-        vec![links[bits as usize % links.len()]]
+        vec![bits as usize % n]
     } else {
         picked
+    }
+}
+
+/// Max-min fair rates by dense progressive filling, the reference the
+/// flow network must match bit for bit. `caps[l]` is link `l`'s capacity
+/// in bytes/sec, with links indexed in creation (= id) order; `flows`
+/// lists each active flow's link indices, in ascending slot order. Each
+/// round scans every link for the smallest live share `residual/count`
+/// (ties go to the lowest link id) and freezes the unfrozen flows
+/// crossing it at that share, in slot order; flows that cross only
+/// infinite-capacity links never freeze and run at an infinite rate.
+fn dense_rates(caps: &[f64], flows: &[&[usize]]) -> Vec<f64> {
+    let mut counts = vec![0u32; caps.len()];
+    let mut residual = caps.to_vec();
+    for links in flows {
+        for &l in links.iter() {
+            counts[l] += 1;
+        }
+    }
+    let mut rates = vec![f64::INFINITY; flows.len()];
+    let mut unfrozen: Vec<usize> = (0..flows.len()).collect();
+    loop {
+        let mut bottleneck: Option<(usize, f64)> = None;
+        for (l, &cap) in caps.iter().enumerate() {
+            if counts[l] == 0 || cap.is_infinite() {
+                continue;
+            }
+            let share = residual[l] / counts[l] as f64;
+            if bottleneck.is_none_or(|(_, s)| share < s) {
+                bottleneck = Some((l, share));
+            }
+        }
+        let Some((bl, share)) = bottleneck else {
+            return rates;
+        };
+        let share = share.max(0.0);
+        unfrozen.retain(|&fi| {
+            if !flows[fi].contains(&bl) {
+                return true;
+            }
+            rates[fi] = share;
+            for &l in flows[fi] {
+                residual[l] = (residual[l] - share).max(0.0);
+                counts[l] -= 1;
+            }
+            false
+        });
+    }
+}
+
+/// Test harness over a [`FlowNet`]: remembers each flow's link indices by
+/// waker (wakers are handed out in start order) so the dense reference
+/// can be rebuilt from the network's own slot order.
+struct Harness {
+    net: FlowNet,
+    links: Vec<LinkId>,
+    caps: Vec<f64>,
+    flow_links: Vec<Vec<usize>>,
+}
+
+impl Harness {
+    fn new(caps: impl IntoIterator<Item = Bandwidth>) -> Self {
+        let mut net = FlowNet::new();
+        let mut links = Vec::new();
+        let mut bytes_per_sec = Vec::new();
+        for cap in caps {
+            links.push(net.add_link(cap));
+            bytes_per_sec.push(cap.as_bytes_per_sec());
+        }
+        Harness {
+            net,
+            links,
+            caps: bytes_per_sec,
+            flow_links: Vec::new(),
+        }
+    }
+
+    fn start(&mut self, now: SimTime, bytes: u64, link_idx: Vec<usize>) {
+        let spec = FlowSpec {
+            bytes: ByteSize::new(bytes),
+            links: link_idx.iter().map(|&i| self.links[i]).collect(),
+        };
+        self.net.start(now, spec, self.flow_links.len() as u32);
+        self.flow_links.push(link_idx);
+    }
+
+    /// Active flows whose rate differs from the dense reference's in any
+    /// bit, as `(waker, rate, reference rate)`.
+    fn rate_mismatches(&mut self) -> Vec<(u32, f64, f64)> {
+        let live: Vec<(u32, f64)> = self.net.flow_rates().collect();
+        let flows: Vec<&[usize]> = live
+            .iter()
+            .map(|&(w, _)| self.flow_links[w as usize].as_slice())
+            .collect();
+        let want = dense_rates(&self.caps, &flows);
+        live.iter()
+            .zip(want)
+            .filter(|&(&(_, got), want)| got.to_bits() != want.to_bits())
+            .map(|(&(w, got), want)| (w, got, want))
+            .collect()
     }
 }
 
@@ -42,48 +143,65 @@ proptest! {
 
     /// After every start/tick — and at every step of a drain to
     /// quiescence — the incremental index and the reference scan return
-    /// the same completion instant.
+    /// the same completion instant, and every active flow's rate equals
+    /// the dense reference's bit for bit.
     #[test]
     fn incremental_next_completion_matches_reference_scan(
         caps in vec(1u64..=4096, 1..6),
-        ops in vec((0u8..3, 1u64..=1 << 28, any::<u8>(), 1u64..50_000_000), 1..80),
+        ops in vec((0u8..5, 1u64..=1 << 28, any::<u8>(), 1u64..50_000_000), 1..80),
     ) {
-        let mut net = FlowNet::new();
-        let mut links: Vec<LinkId> = caps
-            .iter()
-            .map(|&c| net.add_link(Bandwidth::mib_per_sec(c as f64 / 16.0)))
-            .collect();
         // One infinite-capacity link so some subsets yield unbounded
         // (immediately-completing) flows — the ZERO-delay edge case.
-        links.push(net.add_link(Bandwidth::UNLIMITED));
+        let mut h = Harness::new(
+            caps.iter()
+                .map(|&c| Bandwidth::mib_per_sec(c as f64 / 16.0))
+                .chain([Bandwidth::UNLIMITED]),
+        );
+        let n = h.links.len();
 
         let mut now = SimTime::ZERO;
         let mut woken = Vec::new();
-        let mut waker = 0u32;
         for &(kind, bytes, bits, dt) in &ops {
             match kind {
-                0 => {
-                    let spec = FlowSpec {
-                        bytes: ByteSize::new(bytes),
-                        links: non_empty_subset(&links, bits),
-                    };
-                    net.start(now, spec, waker);
-                    waker += 1;
-                }
+                0 => h.start(now, bytes, non_empty_subset(n, bits)),
                 1 => {
                     now = now.saturating_add(SimDuration::from_nanos(dt));
-                    net.tick(now, &mut woken);
+                    h.net.tick(now, &mut woken);
                 }
-                _ => {
-                    if let Some(t) = net.next_completion(now) {
+                2 => {
+                    if let Some(t) = h.net.next_completion(now) {
                         now = t;
-                        net.tick(now, &mut woken);
+                        h.net.tick(now, &mut woken);
+                    }
+                }
+                3 => h.start(now, 0, non_empty_subset(n, bits)),
+                _ => {
+                    // Up to 16 starts at `now`, every third one zero-byte,
+                    // some crossing their first link twice, with a tick at
+                    // the same instant halfway through.
+                    let burst = 2 + (dt % 15) as usize;
+                    for j in 0..burst {
+                        let mut idx = non_empty_subset(n, bits.rotate_left(j as u32));
+                        if j % 4 == 1 {
+                            idx.push(idx[0]);
+                        }
+                        let b = if j % 3 == 0 { 0 } else { bytes >> j };
+                        h.start(now, b, idx);
+                        if j == burst / 2 {
+                            h.net.tick(now, &mut woken);
+                        }
                     }
                 }
             }
+            let bad = h.rate_mismatches();
+            prop_assert!(
+                bad.is_empty(),
+                "rates diverged from dense reference after op ({}, {}, {}, {}): {:?}",
+                kind, bytes, bits, dt, bad
+            );
             prop_assert_eq!(
-                net.next_completion(now),
-                net.next_completion_reference(now),
+                h.net.next_completion(now),
+                h.net.next_completion_reference(now),
                 "index diverged from reference after op ({}, {}, {}, {})",
                 kind, bytes, bits, dt
             );
@@ -92,19 +210,21 @@ proptest! {
         // Drain exactly as the scheduler does: jump to each predicted
         // completion and tick there until the network is quiet.
         let mut rounds = 0usize;
-        while let Some(t) = net.next_completion(now) {
-            prop_assert_eq!(Some(t), net.next_completion_reference(now));
+        while let Some(t) = h.net.next_completion(now) {
+            prop_assert_eq!(Some(t), h.net.next_completion_reference(now));
             now = t;
-            net.tick(now, &mut woken);
+            h.net.tick(now, &mut woken);
+            let bad = h.rate_mismatches();
+            prop_assert!(bad.is_empty(), "rates diverged from dense reference during drain: {:?}", bad);
             prop_assert_eq!(
-                net.next_completion(now),
-                net.next_completion_reference(now),
+                h.net.next_completion(now),
+                h.net.next_completion_reference(now),
                 "index diverged from reference during drain"
             );
             rounds += 1;
             prop_assert!(rounds < 10_000, "drain did not converge");
         }
-        prop_assert_eq!(net.active_flows(), 0, "drain left active flows");
+        prop_assert_eq!(h.net.active_flows(), 0, "drain left active flows");
     }
 
     /// Probing at a timestamp *between* events (where the cached minimum
@@ -116,35 +236,28 @@ proptest! {
         starts in vec((1u64..=1 << 24, any::<u8>()), 1..20),
         probe_ns in vec(1u64..10_000_000, 1..20),
     ) {
-        let mut net = FlowNet::new();
-        let links: Vec<LinkId> = caps
-            .iter()
-            .map(|&c| net.add_link(Bandwidth::mib_per_sec(c as f64)))
-            .collect();
+        let mut h = Harness::new(caps.iter().map(|&c| Bandwidth::mib_per_sec(c as f64)));
+        let n = h.links.len();
         let mut now = SimTime::ZERO;
-        for (i, &(bytes, bits)) in starts.iter().enumerate() {
-            let spec = FlowSpec {
-                bytes: ByteSize::new(bytes),
-                links: non_empty_subset(&links, bits),
-            };
-            net.start(now, spec, i as u32);
+        for &(bytes, bits) in &starts {
+            h.start(now, bytes, non_empty_subset(n, bits));
         }
         for &ns in &probe_ns {
             let probe = now.saturating_add(SimDuration::from_nanos(ns));
             prop_assert_eq!(
-                net.next_completion(probe),
-                net.next_completion_reference(probe),
+                h.net.next_completion(probe),
+                h.net.next_completion_reference(probe),
                 "off-schedule probe diverged"
             );
         }
         let mut woken = Vec::new();
         let mut rounds = 0usize;
-        while let Some(t) = net.next_completion(now) {
+        while let Some(t) = h.net.next_completion(now) {
             now = t;
-            net.tick(now, &mut woken);
+            h.net.tick(now, &mut woken);
             rounds += 1;
             prop_assert!(rounds < 10_000, "drain did not converge");
         }
-        prop_assert_eq!(net.active_flows(), 0);
+        prop_assert_eq!(h.net.active_flows(), 0);
     }
 }

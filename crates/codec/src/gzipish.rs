@@ -214,7 +214,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     if declared > (1 << 40) {
         return Err(CodecError::LengthOverflow { declared });
     }
-    let mut out: Vec<u8> = Vec::with_capacity(declared as usize);
+    // The declared length is untrusted: reserve no more than the input's
+    // own size and let the output grow as blocks actually decode.
+    let mut out: Vec<u8> = Vec::with_capacity(declared.min(input.len() as u64) as usize);
     loop {
         let is_final = r.read_bit()?;
         let is_huff = r.read_bit()?;
@@ -421,6 +423,15 @@ mod tests {
         for cut in [1usize, 5, packed.len() / 2, packed.len() - 1] {
             assert!(decompress(&packed[..cut]).is_err(), "cut {}", cut);
         }
+    }
+
+    #[test]
+    fn crafted_declared_length_fails_without_reserving_it() {
+        // 18 bytes declaring 2^39 output bytes (512 GiB).
+        let mut packed = MAGIC.to_vec();
+        varint::write_u64(&mut packed, 1 << 39);
+        packed.resize(18, 0);
+        assert!(decompress(&packed).is_err());
     }
 
     #[test]

@@ -130,10 +130,10 @@ impl RangeEncoder {
     pub fn encode_direct(&mut self, value: u64, count: u32) {
         for i in (0..count).rev() {
             self.range >>= 1;
-            let bit = (value >> i) & 1;
-            if bit == 1 {
-                self.low += self.range as u64;
-            }
+            // Raw payload bits are coin flips, so a branch on them
+            // mispredicts half the time; add the half range under a mask.
+            let bit = ((value >> i) & 1) as u32;
+            self.low += (self.range & bit.wrapping_neg()) as u64;
             while self.range < TOP {
                 self.range <<= 8;
                 self.shift_low();
@@ -189,7 +189,9 @@ impl<'a> RangeDecoder<'a> {
         b
     }
 
-    /// Bytes consumed so far.
+    /// Bytes consumed so far. After the last symbol of a stream that
+    /// [`RangeEncoder::finish`] produced this equals the stream's length,
+    /// so a container can treat a larger value as truncation.
     pub fn position(&self) -> usize {
         self.pos
     }
@@ -225,13 +227,10 @@ impl<'a> RangeDecoder<'a> {
         let mut value = 0u64;
         for _ in 0..count {
             self.range >>= 1;
-            let bit = if self.code >= self.range {
-                self.code -= self.range;
-                1
-            } else {
-                0
-            };
-            value = (value << 1) | bit;
+            // Branch-free for the same reason as `encode_direct`.
+            let bit = (self.code >= self.range) as u32;
+            self.code -= self.range & bit.wrapping_neg();
+            value = (value << 1) | bit as u64;
             while self.range < TOP {
                 self.range <<= 8;
                 self.code = (self.code << 8) | self.next_byte() as u32;

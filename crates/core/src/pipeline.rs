@@ -401,7 +401,7 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
                             message: format!("archive {} does not round-trip", j),
                         });
                     }
-                    text_bytes += decoded.to_text().len();
+                    text_bytes += decoded.text_len();
                 }
                 EncodeCodec::Gzipish => {
                     let text = faaspipe_codec::gzipish::decompress(&archive).map_err(|e| {

@@ -26,6 +26,11 @@ pub fn chrom_id(name: &str) -> Option<u8> {
     CHROM_NAMES.iter().position(|&c| c == name).map(|i| i as u8)
 }
 
+/// Number of decimal digits in `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 /// Read strand of a methylation call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Strand {
@@ -73,12 +78,16 @@ impl MethRecord {
         self.coverage.min(1000)
     }
 
+    /// The red and green levels of the `itemRgb` ramp.
+    fn rgb_levels(&self) -> (u32, u32) {
+        let m = self.meth_pct as u32;
+        (255 * m / 100, 255 * (100 - m) / 100)
+    }
+
     /// The derived `itemRgb` column encoding the methylation level the way
     /// ENCODE tracks do (a green→red ramp).
     pub fn item_rgb(&self) -> String {
-        let m = self.meth_pct as u32;
-        let r = 255 * m / 100;
-        let g = 255 * (100 - m) / 100;
+        let (r, g) = self.rgb_levels();
         format!("{},{},0", r, g)
     }
 
@@ -98,6 +107,22 @@ impl MethRecord {
             self.coverage,
             self.meth_pct
         )
+    }
+
+    /// The byte length of [`MethRecord::to_line`], counted from the
+    /// fields' digit counts without formatting them.
+    pub fn line_len(&self) -> usize {
+        // Ten tabs, the `.` name, the strand, and itemRgb's `,` and `,0`.
+        const FIXED: usize = 15;
+        let (r, g) = self.rgb_levels();
+        CHROM_NAMES[self.chrom as usize].len()
+            + 2 * (decimal_len(self.start) + decimal_len(self.end))
+            + decimal_len(self.score() as u64)
+            + decimal_len(r as u64)
+            + decimal_len(g as u64)
+            + decimal_len(self.coverage as u64)
+            + decimal_len(self.meth_pct as u64)
+            + FIXED
     }
 
     /// Parses one bedMethyl line.
@@ -246,6 +271,11 @@ impl Dataset {
         out
     }
 
+    /// The byte length of [`Dataset::to_text`], without building it.
+    pub fn text_len(&self) -> usize {
+        self.records.iter().map(|r| r.line_len() + 1).sum()
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -311,6 +341,46 @@ mod tests {
         assert_eq!(r.item_rgb(), "0,255,0");
         r.meth_pct = 100;
         assert_eq!(r.item_rgb(), "255,0,0");
+    }
+
+    #[test]
+    fn line_len_matches_to_line_at_digit_boundaries() {
+        // start/end across every decimal width up to the widest u64.
+        let mut intervals = vec![(0u64, 1u64), (u64::MAX - 1, u64::MAX)];
+        let mut p = 10u64;
+        loop {
+            intervals.push((p - 1, p));
+            intervals.push((p, p + 1));
+            match p.checked_mul(10) {
+                Some(q) => p = q,
+                None => break,
+            }
+        }
+        let mut records = Vec::new();
+        // Chromosome names of both lengths: chr1, chr10, chrX.
+        for chrom in [0u8, 9, 22] {
+            for &(start, end) in &intervals {
+                // score caps at 1000.
+                for coverage in [0u32, 999, 1000, u32::MAX] {
+                    // Every level, so each width of the itemRgb ramp.
+                    for meth_pct in 0..=100u8 {
+                        let r = MethRecord {
+                            chrom,
+                            start,
+                            end,
+                            strand: Strand::Minus,
+                            coverage,
+                            meth_pct,
+                        };
+                        assert_eq!(r.line_len(), r.to_line().len(), "{:?}", r);
+                        records.push(r);
+                    }
+                }
+            }
+        }
+        let ds = Dataset::new(records);
+        assert_eq!(ds.text_len(), ds.to_text().len());
+        assert_eq!(Dataset::default().text_len(), 0);
     }
 
     #[test]

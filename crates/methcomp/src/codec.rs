@@ -26,7 +26,8 @@ use faaspipe_codec::{varint, CodecError};
 use crate::bed::{Dataset, MethRecord, Strand, CHROM_NAMES};
 
 const MAGIC: &[u8; 4] = b"MC01";
-/// Sanity bound on declared record counts (decompression-bomb guard).
+/// Sanity bound on declared record counts; `decompress` also stops once
+/// the body is exhausted, so a smaller crafted count fails early too.
 const MAX_RECORDS: u64 = 1 << 33;
 
 fn meth_band(pct: u8) -> usize {
@@ -38,12 +39,14 @@ fn meth_band(pct: u8) -> usize {
 }
 
 fn digest_record(crc: &mut Crc32, r: &MethRecord) {
-    crc.update(&[r.chrom]);
-    crc.update(&r.start.to_le_bytes());
-    crc.update(&r.end.to_le_bytes());
-    crc.update(&[r.strand.as_char() as u8]);
-    crc.update(&r.coverage.to_le_bytes());
-    crc.update(&[r.meth_pct]);
+    let mut buf = [0u8; 23];
+    buf[0] = r.chrom;
+    buf[1..9].copy_from_slice(&r.start.to_le_bytes());
+    buf[9..17].copy_from_slice(&r.end.to_le_bytes());
+    buf[17] = r.strand.as_char() as u8;
+    buf[18..22].copy_from_slice(&r.coverage.to_le_bytes());
+    buf[22] = r.meth_pct;
+    crc.update(&buf);
 }
 
 struct Models {
@@ -130,7 +133,9 @@ pub fn decompress(input: &[u8]) -> Result<Dataset, CodecError> {
     let (body, trailer) = input[body_start..].split_at(input.len() - body_start - 4);
     let stored_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
 
-    let mut records = Vec::with_capacity(count as usize);
+    // The count is untrusted: reserve at most one record per body byte
+    // (real archives take about two bytes a record) and grow past that.
+    let mut records = Vec::with_capacity(count.min(body.len() as u64) as usize);
     if count > 0 {
         let mut dec = RangeDecoder::new(body)?;
         let mut m = Models::new();
@@ -191,6 +196,11 @@ pub fn decompress(input: &[u8]) -> Result<Dataset, CodecError> {
             prev_strand = strand;
             prev_meth = meth_pct;
             records.push(record);
+            // The decoder reads zeros past the end; a valid archive never
+            // gets there, so a count the body cannot hold stops here.
+            if dec.position() > body.len() {
+                return Err(CodecError::UnexpectedEof);
+            }
         }
     }
     let mut crc = Crc32::new();
@@ -365,6 +375,25 @@ mod tests {
     }
 
     #[test]
+    fn crafted_record_count_fails_at_the_end_of_the_body() {
+        // 18 bytes declaring 2^33 records (the largest count the sanity
+        // bound lets through) over a body of zeros.
+        let mut packed = MAGIC.to_vec();
+        varint::write_u64(&mut packed, MAX_RECORDS);
+        packed.resize(18, 0);
+        assert_eq!(decompress(&packed), Err(CodecError::UnexpectedEof));
+
+        // A valid body under a header claiming twice the records it holds.
+        let ds = Synthesizer::new(21).generate_records(1_000);
+        let valid = compress(&ds);
+        let mut packed = MAGIC.to_vec();
+        varint::write_u64(&mut packed, 2 * ds.len() as u64);
+        let header = 4 + varint::read_u64(&valid[4..]).expect("count").1;
+        packed.extend_from_slice(&valid[header..]);
+        assert_eq!(decompress(&packed), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
     fn single_record_round_trip() {
         let ds = Dataset::new(vec![MethRecord {
             chrom: 5,
@@ -405,6 +434,18 @@ mod tests {
         // Merging nothing yields an empty archive.
         let empty = merge_archives(&[]).expect("empty merge");
         assert_eq!(decompress(&empty).expect("decode"), Dataset::default());
+    }
+
+    #[test]
+    fn archive_bytes_are_pinned() {
+        // Round trips cannot catch an encoder and decoder that change in
+        // step, or a CRC that is wrong the same way on both sides; this pins
+        // the exact archive of a fixed sorted dataset.
+        let ds = Synthesizer::new(0xE0C0_FF88).generate_records(20_000);
+        assert!(ds.is_sorted());
+        let packed = compress(&ds);
+        let crc = faaspipe_codec::checksum::crc32(&packed);
+        assert_eq!((packed.len(), crc), (45_196, 0x53BE_5937));
     }
 
     #[test]

@@ -102,7 +102,13 @@ pub fn compress_indexed(dataset: &Dataset, block_records: usize) -> Result<Vec<u
         total_records: dataset.len() as u64,
         blocks,
     };
-    let index_json = faaspipe_json::to_vec(&index);
+    write_footer(&mut out, &index);
+    Ok(out)
+}
+
+/// Appends the index JSON and the trailer that locates and checks it.
+fn write_footer(out: &mut Vec<u8>, index: &ArchiveIndex) {
+    let index_json = faaspipe_json::to_vec(index);
     let index_crc = crc32(&index_json);
     out.extend_from_slice(&index_json);
     let mut trailer = Vec::new();
@@ -110,7 +116,6 @@ pub fn compress_indexed(dataset: &Dataset, block_records: usize) -> Result<Vec<u
     out.extend_from_slice(&trailer);
     out.push(trailer.len() as u8);
     out.extend_from_slice(&index_crc.to_le_bytes());
-    Ok(out)
 }
 
 /// Reads the footer index of an indexed archive.
@@ -155,9 +160,16 @@ pub fn read_index(archive: &[u8]) -> Result<ArchiveIndex, CodecError> {
 /// [`CodecError`] on any structural problem.
 pub fn decompress_indexed(archive: &[u8]) -> Result<Dataset, CodecError> {
     let index = read_index(archive)?;
-    let mut records = Vec::with_capacity(index.total_records as usize);
+    // The footer's count is untrusted: reserve no more than the archive's
+    // byte length, and check the count once the blocks are decoded.
+    let mut records = Vec::with_capacity(index.total_records.min(archive.len() as u64) as usize);
     for b in &index.blocks {
         records.extend(decode_block(archive, b)?.records);
+    }
+    if records.len() as u64 != index.total_records {
+        return Err(CodecError::BadHeader {
+            what: "indexed archive record count",
+        });
     }
     Ok(Dataset::new(records))
 }
@@ -288,6 +300,24 @@ mod tests {
         archive[0] = b'Z';
         assert!(matches!(
             read_index(&archive),
+            Err(CodecError::BadHeader { .. })
+        ));
+    }
+
+    #[test]
+    fn crafted_record_count_is_rejected() {
+        // A footer declaring 2^40 records over no blocks.
+        let mut archive = MAGIC.to_vec();
+        write_footer(
+            &mut archive,
+            &ArchiveIndex {
+                total_records: 1 << 40,
+                blocks: Vec::new(),
+            },
+        );
+        assert_eq!(read_index(&archive).expect("index").total_records, 1 << 40);
+        assert!(matches!(
+            decompress_indexed(&archive),
             Err(CodecError::BadHeader { .. })
         ));
     }

@@ -1,4 +1,4 @@
-//! Dataset summary statistics (used by reports, tests, and EXPERIMENTS.md).
+//! Dataset summary statistics.
 
 use crate::bed::Dataset;
 
@@ -31,7 +31,7 @@ impl DatasetStats {
                 methylated += 1;
             }
             chroms[r.chrom as usize] = true;
-            text_bytes += r.to_line().len() + 1;
+            text_bytes += r.line_len() + 1;
         }
         DatasetStats {
             records: n,

@@ -95,6 +95,30 @@ fn compress_rejects_malformed_bed() {
 }
 
 #[test]
+fn decompress_rejects_a_crafted_record_count() {
+    // "MC01", the varint of 2^33 records, then nine zero bytes: a count
+    // far beyond what the body holds must fail cleanly, not exhaust memory.
+    let crafted = tmp("crafted.mc");
+    let mut bytes = b"MC01".to_vec();
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x20]);
+    bytes.extend_from_slice(&[0; 9]);
+    std::fs::write(&crafted, &bytes).expect("write");
+    let out = bin()
+        .arg("decompress")
+        .arg(&crafted)
+        .arg(tmp("crafted.bed"))
+        .output()
+        .expect("decompress");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: unexpected end of input"),
+        "{}",
+        stderr
+    );
+}
+
+#[test]
 fn index_and_query_round_trip() {
     let bed = tmp("iq.bed");
     let mcx = tmp("iq.mcx");

@@ -132,6 +132,9 @@ proptest! {
         for &v in &ints {
             prop_assert_eq!(um.decode(&mut dec).expect("uint"), v);
         }
+        // The decoder ends exactly at the end of the stream; METHCOMP
+        // relies on never reading past it.
+        prop_assert_eq!(dec.position(), packed.len());
     }
 }
 
@@ -178,6 +181,7 @@ proptest! {
     fn bed_text_round_trips(records in vec(arb_record(), 0..300)) {
         let ds = Dataset::new(records);
         let text = ds.to_text();
+        prop_assert_eq!(ds.text_len(), text.len());
         let parsed = Dataset::from_text(&text).expect("parse");
         prop_assert_eq!(parsed, ds);
     }
@@ -185,12 +189,15 @@ proptest! {
     #[test]
     fn methcomp_decompress_never_panics_on_garbage(data in vec(any::<u8>(), 0..2_000)) {
         // Arbitrary bytes must be rejected or decode to something; the
-        // decoder must never panic.
+        // decoder must never panic. Behind the magic, the garbage also
+        // reaches the declared record count.
         let _ = mc::decompress(&data);
+        let _ = mc::decompress(&[b"MC01".as_slice(), &data].concat());
     }
 
     #[test]
     fn gzipish_decompress_never_panics_on_garbage(data in vec(any::<u8>(), 0..2_000)) {
         let _ = gzipish::decompress(&data);
+        let _ = gzipish::decompress(&[b"FZ01".as_slice(), &data].concat());
     }
 }

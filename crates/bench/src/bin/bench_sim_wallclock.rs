@@ -40,14 +40,19 @@
 //! clock, cells/s, aggregate simulated events/s, and the job count —
 //! the engine's own throughput trend, `--check`ed like any other row.
 //!
-//! Numbers are host-dependent by construction; CI runs this step
-//! non-gating (`--check` against the checked-in baseline, warn-only) and
-//! archives the artifact.
+//! Wall-clock numbers are host-dependent by construction, but what the
+//! rows simulated is not: `--check` exits 2 when a fresh host row's
+//! `events`, `sim_latency_s` or `peak_live_processes` differ from the
+//! checked-in baseline row, which pins the W = 4096–16384 and cluster
+//! rows that no golden test covers. Exit 1 (a wall-clock regression) is
+//! warn-only in CI, exit 2 fails the step, and the artifact is always
+//! archived.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin bench_sim_wallclock
 //! cargo run --release -p faaspipe-bench --bin bench_sim_wallclock -- \
-//!     --check [baseline.json]   # exit 1 if wall-clock regressed >1.5x
+//!     --check [baseline.json]   # exit 2 if simulated results drifted,
+//!                               # else 1 if wall clock regressed >1.5x
 //! ```
 
 use std::time::Instant;
@@ -558,11 +563,20 @@ fn health_warnings(rows: &[HostRow]) {
     }
 }
 
-/// Compares fresh host rows against a checked-in baseline. Returns the
-/// number of regressed points (wall clock above `CHECK_FACTOR` × the
-/// baseline for the same scenario and worker count).
-fn check_against(baseline: &[HostRow], current: &[HostRow]) -> usize {
-    let mut regressed = 0;
+/// What [`check_against`] found.
+#[derive(Debug, Default, PartialEq)]
+struct CheckOutcome {
+    /// Rows whose wall clock exceeds `CHECK_FACTOR` × the baseline row's.
+    regressed: usize,
+    /// Rows whose simulated results (events, virtual latency, peak live
+    /// processes) differ from the baseline row's.
+    drifted: usize,
+}
+
+/// Compares fresh host rows against a checked-in baseline, matching rows
+/// by scenario, worker count and record count.
+fn check_against(baseline: &[HostRow], current: &[HostRow]) -> CheckOutcome {
+    let mut outcome = CheckOutcome::default();
     for row in current {
         let Some(base) = baseline.iter().find(|b| {
             b.scenario == row.scenario && b.workers == row.workers && b.records == row.records
@@ -573,12 +587,27 @@ fn check_against(baseline: &[HostRow], current: &[HostRow]) -> usize {
             );
             continue;
         };
-        if row.events != base.events {
+        if row.events != base.events
+            || row.sim_latency_s != base.sim_latency_s
+            || row.peak_live_processes != base.peak_live_processes
+        {
             eprintln!(
-                "warning: W={} dispatched {} events vs baseline {} — workload drifted, \
-                 wall-clock comparison is apples-to-oranges (re-capture the baseline)",
-                row.workers, row.events, base.events
+                "error: {} W={} simulated (events {}, latency {} s, peak live {}) vs baseline \
+                 ({}, {} s, {}) — simulated results drifted",
+                if row.scenario.is_empty() {
+                    "trajectory"
+                } else {
+                    &row.scenario
+                },
+                row.workers,
+                row.events,
+                row.sim_latency_s,
+                row.peak_live_processes,
+                base.events,
+                base.sim_latency_s,
+                base.peak_live_processes
             );
+            outcome.drifted += 1;
         }
         let limit = base.wall_ms * CHECK_FACTOR;
         if row.wall_ms > limit {
@@ -586,7 +615,7 @@ fn check_against(baseline: &[HostRow], current: &[HostRow]) -> usize {
                 "warning: wall-clock regression at W={}: {:.0}ms > {:.1}x baseline {:.0}ms",
                 row.workers, row.wall_ms, CHECK_FACTOR, base.wall_ms
             );
-            regressed += 1;
+            outcome.regressed += 1;
         } else {
             println!(
                 "check ok at W={}: {:.0}ms <= {:.1}x baseline {:.0}ms",
@@ -594,7 +623,7 @@ fn check_against(baseline: &[HostRow], current: &[HostRow]) -> usize {
             );
         }
     }
-    regressed
+    outcome
 }
 
 /// Jobs for this binary: explicit `--jobs` / `FAASPIPE_JOBS` wins, but
@@ -653,15 +682,75 @@ fn main() {
 
     if let Some(baseline) = baseline {
         health_warnings(&host_rows);
-        let regressed = check_against(&baseline, &host_rows);
-        if regressed > 0 {
+        let outcome = check_against(&baseline, &host_rows);
+        if outcome.drifted > 0 {
+            eprintln!(
+                "{} of {} rows simulated different results from the baseline",
+                outcome.drifted,
+                host_rows.len()
+            );
+            std::process::exit(2);
+        }
+        if outcome.regressed > 0 {
             eprintln!(
                 "{} of {} trajectory points regressed (warn-only; CI does not gate on this)",
-                regressed,
+                outcome.regressed,
                 host_rows.len()
             );
             std::process::exit(1);
         }
-        println!("wall-clock check passed for all {} points", host_rows.len());
+        println!(
+            "simulated results and wall-clock check passed for all {} points",
+            host_rows.len()
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(workers: usize, events: u64, sim_latency_s: f64, wall_ms: f64) -> HostRow {
+        HostRow {
+            scenario: String::new(),
+            workers,
+            records: RECORDS,
+            wall_ms,
+            sim_latency_s,
+            events,
+            peak_live_processes: 10,
+            pool_workers: 0,
+            user_cpu_s: 0.0,
+            sys_cpu_s: 0.0,
+            ctx_switches: 0,
+            us_per_event: 0.0,
+            peak_rss_kib: 0,
+            cells: 0,
+            cells_per_sec: 0.0,
+            agg_events_per_sec: 0.0,
+            jobs: 0,
+        }
+    }
+
+    #[test]
+    fn check_separates_simulated_drift_from_wall_clock_regressions() {
+        let baseline = [row(64, 100, 1.5, 10.0), row(256, 200, 2.5, 10.0)];
+        let same = [row(64, 100, 1.5, 14.0), row(256, 200, 2.5, 9.0)];
+        assert_eq!(check_against(&baseline, &same), CheckOutcome::default());
+
+        let slower = [row(64, 100, 1.5, 16.0), row(256, 200, 2.5, 9.0)];
+        let outcome = check_against(&baseline, &slower);
+        assert_eq!((outcome.regressed, outcome.drifted), (1, 0));
+
+        let mut peak = row(256, 200, 2.5, 9.0);
+        peak.peak_live_processes += 1;
+        for drifted in [
+            row(64, 101, 1.5, 10.0),
+            row(64, 100, 1.500000001, 10.0),
+            peak,
+        ] {
+            let outcome = check_against(&baseline, &[drifted]);
+            assert_eq!((outcome.regressed, outcome.drifted), (0, 1));
+        }
     }
 }

@@ -40,6 +40,11 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// are derived from the same base seed.
 const ARRIVAL_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 
+/// Trace arrival times must lie below 2^62 ns (about 146 years), which
+/// leaves over 400 years of virtual time for the runs themselves before
+/// the clock's `u64` nanoseconds overflow.
+const MAX_TRACE_NS: u64 = 1 << 62;
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
@@ -130,7 +135,8 @@ impl ArrivalProcess {
     /// ignored.
     ///
     /// # Errors
-    /// A message naming the first malformed line.
+    /// A message naming the first malformed line, including a time that is
+    /// NaN, negative, infinite or not below 2^62 ns.
     pub fn from_trace_str(text: &str) -> Result<ArrivalProcess, String> {
         let mut rows = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -139,16 +145,26 @@ impl ArrivalProcess {
                 continue;
             }
             let mut parts = line.split(|c: char| c.is_whitespace() || c == ',');
-            let t = parts
-                .next()
-                .and_then(|s| s.parse::<f64>().ok())
-                .ok_or_else(|| format!("line {}: bad time", lineno + 1))?;
+            let time = parts.next().unwrap_or_default();
+            let t = time
+                .parse::<f64>()
+                .map_err(|_| format!("line {}: bad time", lineno + 1))?;
             let tenant = parts
                 .find(|s| !s.is_empty())
                 .and_then(|s| s.parse::<usize>().ok())
                 .ok_or_else(|| format!("line {}: bad tenant index", lineno + 1))?;
-            if t.is_nan() || t < 0.0 {
+            if t.is_nan() {
+                return Err(format!("line {}: time is not a number", lineno + 1));
+            }
+            if t < 0.0 {
                 return Err(format!("line {}: negative time", lineno + 1));
+            }
+            if t * 1e9 >= MAX_TRACE_NS as f64 {
+                return Err(format!(
+                    "line {}: time {} s is not below 2^62 ns (about 146 years)",
+                    lineno + 1,
+                    time
+                ));
             }
             rows.push(Arrival {
                 at: SimTime::from_nanos((t * 1e9) as u64),
@@ -210,6 +226,22 @@ mod tests {
 
         assert!(ArrivalProcess::from_trace_str("oops 1").is_err());
         assert!(p.generate(0, &[1.0]).is_err(), "tenant 1 out of range");
+    }
+
+    #[test]
+    fn trace_times_must_be_numbers_in_range() {
+        let err = |text: &str| ArrivalProcess::from_trace_str(text).expect_err(text);
+        assert_eq!(err("0 0\nnan 0\n"), "line 2: time is not a number");
+        assert_eq!(err("-1 0"), "line 1: negative time");
+        for text in ["inf 0", "1e300 0", "4611686018.5 0"] {
+            assert!(err(text).contains("not below 2^62 ns"), "{text}");
+        }
+        // Just below the bound still parses.
+        let rows = ArrivalProcess::from_trace_str("4611686018 0")
+            .expect("below the bound")
+            .generate(0, &[1.0])
+            .expect("gen");
+        assert_eq!(rows[0].at, SimTime::from_nanos(4_611_686_018_000_000_000));
     }
 
     #[test]

@@ -475,6 +475,29 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
                 spec.name
             ));
         }
+        let policy = &spec.admission;
+        if policy.max_concurrent_runs == Some(0) {
+            return bad(format!(
+                "tenant {}: max_concurrent_runs must be positive",
+                spec.name
+            ));
+        }
+        // Every run start and every store request takes one token, so a
+        // bucket must refill and hold at least one.
+        for (what, bucket) in [
+            ("run_rate", policy.run_rate),
+            ("store_ops", policy.store_ops),
+        ] {
+            if let Some((rate, burst)) = bucket {
+                if !(rate.is_finite() && rate > 0.0 && burst.is_finite() && burst >= 1.0) {
+                    return bad(format!(
+                        "tenant {}: {} needs a finite positive rate and a finite burst \
+                         of at least 1, got rate {} and burst {}",
+                        spec.name, what, rate, burst
+                    ));
+                }
+            }
+        }
     }
     let mut names: Vec<&str> = cfg.tenants.iter().map(|t| t.name.as_str()).collect();
     names.sort_unstable();
@@ -786,5 +809,48 @@ fn aggregate(
         cost,
         trace: sink.snapshot(),
         sim: report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_admission(admission: AdmissionPolicy) -> ClusterConfig {
+        let mut tenant = TenantSpec::new("t0");
+        tenant.admission = admission;
+        ClusterConfig::new(vec![tenant], ArrivalProcess::Trace(Vec::new()))
+    }
+
+    fn reason(cfg: &ClusterConfig) -> String {
+        match validate(cfg) {
+            Err(ClusterError::BadConfig { reason }) => reason,
+            other => panic!("expected BadConfig, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn admission_limits_must_be_usable() {
+        let unlimited = AdmissionPolicy::unlimited();
+        assert!(validate(&with_admission(unlimited.clone())).is_ok());
+        let limited = unlimited
+            .clone()
+            .with_max_concurrent(2)
+            .with_run_rate(0.5, 1.0)
+            .with_store_ops(100.0, 100.0);
+        assert!(validate(&with_admission(limited)).is_ok());
+
+        assert!(
+            reason(&with_admission(unlimited.clone().with_max_concurrent(0)))
+                .contains("max_concurrent_runs must be positive")
+        );
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 0.5] {
+            let store = with_admission(unlimited.clone().with_store_ops(bad, bad));
+            assert!(reason(&store).contains("store_ops"), "store_ops {bad}");
+            let run = with_admission(unlimited.clone().with_run_rate(1.0, bad));
+            assert!(reason(&run).contains("run_rate"), "run_rate burst {bad}");
+        }
+        let run = with_admission(unlimited.with_run_rate(f64::NAN, 1.0));
+        assert!(reason(&run).contains("run_rate"));
     }
 }

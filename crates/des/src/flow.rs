@@ -24,24 +24,59 @@
 //! exactly the rates it would if each change had re-solved at once. The
 //! scheduler asks once per instant: it defers its query past the
 //! instant's other events unless a flow can finish at that very instant
-//! (see `FlowNet::may_complete_now`). With `A` active flows and `T`
-//! links carrying them a solve costs `O((A·ℓ + T) log T)` (ℓ = links per
-//! flow, a small constant), never `O(A·rounds)` or `O(slots·links)`:
+//! (see `FlowNet::may_complete_now`).
+//!
+//! A solve re-runs progressive filling only over the flows a change can
+//! reach, and never queues a link that cannot bind:
+//!
+//! * **Slack links.** Each flow `f` can push at most `c_f(l)` through
+//!   link `l`: its tightest *other* finite capacity. A finite link whose
+//!   members' cover `Σ c_f(l)` (one term per occurrence in a flow's link
+//!   list) stays below `cap·(1 − SLACK_MARGIN)` is *slack*; a member
+//!   with no other finite link makes it non-slack, and an infinite link
+//!   is always slack. A slack link never binds: at round `r` its
+//!   unfrozen members all end at rates ≥ the bottleneck share `s_r`, the
+//!   final rates are feasible so all members together use at most the
+//!   cover, and so its live share is at least
+//!   `s_r + (cap − cover)/n_l(r) > s_r`. The margin absorbs the float
+//!   rounding of the real solve. The cover is kept per link in whole
+//!   bytes/s rounded up (exact integers, so it never drifts), and slack
+//!   status depends only on membership, so only links whose membership
+//!   changed are re-tested.
+//! * **Components.** With slack links removed the flows fall into
+//!   components, and progressive filling solves each one independently
+//!   bit for bit: a component's links only see freezes of its own flows,
+//!   in the same `(share, ascending link id)` order and ascending slot
+//!   order as one global solve.
+//! * **The region.** `start`/`tick` record the started flows and the
+//!   links whose membership changed. A solve seeds its region with the
+//!   started flows and the members of every changed link that binds now
+//!   or did before, closes it over binding links, and fills only the
+//!   region's links and flows; every other flow keeps its rate. While the
+//!   store backbone cannot fill, a finishing transfer re-solves only the
+//!   flows sharing its NIC or connection; once it binds, the region is
+//!   every flow crossing it.
+//!
+//! Inside the region, with `A` flows and `T` binding links, the filling
+//! costs `O((A·ℓ + T) log T)` (ℓ = links per flow, a small constant),
+//! plus one pass over every active flow for the deadlines:
 //!
 //! * per-link **membership lists** (`members`) let each progressive-filling
 //!   round freeze exactly the flows crossing the bottleneck instead of
 //!   re-scanning every unfrozen flow;
 //! * the bottleneck itself comes from a min-heap of `(fair share, link
-//!   id)` keys, built in one heapify, instead of a scan over every touched
+//!   id)` keys, built in one heapify, instead of a scan over every
 //!   link per round. Keys are **lazy lower bounds**: freezing flows at the
 //!   minimum share never lowers another link's share in exact arithmetic,
 //!   so a freeze queues a link's new share only when rounding pushed it
 //!   below the link's lowest queued key (`low`); a popped key that no
 //!   longer matches its link's live share is re-queued at the live value
 //!   if it is that lowest key, and dropped otherwise;
-//! * per-flow **completion deadlines** are folded into `recompute` the
-//!   moment a rate freezes, so the scheduler's `next_completion` query is
-//!   O(1) instead of a scan over all flows;
+//! * every solve ends with one pass over all active flows that folds
+//!   their completion deadlines into a minimum, so the scheduler's
+//!   `next_completion` query is O(1) instead of a scan over all flows
+//!   (`settle` moves every flow's remaining bytes, so every deadline is
+//!   re-derived, landing on the nanosecond a full solve gives);
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
@@ -79,6 +114,25 @@ pub struct FlowSpec {
 #[derive(Debug)]
 struct Link {
     capacity: f64, // bytes/sec, may be infinite
+    /// Σ over member occurrences of [`cover_of`]: an exact integer bound,
+    /// in bytes/sec, on what the members can ever push through the link.
+    cover: u128,
+    /// Member occurrences with no [`cover_of`] bound.
+    uncovered: u32,
+    /// Whether the link was non-slack when its membership was last
+    /// tested; current for every link not in `FlowNet::changed`.
+    binds: bool,
+    /// Whether the link is queued in `FlowNet::changed`.
+    changed: bool,
+}
+
+impl Link {
+    /// Whether the members can never fill the link, so it never binds
+    /// (see the module docs).
+    fn slack(&self) -> bool {
+        self.capacity.is_infinite()
+            || (self.uncovered == 0 && (self.cover as f64) < self.capacity * (1.0 - SLACK_MARGIN))
+    }
 }
 
 #[derive(Debug)]
@@ -92,6 +146,26 @@ struct Flow {
 /// Bytes of slack under which a flow counts as complete (guards float
 /// round-off in settle arithmetic).
 const EPSILON_BYTES: f64 = 1e-6;
+
+/// Relative headroom a link's cover must leave below its capacity for
+/// the link to count as slack; it absorbs the float rounding by which a
+/// real solve's residuals and shares stray from exact arithmetic.
+const SLACK_MARGIN: f64 = 1e-9;
+
+/// The most a flow crossing `flow_links` can push through one occurrence
+/// of link `l`, in whole bytes/sec rounded up: its tightest capacity
+/// among its *other* finite links. `None` when it has no such link, or
+/// one too large to count exactly, so only `l` itself bounds it.
+fn cover_of(links: &[Link], flow_links: &[LinkId], l: LinkId) -> Option<u64> {
+    let tightest = flow_links
+        .iter()
+        .filter(|&&o| o != l)
+        .map(|o| links[o.0 as usize].capacity)
+        .fold(f64::INFINITY, f64::min)
+        .ceil();
+    // `u64::MAX as f64` is 2^64, so anything below it converts exactly.
+    (tightest < u64::MAX as f64).then_some(tightest as u64)
+}
 
 /// Min-heap key for the bottleneck search. Orders by fair share first and
 /// ascending link id second, which is exactly the dense scan's tie-break
@@ -137,9 +211,10 @@ pub struct FlowNet {
     /// (one entry per occurrence in the flow's link list, mirroring the
     /// dense scan's per-occurrence counts).
     members: Vec<Vec<u32>>,
-    /// Links with at least one active flow, ascending. This is the
-    /// `touched` set `recompute` used to rebuild from a full flow scan.
-    touched: Vec<u32>,
+    /// Links whose membership changed since the last solve.
+    changed: Vec<u32>,
+    /// Flows started since the last solve.
+    started: Vec<u32>,
     /// Earliest completion delay among active flows, measured from
     /// `last_settle`; valid only while `earliest_fresh` (i.e. a recompute
     /// ran after the last settling advance). Stalled flows (rate ≤ 0) are
@@ -162,17 +237,23 @@ pub struct FlowNet {
 
 /// Scratch reused across calls so the hot path does no per-event
 /// allocation. `counts`, `residual` and `low` are link-indexed and only
-/// the entries named by `touched` are ever initialised or read before
-/// being written; `low[l]` is the smallest share key queued for finite
-/// link `l`; `frozen_at` is slot-indexed and compared against `epoch`.
+/// the entries of the region's links are ever initialised or read before
+/// being written; `low[l]` is the smallest share key queued for link
+/// `l`. `counts` is zero on every link between solves (each member of a
+/// region link freezes), so inside a solve a non-zero count marks a link
+/// already in the region. `queued_at` and `frozen_at` are slot-indexed
+/// and compared against `epoch`.
 #[derive(Debug, Default)]
 struct RecomputeScratch {
     counts: Vec<u32>,
     residual: Vec<f64>,
     low: Vec<f64>,
     heap: BinaryHeap<Reverse<ShareKey>>,
+    queued_at: Vec<u64>,
     frozen_at: Vec<u64>,
     epoch: u64,
+    /// The flow slots the last solve re-solved, in the order they joined.
+    region: Vec<u32>,
     done: Vec<usize>,
 }
 
@@ -187,6 +268,10 @@ impl FlowNet {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link {
             capacity: capacity.as_bytes_per_sec(),
+            cover: 0,
+            uncovered: 0,
+            binds: false,
+            changed: false,
         });
         self.members.push(Vec::new());
         id
@@ -275,34 +360,29 @@ impl FlowNet {
         {
             self.finishing += 1;
         }
-        let flow = Flow {
-            remaining,
-            links: spec.links,
-            waker,
-            rate: 0.0,
-        };
         let i = match self.free.pop() {
-            Some(i) => {
-                self.flows[i] = Some(flow);
-                i
-            }
+            Some(i) => i,
             None => {
-                self.flows.push(Some(flow));
+                self.flows.push(None);
                 self.flows.len() - 1
             }
         };
         let slot = i as u32;
         let pos = self.active.partition_point(|&a| a < slot);
         self.active.insert(pos, slot);
-        for l in self.flows[i].as_ref().expect("just inserted").links.clone() {
-            let li = l.0 as usize;
-            if self.members[li].is_empty() {
-                let tpos = self.touched.partition_point(|&t| t < l.0);
-                self.touched.insert(tpos, l.0);
-            }
-            let mpos = self.members[li].partition_point(|&m| m < slot);
-            self.members[li].insert(mpos, slot);
+        for &l in &spec.links {
+            let members = &mut self.members[l.0 as usize];
+            let mpos = members.partition_point(|&m| m < slot);
+            members.insert(mpos, slot);
+            self.update_cover(&spec.links, l, true);
         }
+        self.flows[i] = Some(Flow {
+            remaining,
+            links: spec.links,
+            waker,
+            rate: 0.0,
+        });
+        self.started.push(slot);
         self.stale = true;
         FlowKey(i)
     }
@@ -334,21 +414,15 @@ impl FlowNet {
             let i = self.scratch.done[k];
             let f = self.flows[i].take().expect("completed flow");
             woken.push(f.waker);
-            for l in &f.links {
-                let li = l.0 as usize;
-                let mpos = self.members[li]
-                    .iter()
-                    .position(|&m| m == i as u32)
+            // A flow listing a link twice has two adjacent entries there;
+            // each occurrence removes one.
+            for &l in &f.links {
+                let members = &mut self.members[l.0 as usize];
+                let mpos = members
+                    .binary_search(&(i as u32))
                     .expect("completed flow is a member");
-                self.members[li].remove(mpos);
-                if self.members[li].is_empty() {
-                    let tpos = self
-                        .touched
-                        .iter()
-                        .position(|&t| t == l.0)
-                        .expect("member link is touched");
-                    self.touched.remove(tpos);
-                }
+                members.remove(mpos);
+                self.update_cover(&f.links, l, false);
             }
             self.free.push(i);
         }
@@ -440,6 +514,24 @@ impl FlowNet {
         }
     }
 
+    /// Adds (`join`) or removes one occurrence of a flow crossing
+    /// `flow_links` to link `l`'s cover, and queues `l` for the next solve
+    /// to re-test whether it is slack.
+    fn update_cover(&mut self, flow_links: &[LinkId], l: LinkId, join: bool) {
+        let cover = cover_of(&self.links, flow_links, l);
+        let link = &mut self.links[l.0 as usize];
+        match (cover, join) {
+            (Some(c), true) => link.cover += u128::from(c),
+            (Some(c), false) => link.cover -= u128::from(c),
+            (None, true) => link.uncovered += 1,
+            (None, false) => link.uncovered -= 1,
+        }
+        if !link.changed {
+            link.changed = true;
+            self.changed.push(l.0);
+        }
+    }
+
     /// Solves the rates if a flow started or finished since the last solve.
     fn refresh(&mut self) {
         if self.stale {
@@ -450,22 +542,26 @@ impl FlowNet {
     /// Recomputes max-min fair rates with progressive filling, and the
     /// completion deadlines that follow from them.
     ///
-    /// The work done here is proportional to the *active* flows and the
-    /// links they touch — counts and residuals come from the per-link
-    /// membership lists, the bottleneck of each filling round comes from
-    /// a min-heap of lazy lower-bound keys (see the module docs), and
-    /// each round freezes only the members of the bottleneck link.
-    /// Tie-breaking and floating-point evaluation order are kept exactly
-    /// as the dense scan had them (ascending link id, ascending flow slot,
-    /// shares derived from the live residual/count at selection time), so
-    /// computed rates — and therefore virtual time — are bit-identical.
+    /// Only the region a change can reach is re-solved (see the module
+    /// docs): the started flows and the members of changed links that
+    /// bind now or did before, closed over binding links. Inside it the
+    /// work is proportional to the region's flows and links — counts and
+    /// residuals come from the per-link membership lists, the bottleneck
+    /// of each filling round comes from a min-heap of lazy lower-bound
+    /// keys, and each round freezes only the members of the bottleneck
+    /// link. Tie-breaking and floating-point evaluation order are kept
+    /// exactly as the dense scan had them (ascending link id, ascending
+    /// flow slot, shares derived from the live residual/count at selection
+    /// time), so computed rates — and therefore virtual time — are
+    /// bit-identical.
     fn recompute(&mut self) {
         let FlowNet {
             links,
             flows,
             active,
             members,
-            touched,
+            changed,
+            started,
             earliest,
             earliest_fresh,
             stale,
@@ -478,8 +574,10 @@ impl FlowNet {
             residual,
             low,
             heap,
+            queued_at,
             frozen_at,
             epoch,
+            region,
             ..
         } = scratch;
         *epoch += 1;
@@ -487,24 +585,65 @@ impl FlowNet {
         counts.resize(links.len(), 0);
         residual.resize(links.len(), 0.0);
         low.resize(links.len(), 0.0);
+        queued_at.resize(flows.len(), 0);
         frozen_at.resize(flows.len(), 0);
         stalled.clear();
-        *earliest = None;
-        *earliest_fresh = true;
         *stale = false;
-        let mut unfrozen = active.len();
+
+        // Seed the region, then close it over binding links, queueing
+        // each binding link's first share key as it joins.
+        region.clear();
+        let mut queue = |fi: u32, region: &mut Vec<u32>| {
+            if queued_at[fi as usize] != epoch {
+                queued_at[fi as usize] = epoch;
+                region.push(fi);
+            }
+        };
+        for &fi in started.iter() {
+            queue(fi, region);
+        }
+        started.clear();
+        for &li in changed.iter() {
+            let link = &mut links[li as usize];
+            link.changed = false;
+            let bound = link.binds;
+            link.binds = !link.slack();
+            if bound || link.binds {
+                for &m in &members[li as usize] {
+                    queue(m, region);
+                }
+            }
+        }
+        changed.clear();
         let mut keys = std::mem::take(heap).into_vec();
         keys.clear();
-        for &li in touched.iter() {
-            let l = li as usize;
-            counts[l] = members[l].len() as u32;
-            residual[l] = links[l].capacity;
-            if !links[l].capacity.is_infinite() {
-                low[l] = residual[l] / counts[l] as f64;
-                keys.push(Reverse(ShareKey { share: low[l], li }));
+        let mut next = 0;
+        while let Some(&fi) = region.get(next) {
+            next += 1;
+            for l in &flows[fi as usize]
+                .as_ref()
+                .expect("region flow is active")
+                .links
+            {
+                let li = l.0 as usize;
+                if !links[li].binds || counts[li] > 0 {
+                    continue;
+                }
+                counts[li] = members[li].len() as u32;
+                residual[li] = links[li].capacity;
+                low[li] = residual[li] / counts[li] as f64;
+                keys.push(Reverse(ShareKey {
+                    share: low[li],
+                    li: l.0,
+                }));
+                for &m in &members[li] {
+                    queue(m, region);
+                }
             }
         }
         *heap = BinaryHeap::from(keys);
+
+        let mut unfrozen = region.len();
         while unfrozen > 0 {
             // Pop keys until one equals the live share of its link. Every
             // live link keeps its `low` key queued and `low` never exceeds
@@ -529,15 +668,22 @@ impl FlowNet {
             }
             match bottleneck {
                 None => {
-                    // Remaining flows cross only infinite-capacity links.
-                    for &fi in active.iter() {
+                    // Remaining flows cross only infinite-capacity links
+                    // (every finite link bounds its tightest member).
+                    for &fi in region.iter() {
                         let i = fi as usize;
                         if frozen_at[i] == epoch {
                             continue;
                         }
-                        flows[i].as_mut().expect("active flow").rate = f64::INFINITY;
-                        // Infinite rate completes at the next tick.
-                        fold_deadline(earliest, SimDuration::ZERO);
+                        let f = flows[i].as_mut().expect("region flow is active");
+                        debug_assert!(
+                            f.links
+                                .iter()
+                                .all(|l| links[l.0 as usize].capacity.is_infinite()),
+                            "unfrozen flow for process {} crosses a finite link",
+                            f.waker
+                        );
+                        f.rate = f64::INFINITY;
                     }
                     break;
                 }
@@ -556,9 +702,12 @@ impl FlowNet {
                         f.rate = share;
                         for l in &f.links {
                             let li = l.0 as usize;
+                            if !links[li].binds {
+                                continue;
+                            }
                             residual[li] = (residual[li] - share).max(0.0);
                             counts[li] -= 1;
-                            if counts[li] > 0 && !links[li].capacity.is_infinite() {
+                            if counts[li] > 0 {
                                 // Only rounding can lower a share here.
                                 let s = residual[li] / counts[li] as f64;
                                 if s < low[li] {
@@ -567,9 +716,7 @@ impl FlowNet {
                                 }
                             }
                         }
-                        if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
-                            fold_deadline(earliest, SimDuration::ZERO);
-                        } else if f.rate <= 0.0 {
+                        if f.rate <= 0.0 && f.remaining > EPSILON_BYTES {
                             // The fair share came out non-positive: the
                             // links this flow crosses were fully consumed
                             // by earlier-frozen flows, so it can never
@@ -581,24 +728,29 @@ impl FlowNet {
                                 f.waker, f.rate, f.remaining
                             );
                             stalled.push(f.waker);
-                        } else {
-                            fold_deadline(earliest, Self::completion_delay(f.remaining, f.rate));
                         }
                     }
                 }
             }
         }
-    }
-}
 
-/// Folds one completion delay into the maintained minimum, keeping the
-/// incumbent on ties exactly as the reference scan does.
-#[inline]
-fn fold_deadline(earliest: &mut Option<SimDuration>, d: SimDuration) {
-    *earliest = Some(match *earliest {
-        Some(b) if b <= d => b,
-        _ => d,
-    });
+        // Every flow's remaining bytes moved at the last settle, so every
+        // deadline is re-derived, not only the region's.
+        *earliest = active
+            .iter()
+            .filter_map(|&fi| {
+                let f = flows[fi as usize].as_ref().expect("active flow");
+                if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
+                    Some(SimDuration::ZERO)
+                } else if f.rate <= 0.0 {
+                    None // starved; cannot complete until rates change
+                } else {
+                    Some(Self::completion_delay(f.remaining, f.rate))
+                }
+            })
+            .min();
+        *earliest_fresh = true;
+    }
 }
 
 #[cfg(test)]
@@ -842,6 +994,53 @@ mod tests {
             now = at;
             assert_eq!(net.next_completion(now), net.next_completion_reference(now));
         }
+    }
+
+    #[test]
+    fn a_change_re_solves_only_the_flows_it_can_reach() {
+        // Four functions, each with a 100 B/s NIC and two flows to a
+        // 1000 B/s backbone. The backbone's cover is 8 × 100 B/s, so it
+        // is slack and each function's flows are a component of their own.
+        let mut net = FlowNet::new();
+        let backbone = net.add_link(Bandwidth::bytes_per_sec(1000.0));
+        let nics: Vec<LinkId> = (0..4)
+            .map(|_| net.add_link(Bandwidth::bytes_per_sec(100.0)))
+            .collect();
+        let start = |net: &mut FlowNet, nic: LinkId, waker: u32| {
+            net.start(
+                t(0),
+                FlowSpec {
+                    bytes: ByteSize::new(10_000),
+                    links: vec![nic, backbone],
+                },
+                waker,
+            );
+        };
+        let region = |net: &mut FlowNet| {
+            net.refresh();
+            let mut slots = net.scratch.region.clone();
+            slots.sort_unstable();
+            slots
+        };
+        for w in 0..8 {
+            start(&mut net, nics[w as usize / 2], w);
+        }
+        assert_eq!(region(&mut net), (0..8).collect::<Vec<u32>>());
+
+        // One more flow on function 1's NIC re-solves exactly function
+        // 1's flows (slots 2, 3 and the new slot 8).
+        start(&mut net, nics[1], 8);
+        assert_eq!(region(&mut net), vec![2, 3, 8]);
+        let third = 100.0 / 3.0;
+        assert_eq!(
+            rates(&mut net),
+            vec![50.0, 50.0, third, third, 50.0, 50.0, 50.0, 50.0, third]
+        );
+
+        // A tenth flow lifts the cover to 1000 B/s: the backbone may now
+        // bind, so the region is every active flow.
+        start(&mut net, nics[2], 9);
+        assert_eq!(region(&mut net), (0..10).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -387,6 +387,41 @@ fn cluster_accepts_an_arrival_trace_and_streams_a_trace_file() {
 }
 
 #[test]
+fn cluster_rejects_unusable_limits_and_arrival_times_with_an_error() {
+    let fails_with = |args: &[&str], want: &str| {
+        let out = bin().arg("cluster").args(args).output().expect("cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{:?}: {}", args, stderr);
+        assert!(stderr.contains(want), "{:?}: {}", args, stderr);
+    };
+    for ops in ["0", "-1", "nan", "inf", "0.5"] {
+        fails_with(
+            &["--store-ops", ops],
+            "store_ops needs a finite positive rate",
+        );
+    }
+    fails_with(
+        &["--max-concurrent", "0"],
+        "max_concurrent_runs must be positive",
+    );
+    for (name, row, want) in [
+        ("inf", "inf 0", "line 2: time inf s is not below 2^62 ns"),
+        (
+            "huge",
+            "1e300 0",
+            "line 2: time 1e300 s is not below 2^62 ns",
+        ),
+        ("nan", "nan 0", "line 2: time is not a number"),
+    ] {
+        let arrivals = tmp(&format!("arrivals-{}.txt", name));
+        std::fs::write(&arrivals, format!("0 0\n{}\n", row)).expect("write arrivals");
+        let path = arrivals.to_str().expect("utf-8 temp path");
+        fails_with(&["--tenants", "1", "--arrivals", path], want);
+        let _ = std::fs::remove_file(&arrivals);
+    }
+}
+
+#[test]
 fn cluster_rejects_bad_flags() {
     let out = bin()
         .args(["cluster", "--tenants", "0"])

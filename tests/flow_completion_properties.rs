@@ -6,13 +6,14 @@
 //! deadline into a maintained minimum during `recompute`.
 //! [`FlowNet::next_completion_reference`] is the original O(flows) scan,
 //! kept as the oracle. The rates themselves are solved lazily, once per
-//! burst of changes, with lazily refreshed bottleneck keys;
-//! [`dense_rates`] below is the dense progressive filling they must equal
-//! bit for bit. These tests drive random interleavings of flow starts
-//! (zero-byte ones and same-instant bursts among them), arbitrary-time
-//! ticks, and scheduler-style advance-to-completion ticks over random
-//! topologies, asserting agreement after every operation and across a
-//! full drain to quiescence.
+//! burst of changes, only over the flows a change can reach, with lazily
+//! refreshed bottleneck keys; [`dense_rates`] below is the dense
+//! progressive filling over every flow and link they must equal bit for
+//! bit. These tests drive random interleavings of flow starts (zero-byte
+//! ones and same-instant bursts among them), arbitrary-time ticks, and
+//! scheduler-style advance-to-completion ticks over random topologies,
+//! asserting agreement after every operation and across a full drain to
+//! quiescence.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -97,19 +98,23 @@ struct Harness {
 
 impl Harness {
     fn new(caps: impl IntoIterator<Item = Bandwidth>) -> Self {
-        let mut net = FlowNet::new();
-        let mut links = Vec::new();
-        let mut bytes_per_sec = Vec::new();
-        for cap in caps {
-            links.push(net.add_link(cap));
-            bytes_per_sec.push(cap.as_bytes_per_sec());
-        }
-        Harness {
-            net,
-            links,
-            caps: bytes_per_sec,
+        let mut h = Harness {
+            net: FlowNet::new(),
+            links: Vec::new(),
+            caps: Vec::new(),
             flow_links: Vec::new(),
+        };
+        for cap in caps {
+            h.add_link(cap);
         }
+        h
+    }
+
+    /// Adds a link and returns its index.
+    fn add_link(&mut self, cap: Bandwidth) -> usize {
+        self.links.push(self.net.add_link(cap));
+        self.caps.push(cap.as_bytes_per_sec());
+        self.links.len() - 1
     }
 
     fn start(&mut self, now: SimTime, bytes: u64, link_idx: Vec<usize>) {
@@ -136,6 +141,57 @@ impl Harness {
             .map(|(&(w, got), want)| (w, got, want))
             .collect()
     }
+}
+
+/// After one op: every active flow's rate equals the dense reference's
+/// bit for bit, and the completion index equals the reference scan.
+fn check_op(
+    h: &mut Harness,
+    now: SimTime,
+    op: (u8, u64, impl std::fmt::Debug, u64),
+) -> Result<(), TestCaseError> {
+    let bad = h.rate_mismatches();
+    prop_assert!(
+        bad.is_empty(),
+        "rates diverged from dense reference after op {:?}: {:?}",
+        op,
+        bad
+    );
+    prop_assert_eq!(
+        h.net.next_completion(now),
+        h.net.next_completion_reference(now),
+        "index diverged from reference after op {:?}",
+        op
+    );
+    Ok(())
+}
+
+/// Drains exactly as the scheduler does — jump to each predicted
+/// completion and tick there until the network is quiet — checking rates
+/// and the completion index at every step.
+fn drain_checked(h: &mut Harness, mut now: SimTime) -> Result<(), TestCaseError> {
+    let mut woken = Vec::new();
+    let mut rounds = 0usize;
+    while let Some(t) = h.net.next_completion(now) {
+        prop_assert_eq!(Some(t), h.net.next_completion_reference(now));
+        now = t;
+        h.net.tick(now, &mut woken);
+        let bad = h.rate_mismatches();
+        prop_assert!(
+            bad.is_empty(),
+            "rates diverged from dense reference during drain: {:?}",
+            bad
+        );
+        prop_assert_eq!(
+            h.net.next_completion(now),
+            h.net.next_completion_reference(now),
+            "index diverged from reference during drain"
+        );
+        rounds += 1;
+        prop_assert!(rounds < 10_000, "drain did not converge");
+    }
+    prop_assert_eq!(h.net.active_flows(), 0, "drain left active flows");
+    Ok(())
 }
 
 proptest! {
@@ -193,38 +249,108 @@ proptest! {
                     }
                 }
             }
-            let bad = h.rate_mismatches();
-            prop_assert!(
-                bad.is_empty(),
-                "rates diverged from dense reference after op ({}, {}, {}, {}): {:?}",
-                kind, bytes, bits, dt, bad
-            );
-            prop_assert_eq!(
-                h.net.next_completion(now),
-                h.net.next_completion_reference(now),
-                "index diverged from reference after op ({}, {}, {}, {})",
-                kind, bytes, bits, dt
-            );
+            check_op(&mut h, now, (kind, bytes, bits, dt))?;
         }
+        drain_checked(&mut h, now)?;
+    }
 
-        // Drain exactly as the scheduler does: jump to each predicted
-        // completion and tick there until the network is quiet.
-        let mut rounds = 0usize;
-        while let Some(t) = h.net.next_completion(now) {
-            prop_assert_eq!(Some(t), h.net.next_completion_reference(now));
-            now = t;
-            h.net.tick(now, &mut woken);
-            let bad = h.rate_mismatches();
-            prop_assert!(bad.is_empty(), "rates diverged from dense reference during drain: {:?}", bad);
-            prop_assert_eq!(
-                h.net.next_completion(now),
-                h.net.next_completion_reference(now),
-                "index diverged from reference during drain"
-            );
-            rounds += 1;
-            prop_assert!(rounds < 10_000, "drain did not converge");
+    /// Cloud-shaped topologies, where most changes reach only a few
+    /// flows: a NIC per function, optional relay links, a fresh
+    /// connection link per flow, an UNLIMITED link, and a store backbone
+    /// of `k` NICs' worth of capacity give or take up to 1 B/s, so the
+    /// backbone flips between slack and binding as flows come and go.
+    /// Capacities have fractional bytes/sec, so the cover's rounding and
+    /// the slack margin are exercised at the boundary. Rates stay bit-equal
+    /// to the dense reference and the completion index to the reference
+    /// scan, after every op and through the drain.
+    #[test]
+    fn cloud_shaped_rates_match_dense_reference(
+        nic_eighths in 64u64..=8192,
+        functions in 1usize..=6,
+        k in 0usize..6,
+        offset_eighths in -8i64..=8,
+        relay_eighths in vec(64u64..=8192, 0..=2),
+        ops in vec((0u8..5, 1u64..=1 << 22, any::<u16>(), 1u64..50_000_000), 1..100),
+    ) {
+        let nic_cap = nic_eighths as f64 / 8.0;
+        let k = 1 + k % functions;
+        let backbone_cap = k as f64 * nic_cap + offset_eighths as f64 / 8.0;
+        let mut h = Harness::new([Bandwidth::bytes_per_sec(backbone_cap), Bandwidth::UNLIMITED]);
+        let (backbone, unlimited) = (0, 1);
+        let nics: Vec<usize> = (0..functions)
+            .map(|_| h.add_link(Bandwidth::bytes_per_sec(nic_cap)))
+            .collect();
+        let relays: Vec<usize> = relay_eighths
+            .iter()
+            .map(|&q| h.add_link(Bandwidth::bytes_per_sec(q as f64 / 8.0)))
+            .collect();
+
+        // A flow as the store issues it: a fresh connection (usually
+        // faster than the NIC), the backbone, then the issuing function's
+        // NIC and maybe a relay. Bits also pick an UNLIMITED hop, a
+        // duplicated NIC or backbone entry, or a backbone-only copy.
+        const CONN_PER_NIC: [f64; 8] = [0.5, 0.875, 1.5, 2.0, 3.0, 4.0, 4.0, 8.0];
+        let flow_links = |h: &mut Harness, bits: u16| -> Vec<usize> {
+            if bits & 0xF == 0xF {
+                return vec![backbone];
+            }
+            let conn_cap = nic_cap * CONN_PER_NIC[(bits >> 9) as usize & 7];
+            let conn = h.add_link(Bandwidth::bytes_per_sec(conn_cap));
+            let nic = nics[(bits >> 4) as usize % nics.len()];
+            let mut idx = vec![conn, backbone, nic];
+            if bits & 0x300 == 0x300 && !relays.is_empty() {
+                idx.push(relays[(bits >> 12) as usize % relays.len()]);
+            }
+            if bits & 0xC0 == 0xC0 {
+                idx.push(unlimited);
+            }
+            match bits >> 13 {
+                0 => idx.push(nic),
+                1 => idx.insert(1, backbone),
+                _ => {}
+            }
+            idx
+        };
+
+        let mut now = SimTime::ZERO;
+        let mut woken = Vec::new();
+        for &(kind, bytes, bits, dt) in &ops {
+            match kind {
+                0 => {
+                    let idx = flow_links(&mut h, bits);
+                    h.start(now, bytes, idx);
+                }
+                1 => {
+                    now = now.saturating_add(SimDuration::from_nanos(dt));
+                    h.net.tick(now, &mut woken);
+                }
+                2 => {
+                    if let Some(t) = h.net.next_completion(now) {
+                        now = t;
+                        h.net.tick(now, &mut woken);
+                    }
+                }
+                3 => {
+                    let idx = flow_links(&mut h, bits);
+                    h.start(now, 0, idx);
+                }
+                _ => {
+                    // A wave of starts at `now`, every fourth one
+                    // zero-byte, with a same-instant tick halfway through.
+                    let burst = 2 + (dt % 5) as usize;
+                    for j in 0..burst {
+                        let idx = flow_links(&mut h, bits.rotate_left(j as u32 * 5));
+                        let b = if j % 4 == 3 { 0 } else { bytes >> j };
+                        h.start(now, b, idx);
+                        if j == burst / 2 {
+                            h.net.tick(now, &mut woken);
+                        }
+                    }
+                }
+            }
+            check_op(&mut h, now, (kind, bytes, bits, dt))?;
         }
-        prop_assert_eq!(h.net.active_flows(), 0, "drain left active flows");
+        drain_checked(&mut h, now)?;
     }
 
     /// Probing at a timestamp *between* events (where the cached minimum

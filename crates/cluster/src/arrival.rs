@@ -40,10 +40,10 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// are derived from the same base seed.
 const ARRIVAL_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 
-/// Trace arrival times must lie below 2^62 ns (about 146 years), which
-/// leaves over 400 years of virtual time for the runs themselves before
-/// the clock's `u64` nanoseconds overflow.
-const MAX_TRACE_NS: u64 = 1 << 62;
+/// Arrival times, from a trace or up to a Poisson horizon, must lie below
+/// 2^62 ns (about 146 years), which leaves over 400 years of virtual time
+/// for the runs themselves before the clock's `u64` nanoseconds overflow.
+pub const MAX_ARRIVAL_NS: u64 = 1 << 62;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(SPLITMIX_GAMMA);
@@ -159,7 +159,7 @@ impl ArrivalProcess {
             if t < 0.0 {
                 return Err(format!("line {}: negative time", lineno + 1));
             }
-            if t * 1e9 >= MAX_TRACE_NS as f64 {
+            if t * 1e9 >= MAX_ARRIVAL_NS as f64 {
                 return Err(format!(
                     "line {}: time {} s is not below 2^62 ns (about 146 years)",
                     lineno + 1,

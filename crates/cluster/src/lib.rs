@@ -47,7 +47,7 @@ pub mod cluster;
 pub mod metrics;
 
 pub use admission::AdmissionPolicy;
-pub use arrival::{Arrival, ArrivalProcess};
+pub use arrival::{Arrival, ArrivalProcess, MAX_ARRIVAL_NS};
 pub use cluster::{
     run_cluster, Cluster, ClusterConfig, ClusterError, ClusterReport, RunOutcome, TenantReport,
     TenantSpec, TraceMode,

@@ -878,6 +878,7 @@ impl Executor {
                                     env.compute_offload(
                                         fctx,
                                         work.methcomp_encode_time(data.len()),
+                                        data.len(),
                                         move || mc_codec::compress(&dataset),
                                     )
                                     .await
@@ -886,6 +887,7 @@ impl Executor {
                                     env.compute_offload(
                                         fctx,
                                         work.gzip_encode_time(data.len()),
+                                        data.len(),
                                         move || {
                                             faaspipe_codec::gzipish::compress(
                                                 dataset.to_text().as_bytes(),

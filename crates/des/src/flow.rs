@@ -72,11 +72,18 @@
 //!   below the link's lowest queued key (`low`); a popped key that no
 //!   longer matches its link's live share is re-queued at the live value
 //!   if it is that lowest key, and dropped otherwise;
-//! * every solve ends with one pass over all active flows that folds
-//!   their completion deadlines into a minimum, so the scheduler's
-//!   `next_completion` query is O(1) instead of a scan over all flows
-//!   (`settle` moves every flow's remaining bytes, so every deadline is
-//!   re-derived, landing on the nanosecond a full solve gives);
+//! * every solve ends with one pass over all active flows that keeps
+//!   the smallest drain time `remaining / rate` and converts it to a
+//!   delay once, so the scheduler's `next_completion` query is O(1)
+//!   instead of a scan over all flows. A flow's delay is `D(remaining /
+//!   rate)` with `D(q) = ceil(q · 1e9)` ns + 1, saturating; IEEE
+//!   rounding, `ceil`, the cast and the saturating add are all monotone
+//!   non-decreasing, so `D(min q)` is the minimum of the per-flow delays
+//!   (the per-flow form stays as `next_completion_reference`, the
+//!   oracle). A flow that can finish now short-circuits the pass to
+//!   zero, and starved flows (rate ≤ 0) are left out. `settle` moves
+//!   every flow's remaining bytes, so every deadline is re-derived,
+//!   landing on the nanosecond a full solve gives;
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
@@ -433,8 +440,8 @@ impl FlowNet {
     /// When the earliest active flow will complete, if any.
     ///
     /// O(1) once rates are solved: rates only change inside
-    /// `FlowNet::recompute`, which folds each flow's completion deadline
-    /// into a maintained minimum the moment the rate freezes. The cached
+    /// `FlowNet::recompute`, which ends by folding every flow's completion
+    /// deadline into one cached minimum. The cached
     /// value is relative to the last settle instant; every scheduler query
     /// happens at the instant of the latest start or tick, so the fast
     /// path always applies there. Any other call pattern (e.g. a probe at
@@ -470,13 +477,21 @@ impl FlowNet {
     }
 
     /// How long a flow with `remaining` bytes at `rate` B/s needs to
-    /// finish. Rounds *up* and pads by 1 ns so the settle at the
-    /// scheduled instant always clears the flow; rounding down can strand
-    /// a sub-nanosecond sliver of bytes and loop forever at one
-    /// timestamp.
+    /// finish: [`FlowNet::delay_of`] its drain time in seconds.
     #[inline]
     fn completion_delay(remaining: f64, rate: f64) -> SimDuration {
-        let ns = (remaining / rate * 1e9).ceil();
+        Self::delay_of(remaining / rate)
+    }
+
+    /// The delay for a drain time of `secs` seconds. Rounds *up* and pads
+    /// by 1 ns so the settle at the scheduled instant always clears the
+    /// flow; rounding down can strand a sub-nanosecond sliver of bytes
+    /// and loop forever at one timestamp. Monotone non-decreasing in
+    /// `secs`, so the smallest delay of a set of flows is the delay of
+    /// their smallest drain time.
+    #[inline]
+    fn delay_of(secs: f64) -> SimDuration {
+        let ns = (secs * 1e9).ceil();
         if ns >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
@@ -736,20 +751,28 @@ impl FlowNet {
 
         // Every flow's remaining bytes moved at the last settle, so every
         // deadline is re-derived, not only the region's.
-        *earliest = active
-            .iter()
-            .filter_map(|&fi| {
-                let f = flows[fi as usize].as_ref().expect("active flow");
-                if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
-                    Some(SimDuration::ZERO)
-                } else if f.rate <= 0.0 {
-                    None // starved; cannot complete until rates change
-                } else {
-                    Some(Self::completion_delay(f.remaining, f.rate))
-                }
-            })
-            .min();
+        *earliest = Self::earliest_delay(active, flows);
         *earliest_fresh = true;
+    }
+
+    /// The earliest completion delay among the `active` flows, the
+    /// minimum of [`FlowNet::completion_delay`] over them. `delay_of` is
+    /// monotone, so it is taken once, of the smallest drain time.
+    fn earliest_delay(active: &[u32], flows: &[Option<Flow>]) -> Option<SimDuration> {
+        let mut soonest = f64::INFINITY;
+        let mut any = false;
+        for &fi in active {
+            let f = flows[fi as usize].as_ref().expect("active flow");
+            if f.remaining <= EPSILON_BYTES || f.rate.is_infinite() {
+                return Some(SimDuration::ZERO);
+            }
+            // Starved flows (rate ≤ 0) cannot complete until rates change.
+            if f.rate > 0.0 {
+                soonest = soonest.min(f.remaining / f.rate);
+                any = true;
+            }
+        }
+        any.then(|| Self::delay_of(soonest))
     }
 }
 

@@ -22,7 +22,8 @@
 //!   processes cost 100k small allocations, not 100k OS threads. Genuinely
 //!   CPU-heavy host kernels (sort/merge/encode) are dispatched to a small
 //!   offload thread pool via [`Ctx::offload`] without perturbing the event
-//!   schedule.
+//!   schedule; kernels with less than [`INLINE_KERNEL_BYTES`] of input run
+//!   inline at their wake instead, on the same schedule.
 //! * **Thread-backed closures** ([`Sim::spawn`], [`Ctx::spawn`]) — the
 //!   legacy bridge: ordinary blocking closures running on OS threads
 //!   borrowed from a parked worker pool (reused across processes, named
@@ -63,7 +64,7 @@ pub mod units;
 pub use flow::{FlowSpec, LinkId};
 pub use process::{
     catch_unwind_future, is_shutdown_payload, run_blocking, CatchUnwind, Ctx, JoinError,
-    LocalBoxFuture, ProcessId,
+    LocalBoxFuture, ProcessId, INLINE_KERNEL_BYTES,
 };
 pub use resources::{LimiterId, SemId};
 pub use sim::{Sim, SimConfig, SimError, SimReport};

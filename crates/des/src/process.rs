@@ -86,6 +86,29 @@ pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 /// does.
 pub(crate) type TaskFn = Box<dyn FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static>;
 
+/// Input size, in bytes, below which [`Ctx::offload`] runs a kernel
+/// inline on the scheduler thread instead of handing it to the offload
+/// pool.
+///
+/// The pool buys wall clock, not CPU time: a pooled kernel runs beside
+/// the event loop. On a 2-vCPU x86-64 VM, running every kernel inline
+/// made the cluster service run (4,050 kernels of 4.6–184 KB) take
+/// 17 % more wall time and Table 1 (33 kernels of 0.4–3.4 MB) 20 %
+/// more, while the cluster run used 9 % less CPU time and Table 1 the
+/// same (EXPERIMENTS.md, "BENCH_host — fan-out's fixed costs"). A
+/// kernel only gains from the pool if it runs longer than the handoff
+/// (queue lock, futex wake of a pool thread, futex wait for the
+/// result), which costs about 2.5–3.5 µs of CPU per kernel: the CPU a
+/// W=2048 fan-out run saves by skipping it, divided by its 6,144
+/// kernels. The sort, merge and encode kernels process about 90–255
+/// bytes per µs (compress 87 MiB/s, merge 230 MiB/s, partition
+/// 243 MiB/s), so a kernel takes about as long as its handoff at a few
+/// hundred bytes to about 1 KB of input; the bound sits at the top of
+/// that band. Fan-out kernels (at most a few hundred bytes) fall below
+/// it; cluster and Table 1 kernels (4.6 KB and up) keep the pool, so
+/// any value in the band routes them the same way.
+pub const INLINE_KERNEL_BYTES: usize = 1024;
+
 /// A CPU-heavy kernel dispatched to the offload pool, type-erased.
 pub(crate) type OffloadJob = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send + 'static>;
 
@@ -411,25 +434,30 @@ impl Ctx {
         self.sleep_async(d).await;
     }
 
-    /// Charges `d` of virtual CPU time *and* runs `job`, a genuinely
-    /// CPU-heavy host kernel, on the offload thread pool.
+    /// Charges `d` of virtual CPU time *and* runs `job`, a CPU-heavy host
+    /// kernel reading `input_bytes` bytes, on the offload thread pool.
     ///
     /// The virtual-time schedule is byte-for-byte identical to
     /// `ctx.compute(d)` followed by running `job()` inline: the process
     /// wakes at `now + d` exactly as a sleep would, and the kernel result
     /// is collected (host-blocking if the kernel is still running) only at
-    /// that wake. On a thread-backed process the job simply runs inline.
-    pub async fn offload<R, J>(&self, d: SimDuration, job: J) -> R
+    /// that wake.
+    ///
+    /// A kernel whose input is below [`INLINE_KERNEL_BYTES`] is too small
+    /// to pay for the pool's thread handoff, so it runs inline at the
+    /// wake instead, as every kernel on a thread-backed process does.
+    /// Both paths schedule the wake at `now + d` in the same order, so
+    /// events, virtual time and spans are identical on either side of the
+    /// rule: `input_bytes` only decides which host thread runs the kernel.
+    /// A panicking kernel fails the process with the same message on both
+    /// paths.
+    pub async fn offload<R, J>(&self, d: SimDuration, input_bytes: usize, job: J) -> R
     where
         R: Send + 'static,
         J: FnOnce() -> R + Send + 'static,
     {
         match &self.mode {
-            CtxMode::Thread { .. } => {
-                self.sleep(d);
-                job()
-            }
-            CtxMode::Task { .. } => {
+            CtxMode::Task { .. } if input_bytes >= INLINE_KERNEL_BYTES => {
                 let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
                 match self.call_async(YieldMsg::Offload { d, job: erased }).await {
                     ResumeMsg::OffloadDone(Ok(any)) => *any
@@ -438,6 +466,10 @@ impl Ctx {
                     ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
                     other => unreachable!("unexpected resume for offload: {:?}", other),
                 }
+            }
+            _ => {
+                self.sleep_async(d).await;
+                job()
             }
         }
     }

@@ -787,6 +787,7 @@ enum Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::INLINE_KERNEL_BYTES;
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
     use std::sync::Mutex;
@@ -1471,64 +1472,102 @@ mod tests {
         assert_eq!(inflight.lock().unwrap().1, 2, "window caps concurrency");
     }
 
+    /// `compute(d)` then the kernel inline then a sleep: `(end ns,
+    /// events, kernel result)`.
+    fn run_compute_then_kernel() -> (u64, u64, u64) {
+        let out = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new();
+        let out2 = Arc::clone(&out);
+        sim.spawn_task("k", move |ctx| async move {
+            ctx.compute_async(SimDuration::from_millis(7)).await;
+            let v = (0..1000u64).sum::<u64>();
+            ctx.sleep_async(SimDuration::from_millis(3)).await;
+            out2.store(v, Ordering::SeqCst);
+        });
+        let report = sim.run().expect("run");
+        (
+            report.end_time.as_nanos(),
+            report.events,
+            out.load(Ordering::SeqCst),
+        )
+    }
+
+    /// The same sequence through `offload` with a kernel input of
+    /// `input_bytes`: the same triple, plus the offload threads started.
+    fn run_offloaded(input_bytes: usize) -> ((u64, u64, u64), usize) {
+        let out = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new();
+        let out2 = Arc::clone(&out);
+        sim.spawn_task("k", move |ctx| async move {
+            let v = ctx
+                .offload(SimDuration::from_millis(7), input_bytes, || {
+                    (0..1000u64).sum::<u64>()
+                })
+                .await;
+            ctx.sleep_async(SimDuration::from_millis(3)).await;
+            out2.store(v, Ordering::SeqCst);
+        });
+        let report = sim.run().expect("run");
+        (
+            (
+                report.end_time.as_nanos(),
+                report.events,
+                out.load(Ordering::SeqCst),
+            ),
+            report.offload_workers,
+        )
+    }
+
     #[test]
     fn offload_matches_compute_schedule_exactly() {
         // compute(d) + inline kernel and offload(d, kernel) must yield
         // identical end times and event counts.
-        fn run_inline() -> (u64, u64, u64) {
-            let out = Arc::new(AtomicU64::new(0));
-            let mut sim = Sim::new();
-            let out2 = Arc::clone(&out);
-            sim.spawn_task("k", move |ctx| async move {
-                ctx.compute_async(SimDuration::from_millis(7)).await;
-                let v = (0..1000u64).sum::<u64>();
-                ctx.sleep_async(SimDuration::from_millis(3)).await;
-                out2.store(v, Ordering::SeqCst);
-            });
-            let report = sim.run().expect("run");
-            (
-                report.end_time.as_nanos(),
-                report.events,
-                out.load(Ordering::SeqCst),
-            )
-        }
-        fn run_offloaded() -> (u64, u64, u64) {
-            let out = Arc::new(AtomicU64::new(0));
-            let mut sim = Sim::new();
-            let out2 = Arc::clone(&out);
-            sim.spawn_task("k", move |ctx| async move {
-                let v = ctx
-                    .offload(SimDuration::from_millis(7), || (0..1000u64).sum::<u64>())
-                    .await;
-                ctx.sleep_async(SimDuration::from_millis(3)).await;
-                out2.store(v, Ordering::SeqCst);
-            });
-            let report = sim.run().expect("run");
-            assert!(report.offload_workers >= 1);
-            (
-                report.end_time.as_nanos(),
-                report.events,
-                out.load(Ordering::SeqCst),
-            )
-        }
-        assert_eq!(run_inline(), run_offloaded());
+        let (pooled, workers) = run_offloaded(INLINE_KERNEL_BYTES);
+        assert!(workers >= 1, "a kernel at the bound runs on the pool");
+        assert_eq!(run_compute_then_kernel(), pooled);
+    }
+
+    #[test]
+    fn kernels_below_the_bound_run_inline_on_the_same_schedule() {
+        let (inline, workers) = run_offloaded(INLINE_KERNEL_BYTES - 1);
+        assert_eq!(workers, 0, "a kernel below the bound starts no pool thread");
+        assert_eq!(inline, run_offloaded(INLINE_KERNEL_BYTES).0);
+        assert_eq!(inline, run_compute_then_kernel());
     }
 
     #[test]
     fn offload_panic_propagates_into_the_task() {
-        let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let child = ctx
-                .spawn_task("kern", |cctx| async move {
-                    let _: u64 = cctx
-                        .offload(SimDuration::from_millis(1), || panic!("kernel died"))
-                        .await;
-                })
-                .await;
-            let err = ctx.join_async(child).await.expect_err("kernel panic");
-            assert!(err.message.contains("kernel died"));
-        });
-        sim.run().expect("observed panic is fine");
+        // An inline and a pooled kernel fail their process with the same
+        // message.
+        let message = |input_bytes: usize| {
+            let seen = Arc::new(Mutex::new(String::new()));
+            let seen2 = Arc::clone(&seen);
+            let mut sim = Sim::new();
+            sim.spawn_task("parent", move |ctx| async move {
+                let child = ctx
+                    .spawn_task("kern", move |cctx| async move {
+                        let _: u64 = cctx
+                            .offload(SimDuration::from_millis(1), input_bytes, || {
+                                panic!("kernel died")
+                            })
+                            .await;
+                    })
+                    .await;
+                let err = ctx.join_async(child).await.expect_err("kernel panic");
+                *seen2.lock().unwrap() = err.message;
+            });
+            let report = sim.run().expect("observed panic is fine");
+            assert_eq!(
+                report.offload_workers >= 1,
+                input_bytes >= INLINE_KERNEL_BYTES,
+                "input of {input_bytes} bytes"
+            );
+            let m = seen.lock().unwrap().clone();
+            m
+        };
+        let inline = message(0);
+        assert!(inline.contains("kernel died"), "{inline}");
+        assert_eq!(inline, message(INLINE_KERNEL_BYTES));
     }
 
     #[test]
@@ -1536,7 +1575,8 @@ mod tests {
         let mut sim = Sim::new();
         sim.spawn("driver", |ctx| {
             use crate::process::run_blocking;
-            let v: u64 = run_blocking(ctx.offload(SimDuration::from_millis(5), || 99));
+            let v: u64 =
+                run_blocking(ctx.offload(SimDuration::from_millis(5), INLINE_KERNEL_BYTES, || 99));
             assert_eq!(v, 99);
             assert_eq!(ctx.now().as_nanos(), 5_000_000);
         });

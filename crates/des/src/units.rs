@@ -87,18 +87,39 @@ impl SimDuration {
     }
 
     /// Creates a duration from microseconds.
+    ///
+    /// # Panics
+    /// Panics, in every build profile, if the duration does not fit in
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        match us.checked_mul(1_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration::from_micros: duration overflows u64 nanoseconds"),
+        }
     }
 
     /// Creates a duration from milliseconds.
+    ///
+    /// # Panics
+    /// Panics, in every build profile, if the duration does not fit in
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        match ms.checked_mul(1_000_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration::from_millis: duration overflows u64 nanoseconds"),
+        }
     }
 
     /// Creates a duration from whole seconds.
+    ///
+    /// # Panics
+    /// Panics, in every build profile, if the duration does not fit in
+    /// `u64` nanoseconds (about 584 years).
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        match s.checked_mul(1_000_000_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration::from_secs: duration overflows u64 nanoseconds"),
+        }
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -524,6 +545,19 @@ mod tests {
     #[should_panic(expected = "earlier time is later")]
     fn duration_since_panics_when_reversed() {
         SimTime::ZERO.duration_since(SimTime::from_nanos(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "from_secs: duration overflows u64 nanoseconds")]
+    fn duration_from_secs_panics_past_u64_nanoseconds() {
+        // The largest whole second that fits, then one more: a release
+        // build must not wrap it to a fraction of a second.
+        let last = std::hint::black_box(18_446_744_073);
+        assert_eq!(
+            SimDuration::from_secs(last).as_nanos(),
+            18_446_744_073_000_000_000
+        );
+        SimDuration::from_secs(last + 1);
     }
 
     #[test]

@@ -89,16 +89,24 @@ impl FunctionEnv {
     }
 
     /// Charges compute like [`FunctionEnv::compute_async`] while running
-    /// the CPU-heavy host `job` on the simulator's offload pool. The
-    /// virtual schedule (and the emitted span) is identical to charging
-    /// the compute and running the kernel inline.
-    pub async fn compute_offload<R, J>(&self, ctx: &Ctx, work: SimDuration, job: J) -> R
+    /// the CPU-heavy host `job`, which reads `input_bytes` bytes, through
+    /// [`Ctx::offload`]. The virtual schedule (and the emitted span) is
+    /// identical to charging the compute and running the kernel inline.
+    pub async fn compute_offload<R, J>(
+        &self,
+        ctx: &Ctx,
+        work: SimDuration,
+        input_bytes: usize,
+        job: J,
+    ) -> R
     where
         R: Send + 'static,
         J: FnOnce() -> R + Send + 'static,
     {
         let span = self.compute_span(ctx);
-        let out = ctx.offload(work.mul_f64(1.0 / self.cpu_share), job).await;
+        let out = ctx
+            .offload(work.mul_f64(1.0 / self.cpu_share), input_bytes, job)
+            .await;
         self.trace.span_end(span, ctx.now());
         out
     }

@@ -621,9 +621,16 @@ pub async fn serverless_sort_async<R: SortRecord>(
                     let (run, cuts) = {
                         let partitioner = Arc::clone(&partitioner);
                         let chunks = std::mem::take(&mut chunks);
-                        env.compute_offload(fctx, cfg.work.partition_time(read_bytes), move || {
-                            kernel::partition_sorted_run::<R>(&chunks, w, |k| partitioner.part(k))
-                        })
+                        env.compute_offload(
+                            fctx,
+                            cfg.work.partition_time(read_bytes),
+                            read_bytes,
+                            move || {
+                                kernel::partition_sorted_run::<R>(&chunks, w, |k| {
+                                    partitioner.part(k)
+                                })
+                            },
+                        )
                         .await
                         .unwrap_or_else(|e| panic!("map decode failed: {}", e))
                     };
@@ -698,7 +705,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                     // merge compute is charged in virtual time — same
                     // schedule and span as the inline form.
                     let merged = env
-                        .compute_offload(fctx, cfg.work.merge_time(gathered), move || {
+                        .compute_offload(fctx, cfg.work.merge_time(gathered), gathered, move || {
                             streaming_merge::<R>(&runs)
                         })
                         .await

@@ -166,6 +166,7 @@ pub async fn vm_sort_async<R: SortRecord>(
                 ctx,
                 cfg.work.sort_time(input_bytes as usize),
                 cfg.profile.vcpus,
+                input_bytes as usize,
                 move || crate::kernel::sort_concat::<R>(&chunks),
             )
             .await;

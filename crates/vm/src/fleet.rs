@@ -81,28 +81,15 @@ impl VmInstance {
     }
 
     /// Charges compute time for a CPU-heavy host kernel: the virtual
-    /// charge is identical to [`VmInstance::compute_async`], while the
-    /// real `job` runs on the simulator's offload pool.
-    pub async fn compute_offload<R, J>(&self, ctx: &Ctx, work: SimDuration, job: J) -> R
-    where
-        R: Send + 'static,
-        J: FnOnce() -> R + Send + 'static,
-    {
-        let span = self.compute_span(ctx, 1);
-        let out = ctx.offload(work, job).await;
-        self.trace.span_end(span, ctx.now());
-        out
-    }
-
-    /// Parallel-speedup variant of [`VmInstance::compute_offload`]: the
-    /// virtual charge is identical to
-    /// [`VmInstance::compute_parallel_async`], while the real `job` runs
-    /// on the simulator's offload pool.
+    /// charge (and the emitted span) is identical to
+    /// [`VmInstance::compute_parallel_async`], while the real `job`, which
+    /// reads `input_bytes` bytes, runs through [`Ctx::offload`].
     pub async fn compute_parallel_offload<R, J>(
         &self,
         ctx: &Ctx,
         work: SimDuration,
         threads: u32,
+        input_bytes: usize,
         job: J,
     ) -> R
     where
@@ -111,7 +98,11 @@ impl VmInstance {
     {
         let span = self.compute_span(ctx, threads);
         let out = ctx
-            .offload(work.mul_f64(1.0 / self.profile.speedup(threads)), job)
+            .offload(
+                work.mul_f64(1.0 / self.profile.speedup(threads)),
+                input_bytes,
+                job,
+            )
             .await;
         self.trace.span_end(span, ctx.now());
         out

@@ -21,6 +21,7 @@ use bytes::Bytes;
 
 use faaspipe::cluster::{
     run_cluster, AdmissionPolicy, ArrivalProcess, ClusterConfig, TenantSpec, TraceMode,
+    MAX_ARRIVAL_NS,
 };
 use faaspipe::core::dag::WorkerChoice;
 use faaspipe::core::executor::{Executor, Services};
@@ -408,6 +409,13 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     }
     let rate: f64 = flag_parse(args, "--rate", 0.02)?;
     let horizon: u64 = flag_parse(args, "--horizon", 300)?;
+    let max_horizon_s = MAX_ARRIVAL_NS / 1_000_000_000;
+    if horizon > max_horizon_s {
+        return Err(format!(
+            "--horizon {} is too large: at most {} s (2^62 ns)",
+            horizon, max_horizon_s
+        ));
+    }
     let records: usize = flag_parse(args, "--records", 20_000)?;
     let exchange: ExchangeKind = flag_parse(args, "--exchange", ExchangeKind::Scatter)?;
     let max_concurrent: Option<String> = flag(args, "--max-concurrent")?;

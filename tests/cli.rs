@@ -404,6 +404,11 @@ fn cluster_rejects_unusable_limits_and_arrival_times_with_an_error() {
         &["--max-concurrent", "0"],
         "max_concurrent_runs must be positive",
     );
+    // Horizons past 2^62 ns, including ones whose nanoseconds would
+    // overflow `u64` (and wrapped in release builds).
+    for horizon in ["4611686019", "18446744074", "20000000000"] {
+        fails_with(&["--horizon", horizon], "at most 4611686018 s (2^62 ns)");
+    }
     for (name, row, want) in [
         ("inf", "inf 0", "line 2: time inf s is not below 2^62 ns"),
         (

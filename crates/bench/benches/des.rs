@@ -39,8 +39,8 @@ fn bench_process_churn(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = Sim::new();
             for i in 0..200u64 {
-                sim.spawn(format!("p{}", i), move |ctx| {
-                    ctx.sleep(SimDuration::from_millis(i));
+                sim.spawn(format!("p{}", i), move |ctx| async move {
+                    ctx.sleep(SimDuration::from_millis(i)).await;
                 });
             }
             sim.run().expect("sim ok")

@@ -8,7 +8,7 @@
 //! * **BENCH_host** — the scaling trajectory the stackless scheduler is
 //!   sized for: untraced coalesced runs at W ∈ {64, 256, 1024, 4096,
 //!   8192, 16384}. Each row records the wall clock plus the simulator's
-//!   own gauges (events dispatched, peak live processes, pool threads),
+//!   own gauges (events dispatched, peak live processes),
 //!   the host's CPU/context-switch counters, the per-event unit cost
 //!   (µs of wall per dispatched event — flat means the scheduler scales
 //!   with what changed), and a per-row peak-RSS gauge (`VmHWM`, reset
@@ -16,15 +16,14 @@
 //!   "same work, slower" and a memory blow-up is visible per width.
 //!
 //! `--check` additionally applies warn-only scheduler-health ceilings:
-//! the stackless loop needs no pool threads and context-switches only
-//! for CPU-offload handoffs, so pool workers on a trajectory row, a
-//! process thread count past the offload cap, or switch rates far above
-//! the event-loop baseline all flag a scheduler regression even when
-//! the wall clock still passes.
+//! the event loop context-switches only for CPU-offload handoffs, so a
+//! process thread count past the offload cap or switch rates far above
+//! the event-loop baseline flag a scheduler regression even when the
+//! wall clock still passes.
 //!
 //! Both files also carry one **cluster** row (`scenario = "cluster"`): a
 //! fixed multi-tenant [`faaspipe_cluster`] service run whose concurrent
-//! per-run process trees exercise the pooled scheduler's many-live-process
+//! per-run process trees exercise the scheduler's many-live-process
 //! path that single pipeline runs cannot reach.
 //!
 //! Both batches run through the [`faaspipe_sweep`] engine. Unlike the
@@ -75,7 +74,6 @@ struct SimRow {
     spans: usize,
     events: u64,
     peak_live_processes: usize,
-    pool_workers: usize,
 }
 
 faaspipe_json::json_object! {
@@ -88,7 +86,6 @@ faaspipe_json::json_object! {
         req spans,
         req events,
         req peak_live_processes,
-        req pool_workers,
     }
 }
 
@@ -103,7 +100,6 @@ struct HostRow {
     sim_latency_s: f64,
     events: u64,
     peak_live_processes: usize,
-    pool_workers: usize,
     user_cpu_s: f64,
     sys_cpu_s: f64,
     ctx_switches: u64,
@@ -140,7 +136,6 @@ faaspipe_json::json_object! {
         req sim_latency_s,
         req events,
         req peak_live_processes,
-        req pool_workers,
         req user_cpu_s,
         req sys_cpu_s,
         req ctx_switches,
@@ -279,7 +274,6 @@ fn bench_sim(jobs: usize) -> Vec<SimRow> {
                     spans: outcome.trace.spans.len(),
                     events: outcome.sim.events,
                     peak_live_processes: outcome.sim.peak_live_processes,
-                    pool_workers: outcome.sim.pool_workers,
                 }
             });
         }
@@ -298,27 +292,25 @@ fn bench_sim(jobs: usize) -> Vec<SimRow> {
             spans: report.trace.spans.len(),
             events: report.sim.events,
             peak_live_processes: report.sim.peak_live_processes,
-            pool_workers: report.sim.pool_workers,
         }
     });
     let rows = sweep.run_expect(jobs);
 
     println!("BENCH_sim — traced pipeline runs (host wall clock):");
     println!(
-        "{:<10} {:>4}  {:>9}  {:>12}  {:>7}  {:>9}  {:>5}  {:>5}",
-        "backend", "W", "wall", "sim-latency", "spans", "events", "peak", "pool"
+        "{:<10} {:>4}  {:>9}  {:>12}  {:>7}  {:>9}  {:>5}",
+        "backend", "W", "wall", "sim-latency", "spans", "events", "peak"
     );
     for row in &rows {
         println!(
-            "{:<10} {:>4}  {:>7.0}ms  {:>11.2}s  {:>7}  {:>9}  {:>5}  {:>5}",
+            "{:<10} {:>4}  {:>7.0}ms  {:>11.2}s  {:>7}  {:>9}  {:>5}",
             row.backend,
             row.workers,
             row.wall_ms,
             row.sim_latency_s,
             row.spans,
             row.events,
-            row.peak_live_processes,
-            row.pool_workers
+            row.peak_live_processes
         );
     }
     rows
@@ -363,7 +355,6 @@ fn bench_host(jobs: usize) -> Vec<HostRow> {
                 sim_latency_s: outcome.latency.as_secs_f64(),
                 events: outcome.sim.events,
                 peak_live_processes: outcome.sim.peak_live_processes,
-                pool_workers: outcome.sim.pool_workers,
                 user_cpu_s: u1 - u0,
                 sys_cpu_s: s1 - s0,
                 ctx_switches: c1.saturating_sub(c0),
@@ -392,7 +383,6 @@ fn bench_host(jobs: usize) -> Vec<HostRow> {
             sim_latency_s: report.makespan.as_secs_f64(),
             events: report.sim.events,
             peak_live_processes: report.sim.peak_live_processes,
-            pool_workers: report.sim.pool_workers,
             user_cpu_s: u1 - u0,
             sys_cpu_s: s1 - s0,
             ctx_switches: c1.saturating_sub(c0),
@@ -428,28 +418,17 @@ fn bench_host(jobs: usize) -> Vec<HostRow> {
     println!();
     println!("BENCH_host — untraced coalesced scaling trajectory:");
     println!(
-        "{:<5}  {:>10}  {:>12}  {:>9}  {:>5}  {:>5}  {:>7}  {:>7}  {:>9}  {:>8}  {:>9}",
-        "W",
-        "wall",
-        "sim-latency",
-        "events",
-        "peak",
-        "pool",
-        "user",
-        "sys",
-        "ctxsw",
-        "µs/evt",
-        "peakRSS"
+        "{:<5}  {:>10}  {:>12}  {:>9}  {:>5}  {:>7}  {:>7}  {:>9}  {:>8}  {:>9}",
+        "W", "wall", "sim-latency", "events", "peak", "user", "sys", "ctxsw", "µs/evt", "peakRSS"
     );
     for row in &rows {
         println!(
-            "{:<5}  {:>8.0}ms  {:>11.2}s  {:>9}  {:>5}  {:>5}  {:>6.2}s  {:>6.2}s  {:>9}  {:>8.2}  {:>7}KiB{}",
+            "{:<5}  {:>8.0}ms  {:>11.2}s  {:>9}  {:>5}  {:>6.2}s  {:>6.2}s  {:>9}  {:>8.2}  {:>7}KiB{}",
             row.workers,
             row.wall_ms,
             row.sim_latency_s,
             row.events,
             row.peak_live_processes,
-            row.pool_workers,
             row.user_cpu_s,
             row.sys_cpu_s,
             row.ctx_switches,
@@ -473,7 +452,6 @@ fn bench_host(jobs: usize) -> Vec<HostRow> {
         sim_latency_s: 0.0,
         events: agg_events,
         peak_live_processes: 0,
-        pool_workers: 0,
         user_cpu_s: sweep_u1 - sweep_u0,
         sys_cpu_s: sweep_s1 - sweep_s0,
         ctx_switches: sweep_c1.saturating_sub(sweep_c0),
@@ -525,19 +503,6 @@ fn host_threads() -> usize {
 /// are host-shaped and exist to annotate the CI log, not to gate.
 fn health_warnings(rows: &[HostRow]) {
     for row in rows {
-        if row.pool_workers > 0 {
-            eprintln!(
-                "warning: {} W={} ran {} pool worker threads — the stackless loop \
-                 should keep every process on the event-loop thread",
-                if row.scenario.is_empty() {
-                    "trajectory"
-                } else {
-                    &row.scenario
-                },
-                row.workers,
-                row.pool_workers
-            );
-        }
         // The aggregate row's switches include the sweep engine's own
         // worker handoffs at --jobs > 1; the ceiling only describes the
         // serial event loop.
@@ -719,7 +684,6 @@ mod tests {
             sim_latency_s,
             events,
             peak_live_processes: 10,
-            pool_workers: 0,
             user_cpu_s: 0.0,
             sys_cpu_s: 0.0,
             ctx_switches: 0,

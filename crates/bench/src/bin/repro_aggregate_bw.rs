@@ -20,8 +20,8 @@ use parking_lot::Mutex;
 
 use faaspipe_bench::{results_dir, write_json};
 use faaspipe_core::executor::Services;
-use faaspipe_des::{Sim, SimTime};
-use faaspipe_faas::{FaasConfig, FunctionPlatform};
+use faaspipe_des::{Ctx, Sim, SimTime};
+use faaspipe_faas::{FaasConfig, FunctionEnv, FunctionPlatform};
 use faaspipe_store::{ObjectStore, StoreConfig};
 use faaspipe_trace::{counters_csv, TraceData, TraceSink};
 use faaspipe_vm::VmFleet;
@@ -37,9 +37,15 @@ faaspipe_json::json_object! { Row { req consumers, req kind, req aggregate_mib_s
 /// Modelled object size each consumer downloads.
 const OBJECT_MIB: usize = 256;
 
+/// Modelled bytes per real byte. Each consumer stages 256 KiB of real
+/// data that the store models as `OBJECT_MIB`; a power of two keeps the
+/// scaled length exact, so every transfer is the full 256 MiB.
+const SIZE_SCALE: usize = 1024;
+
 fn setup(consumers: usize) -> (Sim, Services) {
     let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
+    let cfg = StoreConfig::default().with_size_scale(SIZE_SCALE as f64);
+    let store = ObjectStore::install(&mut sim, cfg);
     let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
     store.create_bucket("data").expect("bucket");
     for i in 0..consumers {
@@ -47,7 +53,7 @@ fn setup(consumers: usize) -> (Sim, Services) {
             .put_untimed(
                 "data",
                 &format!("blob/{:04}", i),
-                Bytes::from(vec![0u8; OBJECT_MIB << 20]),
+                Bytes::from(vec![0u8; (OBJECT_MIB << 20) / SIZE_SCALE]),
             )
             .expect("stage blob");
     }
@@ -70,25 +76,26 @@ fn functions_aggregate(consumers: usize) -> (f64, TraceData) {
     let faas = services.faas.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn("driver", move |ctx| {
-        let hs: Vec<_> = (0..consumers)
-            .map(|i| {
-                let store = store.clone();
-                let span = Arc::clone(&span2);
-                faas.invoke_async(ctx, "reader", format!("bw/{}", i), move |fctx, env| {
-                    let client = store.connect_via(fctx, "bw", &[env.nic]);
-                    let t0 = fctx.now();
-                    client
-                        .get(fctx, "data", &format!("blob/{:04}", i))
-                        .expect("blob read");
-                    let t1 = fctx.now();
-                    let mut s = span.lock();
-                    s.0 = s.0.min(t0);
-                    s.1 = s.1.max(t1);
-                })
-            })
-            .collect();
-        ctx.join_all(&hs).expect("readers ok");
+    sim.spawn("driver", move |ctx| async move {
+        let mut hs = Vec::with_capacity(consumers);
+        for i in 0..consumers {
+            let store = store.clone();
+            let span = Arc::clone(&span2);
+            let body = async move |fctx: &mut Ctx, env: FunctionEnv| {
+                let client = store.connect_via(fctx, "bw", &[env.nic]).await;
+                let t0 = fctx.now();
+                client
+                    .get(fctx, "data", &format!("blob/{:04}", i))
+                    .await
+                    .expect("blob read");
+                let t1 = fctx.now();
+                let mut s = span.lock();
+                s.0 = s.0.min(t0);
+                s.1 = s.1.max(t1);
+            };
+            hs.push(faas.invoke(&ctx, "reader", format!("bw/{}", i), body).await);
+        }
+        ctx.join_all(&hs).await.expect("readers ok");
     });
     sim.run().expect("sim ok");
     let (t0, t1) = *span.lock();
@@ -103,13 +110,17 @@ fn vm_single_connection(consumers: usize) -> f64 {
     let fleet = services.fleet.clone();
     let store = services.store.clone();
     let span2 = Arc::clone(&span);
-    sim.spawn("driver", move |ctx| {
-        let vm = fleet.provision(ctx, faaspipe_vm::VmProfile::bx2_8x32());
-        let client = store.connect_via(ctx, "vm-bw", &[vm.nic]);
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
+        let vm = fleet
+            .provision(ctx, faaspipe_vm::VmProfile::bx2_8x32())
+            .await;
+        let client = store.connect_via(ctx, "vm-bw", &[vm.nic]).await;
         let t0 = ctx.now();
         for i in 0..consumers {
             client
                 .get(ctx, "data", &format!("blob/{:04}", i))
+                .await
                 .expect("blob read");
         }
         let t1 = ctx.now();

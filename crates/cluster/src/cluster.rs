@@ -415,19 +415,19 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
         let shared = Arc::clone(&shared);
         let specs: Vec<TenantSpec> = cfg.tenants.clone();
         let arrivals = arrivals.clone();
-        sim.spawn_task("cluster:arrivals", move |ctx: Ctx| async move {
+        sim.spawn("cluster:arrivals", move |ctx: Ctx| async move {
             let mut runs = Vec::with_capacity(arrivals.len());
             for (seq, a) in arrivals.iter().enumerate() {
                 let wait = a.at.saturating_duration_since(ctx.now());
                 if wait > SimDuration::ZERO {
-                    ctx.sleep_async(wait).await;
+                    ctx.sleep(wait).await;
                 }
                 let shared = Arc::clone(&shared);
                 let spec = specs[a.tenant].clone();
                 let gate = gates[a.tenant];
                 let name = format!("{}/r{}", spec.name, seq);
                 runs.push(
-                    ctx.spawn_task(name, move |mut ctx: Ctx| async move {
+                    ctx.spawn(name, move |mut ctx: Ctx| async move {
                         execute_run(&mut ctx, &shared, &spec, gate, seq).await;
                     })
                     .await,
@@ -436,7 +436,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
             for pid in runs {
                 // Run-level failures are captured in the outcome list;
                 // a panicked run process must not kill the driver.
-                let _ = ctx.join_async(pid).await;
+                let _ = ctx.join(pid).await;
             }
         });
     }
@@ -535,7 +535,7 @@ async fn execute_run(
         SpanId::NONE
     };
 
-    gate.admit_async(ctx).await;
+    gate.admit(ctx).await;
     let admitted = ctx.now();
     if shared.tracing {
         shared.sink.attr(
@@ -568,7 +568,7 @@ async fn execute_run(
         }
     }
 
-    gate.release_async(ctx).await;
+    gate.release(ctx).await;
     if shared.tracing {
         shared.sink.span_end(span, ctx.now());
     }
@@ -655,10 +655,8 @@ async fn drive_run(
         fleet: shared.fleet.scoped(spec.name.clone()),
     };
     let executor = Executor::new(services, shared.work.clone(), tracker);
-    let handle = executor.spawn_dag_in_async(ctx, &dag).await;
-    ctx.join_async(handle.root)
-        .await
-        .map_err(|e| e.to_string())?;
+    let handle = executor.spawn_dag_in(ctx, &dag).await;
+    ctx.join(handle.root).await.map_err(|e| e.to_string())?;
     let mut stages = handle.ok_results()?;
     stages.sort_by_key(|s| s.started);
     let started = stages

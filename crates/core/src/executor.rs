@@ -19,8 +19,7 @@ use faaspipe_faas::FunctionPlatform;
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
 use faaspipe_shuffle::{
-    serverless_sort_async, vm_sort_async, Autotuner, SortConfig, SortRecord, VmSortConfig,
-    WorkModel,
+    serverless_sort, vm_sort, Autotuner, SortConfig, SortRecord, VmSortConfig, WorkModel,
 };
 use faaspipe_store::ObjectStore;
 use faaspipe_trace::Category;
@@ -64,39 +63,6 @@ pub struct StageResult {
 
 type ResultMap = Arc<Mutex<BTreeMap<String, Result<StageResult, String>>>>;
 
-/// A stage-driver process body: an async closure over the driver's
-/// [`Ctx`], boxed so both spawn entry points (from outside the sim and
-/// from a live process) can hand it to the scheduler as a stackless task.
-type StageBody = Box<dyn for<'a> FnOnce(&'a mut Ctx) -> LocalBoxFuture<'a, ()> + Send>;
-
-/// Where DAG driver processes are spawned from: the sim itself (before
-/// `run`) or a live process (a cluster's per-run driver). Either way the
-/// drivers are stackless tasks — they cost no OS thread while suspended.
-enum DagSpawner<'s> {
-    Sim(&'s mut Sim),
-    Live(&'s Ctx),
-}
-
-impl DagSpawner<'_> {
-    async fn spawn(&mut self, name: String, body: StageBody) -> ProcessId {
-        match self {
-            DagSpawner::Sim(sim) => {
-                sim.spawn_task(
-                    name,
-                    move |mut ctx: Ctx| async move { body(&mut ctx).await },
-                )
-            }
-            DagSpawner::Live(ctx) => {
-                ctx.spawn_task(
-                    name,
-                    move |mut ctx: Ctx| async move { body(&mut ctx).await },
-                )
-                .await
-            }
-        }
-    }
-}
-
 /// Handle to a spawned workflow: join `root` (or run the sim to
 /// completion) and collect results.
 #[derive(Debug)]
@@ -126,6 +92,17 @@ impl DagHandle {
             }
         }
         Ok(out)
+    }
+}
+
+/// The workflow root process: finishes when every stage driver has.
+fn root_driver(pids: Vec<ProcessId>) -> impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send {
+    move |ctx: Ctx| -> LocalBoxFuture<'static, ()> {
+        Box::pin(async move {
+            for pid in pids {
+                let _ = ctx.join(pid).await;
+            }
+        })
     }
 }
 
@@ -191,116 +168,117 @@ impl Executor {
     /// Panics if the DAG fails validation (construct via [`Dag::add_stage`]
     /// to make that impossible).
     pub fn spawn_dag(&self, sim: &mut Sim, dag: &Dag) -> DagHandle {
-        // Spawning into an un-started sim never suspends, so the single
-        // eager poll of `run_blocking` completes the whole future.
-        faaspipe_des::run_blocking(self.spawn_dag_with(dag, DagSpawner::Sim(sim)))
+        dag.validate().expect("DAG must be valid");
+        let results = ResultMap::default();
+        let mut pids = Vec::with_capacity(dag.len());
+        for idx in 0..dag.len() {
+            let (name, body) = self.stage_driver(dag, idx, &pids, &results);
+            pids.push(sim.spawn(name, body));
+        }
+        let root = sim.spawn("workflow:root", root_driver(pids));
+        DagHandle { root, results }
     }
 
     /// Like [`Executor::spawn_dag`], but launched from *inside* a running
     /// simulation — the caller is a live process (a cluster's per-run
     /// driver) and the DAG starts at the current virtual time.
     /// `ctx.join(handle.root)` to rendezvous with completion.
-    pub fn spawn_dag_in(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
-        faaspipe_des::run_blocking(self.spawn_dag_in_async(ctx, dag))
-    }
-
-    /// Async form of [`Executor::spawn_dag_in`] for stackless callers.
-    pub async fn spawn_dag_in_async(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
-        self.spawn_dag_with(dag, DagSpawner::Live(ctx)).await
-    }
-
-    async fn spawn_dag_with(&self, dag: &Dag, mut spawner: DagSpawner<'_>) -> DagHandle {
+    ///
+    /// # Panics
+    /// Panics if the DAG fails validation.
+    pub async fn spawn_dag_in(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
         dag.validate().expect("DAG must be valid");
-        let results: ResultMap = Arc::new(Mutex::new(BTreeMap::new()));
-        let mut pids: Vec<ProcessId> = Vec::with_capacity(dag.len());
-        for (idx, stage) in dag.stages().iter().enumerate() {
-            // The planner's makespan objective extends through any encode
-            // stage fed by this one: a wide shuffle that leaves the encode
-            // gang more runs than workers is not actually faster.
-            let downstream_encode: usize = dag
-                .stages()
-                .iter()
-                .filter(|s| s.deps.iter().any(|d| d.0 == idx))
-                .filter_map(|s| match &s.kind {
-                    StageKind::Encode { workers, .. } => Some(*workers),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            let dep_pids: Vec<ProcessId> = stage.deps.iter().map(|d| pids[d.0]).collect();
-            let dep_names: Vec<String> = stage
-                .deps
-                .iter()
-                .map(|d| dag.stages()[d.0].name.clone())
-                .collect();
-            let stage2 = stage.clone();
-            let bucket = dag.bucket.clone();
-            let exec = self.clone();
-            let results2 = Arc::clone(&results);
-            let pid = spawner
-                .spawn(
-                    format!("stage:{}", stage.name),
-                    Box::new(move |ctx: &mut Ctx| {
-                        Box::pin(async move {
-                            // Wait for dependencies; skip if any failed.
-                            for (pid, name) in dep_pids.iter().zip(&dep_names) {
-                                if ctx.join_async(*pid).await.is_err() {
-                                    results2.lock().insert(
-                                        stage2.name.clone(),
-                                        Err(format!("dependency driver '{}' crashed", name)),
-                                    );
-                                    return;
-                                }
-                            }
-                            {
-                                let map = results2.lock();
-                                for name in &dep_names {
-                                    if matches!(map.get(name), Some(Err(_)) | None) {
-                                        drop(map);
-                                        results2.lock().insert(
-                                            stage2.name.clone(),
-                                            Err(format!("dependency '{}' failed", name)),
-                                        );
-                                        return;
-                                    }
-                                }
-                            }
-                            exec.tracker.stage_start(ctx, &stage2.name);
-                            let started = ctx.now();
-                            let outcome = exec
-                                .run_stage(ctx, &bucket, &stage2, downstream_encode)
-                                .await;
-                            exec.tracker.stage_end(ctx, &stage2.name);
-                            let finished = ctx.now();
-                            let entry = outcome.map(|(workers_used, output_bytes)| StageResult {
-                                stage: stage2.name.clone(),
-                                started,
-                                finished,
-                                workers_used,
-                                output_bytes,
-                            });
-                            results2.lock().insert(stage2.name.clone(), entry);
-                        }) as LocalBoxFuture<'_, ()>
-                    }),
-                )
-                .await;
-            pids.push(pid);
+        let results = ResultMap::default();
+        let mut pids = Vec::with_capacity(dag.len());
+        for idx in 0..dag.len() {
+            let (name, body) = self.stage_driver(dag, idx, &pids, &results);
+            pids.push(ctx.spawn(name, body).await);
         }
-        // Root process: the workflow completes when every stage driver has.
-        let all = pids.clone();
-        let root = spawner
-            .spawn(
-                "workflow:root".to_string(),
-                Box::new(move |ctx: &mut Ctx| {
-                    Box::pin(async move {
-                        for pid in all {
-                            let _ = ctx.join_async(pid).await;
-                        }
-                    }) as LocalBoxFuture<'_, ()>
-                }),
-            )
-            .await;
+        let root = ctx.spawn("workflow:root", root_driver(pids)).await;
         DagHandle { root, results }
+    }
+
+    /// The driver process of stage `idx`, given the driver pids of the
+    /// stages before it: joins its dependencies' drivers, runs the stage,
+    /// and records its [`StageResult`] in `results`.
+    fn stage_driver(
+        &self,
+        dag: &Dag,
+        idx: usize,
+        pids: &[ProcessId],
+        results: &ResultMap,
+    ) -> (
+        String,
+        impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static,
+    ) {
+        let stage = dag.stages()[idx].clone();
+        // The planner's makespan objective extends through any encode
+        // stage fed by this one: a wide shuffle that leaves the encode
+        // gang more runs than workers is not actually faster.
+        let downstream_encode: usize = dag
+            .stages()
+            .iter()
+            .filter(|s| s.deps.iter().any(|d| d.0 == idx))
+            .filter_map(|s| match &s.kind {
+                StageKind::Encode { workers, .. } => Some(*workers),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let dep_pids: Vec<ProcessId> = stage.deps.iter().map(|d| pids[d.0]).collect();
+        let dep_names: Vec<String> = stage
+            .deps
+            .iter()
+            .map(|d| dag.stages()[d.0].name.clone())
+            .collect();
+        let bucket = dag.bucket.clone();
+        let exec = self.clone();
+        let results = Arc::clone(results);
+        let name = format!("stage:{}", stage.name);
+        let body = move |mut ctx: Ctx| -> LocalBoxFuture<'static, ()> {
+            Box::pin(async move {
+                let ctx = &mut ctx;
+                // Wait for dependencies; skip if any failed.
+                for (pid, name) in dep_pids.iter().zip(&dep_names) {
+                    if ctx.join(*pid).await.is_err() {
+                        results.lock().insert(
+                            stage.name.clone(),
+                            Err(format!("dependency driver '{}' crashed", name)),
+                        );
+                        return;
+                    }
+                }
+                {
+                    let map = results.lock();
+                    for name in &dep_names {
+                        if matches!(map.get(name), Some(Err(_)) | None) {
+                            drop(map);
+                            results.lock().insert(
+                                stage.name.clone(),
+                                Err(format!("dependency '{}' failed", name)),
+                            );
+                            return;
+                        }
+                    }
+                }
+                exec.tracker.stage_start(ctx, &stage.name);
+                let started = ctx.now();
+                let outcome = exec
+                    .run_stage(ctx, &bucket, &stage, downstream_encode)
+                    .await;
+                exec.tracker.stage_end(ctx, &stage.name);
+                let finished = ctx.now();
+                let entry = outcome.map(|(workers_used, output_bytes)| StageResult {
+                    stage: stage.name.clone(),
+                    started,
+                    finished,
+                    workers_used,
+                    output_bytes,
+                });
+                results.lock().insert(stage.name.clone(), entry);
+            })
+        };
+        (name, body)
     }
 
     /// Charges one driver orchestration phase (job serialization,
@@ -309,7 +287,7 @@ impl Executor {
     async fn orchestrate(&self, ctx: &Ctx) {
         let trace = self.services.store.trace_sink();
         if !trace.is_enabled() {
-            ctx.sleep_async(self.orchestration).await;
+            ctx.sleep(self.orchestration).await;
             return;
         }
         let parent = trace.current(ctx.pid());
@@ -321,7 +299,7 @@ impl Executor {
             parent,
             ctx.now(),
         );
-        ctx.sleep_async(self.orchestration).await;
+        ctx.sleep(self.orchestration).await;
         trace.span_end(span, ctx.now());
     }
 
@@ -373,14 +351,10 @@ impl Executor {
                     release: true,
                     manifest_key: None,
                 };
-                let stats = vm_sort_async::<MethRecord>(
-                    ctx,
-                    &self.services.fleet,
-                    &self.services.store,
-                    &cfg,
-                )
-                .await
-                .map_err(|e| format!("vm sort failed: {}", e))?;
+                let stats =
+                    vm_sort::<MethRecord>(ctx, &self.services.fleet, &self.services.store, &cfg)
+                        .await
+                        .map_err(|e| format!("vm sort failed: {}", e))?;
                 self.tracker.note(
                     ctx,
                     &stage.name,
@@ -425,9 +399,9 @@ impl Executor {
     ) -> Result<(usize, u64), String> {
         self.orchestrate(ctx).await;
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/driver", stage)).await;
+        let client = store.connect(ctx, format!("{}/driver", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("decode list failed: {}", e))?;
         if inputs.is_empty() {
@@ -454,29 +428,29 @@ impl Executor {
             let h = self
                 .services
                 .faas
-                .invoke_task(
+                .invoke(
                     ctx,
                     "decode",
                     format!("{}/dec", stage),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/dec", stage2), &[env.nic])
+                            .connect_via(fctx, format!("{}/dec", stage2), &[env.nic])
                             .await;
                         for key in &assigned {
                             let archive = client
-                                .get_async(fctx, &bucket, key)
+                                .get(fctx, &bucket, key)
                                 .await
                                 .unwrap_or_else(|e| panic!("decode read failed: {}", e));
                             let dataset = mc_codec::decompress(&archive)
                                 .unwrap_or_else(|e| panic!("archive corrupt: {}", e));
                             let data = SortRecord::write_all(&dataset.records);
-                            env.compute_async(fctx, work.methcomp_decode_time(data.len()))
+                            env.compute(fctx, work.methcomp_decode_time(data.len()))
                                 .await;
                             *written.lock() += data.len() as u64;
                             let leaf = key.rsplit('/').next().unwrap_or(key);
                             let out_key = format!("{}{}", output, leaf);
                             client
-                                .put_async(fctx, &bucket, &out_key, Bytes::from(data))
+                                .put(fctx, &bucket, &out_key, Bytes::from(data))
                                 .await
                                 .unwrap_or_else(|e| panic!("decode write failed: {}", e));
                         }
@@ -485,7 +459,7 @@ impl Executor {
                 .await;
             handles.push(h);
         }
-        ctx.join_all_async(&handles)
+        ctx.join_all(&handles)
             .await
             .map_err(|e| format!("decode task failed: {}", e))?;
         let bytes = *written.lock();
@@ -564,9 +538,9 @@ impl Executor {
         downstream_encode: usize,
     ) -> Result<Plan, String> {
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/plan", stage)).await;
+        let client = store.connect(ctx, format!("{}/plan", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("plan list failed: {}", e))?;
         if inputs.is_empty() {
@@ -697,14 +671,12 @@ impl Executor {
             WorkerChoice::Fixed(n) => n,
             WorkerChoice::Auto => {
                 let store = &self.services.store;
-                let tuner = Autotuner::probe_async(ctx, store, bucket)
+                let tuner = Autotuner::probe(ctx, store, bucket)
                     .await
                     .map_err(|e| format!("autotune probe failed: {}", e))?;
-                let client = store
-                    .connect_async(ctx, format!("{}/autotune", stage))
-                    .await;
+                let client = store.connect(ctx, format!("{}/autotune", stage)).await;
                 let inputs = client
-                    .list_async(ctx, bucket, input)
+                    .list(ctx, bucket, input)
                     .await
                     .map_err(|e| format!("autotune list failed: {}", e))?;
                 let modeled: f64 = inputs
@@ -790,14 +762,10 @@ impl Executor {
             io_concurrency: io_concurrency.max(1),
             manifest_key: None,
         };
-        let stats = serverless_sort_async::<MethRecord>(
-            ctx,
-            &self.services.faas,
-            &self.services.store,
-            &cfg,
-        )
-        .await
-        .map_err(|e| format!("serverless sort failed: {}", e))?;
+        let stats =
+            serverless_sort::<MethRecord>(ctx, &self.services.faas, &self.services.store, &cfg)
+                .await
+                .map_err(|e| format!("serverless sort failed: {}", e))?;
         self.tracker.note(
             ctx,
             stage,
@@ -825,9 +793,9 @@ impl Executor {
     ) -> Result<(usize, u64), String> {
         self.orchestrate(ctx).await;
         let store = &self.services.store;
-        let client = store.connect_async(ctx, format!("{}/driver", stage)).await;
+        let client = store.connect(ctx, format!("{}/driver", stage)).await;
         let inputs = client
-            .list_async(ctx, bucket, input)
+            .list(ctx, bucket, input)
             .await
             .map_err(|e| format!("encode list failed: {}", e))?;
         if inputs.is_empty() {
@@ -854,17 +822,17 @@ impl Executor {
             let h = self
                 .services
                 .faas
-                .invoke_task(
+                .invoke(
                     ctx,
                     "encode",
                     format!("{}/enc", stage),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/enc", stage2), &[env.nic])
+                            .connect_via(fctx, format!("{}/enc", stage2), &[env.nic])
                             .await;
                         for key in &assigned {
                             let data = client
-                                .get_async(fctx, &bucket, key)
+                                .get(fctx, &bucket, key)
                                 .await
                                 .unwrap_or_else(|e| panic!("encode read failed: {}", e));
                             let records: Vec<MethRecord> = SortRecord::read_all(&data)
@@ -901,7 +869,7 @@ impl Executor {
                             let leaf = key.rsplit('/').next().unwrap_or(key);
                             let out_key = format!("{}{}", output, leaf);
                             client
-                                .put_async(fctx, &bucket, &out_key, Bytes::from(packed))
+                                .put(fctx, &bucket, &out_key, Bytes::from(packed))
                                 .await
                                 .unwrap_or_else(|e| panic!("encode write failed: {}", e));
                         }
@@ -910,7 +878,7 @@ impl Executor {
                 .await;
             handles.push(h);
         }
-        ctx.join_all_async(&handles)
+        ctx.join_all(&handles)
             .await
             .map_err(|e| format!("encode task failed: {}", e))?;
         let bytes = *written.lock();
@@ -1213,10 +1181,11 @@ mod tests {
         .expect("sort");
         let results: Arc<Mutex<Vec<StageResult>>> = Arc::new(Mutex::new(Vec::new()));
         let results2 = Arc::clone(&results);
-        sim.spawn("run-driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(40));
-            let handle = exec.spawn_dag_in(ctx, &dag);
-            ctx.join(handle.root).expect("workflow");
+        sim.spawn("run-driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(40)).await;
+            let handle = exec.spawn_dag_in(ctx, &dag).await;
+            ctx.join(handle.root).await.expect("workflow");
             *results2.lock() = handle.ok_results().expect("ok");
         });
         sim.run().expect("sim ok");

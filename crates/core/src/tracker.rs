@@ -286,14 +286,15 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(3));
+            ctx.sleep(SimDuration::from_secs(3)).await;
             t2.note(ctx, "sort", "autotuner picked 13 workers");
-            ctx.sleep(SimDuration::from_secs(2));
+            ctx.sleep(SimDuration::from_secs(2)).await;
             t2.stage_end(ctx, "sort");
             t2.stage_start(ctx, "encode");
-            ctx.sleep(SimDuration::from_secs(1));
+            ctx.sleep(SimDuration::from_secs(1)).await;
             t2.stage_end(ctx, "encode");
         });
         sim.run().expect("sim ok");
@@ -315,12 +316,13 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(8));
+            ctx.sleep(SimDuration::from_secs(8)).await;
             t2.stage_end(ctx, "sort");
             t2.stage_start(ctx, "encode");
-            ctx.sleep(SimDuration::from_secs(2));
+            ctx.sleep(SimDuration::from_secs(2)).await;
             t2.stage_end(ctx, "encode");
         });
         sim.run().expect("sim ok");
@@ -346,7 +348,8 @@ mod tests {
         let tracker = Tracker::new();
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             t2.stage_start(ctx, "sort");
         });
         sim.run().expect("sim ok");
@@ -367,9 +370,10 @@ mod tests {
         let tracker = Tracker::with_sink(sink.clone(), run);
         let t2 = tracker.clone();
         let mut sim = Sim::new();
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(1));
+            ctx.sleep(SimDuration::from_secs(1)).await;
             t2.stage_end(ctx, "sort");
         });
         sim.run().expect("sim ok");

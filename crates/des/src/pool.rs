@@ -1,311 +1,13 @@
-//! The parked worker pool backing simulation processes.
-//!
-//! Processes used to each own a dedicated OS thread, created at spawn and
-//! joined at finish, with a pair of mpsc channels per process for the
-//! scheduler rendezvous. Short-lived processes (`fan_out` workers, prewarm
-//! helpers) made thread churn the dominant host cost. This module replaces
-//! both mechanisms:
-//!
-//! * [`Rendezvous`] — a single-slot park/unpark channel. The simulation's
-//!   strict alternation (at any instant either the scheduler or exactly one
-//!   process runs) means a slot can never be overwritten while full, so no
-//!   queue and no per-message allocation are needed.
-//! * [`WorkerPool`] — OS threads named `sim-w{idx}` that run process bodies
-//!   handed to them by the scheduler and return to an idle stack when the
-//!   body finishes. A process is bound to a worker lazily, at its first
-//!   wake; threads are reused across any number of processes and joined
-//!   once, at teardown.
+//! The offload pool: OS threads that run CPU-heavy host kernels beside
+//! the event loop, without perturbing the virtual-time schedule.
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 
-use crate::process::{
-    panic_message, Ctx, OffloadJob, OffloadOutcome, ProcessFn, ProcessId, ResumeMsg,
-    ShutdownSignal, YieldMsg,
-};
-
-/// A single-slot rendezvous channel: `send` deposits a value and unparks
-/// the receiver; `recv` takes it or parks until one arrives.
-///
-/// # Protocol
-///
-/// Correctness leans on the simulation's strict alternation: a sender only
-/// sends when the receiver is known to have consumed the previous value
-/// (the scheduler resumes a process only after it yielded; a process
-/// yields only after the scheduler resumed it). `send` therefore never
-/// observes a full slot — asserted in debug builds.
-///
-/// Lost wakeups cannot happen: the receiver registers its [`Thread`]
-/// handle under the mutex before checking `full`, and a sender reads the
-/// registration under the same mutex *after* setting `full`. If the sender
-/// saw no receiver, the receiver's registration critical section follows
-/// the sender's read, so the mutex release/acquire edge makes `full: true`
-/// visible to the receiver's next check and it never parks. If the sender
-/// saw a receiver, `unpark` hands the park token over, and
-/// `park`/`unpark`'s synchronizes-with edge makes the slot write visible
-/// when `park` returns.
-pub(crate) struct Rendezvous<T> {
-    slot: UnsafeCell<Option<T>>,
-    full: AtomicBool,
-    registered: AtomicBool,
-    receiver: Mutex<Option<Thread>>,
-}
-
-// SAFETY: the slot is accessed by at most one thread at a time — senders
-// only write while `full` is false and the (unique, registered) receiver
-// only reads after swapping `full` to false — and the accesses are ordered
-// by the Release store / Acquire swap on `full`.
-unsafe impl<T: Send> Send for Rendezvous<T> {}
-unsafe impl<T: Send> Sync for Rendezvous<T> {}
-
-impl<T> Rendezvous<T> {
-    pub(crate) fn new() -> Self {
-        Rendezvous {
-            slot: UnsafeCell::new(None),
-            full: AtomicBool::new(false),
-            registered: AtomicBool::new(false),
-            receiver: Mutex::new(None),
-        }
-    }
-
-    /// Deposits `value` and wakes the receiver. Must only be called when
-    /// the slot is empty (guaranteed by strict alternation).
-    pub(crate) fn send(&self, value: T) {
-        debug_assert!(
-            !self.full.load(Ordering::Acquire),
-            "rendezvous overrun: send into a full slot breaks strict alternation"
-        );
-        // SAFETY: `full` is false, so the receiver is not reading and no
-        // other sender is active (see struct docs).
-        unsafe {
-            *self.slot.get() = Some(value);
-        }
-        self.full.store(true, Ordering::Release);
-        let receiver = self.receiver.lock().expect("rendezvous receiver mutex");
-        if let Some(thread) = receiver.as_ref() {
-            thread.unpark();
-        }
-    }
-
-    /// Takes the value, parking until one is available. Must only be
-    /// called from a single receiver thread.
-    ///
-    /// On multi-core hosts, spins briefly before parking: the scheduler
-    /// and the running worker strictly alternate, so the value usually
-    /// arrives within the other thread's time slice and a short spin
-    /// avoids the ~microsecond futex round-trip that would otherwise be
-    /// paid on *every* event. On a single core the other side cannot make
-    /// progress while we spin, so we park immediately.
-    pub(crate) fn recv(&self) -> T {
-        for _ in 0..spin_budget() {
-            if let Some(value) = self.try_take() {
-                return value;
-            }
-            std::hint::spin_loop();
-        }
-        if !self.registered.load(Ordering::Relaxed) {
-            *self.receiver.lock().expect("rendezvous receiver mutex") =
-                Some(std::thread::current());
-            self.registered.store(true, Ordering::Relaxed);
-        }
-        loop {
-            if let Some(value) = self.try_take() {
-                return value;
-            }
-            std::thread::park();
-        }
-    }
-
-    #[inline]
-    fn try_take(&self) -> Option<T> {
-        // Relaxed pre-check keeps the spin loop read-only (no cache-line
-        // ping-pong against the sender's store); the swap supplies the
-        // Acquire edge.
-        if self.full.load(Ordering::Relaxed) && self.full.swap(false, Ordering::Acquire) {
-            // SAFETY: we observed `full` and cleared it, so the sender's
-            // slot write happened-before this read and no new send can
-            // start until we hand control back (strict alternation).
-            let value = unsafe { (*self.slot.get()).take() };
-            Some(value.expect("full rendezvous with empty slot"))
-        } else {
-            None
-        }
-    }
-}
-
-/// How many spin iterations `Rendezvous::recv` tries before parking:
-/// zero on single-core hosts (the sender cannot run while we spin),
-/// a short burst otherwise. Host-side only — never affects virtual time.
-fn spin_budget() -> u32 {
-    static BUDGET: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => 4_096,
-        _ => 0,
-    })
-}
-
-/// A process body plus everything a worker needs to run it.
-pub(crate) struct Job {
-    pub(crate) pid: ProcessId,
-    pub(crate) name: Arc<str>,
-    pub(crate) body: ProcessFn,
-    pub(crate) seed: u64,
-}
-
-enum WorkerCmd {
-    Run(Job),
-    Exit,
-}
-
-struct Worker {
-    cmd: Arc<Rendezvous<WorkerCmd>>,
-    resume: Arc<Rendezvous<ResumeMsg>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// The pool of OS threads that execute process bodies.
-pub(crate) struct WorkerPool {
-    workers: Vec<Worker>,
-    /// Indices of workers with no bound process, used as a stack so the
-    /// most-recently-freed (cache-warm) worker is reused first. Reuse
-    /// order never affects virtual time: the worker is a host-side
-    /// vehicle, all determinism-relevant state (pid, name, rng seed)
-    /// travels with the [`Job`].
-    idle: Vec<u32>,
-    stack_size: usize,
-    clock: Arc<AtomicU64>,
-    yields: Arc<Rendezvous<(u32, YieldMsg)>>,
-}
-
-impl WorkerPool {
-    pub(crate) fn new(
-        stack_size: usize,
-        clock: Arc<AtomicU64>,
-        yields: Arc<Rendezvous<(u32, YieldMsg)>>,
-    ) -> Self {
-        WorkerPool {
-            workers: Vec::new(),
-            idle: Vec::new(),
-            stack_size,
-            clock,
-            yields,
-        }
-    }
-
-    /// Number of OS threads ever created by this pool.
-    pub(crate) fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Hands `job` to an idle worker (spawning a new thread only when none
-    /// is parked) and returns the worker's index.
-    pub(crate) fn run(&mut self, job: Job) -> u32 {
-        let widx = match self.idle.pop() {
-            Some(w) => w,
-            None => self.spawn_worker(),
-        };
-        self.workers[widx as usize].cmd.send(WorkerCmd::Run(job));
-        widx
-    }
-
-    /// Delivers a scheduler reply to the process bound to `widx`.
-    pub(crate) fn resume(&self, widx: u32, msg: ResumeMsg) {
-        self.workers[widx as usize].resume.send(msg);
-    }
-
-    /// Returns `widx` to the idle stack after its process finished.
-    pub(crate) fn release(&mut self, widx: u32) {
-        self.idle.push(widx);
-    }
-
-    fn spawn_worker(&mut self) -> u32 {
-        let widx = self.workers.len() as u32;
-        let cmd = Arc::new(Rendezvous::new());
-        let resume = Arc::new(Rendezvous::new());
-        let thread = std::thread::Builder::new()
-            // Pool indices, not process names: pthread names truncate at 15
-            // bytes, so long stage names were indistinguishable in
-            // profilers. The full process name lives in the scheduler's
-            // `Slot` and in `Ctx::name`.
-            .name(format!("sim-w{}", widx))
-            .stack_size(self.stack_size)
-            .spawn({
-                let cmd = Arc::clone(&cmd);
-                let resume = Arc::clone(&resume);
-                let clock = Arc::clone(&self.clock);
-                let yields = Arc::clone(&self.yields);
-                move || worker_main(&cmd, &resume, &clock, &yields)
-            })
-            .expect("failed to spawn simulation worker thread");
-        self.workers.push(Worker {
-            cmd,
-            resume,
-            thread: Some(thread),
-        });
-        widx
-    }
-
-    /// Tells every worker to exit and joins the threads. Workers bound to
-    /// a still-blocked process must have been unblocked first (the
-    /// scheduler sends them [`ResumeMsg::Shutdown`]) so they are parked on
-    /// their command channel, or about to be.
-    pub(crate) fn shutdown(&mut self) {
-        for worker in &self.workers {
-            worker.cmd.send(WorkerCmd::Exit);
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.thread.take() {
-                let _ = handle.join();
-            }
-        }
-        self.idle.clear();
-    }
-}
-
-/// Worker thread body: run jobs until told to exit.
-///
-/// A [`ShutdownSignal`] unwind (teardown) is absorbed quietly — the
-/// scheduler is no longer listening for yields — and the worker returns to
-/// its command channel where an `Exit` is already waiting or imminent.
-fn worker_main(
-    cmd: &Rendezvous<WorkerCmd>,
-    resume: &Arc<Rendezvous<ResumeMsg>>,
-    clock: &Arc<AtomicU64>,
-    yields: &Arc<Rendezvous<(u32, YieldMsg)>>,
-) {
-    loop {
-        match cmd.recv() {
-            WorkerCmd::Exit => break,
-            WorkerCmd::Run(job) => {
-                let pid = job.pid;
-                let mut ctx = Ctx::new_thread(
-                    pid,
-                    job.name,
-                    Arc::clone(clock),
-                    Arc::clone(yields),
-                    Arc::clone(resume),
-                    job.seed,
-                );
-                let body = job.body;
-                let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                match result {
-                    Ok(()) => ctx.finish(Ok(())),
-                    Err(payload) => {
-                        if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                            // Teardown: exit quietly, never yield again.
-                        } else {
-                            ctx.finish(Err(panic_message(payload.as_ref())));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
+use crate::process::{OffloadJob, OffloadOutcome};
 
 /// Shared state between the scheduler and offload worker threads.
 struct OffloadShared {
@@ -449,6 +151,7 @@ fn offload_main(shared: &OffloadShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::panic_message;
 
     #[test]
     fn offload_pool_runs_jobs_and_reports_panics() {
@@ -463,36 +166,5 @@ mod tests {
         assert!(panic_message(err.as_ref()).contains("kernel exploded"));
         assert!(pool.worker_count() >= 1);
         pool.shutdown();
-    }
-
-    #[test]
-    fn rendezvous_passes_values_in_order() {
-        let chan: Arc<Rendezvous<u32>> = Arc::new(Rendezvous::new());
-        let tx = Arc::clone(&chan);
-        let handle = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            for _ in 0..3 {
-                got.push(chan.recv());
-            }
-            got
-        });
-        for v in [7u32, 8, 9] {
-            // Strict alternation in miniature: wait for the receiver to
-            // drain before the next send.
-            tx.send(v);
-            while tx.full.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        }
-        assert_eq!(handle.join().unwrap(), vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn rendezvous_send_before_first_recv_is_not_lost() {
-        let chan: Arc<Rendezvous<&'static str>> = Arc::new(Rendezvous::new());
-        chan.send("early");
-        let rx = Arc::clone(&chan);
-        let handle = std::thread::spawn(move || rx.recv());
-        assert_eq!(handle.join().unwrap(), "early");
     }
 }

@@ -1,41 +1,29 @@
 //! Simulation processes and the [`Ctx`] handle they use to interact with
 //! the simulation kernel.
 //!
-//! Processes come in two flavors sharing one process table and one
-//! virtual-time schedule:
+//! A process body is an `async` future polled by the scheduler on its own
+//! thread. Every simulation operation (`sleep`, `sem_acquire`, `transfer`,
+//! `spawn`, `join`, …) is a yield point: the future deposits its request
+//! in a shared `OpCell` and returns `Poll::Pending`; the scheduler
+//! services the request and re-polls when the virtual-time condition is
+//! met. A suspended process is a small heap-allocated state machine, not a
+//! parked OS thread.
 //!
-//! * **Stackless tasks** (the default for new code): the body is an
-//!   `async` future polled by the scheduler on its own thread. Every
-//!   simulation operation (`sleep_async`, `sem_acquire_async`,
-//!   `transfer_async`, `spawn_task`, `join_async`, …) is a yield point —
-//!   the future deposits its request in a shared `OpCell` and returns
-//!   `Poll::Pending`; the scheduler services the request and re-polls
-//!   when the virtual-time condition is met. A suspended task is a small
-//!   heap-allocated state machine, not a parked OS thread.
-//! * **Thread-backed closures** (the legacy bridge): the body is a plain
-//!   `FnOnce(&mut Ctx)` run on a worker thread borrowed from the
-//!   scheduler's pool, in strict rendezvous with the scheduler. The same
-//!   async operations resolve *eagerly* through the rendezvous in this
-//!   mode, so async helpers can be driven from blocking code with
-//!   [`run_blocking`].
-//!
-//! In both modes the scheduler resumes exactly one process at a time, so
-//! host thread scheduling never influences simulation outcomes.
+//! The scheduler resumes exactly one process at a time, so host thread
+//! scheduling never influences simulation outcomes.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context as PollContext, Poll, Waker};
+use std::task::{Context as PollContext, Poll};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::flow::{FlowSpec, LinkId};
-use crate::pool::Rendezvous;
 use crate::resources::{LimiterId, SemId};
 use crate::units::{Bandwidth, ByteSize, SimDuration, SimTime};
 
@@ -73,17 +61,12 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// The body of a thread-backed simulation process.
-pub type ProcessFn = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
-
-/// A boxed future pinned on the scheduler thread. Task futures are
+/// A boxed future pinned on the scheduler thread. Process futures are
 /// created and polled only there, so they need not be `Send`.
 pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// The body of a stackless simulation process: receives its owned
-/// [`Ctx`] and returns the process future. The closure crosses threads
-/// (a thread-backed parent may spawn tasks), the future it creates never
-/// does.
+/// The body of a simulation process: receives its owned [`Ctx`] and
+/// returns the process future.
 pub(crate) type TaskFn = Box<dyn FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static>;
 
 /// Input size, in bytes, below which [`Ctx::offload`] runs a kernel
@@ -115,12 +98,6 @@ pub(crate) type OffloadJob = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send + 's
 /// Result of an offload job: the kernel's output, or its panic payload.
 pub(crate) type OffloadOutcome = std::thread::Result<Box<dyn Any + Send>>;
 
-/// Either flavor of process body, as carried by a spawn request.
-pub(crate) enum ProcessBody {
-    Blocking(ProcessFn),
-    Task(TaskFn),
-}
-
 /// Requests a process sends to the scheduler. Every request is acknowledged
 /// before the process continues; "blocking" requests are acknowledged only
 /// when the condition is met.
@@ -133,10 +110,9 @@ pub(crate) enum YieldMsg {
     LimiterAcquire(LimiterId, f64),
     LinkCreate(Bandwidth),
     Transfer(FlowSpec),
-    Spawn { name: String, body: ProcessBody },
+    Spawn { name: String, body: TaskFn },
     Join(ProcessId),
     Offload { d: SimDuration, job: OffloadJob },
-    Finished(Result<(), String>),
 }
 
 /// Scheduler replies.
@@ -152,7 +128,6 @@ pub(crate) enum ResumeMsg {
     /// host-blocking for the kernel result only then.
     OffloadWait(u64),
     OffloadDone(OffloadOutcome),
-    Shutdown,
 }
 
 impl std::fmt::Debug for ResumeMsg {
@@ -172,26 +147,12 @@ impl std::fmt::Debug for ResumeMsg {
                     if r.is_ok() { "ok" } else { "panicked" }
                 )
             }
-            ResumeMsg::Shutdown => write!(f, "Shutdown"),
         }
     }
 }
 
-/// Marker panic payload used to unwind process threads on teardown.
-pub(crate) struct ShutdownSignal;
-
-/// Whether a caught panic payload is the kernel's teardown signal.
-///
-/// Services that wrap user closures in `catch_unwind` (e.g. to release a
-/// resource on crash) must *not* touch simulation primitives when this
-/// returns `true` — the scheduler is shutting down — and should simply
-/// resume unwinding.
-pub fn is_shutdown_payload(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload.downcast_ref::<ShutdownSignal>().is_some()
-}
-
-/// The one-slot mailbox between a suspended task and the scheduler:
-/// the task's pending operation goes in `request`, the scheduler's
+/// The one-slot mailbox between a suspended process and the scheduler:
+/// the process's pending operation goes in `request`, the scheduler's
 /// answer comes back in `reply`. Single-threaded by construction (both
 /// sides run on the scheduler thread), hence plain `RefCell`s.
 #[derive(Default)]
@@ -200,26 +161,15 @@ pub(crate) struct OpCell {
     pub(crate) reply: RefCell<Option<ResumeMsg>>,
 }
 
-/// How a [`Ctx`] reaches the scheduler.
-enum CtxMode {
-    /// Legacy bridge: rendezvous channels to the scheduler thread.
-    Thread {
-        yield_tx: Arc<Rendezvous<(u32, YieldMsg)>>,
-        resume_rx: Arc<Rendezvous<ResumeMsg>>,
-    },
-    /// Stackless task: a mailbox shared with the scheduler's slot.
-    Task { cell: Rc<OpCell> },
-}
-
-/// Leaf future for one simulation operation of a stackless task. First
-/// poll deposits the request and suspends; the scheduler answers (now or
-/// at the wake instant) and re-polls, completing the future.
-struct OpFuture {
-    cell: Rc<OpCell>,
+/// Leaf future for one simulation operation. First poll deposits the
+/// request and suspends; the scheduler answers (now or at the wake
+/// instant) and re-polls, completing the future.
+struct OpFuture<'a> {
+    cell: &'a OpCell,
     msg: Option<YieldMsg>,
 }
 
-impl Future for OpFuture {
+impl Future for OpFuture<'_> {
     type Output = ResumeMsg;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut PollContext<'_>) -> Poll<ResumeMsg> {
@@ -228,34 +178,15 @@ impl Future for OpFuture {
             let prev = this.cell.request.borrow_mut().replace(msg);
             debug_assert!(
                 prev.is_none(),
-                "a task submitted a simulation op while another is pending"
+                "a process submitted a simulation op while another is pending"
             );
             return Poll::Pending;
         }
         match this.cell.reply.borrow_mut().take() {
-            Some(ResumeMsg::Shutdown) => std::panic::panic_any(ShutdownSignal),
             Some(reply) => Poll::Ready(reply),
             // Spurious poll before the scheduler answered; stay suspended.
             None => Poll::Pending,
         }
-    }
-}
-
-/// Drives `fut` to completion from blocking (thread-backed) process code.
-///
-/// Inside a thread-backed process every simulation op resolves eagerly
-/// through the scheduler rendezvous, so the future completes in a single
-/// poll. Calling this inside a *stackless* process panics — `.await` the
-/// operation instead.
-pub fn run_blocking<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = PollContext::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => panic!(
-            "run_blocking suspended: blocking facades only work on \
-             thread-backed processes; `.await` the async variant instead"
-        ),
     }
 }
 
@@ -286,16 +217,14 @@ pub fn catch_unwind_future<F: Future>(fut: F) -> CatchUnwind<F> {
 
 /// Handle through which a process body interacts with the simulation.
 ///
-/// All methods that model the passage of time or contention **block in
-/// virtual time**: the calling process is suspended until the scheduler
-/// reaches the corresponding instant. Plain methods (`sleep`, `join`, …)
-/// are for thread-backed closures; `_async` variants are for stackless
-/// tasks (and also work, resolving eagerly, on thread-backed processes).
+/// Every method that models the passage of time or contention is `async`
+/// and **suspends in virtual time**: the calling process is parked until
+/// the scheduler reaches the corresponding instant.
 pub struct Ctx {
     pid: ProcessId,
     name: Arc<str>,
-    clock: Arc<AtomicU64>,
-    mode: CtxMode,
+    clock: Rc<Cell<u64>>,
+    cell: Rc<OpCell>,
     rng: SmallRng,
 }
 
@@ -310,44 +239,20 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    fn seeded_rng(pid: ProcessId, seed: u64) -> SmallRng {
-        let stream = seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SmallRng::seed_from_u64(stream)
-    }
-
-    pub(crate) fn new_thread(
+    pub(crate) fn new(
         pid: ProcessId,
         name: Arc<str>,
-        clock: Arc<AtomicU64>,
-        yield_tx: Arc<Rendezvous<(u32, YieldMsg)>>,
-        resume_rx: Arc<Rendezvous<ResumeMsg>>,
-        seed: u64,
-    ) -> Self {
-        Ctx {
-            pid,
-            name,
-            clock,
-            mode: CtxMode::Thread {
-                yield_tx,
-                resume_rx,
-            },
-            rng: Ctx::seeded_rng(pid, seed),
-        }
-    }
-
-    pub(crate) fn new_task(
-        pid: ProcessId,
-        name: Arc<str>,
-        clock: Arc<AtomicU64>,
+        clock: Rc<Cell<u64>>,
         cell: Rc<OpCell>,
         seed: u64,
     ) -> Self {
+        let stream = seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Ctx {
             pid,
             name,
             clock,
-            mode: CtxMode::Task { cell },
-            rng: Ctx::seeded_rng(pid, seed),
+            cell,
+            rng: SmallRng::seed_from_u64(stream),
         }
     }
 
@@ -363,7 +268,7 @@ impl Ctx {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::SeqCst))
+        SimTime::from_nanos(self.clock.get())
     }
 
     /// A deterministic per-process random stream (seeded from the sim seed
@@ -372,52 +277,17 @@ impl Ctx {
         &mut self.rng
     }
 
-    fn call(&self, msg: YieldMsg) -> ResumeMsg {
-        match &self.mode {
-            CtxMode::Thread {
-                yield_tx,
-                resume_rx,
-            } => {
-                yield_tx.send((self.pid.0, msg));
-                match resume_rx.recv() {
-                    ResumeMsg::Shutdown => std::panic::panic_any(ShutdownSignal),
-                    other => other,
-                }
-            }
-            CtxMode::Task { .. } => panic!(
-                "process '{}' used a blocking simulation op inside a stackless \
-                 task; use the `_async` variant and `.await` it",
-                self.name
-            ),
-        }
-    }
-
-    /// One simulation op, in either mode: eager rendezvous on a
-    /// thread-backed process, suspend-and-resume on a stackless task.
-    async fn call_async(&self, msg: YieldMsg) -> ResumeMsg {
-        match &self.mode {
-            CtxMode::Thread { .. } => self.call(msg),
-            CtxMode::Task { cell } => {
-                OpFuture {
-                    cell: Rc::clone(cell),
-                    msg: Some(msg),
-                }
-                .await
-            }
+    /// One simulation op: deposit `msg`, suspend, resume with the answer.
+    fn call(&self, msg: YieldMsg) -> OpFuture<'_> {
+        OpFuture {
+            cell: &self.cell,
+            msg: Some(msg),
         }
     }
 
     /// Advances this process's virtual time by `d`.
-    pub fn sleep(&self, d: SimDuration) {
-        match self.call(YieldMsg::Sleep(d)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sleep: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sleep`].
-    pub async fn sleep_async(&self, d: SimDuration) {
-        match self.call_async(YieldMsg::Sleep(d)).await {
+    pub async fn sleep(&self, d: SimDuration) {
+        match self.call(YieldMsg::Sleep(d)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sleep: {:?}", other),
         }
@@ -425,13 +295,8 @@ impl Ctx {
 
     /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep`]; the
     /// distinct name keeps call sites self-describing.
-    pub fn compute(&self, d: SimDuration) {
-        self.sleep(d);
-    }
-
-    /// Async variant of [`Ctx::compute`].
-    pub async fn compute_async(&self, d: SimDuration) {
-        self.sleep_async(d).await;
+    pub async fn compute(&self, d: SimDuration) {
+        self.sleep(d).await;
     }
 
     /// Charges `d` of virtual CPU time *and* runs `job`, a CPU-heavy host
@@ -445,78 +310,50 @@ impl Ctx {
     ///
     /// A kernel whose input is below [`INLINE_KERNEL_BYTES`] is too small
     /// to pay for the pool's thread handoff, so it runs inline at the
-    /// wake instead, as every kernel on a thread-backed process does.
-    /// Both paths schedule the wake at `now + d` in the same order, so
-    /// events, virtual time and spans are identical on either side of the
-    /// rule: `input_bytes` only decides which host thread runs the kernel.
-    /// A panicking kernel fails the process with the same message on both
-    /// paths.
+    /// wake instead. Both paths schedule the wake at `now + d` in the same
+    /// order, so events, virtual time and spans are identical on either
+    /// side of the rule: `input_bytes` only decides which host thread runs
+    /// the kernel. A panicking kernel fails the process with the same
+    /// message on both paths.
     pub async fn offload<R, J>(&self, d: SimDuration, input_bytes: usize, job: J) -> R
     where
         R: Send + 'static,
         J: FnOnce() -> R + Send + 'static,
     {
-        match &self.mode {
-            CtxMode::Task { .. } if input_bytes >= INLINE_KERNEL_BYTES => {
-                let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
-                match self.call_async(YieldMsg::Offload { d, job: erased }).await {
-                    ResumeMsg::OffloadDone(Ok(any)) => *any
-                        .downcast::<R>()
-                        .expect("offload job returned a value of the wrong type"),
-                    ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
-                    other => unreachable!("unexpected resume for offload: {:?}", other),
-                }
-            }
-            _ => {
-                self.sleep_async(d).await;
-                job()
-            }
+        if input_bytes < INLINE_KERNEL_BYTES {
+            self.sleep(d).await;
+            return job();
+        }
+        let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
+        match self.call(YieldMsg::Offload { d, job: erased }).await {
+            ResumeMsg::OffloadDone(Ok(any)) => *any
+                .downcast::<R>()
+                .expect("offload job returned a value of the wrong type"),
+            ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
+            other => unreachable!("unexpected resume for offload: {:?}", other),
         }
     }
 
     /// Creates a counting semaphore with `permits` initial permits.
-    pub fn sem_create(&self, permits: u64) -> SemId {
-        match self.call(YieldMsg::SemCreate(permits)) {
+    pub async fn sem_create(&self, permits: u64) -> SemId {
+        match self.call(YieldMsg::SemCreate(permits)).await {
             ResumeMsg::Sem(id) => id,
             other => unreachable!("unexpected resume for sem_create: {:?}", other),
         }
     }
 
-    /// Async variant of [`Ctx::sem_create`].
-    pub async fn sem_create_async(&self, permits: u64) -> SemId {
-        match self.call_async(YieldMsg::SemCreate(permits)).await {
-            ResumeMsg::Sem(id) => id,
-            other => unreachable!("unexpected resume for sem_create: {:?}", other),
-        }
-    }
-
-    /// Acquires `n` permits, blocking in virtual time until granted (FIFO).
-    pub fn sem_acquire(&self, id: SemId, n: u64) {
-        match self.call(YieldMsg::SemAcquire(id, n)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sem_acquire: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sem_acquire`].
-    pub async fn sem_acquire_async(&self, id: SemId, n: u64) {
-        match self.call_async(YieldMsg::SemAcquire(id, n)).await {
+    /// Acquires `n` permits, suspending in virtual time until granted
+    /// (FIFO).
+    pub async fn sem_acquire(&self, id: SemId, n: u64) {
+        match self.call(YieldMsg::SemAcquire(id, n)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sem_acquire: {:?}", other),
         }
     }
 
     /// Releases `n` permits.
-    pub fn sem_release(&self, id: SemId, n: u64) {
-        match self.call(YieldMsg::SemRelease(id, n)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for sem_release: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::sem_release`].
-    pub async fn sem_release_async(&self, id: SemId, n: u64) {
-        match self.call_async(YieldMsg::SemRelease(id, n)).await {
+    pub async fn sem_release(&self, id: SemId, n: u64) {
+        match self.call(YieldMsg::SemRelease(id, n)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sem_release: {:?}", other),
         }
@@ -524,140 +361,65 @@ impl Ctx {
 
     /// Creates a token-bucket rate limiter refilling at `rate` tokens/sec
     /// with capacity `burst`.
-    pub fn limiter_create(&self, rate: f64, burst: f64) -> LimiterId {
-        match self.call(YieldMsg::LimiterCreate { rate, burst }) {
+    pub async fn limiter_create(&self, rate: f64, burst: f64) -> LimiterId {
+        match self.call(YieldMsg::LimiterCreate { rate, burst }).await {
             ResumeMsg::Limiter(id) => id,
             other => unreachable!("unexpected resume for limiter_create: {:?}", other),
         }
     }
 
-    /// Async variant of [`Ctx::limiter_create`].
-    pub async fn limiter_create_async(&self, rate: f64, burst: f64) -> LimiterId {
-        match self
-            .call_async(YieldMsg::LimiterCreate { rate, burst })
-            .await
-        {
-            ResumeMsg::Limiter(id) => id,
-            other => unreachable!("unexpected resume for limiter_create: {:?}", other),
-        }
-    }
-
-    /// Takes `tokens` from the limiter, blocking in virtual time until they
-    /// have accrued (FIFO).
-    pub fn limiter_acquire(&self, id: LimiterId, tokens: f64) {
-        match self.call(YieldMsg::LimiterAcquire(id, tokens)) {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for limiter_acquire: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::limiter_acquire`].
-    pub async fn limiter_acquire_async(&self, id: LimiterId, tokens: f64) {
-        match self.call_async(YieldMsg::LimiterAcquire(id, tokens)).await {
+    /// Takes `tokens` from the limiter, suspending in virtual time until
+    /// they have accrued (FIFO).
+    pub async fn limiter_acquire(&self, id: LimiterId, tokens: f64) {
+        match self.call(YieldMsg::LimiterAcquire(id, tokens)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for limiter_acquire: {:?}", other),
         }
     }
 
     /// Creates a bandwidth-constrained link in the fluid-flow network.
-    pub fn link_create(&self, capacity: Bandwidth) -> LinkId {
-        match self.call(YieldMsg::LinkCreate(capacity)) {
-            ResumeMsg::Link(id) => id,
-            other => unreachable!("unexpected resume for link_create: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::link_create`].
-    pub async fn link_create_async(&self, capacity: Bandwidth) -> LinkId {
-        match self.call_async(YieldMsg::LinkCreate(capacity)).await {
+    pub async fn link_create(&self, capacity: Bandwidth) -> LinkId {
+        match self.call(YieldMsg::LinkCreate(capacity)).await {
             ResumeMsg::Link(id) => id,
             other => unreachable!("unexpected resume for link_create: {:?}", other),
         }
     }
 
     /// Moves `bytes` across `links`, sharing each link's capacity max-min
-    /// fairly with all concurrent transfers. Blocks in virtual time until
-    /// the transfer completes.
-    pub fn transfer(&self, bytes: ByteSize, links: &[LinkId]) {
-        match self.call(YieldMsg::Transfer(FlowSpec {
+    /// fairly with all concurrent transfers. Suspends in virtual time
+    /// until the transfer completes.
+    pub async fn transfer(&self, bytes: ByteSize, links: &[LinkId]) {
+        let spec = FlowSpec {
             bytes,
             links: links.to_vec(),
-        })) {
+        };
+        match self.call(YieldMsg::Transfer(spec)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for transfer: {:?}", other),
         }
     }
 
-    /// Async variant of [`Ctx::transfer`].
-    pub async fn transfer_async(&self, bytes: ByteSize, links: &[LinkId]) {
-        match self
-            .call_async(YieldMsg::Transfer(FlowSpec {
-                bytes,
-                links: links.to_vec(),
-            }))
-            .await
-        {
-            ResumeMsg::Go => {}
-            other => unreachable!("unexpected resume for transfer: {:?}", other),
-        }
-    }
-
-    /// Spawns a thread-backed child process that starts at the current
-    /// virtual time. Only callable from a thread-backed process; stackless
-    /// tasks spawn children with [`Ctx::spawn_task`].
-    pub fn spawn<F>(&self, name: impl Into<String>, body: F) -> ProcessId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        match self.call(YieldMsg::Spawn {
-            name: name.into(),
-            body: ProcessBody::Blocking(Box::new(body)),
-        }) {
-            ResumeMsg::Pid(pid) => pid,
-            other => unreachable!("unexpected resume for spawn: {:?}", other),
-        }
-    }
-
-    /// Spawns a stackless child process that starts at the current virtual
-    /// time. `f` receives the child's owned [`Ctx`] and returns its future.
-    ///
-    /// Works from both process flavors (thread-backed callers can wrap it
-    /// in [`run_blocking`]).
-    pub async fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
+    /// Spawns a child process that starts at the current virtual time.
+    /// `f` receives the child's owned [`Ctx`] and returns its future.
+    pub async fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
-        match self
-            .call_async(YieldMsg::Spawn {
-                name: name.into(),
-                body: ProcessBody::Task(body),
-            })
-            .await
-        {
+        let name = name.into();
+        match self.call(YieldMsg::Spawn { name, body }).await {
             ResumeMsg::Pid(pid) => pid,
             other => unreachable!("unexpected resume for spawn: {:?}", other),
         }
     }
 
-    /// Blocks in virtual time until `pid` finishes.
+    /// Suspends in virtual time until `pid` finishes.
     ///
     /// # Errors
     /// Returns [`JoinError`] if the joined process panicked.
-    pub fn join(&self, pid: ProcessId) -> Result<(), JoinError> {
-        match self.call(YieldMsg::Join(pid)) {
-            ResumeMsg::JoinResult(res) => res,
-            other => unreachable!("unexpected resume for join: {:?}", other),
-        }
-    }
-
-    /// Async variant of [`Ctx::join`].
-    ///
-    /// # Errors
-    /// Returns [`JoinError`] if the joined process panicked.
-    pub async fn join_async(&self, pid: ProcessId) -> Result<(), JoinError> {
-        match self.call_async(YieldMsg::Join(pid)).await {
+    pub async fn join(&self, pid: ProcessId) -> Result<(), JoinError> {
+        match self.call(YieldMsg::Join(pid)).await {
             ResumeMsg::JoinResult(res) => res,
             other => unreachable!("unexpected resume for join: {:?}", other),
         }
@@ -665,27 +427,13 @@ impl Ctx {
 
     /// Joins every process in `pids`, returning the first error if any
     /// panicked (all are still awaited).
-    pub fn join_all(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
-        let mut first_err = None;
-        for &pid in pids {
-            if let Err(e) = self.join(pid) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Async variant of [`Ctx::join_all`].
     ///
     /// # Errors
     /// Returns the first [`JoinError`] if any joined process panicked.
-    pub async fn join_all_async(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
+    pub async fn join_all(&self, pids: &[ProcessId]) -> Result<(), JoinError> {
         let mut first_err = None;
         for &pid in pids {
-            if let Err(e) = self.join_async(pid).await {
+            if let Err(e) = self.join(pid).await {
                 first_err.get_or_insert(e);
             }
         }
@@ -698,12 +446,12 @@ impl Ctx {
     /// Runs `jobs` with at most `window` of them in flight, then returns
     /// their results in job order.
     ///
-    /// Spawns `min(window, jobs.len())` thread-backed worker processes
-    /// that greedily pull jobs off a shared queue in job order: the
-    /// moment a worker finishes one job it starts the next, so the
-    /// virtual-time schedule is the same greedy one a semaphore-per-job
-    /// design yields. Workers are spawned in job-queue order
-    /// (deterministic pid assignment) and named `"{name}#{w}"`.
+    /// Spawns `min(window, jobs.len())` worker processes that greedily
+    /// pull jobs off a shared queue in job order: the moment a worker
+    /// finishes one job it starts the next, so the virtual-time schedule
+    /// is the same greedy one a semaphore-per-job design yields. Workers
+    /// are spawned in job-queue order (deterministic pid assignment) and
+    /// named `"{name}#{w}"`. A thousand-job fan-out costs zero OS threads.
     ///
     /// A window of `0` is treated as `1`.
     ///
@@ -715,50 +463,7 @@ impl Ctx {
     /// itself never deadlocks. A job whose result slot stayed empty
     /// (its worker died before running it) is also reported as a
     /// [`JoinError`], never as an internal panic.
-    pub fn fan_out<T, F>(
-        &self,
-        name: &str,
-        window: usize,
-        jobs: Vec<F>,
-    ) -> Result<Vec<T>, JoinError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut Ctx) -> T + Send + 'static,
-    {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let total = jobs.len();
-        let workers = window.max(1).min(total);
-        let queue: Arc<std::sync::Mutex<std::collections::VecDeque<(usize, F)>>> = Arc::new(
-            std::sync::Mutex::new(jobs.into_iter().enumerate().collect()),
-        );
-        let results: Arc<std::sync::Mutex<Vec<Option<T>>>> =
-            Arc::new(std::sync::Mutex::new((0..total).map(|_| None).collect()));
-        let mut pids = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let slot = Arc::clone(&results);
-            let pid = self.spawn(format!("{}#{}", name, w), move |cctx| loop {
-                let next = queue.lock().expect("fan_out queue").pop_front();
-                let Some((i, job)) = next else { break };
-                let value = job(cctx);
-                slot.lock().expect("fan_out slot")[i] = Some(value);
-            });
-            pids.push(pid);
-        }
-        self.join_all(&pids)?;
-        let mut slots = results.lock().expect("fan_out results");
-        collect_fan_out(name, &mut slots)
-    }
-
-    /// Async variant of [`Ctx::fan_out`]: identical windowed scheduling,
-    /// but jobs are async closures and the workers are stackless tasks —
-    /// a thousand-job fan-out costs zero OS threads.
-    ///
-    /// # Errors
-    /// Same contract as [`Ctx::fan_out`].
-    pub async fn fan_out_async<T, F>(
+    pub async fn fan_out<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -774,11 +479,11 @@ impl Ctx {
         let total = jobs.len();
         let workers = window.max(1).min(total);
         let slots = (0..total).map(|_| None).collect();
-        self.fan_out_async_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
+        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
             .await
     }
 
-    /// Sparse variant of [`Ctx::fan_out_async`]: runs only the supplied
+    /// Sparse variant of [`Ctx::fan_out`]: runs only the supplied
     /// `(slot, job)` pairs of a logical `total`-job fan-out, filling
     /// every elided slot with `fill()` — but spawns exactly the worker
     /// processes the *logical* fan-out would (`min(window.max(1),
@@ -792,7 +497,7 @@ impl Ctx {
     ///
     /// # Errors
     /// Same contract as [`Ctx::fan_out`].
-    pub async fn fan_out_sparse_async<T, F>(
+    pub async fn fan_out_sparse<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -812,22 +517,22 @@ impl Ctx {
         for &(i, _) in &jobs {
             slots[i] = None;
         }
-        self.fan_out_async_driver(name, workers, jobs, slots).await
+        self.fan_out_driver(name, workers, jobs, slots).await
     }
 
     /// Worker-pinned fan-out: runs `jobs` with the worker processes a
     /// `logical_total`-job fan-out would spawn (`min(window.max(1),
     /// logical_total)`), even when `jobs` is shorter — or empty. Results
     /// come back in job order (compact: one entry per job, unlike
-    /// [`Ctx::fan_out_sparse_async`] which returns the logical length).
+    /// [`Ctx::fan_out_sparse`] which returns the logical length).
     ///
-    /// This is the fully-sparse sibling of `fan_out_sparse_async` for
-    /// callers that never want to materialise a `logical_total`-length
-    /// vector at all; a `logical_total` of `0` runs nothing.
+    /// This is the fully-sparse sibling of `fan_out_sparse` for callers
+    /// that never want to materialise a `logical_total`-length vector at
+    /// all; a `logical_total` of `0` runs nothing.
     ///
     /// # Errors
     /// Same contract as [`Ctx::fan_out`].
-    pub async fn fan_out_pinned_async<T, F>(
+    pub async fn fan_out_pinned<T, F>(
         &self,
         name: &str,
         window: usize,
@@ -843,14 +548,14 @@ impl Ctx {
         }
         let workers = window.max(1).min(logical_total);
         let slots = (0..jobs.len()).map(|_| None).collect();
-        self.fan_out_async_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
+        self.fan_out_driver(name, workers, jobs.into_iter().enumerate().collect(), slots)
             .await
     }
 
-    /// Shared engine behind the async fan-outs: `workers` queue-draining
-    /// tasks over pre-indexed `jobs`, results scattered into `slots`
+    /// Shared engine behind the fan-outs: `workers` queue-draining
+    /// processes over pre-indexed `jobs`, results scattered into `slots`
     /// (already holding the fill value for any slot no job will write).
-    async fn fan_out_async_driver<T, F>(
+    async fn fan_out_driver<T, F>(
         &self,
         name: &str,
         workers: usize,
@@ -869,7 +574,7 @@ impl Ctx {
             let queue = Arc::clone(&queue);
             let slot = Arc::clone(&results);
             let pid = self
-                .spawn_task(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
+                .spawn(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
                     loop {
                         let next = queue.lock().expect("fan_out queue").pop_front();
                         let Some((i, job)) = next else { break };
@@ -880,20 +585,9 @@ impl Ctx {
                 .await;
             pids.push(pid);
         }
-        self.join_all_async(&pids).await?;
+        self.join_all(&pids).await?;
         let mut slots = results.lock().expect("fan_out results");
         collect_fan_out(name, &mut slots)
-    }
-
-    pub(crate) fn finish(&self, result: Result<(), String>) {
-        match &self.mode {
-            CtxMode::Thread { yield_tx, .. } => {
-                yield_tx.send((self.pid.0, YieldMsg::Finished(result)));
-            }
-            CtxMode::Task { .. } => {
-                unreachable!("tasks finish by returning from their future")
-            }
-        }
     }
 }
 

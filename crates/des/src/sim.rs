@@ -1,40 +1,24 @@
 //! The simulation scheduler: owns the clock, event queue, resources and
 //! process table, and runs the event loop to completion.
 
+use std::cell::Cell;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context as PollContext, Poll, Waker};
 
 use crate::events::{EventId, EventQueue, Wake};
 use crate::flow::{FlowNet, LinkId};
-use crate::pool::{Job, OffloadPool, Rendezvous, WorkerPool};
+use crate::pool::OffloadPool;
 use crate::process::{
-    panic_message, Ctx, JoinError, LocalBoxFuture, OpCell, ProcessBody, ProcessId, ResumeMsg,
-    TaskFn, YieldMsg,
+    panic_message, Ctx, JoinError, LocalBoxFuture, OpCell, ProcessId, ResumeMsg, TaskFn, YieldMsg,
 };
 use crate::resources::{LimiterId, RateLimiter, SemId, Semaphore};
 use crate::units::{Bandwidth, SimTime};
 
-/// Configuration for a [`Sim`].
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Seed for all per-process random streams.
-    pub seed: u64,
-    /// Stack size for pool worker threads, in bytes.
-    pub stack_size: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0xFAA5_0001,
-            stack_size: 2 * 1024 * 1024,
-        }
-    }
-}
+/// Seed of the per-process random streams of a [`Sim::new`] simulation.
+const DEFAULT_SEED: u64 = 0xFAA5_0001;
 
 /// Error terminating a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,11 +80,6 @@ pub struct SimReport {
     /// Most processes simultaneously created-but-not-finished at any
     /// instant of the run.
     pub peak_live_processes: usize,
-    /// OS threads the worker pool created over the whole run (its
-    /// high-water mark of simultaneously *running-or-blocked*
-    /// thread-backed process bodies; threads are reused, never retired,
-    /// until teardown). Stackless tasks never count here.
-    pub pool_workers: usize,
     /// OS threads the CPU-offload pool created over the whole run
     /// (lazy, capped at `min(host cores, 8)`).
     pub offload_workers: usize,
@@ -113,8 +92,8 @@ enum PState {
     Finished(Result<(), String>),
 }
 
-/// A started stackless process: its suspended continuation plus the
-/// mailbox it exchanges ops with the scheduler through.
+/// A started process: its suspended continuation plus the mailbox it
+/// exchanges ops with the scheduler through.
 struct TaskState {
     /// The process future; `None` only transiently while being polled.
     future: Option<LocalBoxFuture<'static, ()>>,
@@ -127,13 +106,9 @@ struct Slot {
     /// What to send when this blocked process is next woken.
     resume_with: ResumeMsg,
     join_waiters: Vec<u32>,
-    /// The body, until the process first wakes and is bound to its
-    /// backing (pool worker thread or task future).
-    body: Option<ProcessBody>,
-    /// Pool worker currently running this process, once bound
-    /// (thread-backed processes only).
-    worker: Option<u32>,
-    /// The continuation, once started (stackless processes only).
+    /// The body, until the process first wakes and becomes a future.
+    body: Option<TaskFn>,
+    /// The continuation, from the first wake until the process finishes.
     task: Option<TaskState>,
     /// Whether a panic in this process has been delivered to a joiner.
     panic_observed: bool,
@@ -143,8 +118,8 @@ struct Slot {
 ///
 /// See the [crate docs](crate) for the execution model and an example.
 pub struct Sim {
-    cfg: SimConfig,
-    clock: Arc<AtomicU64>,
+    seed: u64,
+    clock: Rc<Cell<u64>>,
     queue: EventQueue,
     procs: Vec<Slot>,
     sems: Vec<Semaphore>,
@@ -161,8 +136,6 @@ pub struct Sim {
     /// First fatal condition observed while dispatching (e.g. a stalled
     /// flow); checked after every event and terminates the run loudly.
     fatal: Option<SimError>,
-    yields: Arc<Rendezvous<(u32, YieldMsg)>>,
-    pool: WorkerPool,
     offload: OffloadPool,
     events_dispatched: u64,
     live_now: usize,
@@ -187,19 +160,17 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Creates a simulation with default configuration.
+    /// Creates a simulation with the default seed.
     pub fn new() -> Self {
-        Sim::with_config(SimConfig::default())
+        Sim::with_seed(DEFAULT_SEED)
     }
 
-    /// Creates a simulation with the given configuration.
-    pub fn with_config(cfg: SimConfig) -> Self {
-        let clock = Arc::new(AtomicU64::new(0));
-        let yields: Arc<Rendezvous<(u32, YieldMsg)>> = Arc::new(Rendezvous::new());
-        let pool = WorkerPool::new(cfg.stack_size, Arc::clone(&clock), Arc::clone(&yields));
+    /// Creates a simulation whose per-process random streams derive from
+    /// `seed`.
+    pub fn with_seed(seed: u64) -> Self {
         Sim {
-            cfg,
-            clock,
+            seed,
+            clock: Rc::new(Cell::new(0)),
             queue: EventQueue::new(),
             procs: Vec::new(),
             sems: Vec::new(),
@@ -210,8 +181,6 @@ impl Sim {
             flow_seq: None,
             tick_woken: Vec::new(),
             fatal: None,
-            yields,
-            pool,
             offload: OffloadPool::new(),
             events_dispatched: 0,
             live_now: 0,
@@ -222,7 +191,7 @@ impl Sim {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::SeqCst))
+        SimTime::from_nanos(self.clock.get())
     }
 
     /// Creates a semaphore before the run starts (services use this during
@@ -246,36 +215,24 @@ impl Sim {
         self.flownet.add_link(capacity)
     }
 
-    /// Spawns a thread-backed root process that starts at the current
-    /// virtual time. Prefer [`Sim::spawn_task`] for new code; this is the
-    /// bridge for bodies that block the host thread.
-    pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> ProcessId
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        let pid = self.create_process(name.into(), ProcessBody::Blocking(Box::new(body)));
-        self.queue.schedule(self.now(), Wake::Process(pid.0));
-        pid
-    }
-
-    /// Spawns a stackless root process that starts at the current virtual
-    /// time. `f` receives the process's owned [`Ctx`] and returns its
-    /// future; the future is created and polled on the scheduler thread
-    /// and costs no OS thread while suspended.
-    pub fn spawn_task<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
+    /// Spawns a root process that starts at the current virtual time. `f`
+    /// receives the process's owned [`Ctx`] and returns its future; the
+    /// future is created and polled on the scheduler thread and costs no
+    /// OS thread while suspended.
+    pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
-        let pid = self.create_process(name.into(), ProcessBody::Task(body));
+        let pid = self.create_process(name.into(), body);
         self.queue.schedule(self.now(), Wake::Process(pid.0));
         pid
     }
 
-    /// Registers a process slot. No OS thread and no future is involved
-    /// until the process first wakes — see [`Sim::run_process`].
-    fn create_process(&mut self, name: String, body: ProcessBody) -> ProcessId {
+    /// Registers a process slot. No future is created until the process
+    /// first wakes — see [`Sim::run_process`].
+    fn create_process(&mut self, name: String, body: TaskFn) -> ProcessId {
         let pid = ProcessId(self.procs.len() as u32);
         self.procs.push(Slot {
             name: name.into(),
@@ -283,7 +240,6 @@ impl Sim {
             resume_with: ResumeMsg::Go,
             join_waiters: Vec::new(),
             body: Some(body),
-            worker: None,
             task: None,
             panic_observed: false,
         });
@@ -309,7 +265,7 @@ impl Sim {
                 break;
             };
             debug_assert!(time >= self.now(), "time must be monotone");
-            self.clock.store(time.as_nanos(), Ordering::SeqCst);
+            self.clock.set(time.as_nanos());
             self.events_dispatched += 1;
             match wake {
                 Wake::Process(pidx) => self.run_process(pidx),
@@ -370,7 +326,6 @@ impl Sim {
             processes: self.procs.len(),
             events: self.events_dispatched,
             peak_live_processes: self.peak_live,
-            pool_workers: self.pool.worker_count(),
             offload_workers: self.offload.worker_count(),
         };
         self.teardown();
@@ -439,105 +394,55 @@ impl Sim {
     /// Resumes process `pidx` and services its requests until it blocks or
     /// finishes.
     ///
-    /// On a process's first wake it is bound to its backing: a stackless
-    /// body becomes a future polled in place, a blocking body is handed
-    /// to a pool worker (an idle thread is reused if one exists,
-    /// otherwise the pool grows by one). Binding lazily means processes
-    /// that are spawned but never scheduled cost nothing, and the thread
-    /// pool's size tracks the *peak* number of concurrently live blocking
-    /// bodies, not the total spawned.
+    /// On a process's first wake its body becomes a future, polled in
+    /// place. Binding lazily means processes that are spawned but never
+    /// scheduled cost nothing beyond their slot.
     fn run_process(&mut self, pidx: u32) {
         let pi = pidx as usize;
         if matches!(self.procs[pi].state, PState::Finished(_)) {
             return;
         }
-        if self.procs[pi].worker.is_none() && self.procs[pi].task.is_none() {
-            // First wake: bind the body.
+        if self.procs[pi].task.is_none() {
+            // First wake: create the future.
             debug_assert!(
                 matches!(self.procs[pi].resume_with, ResumeMsg::Go),
                 "first wake must be a plain Go"
             );
-            match self.procs[pi]
+            let f = self.procs[pi]
                 .body
                 .take()
-                .expect("unbound process has no body")
-            {
-                ProcessBody::Blocking(body) => {
-                    let job = Job {
-                        pid: ProcessId(pidx),
-                        name: Arc::clone(&self.procs[pi].name),
-                        body,
-                        seed: self.cfg.seed,
-                    };
-                    let widx = self.pool.run(job);
-                    self.procs[pi].worker = Some(widx);
-                    self.pump_thread(pidx);
-                }
-                ProcessBody::Task(f) => {
-                    let cell = Rc::new(OpCell::default());
-                    let ctx = Ctx::new_task(
-                        ProcessId(pidx),
-                        Arc::clone(&self.procs[pi].name),
-                        Arc::clone(&self.clock),
-                        Rc::clone(&cell),
-                        self.cfg.seed,
-                    );
-                    // Creating the future runs no user code (that happens
-                    // at first poll, below).
-                    let future = f(ctx);
-                    self.procs[pi].task = Some(TaskState {
-                        future: Some(future),
-                        cell,
-                    });
-                    self.poll_task(pidx);
-                }
-            }
+                .expect("unstarted process has no body");
+            let cell = Rc::new(OpCell::default());
+            let ctx = Ctx::new(
+                ProcessId(pidx),
+                Arc::clone(&self.procs[pi].name),
+                Rc::clone(&self.clock),
+                Rc::clone(&cell),
+                self.seed,
+            );
+            // Creating the future runs no user code (that happens at
+            // first poll, below).
+            let future = f(ctx);
+            self.procs[pi].task = Some(TaskState {
+                future: Some(future),
+                cell,
+            });
+            self.poll_task(pidx);
             return;
         }
-        let msg = std::mem::replace(&mut self.procs[pi].resume_with, ResumeMsg::Go);
-        if let Some(widx) = self.procs[pi].worker {
-            self.pool.resume(widx, msg);
-            self.pump_thread(pidx);
-        } else {
-            // A bound, unfinished task is always suspended in exactly one
-            // op; deliver the answer it is waiting for, then poll. Offload
-            // results are collected here — at the virtual-time deadline —
-            // so host completion order never reorders events.
-            let msg = match msg {
-                ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
-                m => m,
-            };
-            {
-                let cell = &self.procs[pi]
-                    .task
-                    .as_ref()
-                    .expect("bound task has state")
-                    .cell;
-                let prev = cell.reply.borrow_mut().replace(msg);
-                debug_assert!(prev.is_none(), "task woken with a stale reply pending");
-            }
-            self.poll_task(pidx);
-        }
+        // A started, unfinished process is always suspended in exactly
+        // one op; deliver the answer it is waiting for, then poll. Offload
+        // results are collected here — at the virtual-time deadline — so
+        // host completion order never reorders events.
+        let msg = match std::mem::replace(&mut self.procs[pi].resume_with, ResumeMsg::Go) {
+            ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
+            m => m,
+        };
+        self.reply(pidx, msg);
+        self.poll_task(pidx);
     }
 
-    /// Services a thread-backed process's yields until it blocks or
-    /// finishes (the worker thread runs; this thread waits in `recv`).
-    fn pump_thread(&mut self, pidx: u32) {
-        loop {
-            let (from, msg) = self.yields.recv();
-            debug_assert_eq!(from, pidx, "yield from unexpected process");
-            match self.handle_yield(pidx, msg) {
-                Flow::Continue => continue,
-                Flow::Blocked => {
-                    self.procs[pidx as usize].state = PState::Blocked;
-                    break;
-                }
-                Flow::Done => break,
-            }
-        }
-    }
-
-    /// Polls a stackless process's future, servicing the op it deposits
+    /// Polls a process's future, servicing the op it deposits
     /// on each suspension, until it blocks in virtual time, finishes, or
     /// panics.
     fn poll_task(&mut self, pidx: u32) {
@@ -545,7 +450,7 @@ impl Sim {
             let ts = self.procs[pidx as usize]
                 .task
                 .as_mut()
-                .expect("poll_task on a non-task process");
+                .expect("poll_task on an unstarted process");
             let mut future = ts.future.take().expect("task future missing");
             let mut cx = PollContext::from_waker(Waker::noop());
             let polled =
@@ -562,19 +467,15 @@ impl Sim {
                         self.procs[pidx as usize].task = None;
                         self.finish_process(
                             pidx,
-                            Err("stackless process suspended outside a simulation op \
+                            Err("process suspended outside a simulation op \
                                  (awaited a non-simulation future)"
                                 .to_string()),
                         );
                         return;
                     };
-                    match self.handle_yield(pidx, msg) {
-                        Flow::Continue => continue,
-                        Flow::Blocked => {
-                            self.procs[pidx as usize].state = PState::Blocked;
-                            return;
-                        }
-                        Flow::Done => unreachable!("tasks finish by returning, not yielding"),
+                    if self.handle_yield(pidx, msg) == Flow::Blocked {
+                        self.procs[pidx as usize].state = PState::Blocked;
+                        return;
                     }
                 }
                 Ok(Poll::Ready(())) => {
@@ -593,19 +494,15 @@ impl Sim {
         }
     }
 
-    /// Delivers a scheduler reply to a running process: through the pool
-    /// rendezvous for thread-backed bodies, into the op mailbox for
-    /// stackless ones (consumed on the next poll).
+    /// Delivers a scheduler reply into a running process's op mailbox,
+    /// consumed on its next poll.
     fn reply(&self, pidx: u32, msg: ResumeMsg) {
-        let slot = &self.procs[pidx as usize];
-        if let Some(widx) = slot.worker {
-            self.pool.resume(widx, msg);
-        } else if let Some(ts) = &slot.task {
-            let prev = ts.cell.reply.borrow_mut().replace(msg);
-            debug_assert!(prev.is_none(), "task replied to twice");
-        } else {
-            panic!("reply to a process that never ran");
-        }
+        let ts = self.procs[pidx as usize]
+            .task
+            .as_ref()
+            .expect("reply to a process that never ran");
+        let prev = ts.cell.reply.borrow_mut().replace(msg);
+        debug_assert!(prev.is_none(), "process replied to twice");
     }
 
     fn handle_yield(&mut self, pidx: u32, msg: YieldMsg) -> Flow {
@@ -707,23 +604,13 @@ impl Sim {
                 self.queue.schedule(now + d, Wake::Process(pidx));
                 Flow::Blocked
             }
-            YieldMsg::Finished(result) => {
-                self.finish_process(pidx, result);
-                Flow::Done
-            }
         }
     }
 
-    /// Marks `pidx` finished, releases its backing, and wakes joiners.
+    /// Marks `pidx` finished and wakes joiners. The caller has already
+    /// dropped the process future.
     fn finish_process(&mut self, pidx: u32, result: Result<(), String>) {
-        let slot = &mut self.procs[pidx as usize];
-        // A thread-backed worker is heading back to its command channel;
-        // return it to the idle stack for immediate reuse (no join). Task
-        // futures were already dropped by the caller.
-        if let Some(widx) = slot.worker.take() {
-            self.pool.release(widx);
-        }
-        slot.state = PState::Finished(result.clone());
+        self.procs[pidx as usize].state = PState::Finished(result.clone());
         self.live_now -= 1;
         let waiters = std::mem::take(&mut self.procs[pidx as usize].join_waiters);
         for w in waiters {
@@ -746,26 +633,13 @@ impl Sim {
         }
     }
 
-    /// Unwinds every still-bound blocking process body, then exits and
-    /// joins the pool and offload threads.
-    ///
-    /// At this point the scheduler is not servicing yields, so every bound,
-    /// unfinished thread-backed process is parked on its worker's resume
-    /// channel; the [`ResumeMsg::Shutdown`] reply makes the body unwind
-    /// quietly and the worker fall through to its command channel, where
-    /// the pool's `Exit` awaits. Stackless processes need no unwinding —
-    /// their suspended futures (and never-started bodies) are simply
-    /// dropped with the slot.
+    /// Drops every suspended process future (and never-started body),
+    /// then exits and joins the offload threads. No process code runs
+    /// again: a dropped future is never polled.
     fn teardown(&mut self) {
         for slot in &mut self.procs {
-            if !matches!(slot.state, PState::Finished(_)) {
-                if let Some(widx) = slot.worker.take() {
-                    self.pool.resume(widx, ResumeMsg::Shutdown);
-                }
-            }
             slot.task = None;
         }
-        self.pool.shutdown();
         self.offload.shutdown();
     }
 }
@@ -778,10 +652,10 @@ impl Drop for Sim {
     }
 }
 
+#[derive(PartialEq, Eq)]
 enum Flow {
     Continue,
     Blocked,
-    Done,
 }
 
 #[cfg(test)]
@@ -790,6 +664,7 @@ mod tests {
     use crate::process::INLINE_KERNEL_BYTES;
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     #[test]
@@ -797,15 +672,14 @@ mod tests {
         let report = Sim::new().run().expect("empty sim");
         assert_eq!(report.end_time, SimTime::ZERO);
         assert_eq!(report.processes, 0);
-        assert_eq!(report.pool_workers, 0);
     }
 
     #[test]
     fn sleep_advances_clock() {
         let mut sim = Sim::new();
-        sim.spawn("sleeper", |ctx| {
-            ctx.sleep(SimDuration::from_secs(5));
-            ctx.sleep(SimDuration::from_millis(250));
+        sim.spawn("sleeper", |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(5)).await;
+            ctx.sleep(SimDuration::from_millis(250)).await;
         });
         let report = sim.run().expect("run");
         assert_eq!(report.end_time.as_nanos(), 5_250_000_000);
@@ -817,8 +691,8 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..3u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("p{}", i), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(10 * (3 - i)));
+            sim.spawn(format!("p{}", i), move |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(10 * (3 - i))).await;
                 log.lock().unwrap().push(i);
             });
         }
@@ -831,13 +705,15 @@ mod tests {
         let out = Arc::new(Mutex::new(0u64));
         let mut sim = Sim::new();
         let out2 = Arc::clone(&out);
-        sim.spawn("parent", move |ctx| {
+        sim.spawn("parent", move |ctx| async move {
             let out3 = Arc::clone(&out2);
-            let child = ctx.spawn("child", move |cctx| {
-                cctx.sleep(SimDuration::from_secs(1));
-                *out3.lock().unwrap() = 42;
-            });
-            ctx.join(child).expect("child ok");
+            let child = ctx
+                .spawn("child", move |cctx| async move {
+                    cctx.sleep(SimDuration::from_secs(1)).await;
+                    *out3.lock().unwrap() = 42;
+                })
+                .await;
+            ctx.join(child).await.expect("child ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0);
             assert_eq!(*out2.lock().unwrap(), 42);
         });
@@ -848,10 +724,10 @@ mod tests {
     #[test]
     fn join_already_finished_child() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let child = ctx.spawn("quick", |_| {});
-            ctx.sleep(SimDuration::from_secs(1));
-            ctx.join(child).expect("quick ok");
+        sim.spawn("parent", |ctx| async move {
+            let child = ctx.spawn("quick", |_| async {}).await;
+            ctx.sleep(SimDuration::from_secs(1)).await;
+            ctx.join(child).await.expect("quick ok");
             assert_eq!(ctx.now().as_secs_f64(), 1.0, "join must not add time");
         });
         sim.run().expect("run");
@@ -860,9 +736,9 @@ mod tests {
     #[test]
     fn join_observes_child_panic() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let child = ctx.spawn("bad", |_| panic!("boom"));
-            let err = ctx.join(child).expect_err("child panicked");
+        sim.spawn("parent", |ctx| async move {
+            let child = ctx.spawn("bad", |_c| async move { panic!("boom") }).await;
+            let err = ctx.join(child).await.expect_err("child panicked");
             assert_eq!(err.process, "bad");
             assert!(err.message.contains("boom"));
         });
@@ -872,7 +748,7 @@ mod tests {
     #[test]
     fn unobserved_panic_fails_run() {
         let mut sim = Sim::new();
-        sim.spawn("bad", |_| panic!("kaboom"));
+        sim.spawn("bad", |_ctx| async move { panic!("kaboom") });
         let err = sim.run().expect_err("must fail");
         match err {
             SimError::ProcessPanicked { process, message } => {
@@ -890,11 +766,11 @@ mod tests {
         let sem = sim.create_semaphore(1);
         for i in 0..4u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("w{}", i), move |ctx| {
-                ctx.sem_acquire(sem, 1);
+            sim.spawn(format!("w{}", i), move |ctx| async move {
+                ctx.sem_acquire(sem, 1).await;
                 log.lock().unwrap().push((i, ctx.now()));
-                ctx.sleep(SimDuration::from_secs(1));
-                ctx.sem_release(sem, 1);
+                ctx.sleep(SimDuration::from_secs(1)).await;
+                ctx.sem_release(sem, 1).await;
             });
         }
         sim.run().expect("run");
@@ -910,9 +786,9 @@ mod tests {
     fn limiter_throttles_ops() {
         let mut sim = Sim::new();
         let lim = sim.create_limiter(10.0, 1.0); // 10 ops/s, burst 1
-        sim.spawn("client", move |ctx| {
+        sim.spawn("client", move |ctx| async move {
             for _ in 0..5 {
-                ctx.limiter_acquire(lim, 1.0);
+                ctx.limiter_acquire(lim, 1.0).await;
             }
             // First op free (full bucket), remaining 4 at 0.1 s apart.
             assert!((ctx.now().as_secs_f64() - 0.4).abs() < 1e-6);
@@ -927,14 +803,15 @@ mod tests {
         let done = Arc::new(Mutex::new(Vec::new()));
         for i in 0..2u64 {
             let done = Arc::clone(&done);
-            sim.spawn(format!("t{}", i), move |ctx| {
-                ctx.transfer(ByteSize::new(100), &[link]);
+            sim.spawn(format!("t{}", i), move |ctx| async move {
+                ctx.transfer(ByteSize::new(100), &[link]).await;
                 done.lock().unwrap().push((i, ctx.now()));
             });
         }
         sim.run().expect("run");
         let done = done.lock().unwrap();
         // Two 100-byte flows share 100 B/s: both complete at t=2s.
+        assert_eq!(done.len(), 2);
         for (_, at) in done.iter() {
             assert!((at.as_secs_f64() - 2.0).abs() < 1e-6);
         }
@@ -946,13 +823,13 @@ mod tests {
         let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
         let done = Arc::new(Mutex::new(HashMap::new()));
         let d1 = Arc::clone(&done);
-        sim.spawn("small", move |ctx| {
-            ctx.transfer(ByteSize::new(50), &[link]);
+        sim.spawn("small", move |ctx| async move {
+            ctx.transfer(ByteSize::new(50), &[link]).await;
             d1.lock().unwrap().insert("small", ctx.now().as_secs_f64());
         });
         let d2 = Arc::clone(&done);
-        sim.spawn("large", move |ctx| {
-            ctx.transfer(ByteSize::new(500), &[link]);
+        sim.spawn("large", move |ctx| async move {
+            ctx.transfer(ByteSize::new(500), &[link]).await;
             d2.lock().unwrap().insert("large", ctx.now().as_secs_f64());
         });
         sim.run().expect("run");
@@ -967,8 +844,8 @@ mod tests {
     fn deadlock_is_reported() {
         let mut sim = Sim::new();
         let sem = sim.create_semaphore(0);
-        sim.spawn("stuck", move |ctx| {
-            ctx.sem_acquire(sem, 1);
+        sim.spawn("stuck", move |ctx| async move {
+            ctx.sem_acquire(sem, 1).await;
         });
         let err = sim.run().expect_err("deadlock");
         match err {
@@ -984,7 +861,7 @@ mod tests {
             let out = Arc::new(Mutex::new(Vec::new()));
             let mut sim = Sim::new();
             let out2 = Arc::clone(&out);
-            sim.spawn("r", move |ctx| {
+            sim.spawn("r", move |mut ctx| async move {
                 let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
                 out2.lock().unwrap().extend(v);
             });
@@ -992,21 +869,24 @@ mod tests {
             let v = out.lock().unwrap().clone();
             v
         }
+        assert_eq!(draw().len(), 8);
         assert_eq!(draw(), draw());
     }
 
     #[test]
     fn join_all_aggregates() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let kids: Vec<_> = (0..4)
-                .map(|i| {
-                    ctx.spawn(format!("k{}", i), move |c| {
-                        c.sleep(SimDuration::from_secs(i + 1));
+        sim.spawn("parent", |ctx| async move {
+            let mut kids = Vec::new();
+            for i in 0..4 {
+                let kid = ctx
+                    .spawn(format!("k{}", i), move |c| async move {
+                        c.sleep(SimDuration::from_secs(i + 1)).await;
                     })
-                })
-                .collect();
-            ctx.join_all(&kids).expect("all ok");
+                    .await;
+                kids.push(kid);
+            }
+            ctx.join_all(&kids).await.expect("all ok");
             assert_eq!(ctx.now().as_secs_f64(), 4.0);
         });
         sim.run().expect("run");
@@ -1017,12 +897,9 @@ mod tests {
         fn draw(seed: u64) -> u64 {
             use rand::Rng;
             let out = Arc::new(Mutex::new(0u64));
-            let mut sim = Sim::with_config(SimConfig {
-                seed,
-                ..SimConfig::default()
-            });
+            let mut sim = Sim::with_seed(seed);
             let out2 = Arc::clone(&out);
-            sim.spawn("r", move |ctx| {
+            sim.spawn("r", move |mut ctx| async move {
                 *out2.lock().unwrap() = ctx.rng().gen();
             });
             sim.run().expect("run");
@@ -1034,40 +911,54 @@ mod tests {
     }
 
     #[test]
-    fn deep_spawn_trees_work() {
-        // Each process spawns a child, 50 levels deep, each sleeping 1 ms.
-        fn spawn_level(ctx: &mut Ctx, level: u64) {
-            ctx.sleep(SimDuration::from_millis(1));
-            if level > 0 {
-                let child = ctx.spawn(format!("level{}", level), move |c| {
-                    spawn_level(c, level - 1);
-                });
-                ctx.join(child).expect("child ok");
-            }
-        }
+    fn sibling_processes_draw_distinct_rng_streams() {
+        // Two sequential children of one parent must draw from distinct,
+        // pid-seeded random streams.
+        use rand::Rng;
+        let draws = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new();
-        sim.spawn("root", |ctx| spawn_level(ctx, 50));
-        let report = sim.run().expect("run");
-        assert_eq!(report.processes, 51);
-        assert_eq!(report.end_time.as_nanos(), 51 * 1_000_000);
-        // Every level blocks in a join while its child runs, so all 51
-        // bodies are live at the deepest point and each needs a worker.
-        assert_eq!(report.pool_workers, 51);
-        assert_eq!(report.peak_live_processes, 51);
+        let d = Arc::clone(&draws);
+        sim.spawn("root", move |ctx| async move {
+            for i in 0..2 {
+                let d = Arc::clone(&d);
+                let child = ctx
+                    .spawn(format!("c{}", i), move |mut c| async move {
+                        d.lock().unwrap().push(c.rng().gen::<u64>());
+                    })
+                    .await;
+                ctx.join(child).await.expect("child ok");
+            }
+        });
+        sim.run().expect("run");
+        let draws = draws.lock().unwrap();
+        assert_eq!(draws.len(), 2);
+        assert_ne!(draws[0], draws[1], "streams must differ across processes");
     }
 
     #[test]
-    fn custom_stack_size_is_honored() {
-        let mut sim = Sim::with_config(SimConfig {
-            stack_size: 512 * 1024,
-            ..SimConfig::default()
-        });
-        sim.spawn("small-stack", |ctx| {
-            // Use a modest amount of stack to prove the thread works.
-            let buf = [0u8; 64 * 1024];
-            ctx.sleep(SimDuration::from_nanos(buf[0] as u64 + 1));
-        });
-        sim.run().expect("run");
+    fn deep_spawn_trees_work() {
+        // Each process spawns a child, 50 levels deep, each sleeping 1 ms.
+        fn spawn_level(ctx: &Ctx, level: u64) -> LocalBoxFuture<'_, ()> {
+            Box::pin(async move {
+                ctx.sleep(SimDuration::from_millis(1)).await;
+                if level > 0 {
+                    let child = ctx
+                        .spawn(format!("level{}", level), move |c| async move {
+                            spawn_level(&c, level - 1).await;
+                        })
+                        .await;
+                    ctx.join(child).await.expect("child ok");
+                }
+            })
+        }
+        let mut sim = Sim::new();
+        sim.spawn("root", |ctx| async move { spawn_level(&ctx, 50).await });
+        let report = sim.run().expect("run");
+        assert_eq!(report.processes, 51);
+        assert_eq!(report.end_time.as_nanos(), 51 * 1_000_000);
+        // Every level waits in a join while its child runs, so all 51
+        // processes are live at the deepest point.
+        assert_eq!(report.peak_live_processes, 51);
     }
 
     #[test]
@@ -1077,10 +968,10 @@ mod tests {
         let mut sim = Sim::new();
         for who in 0..2u64 {
             let log = Arc::clone(&log);
-            sim.spawn(format!("p{}", who), move |ctx| {
+            sim.spawn(format!("p{}", who), move |ctx| async move {
                 for _ in 0..3 {
                     log.lock().unwrap().push(who);
-                    ctx.sleep(SimDuration::ZERO);
+                    ctx.sleep(SimDuration::ZERO).await;
                 }
             });
         }
@@ -1094,93 +985,58 @@ mod tests {
     }
 
     #[test]
-    fn many_processes_scale() {
-        let mut sim = Sim::new();
-        let counter = Arc::new(AtomicU64::new(0));
-        for i in 0..200u64 {
-            let counter = Arc::clone(&counter);
-            sim.spawn(format!("n{}", i), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(i));
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let report = sim.run().expect("run");
-        assert_eq!(counter.load(Ordering::SeqCst), 200);
-        assert_eq!(report.processes, 200);
-        assert_eq!(report.peak_live_processes, 200);
-    }
-
-    #[test]
-    fn sequential_processes_reuse_one_worker() {
-        // 500 processes that never overlap in virtual time: the pool must
-        // run them all on a single reused OS thread.
-        let mut sim = Sim::new();
-        sim.spawn("root", |ctx| {
-            for i in 0..500u64 {
-                let child = ctx.spawn(format!("seq{}", i), |c| {
-                    c.sleep(SimDuration::from_millis(1));
-                });
-                ctx.join(child).expect("child ok");
-            }
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.processes, 501);
-        // Root is blocked in join while each child runs: two workers.
-        assert_eq!(report.pool_workers, 2, "thread churn is gone");
-        assert_eq!(report.peak_live_processes, 2);
-    }
-
-    #[test]
-    fn pool_grows_to_peak_concurrency_not_total() {
-        // Waves of 8 concurrent processes, 10 waves: 8 workers + the root.
-        let mut sim = Sim::new();
-        sim.spawn("root", |ctx| {
-            for _ in 0..10 {
-                let kids: Vec<_> = (0..8)
-                    .map(|i| {
-                        ctx.spawn(format!("wave{}", i), |c| {
-                            c.sleep(SimDuration::from_millis(3));
-                        })
-                    })
-                    .collect();
-                ctx.join_all(&kids).expect("wave ok");
-            }
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.processes, 81);
-        assert_eq!(report.pool_workers, 9, "pool sized by peak, not total");
-        assert_eq!(report.peak_live_processes, 9);
-    }
-
-    #[test]
-    fn spawned_but_never_scheduled_processes_cost_no_thread() {
-        // A deadlocked sim whose second process never gets its first wake
-        // must still tear down cleanly (the body is dropped, not run).
+    fn unstarted_and_suspended_processes_are_dropped_on_teardown() {
+        // A deadlocked sim tears down cleanly, dropping the suspended
+        // future of the stuck process and everything it captured.
+        let held = Arc::new(());
         let mut sim = Sim::new();
         let sem = sim.create_semaphore(0);
-        sim.spawn("stuck", move |ctx| {
-            // Spawn a child, then block forever before it could matter.
-            let _child = ctx.spawn("never-run", |c| c.sleep(SimDuration::from_secs(1)));
-            ctx.sem_acquire(sem, 1);
+        let held2 = Arc::clone(&held);
+        sim.spawn("stuck", move |ctx| async move {
+            let _child = ctx
+                .spawn("child", |c| async move {
+                    c.sleep(SimDuration::from_secs(1)).await;
+                })
+                .await;
+            ctx.sem_acquire(sem, 1).await;
+            drop(held2);
         });
         let err = sim.run().expect_err("deadlock");
         assert!(matches!(err, SimError::Deadlock { .. }));
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the suspended future was dropped"
+        );
+        // A body spawned into a sim that never runs is dropped, not run.
+        let mut sim = Sim::new();
+        let held2 = Arc::clone(&held);
+        sim.spawn("never-run", move |_ctx| async move {
+            drop(held2);
+            unreachable!("an unstarted body must never run");
+        });
+        drop(sim);
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the unstarted body was dropped"
+        );
     }
 
     #[test]
     fn fan_out_returns_results_in_job_order() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
+        sim.spawn("parent", |ctx| async move {
             let jobs: Vec<_> = (0..6u64)
                 .map(|i| {
-                    move |cctx: &mut Ctx| {
+                    async move |cctx: &mut Ctx| {
                         // Later jobs finish earlier; order must still hold.
-                        cctx.sleep(SimDuration::from_millis(60 - 10 * i));
+                        cctx.sleep(SimDuration::from_millis(60 - 10 * i)).await;
                         i * 2
                     }
                 })
                 .collect();
-            let out = ctx.fan_out("job", 6, jobs).expect("fan_out ok");
+            let out = ctx.fan_out("job", 6, jobs).await.expect("fan_out ok");
             assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
         });
         sim.run().expect("run");
@@ -1193,22 +1049,22 @@ mod tests {
         let inflight = Arc::new(Mutex::new((0u32, 0u32))); // (current, peak)
         let mut sim = Sim::new();
         let inflight2 = Arc::clone(&inflight);
-        sim.spawn("parent", move |ctx| {
+        sim.spawn("parent", move |ctx| async move {
             let jobs: Vec<_> = (0..4)
                 .map(|_| {
                     let inflight = Arc::clone(&inflight2);
-                    move |cctx: &mut Ctx| {
+                    async move |cctx: &mut Ctx| {
                         {
                             let mut g = inflight.lock().unwrap();
                             g.0 += 1;
                             g.1 = g.1.max(g.0);
                         }
-                        cctx.sleep(SimDuration::from_secs(1));
+                        cctx.sleep(SimDuration::from_secs(1)).await;
                         inflight.lock().unwrap().0 -= 1;
                     }
                 })
                 .collect();
-            ctx.fan_out("bounded", 2, jobs).expect("fan_out ok");
+            ctx.fan_out("bounded", 2, jobs).await.expect("fan_out ok");
             assert_eq!(ctx.now().as_secs_f64(), 2.0, "2 waves of 2 jobs");
         });
         sim.run().expect("run");
@@ -1218,19 +1074,25 @@ mod tests {
     #[test]
     fn fan_out_panic_surfaces_without_deadlocking_siblings() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
+        sim.spawn("parent", |ctx| async move {
             // Worker 0 pulls the panicking job and dies; worker 1 keeps
             // draining the queue, so the surviving job still runs and
             // the fan-out returns (first error) instead of hanging.
-            type BoxedJob = Box<dyn FnOnce(&mut Ctx) -> u32 + Send>;
-            let jobs: Vec<BoxedJob> = vec![
-                Box::new(|_: &mut Ctx| panic!("job zero failed")),
-                Box::new(|cctx: &mut Ctx| {
-                    cctx.sleep(SimDuration::from_millis(5));
-                    7
-                }),
-            ];
-            let err = ctx.fan_out("mixed", 2, jobs).expect_err("panic surfaces");
+            let jobs: Vec<_> = (0..2u32)
+                .map(|i| {
+                    async move |cctx: &mut Ctx| {
+                        if i == 0 {
+                            panic!("job zero failed");
+                        }
+                        cctx.sleep(SimDuration::from_millis(5)).await;
+                        7
+                    }
+                })
+                .collect();
+            let err = ctx
+                .fan_out("mixed", 2, jobs)
+                .await
+                .expect_err("panic surfaces");
             assert_eq!(err.process, "mixed#0");
             assert!(err.message.contains("job zero failed"));
             assert!(
@@ -1244,232 +1106,37 @@ mod tests {
     #[test]
     fn fan_out_empty_and_zero_window() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let none: Vec<fn(&mut Ctx) -> u8> = Vec::new();
-            assert_eq!(ctx.fan_out("empty", 4, none).expect("empty ok"), vec![]);
+        sim.spawn("parent", |ctx| async move {
+            let none: Vec<_> = (0..0u8).map(|i| async move |_: &mut Ctx| i).collect();
+            assert_eq!(
+                ctx.fan_out("empty", 4, none).await.expect("empty ok"),
+                vec![]
+            );
             // Window 0 is clamped to 1 rather than deadlocking.
-            let jobs: Vec<_> = (0..2u8).map(|i| move |_: &mut Ctx| i).collect();
-            assert_eq!(ctx.fan_out("clamped", 0, jobs).expect("ok"), vec![0, 1]);
+            let jobs: Vec<_> = (0..2u8).map(|i| async move |_: &mut Ctx| i).collect();
+            assert_eq!(
+                ctx.fan_out("clamped", 0, jobs).await.expect("ok"),
+                vec![0, 1]
+            );
         });
         sim.run().expect("run");
     }
 
     #[test]
-    fn task_sleep_advances_clock_without_pool_threads() {
+    fn many_processes_scale() {
         let mut sim = Sim::new();
-        sim.spawn_task("sleeper", |ctx| async move {
-            ctx.sleep_async(SimDuration::from_secs(5)).await;
-            ctx.sleep_async(SimDuration::from_millis(250)).await;
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.end_time.as_nanos(), 5_250_000_000);
-        assert_eq!(report.pool_workers, 0, "stackless bodies cost no threads");
-    }
-
-    #[test]
-    fn tasks_and_threads_share_one_virtual_schedule() {
-        // The same workload, thread-backed vs task-backed, must produce
-        // identical end times, event counts, and interleavings.
-        fn run_flavor(tasks: bool) -> (u64, u64, Vec<u64>) {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = Sim::new();
-            for i in 0..3u64 {
-                let log = Arc::clone(&log);
-                if tasks {
-                    sim.spawn_task(format!("p{}", i), move |ctx| async move {
-                        ctx.sleep_async(SimDuration::from_millis(10 * (3 - i)))
-                            .await;
-                        log.lock().unwrap().push(i);
-                    });
-                } else {
-                    sim.spawn(format!("p{}", i), move |ctx| {
-                        ctx.sleep(SimDuration::from_millis(10 * (3 - i)));
-                        log.lock().unwrap().push(i);
-                    });
-                }
-            }
-            let report = sim.run().expect("run");
-            let order = log.lock().unwrap().clone();
-            (report.end_time.as_nanos(), report.events, order)
-        }
-        assert_eq!(run_flavor(false), run_flavor(true));
-    }
-
-    #[test]
-    fn task_spawns_and_joins_task_children() {
-        let out = Arc::new(Mutex::new(0u64));
-        let mut sim = Sim::new();
-        let out2 = Arc::clone(&out);
-        sim.spawn_task("parent", move |ctx| async move {
-            let out3 = Arc::clone(&out2);
-            let child = ctx
-                .spawn_task("child", move |cctx| async move {
-                    cctx.sleep_async(SimDuration::from_secs(1)).await;
-                    *out3.lock().unwrap() = 42;
-                })
-                .await;
-            ctx.join_async(child).await.expect("child ok");
-            assert_eq!(ctx.now().as_secs_f64(), 1.0);
-            assert_eq!(*out2.lock().unwrap(), 42);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(*out.lock().unwrap(), 42);
-        assert_eq!(report.pool_workers, 0);
-    }
-
-    #[test]
-    fn blocking_process_drives_task_children_via_run_blocking() {
-        // The legacy bridge: a thread-backed driver uses the async API
-        // eagerly through run_blocking.
-        use crate::process::run_blocking;
-        let mut sim = Sim::new();
-        sim.spawn("driver", |ctx| {
-            let child = run_blocking(ctx.spawn_task("t", |c| async move {
-                c.sleep_async(SimDuration::from_secs(2)).await;
-            }));
-            ctx.join(child).expect("child ok");
-            assert_eq!(ctx.now().as_secs_f64(), 2.0);
-            run_blocking(ctx.sleep_async(SimDuration::from_secs(1)));
-            assert_eq!(ctx.now().as_secs_f64(), 3.0);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.end_time.as_secs_f64(), 3.0);
-        assert_eq!(report.pool_workers, 1, "only the driver needs a thread");
-    }
-
-    #[test]
-    fn task_panic_is_observed_by_joiner() {
-        let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let child = ctx
-                .spawn_task("bad", |_c| async move { panic!("boom") })
-                .await;
-            let err = ctx.join_async(child).await.expect_err("child panicked");
-            assert_eq!(err.process, "bad");
-            assert!(err.message.contains("boom"));
-        });
-        sim.run().expect("observed panic is not a sim error");
-    }
-
-    #[test]
-    fn unobserved_task_panic_fails_run() {
-        let mut sim = Sim::new();
-        sim.spawn_task("bad", |_ctx| async move { panic!("kaboom") });
-        let err = sim.run().expect_err("must fail");
-        assert!(matches!(err, SimError::ProcessPanicked { .. }));
-    }
-
-    #[test]
-    fn task_semaphores_and_limiters_match_blocking_semantics() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let sem = sim.create_semaphore(1);
-        for i in 0..4u64 {
-            let log = Arc::clone(&log);
-            sim.spawn_task(format!("w{}", i), move |ctx| async move {
-                ctx.sem_acquire_async(sem, 1).await;
-                log.lock().unwrap().push((i, ctx.now()));
-                ctx.sleep_async(SimDuration::from_secs(1)).await;
-                ctx.sem_release_async(sem, 1).await;
+        let counter = Arc::new(AtomicU64::new(0));
+        for i in 0..2000u64 {
+            let counter = Arc::clone(&counter);
+            sim.spawn(format!("n{}", i), move |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(i % 50)).await;
+                counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        sim.run().expect("run");
-        let log = log.lock().unwrap();
-        for (i, (w, at)) in log.iter().enumerate() {
-            assert_eq!(*w, i as u64);
-            assert_eq!(at.as_secs_f64(), i as f64);
-        }
-    }
-
-    #[test]
-    fn task_transfers_share_links_fairly() {
-        let mut sim = Sim::new();
-        let link = sim.create_link(Bandwidth::bytes_per_sec(100.0));
-        let done = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..2u64 {
-            let done = Arc::clone(&done);
-            sim.spawn_task(format!("t{}", i), move |ctx| async move {
-                ctx.transfer_async(ByteSize::new(100), &[link]).await;
-                done.lock().unwrap().push((i, ctx.now()));
-            });
-        }
-        sim.run().expect("run");
-        for (_, at) in done.lock().unwrap().iter() {
-            assert!((at.as_secs_f64() - 2.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn task_rng_streams_match_blocking_streams() {
-        // RNG seeding depends only on (seed, pid) — never on the backing.
-        use rand::Rng;
-        fn draw(tasks: bool) -> Vec<u64> {
-            let out = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = Sim::new();
-            let out2 = Arc::clone(&out);
-            if tasks {
-                sim.spawn_task("r", move |mut ctx| async move {
-                    let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
-                    out2.lock().unwrap().extend(v);
-                });
-            } else {
-                sim.spawn("r", move |ctx| {
-                    let v: Vec<u64> = (0..8).map(|_| ctx.rng().gen()).collect();
-                    out2.lock().unwrap().extend(v);
-                });
-            }
-            sim.run().expect("run");
-            let v = out.lock().unwrap().clone();
-            v
-        }
-        assert_eq!(draw(false), draw(true));
-    }
-
-    #[test]
-    fn fan_out_async_returns_results_in_job_order() {
-        let mut sim = Sim::new();
-        sim.spawn_task("parent", |ctx| async move {
-            let jobs: Vec<_> = (0..6u64)
-                .map(|i| {
-                    async move |cctx: &mut Ctx| {
-                        cctx.sleep_async(SimDuration::from_millis(60 - 10 * i))
-                            .await;
-                        i * 2
-                    }
-                })
-                .collect();
-            let out = ctx.fan_out_async("job", 6, jobs).await.expect("fan_out ok");
-            assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        });
         let report = sim.run().expect("run");
-        assert_eq!(report.pool_workers, 0);
-    }
-
-    #[test]
-    fn fan_out_async_window_bounds_concurrency() {
-        let inflight = Arc::new(Mutex::new((0u32, 0u32)));
-        let mut sim = Sim::new();
-        let inflight2 = Arc::clone(&inflight);
-        sim.spawn_task("parent", move |ctx| async move {
-            let jobs: Vec<_> = (0..4)
-                .map(|_| {
-                    let inflight = Arc::clone(&inflight2);
-                    async move |cctx: &mut Ctx| {
-                        {
-                            let mut g = inflight.lock().unwrap();
-                            g.0 += 1;
-                            g.1 = g.1.max(g.0);
-                        }
-                        cctx.sleep_async(SimDuration::from_secs(1)).await;
-                        inflight.lock().unwrap().0 -= 1;
-                    }
-                })
-                .collect();
-            ctx.fan_out_async("bounded", 2, jobs).await.expect("ok");
-            assert_eq!(ctx.now().as_secs_f64(), 2.0, "2 waves of 2 jobs");
-        });
-        sim.run().expect("run");
-        assert_eq!(inflight.lock().unwrap().1, 2, "window caps concurrency");
+        assert_eq!(counter.load(Ordering::SeqCst), 2000);
+        assert_eq!(report.processes, 2000);
+        assert_eq!(report.peak_live_processes, 2000);
     }
 
     /// `compute(d)` then the kernel inline then a sleep: `(end ns,
@@ -1478,10 +1145,10 @@ mod tests {
         let out = Arc::new(AtomicU64::new(0));
         let mut sim = Sim::new();
         let out2 = Arc::clone(&out);
-        sim.spawn_task("k", move |ctx| async move {
-            ctx.compute_async(SimDuration::from_millis(7)).await;
+        sim.spawn("k", move |ctx| async move {
+            ctx.compute(SimDuration::from_millis(7)).await;
             let v = (0..1000u64).sum::<u64>();
-            ctx.sleep_async(SimDuration::from_millis(3)).await;
+            ctx.sleep(SimDuration::from_millis(3)).await;
             out2.store(v, Ordering::SeqCst);
         });
         let report = sim.run().expect("run");
@@ -1498,13 +1165,13 @@ mod tests {
         let out = Arc::new(AtomicU64::new(0));
         let mut sim = Sim::new();
         let out2 = Arc::clone(&out);
-        sim.spawn_task("k", move |ctx| async move {
+        sim.spawn("k", move |ctx| async move {
             let v = ctx
                 .offload(SimDuration::from_millis(7), input_bytes, || {
                     (0..1000u64).sum::<u64>()
                 })
                 .await;
-            ctx.sleep_async(SimDuration::from_millis(3)).await;
+            ctx.sleep(SimDuration::from_millis(3)).await;
             out2.store(v, Ordering::SeqCst);
         });
         let report = sim.run().expect("run");
@@ -1543,9 +1210,9 @@ mod tests {
             let seen = Arc::new(Mutex::new(String::new()));
             let seen2 = Arc::clone(&seen);
             let mut sim = Sim::new();
-            sim.spawn_task("parent", move |ctx| async move {
+            sim.spawn("parent", move |ctx| async move {
                 let child = ctx
-                    .spawn_task("kern", move |cctx| async move {
+                    .spawn("kern", move |cctx| async move {
                         let _: u64 = cctx
                             .offload(SimDuration::from_millis(1), input_bytes, || {
                                 panic!("kernel died")
@@ -1553,7 +1220,7 @@ mod tests {
                             .await;
                     })
                     .await;
-                let err = ctx.join_async(child).await.expect_err("kernel panic");
+                let err = ctx.join(child).await.expect_err("kernel panic");
                 *seen2.lock().unwrap() = err.message;
             });
             let report = sim.run().expect("observed panic is fine");
@@ -1568,101 +1235,6 @@ mod tests {
         let inline = message(0);
         assert!(inline.contains("kernel died"), "{inline}");
         assert_eq!(inline, message(INLINE_KERNEL_BYTES));
-    }
-
-    #[test]
-    fn offload_runs_inline_on_thread_backed_processes() {
-        let mut sim = Sim::new();
-        sim.spawn("driver", |ctx| {
-            use crate::process::run_blocking;
-            let v: u64 =
-                run_blocking(ctx.offload(SimDuration::from_millis(5), INLINE_KERNEL_BYTES, || 99));
-            assert_eq!(v, 99);
-            assert_eq!(ctx.now().as_nanos(), 5_000_000);
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(
-            report.offload_workers, 0,
-            "thread bodies run kernels inline"
-        );
-    }
-
-    #[test]
-    fn blocked_task_deadlock_is_reported() {
-        let mut sim = Sim::new();
-        let sem = sim.create_semaphore(0);
-        sim.spawn_task("stuck", move |ctx| async move {
-            ctx.sem_acquire_async(sem, 1).await;
-        });
-        let err = sim.run().expect_err("deadlock");
-        match err {
-            SimError::Deadlock { blocked } => assert_eq!(blocked, vec!["stuck".to_string()]),
-            other => panic!("unexpected error {:?}", other),
-        }
-    }
-
-    #[test]
-    fn zero_sleep_tasks_round_robin_with_threads() {
-        // A task and a thread-backed process alternating zero-sleeps
-        // interleave exactly as two thread-backed processes would.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let l0 = Arc::clone(&log);
-        sim.spawn_task("p0", move |ctx| async move {
-            for _ in 0..3 {
-                l0.lock().unwrap().push(0u64);
-                ctx.sleep_async(SimDuration::ZERO).await;
-            }
-        });
-        let l1 = Arc::clone(&log);
-        sim.spawn("p1", move |ctx| {
-            for _ in 0..3 {
-                l1.lock().unwrap().push(1u64);
-                ctx.sleep(SimDuration::ZERO);
-            }
-        });
-        sim.run().expect("run");
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn many_tasks_scale_without_threads() {
-        let mut sim = Sim::new();
-        let counter = Arc::new(AtomicU64::new(0));
-        for i in 0..2000u64 {
-            let counter = Arc::clone(&counter);
-            sim.spawn_task(format!("n{}", i), move |ctx| async move {
-                ctx.sleep_async(SimDuration::from_millis(i % 50)).await;
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let report = sim.run().expect("run");
-        assert_eq!(counter.load(Ordering::SeqCst), 2000);
-        assert_eq!(report.pool_workers, 0);
-        assert_eq!(report.peak_live_processes, 2000);
-    }
-
-    #[test]
-    fn worker_reuse_keeps_per_process_rng_streams() {
-        // Two sequential processes share one worker thread but must draw
-        // from distinct, pid-seeded random streams.
-        use rand::Rng;
-        let draws = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new();
-        let d = Arc::clone(&draws);
-        sim.spawn("root", move |ctx| {
-            for i in 0..2 {
-                let d = Arc::clone(&d);
-                let child = ctx.spawn(format!("c{}", i), move |c| {
-                    d.lock().unwrap().push(c.rng().gen::<u64>());
-                });
-                ctx.join(child).expect("child ok");
-            }
-        });
-        let report = sim.run().expect("run");
-        assert_eq!(report.pool_workers, 2);
-        let draws = draws.lock().unwrap();
-        assert_ne!(draws[0], draws[1], "streams must differ across processes");
     }
 
     #[test]
@@ -1747,11 +1319,11 @@ mod tests {
         ];
         for (i, script) in scripts.into_iter().enumerate() {
             let log = Arc::clone(&log);
-            sim.spawn_task(format!("p{}", i), move |ctx| async move {
+            sim.spawn(format!("p{}", i), move |ctx| async move {
                 for step in script {
                     match step {
-                        Step::Sleep(ns) => ctx.sleep_async(SimDuration::from_nanos(ns)).await,
-                        Step::Send(b, links) => ctx.transfer_async(ByteSize::new(b), &links).await,
+                        Step::Sleep(ns) => ctx.sleep(SimDuration::from_nanos(ns)).await,
+                        Step::Send(b, links) => ctx.transfer(ByteSize::new(b), &links).await,
                     }
                     log.lock()
                         .unwrap()

@@ -4,7 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use bytes::Bytes;
-use faaspipe_des::{run_blocking, Ctx, LinkId, LocalBoxFuture};
+use faaspipe_des::{Ctx, LinkId, LocalBoxFuture};
 
 use crate::error::{ExchangeError, ExchangeParseError, ExchangeParseIssue};
 
@@ -210,32 +210,26 @@ impl ExchangeEnv {
 /// mapper's re-run re-writes the same partitions, a reducer may read the
 /// same partition twice.
 ///
-/// Backends implement the `*_async` methods (returning boxed local
-/// futures so the trait stays object-safe); the plain methods are
-/// blocking facades over them for thread-backed processes, and resolve
-/// eagerly there.
+/// Every method returns a boxed local future, so the trait stays
+/// object-safe.
 pub trait DataExchange: fmt::Debug + Send + Sync {
     /// A short stable name for traces and tables (e.g. `"cos"`,
     /// `"vm-relay"`, `"direct"`).
     fn name(&self) -> &'static str;
 
-    /// Async form of [`DataExchange::prepare`] for stackless processes.
-    fn prepare_async<'a>(
+    /// Driver-side setup before the map phase: allocates bookkeeping for
+    /// a `maps` × `parts` exchange and provisions backing resources (the
+    /// VM-relay backend pays its provisioning delay here).
+    fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         maps: usize,
         parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
 
-    /// Driver-side setup before the map phase: allocates bookkeeping for
-    /// a `maps` × `parts` exchange and provisions backing resources (the
-    /// VM-relay backend pays its provisioning delay here).
-    fn prepare(&self, ctx: &mut Ctx, maps: usize, parts: usize) -> Result<(), ExchangeError> {
-        run_blocking(self.prepare_async(ctx, maps, parts))
-    }
-
-    /// Async form of [`DataExchange::write_partitions`].
-    fn write_partitions_async<'a>(
+    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
+    /// `j`). Returns the number of payload bytes written.
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -243,28 +237,26 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         parts: Vec<Bytes>,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
 
-    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
-    /// `j`). Returns the number of payload bytes written.
-    fn write_partitions(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> Result<u64, ExchangeError> {
-        run_blocking(self.write_partitions_async(ctx, env, map, parts))
-    }
-
-    /// Async form of [`DataExchange::write_run`]. The default
-    /// implementation reconstructs the dense partition vector (cheap
-    /// zero-copy [`Bytes::slice`]s of `run`, empty slots for absent
-    /// cuts) and delegates to
-    /// [`write_partitions_async`](DataExchange::write_partitions_async),
-    /// so every backend's store traffic — and therefore its virtual
-    /// time — is exactly what the dense write produced. Backends whose
-    /// wire format already concatenates the partitions override it to
-    /// skip the dense vector entirely.
-    fn write_run_async<'a>(
+    /// Stores mapper `map`'s partitions given as one contiguous `run`
+    /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
+    /// says partition `part` is `run[offset..offset + len]`, cuts are
+    /// part-ascending and non-overlapping, and every partition in
+    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
+    /// [`DataExchange::write_partitions`] with the reconstructed dense
+    /// vector — same bytes on the wire, same virtual time — but a
+    /// backend that stores the concatenation anyway (the coalesced
+    /// object-store layout) does O(cuts) host work instead of
+    /// O(parts_len). Returns the number of payload bytes written.
+    ///
+    /// The default implementation reconstructs the dense partition
+    /// vector (cheap zero-copy [`Bytes::slice`]s of `run`, empty slots
+    /// for absent cuts) and delegates to
+    /// [`write_partitions`](DataExchange::write_partitions), so every
+    /// backend's store traffic — and therefore its virtual time — is
+    /// exactly what the dense write produced. Backends whose wire format
+    /// already concatenates the partitions override it to skip the dense
+    /// vector entirely.
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -278,34 +270,12 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
             for &(part, off, len) in &cuts {
                 parts[part as usize] = run.slice(off as usize..(off + len) as usize);
             }
-            self.write_partitions_async(ctx, env, map, parts).await
+            self.write_partitions(ctx, env, map, parts).await
         })
     }
 
-    /// Stores mapper `map`'s partitions given as one contiguous `run`
-    /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
-    /// says partition `part` is `run[offset..offset + len]`, cuts are
-    /// part-ascending and non-overlapping, and every partition in
-    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
-    /// [`DataExchange::write_partitions`] with the reconstructed dense
-    /// vector — same bytes on the wire, same virtual time — but a
-    /// backend that stores the concatenation anyway (the coalesced
-    /// object-store layout) does O(cuts) host work instead of
-    /// O(parts_len). Returns the number of payload bytes written.
-    fn write_run(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        run: Bytes,
-        cuts: Vec<(u32, u64, u64)>,
-        parts_len: usize,
-    ) -> Result<u64, ExchangeError> {
-        run_blocking(self.write_run_async(ctx, env, map, run, cuts, parts_len))
-    }
-
-    /// Async form of [`DataExchange::read_partition`].
-    fn read_partition_async<'a>(
+    /// Fetches the partition mapper `map` wrote for reducer `part`.
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -313,21 +283,15 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>>;
 
-    /// Fetches the partition mapper `map` wrote for reducer `part`.
-    fn read_partition(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> Result<Bytes, ExchangeError> {
-        run_blocking(self.read_partition_async(ctx, env, map, part))
-    }
-
-    /// Async form of [`DataExchange::read_partitions`]. The default
-    /// implementation is a sequential loop; backends override it to keep
-    /// up to `env.io_window` requests in flight concurrently.
-    fn read_partitions_async<'a>(
+    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
+    /// the payloads in request order.
+    ///
+    /// Backends keep up to `env.io_window` requests in flight
+    /// concurrently (sharing the caller's NIC links); with
+    /// `env.io_window <= 1` every implementation must fall back to the
+    /// exact sequential behavior. The default implementation is a
+    /// sequential loop.
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -336,44 +300,9 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         Box::pin(async move {
             let mut out = Vec::with_capacity(reqs.len());
             for &(map, part) in reqs {
-                out.push(self.read_partition_async(ctx, env, map, part).await?);
+                out.push(self.read_partition(ctx, env, map, part).await?);
             }
             Ok(out)
-        })
-    }
-
-    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
-    /// the payloads in request order.
-    ///
-    /// Backends keep up to `env.io_window` requests in flight
-    /// concurrently (sharing the caller's NIC links); with
-    /// `env.io_window <= 1` every implementation must fall back to the
-    /// exact sequential behavior.
-    fn read_partitions(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        reqs: &[(usize, usize)],
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        run_blocking(self.read_partitions_async(ctx, env, reqs))
-    }
-
-    /// Async form of [`DataExchange::read_gather`]. The default
-    /// implementation is the dense batch read over `(m, part)` for every
-    /// `m < maps` with the zero-length runs dropped afterwards; backends
-    /// whose bookkeeping knows which partitions are empty override it to
-    /// do work proportional to the *non-empty* runs only.
-    fn read_gather_async<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        maps: usize,
-        part: usize,
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-            let runs = self.read_partitions_async(ctx, env, &reqs).await?;
-            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -388,43 +317,43 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
     /// override it, not O(W). Dropping empty runs is merge-neutral: a
     /// k-way merge's output never depends on the empty runs' positions.
     ///
+    /// The default implementation is the dense batch read over
+    /// `(m, part)` for every `m < maps` with the zero-length runs dropped
+    /// afterwards; backends whose bookkeeping knows which partitions are
+    /// empty override it to do work proportional to the *non-empty* runs
+    /// only.
+    ///
     /// # Errors
     /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
     /// never wrote partition `part`.
-    fn read_gather(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
+    fn read_gather<'a>(
+        &'a self,
+        ctx: &'a mut Ctx,
+        env: &'a ExchangeEnv,
         maps: usize,
         part: usize,
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        run_blocking(self.read_gather_async(ctx, env, maps, part))
+    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
+        Box::pin(async move {
+            let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
+            let runs = self.read_partitions(ctx, env, &reqs).await?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
+        })
     }
 
-    /// Async form of [`DataExchange::list`].
-    fn list_async<'a>(
+    /// Lists the exchange's current intermediate objects (diagnostic).
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>>;
 
-    /// Lists the exchange's current intermediate objects (diagnostic).
-    fn list(&self, ctx: &mut Ctx, env: &ExchangeEnv) -> Result<Vec<String>, ExchangeError> {
-        run_blocking(self.list_async(ctx, env))
-    }
-
-    /// Async form of [`DataExchange::cleanup`].
-    fn cleanup_async<'a>(
+    /// Driver-side teardown after the reduce phase: releases backing
+    /// resources (the VM-relay backend stops its billing clock here).
+    fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
-
-    /// Driver-side teardown after the reduce phase: releases backing
-    /// resources (the VM-relay backend stops its billing clock here).
-    fn cleanup(&self, ctx: &mut Ctx, env: &ExchangeEnv) -> Result<(), ExchangeError> {
-        run_blocking(self.cleanup_async(ctx, env))
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use crate::api::{DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry_async;
+use crate::retry::with_retry;
 
 /// Tuning of the [`DirectExchange`].
 #[derive(Debug, Clone)]
@@ -178,7 +178,7 @@ impl DirectCore {
             Fate::Slow(factor) => self.cfg.handshake.mul_f64(factor),
             _ => self.cfg.handshake,
         };
-        ctx.sleep_async(handshake).await;
+        ctx.sleep(handshake).await;
         if matches!(fate, Fate::Fail) {
             self.span_end(ctx, span, 0, true);
             return Err(ExchangeError::PeerTimeout { map, part });
@@ -193,7 +193,7 @@ impl DirectCore {
                     return Err(ExchangeError::PeerTimeout { map, part });
                 }
                 None => {
-                    ctx.sleep_async(self.cfg.poll).await;
+                    ctx.sleep(self.cfg.poll).await;
                     waited = waited.saturating_add(self.cfg.poll);
                 }
             }
@@ -216,7 +216,7 @@ impl DirectCore {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &links).await;
+        ctx.transfer(ByteSize::new(wire), &links).await;
         if !flow.is_none() {
             self.trace.span_end(flow, ctx.now());
         }
@@ -238,7 +238,7 @@ impl DataExchange for DirectExchange {
         "direct"
     }
 
-    fn prepare_async<'a>(
+    fn prepare<'a>(
         &'a self,
         _ctx: &'a mut Ctx,
         _maps: usize,
@@ -250,7 +250,7 @@ impl DataExchange for DirectExchange {
         Box::pin(async { Ok(()) })
     }
 
-    fn write_partitions_async<'a>(
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -264,7 +264,7 @@ impl DataExchange for DirectExchange {
             let span = self
                 .core
                 .span_begin(ctx, "REGISTER", &env.tag, map, parts.len());
-            ctx.sleep_async(self.core.cfg.handshake).await;
+            ctx.sleep(self.core.cfg.handshake).await;
             let sender_nic = env.host_links.first().copied();
             let now = ctx.now();
             let mut written = 0u64;
@@ -299,7 +299,7 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn read_partition_async<'a>(
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -307,14 +307,14 @@ impl DataExchange for DirectExchange {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
         Box::pin(async move {
-            with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
+            with_retry(ctx, env.retries, async |c: &mut Ctx| {
                 self.core.stream_part(c, env, map, part).await
             })
             .await
         })
     }
 
-    fn read_partitions_async<'a>(
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -324,7 +324,7 @@ impl DataExchange for DirectExchange {
             if env.io_window <= 1 || reqs.len() <= 1 {
                 let mut out = Vec::with_capacity(reqs.len());
                 for &(map, part) in reqs {
-                    out.push(self.read_partition_async(ctx, env, map, part).await?);
+                    out.push(self.read_partition(ctx, env, map, part).await?);
                 }
                 return Ok(out);
             }
@@ -339,7 +339,7 @@ impl DataExchange for DirectExchange {
                     async move |cctx: &mut Ctx| {
                         trace.enter(cctx.pid(), parent);
                         let res: Result<Bytes, ExchangeError> =
-                            with_retry_async(cctx, env.retries, async |c: &mut Ctx| {
+                            with_retry(cctx, env.retries, async |c: &mut Ctx| {
                                 core.stream_part(c, &env, map, part).await
                             })
                             .await;
@@ -349,7 +349,7 @@ impl DataExchange for DirectExchange {
                 })
                 .collect();
             let name = format!("{}-get", env.tag);
-            ctx.fan_out_async(&name, env.io_window, jobs)
+            ctx.fan_out(&name, env.io_window, jobs)
                 .await
                 .unwrap_or_else(|e| panic!("windowed direct read crashed: {}", e))
                 .into_iter()
@@ -357,13 +357,13 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn list_async<'a>(
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
         Box::pin(async move {
-            ctx.sleep_async(self.core.cfg.handshake).await;
+            ctx.sleep(self.core.cfg.handshake).await;
             Ok(self
                 .core
                 .state
@@ -375,7 +375,7 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn cleanup_async<'a>(
+    fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _env: &'a ExchangeEnv,
@@ -403,33 +403,39 @@ mod tests {
         let mut sim = Sim::new();
         let ex = Arc::new(DirectExchange::new(DirectConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             let before = ctx.now();
             for m in 0..2usize {
                 let parts = vec![
                     Bytes::from(format!("m{}p0", m)),
                     Bytes::from(format!("m{}p1", m)),
                 ];
-                assert_eq!(ex2.write_partitions(ctx, &env, m, parts).expect("write"), 8);
+                assert_eq!(
+                    ex2.write_partitions(ctx, &env, m, parts)
+                        .await
+                        .expect("write"),
+                    8
+                );
             }
             // Writes cost only the handshake, not a transfer.
             let write_cost = ctx.now().saturating_duration_since(before);
             assert!(write_cost <= SimDuration::from_millis(2));
             for m in 0..2usize {
                 for j in 0..2usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
                     assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
                 }
             }
             assert_eq!(
-                ex2.list(ctx, &env).expect("list").len(),
+                ex2.list(ctx, &env).await.expect("list").len(),
                 4,
                 "all four partitions registered"
             );
-            ex2.cleanup(ctx, &env).expect("cleanup");
-            assert!(ex2.list(ctx, &env).expect("list").is_empty());
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
+            assert!(ex2.list(ctx, &env).await.expect("list").is_empty());
         });
         sim.run().expect("sim ok");
     }
@@ -443,13 +449,18 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
             ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect("write");
-            ctx.sleep(SimDuration::from_secs(10));
-            let err = ex2.read_partition(ctx, &env, 0, 0).expect_err("evicted");
+            ctx.sleep(SimDuration::from_secs(10)).await;
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("evicted");
             assert_eq!(err, ExchangeError::PeerGone { map: 0, part: 0 });
         });
         sim.run().expect("sim ok");
@@ -464,12 +475,14 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 2);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
                 .read_partition(ctx, &env, 0, 0)
+                .await
                 .expect_err("nobody wrote");
             assert_eq!(err, ExchangeError::PeerTimeout { map: 0, part: 0 });
             // Two attempts, each waiting out the rendezvous window.
@@ -485,19 +498,22 @@ mod tests {
         let ex = Arc::new(DirectExchange::new(DirectConfig::default()));
         let writer = Arc::clone(&ex);
         let reader = Arc::clone(&ex);
-        sim.spawn("writer", move |ctx| {
+        sim.spawn("writer", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("w", 3);
-            writer.prepare(ctx, 1, 1).expect("prepare");
-            ctx.sleep(SimDuration::from_secs(2));
+            writer.prepare(ctx, 1, 1).await.expect("prepare");
+            ctx.sleep(SimDuration::from_secs(2)).await;
             writer
                 .write_partitions(ctx, &env, 0, vec![Bytes::from("late")])
+                .await
                 .expect("write");
         });
-        sim.spawn("reader", move |ctx| {
+        sim.spawn("reader", move |mut ctx| async move {
+            let ctx = &mut ctx;
             // Starts before the writer has registered anything.
-            ctx.sleep(SimDuration::from_millis(10));
+            ctx.sleep(SimDuration::from_millis(10)).await;
             let env = ExchangeEnv::driver("r", 3);
-            let data = reader.read_partition(ctx, &env, 0, 0).expect("read");
+            let data = reader.read_partition(ctx, &env, 0, 0).await.expect("read");
             assert_eq!(data, Bytes::from("late"));
         });
         sim.run().expect("sim ok");
@@ -512,16 +528,20 @@ mod tests {
         };
         let ex = Arc::new(DirectExchange::new(cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare(ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                ex2.write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("write");
             }
             for m in 0..4usize {
                 for j in 0..4usize {
                     ex2.read_partition(ctx, &env, m, j)
+                        .await
                         .expect("reads survive 40% injected timeouts");
                 }
             }

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use crate::api::{DataExchange, ExchangeEnv, ExchangeStrategy};
 use crate::error::ExchangeError;
-use crate::retry::with_retry_async;
+use crate::retry::with_retry;
 
 /// Exchange through the simulated COS, in either the `Scatter` (W²
 /// objects) or `Coalesced` (W objects + byte-range reads) layout.
@@ -188,7 +188,7 @@ impl ObjectStoreExchange {
     /// request, touch no simulated resource, and draw no randomness, so
     /// their jobs are elided outright and their result slots pre-filled.
     /// The worker count is pinned to the *full* plan count
-    /// ([`Ctx::fan_out_sparse_async`]), which keeps pid assignment and
+    /// ([`Ctx::fan_out_sparse`]), which keeps pid assignment and
     /// the virtual-time schedule byte-identical to a fan-out that ran
     /// the empty jobs — without materialising W² closures per stage at
     /// large W.
@@ -214,17 +214,17 @@ impl ObjectStoreExchange {
                 let trace = trace.clone();
                 let job = async move |cctx: &mut Ctx| {
                     trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via_async(cctx, tag, &links).await;
+                    let client = store.connect_via(cctx, tag, &links).await;
                     let res: Result<Bytes, ExchangeError> = match plan {
                         Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry_async(cctx, retries, async |c: &mut Ctx| {
-                            client.get_async(c, &bucket, &key).await
+                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
+                            client.get(c, &bucket, &key).await
                         })
                         .await
                         .map_err(ExchangeError::from),
                         Fetch::Range(key, off, len) => {
-                            with_retry_async(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range_async(c, &bucket, &key, off, len).await
+                            with_retry(cctx, retries, async |c: &mut Ctx| {
+                                client.get_range(c, &bucket, &key, off, len).await
                             })
                             .await
                             .map_err(ExchangeError::from)
@@ -238,7 +238,7 @@ impl ObjectStoreExchange {
             .collect();
         let name = format!("{}-get", env.tag);
         let results = ctx
-            .fan_out_sparse_async(&name, env.io_window, total, jobs, || Ok(Bytes::new()))
+            .fan_out_sparse(&name, env.io_window, total, jobs, || Ok(Bytes::new()))
             .await
             .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
         results.into_iter().collect()
@@ -270,17 +270,17 @@ impl ObjectStoreExchange {
                 let trace = trace.clone();
                 async move |cctx: &mut Ctx| {
                     trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via_async(cctx, tag, &links).await;
+                    let client = store.connect_via(cctx, tag, &links).await;
                     let res: Result<Bytes, ExchangeError> = match plan {
                         Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry_async(cctx, retries, async |c: &mut Ctx| {
-                            client.get_async(c, &bucket, &key).await
+                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
+                            client.get(c, &bucket, &key).await
                         })
                         .await
                         .map_err(ExchangeError::from),
                         Fetch::Range(key, off, len) => {
-                            with_retry_async(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range_async(c, &bucket, &key, off, len).await
+                            with_retry(cctx, retries, async |c: &mut Ctx| {
+                                client.get_range(c, &bucket, &key, off, len).await
                             })
                             .await
                             .map_err(ExchangeError::from)
@@ -293,7 +293,7 @@ impl ObjectStoreExchange {
             .collect();
         let name = format!("{}-get", env.tag);
         let results = ctx
-            .fan_out_pinned_async(&name, env.io_window, logical_total, jobs)
+            .fan_out_pinned(&name, env.io_window, logical_total, jobs)
             .await
             .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
         results.into_iter().collect()
@@ -318,7 +318,7 @@ impl DataExchange for ObjectStoreExchange {
         }
     }
 
-    fn prepare_async<'a>(
+    fn prepare<'a>(
         &'a self,
         _ctx: &'a mut Ctx,
         maps: usize,
@@ -328,7 +328,7 @@ impl DataExchange for ObjectStoreExchange {
         Box::pin(async { Ok(()) })
     }
 
-    fn write_partitions_async<'a>(
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -355,10 +355,10 @@ impl DataExchange for ObjectStoreExchange {
                             let trace = trace.clone();
                             async move |cctx: &mut Ctx| {
                                 trace.enter(cctx.pid(), parent);
-                                let client = store.connect_via_async(cctx, tag, &links).await;
+                                let client = store.connect_via(cctx, tag, &links).await;
                                 let res: Result<(), ExchangeError> =
-                                    with_retry_async(cctx, retries, async |c: &mut Ctx| {
-                                        client.put_async(c, &bucket, &key, data.clone()).await
+                                    with_retry(cctx, retries, async |c: &mut Ctx| {
+                                        client.put(c, &bucket, &key, data.clone()).await
                                     })
                                     .await
                                     .map(|_| ())
@@ -369,7 +369,7 @@ impl DataExchange for ObjectStoreExchange {
                         })
                         .collect();
                     let name = format!("{}-put", env.tag);
-                    ctx.fan_out_async(&name, env.io_window, jobs)
+                    ctx.fan_out(&name, env.io_window, jobs)
                         .await
                         .unwrap_or_else(|e| panic!("windowed store write crashed: {}", e))
                         .into_iter()
@@ -378,13 +378,13 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Scatter => {
                     let client = self
                         .store
-                        .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, env.tag.clone(), &env.host_links)
                         .await;
                     for (j, data) in parts.into_iter().enumerate() {
                         written += data.len() as u64;
                         let key = self.scatter_key(map, j);
-                        with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                            client.put_async(c, &self.bucket, &key, data.clone()).await
+                        with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                            client.put(c, &self.bucket, &key, data.clone()).await
                         })
                         .await?;
                     }
@@ -392,7 +392,7 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Coalesced => {
                     let client = self
                         .store
-                        .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, env.tag.clone(), &env.host_links)
                         .await;
                     let mut table = Vec::new();
                     let total: usize = parts.iter().map(Bytes::len).sum();
@@ -406,8 +406,8 @@ impl DataExchange for ObjectStoreExchange {
                     written += blob.len() as u64;
                     let key = self.coalesced_key(map);
                     let blob = Bytes::from(blob);
-                    with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                        client.put_async(c, &self.bucket, &key, blob.clone()).await
+                    with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                        client.put(c, &self.bucket, &key, blob.clone()).await
                     })
                     .await?;
                     self.index.lock().record(map, parts.len(), table);
@@ -417,7 +417,7 @@ impl DataExchange for ObjectStoreExchange {
         })
     }
 
-    fn write_run_async<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -436,12 +436,12 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Coalesced => {
                     let client = self
                         .store
-                        .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, env.tag.clone(), &env.host_links)
                         .await;
                     let written = run.len() as u64;
                     let key = self.coalesced_key(map);
-                    with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                        client.put_async(c, &self.bucket, &key, run.clone()).await
+                    with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                        client.put(c, &self.bucket, &key, run.clone()).await
                     })
                     .await?;
                     self.index.lock().record(map, parts_len, cuts);
@@ -455,13 +455,13 @@ impl DataExchange for ObjectStoreExchange {
                     for &(part, off, len) in &cuts {
                         parts[part as usize] = run.slice(off as usize..(off + len) as usize);
                     }
-                    self.write_partitions_async(ctx, env, map, parts).await
+                    self.write_partitions(ctx, env, map, parts).await
                 }
             }
         })
     }
 
-    fn read_partition_async<'a>(
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -471,13 +471,13 @@ impl DataExchange for ObjectStoreExchange {
         Box::pin(async move {
             let client = self
                 .store
-                .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                .connect_via(ctx, env.tag.clone(), &env.host_links)
                 .await;
             match self.layout {
                 ExchangeStrategy::Scatter => {
                     let key = self.scatter_key(map, part);
-                    Ok(with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                        client.get_async(c, &self.bucket, &key).await
+                    Ok(with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                        client.get(c, &self.bucket, &key).await
                     })
                     .await?)
                 }
@@ -488,10 +488,8 @@ impl DataExchange for ObjectStoreExchange {
                         return Ok(Bytes::new());
                     };
                     let key = self.coalesced_key(map);
-                    Ok(with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                        client
-                            .get_range_async(c, &self.bucket, &key, off, len)
-                            .await
+                    Ok(with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                        client.get_range(c, &self.bucket, &key, off, len).await
                     })
                     .await?)
                 }
@@ -499,7 +497,7 @@ impl DataExchange for ObjectStoreExchange {
         })
     }
 
-    fn read_partitions_async<'a>(
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -509,7 +507,7 @@ impl DataExchange for ObjectStoreExchange {
             if env.io_window <= 1 || reqs.len() <= 1 {
                 let mut out = Vec::with_capacity(reqs.len());
                 for &(map, part) in reqs {
-                    out.push(self.read_partition_async(ctx, env, map, part).await?);
+                    out.push(self.read_partition(ctx, env, map, part).await?);
                 }
                 return Ok(out);
             }
@@ -539,7 +537,7 @@ impl DataExchange for ObjectStoreExchange {
         })
     }
 
-    fn read_gather_async<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -552,7 +550,7 @@ impl DataExchange for ObjectStoreExchange {
                 // included — so the dense column read (and its W real
                 // GETs) is the correct cost model.
                 let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-                let runs = self.read_partitions_async(ctx, env, &reqs).await?;
+                let runs = self.read_partitions(ctx, env, &reqs).await?;
                 return Ok(runs.into_iter().filter(|r| !r.is_empty()).collect());
             }
             // Coalesced: resolve the column straight from the by-part
@@ -567,15 +565,13 @@ impl DataExchange for ObjectStoreExchange {
                 // loop's connection-per-request).
                 let client = self
                     .store
-                    .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                    .connect_via(ctx, env.tag.clone(), &env.host_links)
                     .await;
                 let mut out = Vec::with_capacity(entries.len());
                 for &(map, off, len) in &entries {
                     let key = self.coalesced_key(map as usize);
-                    let data = with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                        client
-                            .get_range_async(c, &self.bucket, &key, off, len)
-                            .await
+                    let data = with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                        client.get_range(c, &self.bucket, &key, off, len).await
                     })
                     .await?;
                     out.push(data);
@@ -590,7 +586,7 @@ impl DataExchange for ObjectStoreExchange {
         })
     }
 
-    fn list_async<'a>(
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -598,17 +594,17 @@ impl DataExchange for ObjectStoreExchange {
         Box::pin(async move {
             let client = self
                 .store
-                .connect_via_async(ctx, env.tag.clone(), &env.host_links)
+                .connect_via(ctx, env.tag.clone(), &env.host_links)
                 .await;
-            let objects = with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
-                client.list_async(c, &self.bucket, &self.prefix).await
+            let objects = with_retry(ctx, env.retries, async |c: &mut Ctx| {
+                client.list(c, &self.bucket, &self.prefix).await
             })
             .await?;
             Ok(objects.into_iter().map(|o| o.key).collect())
         })
     }
 
-    fn cleanup_async<'a>(
+    fn cleanup<'a>(
         &'a self,
         _ctx: &'a mut Ctx,
         _env: &'a ExchangeEnv,
@@ -635,24 +631,28 @@ mod tests {
             layout,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             for m in 0..2usize {
                 let parts = vec![
                     Bytes::from(format!("m{}p0", m)),
                     Bytes::from(format!("m{}p1", m)),
                 ];
-                let written = ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                let written = ex2
+                    .write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("write");
                 assert_eq!(written, 8);
             }
             for m in 0..2usize {
                 for j in 0..2usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
                     assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let keys = store.keys_untimed("data", "part/");
@@ -693,13 +693,18 @@ mod tests {
             ExchangeStrategy::Coalesced,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 1, 2).expect("prepare");
+            ex2.prepare(ctx, 1, 2).await.expect("prepare");
             ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("xy"), Bytes::new()])
+                .await
                 .expect("write");
             let before = store.metrics().total().class_b;
-            let data = ex2.read_partition(ctx, &env, 0, 1).expect("read empty");
+            let data = ex2
+                .read_partition(ctx, &env, 0, 1)
+                .await
+                .expect("read empty");
             assert!(data.is_empty());
             assert_eq!(store.metrics().total().class_b, before, "no GET issued");
         });
@@ -717,10 +722,14 @@ mod tests {
             "part/",
             ExchangeStrategy::Coalesced,
         );
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(ctx, 1, 1).expect("prepare");
-            let err = ex.read_partition(ctx, &env, 0, 0).expect_err("missing");
+            ex.prepare(ctx, 1, 1).await.expect("prepare");
+            let err = ex
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("missing");
             assert_eq!(err, ExchangeError::MissingPartition { map: 0, part: 0 });
         });
         sim.run().expect("sim ok");
@@ -748,10 +757,11 @@ mod tests {
                 layout,
             ));
             let (d2, s2) = (Arc::clone(&dense), Arc::clone(&sparse));
-            sim.spawn("driver", move |ctx| {
+            sim.spawn("driver", move |mut ctx| async move {
+                let ctx = &mut ctx;
                 let env = ExchangeEnv::driver("test", 3);
-                d2.prepare(ctx, 1, 4).expect("prepare");
-                s2.prepare(ctx, 1, 4).expect("prepare");
+                d2.prepare(ctx, 1, 4).await.expect("prepare");
+                s2.prepare(ctx, 1, 4).await.expect("prepare");
                 // Partitions 1 and 3 empty — the sparse-cut case.
                 let parts = vec![
                     Bytes::from("aa"),
@@ -761,14 +771,24 @@ mod tests {
                 ];
                 let w_dense = d2
                     .write_partitions(ctx, &env, 0, parts.clone())
+                    .await
                     .expect("dense write");
                 let run = Bytes::from("aacccc");
                 let cuts = vec![(0u32, 0u64, 2u64), (2, 2, 4)];
-                let w_sparse = s2.write_run(ctx, &env, 0, run, cuts, 4).expect("run write");
+                let w_sparse = s2
+                    .write_run(ctx, &env, 0, run, cuts, 4)
+                    .await
+                    .expect("run write");
                 assert_eq!(w_dense, w_sparse);
                 for (j, want) in parts.iter().enumerate() {
-                    let a = d2.read_partition(ctx, &env, 0, j).expect("dense read");
-                    let b = s2.read_partition(ctx, &env, 0, j).expect("sparse read");
+                    let a = d2
+                        .read_partition(ctx, &env, 0, j)
+                        .await
+                        .expect("dense read");
+                    let b = s2
+                        .read_partition(ctx, &env, 0, j)
+                        .await
+                        .expect("sparse read");
                     assert_eq!(a, b, "layout {:?} part {}", layout, j);
                     assert_eq!(&a, want);
                 }
@@ -796,23 +816,28 @@ mod tests {
             ExchangeStrategy::Coalesced,
         ));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex2.prepare(ctx, 3, 2).expect("prepare");
+            ex2.prepare(ctx, 3, 2).await.expect("prepare");
             ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("a0"), Bytes::new()])
+                .await
                 .expect("write");
             ex2.write_partitions(ctx, &env, 1, vec![Bytes::new(), Bytes::from("b1")])
+                .await
                 .expect("write");
             ex2.write_partitions(ctx, &env, 2, vec![Bytes::from("c0"), Bytes::from("c1")])
+                .await
                 .expect("write");
-            let col0 = ex2.read_gather(ctx, &env, 3, 0).expect("gather 0");
+            let col0 = ex2.read_gather(ctx, &env, 3, 0).await.expect("gather 0");
             assert_eq!(col0, vec![Bytes::from("a0"), Bytes::from("c0")]);
-            let col1 = ex2.read_gather(ctx, &env, 3, 1).expect("gather 1");
+            let col1 = ex2.read_gather(ctx, &env, 3, 1).await.expect("gather 1");
             assert_eq!(col1, vec![Bytes::from("b1"), Bytes::from("c1")]);
             // Asking for more mappers than ever wrote is a loud error,
             // exactly like the dense batch read.
             let err = ex2
                 .read_gather(ctx, &env, 4, 0)
+                .await
                 .expect_err("missing mapper");
             assert_eq!(err, ExchangeError::MissingPartition { map: 3, part: 0 });
         });
@@ -830,12 +855,14 @@ mod tests {
             "part/",
             ExchangeStrategy::Scatter,
         );
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
-            ex.prepare(ctx, 1, 1).expect("prepare");
+            ex.prepare(ctx, 1, 1).await.expect("prepare");
             ex.write_partitions(ctx, &env, 0, vec![Bytes::from("a")])
+                .await
                 .expect("write");
-            let keys = ex.list(ctx, &env).expect("list");
+            let keys = ex.list(ctx, &env).await.expect("list");
             assert_eq!(keys, vec!["part/00000/00000"]);
         });
         sim.run().expect("sim ok");

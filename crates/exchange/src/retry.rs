@@ -26,29 +26,13 @@ const BACKOFF_CAP: SimDuration = SimDuration::from_millis(5_000);
 /// sleeping an exponentially growing, jittered backoff in **virtual
 /// time** between attempts. The jitter is drawn from the calling
 /// process's deterministic DES rng, so same-seed runs retry identically.
-/// Non-retryable errors surface immediately.
+/// Non-retryable errors surface immediately. `op` is an async closure
+/// re-invoked per attempt.
 ///
 /// # Errors
 /// The last retryable error if every attempt failed, or the first
 /// non-retryable error.
-pub fn with_retry<T, E: Retryable>(
-    ctx: &mut Ctx,
-    attempts: u32,
-    mut op: impl FnMut(&mut Ctx) -> Result<T, E>,
-) -> Result<T, E> {
-    faaspipe_des::run_blocking(with_retry_async(ctx, attempts, async move |c: &mut Ctx| {
-        op(c)
-    }))
-}
-
-/// Async form of [`with_retry`] for stackless processes: `op` is an
-/// async closure re-invoked per attempt, with the same deterministic
-/// jittered virtual-time backoff between attempts.
-///
-/// # Errors
-/// The last retryable error if every attempt failed, or the first
-/// non-retryable error.
-pub async fn with_retry_async<T, E: Retryable, Op>(
+pub async fn with_retry<T, E: Retryable, Op>(
     ctx: &mut Ctx,
     attempts: u32,
     mut op: Op,
@@ -65,7 +49,7 @@ where
                 last = Some(e);
                 if attempt + 1 < attempts {
                     let pause = backoff(ctx, attempt);
-                    ctx.sleep_async(pause).await;
+                    ctx.sleep(pause).await;
                 }
             }
             Err(e) => return Err(e),
@@ -93,13 +77,15 @@ mod tests {
     #[test]
     fn gives_up_after_attempts_and_sleeps_between_them() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry(ctx, 3, |_| {
+            let result: Result<(), StoreError> = with_retry(ctx, 3, async |_: &mut Ctx| {
                 calls += 1;
                 Err(StoreError::Injected { op: "GET" })
-            });
+            })
+            .await;
             assert!(result.is_err());
             assert_eq!(calls, 3);
             // Two backoff sleeps happened: at least BASE/2 each.
@@ -112,16 +98,18 @@ mod tests {
     #[test]
     fn non_retryable_errors_do_not_retry() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let mut calls = 0;
             let before = ctx.now();
-            let result: Result<(), StoreError> = with_retry(ctx, 5, |_| {
+            let result: Result<(), StoreError> = with_retry(ctx, 5, async |_: &mut Ctx| {
                 calls += 1;
                 Err(StoreError::NoSuchKey {
                     bucket: "b".into(),
                     key: "k".into(),
                 })
-            });
+            })
+            .await;
             assert!(result.is_err());
             assert_eq!(calls, 1);
             assert_eq!(ctx.now(), before, "no backoff for terminal errors");
@@ -132,9 +120,10 @@ mod tests {
     #[test]
     fn success_is_immediate_and_free() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let before = ctx.now();
-            let v: Result<u32, StoreError> = with_retry(ctx, 3, |_| Ok(42));
+            let v: Result<u32, StoreError> = with_retry(ctx, 3, async |_: &mut Ctx| Ok(42)).await;
             assert_eq!(v.unwrap(), 42);
             assert_eq!(ctx.now(), before);
         });
@@ -144,7 +133,8 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially_until_capped() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
+            let ctx = &mut ctx;
             // Jitter is in [0.5, 1.5), so bounds are deterministic.
             let b0 = backoff(ctx, 0);
             assert!(b0 >= SimDuration::from_millis(5) && b0 < SimDuration::from_millis(15));

@@ -21,7 +21,7 @@ use faaspipe_vm::VmFleet;
 
 use crate::api::{DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry_async;
+use crate::retry::with_retry;
 use crate::vm_relay::{relay_gets_windowed, relay_puts_windowed, RelayConfig, RelayShard};
 
 /// Tuning of the [`ShardedRelayExchange`].
@@ -124,7 +124,7 @@ impl DataExchange for ShardedRelayExchange {
         "sharded-relay"
     }
 
-    fn prepare_async<'a>(
+    fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _maps: usize,
@@ -143,14 +143,14 @@ impl DataExchange for ShardedRelayExchange {
             }
             if !self.prewarm {
                 for pid in pending {
-                    let _ = ctx.join_async(pid).await;
+                    let _ = ctx.join(pid).await;
                 }
             }
             Ok(())
         })
     }
 
-    fn write_partitions_async<'a>(
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -173,7 +173,7 @@ impl DataExchange for ShardedRelayExchange {
             }
             for (j, data) in parts.into_iter().enumerate() {
                 let shard = self.route(map, j);
-                with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
+                with_retry(ctx, env.retries, async |c: &mut Ctx| {
                     shard.put_part(c, env, map, j, &data).await
                 })
                 .await?;
@@ -182,7 +182,7 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn read_partition_async<'a>(
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -191,14 +191,14 @@ impl DataExchange for ShardedRelayExchange {
     ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
         Box::pin(async move {
             let shard = self.route(map, part);
-            with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
+            with_retry(ctx, env.retries, async |c: &mut Ctx| {
                 shard.get_part(c, env, map, part).await
             })
             .await
         })
     }
 
-    fn read_partitions_async<'a>(
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -208,7 +208,7 @@ impl DataExchange for ShardedRelayExchange {
             if env.io_window <= 1 || reqs.len() <= 1 {
                 let mut out = Vec::with_capacity(reqs.len());
                 for &(map, part) in reqs {
-                    out.push(self.read_partition_async(ctx, env, map, part).await?);
+                    out.push(self.read_partition(ctx, env, map, part).await?);
                 }
                 return Ok(out);
             }
@@ -220,7 +220,7 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn list_async<'a>(
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -237,7 +237,7 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn cleanup_async<'a>(
+    fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _env: &'a ExchangeEnv,
@@ -293,9 +293,10 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(4, false)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare(ctx, 4, 4).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 44.0,
@@ -305,16 +306,18 @@ mod tests {
                 let parts = (0..4)
                     .map(|j| Bytes::from(vec![(m * 4 + j) as u8; 64]))
                     .collect();
-                ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                ex2.write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("write");
             }
-            assert_eq!(ex2.list(ctx, &env).expect("list").len(), 16);
+            assert_eq!(ex2.list(ctx, &env).await.expect("list").len(), 16);
             for m in 0..4usize {
                 for j in 0..4usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).expect("read");
+                    let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
                     assert_eq!(data, Bytes::from(vec![(m * 4 + j) as u8; 64]));
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let records = fleet.records();
@@ -331,22 +334,24 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(2, true)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             assert_eq!(
                 ctx.now().as_secs_f64(),
                 0.0,
                 "prewarmed prepare must not block"
             );
             // 10 s of "sample phase" overlap the 44 s boots...
-            ctx.sleep(SimDuration::from_secs(10));
+            ctx.sleep(SimDuration::from_secs(10)).await;
             ex2.write_partitions(
                 ctx,
                 &env,
                 0,
                 vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")],
             )
+            .await
             .expect("write");
             // ...so the first request blocks only for the residual 34 s.
             assert!(
@@ -357,7 +362,7 @@ mod tests {
                 ctx.now().as_secs_f64() < 45.0,
                 "but not pay the provisioning delay again"
             );
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         assert_eq!(fleet.records().len(), 2);
@@ -374,18 +379,20 @@ mod tests {
             ShardedRelayExchange::new(fleet.clone(), config(2, true)).with_trace(sink.clone()),
         );
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
-            ctx.sleep(SimDuration::from_secs(10));
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
+            ctx.sleep(SimDuration::from_secs(10)).await;
             ex2.write_partitions(
                 ctx,
                 &env,
                 0,
                 vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")],
             )
+            .await
             .expect("write");
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let data = sink.snapshot();
@@ -421,11 +428,12 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(ShardedRelayExchange::new(fleet.clone(), config(3, true)));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             // Tear down while every boot is still in flight.
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "cleanup waits out the boots");
         });
         sim.run().expect("sim ok");
@@ -454,19 +462,18 @@ mod tests {
         let outcome: Arc<Mutex<(usize, usize)>> = Arc::new(Mutex::new((0, 0)));
         let out2 = Arc::clone(&outcome);
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare(ctx, 4, 4).await.expect("prepare");
             let (mut ok, mut down) = (0usize, 0usize);
             for m in 0..4usize {
                 for j in 0..4usize {
-                    match faaspipe_des::run_blocking(ex2.route(m, j).put_part(
-                        ctx,
-                        &env,
-                        m,
-                        j,
-                        &Bytes::from_static(b"z"),
-                    )) {
+                    match ex2
+                        .route(m, j)
+                        .put_part(ctx, &env, m, j, &Bytes::from_static(b"z"))
+                        .await
+                    {
                         Ok(()) => ok += 1,
                         Err(ExchangeError::RelayDown { .. }) => down += 1,
                         Err(e) => panic!("unexpected error: {:?}", e),

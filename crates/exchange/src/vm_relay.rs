@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::api::{DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry_async;
+use crate::retry::with_retry;
 
 /// Tuning of the [`VmRelayExchange`] (and, per shard, of the
 /// [`ShardedRelayExchange`](crate::ShardedRelayExchange)).
@@ -167,7 +167,7 @@ impl RelayShard {
         }
         // Between the check above and the bookkeeping below nothing
         // yields to the scheduler except the spawn rendezvous itself
-        // (`spawn_task` replies without advancing virtual time or
+        // (`spawn` replies without advancing virtual time or
         // running the child), so a second process cannot slip in and
         // start a duplicate boot.
         let fleet = self.fleet.clone();
@@ -176,14 +176,14 @@ impl RelayShard {
         let trace = self.trace.clone();
         let parent = trace.current(ctx.pid());
         let pid = ctx
-            .spawn_task(format!("{}/provision", self.label), move |pctx: Ctx| {
+            .spawn(format!("{}/provision", self.label), move |pctx: Ctx| {
                 async move {
                     // Parent the fleet's spans to whoever kicked the boot off.
                     trace.enter(pctx.pid(), parent);
                     let vm = if background {
-                        fleet.provision_prewarmed_async(&pctx, profile).await
+                        fleet.provision_prewarmed(&pctx, profile).await
                     } else {
-                        fleet.provision_async(&pctx, profile).await
+                        fleet.provision(&pctx, profile).await
                     };
                     trace.exit(pctx.pid());
                     let mut state = shared.lock();
@@ -216,7 +216,7 @@ impl RelayShard {
         } else {
             SpanId::NONE
         };
-        let _ = ctx.join_async(pid).await;
+        let _ = ctx.join(pid).await;
         self.trace.span_end(span, ctx.now());
     }
 
@@ -257,7 +257,7 @@ impl RelayShard {
             Err(e) => {
                 // The caller learns of the failure only after the wire
                 // round-trip (a dead relay looks like a timeout).
-                ctx.sleep_async(self.cfg.request_latency).await;
+                ctx.sleep(self.cfg.request_latency).await;
                 return Err(e);
             }
         };
@@ -266,7 +266,7 @@ impl RelayShard {
             Fate::Slow(factor) => self.cfg.request_latency.mul_f64(factor),
             _ => self.cfg.request_latency,
         };
-        ctx.sleep_async(latency).await;
+        ctx.sleep(latency).await;
         if matches!(fate, Fate::Fail) {
             return Err(ExchangeError::RelayUnavailable { op });
         }
@@ -324,7 +324,7 @@ impl RelayShard {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &links).await;
+        ctx.transfer(ByteSize::new(wire), &links).await;
         if !flow.is_none() {
             self.trace.span_end(flow, ctx.now());
         }
@@ -381,7 +381,7 @@ impl RelayShard {
             spilled
         };
         if spilled {
-            ctx.sleep_async(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
+            ctx.sleep(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
                 .await;
         }
         self.span_end(ctx, span, wire, false);
@@ -416,7 +416,7 @@ impl RelayShard {
         };
         if spilled {
             self.trace.attr(span, "spilled", true);
-            ctx.sleep_async(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
+            ctx.sleep(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
                 .await;
         }
         self.transfer(ctx, env, nic, wire, span).await;
@@ -563,7 +563,7 @@ pub(crate) async fn relay_puts_windowed(
             async move |cctx: &mut Ctx| {
                 trace.enter(cctx.pid(), parent);
                 let res: Result<(), ExchangeError> =
-                    with_retry_async(cctx, env.retries, async |c: &mut Ctx| {
+                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
                         shard.put_part(c, &env, map, part, &data).await
                     })
                     .await;
@@ -572,7 +572,7 @@ pub(crate) async fn relay_puts_windowed(
             }
         })
         .collect();
-    ctx.fan_out_async(&name, env.io_window, jobs)
+    ctx.fan_out(&name, env.io_window, jobs)
         .await
         .unwrap_or_else(|e| panic!("windowed relay write crashed: {}", e))
         .into_iter()
@@ -601,7 +601,7 @@ pub(crate) async fn relay_gets_windowed(
             async move |cctx: &mut Ctx| {
                 trace.enter(cctx.pid(), parent);
                 let res: Result<Bytes, ExchangeError> =
-                    with_retry_async(cctx, env.retries, async |c: &mut Ctx| {
+                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
                         shard.get_part(c, &env, map, part).await
                     })
                     .await;
@@ -610,7 +610,7 @@ pub(crate) async fn relay_gets_windowed(
             }
         })
         .collect();
-    ctx.fan_out_async(&name, env.io_window, jobs)
+    ctx.fan_out(&name, env.io_window, jobs)
         .await
         .unwrap_or_else(|e| panic!("windowed relay read crashed: {}", e))
         .into_iter()
@@ -622,7 +622,7 @@ impl DataExchange for VmRelayExchange {
         "vm-relay"
     }
 
-    fn prepare_async<'a>(
+    fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _maps: usize,
@@ -635,13 +635,13 @@ impl DataExchange for VmRelayExchange {
             // just the first — waits on the *same* VM instead of racing to
             // provision its own.
             if let Some(pid) = self.shard.begin_provision(ctx, false).await {
-                let _ = ctx.join_async(pid).await;
+                let _ = ctx.join(pid).await;
             }
             Ok(())
         })
     }
 
-    fn write_partitions_async<'a>(
+    fn write_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -660,7 +660,7 @@ impl DataExchange for VmRelayExchange {
                 return Ok(written);
             }
             for (j, data) in parts.into_iter().enumerate() {
-                with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
+                with_retry(ctx, env.retries, async |c: &mut Ctx| {
                     self.shard.put_part(c, env, map, j, &data).await
                 })
                 .await?;
@@ -669,7 +669,7 @@ impl DataExchange for VmRelayExchange {
         })
     }
 
-    fn read_partition_async<'a>(
+    fn read_partition<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -677,14 +677,14 @@ impl DataExchange for VmRelayExchange {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
         Box::pin(async move {
-            with_retry_async(ctx, env.retries, async |c: &mut Ctx| {
+            with_retry(ctx, env.retries, async |c: &mut Ctx| {
                 self.shard.get_part(c, env, map, part).await
             })
             .await
         })
     }
 
-    fn read_partitions_async<'a>(
+    fn read_partitions<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -694,7 +694,7 @@ impl DataExchange for VmRelayExchange {
             if env.io_window <= 1 || reqs.len() <= 1 {
                 let mut out = Vec::with_capacity(reqs.len());
                 for &(map, part) in reqs {
-                    out.push(self.read_partition_async(ctx, env, map, part).await?);
+                    out.push(self.read_partition(ctx, env, map, part).await?);
                 }
                 return Ok(out);
             }
@@ -706,7 +706,7 @@ impl DataExchange for VmRelayExchange {
         })
     }
 
-    fn list_async<'a>(
+    fn list<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
@@ -714,7 +714,7 @@ impl DataExchange for VmRelayExchange {
         Box::pin(async move { self.shard.list_keys(ctx, env).await })
     }
 
-    fn cleanup_async<'a>(
+    fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         _env: &'a ExchangeEnv,
@@ -741,17 +741,21 @@ mod tests {
         let fleet = VmFleet::new();
         let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
             for m in 0..2usize {
                 let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
-                let written = ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                let written = ex2
+                    .write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("write");
                 assert_eq!(written, 150);
             }
             assert_eq!(
-                ex2.list(ctx, &env).expect("list"),
+                ex2.list(ctx, &env).await.expect("list"),
                 vec![
                     "relay/00000/00000",
                     "relay/00000/00001",
@@ -759,9 +763,9 @@ mod tests {
                     "relay/00001/00001"
                 ]
             );
-            let data = ex2.read_partition(ctx, &env, 1, 0).expect("read");
+            let data = ex2.read_partition(ctx, &env, 1, 0).await.expect("read");
             assert_eq!(data, Bytes::from(vec![1u8; 100]));
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let records = fleet.records();
@@ -780,8 +784,9 @@ mod tests {
         let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
         for name in ["worker-a", "worker-b"] {
             let ex2 = Arc::clone(&ex);
-            sim.spawn(name, move |ctx| {
-                ex2.prepare(ctx, 2, 2).expect("prepare");
+            sim.spawn(name, move |mut ctx| async move {
+                let ctx = &mut ctx;
+                ex2.prepare(ctx, 2, 2).await.expect("prepare");
                 assert_eq!(
                     ctx.now().as_secs_f64(),
                     44.0,
@@ -806,27 +811,32 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            let err = ex2.list(ctx, &env).expect_err("list before prepare");
+            let err = ex2.list(ctx, &env).await.expect_err("list before prepare");
             assert_eq!(
                 err,
                 ExchangeError::NotPrepared {
                     backend: "vm-relay"
                 }
             );
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
             ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect("request 1");
-            assert_eq!(ex2.list(ctx, &env).expect("request 2").len(), 1);
-            let err = ex2.list(ctx, &env).expect_err("request 3 trips the crash");
+            assert_eq!(ex2.list(ctx, &env).await.expect("request 2").len(), 1);
+            let err = ex2
+                .list(ctx, &env)
+                .await
+                .expect_err("request 3 trips the crash");
             assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
         });
         sim.run().expect("sim ok");
     }
 
     /// Regression (lifecycle bug 3): failure paths in the request
-    /// overhead used to return before `ctx.sleep(request_latency)`, so
+    /// overhead used to return before `ctx.sleep(request_latency).await`, so
     /// retry storms against a crashed (or never-prepared) relay cost
     /// nothing in virtual time. A caller must pay the round-trip before
     /// observing the failure.
@@ -841,12 +851,14 @@ mod tests {
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let unprepared = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(ctx, 1, 1).expect("prepare");
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
                 .read_partition(ctx, &env, 0, 0)
+                .await
                 .expect_err("first request crashes the relay");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -859,6 +871,7 @@ mod tests {
             let before = ctx.now();
             let err = ex2
                 .read_partition(ctx, &env, 0, 0)
+                .await
                 .expect_err("relay stays down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -872,6 +885,7 @@ mod tests {
             let before = ctx.now();
             unprepared
                 .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect_err("not prepared");
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
             assert!(
@@ -896,14 +910,16 @@ mod tests {
             let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
             let out2 = Arc::clone(&out);
             let ex2 = Arc::clone(&ex);
-            sim.spawn("driver", move |ctx| {
+            sim.spawn("driver", move |mut ctx| async move {
+                let ctx = &mut ctx;
                 let env = driver_env();
-                ex2.prepare(ctx, 1, 1).expect("prepare");
+                ex2.prepare(ctx, 1, 1).await.expect("prepare");
                 let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
                 ex2.write_partitions(ctx, &env, 0, vec![blob])
+                    .await
                     .expect("write");
                 let before = ctx.now();
-                ex2.read_partition(ctx, &env, 0, 0).expect("read");
+                ex2.read_partition(ctx, &env, 0, 0).await.expect("read");
                 *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
             });
             sim.run().expect("sim ok");
@@ -934,28 +950,31 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 1, 2).expect("prepare");
-            let put = |ctx: &mut Ctx, part: usize, len: usize| {
+            ex2.prepare(ctx, 1, 2).await.expect("prepare");
+            let put = async |ctx: &mut Ctx, part: usize, len: usize| {
                 let env = driver_env();
                 let data = Bytes::from(vec![9u8; len]);
-                faaspipe_des::run_blocking(ex2.shard.put_part(ctx, &env, 0, part, &data))
+                ex2.shard
+                    .put_part(ctx, &env, 0, part, &data)
+                    .await
                     .expect("put");
             };
             let _ = env;
-            put(ctx, 0, 100); // fills memory exactly
+            put(ctx, 0, 100).await; // fills memory exactly
             assert_eq!(ex2.shard.mem_used(), 100);
             assert_eq!(ex2.shard.is_spilled(0, 0), Some(false));
-            put(ctx, 1, 80); // over capacity → disk
+            put(ctx, 1, 80).await; // over capacity → disk
             assert_eq!(ex2.shard.mem_used(), 100, "spill leaves memory untouched");
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 1, 80); // overwrite of the spilled copy
+            put(ctx, 1, 80).await; // overwrite of the spilled copy
             assert_eq!(ex2.shard.mem_used(), 100, "no double-free of spilled bytes");
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 0, 60); // resident overwrite shrinks the ledger
+            put(ctx, 0, 60).await; // resident overwrite shrinks the ledger
             assert_eq!(ex2.shard.mem_used(), 60);
-            put(ctx, 1, 40); // now fits: the spilled key comes back resident
+            put(ctx, 1, 40).await; // now fits: the spilled key comes back resident
             assert_eq!(ex2.shard.mem_used(), 100);
             assert_eq!(ex2.shard.is_spilled(0, 1), Some(false));
             assert_eq!(ex2.shard.object_count(), 2);
@@ -977,19 +996,22 @@ mod tests {
         let sink = TraceSink::recording();
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg).with_trace(sink.clone()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
-            ex2.prepare(ctx, 2, 2).expect("prepare");
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
             for round in 0..3usize {
                 for m in 0..2usize {
                     let parts = vec![
                         Bytes::from(vec![round as u8; 40]),
                         Bytes::from(vec![round as u8; 35]),
                     ];
-                    ex2.write_partitions(ctx, &env, m, parts).expect("write");
+                    ex2.write_partitions(ctx, &env, m, parts)
+                        .await
+                        .expect("write");
                 }
             }
-            ex2.cleanup(ctx, &env).expect("cleanup");
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
         let data = sink.snapshot();
@@ -1014,17 +1036,20 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(ctx, 4, 4).expect("prepare");
+            ex2.prepare(ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
                 ex2.write_partitions(ctx, &env, m, parts)
+                    .await
                     .expect("writes survive 30% faults");
             }
             for m in 0..4usize {
                 for j in 0..4usize {
                     ex2.read_partition(ctx, &env, m, j)
+                        .await
                         .expect("reads survive 30% faults");
                 }
             }
@@ -1041,16 +1066,21 @@ mod tests {
         };
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 5);
-            ex2.prepare(ctx, 1, 4).expect("prepare");
+            ex2.prepare(ctx, 1, 4).await.expect("prepare");
             let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
             let err = ex2
                 .write_partitions(ctx, &env, 0, parts)
+                .await
                 .expect_err("crash kills the exchange");
             assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
             // Retries cannot resurrect a dead relay.
-            let err = ex2.read_partition(ctx, &env, 0, 0).expect_err("still down");
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("still down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
         });
         sim.run().expect("sim ok");
@@ -1061,10 +1091,12 @@ mod tests {
         let mut sim = Sim::new();
         let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
         let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let env = driver_env();
             let err = ex2
                 .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
                 .expect_err("not prepared");
             assert_eq!(
                 err,

@@ -14,25 +14,27 @@
 //! * **billing records** — one span per invocation (billed execution time
 //!   and memory), consumed by the cost model in `faaspipe-core`.
 //!
-//! Function *bodies are real Rust closures*: they move real bytes through
-//! the simulated store and charge virtual CPU time via
-//! [`FunctionEnv::compute`].
+//! Function *bodies are real Rust async closures*: they move real bytes
+//! through the simulated store and charge virtual CPU time via
+//! [`FunctionEnv::compute`]. [`FunctionPlatform::invoke`] spawns the
+//! invocation as a simulation process and returns its id to join.
 //!
 //! ## Example
 //!
 //! ```
-//! use faaspipe_des::{Sim, SimDuration};
-//! use faaspipe_faas::{FaasConfig, FunctionPlatform};
+//! use faaspipe_des::{Ctx, Sim, SimDuration};
+//! use faaspipe_faas::{FaasConfig, FunctionEnv, FunctionPlatform};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut sim = Sim::new();
 //! let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
 //! let platform = faas.clone();
-//! sim.spawn("driver", move |ctx| {
-//!     let h = platform.invoke_async(ctx, "hello", "stage0", |fctx, env| {
-//!         env.compute(fctx, SimDuration::from_millis(100));
-//!     });
-//!     ctx.join(h).unwrap();
+//! sim.spawn("driver", move |ctx| async move {
+//!     let body = async |fctx: &mut Ctx, env: FunctionEnv| {
+//!         env.compute(fctx, SimDuration::from_millis(100)).await;
+//!     };
+//!     let h = platform.invoke(&ctx, "hello", "stage0", body).await;
+//!     ctx.join(h).await.unwrap();
 //! });
 //! sim.run()?;
 //! assert_eq!(faas.records().len(), 1);

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::Rng;
 
-use faaspipe_des::{
-    catch_unwind_future, run_blocking, Ctx, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime,
-};
+use faaspipe_des::{catch_unwind_future, Ctx, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::FaasConfig;
@@ -77,18 +75,13 @@ pub struct FunctionEnv {
 impl FunctionEnv {
     /// Charges `work` of single-vCPU compute time, scaled by this
     /// instance's CPU share (half a vCPU takes twice as long).
-    pub fn compute(&self, ctx: &Ctx, work: SimDuration) {
-        run_blocking(self.compute_async(ctx, work));
-    }
-
-    /// Async form of [`FunctionEnv::compute`] for stackless processes.
-    pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
+    pub async fn compute(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx);
-        ctx.compute_async(work.mul_f64(1.0 / self.cpu_share)).await;
+        ctx.compute(work.mul_f64(1.0 / self.cpu_share)).await;
         self.trace.span_end(span, ctx.now());
     }
 
-    /// Charges compute like [`FunctionEnv::compute_async`] while running
+    /// Charges compute like [`FunctionEnv::compute`] while running
     /// the CPU-heavy host `job`, which reads `input_bytes` bytes, through
     /// [`Ctx::offload`]. The virtual schedule (and the emitted span) is
     /// identical to charging the compute and running the kernel inline.
@@ -230,52 +223,14 @@ impl FunctionPlatform {
         self.pool.lock().clear();
     }
 
-    /// Invokes `function` asynchronously from the calling process and
-    /// returns the child process id; `ctx.join` it to rendezvous.
+    /// Invokes `function` from the calling process and returns the child
+    /// process id; `ctx.join` it to rendezvous.
     ///
     /// The invocation acquires a platform concurrency slot (FIFO), pays a
     /// cold or warm start, runs `body`, then parks its container back in
-    /// the warm pool.
-    pub fn invoke_async<F>(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        function: impl Into<String>,
-        tag: impl Into<String>,
-        body: F,
-    ) -> ProcessId
-    where
-        F: FnOnce(&mut Ctx, &FunctionEnv) + Send + 'static,
-    {
-        let platform = Arc::clone(self);
-        let function = function.into();
-        let tag = tag.into();
-        let requested = ctx.now();
-        // Parent the invocation to whatever span the *caller* is inside
-        // (typically the driver's stage span), captured before the hop to
-        // the invocation's own process.
-        let trace = self.trace.lock().clone();
-        let parent = trace.current(ctx.pid());
-        let pname = format!("fn:{}:{}", function, tag);
-        ctx.spawn(pname, move |fctx| {
-            run_blocking(platform.run_invocation(
-                fctx,
-                function,
-                tag,
-                requested,
-                trace,
-                parent,
-                async move |c: &mut Ctx, env: FunctionEnv| body(c, &env),
-            ));
-        })
-    }
-
-    /// Invokes `function` as a **stackless task** and returns the child
-    /// process id; `ctx.join_async` it to rendezvous. Identical platform
-    /// semantics (and virtual-time schedule) to
-    /// [`FunctionPlatform::invoke_async`], but the invocation costs a
-    /// heap-allocated state machine instead of an OS thread — use this
-    /// form for wide fan-outs.
-    pub async fn invoke_task<F>(
+    /// the warm pool. A panic in `body` fails the invocation process, so
+    /// the joiner sees it as a [`JoinError`](faaspipe_des::JoinError).
+    pub async fn invoke<F>(
         self: &Arc<Self>,
         ctx: &Ctx,
         function: impl Into<String>,
@@ -289,34 +244,18 @@ impl FunctionPlatform {
         let function = function.into();
         let tag = tag.into();
         let requested = ctx.now();
+        // Parent the invocation to whatever span the *caller* is inside
+        // (typically the driver's stage span), captured before the hop to
+        // the invocation's own process.
         let trace = self.trace.lock().clone();
         let parent = trace.current(ctx.pid());
         let pname = format!("fn:{}:{}", function, tag);
-        ctx.spawn_task(pname, move |mut fctx: Ctx| async move {
+        ctx.spawn(pname, move |mut fctx: Ctx| async move {
             platform
                 .run_invocation(&mut fctx, function, tag, requested, trace, parent, body)
                 .await;
         })
         .await
-    }
-
-    /// Invokes `function` and blocks the calling process until it returns.
-    ///
-    /// # Errors
-    /// Propagates a panic in the function body as a
-    /// [`JoinError`](faaspipe_des::JoinError).
-    pub fn invoke<F>(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        function: impl Into<String>,
-        tag: impl Into<String>,
-        body: F,
-    ) -> Result<(), faaspipe_des::JoinError>
-    where
-        F: FnOnce(&mut Ctx, &FunctionEnv) + Send + 'static,
-    {
-        let h = self.invoke_async(ctx, function, tag, body);
-        ctx.join(h)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -358,7 +297,7 @@ impl FunctionPlatform {
         } else {
             SpanId::NONE
         };
-        ctx.sem_acquire_async(self.concurrency, 1).await;
+        ctx.sem_acquire(self.concurrency, 1).await;
         if tracing {
             let q = self.queued.fetch_sub(1, Ordering::SeqCst) - 1;
             trace.gauge("faas.queued_invocations", ctx.now(), q as f64);
@@ -386,12 +325,12 @@ impl FunctionPlatform {
         let start_at = ctx.now();
         let (nic, cold) = match warm {
             Some(c) => {
-                ctx.sleep_async(self.cfg.warm_start).await;
+                ctx.sleep(self.cfg.warm_start).await;
                 (c.nic, false)
             }
             None => {
-                ctx.sleep_async(self.cfg.cold_start).await;
-                (ctx.link_create_async(self.cfg.nic_bw).await, true)
+                ctx.sleep(self.cfg.cold_start).await;
+                (ctx.link_create(self.cfg.nic_bw).await, true)
             }
         };
         if tracing {
@@ -407,7 +346,7 @@ impl FunctionPlatform {
         if self.cfg.failure_rate > 0.0 && ctx.rng().gen::<f64>() < self.cfg.failure_rate {
             // Crash before user code, releasing the slot first so the
             // platform is not poisoned.
-            ctx.sem_release_async(self.concurrency, 1).await;
+            ctx.sem_release(self.concurrency, 1).await;
             if tracing {
                 trace.attr(inv, "failed", true);
                 trace.span_end(inv, ctx.now());
@@ -440,9 +379,7 @@ impl FunctionPlatform {
             trace.gauge("faas.running_containers", ctx.now(), r as f64);
         }
         if let Err(payload) = result {
-            if !faaspipe_des::is_shutdown_payload(payload.as_ref()) {
-                ctx.sem_release_async(self.concurrency, 1).await;
-            }
+            ctx.sem_release(self.concurrency, 1).await;
             if tracing {
                 trace.attr(inv, "failed", true);
                 trace.span_end(inv, ctx.now());
@@ -461,7 +398,7 @@ impl FunctionPlatform {
                     expires: finished + self.cfg.keep_alive,
                 });
         }
-        ctx.sem_release_async(self.concurrency, 1).await;
+        ctx.sem_release(self.concurrency, 1).await;
         if tracing {
             trace.gauge("faas.warm_containers", finished, self.pool_size() as f64);
             trace.attr(inv, "cold", cold);
@@ -485,6 +422,21 @@ mod tests {
     use faaspipe_des::{Sim, SimDuration};
     use std::sync::Mutex as StdMutex;
 
+    /// Invokes `body` and waits for it to finish, as a stage driver does.
+    async fn invoke_and_join<F>(
+        p: &Arc<FunctionPlatform>,
+        ctx: &Ctx,
+        function: &str,
+        tag: &str,
+        body: F,
+    ) -> Result<(), faaspipe_des::JoinError>
+    where
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+    {
+        let pid = p.invoke(ctx, function, tag, body).await;
+        ctx.join(pid).await
+    }
+
     fn platform_sim(cfg: FaasConfig) -> (Sim, Arc<FunctionPlatform>) {
         let mut sim = Sim::new();
         let faas = FunctionPlatform::install(&mut sim, cfg);
@@ -500,9 +452,13 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, env| assert!(env.cold)).unwrap();
-            p.invoke(ctx, "f", "b", |_, env| assert!(!env.cold))
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "a", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
+            invoke_and_join(&p, ctx, "f", "b", async |_, env| assert!(!env.cold))
+                .await
                 .unwrap();
         });
         sim.run().expect("run");
@@ -526,10 +482,15 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
-            ctx.sleep(SimDuration::from_secs(5));
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "a", async |_, _| {})
+                .await
+                .unwrap();
+            ctx.sleep(SimDuration::from_secs(5)).await;
+            invoke_and_join(&p, ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         assert!(faas.records().iter().all(|r| r.cold));
@@ -539,15 +500,16 @@ mod tests {
     fn parallel_invocations_reuse_separate_containers() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let hs: Vec<_> = (0..4)
-                .map(|i| {
-                    p.invoke_async(ctx, "f", format!("t{}", i), |fctx, env| {
-                        env.compute(fctx, SimDuration::from_secs(1));
-                    })
-                })
-                .collect();
-            ctx.join_all(&hs).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let mut hs = Vec::new();
+            for i in 0..4 {
+                let body = async |fctx: &mut Ctx, env: FunctionEnv| {
+                    env.compute(fctx, SimDuration::from_secs(1)).await;
+                };
+                hs.push(p.invoke(ctx, "f", format!("t{}", i), body).await);
+            }
+            ctx.join_all(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let recs = faas.records();
@@ -569,17 +531,18 @@ mod tests {
         let p = faas.clone();
         let order = Arc::new(StdMutex::new(Vec::new()));
         let order2 = Arc::clone(&order);
-        sim.spawn("driver", move |ctx| {
-            let hs: Vec<_> = (0..3u64)
-                .map(|i| {
-                    let order = Arc::clone(&order2);
-                    p.invoke_async(ctx, "f", format!("t{}", i), move |fctx, _| {
-                        order.lock().unwrap().push((i, fctx.now().as_secs_f64()));
-                        fctx.sleep(SimDuration::from_secs(1));
-                    })
-                })
-                .collect();
-            ctx.join_all(&hs).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let mut hs = Vec::new();
+            for i in 0..3u64 {
+                let order = Arc::clone(&order2);
+                let body = async move |fctx: &mut Ctx, _: FunctionEnv| {
+                    order.lock().unwrap().push((i, fctx.now().as_secs_f64()));
+                    fctx.sleep(SimDuration::from_secs(1)).await;
+                };
+                hs.push(p.invoke(ctx, "f", format!("t{}", i), body).await);
+            }
+            ctx.join_all(&hs).await.unwrap();
         });
         sim.run().expect("run");
         let order = order.lock().unwrap();
@@ -594,13 +557,15 @@ mod tests {
         let cfg = FaasConfig::default().with_memory_mb(1024); // 0.5 vCPU
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, env| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "t", async |fctx, env| {
                 let before = fctx.now();
-                env.compute(fctx, SimDuration::from_secs(1));
+                env.compute(fctx, SimDuration::from_secs(1)).await;
                 let took = fctx.now().saturating_duration_since(before);
                 assert!((took.as_secs_f64() - 2.0).abs() < 1e-9);
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -614,10 +579,12 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, _| {
-                fctx.sleep(SimDuration::from_secs(2))
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "t", async |fctx, _| {
+                fctx.sleep(SimDuration::from_secs(2)).await
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -634,8 +601,11 @@ mod tests {
         let cfg = FaasConfig::default().with_failure_rate(1.0);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let err = p.invoke(ctx, "f", "t", |_, _| {}).expect_err("must crash");
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let err = invoke_and_join(&p, ctx, "f", "t", async |_, _| {})
+                .await
+                .expect_err("must crash");
             assert!(err.message.contains("injected invocation failure"));
         });
         sim.run().expect("observed failure is fine");
@@ -654,9 +624,10 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let _ = p.invoke(ctx, "f", "a", |_, _| {});
-            let _ = p.invoke(ctx, "f", "b", |_, _| {});
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let _ = invoke_and_join(&p, ctx, "f", "a", async |_, _| {}).await;
+            let _ = invoke_and_join(&p, ctx, "f", "b", async |_, _| {}).await;
         });
         sim.run().expect("run");
     }
@@ -668,12 +639,14 @@ mod tests {
         let p = faas.clone();
         let nics = Arc::new(StdMutex::new(Vec::new()));
         let nics2 = Arc::clone(&nics);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             for _ in 0..2 {
                 let nics = Arc::clone(&nics2);
-                p.invoke(ctx, "f", "t", move |_, env| {
+                invoke_and_join(&p, ctx, "f", "t", async move |_, env| {
                     nics.lock().unwrap().push(env.nic);
                 })
+                .await
                 .unwrap();
             }
         });
@@ -686,8 +659,11 @@ mod tests {
     fn records_carry_function_and_tag() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "mapper", "sort/map", |_, _| {}).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "mapper", "sort/map", async |_, _| {})
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         let recs = faas.records();
@@ -707,13 +683,16 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            let err = p
-                .invoke(ctx, "f", "a", |_, _| panic!("body exploded"))
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let err = invoke_and_join(&p, ctx, "f", "a", async |_, _| panic!("body exploded"))
+                .await
                 .expect_err("crash observed");
             assert!(err.message.contains("body exploded"));
             // Slot free again and the crashed container is gone -> cold.
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+            invoke_and_join(&p, ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
         assert_eq!(faas.warm_count("f"), 1, "only the healthy container parked");
@@ -729,10 +708,12 @@ mod tests {
         let sink = TraceSink::recording();
         faas.set_trace_sink(sink.clone());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t", |fctx, env| {
-                env.compute(fctx, SimDuration::from_secs(1));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "t", async |fctx, env| {
+                env.compute(fctx, SimDuration::from_secs(1)).await;
             })
+            .await
             .unwrap();
         });
         sim.run().expect("run");
@@ -770,18 +751,29 @@ mod tests {
         let cfg = FaasConfig::default().with_tenant_scoped_pool(true);
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "t0/r0/sort/map", |_, env| assert!(env.cold))
-                .unwrap();
-            p.invoke(ctx, "f", "t1/r0/sort/map", |_, env| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "t0/r0/sort/map", async |_, env| {
+                assert!(env.cold)
+            })
+            .await
+            .unwrap();
+            invoke_and_join(&p, ctx, "f", "t1/r0/sort/map", async |_, env| {
                 assert!(env.cold, "a tenant must not claim another's container")
             })
+            .await
             .unwrap();
             // Each tenant's own second claim is warm.
-            p.invoke(ctx, "f", "t0/r1/sort/map", |_, env| assert!(!env.cold))
-                .unwrap();
-            p.invoke(ctx, "f", "t1/r1/sort/map", |_, env| assert!(!env.cold))
-                .unwrap();
+            invoke_and_join(&p, ctx, "f", "t0/r1/sort/map", async |_, env| {
+                assert!(!env.cold)
+            })
+            .await
+            .unwrap();
+            invoke_and_join(&p, ctx, "f", "t1/r1/sort/map", async |_, env| {
+                assert!(!env.cold)
+            })
+            .await
+            .unwrap();
         });
         sim.run().expect("run");
         assert_eq!(faas.warm_count_scoped("t0", "f"), 1);
@@ -801,13 +793,18 @@ mod tests {
         };
         let (mut sim, faas) = platform_sim(cfg);
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "a", async |_, _| {})
+                .await
+                .unwrap();
             assert_eq!(p.warm_count("f"), 1);
-            ctx.sleep(SimDuration::from_secs(5));
+            ctx.sleep(SimDuration::from_secs(5)).await;
             // A *different* function's claim happens after "f"'s
             // container expired; the expired container must be gone.
-            p.invoke(ctx, "g", "b", |_, _| {}).unwrap();
+            invoke_and_join(&p, ctx, "g", "b", async |_, _| {})
+                .await
+                .unwrap();
             assert_eq!(
                 p.warm_count("f"),
                 0,
@@ -821,10 +818,15 @@ mod tests {
     fn flush_pool_forces_cold_again() {
         let (mut sim, faas) = platform_sim(FaasConfig::default());
         let p = faas.clone();
-        sim.spawn("driver", move |ctx| {
-            p.invoke(ctx, "f", "a", |_, _| {}).unwrap();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            invoke_and_join(&p, ctx, "f", "a", async |_, _| {})
+                .await
+                .unwrap();
             p.flush_pool();
-            p.invoke(ctx, "f", "b", |_, env| assert!(env.cold)).unwrap();
+            invoke_and_join(&p, ctx, "f", "b", async |_, env| assert!(env.cold))
+                .await
+                .unwrap();
         });
         sim.run().expect("run");
     }

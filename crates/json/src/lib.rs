@@ -234,9 +234,16 @@ impl Json {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the parser accepts (serde_json's
+/// default recursion limit). The descent is recursive, so without a bound
+/// a deeply nested input would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -279,8 +286,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -289,6 +296,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {} levels", MAX_DEPTH)));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -433,6 +455,7 @@ impl std::str::FromStr for Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -765,6 +788,22 @@ mod tests {
     }
 
     json_object! { Demo { req name, req count, req ratio, opt tags, opt note } }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deep = open.repeat(100_000);
+            let err = deep.parse::<Json>().expect_err("too deep");
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(
+                err.to_string(),
+                format!("nesting deeper than 128 levels at byte {}", at)
+            );
+            // The bound itself still parses.
+            let ok = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            ok.parse::<Json>().expect("128 levels parse");
+        }
+    }
 
     #[test]
     fn struct_round_trip() {

@@ -48,6 +48,6 @@ pub use kernel::{partition_sorted, scan_keys, sort_concat};
 pub use partitioner::RangePartitioner;
 pub use plan::{RunInfo, SortManifest};
 pub use record::SortRecord;
-pub use sort::{serverless_sort, serverless_sort_async, streaming_merge, SortConfig, SortStats};
-pub use vmsort::{vm_sort, vm_sort_async, VmSortConfig, VmSortStats};
+pub use sort::{serverless_sort, streaming_merge, SortConfig, SortStats};
+pub use vmsort::{vm_sort, VmSortConfig, VmSortStats};
 pub use work::WorkModel;

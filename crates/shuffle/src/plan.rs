@@ -66,23 +66,8 @@ impl SortManifest {
     /// Writes the manifest through a store client (one timed PUT).
     ///
     /// # Errors
-    /// Propagates the store failure.
-    pub fn write(
-        &self,
-        ctx: &mut Ctx,
-        client: &StoreClient,
-        bucket: &str,
-        key: &str,
-    ) -> Result<(), ShuffleError> {
-        client.put(ctx, bucket, key, Bytes::from(self.to_bytes()))?;
-        Ok(())
-    }
-
-    /// Async form of [`SortManifest::write`] for stackless processes.
-    ///
-    /// # Errors
     /// Store failures surfaced by the PUT.
-    pub async fn write_async(
+    pub async fn write(
         &self,
         ctx: &mut Ctx,
         client: &StoreClient,
@@ -90,7 +75,7 @@ impl SortManifest {
         key: &str,
     ) -> Result<(), ShuffleError> {
         client
-            .put_async(ctx, bucket, key, Bytes::from(self.to_bytes()))
+            .put(ctx, bucket, key, Bytes::from(self.to_bytes()))
             .await?;
         Ok(())
     }
@@ -99,13 +84,13 @@ impl SortManifest {
     ///
     /// # Errors
     /// Store failures, or [`ShuffleError::Corrupt`] for non-manifest data.
-    pub fn read(
+    pub async fn read(
         ctx: &mut Ctx,
         client: &StoreClient,
         bucket: &str,
         key: &str,
     ) -> Result<SortManifest, ShuffleError> {
-        let data = client.get(ctx, bucket, key)?;
+        let data = client.get(ctx, bucket, key).await?;
         SortManifest::from_bytes(&data)
     }
 }
@@ -161,13 +146,18 @@ mod tests {
         let got: Arc<Mutex<Option<SortManifest>>> = Arc::new(Mutex::new(None));
         let got2 = Arc::clone(&got);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            let client = store2.connect(ctx, "manifest");
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let client = store2.connect(ctx, "manifest").await;
             let m = sample();
             m.write(ctx, &client, "data", "out/_manifest.json")
+                .await
                 .expect("write");
-            *got2.lock() =
-                Some(SortManifest::read(ctx, &client, "data", "out/_manifest.json").expect("read"));
+            *got2.lock() = Some(
+                SortManifest::read(ctx, &client, "data", "out/_manifest.json")
+                    .await
+                    .expect("read"),
+            );
         });
         sim.run().expect("sim ok");
         assert_eq!(got.lock().take().expect("read back"), sample());

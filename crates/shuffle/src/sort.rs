@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, SimDuration, SimTime};
 use faaspipe_exchange::{
-    with_retry_async, DataExchange, ExchangeEnv, ExchangeStrategy, ObjectStoreExchange,
+    with_retry, DataExchange, ExchangeEnv, ExchangeStrategy, ObjectStoreExchange,
 };
 use faaspipe_faas::{FunctionEnv, FunctionPlatform};
 use faaspipe_store::ObjectStore;
@@ -304,23 +304,7 @@ fn split_chunks(assigned: &[(String, u64, u64)], k: usize, rec: u64) -> Vec<(Str
 /// # Errors
 /// [`ShuffleError`] on configuration problems, store failures that
 /// survive retries, or corrupt intermediate data.
-pub fn serverless_sort<R: SortRecord>(
-    ctx: &mut Ctx,
-    faas: &Arc<FunctionPlatform>,
-    store: &Arc<ObjectStore>,
-    cfg: &SortConfig,
-) -> Result<SortStats, ShuffleError> {
-    faaspipe_des::run_blocking(serverless_sort_async::<R>(ctx, faas, store, cfg))
-}
-
-/// Async form of [`serverless_sort`] for stackless (task-backed)
-/// drivers. The sync wrapper above is a [`faaspipe_des::run_blocking`]
-/// facade over this, so both flavors execute the identical virtual-time
-/// schedule.
-///
-/// # Errors
-/// Same contract as [`serverless_sort`].
-pub async fn serverless_sort_async<R: SortRecord>(
+pub async fn serverless_sort<R: SortRecord>(
     ctx: &mut Ctx,
     faas: &Arc<FunctionPlatform>,
     store: &Arc<ObjectStore>,
@@ -332,12 +316,8 @@ pub async fn serverless_sort_async<R: SortRecord>(
         });
     }
     let started = ctx.now();
-    let driver = store
-        .connect_async(ctx, format!("{}/driver", cfg.tag))
-        .await;
-    let inputs = driver
-        .list_async(ctx, &cfg.bucket, &cfg.input_prefix)
-        .await?;
+    let driver = store.connect(ctx, format!("{}/driver", cfg.tag)).await;
+    let inputs = driver.list(ctx, &cfg.bucket, &cfg.input_prefix).await?;
     if inputs.is_empty() {
         return Err(ShuffleError::BadConfig {
             reason: format!("no inputs under '{}'", cfg.input_prefix),
@@ -365,7 +345,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
             cfg.exchange,
         )),
     };
-    backend.prepare_async(ctx, w, w).await?;
+    backend.prepare(ctx, w, w).await?;
 
     // ---- Phase 0: sample keys with range reads (one fn per mapper). ----
     let p_sample = phase_begin(ctx, &trace, "sample", cfg.orchestration).await;
@@ -407,7 +387,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                     let mut rng = SmallRng::seed_from_u64(cfg.sample_seed ^ splitmix(m as u64));
                     if cfg.io_concurrency <= 1 {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/sample", cfg.tag), &[env.nic])
+                            .connect_via(fctx, format!("{}/sample", cfg.tag), &[env.nic])
                             .await;
                         for (key, len) in assigned.iter() {
                             let span = cfg.sample_bytes.min(*len);
@@ -415,13 +395,12 @@ pub async fn serverless_sort_async<R: SortRecord>(
                             if span == 0 {
                                 continue;
                             }
-                            let data = with_retry_async(fctx, cfg.retries, async |c: &mut Ctx| {
-                                client.get_range_async(c, &cfg.bucket, key, 0, span).await
+                            let data = with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
+                                client.get_range(c, &cfg.bucket, key, 0, span).await
                             })
                             .await
                             .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                            env.compute_async(fctx, cfg.work.parse_time(data.len()))
-                                .await;
+                            env.compute(fctx, cfg.work.parse_time(data.len())).await;
                             // Keys feed the reservoir straight off the
                             // wire, in buffer order — same draws as the
                             // decoded-record loop this replaces.
@@ -435,7 +414,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                         // this process, in assignment order.
                         let trace = store.trace_sink();
                         let parent = trace.current(fctx.pid());
-                        let cpu = fctx.sem_create_async(1).await;
+                        let cpu = fctx.sem_create(1).await;
                         let mut jobs = Vec::new();
                         for (key, len) in assigned.iter() {
                             let span = cfg.sample_bytes.min(*len);
@@ -451,29 +430,23 @@ pub async fn serverless_sort_async<R: SortRecord>(
                             jobs.push(async move |cctx: &mut Ctx| {
                                 trace.enter(cctx.pid(), parent);
                                 let client = store
-                                    .connect_via_async(
-                                        cctx,
-                                        format!("{}/sample", cfg.tag),
-                                        &[env.nic],
-                                    )
+                                    .connect_via(cctx, format!("{}/sample", cfg.tag), &[env.nic])
                                     .await;
-                                let data =
-                                    with_retry_async(cctx, cfg.retries, async |c: &mut Ctx| {
-                                        client.get_range_async(c, &cfg.bucket, &key, 0, span).await
-                                    })
-                                    .await
-                                    .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                                cctx.sem_acquire_async(cpu, 1).await;
-                                env.compute_async(cctx, cfg.work.parse_time(data.len()))
-                                    .await;
-                                cctx.sem_release_async(cpu, 1).await;
+                                let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                                    client.get_range(c, &cfg.bucket, &key, 0, span).await
+                                })
+                                .await
+                                .unwrap_or_else(|e| panic!("sample read failed: {}", e));
+                                cctx.sem_acquire(cpu, 1).await;
+                                env.compute(cctx, cfg.work.parse_time(data.len())).await;
+                                cctx.sem_release(cpu, 1).await;
                                 trace.exit(cctx.pid());
                                 data
                             });
                         }
                         let name = format!("{}/sample-io", cfg.tag);
                         let chunks = fctx
-                            .fan_out_async(&name, cfg.io_concurrency, jobs)
+                            .fan_out(&name, cfg.io_concurrency, jobs)
                             .await
                             .unwrap_or_else(|e| panic!("sample read failed: {}", e));
                         // Keys stream off the wire in assignment order —
@@ -534,21 +507,18 @@ pub async fn serverless_sort_async<R: SortRecord>(
                     let mut read_bytes = 0usize;
                     if cfg.io_concurrency <= 1 {
                         let client = store
-                            .connect_via_async(fctx, format!("{}/map", cfg.tag), &[env.nic])
+                            .connect_via(fctx, format!("{}/map", cfg.tag), &[env.nic])
                             .await;
                         for (key, off, len) in assigned.iter() {
-                            let data = with_retry_async(fctx, cfg.retries, async |c: &mut Ctx| {
-                                client
-                                    .get_range_async(c, &cfg.bucket, key, *off, *len)
-                                    .await
+                            let data = with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
+                                client.get_range(c, &cfg.bucket, key, *off, *len).await
                             })
                             .await
                             .unwrap_or_else(|e| panic!("map read failed: {}", e));
                             read_bytes += data.len();
                             chunks.push(data);
                         }
-                        env.compute_async(fctx, cfg.work.sort_time(read_bytes))
-                            .await;
+                        env.compute(fctx, cfg.work.sort_time(read_bytes)).await;
                     } else {
                         // Double-buffered pipeline: split the assignment into
                         // ~2·K record-aligned chunks, keep K downloads in
@@ -564,7 +534,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                             split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
                         let trace = store.trace_sink();
                         let parent = trace.current(fctx.pid());
-                        let cpu = fctx.sem_create_async(1).await;
+                        let cpu = fctx.sem_create(1).await;
                         let jobs: Vec<_> = splits
                             .into_iter()
                             .map(|(key, off, len)| {
@@ -575,24 +545,17 @@ pub async fn serverless_sort_async<R: SortRecord>(
                                 async move |cctx: &mut Ctx| {
                                     trace.enter(cctx.pid(), parent);
                                     let client = store
-                                        .connect_via_async(
-                                            cctx,
-                                            format!("{}/map", cfg.tag),
-                                            &[env.nic],
-                                        )
+                                        .connect_via(cctx, format!("{}/map", cfg.tag), &[env.nic])
                                         .await;
                                     let data =
-                                        with_retry_async(cctx, cfg.retries, async |c: &mut Ctx| {
-                                            client
-                                                .get_range_async(c, &cfg.bucket, &key, off, len)
-                                                .await
+                                        with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                                            client.get_range(c, &cfg.bucket, &key, off, len).await
                                         })
                                         .await
                                         .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                                    cctx.sem_acquire_async(cpu, 1).await;
-                                    env.compute_async(cctx, cfg.work.sort_time(data.len()))
-                                        .await;
-                                    cctx.sem_release_async(cpu, 1).await;
+                                    cctx.sem_acquire(cpu, 1).await;
+                                    env.compute(cctx, cfg.work.sort_time(data.len())).await;
+                                    cctx.sem_release(cpu, 1).await;
                                     trace.exit(cctx.pid());
                                     data
                                 }
@@ -600,7 +563,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                             .collect();
                         let name = format!("{}/map-io", cfg.tag);
                         chunks = fctx
-                            .fan_out_async(&name, cfg.io_concurrency, jobs)
+                            .fan_out(&name, cfg.io_concurrency, jobs)
                             .await
                             .unwrap_or_else(|e| panic!("map read failed: {}", e));
                         read_bytes = chunks.iter().map(Bytes::len).sum();
@@ -641,7 +604,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                         io_window: cfg.io_concurrency.max(1),
                     };
                     let written = backend
-                        .write_run_async(fctx, &xenv, m, Bytes::from(run), cuts, w)
+                        .write_run(fctx, &xenv, m, Bytes::from(run), cuts, w)
                         .await
                         .unwrap_or_else(|e| panic!("map exchange write failed: {}", e));
                     *map_bytes.lock() += written;
@@ -679,7 +642,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                 tag,
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
                     let client = store
-                        .connect_via_async(fctx, format!("{}/reduce", cfg.tag), &[env.nic])
+                        .connect_via(fctx, format!("{}/reduce", cfg.tag), &[env.nic])
                         .await;
                     let xenv = ExchangeEnv {
                         host_links: vec![env.nic],
@@ -697,7 +660,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
                     // merge-neutral: the (key, run) tie-break preserves
                     // the non-empty runs' relative order.
                     let runs = backend
-                        .read_gather_async(fctx, &xenv, w, j)
+                        .read_gather(fctx, &xenv, w, j)
                         .await
                         .unwrap_or_else(|e| panic!("reduce gather failed: {}", e));
                     let gathered: usize = runs.iter().map(Bytes::len).sum();
@@ -721,8 +684,8 @@ pub async fn serverless_sort_async<R: SortRecord>(
                         records,
                         bytes: data.len() as u64,
                     });
-                    with_retry_async(fctx, cfg.retries, async |c: &mut Ctx| {
-                        client.put_async(c, &cfg.bucket, &key, data.clone()).await
+                    with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
+                        client.put(c, &cfg.bucket, &key, data.clone()).await
                     })
                     .await
                     .unwrap_or_else(|e| panic!("reduce write failed: {}", e));
@@ -735,7 +698,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
     // Release exchange resources (the relay VM stops billing here; the
     // object-store backend keeps its intermediates for inspection).
     let xenv = ExchangeEnv::driver(format!("{}/driver", cfg.tag), cfg.retries);
-    backend.cleanup_async(ctx, &xenv).await?;
+    backend.cleanup(ctx, &xenv).await?;
     let output_bytes = *out_bytes.lock();
     if let Some(manifest_key) = &cfg.manifest_key {
         let manifest = SortManifest {
@@ -746,7 +709,7 @@ pub async fn serverless_sort_async<R: SortRecord>(
             runs: run_infos.lock().iter().flatten().cloned().collect(),
         };
         manifest
-            .write_async(ctx, &driver, &cfg.bucket, manifest_key)
+            .write(ctx, &driver, &cfg.bucket, manifest_key)
             .await?;
     }
     let finished = ctx.now();
@@ -806,7 +769,7 @@ pub(crate) async fn phase_begin(
     orchestration: SimDuration,
 ) -> SpanId {
     if !trace.is_enabled() {
-        ctx.sleep_async(orchestration).await;
+        ctx.sleep(orchestration).await;
         return SpanId::NONE;
     }
     let parent = trace.current(ctx.pid());
@@ -824,7 +787,7 @@ pub(crate) async fn phase_begin(
     } else {
         SpanId::NONE
     };
-    ctx.sleep_async(orchestration).await;
+    ctx.sleep(orchestration).await;
     trace.span_end(sleep, ctx.now());
     span
 }
@@ -842,8 +805,8 @@ pub(crate) fn phase_end(ctx: &Ctx, trace: &TraceSink, span: SpanId) {
 /// work (all captured state is shared and idempotent).
 type TaskFactory = Box<dyn for<'a> Fn(&'a Ctx) -> LocalBoxFuture<'a, ProcessId>>;
 
-/// Spawns one stackless invocation through
-/// [`FunctionPlatform::invoke_task`], boxing the spawn future so task
+/// Spawns one invocation through
+/// [`FunctionPlatform::invoke`], boxing the spawn future so task
 /// factories can be stored type-erased. Everything the invocation body
 /// needs is owned by `body`, so the returned future borrows only `ctx`.
 fn spawn_invocation<'a, F>(
@@ -856,7 +819,7 @@ fn spawn_invocation<'a, F>(
 where
     F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
 {
-    Box::pin(async move { faas.invoke_task(ctx, function, tag, body).await })
+    Box::pin(async move { faas.invoke(ctx, function, tag, body).await })
 }
 
 /// Spawns every task, joins them, and re-invokes crashed tasks up to
@@ -877,7 +840,7 @@ async fn run_phase(
     for attempt in 1..=attempts {
         let mut failed = Vec::new();
         for (i, pid) in pending.drain(..) {
-            if let Err(e) = ctx.join_async(pid).await {
+            if let Err(e) = ctx.join(pid).await {
                 last_error = e.to_string();
                 failed.push(i);
             }
@@ -910,12 +873,14 @@ mod tests {
         let per = values.len().div_ceil(chunks);
         let store = Arc::clone(store);
         let values = values.to_vec();
-        sim.spawn("uploader", move |ctx| {
-            let client = store.connect(ctx, "upload");
+        sim.spawn("uploader", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let client = store.connect(ctx, "upload").await;
             for (i, chunk) in values.chunks(per).enumerate() {
                 let data = SortRecord::write_all(chunk);
                 client
                     .put(ctx, "data", &format!("in/{:04}", i), Bytes::from(data))
+                    .await
                     .expect("upload");
             }
         });
@@ -933,19 +898,22 @@ mod tests {
         let result: Arc<Mutex<Option<(Vec<u64>, SortStats)>>> = Arc::new(Mutex::new(None));
         let store2 = Arc::clone(&store);
         let result2 = Arc::clone(&result);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             // Let the uploader finish first.
-            ctx.sleep(SimDuration::from_secs(120));
+            ctx.sleep(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort succeeds");
+            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort succeeds");
             // Gather all runs in order and check global order.
-            let client = store2.connect(ctx, "verify");
+            let client = store2.connect(ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client.get(ctx, "data", run).await.expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1027,12 +995,15 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         store.create_bucket("data").expect("bucket");
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let cfg = SortConfig {
                 workers: 0,
                 ..SortConfig::default()
             };
-            let err = serverless_sort::<u64>(ctx, &faas, &store, &cfg).expect_err("bad cfg");
+            let err = serverless_sort::<u64>(ctx, &faas, &store, &cfg)
+                .await
+                .expect_err("bad cfg");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
         sim.run().expect("sim ok");
@@ -1044,8 +1015,10 @@ mod tests {
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         store.create_bucket("data").expect("bucket");
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let err = serverless_sort::<u64>(ctx, &faas, &store, &SortConfig::default())
+                .await
                 .expect_err("no inputs");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
@@ -1064,14 +1037,16 @@ mod tests {
         let ok = Arc::new(Mutex::new(false));
         let ok2 = Arc::clone(&ok);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(300));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(300)).await;
             let cfg = SortConfig {
                 workers: 4,
                 retries: 12,
                 ..SortConfig::default()
             };
             let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
                 .expect("sort survives 5% faults with retries");
             assert_eq!(stats.output_bytes, 3_000 * 8);
             *ok2.lock() = true;
@@ -1156,16 +1131,20 @@ mod tests {
         let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
         upload_chunks(&mut sim, &store, &values, 4);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(120));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers: 4,
                 manifest_key: Some("out/_manifest.json".to_string()),
                 ..SortConfig::default()
             };
-            serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-            let client = store2.connect(ctx, "verify");
+            serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort");
+            let client = store2.connect(ctx, "verify").await;
             let manifest = SortManifest::read(ctx, &client, "data", "out/_manifest.json")
+                .await
                 .expect("manifest readable");
             assert_eq!(manifest.operator, "serverless");
             assert_eq!(manifest.workers, 4);
@@ -1174,7 +1153,7 @@ mod tests {
             assert_eq!(manifest.output_bytes, 2_000 * 8);
             // Every run the manifest names exists with the declared size.
             for run in &manifest.runs {
-                let data = client.get(ctx, "data", &run.key).expect("run exists");
+                let data = client.get(ctx, "data", &run.key).await.expect("run exists");
                 assert_eq!(data.len() as u64, run.bytes);
             }
         });
@@ -1194,19 +1173,21 @@ mod tests {
         let ok = Arc::new(Mutex::new(false));
         let ok2 = Arc::clone(&ok);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(300));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(300)).await;
             let cfg = SortConfig {
                 workers: 4,
                 task_attempts: 12,
                 ..SortConfig::default()
             };
             let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
                 .expect("sort survives crashing functions");
-            let client = store2.connect(ctx, "verify");
+            let client = store2.connect(ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client.get(ctx, "data", run).await.expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1230,14 +1211,16 @@ mod tests {
         let saw = Arc::new(Mutex::new(false));
         let saw2 = Arc::clone(&saw);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(60));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(60)).await;
             let cfg = SortConfig {
                 workers: 2,
                 task_attempts: 3,
                 ..SortConfig::default()
             };
             let err = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
                 .expect_err("certain crashes must exhaust retries");
             assert!(matches!(
                 err,
@@ -1333,18 +1316,21 @@ mod tests {
         let result: Arc<Mutex<Option<(Vec<u64>, SortStats)>>> = Arc::new(Mutex::new(None));
         let store2 = Arc::clone(&store);
         let result2 = Arc::clone(&result);
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(120));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(120)).await;
             let cfg = SortConfig {
                 workers: 4,
                 exchange: ExchangeStrategy::Coalesced,
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-            let client = store2.connect(ctx, "verify");
+            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort");
+            let client = store2.connect(ctx, "verify").await;
             let mut all = Vec::new();
             for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
+                let data = client.get(ctx, "data", run).await.expect("run exists");
                 let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
                 all.append(&mut records);
             }
@@ -1367,14 +1353,17 @@ mod tests {
             let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
             upload_chunks(&mut sim, &store, &values, 4);
             let store2 = Arc::clone(&store);
-            sim.spawn("driver", move |ctx| {
-                ctx.sleep(SimDuration::from_secs(120));
+            sim.spawn("driver", move |mut ctx| async move {
+                let ctx = &mut ctx;
+                ctx.sleep(SimDuration::from_secs(120)).await;
                 let cfg = SortConfig {
                     workers: 8,
                     exchange,
                     ..SortConfig::default()
                 };
-                serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
+                serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                    .await
+                    .expect("sort");
             });
             sim.run().expect("sim ok");
             store.metrics().total().class_a

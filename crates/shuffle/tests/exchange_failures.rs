@@ -39,7 +39,8 @@ fn sort_with(backend: Arc<dyn DataExchange>, retries: u32, task_attempts: u32) -
     let out: Arc<Mutex<Option<SortOutcome>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("driver", move |ctx| {
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
         let cfg = SortConfig {
             workers: 4,
             retries,
@@ -47,16 +48,19 @@ fn sort_with(backend: Arc<dyn DataExchange>, retries: u32, task_attempts: u32) -
             backend: Some(backend),
             ..SortConfig::default()
         };
-        let result = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).map(|stats| {
-            let client = store2.connect(ctx, "verify");
-            let mut all = Vec::new();
-            for run in &stats.runs {
-                let data = client.get(ctx, "data", run).expect("run exists");
-                let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
-                all.append(&mut records);
+        let result = match serverless_sort::<u64>(ctx, &faas, &store2, &cfg).await {
+            Ok(stats) => {
+                let client = store2.connect(ctx, "verify").await;
+                let mut all = Vec::new();
+                for run in &stats.runs {
+                    let data = client.get(ctx, "data", run).await.expect("run exists");
+                    let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
+                    all.append(&mut records);
+                }
+                Ok(all)
             }
-            all
-        });
+            Err(e) => Err(e),
+        };
         *out2.lock() = Some(result);
     });
     sim.run().expect("sim ok");

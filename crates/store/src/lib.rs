@@ -21,10 +21,12 @@
 //! let store = ObjectStore::install(&mut sim, StoreConfig::default());
 //! store.create_bucket("data")?;
 //! let handle = store.clone();
-//! sim.spawn("writer", move |ctx| {
-//!     let client = handle.connect(ctx, "example");
-//!     client.put(ctx, "data", "greeting", Bytes::from("hello")).unwrap();
-//!     let body = client.get(ctx, "data", "greeting").unwrap();
+//! sim.spawn("writer", move |mut ctx| async move {
+//!     let ctx = &mut ctx;
+//!     let client = handle.connect(ctx, "example").await;
+//!     let greeting = Bytes::from("hello");
+//!     client.put(ctx, "data", "greeting", greeting).await.unwrap();
+//!     let body = client.get(ctx, "data", "greeting").await.unwrap();
 //!     assert_eq!(&body[..], b"hello");
 //! });
 //! sim.run()?;

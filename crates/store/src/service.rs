@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{run_blocking, ByteSize, Ctx, LimiterId, LinkId, Sim, SimTime};
+use faaspipe_des::{ByteSize, Ctx, LimiterId, LinkId, Sim, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::StoreConfig;
@@ -101,35 +101,20 @@ impl ObjectStore {
     /// Opens a connection from the calling process, tagged for metrics
     /// attribution. The connection gets its own per-connection bandwidth
     /// link.
-    pub fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
-        run_blocking(self.connect_async(ctx, tag))
-    }
-
-    /// Async form of [`ObjectStore::connect`] for stackless processes.
-    pub async fn connect_async(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
-        self.connect_via_async(ctx, tag, &[]).await
+    pub async fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
+        self.connect_via(ctx, tag, &[]).await
     }
 
     /// Like [`ObjectStore::connect`], but transfers additionally traverse
     /// `host_links` (e.g. the NIC of the function container or VM issuing
     /// the requests).
-    pub fn connect_via(
+    pub async fn connect_via(
         self: &Arc<Self>,
         ctx: &Ctx,
         tag: impl Into<String>,
         host_links: &[LinkId],
     ) -> StoreClient {
-        run_blocking(self.connect_via_async(ctx, tag, host_links))
-    }
-
-    /// Async form of [`ObjectStore::connect_via`] for stackless processes.
-    pub async fn connect_via_async(
-        self: &Arc<Self>,
-        ctx: &Ctx,
-        tag: impl Into<String>,
-        host_links: &[LinkId],
-    ) -> StoreClient {
-        let conn = ctx.link_create_async(self.cfg.per_connection_bw).await;
+        let conn = ctx.link_create(self.cfg.per_connection_bw).await;
         let mut links = vec![conn, self.aggregate];
         links.extend_from_slice(host_links);
         let tag = tag.into();
@@ -300,16 +285,16 @@ impl StoreClient {
     /// error without touching state when the failure policy says so.
     async fn request_overhead(&self, ctx: &mut Ctx, op: &'static str) -> Result<(), StoreError> {
         let cfg = &self.store.cfg;
-        ctx.limiter_acquire_async(self.store.ops, 1.0).await;
+        ctx.limiter_acquire(self.store.ops, 1.0).await;
         if let Some(scope_ops) = self.scope_ops {
-            ctx.limiter_acquire_async(scope_ops, 1.0).await;
+            ctx.limiter_acquire(scope_ops, 1.0).await;
         }
         let fate = cfg.failure.draw(ctx.rng());
         let latency = match fate {
             Fate::Slow(factor) => cfg.first_byte_latency.mul_f64(factor),
             _ => cfg.first_byte_latency,
         };
-        ctx.sleep_async(latency).await;
+        ctx.sleep(latency).await;
         if matches!(fate, Fate::Fail) {
             return Err(StoreError::Injected { op });
         }
@@ -399,7 +384,7 @@ impl StoreClient {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &self.links).await;
+        ctx.transfer(ByteSize::new(wire), &self.links).await;
         if !flow.is_none() {
             let flows = self.store.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
             let now = ctx.now();
@@ -418,18 +403,7 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown;
     /// [`StoreError::Injected`] under fault injection.
-    pub fn put(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_async(ctx, bucket, key, data))
-    }
-
-    /// Async form of [`StoreClient::put`] for stackless processes.
-    pub async fn put_async(
+    pub async fn put(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -479,18 +453,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::PreconditionFailed`] if the key already exists.
-    pub fn put_if_absent(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_if_absent_async(ctx, bucket, key, data))
-    }
-
-    /// Async form of [`StoreClient::put_if_absent`] for stackless processes.
-    pub async fn put_if_absent_async(
+    pub async fn put_if_absent(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -546,19 +509,7 @@ impl StoreClient {
     /// [`StoreError::PreconditionFailed`] when the stored ETag differs or
     /// the key is missing; the usual lookup and injection errors
     /// otherwise.
-    pub fn put_if_match(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        expected_etag: u64,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.put_if_match_async(ctx, bucket, key, expected_etag, data))
-    }
-
-    /// Async form of [`StoreClient::put_if_match`] for stackless processes.
-    pub async fn put_if_match_async(
+    pub async fn put_if_match(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -611,17 +562,7 @@ impl StoreClient {
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when
     /// missing; [`StoreError::Injected`] under fault injection.
-    pub fn get(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        run_blocking(self.get_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::get`] for stackless processes.
-    pub async fn get_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<Bytes, StoreError> {
+    pub async fn get(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
         let span = self.trace_begin(ctx, "GET", key);
         if let Err(e) = self.request_overhead(ctx, "GET").await {
             self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
@@ -646,19 +587,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::InvalidRange`] if the range exceeds the object.
-    pub fn get_range(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes, StoreError> {
-        run_blocking(self.get_range_async(ctx, bucket, key, offset, len))
-    }
-
-    /// Async form of [`StoreClient::get_range`] for stackless processes.
-    pub async fn get_range_async(
+    pub async fn get_range(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -718,17 +647,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when missing.
-    pub fn head(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<ObjectSummary, StoreError> {
-        run_blocking(self.head_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::head`] for stackless processes.
-    pub async fn head_async(
+    pub async fn head(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -770,18 +689,8 @@ impl StoreClient {
     /// # Errors
     /// Only infrastructure errors ([`StoreError::Injected`],
     /// [`StoreError::NoSuchBucket`]) are returned.
-    pub fn exists(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<bool, StoreError> {
-        run_blocking(self.exists_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::exists`] for stackless processes.
-    pub async fn exists_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<bool, StoreError> {
-        match self.head_async(ctx, bucket, key).await {
+    pub async fn exists(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<bool, StoreError> {
+        match self.head(ctx, bucket, key).await {
             Ok(_) => Ok(true),
             Err(StoreError::NoSuchKey { .. }) => Ok(false),
             Err(e) => Err(e),
@@ -792,17 +701,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn list(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        prefix: &str,
-    ) -> Result<Vec<ObjectSummary>, StoreError> {
-        run_blocking(self.list_async(ctx, bucket, prefix))
-    }
-
-    /// Async form of [`StoreClient::list`] for stackless processes.
-    pub async fn list_async(
+    pub async fn list(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -846,19 +745,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn list_page(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        prefix: &str,
-        start_after: &str,
-        max_keys: usize,
-    ) -> Result<(Vec<ObjectSummary>, Option<String>), StoreError> {
-        run_blocking(self.list_page_async(ctx, bucket, prefix, start_after, max_keys))
-    }
-
-    /// Async form of [`StoreClient::list_page`] for stackless processes.
-    pub async fn list_page_async(
+    pub async fn list_page(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -915,17 +802,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn delete(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<(), StoreError> {
-        run_blocking(self.delete_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::delete`] for stackless processes.
-    pub async fn delete_async(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<(), StoreError> {
+    pub async fn delete(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<(), StoreError> {
         let span = self.trace_begin(ctx, "DELETE", key);
         if let Err(e) = self.request_overhead(ctx, "DELETE").await {
             self.finish(ctx, span, RequestClass::Delete, 0, 0, true);
@@ -953,19 +830,7 @@ impl StoreClient {
     /// # Errors
     /// Standard lookup errors for the source; [`StoreError::NoSuchBucket`]
     /// for the destination.
-    pub fn copy(
-        &self,
-        ctx: &mut Ctx,
-        src_bucket: &str,
-        src_key: &str,
-        dst_bucket: &str,
-        dst_key: &str,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.copy_async(ctx, src_bucket, src_key, dst_bucket, dst_key))
-    }
-
-    /// Async form of [`StoreClient::copy`] for stackless processes.
-    pub async fn copy_async(
+    pub async fn copy(
         &self,
         ctx: &mut Ctx,
         src_bucket: &str,
@@ -996,8 +861,7 @@ impl StoreClient {
         } else {
             SpanId::NONE
         };
-        ctx.transfer_async(ByteSize::new(wire), &self.links[1..2])
-            .await;
+        ctx.transfer(ByteSize::new(wire), &self.links[1..2]).await;
         self.trace.span_end(flow, ctx.now());
         let result = self.commit_put(ctx, dst_bucket, dst_key, data);
         self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
@@ -1008,17 +872,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn create_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<MultipartUpload, StoreError> {
-        run_blocking(self.create_multipart_async(ctx, bucket, key))
-    }
-
-    /// Async form of [`StoreClient::create_multipart`] for stackless processes.
-    pub async fn create_multipart_async(
+    pub async fn create_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1057,19 +911,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub fn upload_part(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-        part_number: u32,
-        data: Bytes,
-    ) -> Result<(), StoreError> {
-        run_blocking(self.upload_part_async(ctx, bucket, upload, part_number, data))
-    }
-
-    /// Async form of [`StoreClient::upload_part`] for stackless processes.
-    pub async fn upload_part_async(
+    pub async fn upload_part(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1112,17 +954,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub fn complete_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<PutResult, StoreError> {
-        run_blocking(self.complete_multipart_async(ctx, bucket, upload))
-    }
-
-    /// Async form of [`StoreClient::complete_multipart`] for stackless processes.
-    pub async fn complete_multipart_async(
+    pub async fn complete_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1168,17 +1000,7 @@ impl StoreClient {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn abort_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<(), StoreError> {
-        run_blocking(self.abort_multipart_async(ctx, bucket, upload))
-    }
-
-    /// Async form of [`StoreClient::abort_multipart`] for stackless processes.
-    pub async fn abort_multipart_async(
+    pub async fn abort_multipart(
         &self,
         ctx: &mut Ctx,
         bucket: &str,
@@ -1231,15 +1053,16 @@ mod tests {
     /// store and the end time.
     fn run_with<F>(cfg: StoreConfig, f: F) -> (Arc<ObjectStore>, SimTime)
     where
-        F: FnOnce(&mut Ctx, &StoreClient) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, &StoreClient) + Send + 'static,
     {
         let mut sim = Sim::new();
         let store = ObjectStore::install(&mut sim, cfg);
         store.create_bucket("b").expect("fresh bucket");
         let handle = Arc::clone(&store);
-        sim.spawn("test", move |ctx| {
-            let client = handle.connect(ctx, "test");
-            f(ctx, &client);
+        sim.spawn("test", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let client = handle.connect(ctx, "test").await;
+            f(ctx, &client).await;
         });
         let report = sim.run().expect("sim ok");
         (store, report.end_time)
@@ -1247,10 +1070,13 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            let put = c.put(ctx, "b", "k", Bytes::from("payload")).expect("put");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            let put = c
+                .put(ctx, "b", "k", Bytes::from("payload"))
+                .await
+                .expect("put");
             assert_eq!(put.len.as_u64(), 7);
-            let got = c.get(ctx, "b", "k").expect("get");
+            let got = c.get(ctx, "b", "k").await.expect("get");
             assert_eq!(&got[..], b"payload");
         });
         assert_eq!(store.object_count("b"), 1);
@@ -1258,34 +1084,39 @@ mod tests {
 
     #[test]
     fn get_missing_key_fails() {
-        run_with(quiet_config(), |ctx, c| {
-            let err = c.get(ctx, "b", "nope").expect_err("missing");
+        run_with(quiet_config(), async |ctx, c| {
+            let err = c.get(ctx, "b", "nope").await.expect_err("missing");
             assert!(matches!(err, StoreError::NoSuchKey { .. }));
-            let err = c.get(ctx, "nobucket", "k").expect_err("missing bucket");
+            let err = c
+                .get(ctx, "nobucket", "k")
+                .await
+                .expect_err("missing bucket");
             assert!(matches!(err, StoreError::NoSuchBucket { .. }));
         });
     }
 
     #[test]
     fn put_overwrites() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("one")).expect("put");
-            c.put(ctx, "b", "k", Bytes::from("two")).expect("put");
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"two");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("one")).await.expect("put");
+            c.put(ctx, "b", "k", Bytes::from("two")).await.expect("put");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"two");
         });
         assert_eq!(store.object_count("b"), 1);
     }
 
     #[test]
     fn put_if_absent_enforces_precondition() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             c.put_if_absent(ctx, "b", "k", Bytes::from("x"))
+                .await
                 .expect("first");
             let err = c
                 .put_if_absent(ctx, "b", "k", Bytes::from("y"))
+                .await
                 .expect_err("second");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"x");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"x");
         });
     }
 
@@ -1298,9 +1129,13 @@ mod tests {
         for i in 0..4 {
             let store = Arc::clone(&store);
             let wins = Arc::clone(&wins);
-            sim.spawn(format!("creator{}", i), move |ctx| {
-                let c = store.connect(ctx, "race");
-                match c.put_if_absent(ctx, "b", "lock", Bytes::from(format!("{}", i))) {
+            sim.spawn(format!("creator{}", i), move |mut ctx| async move {
+                let ctx = &mut ctx;
+                let c = store.connect(ctx, "race").await;
+                match c
+                    .put_if_absent(ctx, "b", "lock", Bytes::from(format!("{}", i)))
+                    .await
+                {
                     Ok(_) => *wins.lock().unwrap() += 1,
                     Err(StoreError::PreconditionFailed { .. }) => {}
                     Err(e) => panic!("unexpected: {}", e),
@@ -1314,22 +1149,25 @@ mod tests {
 
     #[test]
     fn put_if_match_is_a_cas() {
-        run_with(quiet_config(), |ctx, c| {
-            let v1 = c.put(ctx, "b", "k", Bytes::from("one")).expect("put");
+        run_with(quiet_config(), async |ctx, c| {
+            let v1 = c.put(ctx, "b", "k", Bytes::from("one")).await.expect("put");
             // Matching etag swaps.
             let v2 = c
                 .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("two"))
+                .await
                 .expect("cas");
             assert_ne!(v1.etag, v2.etag);
             // Stale etag fails and leaves the value intact.
             let err = c
                 .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("three"))
+                .await
                 .expect_err("stale");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").expect("get")[..], b"two");
+            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"two");
             // Missing key fails too.
             let err = c
                 .put_if_match(ctx, "b", "nope", 0, Bytes::from("x"))
+                .await
                 .expect_err("missing");
             assert!(matches!(err, StoreError::PreconditionFailed { .. }));
         });
@@ -1347,17 +1185,19 @@ mod tests {
             .expect("init");
         for i in 0..2 {
             let store = Arc::clone(&store);
-            sim.spawn(format!("inc{}", i), move |ctx| {
-                let c = store.connect(ctx, "cas");
+            sim.spawn(format!("inc{}", i), move |mut ctx| async move {
+                let ctx = &mut ctx;
+                let c = store.connect(ctx, "cas").await;
                 for _ in 0..5 {
                     loop {
-                        let meta = c.head(ctx, "b", "counter").expect("head");
-                        let cur: u64 =
-                            String::from_utf8_lossy(&c.get(ctx, "b", "counter").expect("get"))
-                                .parse()
-                                .expect("number");
+                        let meta = c.head(ctx, "b", "counter").await.expect("head");
+                        let cur: u64 = String::from_utf8_lossy(
+                            &c.get(ctx, "b", "counter").await.expect("get"),
+                        )
+                        .parse()
+                        .expect("number");
                         let next = Bytes::from((cur + 1).to_string());
-                        match c.put_if_match(ctx, "b", "counter", meta.etag, next) {
+                        match c.put_if_match(ctx, "b", "counter", meta.etag, next).await {
                             Ok(_) => break,
                             Err(StoreError::PreconditionFailed { .. }) => continue,
                             Err(e) => panic!("unexpected: {}", e),
@@ -1373,14 +1213,15 @@ mod tests {
 
     #[test]
     fn range_get_slices_and_validates() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             c.put(ctx, "b", "k", Bytes::from("0123456789"))
+                .await
                 .expect("put");
-            let part = c.get_range(ctx, "b", "k", 2, 3).expect("range");
+            let part = c.get_range(ctx, "b", "k", 2, 3).await.expect("range");
             assert_eq!(&part[..], b"234");
-            let whole = c.get_range(ctx, "b", "k", 0, 10).expect("full range");
+            let whole = c.get_range(ctx, "b", "k", 0, 10).await.expect("full range");
             assert_eq!(whole.len(), 10);
-            let err = c.get_range(ctx, "b", "k", 8, 5).expect_err("overrun");
+            let err = c.get_range(ctx, "b", "k", 8, 5).await.expect_err("overrun");
             assert!(matches!(
                 err,
                 StoreError::InvalidRange { object_len: 10, .. }
@@ -1390,31 +1231,34 @@ mod tests {
 
     #[test]
     fn list_filters_by_prefix_in_order() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for key in ["a/1", "a/2", "b/1", "a10"] {
-                c.put(ctx, "b", key, Bytes::from("x")).expect("put");
+                c.put(ctx, "b", key, Bytes::from("x")).await.expect("put");
             }
-            let got = c.list(ctx, "b", "a/").expect("list");
+            let got = c.list(ctx, "b", "a/").await.expect("list");
             let keys: Vec<&str> = got.iter().map(|o| o.key.as_str()).collect();
             assert_eq!(keys, vec!["a/1", "a/2"]);
-            let all = c.list(ctx, "b", "").expect("list all");
+            let all = c.list(ctx, "b", "").await.expect("list all");
             assert_eq!(all.len(), 4);
         });
     }
 
     #[test]
     fn paginated_listing_walks_all_keys() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for i in 0..23 {
                 c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            c.put(ctx, "b", "q/other", Bytes::from("x")).expect("put");
+            c.put(ctx, "b", "q/other", Bytes::from("x"))
+                .await
+                .expect("put");
             let mut seen = Vec::new();
             let mut after = String::new();
             let mut pages = 0;
             loop {
-                let (page, token) = c.list_page(ctx, "b", "p/", &after, 10).expect("page");
+                let (page, token) = c.list_page(ctx, "b", "p/", &after, 10).await.expect("page");
                 assert!(page.len() <= 10);
                 seen.extend(page.iter().map(|o| o.key.clone()));
                 pages += 1;
@@ -1432,12 +1276,13 @@ mod tests {
 
     #[test]
     fn pagination_exact_page_boundary_has_no_extra_page() {
-        run_with(quiet_config(), |ctx, c| {
+        run_with(quiet_config(), async |ctx, c| {
             for i in 0..10 {
                 c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            let (page, token) = c.list_page(ctx, "b", "p/", "", 10).expect("page");
+            let (page, token) = c.list_page(ctx, "b", "p/", "", 10).await.expect("page");
             assert_eq!(page.len(), 10);
             assert!(token.is_none(), "exactly one page");
         });
@@ -1445,17 +1290,20 @@ mod tests {
 
     #[test]
     fn pagination_counts_class_a_per_page() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
             for i in 0..5 {
                 c.put(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
+                    .await
                     .expect("put");
             }
-            let (_, t) = c.list_page(ctx, "b", "p/", "", 2).expect("p1");
+            let (_, t) = c.list_page(ctx, "b", "p/", "", 2).await.expect("p1");
             let (_, t) = c
                 .list_page(ctx, "b", "p/", &t.expect("more"), 2)
+                .await
                 .expect("p2");
             let (_, t) = c
                 .list_page(ctx, "b", "p/", &t.expect("more"), 2)
+                .await
                 .expect("p3");
             assert!(t.is_none());
         });
@@ -1465,20 +1313,22 @@ mod tests {
 
     #[test]
     fn delete_is_idempotent() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.delete(ctx, "b", "k").expect("delete");
-            c.delete(ctx, "b", "k").expect("delete again");
-            assert!(!c.exists(ctx, "b", "k").expect("exists"));
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.delete(ctx, "b", "k").await.expect("delete");
+            c.delete(ctx, "b", "k").await.expect("delete again");
+            assert!(!c.exists(ctx, "b", "k").await.expect("exists"));
         });
         assert_eq!(store.object_count("b"), 0);
     }
 
     #[test]
     fn head_reports_metadata() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("abcd")).expect("put");
-            let meta = c.head(ctx, "b", "k").expect("head");
+        run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("abcd"))
+                .await
+                .expect("put");
+            let meta = c.head(ctx, "b", "k").await.expect("head");
             assert_eq!(meta.len.as_u64(), 4);
             assert_eq!(meta.key, "k");
         });
@@ -1486,36 +1336,47 @@ mod tests {
 
     #[test]
     fn copy_duplicates_server_side() {
-        run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "src", Bytes::from("data")).expect("put");
-            c.copy(ctx, "b", "src", "b", "dst").expect("copy");
-            assert_eq!(&c.get(ctx, "b", "dst").expect("get")[..], b"data");
+        run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "src", Bytes::from("data"))
+                .await
+                .expect("put");
+            c.copy(ctx, "b", "src", "b", "dst").await.expect("copy");
+            assert_eq!(&c.get(ctx, "b", "dst").await.expect("get")[..], b"data");
         });
     }
 
     #[test]
     fn multipart_concatenates_in_part_order() {
-        run_with(quiet_config(), |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "big").expect("create");
+        run_with(quiet_config(), async |ctx, c| {
+            let up = c.create_multipart(ctx, "b", "big").await.expect("create");
             // Upload out of order.
             c.upload_part(ctx, "b", up, 2, Bytes::from("world"))
+                .await
                 .expect("p2");
             c.upload_part(ctx, "b", up, 1, Bytes::from("hello "))
+                .await
                 .expect("p1");
-            let done = c.complete_multipart(ctx, "b", up).expect("complete");
+            let done = c.complete_multipart(ctx, "b", up).await.expect("complete");
             assert_eq!(done.len.as_u64(), 11);
-            assert_eq!(&c.get(ctx, "b", "big").expect("get")[..], b"hello world");
+            assert_eq!(
+                &c.get(ctx, "b", "big").await.expect("get")[..],
+                b"hello world"
+            );
         });
     }
 
     #[test]
     fn multipart_abort_discards() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "gone").expect("create");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            let up = c.create_multipart(ctx, "b", "gone").await.expect("create");
             c.upload_part(ctx, "b", up, 1, Bytes::from("x"))
+                .await
                 .expect("p1");
-            c.abort_multipart(ctx, "b", up).expect("abort");
-            let err = c.complete_multipart(ctx, "b", up).expect_err("aborted");
+            c.abort_multipart(ctx, "b", up).await.expect("abort");
+            let err = c
+                .complete_multipart(ctx, "b", up)
+                .await
+                .expect_err("aborted");
             assert!(matches!(err, StoreError::NoSuchUpload { .. }));
         });
         assert_eq!(store.object_count("b"), 0);
@@ -1527,9 +1388,9 @@ mod tests {
             first_byte_latency: SimDuration::from_millis(30),
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.get(ctx, "b", "k").expect("get");
+        let (_, end) = run_with(cfg, async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.get(ctx, "b", "k").await.expect("get");
         });
         assert_eq!(end, SimTime::from_nanos(60_000_000));
     }
@@ -1540,8 +1401,9 @@ mod tests {
             per_connection_bw: Bandwidth::bytes_per_sec(1000.0),
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
+        let (_, end) = run_with(cfg, async |ctx, c| {
             c.put(ctx, "b", "k", Bytes::from(vec![0u8; 2000]))
+                .await
                 .expect("put");
         });
         assert!((end.as_secs_f64() - 2.0).abs() < 1e-7);
@@ -1554,9 +1416,10 @@ mod tests {
             ops_burst: 1.0,
             ..quiet_config()
         };
-        let (_, end) = run_with(cfg, |ctx, c| {
+        let (_, end) = run_with(cfg, async |ctx, c| {
             for i in 0..11 {
                 c.put(ctx, "b", &format!("k{}", i), Bytes::new())
+                    .await
                     .expect("put");
             }
         });
@@ -1571,10 +1434,11 @@ mod tests {
             ..quiet_config()
         }
         .with_size_scale(10.0);
-        let (store, end) = run_with(cfg, |ctx, c| {
+        let (store, end) = run_with(cfg, async |ctx, c| {
             c.put(ctx, "b", "k", Bytes::from(vec![7u8; 100]))
+                .await
                 .expect("put");
-            let data = c.get(ctx, "b", "k").expect("get");
+            let data = c.get(ctx, "b", "k").await.expect("get");
             assert_eq!(data.len(), 100, "real content is unscaled");
         });
         // 100 real bytes modelled as 1000 wire bytes, twice (put+get) at
@@ -1588,11 +1452,11 @@ mod tests {
 
     #[test]
     fn metrics_attribute_by_tag_and_class() {
-        let (store, _) = run_with(quiet_config(), |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
-            c.get(ctx, "b", "k").expect("get");
-            c.list(ctx, "b", "").expect("list");
-            c.delete(ctx, "b", "k").expect("delete");
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+            c.get(ctx, "b", "k").await.expect("get");
+            c.list(ctx, "b", "").await.expect("list");
+            c.delete(ctx, "b", "k").await.expect("delete");
         });
         let m = store.metrics();
         let t = m.tag("test").expect("tag recorded");
@@ -1605,9 +1469,10 @@ mod tests {
     #[test]
     fn injected_failures_surface_and_count() {
         let cfg = quiet_config().with_failure(FailurePolicy::with_error_rate(1.0));
-        let (store, _) = run_with(cfg, |ctx, c| {
+        let (store, _) = run_with(cfg, async |ctx, c| {
             let err = c
                 .put(ctx, "b", "k", Bytes::from("x"))
+                .await
                 .expect_err("injected");
             assert!(matches!(err, StoreError::Injected { op: "PUT" }));
         });
@@ -1622,8 +1487,8 @@ mod tests {
             ..quiet_config()
         }
         .with_failure(FailurePolicy::with_slowdown(1.0, 5.0));
-        let (_, end) = run_with(cfg, |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).expect("put");
+        let (_, end) = run_with(cfg, async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
         });
         assert_eq!(end, SimTime::from_nanos(50_000_000));
     }
@@ -1646,9 +1511,11 @@ mod tests {
         for i in 0..2 {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn(format!("w{}", i), move |ctx| {
-                let c = handle.connect(ctx, format!("w{}", i));
+            sim.spawn(format!("w{}", i), move |mut ctx| async move {
+                let ctx = &mut ctx;
+                let c = handle.connect(ctx, format!("w{}", i)).await;
                 c.put(ctx, "b", &format!("k{}", i), Bytes::from(vec![0u8; 1000]))
+                    .await
                     .expect("put");
                 finish.lock().unwrap().push(ctx.now().as_secs_f64());
             });
@@ -1684,10 +1551,12 @@ mod tests {
         for tenant in ["t0", "t1"] {
             let handle = Arc::clone(&store);
             let finish = Arc::clone(&finish);
-            sim.spawn(format!("{}-driver", tenant), move |ctx| {
-                let c = handle.connect(ctx, format!("{}/r0/sort", tenant));
+            sim.spawn(format!("{}-driver", tenant), move |mut ctx| async move {
+                let ctx = &mut ctx;
+                let c = handle.connect(ctx, format!("{}/r0/sort", tenant)).await;
                 for i in 0..3 {
                     c.put(ctx, "b", &format!("{}/{}", tenant, i), Bytes::from("x"))
+                        .await
                         .expect("put");
                 }
                 finish

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use faaspipe_des::{run_blocking, Ctx, LinkId, SimDuration, SimTime};
+use faaspipe_des::{Ctx, LinkId, SimDuration, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::profile::VmProfile;
@@ -55,34 +55,24 @@ pub struct VmInstance {
 
 impl VmInstance {
     /// Charges single-threaded compute time.
-    pub fn compute(&self, ctx: &Ctx, work: SimDuration) {
-        run_blocking(self.compute_async(ctx, work));
-    }
-
-    /// Async form of [`VmInstance::compute`] for stackless processes.
-    pub async fn compute_async(&self, ctx: &Ctx, work: SimDuration) {
+    pub async fn compute(&self, ctx: &Ctx, work: SimDuration) {
         let span = self.compute_span(ctx, 1);
-        ctx.compute_async(work).await;
+        ctx.compute(work).await;
         self.trace.span_end(span, ctx.now());
     }
 
     /// Charges `work` of single-vCPU compute parallelised across
     /// `threads` threads, with the profile's parallel efficiency.
-    pub fn compute_parallel(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
-        run_blocking(self.compute_parallel_async(ctx, work, threads));
-    }
-
-    /// Async form of [`VmInstance::compute_parallel`].
-    pub async fn compute_parallel_async(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
+    pub async fn compute_parallel(&self, ctx: &Ctx, work: SimDuration, threads: u32) {
         let span = self.compute_span(ctx, threads);
-        ctx.compute_async(work.mul_f64(1.0 / self.profile.speedup(threads)))
+        ctx.compute(work.mul_f64(1.0 / self.profile.speedup(threads)))
             .await;
         self.trace.span_end(span, ctx.now());
     }
 
     /// Charges compute time for a CPU-heavy host kernel: the virtual
     /// charge (and the emitted span) is identical to
-    /// [`VmInstance::compute_parallel_async`], while the real `job`, which
+    /// [`VmInstance::compute_parallel`], while the real `job`, which
     /// reads `input_bytes` bytes, runs through [`Ctx::offload`].
     pub async fn compute_parallel_offload<R, J>(
         &self,
@@ -173,14 +163,9 @@ impl VmFleet {
         *self.inner.trace.lock() = sink;
     }
 
-    /// Provisions an instance, blocking the calling process for the
+    /// Provisions an instance, suspending the calling process for the
     /// profile's provisioning delay. Billing starts at the request.
-    pub fn provision(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
-        run_blocking(self.provision_inner(ctx, profile, true))
-    }
-
-    /// Async form of [`VmFleet::provision`] for stackless processes.
-    pub async fn provision_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
+    pub async fn provision(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, true).await
     }
 
@@ -188,13 +173,8 @@ impl VmFleet {
     /// span — but records no [`Category::ColdStart`] leaf, so the boot
     /// does not claim the critical path. For capacity warmed in the
     /// background while other work runs: the caller attributes the
-    /// *residual* wait it actually suffers at the point it blocks.
-    pub fn provision_prewarmed(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
-        run_blocking(self.provision_inner(ctx, profile, false))
-    }
-
-    /// Async form of [`VmFleet::provision_prewarmed`].
-    pub async fn provision_prewarmed_async(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
+    /// *residual* wait it actually suffers at the point it suspends.
+    pub async fn provision_prewarmed(&self, ctx: &Ctx, profile: VmProfile) -> VmInstance {
         self.provision_inner(ctx, profile, false).await
     }
 
@@ -207,8 +187,8 @@ impl VmFleet {
         let requested = ctx.now();
         let trace = self.inner.trace.lock().clone();
         let parent = trace.current(ctx.pid());
-        ctx.sleep_async(profile.provisioning).await;
-        let nic = ctx.link_create_async(profile.nic_bw).await;
+        ctx.sleep(profile.provisioning).await;
+        let nic = ctx.link_create(profile.nic_bw).await;
         let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
         let span = if trace.is_enabled() {
             let ready = ctx.now();
@@ -295,11 +275,12 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(10));
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ctx.sleep(SimDuration::from_secs(10)).await;
+            let vm = f.provision(ctx, VmProfile::bx2_8x32()).await;
             assert_eq!(ctx.now().as_secs_f64(), 10.0 + 44.0);
-            ctx.sleep(SimDuration::from_secs(5));
+            ctx.sleep(SimDuration::from_secs(5)).await;
             f.release(ctx, vm);
         });
         sim.run().expect("run");
@@ -317,9 +298,10 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let _vm = f.provision(ctx, VmProfile::bx2_4x16());
-            ctx.sleep(SimDuration::from_secs(8));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let _vm = f.provision(ctx, VmProfile::bx2_4x16()).await;
+            ctx.sleep(SimDuration::from_secs(8)).await;
         });
         sim.run().expect("run");
         let rec = &fleet.records()[0];
@@ -333,10 +315,12 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let vm = f.provision(ctx, VmProfile::bx2_8x32()).await;
             let before = ctx.now();
-            vm.compute_parallel(ctx, SimDuration::from_secs(656), 8);
+            vm.compute_parallel(ctx, SimDuration::from_secs(656), 8)
+                .await;
             let took = ctx.now().saturating_duration_since(before).as_secs_f64();
             // 656 s / (8 * 0.82) = 100 s.
             assert!((took - 100.0).abs() < 1e-6);
@@ -352,9 +336,10 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision(ctx, VmProfile::bx2_8x32());
-            vm.compute(ctx, SimDuration::from_secs(3));
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let vm = f.provision(ctx, VmProfile::bx2_8x32()).await;
+            vm.compute(ctx, SimDuration::from_secs(3)).await;
             f.release(ctx, vm);
         });
         sim.run().expect("run");
@@ -384,8 +369,9 @@ mod tests {
         let sink = TraceSink::recording();
         fleet.set_trace_sink(sink.clone());
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let vm = f.provision_prewarmed(ctx, VmProfile::bx2_8x32());
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let vm = f.provision_prewarmed(ctx, VmProfile::bx2_8x32()).await;
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "same delay as provision");
             f.release(ctx, vm);
         });
@@ -410,9 +396,10 @@ mod tests {
         let fleet = VmFleet::new();
         let t0 = fleet.scoped("t0");
         let t1 = fleet.scoped("t1");
-        sim.spawn("driver", move |ctx| {
-            let a = t0.provision(ctx, VmProfile::bx2_4x16());
-            let b = t1.provision(ctx, VmProfile::bx2_4x16());
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let a = t0.provision(ctx, VmProfile::bx2_4x16()).await;
+            let b = t1.provision(ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id, "ids come from the shared fleet");
             t0.release(ctx, a);
             t1.release(ctx, b);
@@ -430,9 +417,10 @@ mod tests {
         let mut sim = Sim::new();
         let fleet = VmFleet::new();
         let f = fleet.clone();
-        sim.spawn("driver", move |ctx| {
-            let a = f.provision(ctx, VmProfile::bx2_4x16());
-            let b = f.provision(ctx, VmProfile::bx2_4x16());
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let a = f.provision(ctx, VmProfile::bx2_4x16()).await;
+            let b = f.provision(ctx, VmProfile::bx2_4x16()).await;
             assert_ne!(a.id, b.id);
             f.release(ctx, a);
             f.release(ctx, b);

@@ -23,10 +23,10 @@
 //! let mut sim = Sim::new();
 //! let fleet = VmFleet::new();
 //! let f = fleet.clone();
-//! sim.spawn("driver", move |ctx| {
-//!     let vm = f.provision(ctx, VmProfile::bx2_8x32());
-//!     vm.compute_parallel(ctx, SimDuration::from_secs(80), 8);
-//!     f.release(ctx, vm);
+//! sim.spawn("driver", move |ctx| async move {
+//!     let vm = f.provision(&ctx, VmProfile::bx2_8x32()).await;
+//!     vm.compute_parallel(&ctx, SimDuration::from_secs(80), 8).await;
+//!     f.release(&ctx, vm);
 //! });
 //! sim.run()?;
 //! assert_eq!(fleet.records().len(), 1);

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe::des::{Sim, SimDuration};
+use faaspipe::des::{Ctx, Sim, SimDuration};
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::shuffle::{serverless_sort, with_retry, SortConfig, SortRecord};
 use faaspipe::store::{FailurePolicy, ObjectStore, StoreConfig};
@@ -41,19 +41,25 @@ fn run(error_rate: f64) -> Result<(f64, u64), Box<dyn std::error::Error>> {
     let out: Arc<Mutex<Option<SimDuration>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("driver", move |ctx| {
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
         let cfg = SortConfig {
             workers: 8,
             retries: 10,
             ..SortConfig::default()
         };
         let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            .await
             .expect("sort survives injected faults");
         // Verify global order end to end despite the chaos.
-        let client = store2.connect(ctx, "verify");
+        let client = store2.connect(ctx, "verify").await;
         let mut all = Vec::new();
         for run in &stats.runs {
-            let data = with_retry(ctx, 10, |c| client.get(c, "data", run)).expect("run readable");
+            let data = with_retry(ctx, 10, async |c: &mut Ctx| {
+                client.get(c, "data", run).await
+            })
+            .await
+            .expect("run readable");
             let mut records: Vec<u64> = SortRecord::read_all(&data).expect("decode");
             all.append(&mut records);
         }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use faaspipe::core::pricing::PriceBook;
-use faaspipe::des::{Sim, SimDuration};
-use faaspipe::faas::{FaasConfig, FunctionPlatform};
+use faaspipe::des::{Ctx, Sim, SimDuration};
+use faaspipe::faas::{FaasConfig, FunctionEnv, FunctionPlatform};
 use faaspipe::store::{ObjectStore, StoreConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,31 +22,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.create_bucket("data")?;
 
     // 2. A driver process that fans out four functions; each writes and
-    //    re-reads an object. Bodies are plain Rust closures — time is
-    //    virtual, the bytes are real.
+    //    re-reads an object. Bodies are plain Rust async closures — time
+    //    is virtual, the bytes are real.
     let store2 = Arc::clone(&store);
     let faas2 = Arc::clone(&faas);
-    sim.spawn("driver", move |ctx| {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let store = Arc::clone(&store2);
-                faas2.invoke_async(
-                    ctx,
-                    "worker",
-                    format!("quickstart/{}", i),
-                    move |fctx, env| {
-                        let client = store.connect_via(fctx, "quickstart", &[env.nic]);
-                        let key = format!("greeting/{}", i);
-                        let body = Bytes::from(vec![i as u8; 8 << 20]); // 8 MiB
-                        client.put(fctx, "data", &key, body).expect("put");
-                        let back = client.get(fctx, "data", &key).expect("get");
-                        assert_eq!(back.len(), 8 << 20);
-                        env.compute(fctx, SimDuration::from_millis(150));
-                    },
-                )
-            })
-            .collect();
-        ctx.join_all(&handles).expect("workers ok");
+    sim.spawn("driver", move |ctx| async move {
+        let mut handles = Vec::new();
+        for i in 0..4 {
+            let store = Arc::clone(&store2);
+            let body = async move |fctx: &mut Ctx, env: FunctionEnv| {
+                let client = store.connect_via(fctx, "quickstart", &[env.nic]).await;
+                let key = format!("greeting/{}", i);
+                let body = Bytes::from(vec![i as u8; 8 << 20]); // 8 MiB
+                client.put(fctx, "data", &key, body).await.expect("put");
+                let back = client.get(fctx, "data", &key).await.expect("get");
+                assert_eq!(back.len(), 8 << 20);
+                env.compute(fctx, SimDuration::from_millis(150)).await;
+            };
+            let tag = format!("quickstart/{}", i);
+            handles.push(faas2.invoke(&ctx, "worker", tag, body).await);
+        }
+        ctx.join_all(&handles).await.expect("workers ok");
         println!("all workers finished at t = {}", ctx.now());
     });
 

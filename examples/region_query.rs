@@ -45,14 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats: Arc<Mutex<(usize, u64, f64)>> = Arc::new(Mutex::new((0, 0, 0.0)));
     let stats2 = Arc::clone(&stats);
     let store2 = Arc::clone(&store);
-    sim.spawn("query-fn", move |ctx| {
-        let client = store2.connect(ctx, "query");
+    sim.spawn("query-fn", move |mut ctx| async move {
+        let ctx = &mut ctx;
+        let client = store2.connect(ctx, "query").await;
         let t0 = ctx.now();
         // Footer: last 64 KiB is plenty for the index of this archive.
         let tail_len = (64 * 1024).min(archive_len);
         let tail_off = archive_len - tail_len;
         let tail = client
             .get_range(ctx, "data", "sample.mcx", tail_off, tail_len)
+            .await
             .expect("index tail");
         // Rebuild a sparse archive buffer: zeros except the tail, which is
         // all read_index touches.
@@ -68,6 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             let block = client
                 .get_range(ctx, "data", "sample.mcx", b.offset, b.len)
+                .await
                 .expect("block");
             fetched += b.len;
             let ds = codec::decompress(&block).expect("block decodes");

@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let measured: Arc<Mutex<Option<Autotuner>>> = Arc::new(Mutex::new(None));
     let store2 = Arc::clone(&store);
     let measured2 = Arc::clone(&measured);
-    sim.spawn("prober", move |ctx| {
-        let tuner = Autotuner::probe(ctx, &store2, "data").expect("probe");
+    sim.spawn("prober", move |mut ctx| async move {
+        let ctx = &mut ctx;
+        let tuner = Autotuner::probe(ctx, &store2, "data").await.expect("probe");
         *measured2.lock() = Some(tuner);
     });
     sim.run()?;

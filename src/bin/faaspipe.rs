@@ -474,12 +474,18 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_tune(args: &[String]) -> Result<(), String> {
-    let gb: f64 = flag_parse(args, "--gb", 0.0)?;
-    if gb <= 0.0 {
+    if flag(args, "--gb")?.is_none() {
         return Err("tune requires --gb <size>".into());
+    }
+    let gb: f64 = flag_parse(args, "--gb", 0.0)?;
+    if !(gb.is_finite() && gb > 0.0) {
+        return Err(format!("--gb must be a finite, positive size, got {}", gb));
     }
     let chunks: usize = flag_parse(args, "--chunks", 8)?;
     let max_workers: usize = flag_parse(args, "--max-workers", 128)?;
+    if max_workers == 0 {
+        return Err("--max-workers must be at least 1".into());
+    }
     let store_cfg = StoreConfig::default();
     let faas_cfg = FaasConfig::default();
     let work = WorkModel::default();
@@ -503,6 +509,12 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
             let budget: f64 = v
                 .parse()
                 .map_err(|_| format!("invalid value '{}' for --budget", v))?;
+            if !(budget.is_finite() && budget > 0.0) {
+                return Err(format!(
+                    "--budget must be a finite, positive amount, got {}",
+                    budget
+                ));
+            }
             model.best_workers_under_budget(budget, &prices)
         }
     };

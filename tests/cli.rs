@@ -181,6 +181,31 @@ fn tune_recommends_workers() {
 }
 
 #[test]
+fn tune_rejects_unusable_sizes_and_budgets() {
+    const GB: &str = "--gb must be a finite, positive size";
+    const BUDGET: &str = "--budget must be a finite, positive amount";
+    let cases: [(&[&str], &str); 7] = [
+        (&["--gb", "nan"], GB),
+        (&["--gb", "inf"], GB),
+        (&["--gb", "-2"], GB),
+        (&["--gb", "1", "--budget", "nan"], BUDGET),
+        (&["--gb", "1", "--budget", "-1"], BUDGET),
+        (&["--gb", "1", "--budget", "0"], BUDGET),
+        (
+            &["--gb", "1", "--max-workers", "0"],
+            "--max-workers must be at least 1",
+        ),
+    ];
+    for (flags, message) in cases {
+        let out = bin().arg("tune").args(flags).output().expect("tune");
+        assert_eq!(out.status.code(), Some(1), "tune {:?} must exit 1", flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "tune {:?}: {}", flags, stderr);
+        assert!(out.stdout.is_empty(), "tune {:?} printed a plan", flags);
+    }
+}
+
+#[test]
 fn run_executes_a_spec_file() {
     let spec = tmp("spec.json");
     std::fs::write(
@@ -331,6 +356,18 @@ fn run_rejects_bad_spec() {
     std::fs::write(&spec, "{\"name\": \"x\"").expect("write");
     let out = bin().arg("run").arg(&spec).output().expect("run");
     assert!(!out.status.success());
+    // Nesting past the parser's depth bound is a clean error, not a
+    // stack overflow (which would abort with a signal instead of exit 1).
+    let deep = tmp("deep-spec.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write");
+    let out = bin().arg("run").arg(&deep).output().expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting deeper than 128 levels at byte 128"),
+        "{}",
+        stderr
+    );
 }
 
 #[test]

@@ -80,7 +80,8 @@ fn run_bytes_k(
     let out: Arc<Mutex<Vec<Bytes>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("driver", move |ctx| {
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
         let cfg = SortConfig {
             workers,
             exchange: kind.layout(),
@@ -88,10 +89,13 @@ fn run_bytes_k(
             io_concurrency,
             ..SortConfig::default()
         };
-        let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-        let client = store2.connect(ctx, "verify");
+        let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            .await
+            .expect("sort");
+        let client = store2.connect(ctx, "verify").await;
         for run in &stats.runs {
-            out2.lock().push(client.get(ctx, "data", run).expect("run"));
+            let data = client.get(ctx, "data", run).await.expect("run");
+            out2.lock().push(data);
         }
     });
     sim.run().expect("sim ok");

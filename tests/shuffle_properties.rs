@@ -60,15 +60,18 @@ fn serverless_output(values: &[u64], chunks: usize, workers: usize) -> Vec<u64> 
     let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("driver", move |ctx| {
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
         let cfg = SortConfig {
             workers,
             ..SortConfig::default()
         };
-        let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
-        let client = store2.connect(ctx, "verify");
+        let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+            .await
+            .expect("sort");
+        let client = store2.connect(ctx, "verify").await;
         for run in &stats.runs {
-            let data = client.get(ctx, "data", run).expect("run");
+            let data = client.get(ctx, "data", run).await.expect("run");
             out2.lock()
                 .extend(<u64 as SortRecord>::read_all(&data).expect("decode"));
         }
@@ -96,15 +99,18 @@ fn vm_output(values: &[u64], chunks: usize, runs: usize) -> Vec<u64> {
     let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("driver", move |ctx| {
+    sim.spawn("driver", move |mut ctx| async move {
+        let ctx = &mut ctx;
         let cfg = VmSortConfig {
             runs,
             ..VmSortConfig::default()
         };
-        let stats = vm_sort::<u64>(ctx, &fleet, &store2, &cfg).expect("sort");
-        let client = store2.connect(ctx, "verify");
+        let stats = vm_sort::<u64>(ctx, &fleet, &store2, &cfg)
+            .await
+            .expect("sort");
+        let client = store2.connect(ctx, "verify").await;
         for run in &stats.runs {
-            let data = client.get(ctx, "data", run).expect("run");
+            let data = client.get(ctx, "data", run).await.expect("run");
             out2.lock()
                 .extend(<u64 as SortRecord>::read_all(&data).expect("decode"));
         }
@@ -165,13 +171,16 @@ fn more_workers_reduce_latency_when_bandwidth_bound() {
         let out: Arc<Mutex<Option<SimDuration>>> = Arc::new(Mutex::new(None));
         let out2 = Arc::clone(&out);
         let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
             let cfg = SortConfig {
                 workers,
                 work: faaspipe::shuffle::WorkModel::default().with_size_scale(1_000.0),
                 ..SortConfig::default()
             };
-            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg).expect("sort");
+            let stats = serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
+                .await
+                .expect("sort");
             *out2.lock() = Some(stats.total_duration());
         });
         sim.run().expect("sim ok");

@@ -20,8 +20,8 @@ proptest! {
         let mut sim = Sim::new();
         for (i, &ms) in delays.iter().enumerate() {
             let observed = Arc::clone(&observed);
-            sim.spawn(format!("p{}", i), move |ctx| {
-                ctx.sleep(SimDuration::from_millis(ms));
+            sim.spawn(format!("p{}", i), move |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(ms)).await;
                 observed.lock().unwrap().push(ctx.now());
             });
         }
@@ -40,9 +40,9 @@ proptest! {
             let mut sim = Sim::new();
             for (i, &ms) in delays.iter().enumerate() {
                 let observed = Arc::clone(&observed);
-                sim.spawn(format!("p{}", i), move |ctx| {
-                    ctx.sleep(SimDuration::from_millis(ms % 97));
-                    ctx.sleep(SimDuration::from_millis(ms % 13));
+                sim.spawn(format!("p{}", i), move |ctx| async move {
+                    ctx.sleep(SimDuration::from_millis(ms % 97)).await;
+                    ctx.sleep(SimDuration::from_millis(ms % 13)).await;
                     observed.lock().unwrap().push((i, ctx.now().as_nanos()));
                 });
             }
@@ -61,8 +61,8 @@ proptest! {
         let mut sim = Sim::new();
         let link = sim.create_link(Bandwidth::bytes_per_sec(1_000_000.0));
         for i in 0..n {
-            sim.spawn(format!("t{}", i), move |ctx| {
-                ctx.transfer(ByteSize::kib(kib), &[link]);
+            sim.spawn(format!("t{}", i), move |ctx| async move {
+                ctx.transfer(ByteSize::kib(kib), &[link]).await;
             });
         }
         let report = sim.run().expect("sim ok");
@@ -81,11 +81,11 @@ proptest! {
         let sem = sim.create_semaphore(1);
         for i in 0..n {
             let entries = Arc::clone(&entries);
-            sim.spawn(format!("w{}", i), move |ctx| {
-                ctx.sem_acquire(sem, 1);
+            sim.spawn(format!("w{}", i), move |ctx| async move {
+                ctx.sem_acquire(sem, 1).await;
                 entries.lock().unwrap().push((i, ctx.now().as_nanos()));
-                ctx.sleep(SimDuration::from_millis(hold_ms));
-                ctx.sem_release(sem, 1);
+                ctx.sleep(SimDuration::from_millis(hold_ms)).await;
+                ctx.sem_release(sem, 1).await;
             });
         }
         sim.run().expect("sim ok");
@@ -124,9 +124,9 @@ proptest! {
 fn limiter_long_run_rate_is_exact() {
     let mut sim = Sim::new();
     let lim = sim.create_limiter(100.0, 10.0);
-    sim.spawn("client", move |ctx| {
+    sim.spawn("client", move |ctx| async move {
         for _ in 0..510 {
-            ctx.limiter_acquire(lim, 1.0);
+            ctx.limiter_acquire(lim, 1.0).await;
         }
     });
     let report = sim.run().expect("sim ok");

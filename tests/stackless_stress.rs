@@ -1,15 +1,14 @@
 //! Stress and panic-path regression suite for the stackless DES loop.
 //!
-//! Two properties the thread-backed scheduler gave us for free must
-//! survive the state-machine rewrite:
+//! Two properties of the stackless event loop:
 //!
 //! 1. A fan_out job that panics mid-queue surfaces as a `JoinError` at
 //!    the caller's join — never a hang, never a silently missing slot —
 //!    while the surviving workers keep draining the shared queue.
 //! 2. Tens of thousands of short-lived processes (nested spawn/join plus
 //!    fan_out) run to completion deterministically on the event-loop
-//!    thread alone: zero pool workers, and host thread count bounded by
-//!    the CPU-offload pool cap.
+//!    thread alone: host thread count stays bounded by the CPU-offload
+//!    pool cap.
 //!
 //! This file is deliberately its own integration-test binary: the
 //! `/proc/self/status` thread-count assertions would be polluted by the
@@ -20,7 +19,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use faaspipe::des::{Ctx, Sim, SimConfig, SimDuration};
+use faaspipe::des::{Ctx, Sim, SimDuration};
 
 /// Current `Threads:` count of this process, from /proc/self/status.
 /// Returns None off-Linux so the bound degrades to a no-op there.
@@ -52,7 +51,7 @@ fn fan_out_job_panic_mid_queue_yields_join_error() {
     let mut sim = Sim::new();
     let completed2 = Arc::clone(&completed);
     let saw_error2 = Arc::clone(&saw_error);
-    sim.spawn_task("driver", move |ctx| async move {
+    sim.spawn("driver", move |ctx| async move {
         // 8 jobs over a window of 2: job 3 sits mid-queue, behind the
         // first wave but ahead of the tail. Its panic kills one worker;
         // the sibling must keep draining the rest.
@@ -60,7 +59,7 @@ fn fan_out_job_panic_mid_queue_yields_join_error() {
             .map(|i| {
                 let completed = Arc::clone(&completed2);
                 async move |cctx: &mut Ctx| {
-                    cctx.sleep_async(SimDuration::from_millis(10 + i)).await;
+                    cctx.sleep(SimDuration::from_millis(10 + i)).await;
                     if i == 3 {
                         panic!("job 3 exploded");
                     }
@@ -69,7 +68,7 @@ fn fan_out_job_panic_mid_queue_yields_join_error() {
                 }
             })
             .collect();
-        match ctx.fan_out_async("flaky", 2, jobs).await {
+        match ctx.fan_out("flaky", 2, jobs).await {
             Ok(out) => panic!("fan_out must not succeed, got {:?}", out),
             Err(e) => {
                 assert!(
@@ -82,7 +81,7 @@ fn fan_out_job_panic_mid_queue_yields_join_error() {
         }
     });
 
-    let report = sim.run().expect("observed panic must not fail the run");
+    sim.run().expect("observed panic must not fail the run");
     assert_eq!(
         saw_error.load(Ordering::SeqCst),
         1,
@@ -93,7 +92,6 @@ fn fan_out_job_panic_mid_queue_yields_join_error() {
         7,
         "surviving worker drains every job except the panicked one"
     );
-    assert_eq!(report.pool_workers, 0, "fan_out_async stays stackless");
 }
 
 // ---------------------------------------------------------------------------
@@ -106,35 +104,32 @@ const FAN_JOBS_PER_BATCH: u64 = 16;
 const FAN_WINDOW: usize = 8;
 
 /// One full run: a root task spawns `BATCHES` batch processes; each batch
-/// spawns `KIDS_PER_BATCH` children (joined with `join_all_async`) and a
+/// spawns `KIDS_PER_BATCH` children (joined with `join_all`) and a
 /// `FAN_WINDOW`-wide fan_out. Total processes:
 /// 1 + 500 · (1 + 100 + 8) = 54_501.
 fn run_once(seed: u64) -> (u64, u64, usize, u64, usize) {
     let checksum = Arc::new(AtomicU64::new(0));
     let peak_threads = Arc::new(AtomicUsize::new(0));
 
-    let mut sim = Sim::with_config(SimConfig {
-        seed,
-        ..SimConfig::default()
-    });
+    let mut sim = Sim::with_seed(seed);
     let checksum2 = Arc::clone(&checksum);
     let peak2 = Arc::clone(&peak_threads);
-    sim.spawn_task("root", move |ctx| async move {
+    sim.spawn("root", move |ctx| async move {
         let mut batches = Vec::with_capacity(BATCHES as usize);
         for b in 0..BATCHES {
             let checksum = Arc::clone(&checksum2);
             let pid = ctx
-                .spawn_task(format!("batch{b}"), move |bctx| async move {
+                .spawn(format!("batch{b}"), move |bctx| async move {
                     // Nested spawn/join: short-lived children with
                     // staggered virtual sleeps and pid-seeded rng draws.
                     let mut kids = Vec::with_capacity(KIDS_PER_BATCH as usize);
                     for k in 0..KIDS_PER_BATCH {
                         let checksum = Arc::clone(&checksum);
                         let kid = bctx
-                            .spawn_task(format!("kid{b}.{k}"), move |kctx| async move {
+                            .spawn(format!("kid{b}.{k}"), move |kctx| async move {
                                 let mut kctx = kctx;
                                 let nap = (b * 31 + k * 7) % 97 + 1;
-                                kctx.sleep_async(SimDuration::from_micros(nap)).await;
+                                kctx.sleep(SimDuration::from_micros(nap)).await;
                                 let draw = kctx.rng().next_u64();
                                 let stamp = kctx.now().as_nanos();
                                 checksum.fetch_add(draw ^ stamp ^ (b << 32 | k), Ordering::SeqCst);
@@ -147,25 +142,23 @@ fn run_once(seed: u64) -> (u64, u64, usize, u64, usize) {
                     let jobs: Vec<_> = (0..FAN_JOBS_PER_BATCH)
                         .map(|j| {
                             async move |fctx: &mut Ctx| {
-                                fctx.sleep_async(SimDuration::from_micros(j % 5 + 1)).await;
+                                fctx.sleep(SimDuration::from_micros(j % 5 + 1)).await;
                                 fctx.rng().next_u64().wrapping_add(j)
                             }
                         })
                         .collect();
                     let fanned = bctx
-                        .fan_out_async("fan", FAN_WINDOW, jobs)
+                        .fan_out("fan", FAN_WINDOW, jobs)
                         .await
                         .expect("fan_out completes");
                     let folded = fanned.iter().fold(0u64, |acc, v| acc.wrapping_add(*v));
-                    bctx.join_all_async(&kids).await.expect("kids complete");
+                    bctx.join_all(&kids).await.expect("kids complete");
                     checksum.fetch_add(folded ^ bctx.now().as_nanos(), Ordering::SeqCst);
                 })
                 .await;
             batches.push(pid);
         }
-        ctx.join_all_async(&batches)
-            .await
-            .expect("batches complete");
+        ctx.join_all(&batches).await.expect("batches complete");
         // Sample the host thread count while the event loop is live —
         // after run() returns the pools have been dropped, so this is
         // the only honest observation point.
@@ -175,10 +168,6 @@ fn run_once(seed: u64) -> (u64, u64, usize, u64, usize) {
     });
 
     let report = sim.run().expect("stress run completes");
-    assert_eq!(
-        report.pool_workers, 0,
-        "every process must run as a state machine, not a pool thread"
-    );
     (
         report.end_time.as_nanos(),
         report.events,

@@ -113,36 +113,42 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
     let out: Arc<Mutex<Vec<Observed>>> = Arc::new(Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
     let store2 = Arc::clone(&store);
-    sim.spawn("model", move |ctx| {
-        let c = store2.connect(ctx, "model");
+    sim.spawn("model", move |mut ctx| async move {
+        let ctx = &mut ctx;
+        let c = store2.connect(ctx, "model").await;
         for op in &ops {
             let obs = match op {
                 Op::Put(k, d) => {
                     c.put(ctx, "b", &key(*k), Bytes::from(d.clone()))
+                        .await
                         .expect("put");
                     Observed::Unit
                 }
                 Op::PutIfAbsent(k, d) => {
-                    match c.put_if_absent(ctx, "b", &key(*k), Bytes::from(d.clone())) {
+                    match c
+                        .put_if_absent(ctx, "b", &key(*k), Bytes::from(d.clone()))
+                        .await
+                    {
                         Ok(_) => Observed::Created(true),
                         Err(StoreError::PreconditionFailed { .. }) => Observed::Created(false),
                         Err(e) => panic!("unexpected: {}", e),
                     }
                 }
-                Op::Get(k) => match c.get(ctx, "b", &key(*k)) {
+                Op::Get(k) => match c.get(ctx, "b", &key(*k)).await {
                     Ok(d) => Observed::Bytes(Some(d.to_vec())),
                     Err(StoreError::NoSuchKey { .. }) => Observed::Bytes(None),
                     Err(e) => panic!("unexpected: {}", e),
                 },
-                Op::Head(k) => Observed::Exists(c.exists(ctx, "b", &key(*k)).expect("head")),
+                Op::Head(k) => Observed::Exists(c.exists(ctx, "b", &key(*k)).await.expect("head")),
                 Op::Delete(k) => {
-                    c.delete(ctx, "b", &key(*k)).expect("delete");
+                    c.delete(ctx, "b", &key(*k)).await.expect("delete");
                     Observed::Unit
                 }
                 Op::List(prefix_k) => {
                     let prefix = format!("k/{:01}", prefix_k % 10);
                     Observed::Keys(
                         c.list(ctx, "b", &prefix)
+                            .await
                             .expect("list")
                             .into_iter()
                             .map(|o| o.key)
@@ -150,7 +156,10 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
                     )
                 }
                 Op::Range(k, off, len) => {
-                    match c.get_range(ctx, "b", &key(*k), *off as u64, *len as u64) {
+                    match c
+                        .get_range(ctx, "b", &key(*k), *off as u64, *len as u64)
+                        .await
+                    {
                         Ok(d) => Observed::Bytes(Some(d.to_vec())),
                         Err(StoreError::NoSuchKey { .. })
                         | Err(StoreError::InvalidRange { .. }) => Observed::Bytes(None),

@@ -60,10 +60,7 @@ fn bench_flow_recompute(c: &mut Criterion) {
                 let nic = net.add_link(Bandwidth::mib_per_sec(100.0));
                 net.start(
                     SimTime::ZERO,
-                    FlowSpec {
-                        bytes: ByteSize::mib(64),
-                        links: vec![nic, backbone],
-                    },
+                    FlowSpec::new(ByteSize::mib(64), &[nic, backbone]),
                     i,
                 );
             }
@@ -90,10 +87,7 @@ fn flow_stress(n: u32) {
         // coalescing into one tick.
         net.start(
             now,
-            FlowSpec {
-                bytes: ByteSize::kib(64 + (i as u64 % 97) * 16),
-                links: vec![nic, backbone],
-            },
+            FlowSpec::new(ByteSize::kib(64 + (i as u64 % 97) * 16), &[nic, backbone]),
             i,
         );
     }

@@ -13,7 +13,9 @@ use faaspipe_core::{
     CostReport, Dag, EncodeCodec, Executor, PipelineMode, PriceBook, Services, StageKind, Tracker,
     WorkerChoice,
 };
-use faaspipe_des::{Ctx, Money, Sim, SimDuration, SimError, SimReport, SimTime};
+use faaspipe_des::{
+    catch_unwind_future, panic_message, Ctx, Money, Sim, SimDuration, SimError, SimReport, SimTime,
+};
 use faaspipe_exchange::ExchangeKind;
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_methcomp::synth::Synthesizer;
@@ -434,8 +436,9 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
                 );
             }
             for pid in runs {
-                // Run-level failures are captured in the outcome list;
-                // a panicked run process must not kill the driver.
+                // Every run records its own outcome, a panicking one
+                // included (see `execute_run`), so a join error is left
+                // with nothing to report.
                 let _ = ctx.join(pid).await;
             }
         });
@@ -556,7 +559,15 @@ async fn execute_run(
         error: None,
     };
 
-    match drive_run(ctx, shared, spec, &run_name, seq).await {
+    // A panic in the run (a dataset that cannot be allocated, say) fails
+    // this run only: it still releases its admission slot and records an
+    // outcome, as a crashed invocation does on the functions platform.
+    let run = drive_run(ctx, shared, spec, &run_name, seq);
+    let result = match catch_unwind_future(std::panic::AssertUnwindSafe(run)).await {
+        Ok(result) => result,
+        Err(payload) => Err(format!("run panicked: {}", panic_message(payload.as_ref()))),
+    };
+    match result {
         Ok((started, finished)) => {
             outcome.started = started;
             outcome.finished = finished;
@@ -850,5 +861,39 @@ mod tests {
         }
         let run = with_admission(unlimited.with_run_rate(f64::NAN, 1.0));
         assert!(reason(&run).contains("run_rate"));
+    }
+
+    #[test]
+    fn a_panicking_run_is_reported_as_failed() {
+        // A dataset whose in-memory records overflow `isize::MAX` bytes
+        // (while its wire size still fits) panics with "capacity
+        // overflow" in every run, without allocating anything.
+        let records = isize::MAX as usize / MethRecord::WIRE_SIZE;
+        assert!(records
+            .checked_mul(std::mem::size_of::<MethRecord>())
+            .is_none_or(|b| b > isize::MAX as usize));
+        let mut tenant = TenantSpec::new("t0");
+        // One run at a time: a panicked run that kept its slot would
+        // leave the second queued forever.
+        tenant.admission = AdmissionPolicy::unlimited().with_max_concurrent(1);
+        let arrivals: Vec<Arrival> = (0..2u64)
+            .map(|i| Arrival {
+                at: SimTime::from_nanos(i * 1_000_000_000),
+                tenant: 0,
+            })
+            .collect();
+        let mut cfg = ClusterConfig::new(vec![tenant], ArrivalProcess::Trace(arrivals));
+        cfg.physical_records = records;
+        let report = run_cluster(&cfg).expect("panicking runs do not fail the simulation");
+        assert_eq!(report.submitted, 2);
+        assert_eq!(report.failed, 2);
+        assert_eq!(report.completed, 0);
+        for run in &report.runs {
+            let error = run
+                .error
+                .as_deref()
+                .expect("a failed run carries its message");
+            assert!(error.contains("capacity overflow"), "{error}");
+        }
     }
 }

@@ -240,16 +240,17 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
-/// A bit-tree model over 8-bit symbols (255 adaptive nodes).
+/// A bit-tree model over 8-bit symbols (255 adaptive nodes), held
+/// inline: creating one allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ByteModel {
-    nodes: Box<[BitModel; 256]>,
+    nodes: [BitModel; 256],
 }
 
 impl Default for ByteModel {
     fn default() -> Self {
         ByteModel {
-            nodes: Box::new([BitModel::new(); 256]),
+            nodes: [BitModel::new(); 256],
         }
     }
 }
@@ -324,16 +325,17 @@ impl Order1Model {
 }
 
 /// Adaptive unsigned-integer model: the bit-width is coded with a small
-/// bit-tree (highly skewed in practice), the payload bits directly.
+/// bit-tree (highly skewed in practice), the payload bits directly. Held
+/// inline, like [`ByteModel`].
 #[derive(Debug, Clone)]
 pub struct UIntModel {
-    width_nodes: Box<[BitModel; 128]>,
+    width_nodes: [BitModel; 128],
 }
 
 impl Default for UIntModel {
     fn default() -> Self {
         UIntModel {
-            width_nodes: Box::new([BitModel::new(); 128]),
+            width_nodes: [BitModel::new(); 128],
         }
     }
 }

@@ -408,6 +408,8 @@ impl Executor {
             return Err(format!("no decode inputs under '{}'", input));
         }
         let written: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+        // One tag for the stage's invocations and their connections.
+        let tag: Arc<str> = format!("{}/dec", stage).into();
         let mut handles = Vec::with_capacity(workers);
         for wi in 0..workers {
             let assigned: Vec<String> = inputs
@@ -423,19 +425,17 @@ impl Executor {
             let work = self.work.clone();
             let written = Arc::clone(&written);
             let bucket = bucket.to_string();
-            let stage2 = stage.to_string();
             let output = output.to_string();
+            let conn_tag = Arc::clone(&tag);
             let h = self
                 .services
                 .faas
                 .invoke(
                     ctx,
                     "decode",
-                    format!("{}/dec", stage),
+                    Arc::clone(&tag),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
-                        let client = store
-                            .connect_via(fctx, format!("{}/dec", stage2), &[env.nic])
-                            .await;
+                        let client = store.connect_via(fctx, conn_tag, &[env.nic]).await;
                         for key in &assigned {
                             let archive = client
                                 .get(fctx, &bucket, key)
@@ -802,6 +802,8 @@ impl Executor {
             return Err(format!("no encode inputs under '{}'", input));
         }
         let written: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+        // One tag for the stage's invocations and their connections.
+        let tag: Arc<str> = format!("{}/enc", stage).into();
         let mut handles = Vec::with_capacity(workers);
         for wi in 0..workers {
             let assigned: Vec<String> = inputs
@@ -817,19 +819,17 @@ impl Executor {
             let work = self.work.clone();
             let written = Arc::clone(&written);
             let bucket = bucket.to_string();
-            let stage2 = stage.to_string();
             let output = output.to_string();
+            let conn_tag = Arc::clone(&tag);
             let h = self
                 .services
                 .faas
                 .invoke(
                     ctx,
                     "encode",
-                    format!("{}/enc", stage),
+                    Arc::clone(&tag),
                     async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
-                        let client = store
-                            .connect_via(fctx, format!("{}/enc", stage2), &[env.nic])
-                            .await;
+                        let client = store.connect_via(fctx, conn_tag, &[env.nic]).await;
                         for key in &assigned {
                             let data = client
                                 .get(fctx, &bucket, key)

@@ -85,13 +85,13 @@ impl PriceBook {
         for rec in fn_records {
             let cost = self.function_cost(rec);
             functions += cost;
-            by_stage.entry(stage_of(&rec.tag)).or_default().functions += cost;
+            stage_entry(&mut by_stage, &rec.tag).functions += cost;
         }
         let mut requests = Money::ZERO;
         for (tag, m) in store_metrics.iter() {
             let cost = self.store_cost(m);
             requests += cost;
-            by_stage.entry(stage_of(tag)).or_default().requests += cost;
+            stage_entry(&mut by_stage, tag).requests += cost;
         }
         let mut vm = Money::ZERO;
         for rec in vm_records {
@@ -117,8 +117,15 @@ impl PriceBook {
     }
 }
 
-fn stage_of(tag: &str) -> String {
-    tag.split('/').next().unwrap_or(tag).to_string()
+/// The cost row of the stage `tag` belongs to (its prefix before the
+/// first `/`), created on first use: the stage name is copied once per
+/// stage, not once per record.
+fn stage_entry<'a>(by_stage: &'a mut BTreeMap<String, StageCost>, tag: &str) -> &'a mut StageCost {
+    let stage = tag.split('/').next().unwrap_or(tag);
+    if !by_stage.contains_key(stage) {
+        by_stage.insert(stage.to_string(), StageCost::default());
+    }
+    by_stage.get_mut(stage).expect("inserted above")
 }
 
 /// Per-stage cost components.

@@ -99,6 +99,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::inline::InlineList;
 use crate::units::{Bandwidth, ByteSize, SimDuration, SimTime};
 
 /// Identifies a capacity-constrained link in the network.
@@ -109,14 +110,35 @@ pub struct LinkId(pub(crate) u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey(usize);
 
+/// The links of one transfer. The transfers the workspace models cross
+/// at most three (a store connection, the backbone and the caller's
+/// NIC), so up to four are held inline and a transfer allocates
+/// nothing; a longer list moves to the heap.
+pub type FlowLinks = InlineList<LinkId, 4>;
+
 /// Description of a transfer: how many bytes, across which links.
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// Total bytes the flow must move.
     pub bytes: ByteSize,
     /// Every link the flow traverses; its rate is bounded by each of them.
-    pub links: Vec<LinkId>,
+    pub links: FlowLinks,
 }
+
+impl FlowSpec {
+    /// A transfer of `bytes` across `links`.
+    pub fn new(bytes: ByteSize, links: &[LinkId]) -> FlowSpec {
+        FlowSpec {
+            bytes,
+            links: links.into(),
+        }
+    }
+}
+
+/// The flow slots crossing one link, ascending. A per-connection link
+/// carries one flow at a time and stays inline; a busy link (a NIC under
+/// a wide I/O window, the store backbone) spills to the heap once.
+type Members = InlineList<u32, 3>;
 
 #[derive(Debug)]
 struct Link {
@@ -145,7 +167,7 @@ impl Link {
 #[derive(Debug)]
 struct Flow {
     remaining: f64, // bytes
-    links: Vec<LinkId>,
+    links: FlowLinks,
     waker: u32, // process index to resume on completion
     rate: f64,  // current fair-share rate, bytes/sec
 }
@@ -217,7 +239,7 @@ pub struct FlowNet {
     /// Per-link membership: active flow slots crossing the link, ascending
     /// (one entry per occurrence in the flow's link list, mirroring the
     /// dense scan's per-occurrence counts).
-    members: Vec<Vec<u32>>,
+    members: Vec<Members>,
     /// Links whose membership changed since the last solve.
     changed: Vec<u32>,
     /// Flows started since the last solve.
@@ -280,7 +302,7 @@ impl FlowNet {
             binds: false,
             changed: false,
         });
-        self.members.push(Vec::new());
+        self.members.push(Members::new());
         id
     }
 
@@ -300,7 +322,7 @@ impl FlowNet {
         // (adjacent, since the list is slot-sorted) but must count once.
         let mut sum = 0.0;
         let mut last = None;
-        for &fi in members {
+        for &fi in members.iter() {
             if last == Some(fi) {
                 continue;
             }
@@ -798,14 +820,7 @@ mod tests {
     fn single_flow_gets_full_capacity() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
-        net.start(
-            t(0),
-            FlowSpec {
-                bytes: ByteSize::new(200),
-                links: vec![l],
-            },
-            0,
-        );
+        net.start(t(0), FlowSpec::new(ByteSize::new(200), &[l]), 0);
         assert_eq!(rates(&mut net), vec![100.0]);
         let done_at = net.next_completion(t(0)).expect("one active flow");
         assert!(done_at.as_nanos().abs_diff(t(2000).as_nanos()) <= 2);
@@ -815,10 +830,7 @@ mod tests {
     fn two_flows_share_a_link_equally() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
-        let spec = |b| FlowSpec {
-            bytes: ByteSize::new(b),
-            links: vec![l],
-        };
+        let spec = |b| FlowSpec::new(ByteSize::new(b), &[l]);
         net.start(t(0), spec(100), 0);
         net.start(t(0), spec(100), 1);
         assert_eq!(rates(&mut net), vec![50.0, 50.0]);
@@ -833,20 +845,10 @@ mod tests {
         let backbone = net.add_link(Bandwidth::bytes_per_sec(100.0));
         net.start(
             t(0),
-            FlowSpec {
-                bytes: ByteSize::new(1000),
-                links: vec![nic, backbone],
-            },
+            FlowSpec::new(ByteSize::new(1000), &[nic, backbone]),
             0,
         );
-        net.start(
-            t(0),
-            FlowSpec {
-                bytes: ByteSize::new(1000),
-                links: vec![backbone],
-            },
-            1,
-        );
+        net.start(t(0), FlowSpec::new(ByteSize::new(1000), &[backbone]), 1);
         let r = rates(&mut net);
         assert_eq!(r[0], 10.0);
         assert_eq!(r[1], 90.0);
@@ -856,22 +858,8 @@ mod tests {
     fn rates_rebalance_when_a_flow_finishes() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
-        net.start(
-            t(0),
-            FlowSpec {
-                bytes: ByteSize::new(50),
-                links: vec![l],
-            },
-            0,
-        );
-        net.start(
-            t(0),
-            FlowSpec {
-                bytes: ByteSize::new(500),
-                links: vec![l],
-            },
-            1,
-        );
+        net.start(t(0), FlowSpec::new(ByteSize::new(50), &[l]), 0);
+        net.start(t(0), FlowSpec::new(ByteSize::new(500), &[l]), 1);
         // Both at 50 B/s; flow 0 finishes at t=1s.
         let first = net.next_completion(t(0)).expect("two active flows");
         assert!(first.as_nanos().abs_diff(t(1000).as_nanos()) <= 2);
@@ -887,14 +875,7 @@ mod tests {
     fn zero_byte_flow_completes_immediately() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
-        net.start(
-            t(5),
-            FlowSpec {
-                bytes: ByteSize::ZERO,
-                links: vec![l],
-            },
-            7,
-        );
+        net.start(t(5), FlowSpec::new(ByteSize::ZERO, &[l]), 7);
         assert_eq!(net.next_completion(t(5)), Some(t(5)));
         assert_eq!(tick(&mut net, t(5)), vec![7]);
         assert_eq!(net.active_flows(), 0);
@@ -904,14 +885,7 @@ mod tests {
     fn unconstrained_flow_is_instantaneous() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::UNLIMITED);
-        net.start(
-            t(1),
-            FlowSpec {
-                bytes: ByteSize::gib(10),
-                links: vec![l],
-            },
-            3,
-        );
+        net.start(t(1), FlowSpec::new(ByteSize::gib(10), &[l]), 3);
         assert_eq!(net.next_completion(t(1)), Some(t(1)));
         assert_eq!(tick(&mut net, t(1)), vec![3]);
     }
@@ -924,10 +898,7 @@ mod tests {
             let nic = net.add_link(Bandwidth::bytes_per_sec(100.0));
             net.start(
                 t(0),
-                FlowSpec {
-                    bytes: ByteSize::new(10_000),
-                    links: vec![nic, backbone],
-                },
+                FlowSpec::new(ByteSize::new(10_000), &[nic, backbone]),
                 i,
             );
         }
@@ -943,10 +914,7 @@ mod tests {
             let nic = net.add_link(Bandwidth::bytes_per_sec(100.0));
             net.start(
                 t(0),
-                FlowSpec {
-                    bytes: ByteSize::new(10_000),
-                    links: vec![nic, backbone],
-                },
+                FlowSpec::new(ByteSize::new(10_000), &[nic, backbone]),
                 i,
             );
         }
@@ -961,24 +929,14 @@ mod tests {
     #[should_panic(expected = "unknown link")]
     fn unknown_link_panics() {
         let mut net = FlowNet::new();
-        net.start(
-            t(0),
-            FlowSpec {
-                bytes: ByteSize::new(1),
-                links: vec![LinkId(9)],
-            },
-            0,
-        );
+        net.start(t(0), FlowSpec::new(ByteSize::new(1), &[LinkId(9)]), 0);
     }
 
     #[test]
     fn flow_slots_are_reused() {
         let mut net = FlowNet::new();
         let l = net.add_link(Bandwidth::bytes_per_sec(100.0));
-        let spec = FlowSpec {
-            bytes: ByteSize::new(100),
-            links: vec![l],
-        };
+        let spec = FlowSpec::new(ByteSize::new(100), &[l]);
         net.start(t(0), spec.clone(), 0);
         let done = net.next_completion(t(0)).expect("one flow");
         tick(&mut net, done);
@@ -995,10 +953,7 @@ mod tests {
             let nic = net.add_link(Bandwidth::bytes_per_sec(64.0 + i as f64));
             net.start(
                 now,
-                FlowSpec {
-                    bytes: ByteSize::new(1000 + 37 * i as u64),
-                    links: vec![nic, backbone],
-                },
+                FlowSpec::new(ByteSize::new(1000 + 37 * i as u64), &[nic, backbone]),
                 i,
             );
             assert_eq!(
@@ -1032,10 +987,7 @@ mod tests {
         let start = |net: &mut FlowNet, nic: LinkId, waker: u32| {
             net.start(
                 t(0),
-                FlowSpec {
-                    bytes: ByteSize::new(10_000),
-                    links: vec![nic, backbone],
-                },
+                FlowSpec::new(ByteSize::new(10_000), &[nic, backbone]),
                 waker,
             );
         };
@@ -1078,10 +1030,7 @@ mod tests {
             let nic = net.add_link(Bandwidth::bytes_per_sec(100.0));
             net.start(
                 t(0),
-                FlowSpec {
-                    bytes: ByteSize::new(1000 + i as u64),
-                    links: vec![nic, backbone],
-                },
+                FlowSpec::new(ByteSize::new(1000 + i as u64), &[nic, backbone]),
                 i,
             );
             assert_eq!(net.take_stalled(), None, "after start {}", i);

@@ -14,7 +14,7 @@
 //! thread. Every `Ctx` operation (`sleep`, `sem_acquire`, `transfer`,
 //! `join`, `fan_out`, …) is a yield point: the future suspends, the
 //! scheduler services the request, and the continuation is re-polled when
-//! the virtual-time condition is met. A suspended process is a
+//! the virtual-time condition is met. A suspended process is one
 //! heap-allocated state machine — 100k concurrent processes cost 100k
 //! small allocations, not 100k OS threads. Genuinely CPU-heavy host
 //! kernels (sort/merge/encode) are dispatched to a small offload thread
@@ -46,15 +46,17 @@
 
 pub mod events;
 pub mod flow;
+pub mod inline;
 mod pool;
 pub mod process;
 pub mod resources;
 pub mod sim;
 pub mod units;
 
-pub use flow::{FlowSpec, LinkId};
+pub use flow::{FlowLinks, FlowSpec, LinkId};
+pub use inline::InlineList;
 pub use process::{
-    catch_unwind_future, CatchUnwind, Ctx, JoinError, LocalBoxFuture, ProcessId,
+    catch_unwind_future, panic_message, CatchUnwind, Ctx, JoinError, LocalBoxFuture, ProcessId,
     INLINE_KERNEL_BYTES,
 };
 pub use resources::{LimiterId, SemId};

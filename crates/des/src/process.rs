@@ -4,16 +4,17 @@
 //! A process body is an `async` future polled by the scheduler on its own
 //! thread. Every simulation operation (`sleep`, `sem_acquire`, `transfer`,
 //! `spawn`, `join`, …) is a yield point: the future deposits its request
-//! in a shared `OpCell` and returns `Poll::Pending`; the scheduler
-//! services the request and re-polls when the virtual-time condition is
-//! met. A suspended process is a small heap-allocated state machine, not a
-//! parked OS thread.
+//! in the scheduler's op mailbox and returns `Poll::Pending`; the
+//! scheduler services the request and re-polls when the virtual-time
+//! condition is met. A suspended process is one heap-allocated state
+//! machine, not a parked OS thread.
 //!
 //! The scheduler resumes exactly one process at a time, so host thread
-//! scheduling never influences simulation outcomes.
+//! scheduling never influences simulation outcomes — and one mailbox
+//! serves every process (see `Shared`).
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -65,10 +66,6 @@ impl std::error::Error for JoinError {}
 /// created and polled only there, so they need not be `Send`.
 pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// The body of a simulation process: receives its owned [`Ctx`] and
-/// returns the process future.
-pub(crate) type TaskFn = Box<dyn FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static>;
-
 /// Input size, in bytes, below which [`Ctx::offload`] runs a kernel
 /// inline on the scheduler thread instead of handing it to the offload
 /// pool.
@@ -106,13 +103,22 @@ pub(crate) enum YieldMsg {
     SemCreate(u64),
     SemAcquire(SemId, u64),
     SemRelease(SemId, u64),
-    LimiterCreate { rate: f64, burst: f64 },
+    LimiterCreate {
+        rate: f64,
+        burst: f64,
+    },
     LimiterAcquire(LimiterId, f64),
     LinkCreate(Bandwidth),
     Transfer(FlowSpec),
-    Spawn { name: String, body: TaskFn },
+    Spawn {
+        name: ProcName,
+        future: LocalBoxFuture<'static, ()>,
+    },
     Join(ProcessId),
-    Offload { d: SimDuration, job: OffloadJob },
+    Offload {
+        d: SimDuration,
+        job: OffloadJob,
+    },
 }
 
 /// Scheduler replies.
@@ -151,21 +157,75 @@ impl std::fmt::Debug for ResumeMsg {
     }
 }
 
-/// The one-slot mailbox between a suspended process and the scheduler:
-/// the process's pending operation goes in `request`, the scheduler's
-/// answer comes back in `reply`. Single-threaded by construction (both
-/// sides run on the scheduler thread), hence plain `RefCell`s.
-#[derive(Default)]
-pub(crate) struct OpCell {
-    pub(crate) request: RefCell<Option<YieldMsg>>,
-    pub(crate) reply: RefCell<Option<ResumeMsg>>,
+/// A process's name as its slot stores it. A fan-out worker shares its
+/// fan-out's name and adds its index; `"{base}#{index}"` is only
+/// rendered when a report (an error, a deadlock list) needs it.
+pub(crate) enum ProcName {
+    /// The name given at spawn.
+    Given(String),
+    /// Worker `index` of the fan-out named `base`.
+    Worker(Rc<str>, u32),
+}
+
+impl std::fmt::Display for ProcName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProcName::Given(name) => f.write_str(name),
+            ProcName::Worker(base, index) => write!(f, "{}#{}", base, index),
+        }
+    }
+}
+
+/// Scheduler state every [`Ctx`] reads through one `Rc`: the virtual
+/// clock, the op mailbox, the seed of the per-process random streams and
+/// the pid the next spawned process gets.
+///
+/// The mailbox has one slot per direction for the whole simulation: the
+/// polled process's pending operation goes in `request`, the scheduler's
+/// answer comes back in `reply`. One mailbox serves every process
+/// because only one process is polled at a time, the scheduler takes the
+/// request out after every poll, and it places a reply only just before
+/// the poll that consumes it. Single-threaded by construction (both
+/// sides run on the scheduler thread), hence plain `Cell`s.
+pub(crate) struct Shared {
+    pub(crate) clock: Cell<u64>,
+    pub(crate) request: Cell<Option<YieldMsg>>,
+    pub(crate) reply: Cell<Option<ResumeMsg>>,
+    pub(crate) seed: u64,
+    /// The pid the scheduler assigns to the next process it creates.
+    pub(crate) next_pid: Cell<u32>,
+}
+
+impl Shared {
+    pub(crate) fn new(seed: u64) -> Shared {
+        Shared {
+            clock: Cell::new(0),
+            request: Cell::new(None),
+            reply: Cell::new(None),
+            seed,
+            next_pid: Cell::new(0),
+        }
+    }
+
+    /// The context and boxed future of the next process to be created:
+    /// `body` receives the context of pid `next_pid`, and the future it
+    /// returns is boxed once, as is. Creating a future runs none of its
+    /// code; that starts at its first poll.
+    pub(crate) fn build_process<F, Fut>(self: &Rc<Self>, body: F) -> LocalBoxFuture<'static, ()>
+    where
+        F: FnOnce(Ctx) -> Fut,
+        Fut: Future<Output = ()> + 'static,
+    {
+        let ctx = Ctx::new(ProcessId(self.next_pid.get()), Rc::clone(self));
+        Box::pin(body(ctx))
+    }
 }
 
 /// Leaf future for one simulation operation. First poll deposits the
 /// request and suspends; the scheduler answers (now or at the wake
 /// instant) and re-polls, completing the future.
 struct OpFuture<'a> {
-    cell: &'a OpCell,
+    shared: &'a Shared,
     msg: Option<YieldMsg>,
 }
 
@@ -175,14 +235,14 @@ impl Future for OpFuture<'_> {
     fn poll(self: Pin<&mut Self>, _cx: &mut PollContext<'_>) -> Poll<ResumeMsg> {
         let this = self.get_mut();
         if let Some(msg) = this.msg.take() {
-            let prev = this.cell.request.borrow_mut().replace(msg);
+            let prev = this.shared.request.replace(Some(msg));
             debug_assert!(
                 prev.is_none(),
                 "a process submitted a simulation op while another is pending"
             );
             return Poll::Pending;
         }
-        match this.cell.reply.borrow_mut().take() {
+        match this.shared.reply.take() {
             Some(reply) => Poll::Ready(reply),
             // Spurious poll before the scheduler answered; stay suspended.
             None => Poll::Pending,
@@ -220,11 +280,14 @@ pub fn catch_unwind_future<F: Future>(fut: F) -> CatchUnwind<F> {
 /// Every method that models the passage of time or contention is `async`
 /// and **suspends in virtual time**: the calling process is parked until
 /// the scheduler reaches the corresponding instant.
+///
+/// A `Ctx` is a process id, its random stream and one `Rc` to the
+/// scheduler's shared state (clock, op mailbox, seed, next pid). It does
+/// not carry the process's name: the scheduler keeps that, and renders
+/// it only for reports ([`JoinError`], [`SimError`](crate::SimError)).
 pub struct Ctx {
     pid: ProcessId,
-    name: Arc<str>,
-    clock: Rc<Cell<u64>>,
-    cell: Rc<OpCell>,
+    shared: Rc<Shared>,
     rng: SmallRng,
 }
 
@@ -232,26 +295,17 @@ impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("pid", &self.pid)
-            .field("name", &self.name)
             .field("now", &self.now())
             .finish()
     }
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        pid: ProcessId,
-        name: Arc<str>,
-        clock: Rc<Cell<u64>>,
-        cell: Rc<OpCell>,
-        seed: u64,
-    ) -> Self {
-        let stream = seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    pub(crate) fn new(pid: ProcessId, shared: Rc<Shared>) -> Self {
+        let stream = shared.seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Ctx {
             pid,
-            name,
-            clock,
-            cell,
+            shared,
             rng: SmallRng::seed_from_u64(stream),
         }
     }
@@ -261,14 +315,9 @@ impl Ctx {
         self.pid
     }
 
-    /// This process's name (given at spawn time).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.get())
+        SimTime::from_nanos(self.shared.clock.get())
     }
 
     /// A deterministic per-process random stream (seeded from the sim seed
@@ -280,7 +329,7 @@ impl Ctx {
     /// One simulation op: deposit `msg`, suspend, resume with the answer.
     fn call(&self, msg: YieldMsg) -> OpFuture<'_> {
         OpFuture {
-            cell: &self.cell,
+            shared: &self.shared,
             msg: Some(msg),
         }
     }
@@ -389,26 +438,35 @@ impl Ctx {
     /// fairly with all concurrent transfers. Suspends in virtual time
     /// until the transfer completes.
     pub async fn transfer(&self, bytes: ByteSize, links: &[LinkId]) {
-        let spec = FlowSpec {
-            bytes,
-            links: links.to_vec(),
-        };
-        match self.call(YieldMsg::Transfer(spec)).await {
+        match self
+            .call(YieldMsg::Transfer(FlowSpec::new(bytes, links)))
+            .await
+        {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for transfer: {:?}", other),
         }
     }
 
     /// Spawns a child process that starts at the current virtual time.
-    /// `f` receives the child's owned [`Ctx`] and returns its future.
+    /// `f` receives the child's owned [`Ctx`] and returns its future,
+    /// which is boxed once and first polled when the child first runs.
     pub async fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
-        let name = name.into();
-        match self.call(YieldMsg::Spawn { name, body }).await {
+        self.spawn_named(ProcName::Given(name.into()), f).await
+    }
+
+    async fn spawn_named<F, Fut>(&self, name: ProcName, f: F) -> ProcessId
+    where
+        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        // The child's pid is reserved by the scheduler: it services this
+        // request before any other process can spawn.
+        let future = self.shared.build_process(f);
+        match self.call(YieldMsg::Spawn { name, future }).await {
             ResumeMsg::Pid(pid) => pid,
             other => unreachable!("unexpected resume for spawn: {:?}", other),
         }
@@ -451,7 +509,8 @@ impl Ctx {
     /// finishes one job it starts the next, so the virtual-time schedule
     /// is the same greedy one a semaphore-per-job design yields. Workers
     /// are spawned in job-queue order (deterministic pid assignment) and
-    /// named `"{name}#{w}"`. A thousand-job fan-out costs zero OS threads.
+    /// named `"{name}#{w}"`; they share one copy of `name`. A
+    /// thousand-job fan-out costs zero OS threads.
     ///
     /// A window of `0` is treated as `1`.
     ///
@@ -569,12 +628,14 @@ impl Ctx {
         let queue: Arc<std::sync::Mutex<std::collections::VecDeque<(usize, F)>>> =
             Arc::new(std::sync::Mutex::new(jobs.into_iter().collect()));
         let results: Arc<std::sync::Mutex<Vec<Option<T>>>> = Arc::new(std::sync::Mutex::new(slots));
+        let base: Rc<str> = Rc::from(name);
         let mut pids = Vec::with_capacity(workers);
         for w in 0..workers {
             let queue = Arc::clone(&queue);
             let slot = Arc::clone(&results);
+            let worker = ProcName::Worker(Rc::clone(&base), w as u32);
             let pid = self
-                .spawn(format!("{}#{}", name, w), move |mut cctx: Ctx| async move {
+                .spawn_named(worker, move |mut cctx: Ctx| async move {
                     loop {
                         let next = queue.lock().expect("fan_out queue").pop_front();
                         let Some((i, job)) = next else { break };
@@ -613,8 +674,9 @@ fn collect_fan_out<T>(name: &str, slots: &mut [Option<T>]) -> Result<Vec<T>, Joi
     Ok(out)
 }
 
-/// Renders a panic payload into a human-readable message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a panic payload (from [`catch_unwind_future`] or
+/// `std::panic::catch_unwind`) into a human-readable message.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -60,11 +60,13 @@ impl Semaphore {
         }
     }
 
-    /// Returns `n` permits and grants queued requests in FIFO order.
-    /// Returns the processes to resume.
-    pub fn release(&mut self, n: u64) -> Vec<u32> {
+    /// Returns `n` permits and grants queued requests in FIFO order,
+    /// writing the processes to resume into `woken` (cleared first). The
+    /// caller owns the buffer, so the scheduler reuses one across
+    /// releases, as it does for [`RateLimiter::tick_into`].
+    pub fn release(&mut self, n: u64, woken: &mut Vec<u32>) {
+        woken.clear();
         self.permits += n;
-        let mut woken = Vec::new();
         while let Some(&(pid, want)) = self.waiters.front() {
             if self.permits >= want {
                 self.permits -= want;
@@ -74,7 +76,6 @@ impl Semaphore {
                 break;
             }
         }
-        woken
     }
 }
 
@@ -204,6 +205,12 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    fn release(s: &mut Semaphore, n: u64) -> Vec<u32> {
+        let mut woken = vec![u32::MAX];
+        s.release(n, &mut woken);
+        woken
+    }
+
     #[test]
     fn semaphore_grants_and_blocks() {
         let mut s = Semaphore::new(2);
@@ -211,7 +218,7 @@ mod tests {
         assert!(s.acquire(1, 1));
         assert!(!s.acquire(2, 1));
         assert_eq!(s.queue_len(), 1);
-        assert_eq!(s.release(1), vec![2]);
+        assert_eq!(release(&mut s, 1), vec![2]);
         assert_eq!(s.queue_len(), 0);
     }
 
@@ -221,9 +228,9 @@ mod tests {
         assert!(s.acquire(0, 2));
         assert!(!s.acquire(1, 2)); // waits for 2
         assert!(!s.acquire(2, 1)); // must not overtake pid 1
-        let woken = s.release(2);
+        let woken = release(&mut s, 2);
         assert_eq!(woken, vec![1]);
-        let woken = s.release(2);
+        let woken = release(&mut s, 2);
         assert_eq!(woken, vec![2]);
         assert_eq!(s.available(), 1);
     }
@@ -234,8 +241,8 @@ mod tests {
         assert!(!s.acquire(0, 1));
         assert!(!s.acquire(1, 1));
         assert!(!s.acquire(2, 3));
-        assert_eq!(s.release(2), vec![0, 1]);
-        assert_eq!(s.release(3), vec![2]);
+        assert_eq!(release(&mut s, 2), vec![0, 1]);
+        assert_eq!(release(&mut s, 3), vec![2]);
     }
 
     #[test]

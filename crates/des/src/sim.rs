@@ -1,18 +1,17 @@
 //! The simulation scheduler: owns the clock, event queue, resources and
 //! process table, and runs the event loop to completion.
 
-use std::cell::Cell;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context as PollContext, Poll, Waker};
 
 use crate::events::{EventId, EventQueue, Wake};
 use crate::flow::{FlowNet, LinkId};
+use crate::inline::InlineList;
 use crate::pool::OffloadPool;
 use crate::process::{
-    panic_message, Ctx, JoinError, LocalBoxFuture, OpCell, ProcessId, ResumeMsg, TaskFn, YieldMsg,
+    panic_message, Ctx, JoinError, LocalBoxFuture, ProcName, ProcessId, ResumeMsg, Shared, YieldMsg,
 };
 use crate::resources::{LimiterId, RateLimiter, SemId, Semaphore};
 use crate::units::{Bandwidth, SimTime};
@@ -92,24 +91,18 @@ enum PState {
     Finished(Result<(), String>),
 }
 
-/// A started process: its suspended continuation plus the mailbox it
-/// exchanges ops with the scheduler through.
-struct TaskState {
-    /// The process future; `None` only transiently while being polled.
-    future: Option<LocalBoxFuture<'static, ()>>,
-    cell: Rc<OpCell>,
-}
-
 struct Slot {
-    name: Arc<str>,
+    name: ProcName,
     state: PState,
     /// What to send when this blocked process is next woken.
     resume_with: ResumeMsg,
-    join_waiters: Vec<u32>,
-    /// The body, until the process first wakes and becomes a future.
-    body: Option<TaskFn>,
-    /// The continuation, from the first wake until the process finishes.
-    task: Option<TaskState>,
+    /// Processes joining this one; nearly always one or none.
+    join_waiters: InlineList<u32, 1>,
+    /// The process future, from spawn until the process finishes; `None`
+    /// while it is being polled.
+    future: Option<LocalBoxFuture<'static, ()>>,
+    /// Whether the future has been polled yet.
+    started: bool,
     /// Whether a panic in this process has been delivered to a joiner.
     panic_observed: bool,
 }
@@ -118,8 +111,8 @@ struct Slot {
 ///
 /// See the [crate docs](crate) for the execution model and an example.
 pub struct Sim {
-    seed: u64,
-    clock: Rc<Cell<u64>>,
+    /// Clock, op mailbox, seed and next pid, shared with every [`Ctx`].
+    shared: Rc<Shared>,
     queue: EventQueue,
     procs: Vec<Slot>,
     sems: Vec<Semaphore>,
@@ -130,8 +123,9 @@ pub struct Sim {
     /// Sequence number reserved for the flow tick by the latest flow start
     /// or finish; [`Sim::flush_flows`] schedules the tick with it.
     flow_seq: Option<u64>,
-    /// Reusable buffer for flow/limiter tick wake lists, so steady-state
-    /// ticks do no per-event allocation.
+    /// Reusable buffer for the processes a flow tick, limiter tick or
+    /// semaphore release wakes, so steady-state wakes do no per-event
+    /// allocation.
     tick_woken: Vec<u32>,
     /// First fatal condition observed while dispatching (e.g. a stalled
     /// flow); checked after every event and terminates the run loudly.
@@ -169,8 +163,7 @@ impl Sim {
     /// `seed`.
     pub fn with_seed(seed: u64) -> Self {
         Sim {
-            seed,
-            clock: Rc::new(Cell::new(0)),
+            shared: Rc::new(Shared::new(seed)),
             queue: EventQueue::new(),
             procs: Vec::new(),
             sems: Vec::new(),
@@ -191,7 +184,7 @@ impl Sim {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.get())
+        SimTime::from_nanos(self.shared.clock.get())
     }
 
     /// Creates a semaphore before the run starts (services use this during
@@ -217,30 +210,37 @@ impl Sim {
 
     /// Spawns a root process that starts at the current virtual time. `f`
     /// receives the process's owned [`Ctx`] and returns its future; the
-    /// future is created and polled on the scheduler thread and costs no
-    /// OS thread while suspended.
+    /// future is boxed once, polled on the scheduler thread from the
+    /// process's first wake on, and costs no OS thread while suspended.
     pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
         F: FnOnce(Ctx) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        let body: TaskFn = Box::new(move |ctx| Box::pin(f(ctx)) as LocalBoxFuture<'static, ()>);
-        let pid = self.create_process(name.into(), body);
+        let future = self.shared.build_process(f);
+        let pid = self.create_process(ProcName::Given(name.into()), future);
         self.queue.schedule(self.now(), Wake::Process(pid.0));
         pid
     }
 
-    /// Registers a process slot. No future is created until the process
-    /// first wakes — see [`Sim::run_process`].
-    fn create_process(&mut self, name: String, body: TaskFn) -> ProcessId {
+    /// Registers a process slot for a future built for the next pid
+    /// (see `Shared::build_process`). The future is first polled when the
+    /// process first wakes — see [`Sim::run_process`].
+    fn create_process(&mut self, name: ProcName, future: LocalBoxFuture<'static, ()>) -> ProcessId {
         let pid = ProcessId(self.procs.len() as u32);
+        debug_assert_eq!(
+            pid.0,
+            self.shared.next_pid.get(),
+            "pid reserved out of order"
+        );
+        self.shared.next_pid.set(pid.0 + 1);
         self.procs.push(Slot {
-            name: name.into(),
+            name,
             state: PState::Ready,
             resume_with: ResumeMsg::Go,
-            join_waiters: Vec::new(),
-            body: Some(body),
-            task: None,
+            join_waiters: InlineList::new(),
+            future: Some(future),
+            started: false,
             panic_observed: false,
         });
         self.live_now += 1;
@@ -265,7 +265,7 @@ impl Sim {
                 break;
             };
             debug_assert!(time >= self.now(), "time must be monotone");
-            self.clock.set(time.as_nanos());
+            self.shared.clock.set(time.as_nanos());
             self.events_dispatched += 1;
             match wake {
                 Wake::Process(pidx) => self.run_process(pidx),
@@ -394,39 +394,20 @@ impl Sim {
     /// Resumes process `pidx` and services its requests until it blocks or
     /// finishes.
     ///
-    /// On a process's first wake its body becomes a future, polled in
-    /// place. Binding lazily means processes that are spawned but never
-    /// scheduled cost nothing beyond their slot.
+    /// A process's first wake polls its future for the first time; that
+    /// is where its code starts to run. A process that is spawned but
+    /// never scheduled costs only its slot and its boxed future.
     fn run_process(&mut self, pidx: u32) {
-        let pi = pidx as usize;
-        if matches!(self.procs[pi].state, PState::Finished(_)) {
+        let slot = &mut self.procs[pidx as usize];
+        if matches!(slot.state, PState::Finished(_)) {
             return;
         }
-        if self.procs[pi].task.is_none() {
-            // First wake: create the future.
+        if !slot.started {
             debug_assert!(
-                matches!(self.procs[pi].resume_with, ResumeMsg::Go),
+                matches!(slot.resume_with, ResumeMsg::Go),
                 "first wake must be a plain Go"
             );
-            let f = self.procs[pi]
-                .body
-                .take()
-                .expect("unstarted process has no body");
-            let cell = Rc::new(OpCell::default());
-            let ctx = Ctx::new(
-                ProcessId(pidx),
-                Arc::clone(&self.procs[pi].name),
-                Rc::clone(&self.clock),
-                Rc::clone(&cell),
-                self.seed,
-            );
-            // Creating the future runs no user code (that happens at
-            // first poll, below).
-            let future = f(ctx);
-            self.procs[pi].task = Some(TaskState {
-                future: Some(future),
-                cell,
-            });
+            slot.started = true;
             self.poll_task(pidx);
             return;
         }
@@ -434,11 +415,11 @@ impl Sim {
         // one op; deliver the answer it is waiting for, then poll. Offload
         // results are collected here — at the virtual-time deadline — so
         // host completion order never reorders events.
-        let msg = match std::mem::replace(&mut self.procs[pi].resume_with, ResumeMsg::Go) {
+        let msg = match std::mem::replace(&mut slot.resume_with, ResumeMsg::Go) {
             ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
             m => m,
         };
-        self.reply(pidx, msg);
+        self.reply(msg);
         self.poll_task(pidx);
     }
 
@@ -446,25 +427,27 @@ impl Sim {
     /// on each suspension, until it blocks in virtual time, finishes, or
     /// panics.
     fn poll_task(&mut self, pidx: u32) {
+        let mut future = self.procs[pidx as usize]
+            .future
+            .take()
+            .expect("poll_task on a finished process");
         loop {
-            let ts = self.procs[pidx as usize]
-                .task
-                .as_mut()
-                .expect("poll_task on an unstarted process");
-            let mut future = ts.future.take().expect("task future missing");
             let mut cx = PollContext::from_waker(Waker::noop());
             let polled =
                 std::panic::catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)));
+            // The mailbox is empty after every poll: the process consumed
+            // any reply, and its request (if it made one) is taken here.
+            let request = self.shared.request.take();
+            let unread = self.shared.reply.take();
+            debug_assert!(unread.is_none(), "a reply outlived the poll it was for");
             match polled {
                 Ok(Poll::Pending) => {
-                    let ts = self.procs[pidx as usize].task.as_mut().expect("task state");
-                    ts.future = Some(future);
-                    let Some(msg) = ts.cell.request.borrow_mut().take() else {
+                    let Some(msg) = request else {
                         // The future suspended without a simulation op
                         // pending — it awaited something the scheduler
                         // cannot resolve. Fail the process rather than
                         // hang the simulation.
-                        self.procs[pidx as usize].task = None;
+                        drop(future);
                         self.finish_process(
                             pidx,
                             Err("process suspended outside a simulation op \
@@ -474,19 +457,19 @@ impl Sim {
                         return;
                     };
                     if self.handle_yield(pidx, msg) == Flow::Blocked {
-                        self.procs[pidx as usize].state = PState::Blocked;
+                        let slot = &mut self.procs[pidx as usize];
+                        slot.future = Some(future);
+                        slot.state = PState::Blocked;
                         return;
                     }
                 }
                 Ok(Poll::Ready(())) => {
                     drop(future);
-                    self.procs[pidx as usize].task = None;
                     self.finish_process(pidx, Ok(()));
                     return;
                 }
                 Err(payload) => {
                     drop(future);
-                    self.procs[pidx as usize].task = None;
                     self.finish_process(pidx, Err(panic_message(payload.as_ref())));
                     return;
                 }
@@ -494,14 +477,10 @@ impl Sim {
         }
     }
 
-    /// Delivers a scheduler reply into a running process's op mailbox,
-    /// consumed on its next poll.
-    fn reply(&self, pidx: u32, msg: ResumeMsg) {
-        let ts = self.procs[pidx as usize]
-            .task
-            .as_ref()
-            .expect("reply to a process that never ran");
-        let prev = ts.cell.reply.borrow_mut().replace(msg);
+    /// Places a scheduler reply in the op mailbox, consumed by the poll
+    /// that follows.
+    fn reply(&self, msg: ResumeMsg) {
+        let prev = self.shared.reply.replace(Some(msg));
         debug_assert!(prev.is_none(), "process replied to twice");
     }
 
@@ -516,12 +495,12 @@ impl Sim {
             YieldMsg::SemCreate(permits) => {
                 let id = SemId(self.sems.len() as u32);
                 self.sems.push(Semaphore::new(permits));
-                self.reply(pidx, ResumeMsg::Sem(id));
+                self.reply(ResumeMsg::Sem(id));
                 Flow::Continue
             }
             YieldMsg::SemAcquire(id, n) => {
                 if self.sems[id.0 as usize].acquire(pidx, n) {
-                    self.reply(pidx, ResumeMsg::Go);
+                    self.reply(ResumeMsg::Go);
                     Flow::Continue
                 } else {
                     self.procs[pidx as usize].resume_with = ResumeMsg::Go;
@@ -529,24 +508,27 @@ impl Sim {
                 }
             }
             YieldMsg::SemRelease(id, n) => {
-                let woken = self.sems[id.0 as usize].release(n);
-                for w in woken {
+                let mut woken = std::mem::take(&mut self.tick_woken);
+                self.sems[id.0 as usize].release(n, &mut woken);
+                for &w in &woken {
                     self.procs[w as usize].resume_with = ResumeMsg::Go;
                     self.schedule_wake(w);
                 }
-                self.reply(pidx, ResumeMsg::Go);
+                woken.clear();
+                self.tick_woken = woken;
+                self.reply(ResumeMsg::Go);
                 Flow::Continue
             }
             YieldMsg::LimiterCreate { rate, burst } => {
                 let id = LimiterId(self.limiters.len() as u32);
                 self.limiters.push(RateLimiter::new(rate, burst));
                 self.limiter_events.push(None);
-                self.reply(pidx, ResumeMsg::Limiter(id));
+                self.reply(ResumeMsg::Limiter(id));
                 Flow::Continue
             }
             YieldMsg::LimiterAcquire(id, tokens) => {
                 if self.limiters[id.0 as usize].acquire(now, pidx, tokens) {
-                    self.reply(pidx, ResumeMsg::Go);
+                    self.reply(ResumeMsg::Go);
                     Flow::Continue
                 } else {
                     self.procs[pidx as usize].resume_with = ResumeMsg::Go;
@@ -556,7 +538,7 @@ impl Sim {
             }
             YieldMsg::LinkCreate(bw) => {
                 let id = self.flownet.add_link(bw);
-                self.reply(pidx, ResumeMsg::Link(id));
+                self.reply(ResumeMsg::Link(id));
                 Flow::Continue
             }
             YieldMsg::Transfer(spec) => {
@@ -565,10 +547,10 @@ impl Sim {
                 self.flow_changed();
                 Flow::Blocked
             }
-            YieldMsg::Spawn { name, body } => {
-                let pid = self.create_process(name, body);
+            YieldMsg::Spawn { name, future } => {
+                let pid = self.create_process(name, future);
                 self.queue.schedule(now, Wake::Process(pid.0));
-                self.reply(pidx, ResumeMsg::Pid(pid));
+                self.reply(ResumeMsg::Pid(pid));
                 Flow::Continue
             }
             YieldMsg::Join(target) => {
@@ -584,7 +566,7 @@ impl Sim {
                 match result {
                     Some(res) => {
                         let jr = self.join_result(target, res);
-                        self.reply(pidx, ResumeMsg::JoinResult(jr));
+                        self.reply(ResumeMsg::JoinResult(jr));
                         Flow::Continue
                     }
                     None => {
@@ -613,7 +595,7 @@ impl Sim {
         self.procs[pidx as usize].state = PState::Finished(result.clone());
         self.live_now -= 1;
         let waiters = std::mem::take(&mut self.procs[pidx as usize].join_waiters);
-        for w in waiters {
+        for &w in &waiters {
             let jr = self.join_result(ProcessId(pidx), result.clone());
             self.procs[w as usize].resume_with = ResumeMsg::JoinResult(jr);
             self.schedule_wake(w);
@@ -633,12 +615,12 @@ impl Sim {
         }
     }
 
-    /// Drops every suspended process future (and never-started body),
-    /// then exits and joins the offload threads. No process code runs
-    /// again: a dropped future is never polled.
+    /// Drops every suspended or never-started process future, then exits
+    /// and joins the offload threads. No process code runs again: a
+    /// dropped future is never polled.
     fn teardown(&mut self) {
         for slot in &mut self.procs {
-            slot.task = None;
+            slot.future = None;
         }
         self.offload.shutdown();
     }
@@ -665,7 +647,7 @@ mod tests {
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn empty_sim_completes() {

@@ -2,9 +2,10 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use faaspipe_des::{Ctx, LinkId, LocalBoxFuture};
+use faaspipe_des::{Ctx, FlowLinks, LocalBoxFuture};
 
 use crate::error::{ExchangeError, ExchangeParseError, ExchangeParseIssue};
 
@@ -165,9 +166,11 @@ impl From<ExchangeStrategy> for ExchangeKind {
 pub struct ExchangeEnv {
     /// Links on the caller's side of every transfer (e.g. the function
     /// container's NIC). Empty for driver-side calls.
-    pub host_links: Vec<LinkId>,
-    /// Metrics/billing tag, `"{sort-tag}/{phase}"` by convention.
-    pub tag: String,
+    pub host_links: FlowLinks,
+    /// Metrics/billing tag, `"{sort-tag}/{phase}"` by convention. Shared:
+    /// every store connection the backend opens for this caller reuses
+    /// it.
+    pub tag: Arc<str>,
     /// Attempts per exchange request (fed to
     /// [`with_retry`](crate::with_retry)).
     pub retries: u32,
@@ -183,9 +186,9 @@ pub struct ExchangeEnv {
 impl ExchangeEnv {
     /// An env for driver-side calls (no NIC, a bare tag, `retries`
     /// attempts, sequential I/O).
-    pub fn driver(tag: impl Into<String>, retries: u32) -> ExchangeEnv {
+    pub fn driver(tag: impl Into<Arc<str>>, retries: u32) -> ExchangeEnv {
         ExchangeEnv {
-            host_links: Vec::new(),
+            host_links: FlowLinks::new(),
             tag: tag.into(),
             retries,
             io_window: 1,
@@ -502,7 +505,7 @@ mod tests {
     fn driver_env_has_no_links() {
         let env = ExchangeEnv::driver("sort/driver", 3);
         assert!(env.host_links.is_empty());
-        assert_eq!(env.tag, "sort/driver");
+        assert_eq!(&*env.tag, "sort/driver");
         assert_eq!(env.retries, 3);
         assert_eq!(env.io_window, 1, "driver calls stay sequential");
     }

@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use faaspipe_des::{Ctx, LocalBoxFuture};
+use faaspipe_des::{Ctx, FlowLinks, LocalBoxFuture};
 use faaspipe_store::ObjectStore;
+use faaspipe_trace::{SpanId, TraceSink};
 use parking_lot::Mutex;
 
 use crate::api::{DataExchange, ExchangeEnv, ExchangeStrategy};
@@ -22,7 +23,8 @@ use crate::retry::with_retry;
 /// layout after a run.
 pub struct ObjectStoreExchange {
     store: Arc<ObjectStore>,
-    bucket: String,
+    /// Shared with every fetch fan-out's jobs.
+    bucket: Arc<str>,
     prefix: String,
     layout: ExchangeStrategy,
     /// Sparse per-mapper offset tables for the coalesced layout.
@@ -42,6 +44,9 @@ struct CoalescedIndex {
     /// Per mapper: `(part, offset, len)` for non-empty partitions only,
     /// part-ascending (so lookups binary-search).
     tables: Vec<Vec<(u32, u64, u64)>>,
+    /// Per mapper: the key of its coalesced object, once written. Every
+    /// read of the object shares this one copy.
+    keys: Vec<Option<Arc<str>>>,
     /// Per *part*: `(map, offset, len)` for non-empty partitions only,
     /// map-ascending — the reducer-side view of `tables`, rebuilt lazily
     /// after writes so a whole-column gather is O(non-empty).
@@ -60,17 +65,21 @@ impl CoalescedIndex {
         self.parts_len.resize(maps, 0);
         self.tables.clear();
         self.tables.resize_with(maps, Vec::new);
+        self.keys.clear();
+        self.keys.resize(maps, None);
         self.by_part.clear();
         self.by_part_valid = false;
         self.recorded = 0;
         self.min_parts_len = u32::MAX;
     }
 
-    fn record(&mut self, map: usize, parts_len: usize, table: Vec<(u32, u64, u64)>) {
+    fn record(&mut self, map: usize, key: Arc<str>, parts_len: usize, table: Vec<(u32, u64, u64)>) {
         if self.parts_len.len() <= map {
             self.parts_len.resize(map + 1, 0);
             self.tables.resize_with(map + 1, Vec::new);
+            self.keys.resize(map + 1, None);
         }
+        self.keys[map] = Some(key);
         if self.parts_len[map] == 0 {
             self.recorded += 1;
         }
@@ -80,11 +89,11 @@ impl CoalescedIndex {
         self.by_part_valid = false;
     }
 
-    /// The non-empty `(map, offset, len)` entries of column `part` over
+    /// The range reads of the non-empty entries of column `part` over
     /// mappers `0..maps`, map-ascending, after verifying every one of
     /// those mappers wrote the column (same first-failure the dense
     /// per-request lookups produced).
-    fn gather(&mut self, maps: usize, part: usize) -> Result<Vec<(u32, u64, u64)>, ExchangeError> {
+    fn gather(&mut self, maps: usize, part: usize) -> Result<Vec<Fetch>, ExchangeError> {
         let complete = self.recorded == self.parts_len.len()
             && maps <= self.parts_len.len()
             && (part as u32) < self.min_parts_len;
@@ -113,16 +122,35 @@ impl CoalescedIndex {
             .map(|column| {
                 column
                     .iter()
-                    .copied()
-                    .filter(|&(m, _, _)| (m as usize) < maps)
+                    .filter(|&&(m, _, _)| (m as usize) < maps)
+                    .map(|&(m, off, len)| Fetch::Range(self.key(m as usize), off, len))
                     .collect()
             })
             .unwrap_or_default())
     }
 
+    /// The key of mapper `map`'s object; it has been recorded.
+    fn key(&self, map: usize) -> Arc<str> {
+        Arc::clone(
+            self.keys[map]
+                .as_ref()
+                .expect("a recorded mapper has a key"),
+        )
+    }
+
+    /// The read of partition `(map, part)`: a range read for a non-empty
+    /// partition, [`Fetch::Empty`] for a written-but-empty one,
+    /// `Err(MissingPartition)` otherwise — exactly the semantics the dense
+    /// table's `get(map).get(part)` had.
+    fn fetch(&self, map: usize, part: usize) -> Result<Fetch, ExchangeError> {
+        Ok(match self.lookup(map, part)? {
+            Some((off, len)) => Fetch::Range(self.key(map), off, len),
+            None => Fetch::Empty,
+        })
+    }
+
     /// `Ok(Some((off, len)))` for a non-empty partition, `Ok(None)` for
-    /// a written-but-empty one, `Err(MissingPartition)` otherwise —
-    /// exactly the semantics the dense table's `get(map).get(part)` had.
+    /// a written-but-empty one, `Err(MissingPartition)` otherwise.
     fn lookup(&self, map: usize, part: usize) -> Result<Option<(u64, u64)>, ExchangeError> {
         let parts_len = *self
             .parts_len
@@ -163,7 +191,7 @@ impl ObjectStoreExchange {
     ) -> ObjectStoreExchange {
         ObjectStoreExchange {
             store,
-            bucket: bucket.into(),
+            bucket: bucket.into().into(),
             prefix: prefix.into(),
             layout,
             index: Mutex::new(CoalescedIndex::default()),
@@ -174,8 +202,8 @@ impl ObjectStoreExchange {
         format!("{}{:05}/{:05}", self.prefix, map, part)
     }
 
-    fn coalesced_key(&self, map: usize) -> String {
-        format!("{}{:05}", self.prefix, map)
+    fn coalesced_key(&self, map: usize) -> Arc<str> {
+        format!("{}{:05}", self.prefix, map).into()
     }
 
     /// Runs one store request per fetch plan in child processes, at most
@@ -198,43 +226,13 @@ impl ObjectStoreExchange {
         env: &ExchangeEnv,
         plans: Vec<Fetch>,
     ) -> Result<Vec<Bytes>, ExchangeError> {
-        let trace = self.store.trace_sink();
-        let parent = trace.current(ctx.pid());
+        let shared = self.fetch_shared(ctx, env);
         let total = plans.len();
         let jobs: Vec<_> = plans
             .into_iter()
             .enumerate()
             .filter(|(_, plan)| !matches!(plan, Fetch::Empty))
-            .map(|(i, plan)| {
-                let store = Arc::clone(&self.store);
-                let bucket = self.bucket.clone();
-                let tag = env.tag.clone();
-                let links = env.host_links.clone();
-                let retries = env.retries;
-                let trace = trace.clone();
-                let job = async move |cctx: &mut Ctx| {
-                    trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via(cctx, tag, &links).await;
-                    let res: Result<Bytes, ExchangeError> = match plan {
-                        Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
-                            client.get(c, &bucket, &key).await
-                        })
-                        .await
-                        .map_err(ExchangeError::from),
-                        Fetch::Range(key, off, len) => {
-                            with_retry(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range(c, &bucket, &key, off, len).await
-                            })
-                            .await
-                            .map_err(ExchangeError::from)
-                        }
-                    };
-                    trace.exit(cctx.pid());
-                    res
-                };
-                (i, job)
-            })
+            .map(|(i, plan)| (i, shared.job(plan)))
             .collect();
         let name = format!("{}-get", env.tag);
         let results = ctx
@@ -257,40 +255,8 @@ impl ObjectStoreExchange {
         logical_total: usize,
         plans: Vec<Fetch>,
     ) -> Result<Vec<Bytes>, ExchangeError> {
-        let trace = self.store.trace_sink();
-        let parent = trace.current(ctx.pid());
-        let jobs: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                let store = Arc::clone(&self.store);
-                let bucket = self.bucket.clone();
-                let tag = env.tag.clone();
-                let links = env.host_links.clone();
-                let retries = env.retries;
-                let trace = trace.clone();
-                async move |cctx: &mut Ctx| {
-                    trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via(cctx, tag, &links).await;
-                    let res: Result<Bytes, ExchangeError> = match plan {
-                        Fetch::Empty => Ok(Bytes::new()),
-                        Fetch::Get(key) => with_retry(cctx, retries, async |c: &mut Ctx| {
-                            client.get(c, &bucket, &key).await
-                        })
-                        .await
-                        .map_err(ExchangeError::from),
-                        Fetch::Range(key, off, len) => {
-                            with_retry(cctx, retries, async |c: &mut Ctx| {
-                                client.get_range(c, &bucket, &key, off, len).await
-                            })
-                            .await
-                            .map_err(ExchangeError::from)
-                        }
-                    };
-                    trace.exit(cctx.pid());
-                    res
-                }
-            })
-            .collect();
+        let shared = self.fetch_shared(ctx, env);
+        let jobs: Vec<_> = plans.into_iter().map(|plan| shared.job(plan)).collect();
         let name = format!("{}-get", env.tag);
         let results = ctx
             .fan_out_pinned(&name, env.io_window, logical_total, jobs)
@@ -298,14 +264,74 @@ impl ObjectStoreExchange {
             .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
         results.into_iter().collect()
     }
+
+    /// What every job of one fetch fan-out by the calling process shares.
+    fn fetch_shared(&self, ctx: &Ctx, env: &ExchangeEnv) -> Arc<FetchShared> {
+        let trace = self.store.trace_sink();
+        Arc::new(FetchShared {
+            store: Arc::clone(&self.store),
+            bucket: Arc::clone(&self.bucket),
+            tag: Arc::clone(&env.tag),
+            links: env.host_links.clone(),
+            retries: env.retries,
+            parent: trace.current(ctx.pid()),
+            trace,
+        })
+    }
+}
+
+/// The state the jobs of one fetch fan-out share: each job holds this
+/// and its own plan, instead of its own copies of bucket, tag and links.
+struct FetchShared {
+    store: Arc<ObjectStore>,
+    bucket: Arc<str>,
+    tag: Arc<str>,
+    links: FlowLinks,
+    retries: u32,
+    trace: TraceSink,
+    /// The span the fan-out's requests parent to.
+    parent: SpanId,
+}
+
+impl FetchShared {
+    /// The fan-out job running `plan` on its own store connection.
+    fn job(
+        self: &Arc<Self>,
+        plan: Fetch,
+    ) -> impl AsyncFnOnce(&mut Ctx) -> Result<Bytes, ExchangeError> + Send + 'static {
+        let shared = Arc::clone(self);
+        async move |cctx: &mut Ctx| {
+            let s = &*shared;
+            s.trace.enter(cctx.pid(), s.parent);
+            let client = s
+                .store
+                .connect_via(cctx, Arc::clone(&s.tag), &s.links)
+                .await;
+            let res = match plan {
+                Fetch::Empty => Ok(Bytes::new()),
+                Fetch::Get(key) => with_retry(cctx, s.retries, async |c: &mut Ctx| {
+                    client.get(c, &s.bucket, &key).await
+                })
+                .await
+                .map_err(ExchangeError::from),
+                Fetch::Range(key, off, len) => with_retry(cctx, s.retries, async |c: &mut Ctx| {
+                    client.get_range(c, &s.bucket, &key, off, len).await
+                })
+                .await
+                .map_err(ExchangeError::from),
+            };
+            s.trace.exit(cctx.pid());
+            res
+        }
+    }
 }
 
 /// A resolved read plan for one `(map, part)` request.
 enum Fetch {
     /// Whole-object GET (scatter layout).
     Get(String),
-    /// Byte-range GET (coalesced layout).
-    Range(String, u64, u64),
+    /// Byte-range GET (coalesced layout) of the mapper's shared key.
+    Range(Arc<str>, u64, u64),
     /// Zero-length coalesced partition: no request at all.
     Empty,
 }
@@ -347,9 +373,9 @@ impl DataExchange for ObjectStoreExchange {
                         .enumerate()
                         .map(|(j, data)| {
                             let store = Arc::clone(&self.store);
-                            let bucket = self.bucket.clone();
+                            let bucket = Arc::clone(&self.bucket);
                             let key = self.scatter_key(map, j);
-                            let tag = env.tag.clone();
+                            let tag = Arc::clone(&env.tag);
                             let links = env.host_links.clone();
                             let retries = env.retries;
                             let trace = trace.clone();
@@ -378,7 +404,7 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Scatter => {
                     let client = self
                         .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                         .await;
                     for (j, data) in parts.into_iter().enumerate() {
                         written += data.len() as u64;
@@ -392,7 +418,7 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Coalesced => {
                     let client = self
                         .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                         .await;
                     let mut table = Vec::new();
                     let total: usize = parts.iter().map(Bytes::len).sum();
@@ -410,7 +436,7 @@ impl DataExchange for ObjectStoreExchange {
                         client.put(c, &self.bucket, &key, blob.clone()).await
                     })
                     .await?;
-                    self.index.lock().record(map, parts.len(), table);
+                    self.index.lock().record(map, key, parts.len(), table);
                 }
             }
             Ok(written)
@@ -436,7 +462,7 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Coalesced => {
                     let client = self
                         .store
-                        .connect_via(ctx, env.tag.clone(), &env.host_links)
+                        .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                         .await;
                     let written = run.len() as u64;
                     let key = self.coalesced_key(map);
@@ -444,7 +470,7 @@ impl DataExchange for ObjectStoreExchange {
                         client.put(c, &self.bucket, &key, run.clone()).await
                     })
                     .await?;
-                    self.index.lock().record(map, parts_len, cuts);
+                    self.index.lock().record(map, key, parts_len, cuts);
                     Ok(written)
                 }
                 // Scatter stores one object per partition either way;
@@ -471,7 +497,7 @@ impl DataExchange for ObjectStoreExchange {
         Box::pin(async move {
             let client = self
                 .store
-                .connect_via(ctx, env.tag.clone(), &env.host_links)
+                .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                 .await;
             match self.layout {
                 ExchangeStrategy::Scatter => {
@@ -482,12 +508,11 @@ impl DataExchange for ObjectStoreExchange {
                     .await?)
                 }
                 ExchangeStrategy::Coalesced => {
-                    let Some((off, len)) = self.index.lock().lookup(map, part)? else {
+                    let Fetch::Range(key, off, len) = self.index.lock().fetch(map, part)? else {
                         // Nothing to fetch; skip the request entirely (the
                         // coalesced layout's request saving in action).
                         return Ok(Bytes::new());
                     };
-                    let key = self.coalesced_key(map);
                     Ok(with_retry(ctx, env.retries, async |c: &mut Ctx| {
                         client.get_range(c, &self.bucket, &key, off, len).await
                     })
@@ -524,12 +549,7 @@ impl DataExchange for ObjectStoreExchange {
                 ExchangeStrategy::Coalesced => {
                     let index = self.index.lock();
                     reqs.iter()
-                        .map(|&(map, part)| {
-                            Ok(match index.lookup(map, part)? {
-                                Some((off, len)) => Fetch::Range(self.coalesced_key(map), off, len),
-                                None => Fetch::Empty,
-                            })
-                        })
+                        .map(|&(map, part)| index.fetch(map, part))
                         .collect::<Result<Vec<Fetch>, ExchangeError>>()?
                 }
             };
@@ -556,7 +576,7 @@ impl DataExchange for ObjectStoreExchange {
             // Coalesced: resolve the column straight from the by-part
             // index — one lock, O(non-empty) — and only then touch the
             // simulation.
-            let entries = self.index.lock().gather(maps, part)?;
+            let plans = self.index.lock().gather(maps, part)?;
             if env.io_window <= 1 || maps <= 1 {
                 // Sequential data plane: one request at a time on the
                 // caller's own process, exactly as the dense column loop
@@ -565,23 +585,21 @@ impl DataExchange for ObjectStoreExchange {
                 // loop's connection-per-request).
                 let client = self
                     .store
-                    .connect_via(ctx, env.tag.clone(), &env.host_links)
+                    .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                     .await;
-                let mut out = Vec::with_capacity(entries.len());
-                for &(map, off, len) in &entries {
-                    let key = self.coalesced_key(map as usize);
+                let mut out = Vec::with_capacity(plans.len());
+                for plan in &plans {
+                    let Fetch::Range(key, off, len) = plan else {
+                        unreachable!("a gather reads ranges only");
+                    };
                     let data = with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                        client.get_range(c, &self.bucket, &key, off, len).await
+                        client.get_range(c, &self.bucket, key, *off, *len).await
                     })
                     .await?;
                     out.push(data);
                 }
                 return Ok(out);
             }
-            let plans: Vec<Fetch> = entries
-                .iter()
-                .map(|&(map, off, len)| Fetch::Range(self.coalesced_key(map as usize), off, len))
-                .collect();
             self.fetch_pinned(ctx, env, maps, plans).await
         })
     }
@@ -594,7 +612,7 @@ impl DataExchange for ObjectStoreExchange {
         Box::pin(async move {
             let client = self
                 .store
-                .connect_via(ctx, env.tag.clone(), &env.host_links)
+                .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
                 .await;
             let objects = with_retry(ctx, env.retries, async |c: &mut Ctx| {
                 client.list(c, &self.bucket, &self.prefix).await

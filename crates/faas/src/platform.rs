@@ -20,12 +20,15 @@ struct WarmContainer {
 }
 
 /// Billing span of one invocation.
+///
+/// The function name and tag are shared with the invocation that made
+/// the record, so copying a record copies no strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvocationRecord {
     /// Registered function name.
-    pub function: String,
+    pub function: Arc<str>,
     /// Attribution tag (typically the pipeline stage).
-    pub tag: String,
+    pub tag: Arc<str>,
     /// When the invocation was requested.
     pub requested: SimTime,
     /// When the body began executing (after cold/warm start).
@@ -126,12 +129,14 @@ impl FunctionEnv {
 /// Warm-pool key: `(tenant scope, function name)`. The scope is `""`
 /// unless [`FaasConfig::tenant_scoped_pool`] is set, in which case it is
 /// the invocation tag's first `/`-segment.
-type PoolKey = (String, String);
+type PoolKey = (Arc<str>, Arc<str>);
 
 pub struct FunctionPlatform {
     cfg: FaasConfig,
     concurrency: SemId,
     pool: Mutex<HashMap<PoolKey, Vec<WarmContainer>>>,
+    /// The scope of every invocation when the pool is not tenant-scoped.
+    no_scope: Arc<str>,
     records: Mutex<Vec<InvocationRecord>>,
     trace: Mutex<TraceSink>,
     next_inv: AtomicU64,
@@ -157,6 +162,7 @@ impl FunctionPlatform {
             cfg,
             concurrency,
             pool: Mutex::new(HashMap::new()),
+            no_scope: Arc::from(""),
             records: Mutex::new(Vec::new()),
             trace: Mutex::new(TraceSink::disabled()),
             next_inv: AtomicU64::new(1),
@@ -177,11 +183,11 @@ impl FunctionPlatform {
     }
 
     /// The pool partition an invocation tag claims from.
-    fn pool_scope(&self, tag: &str) -> String {
+    fn pool_scope(&self, tag: &str) -> Arc<str> {
         if self.cfg.tenant_scoped_pool {
-            tag.split('/').next().unwrap_or("").to_string()
+            Arc::from(tag.split('/').next().unwrap_or(""))
         } else {
-            String::new()
+            Arc::clone(&self.no_scope)
         }
     }
 
@@ -202,7 +208,7 @@ impl FunctionPlatform {
         self.pool
             .lock()
             .iter()
-            .filter(|((_, f), _)| f == function)
+            .filter(|((_, f), _)| &**f == function)
             .map(|(_, v)| v.len())
             .sum()
     }
@@ -213,7 +219,7 @@ impl FunctionPlatform {
     pub fn warm_count_scoped(&self, scope: &str, function: &str) -> usize {
         self.pool
             .lock()
-            .get(&(scope.to_string(), function.to_string()))
+            .get(&(Arc::from(scope), Arc::from(function)))
             .map_or(0, |v| v.len())
     }
 
@@ -230,11 +236,15 @@ impl FunctionPlatform {
     /// cold or warm start, runs `body`, then parks its container back in
     /// the warm pool. A panic in `body` fails the invocation process, so
     /// the joiner sees it as a [`JoinError`](faaspipe_des::JoinError).
+    ///
+    /// Invocations of one stage can share one `Arc<str>` tag (and function
+    /// name): the platform keeps the shared copy in its warm-pool key and
+    /// billing record.
     pub async fn invoke<F>(
         self: &Arc<Self>,
         ctx: &Ctx,
-        function: impl Into<String>,
-        tag: impl Into<String>,
+        function: impl Into<Arc<str>>,
+        tag: impl Into<Arc<str>>,
         body: F,
     ) -> ProcessId
     where
@@ -249,7 +259,7 @@ impl FunctionPlatform {
         // the invocation's own process.
         let trace = self.trace.lock().clone();
         let parent = trace.current(ctx.pid());
-        let pname = format!("fn:{}:{}", function, tag);
+        let pname = ["fn:", &*function, ":", &*tag].concat();
         ctx.spawn(pname, move |mut fctx: Ctx| async move {
             platform
                 .run_invocation(&mut fctx, function, tag, requested, trace, parent, body)
@@ -262,8 +272,8 @@ impl FunctionPlatform {
     async fn run_invocation<F>(
         self: Arc<Self>,
         ctx: &mut Ctx,
-        function: String,
-        tag: String,
+        function: Arc<str>,
+        tag: Arc<str>,
         requested: SimTime,
         trace: TraceSink,
         parent: SpanId,
@@ -277,14 +287,14 @@ impl FunctionPlatform {
             let lane = format!("inv-{}", seq);
             let inv = trace.span_start(
                 Category::Invocation,
-                &function,
+                &*function,
                 "faas",
                 &lane,
                 parent,
                 requested,
             );
-            trace.attr(inv, "function", function.as_str());
-            trace.attr(inv, "tag", tag.as_str());
+            trace.attr(inv, "function", &*function);
+            trace.attr(inv, "tag", &*tag);
             trace.attr(inv, "memory_mb", self.cfg.memory_mb);
             (inv, lane)
         } else {
@@ -316,7 +326,7 @@ impl FunctionPlatform {
                 slot.retain(|c| c.expires >= now);
                 !slot.is_empty()
             });
-            pool.get_mut(&(scope.clone(), function.clone()))
+            pool.get_mut(&(Arc::clone(&scope), Arc::clone(&function)))
                 .and_then(|slot| slot.pop())
         };
         if tracing {
@@ -391,7 +401,7 @@ impl FunctionPlatform {
         // slot.
         {
             let mut pool = self.pool.lock();
-            pool.entry((scope, function.clone()))
+            pool.entry((scope, Arc::clone(&function)))
                 .or_default()
                 .push(WarmContainer {
                     nic,
@@ -667,8 +677,8 @@ mod tests {
         });
         sim.run().expect("run");
         let recs = faas.records();
-        assert_eq!(recs[0].function, "mapper");
-        assert_eq!(recs[0].tag, "sort/map");
+        assert_eq!(&*recs[0].function, "mapper");
+        assert_eq!(&*recs[0].tag, "sort/map");
         assert!(recs[0].requested <= recs[0].started);
         assert!(recs[0].started <= recs[0].finished);
     }

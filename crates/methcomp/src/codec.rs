@@ -49,6 +49,8 @@ fn digest_record(crc: &mut Crc32, r: &MethRecord) {
     crc.update(&buf);
 }
 
+/// Every adaptive model of one archive, held inline (about 2.8 KB), so a
+/// `compress` or `decompress` call allocates none of them.
 struct Models {
     chrom_change: BitModel,
     chrom_id: ByteModel,

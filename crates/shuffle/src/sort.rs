@@ -275,7 +275,11 @@ pub fn streaming_merge<R: SortRecord>(runs: &[Bytes]) -> Result<Vec<u8>, Shuffle
 /// keep the pipeline full, large enough to amortize per-request
 /// latency. Spans are split in order, so concatenating the chunk
 /// payloads reproduces the sequential read byte for byte.
-fn split_chunks(assigned: &[(String, u64, u64)], k: usize, rec: u64) -> Vec<(String, u64, u64)> {
+fn split_chunks(
+    assigned: &[(Arc<str>, u64, u64)],
+    k: usize,
+    rec: u64,
+) -> Vec<(Arc<str>, u64, u64)> {
     let total: u64 = assigned.iter().map(|(_, _, len)| len).sum();
     let target = total
         .div_ceil((k * 2) as u64)
@@ -287,7 +291,7 @@ fn split_chunks(assigned: &[(String, u64, u64)], k: usize, rec: u64) -> Vec<(Str
         let mut cursor = 0u64;
         while cursor < *len {
             let take = target.min(len - cursor);
-            chunks.push((key.clone(), off + cursor, take));
+            chunks.push((Arc::clone(key), off + cursor, take));
             cursor += take;
         }
     }
@@ -350,6 +354,10 @@ pub async fn serverless_sort<R: SortRecord>(
     // ---- Phase 0: sample keys with range reads (one fn per mapper). ----
     let p_sample = phase_begin(ctx, &trace, "sample", cfg.orchestration).await;
     let samples: Arc<Mutex<Vec<R::Key>>> = Arc::new(Mutex::new(Vec::new()));
+    // One function name and tag per stage, shared by every invocation
+    // and connection.
+    let sample_fn: Arc<str> = Arc::from("sample");
+    let sample_tag: Arc<str> = format!("{}/sample", cfg.tag).into();
     let mut tasks: Vec<TaskFactory> = Vec::new();
     for m in 0..w {
         let assigned: Arc<Vec<(String, u64)>> = Arc::new(
@@ -367,17 +375,19 @@ pub async fn serverless_sort<R: SortRecord>(
         let store = Arc::clone(store);
         let samples = Arc::clone(&samples);
         let cfg = Arc::clone(&cfg);
+        let sample_fn = Arc::clone(&sample_fn);
+        let sample_tag = Arc::clone(&sample_tag);
         tasks.push(Box::new(move |ctx| {
             let store = Arc::clone(&store);
             let samples = Arc::clone(&samples);
             let cfg = Arc::clone(&cfg);
             let assigned = Arc::clone(&assigned);
-            let tag = format!("{}/sample", cfg.tag);
+            let tag = Arc::clone(&sample_tag);
             spawn_invocation(
                 Arc::clone(&faas),
                 ctx,
-                "sample",
-                tag,
+                Arc::clone(&sample_fn),
+                Arc::clone(&tag),
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
                     let mut reservoir = Reservoir::new(cfg.sample_capacity);
                     // Seeded from the logical mapper index, and offered
@@ -386,9 +396,7 @@ pub async fn serverless_sort<R: SortRecord>(
                     // `io_concurrency`.
                     let mut rng = SmallRng::seed_from_u64(cfg.sample_seed ^ splitmix(m as u64));
                     if cfg.io_concurrency <= 1 {
-                        let client = store
-                            .connect_via(fctx, format!("{}/sample", cfg.tag), &[env.nic])
-                            .await;
+                        let client = store.connect_via(fctx, tag, &[env.nic]).await;
                         for (key, len) in assigned.iter() {
                             let span = cfg.sample_bytes.min(*len);
                             let span = span - span % R::WIRE_SIZE as u64;
@@ -427,11 +435,10 @@ pub async fn serverless_sort<R: SortRecord>(
                             let env = env.clone();
                             let trace = trace.clone();
                             let key = key.clone();
+                            let tag = Arc::clone(&tag);
                             jobs.push(async move |cctx: &mut Ctx| {
                                 trace.enter(cctx.pid(), parent);
-                                let client = store
-                                    .connect_via(cctx, format!("{}/sample", cfg.tag), &[env.nic])
-                                    .await;
+                                let client = store.connect_via(cctx, tag, &[env.nic]).await;
                                 let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
                                     client.get_range(c, &cfg.bucket, &key, 0, span).await
                                 })
@@ -476,9 +483,13 @@ pub async fn serverless_sort<R: SortRecord>(
     // is chunked into objects — the map phase parallelises with W, not
     // with the object count (Primula reads partitions with range GETs).
     let spans = assign_spans(&inputs, w, R::WIRE_SIZE as u64);
+    let map_fn: Arc<str> = Arc::from("map");
+    let map_tag: Arc<str> = format!("{}/map", cfg.tag).into();
     let mut tasks: Vec<TaskFactory> = Vec::new();
-    for (m, span) in spans.iter().enumerate() {
-        let assigned: Arc<Vec<(String, u64, u64)>> = Arc::new(span.clone());
+    for (m, span) in spans.into_iter().enumerate() {
+        let assigned = Arc::new(span);
+        let map_fn = Arc::clone(&map_fn);
+        let map_tag = Arc::clone(&map_tag);
         let faas = Arc::clone(faas);
         let store = Arc::clone(store);
         let partitioner = Arc::clone(&partitioner);
@@ -492,12 +503,12 @@ pub async fn serverless_sort<R: SortRecord>(
             let map_bytes = Arc::clone(&map_bytes);
             let backend = Arc::clone(&backend);
             let assigned = Arc::clone(&assigned);
-            let tag = format!("{}/map", cfg.tag);
+            let tag = Arc::clone(&map_tag);
             spawn_invocation(
                 Arc::clone(&faas),
                 ctx,
-                "map",
-                tag,
+                Arc::clone(&map_fn),
+                Arc::clone(&tag),
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
                     // Downloaded chunks stay in wire form: the kernel sorts
                     // and partitions views into these buffers, so record
@@ -506,9 +517,7 @@ pub async fn serverless_sort<R: SortRecord>(
                     let mut chunks: Vec<Bytes> = Vec::new();
                     let mut read_bytes = 0usize;
                     if cfg.io_concurrency <= 1 {
-                        let client = store
-                            .connect_via(fctx, format!("{}/map", cfg.tag), &[env.nic])
-                            .await;
+                        let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
                         for (key, off, len) in assigned.iter() {
                             let data = with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
                                 client.get_range(c, &cfg.bucket, key, *off, *len).await
@@ -542,11 +551,10 @@ pub async fn serverless_sort<R: SortRecord>(
                                 let cfg = Arc::clone(&cfg);
                                 let env = env.clone();
                                 let trace = trace.clone();
+                                let tag = Arc::clone(&tag);
                                 async move |cctx: &mut Ctx| {
                                     trace.enter(cctx.pid(), parent);
-                                    let client = store
-                                        .connect_via(cctx, format!("{}/map", cfg.tag), &[env.nic])
-                                        .await;
+                                    let client = store.connect_via(cctx, tag, &[env.nic]).await;
                                     let data =
                                         with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
                                             client.get_range(c, &cfg.bucket, &key, off, len).await
@@ -598,8 +606,8 @@ pub async fn serverless_sort<R: SortRecord>(
                         .unwrap_or_else(|e| panic!("map decode failed: {}", e))
                     };
                     let xenv = ExchangeEnv {
-                        host_links: vec![env.nic],
-                        tag: format!("{}/map", cfg.tag),
+                        host_links: [env.nic].as_slice().into(),
+                        tag,
                         retries: cfg.retries,
                         io_window: cfg.io_concurrency.max(1),
                     };
@@ -620,8 +628,12 @@ pub async fn serverless_sort<R: SortRecord>(
     let p_reduce = phase_begin(ctx, &trace, "reduce", cfg.orchestration).await;
     let out_bytes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
     let run_infos: Arc<Mutex<Vec<Option<RunInfo>>>> = Arc::new(Mutex::new(vec![None; w]));
+    let reduce_fn: Arc<str> = Arc::from("reduce");
+    let reduce_tag: Arc<str> = format!("{}/reduce", cfg.tag).into();
     let mut tasks: Vec<TaskFactory> = Vec::new();
     for j in 0..w {
+        let reduce_fn = Arc::clone(&reduce_fn);
+        let reduce_tag = Arc::clone(&reduce_tag);
         let faas = Arc::clone(faas);
         let store = Arc::clone(store);
         let cfg = Arc::clone(&cfg);
@@ -634,19 +646,17 @@ pub async fn serverless_sort<R: SortRecord>(
             let out_bytes = Arc::clone(&out_bytes);
             let run_infos = Arc::clone(&run_infos);
             let backend = Arc::clone(&backend);
-            let tag = format!("{}/reduce", cfg.tag);
+            let tag = Arc::clone(&reduce_tag);
             spawn_invocation(
                 Arc::clone(&faas),
                 ctx,
-                "reduce",
-                tag,
+                Arc::clone(&reduce_fn),
+                Arc::clone(&tag),
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    let client = store
-                        .connect_via(fctx, format!("{}/reduce", cfg.tag), &[env.nic])
-                        .await;
+                    let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
                     let xenv = ExchangeEnv {
-                        host_links: vec![env.nic],
-                        tag: format!("{}/reduce", cfg.tag),
+                        host_links: [env.nic].as_slice().into(),
+                        tag,
                         retries: cfg.retries,
                         io_window: cfg.io_concurrency.max(1),
                     };
@@ -736,20 +746,22 @@ fn assign_spans(
     inputs: &[faaspipe_store::ObjectSummary],
     w: usize,
     record_size: u64,
-) -> Vec<Vec<(String, u64, u64)>> {
+) -> Vec<Vec<(Arc<str>, u64, u64)>> {
     let total: u64 = inputs.iter().map(|o| o.len.as_u64()).sum();
     let total_records = total / record_size;
     let per = total_records.div_ceil(w as u64).max(1) * record_size;
-    let mut spans: Vec<Vec<(String, u64, u64)>> = vec![Vec::new(); w];
+    let mut spans: Vec<Vec<(Arc<str>, u64, u64)>> = vec![Vec::new(); w];
     let mut global = 0u64;
     for obj in inputs {
+        // One copy of the key, shared by every span of the object.
+        let key: Arc<str> = obj.key.as_str().into();
         let len = obj.len.as_u64() - obj.len.as_u64() % record_size;
         let mut off = 0u64;
         while off < len {
             let m = ((global / per) as usize).min(w - 1);
             let room = per - global % per;
             let take = room.min(len - off);
-            spans[m].push((obj.key.clone(), off, take));
+            spans[m].push((Arc::clone(&key), off, take));
             off += take;
             global += take;
         }
@@ -812,8 +824,8 @@ type TaskFactory = Box<dyn for<'a> Fn(&'a Ctx) -> LocalBoxFuture<'a, ProcessId>>
 fn spawn_invocation<'a, F>(
     faas: Arc<FunctionPlatform>,
     ctx: &'a Ctx,
-    function: &'static str,
-    tag: String,
+    function: Arc<str>,
+    tag: Arc<str>,
     body: F,
 ) -> LocalBoxFuture<'a, ProcessId>
 where
@@ -1085,7 +1097,7 @@ mod tests {
             }
         }
         for obj in &inputs {
-            let mut ranges = covered.remove(&obj.key).unwrap_or_default();
+            let mut ranges = covered.remove(obj.key.as_str()).unwrap_or_default();
             ranges.sort_unstable();
             let mut cursor = 0u64;
             for (off, len) in ranges {

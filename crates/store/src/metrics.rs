@@ -65,7 +65,8 @@ impl StoreMetrics {
         StoreMetrics::default()
     }
 
-    /// Records a request for `tag`.
+    /// Records a request for `tag`. The tag is copied only the first
+    /// time it is seen.
     pub fn record(
         &mut self,
         tag: &str,
@@ -74,7 +75,10 @@ impl StoreMetrics {
         bytes_out: u64,
         failed: bool,
     ) {
-        let m = self.per_tag.entry(tag.to_string()).or_default();
+        let m = match self.per_tag.get_mut(tag) {
+            Some(m) => m,
+            None => self.per_tag.entry(tag.to_string()).or_default(),
+        };
         match class {
             RequestClass::ClassA => m.class_a += 1,
             RequestClass::ClassB => m.class_b += 1,

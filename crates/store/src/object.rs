@@ -5,16 +5,6 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use faaspipe_des::{ByteSize, SimTime};
 
-/// FNV-1a 64-bit hash used for ETags (stable, dependency-free).
-pub(crate) fn etag_of(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 /// A stored object.
 #[derive(Debug, Clone)]
 pub(crate) struct Object {
@@ -40,7 +30,9 @@ pub(crate) struct PartialUpload {
 /// Result of a successful PUT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutResult {
-    /// Content hash of the stored object.
+    /// Version of the stored object: a store-wide number that every
+    /// committed write takes fresh, so two writes never share one — even
+    /// of identical bytes. Not a content hash.
     pub etag: u64,
     /// Real (unscaled) stored size.
     pub len: ByteSize,
@@ -53,26 +45,8 @@ pub struct ObjectSummary {
     pub key: String,
     /// Real (unscaled) stored size.
     pub len: ByteSize,
-    /// Content hash.
+    /// Version of the object (see [`PutResult::etag`]).
     pub etag: u64,
     /// Virtual time the object was written.
     pub created: SimTime,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn etag_distinguishes_content() {
-        assert_ne!(etag_of(b"abc"), etag_of(b"abd"));
-        assert_eq!(etag_of(b"abc"), etag_of(b"abc"));
-        assert_ne!(etag_of(b""), etag_of(b"\0"));
-    }
-
-    #[test]
-    fn etag_known_vector() {
-        // FNV-1a 64 of empty input is the offset basis.
-        assert_eq!(etag_of(b""), 0xcbf2_9ce4_8422_2325);
-    }
 }

@@ -6,14 +6,14 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{ByteSize, Ctx, LimiterId, LinkId, Sim, SimTime};
+use faaspipe_des::{ByteSize, Ctx, FlowLinks, LimiterId, LinkId, Sim, SimTime};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::StoreConfig;
 use crate::error::StoreError;
 use crate::failure::Fate;
 use crate::metrics::{RequestClass, StoreMetrics};
-use crate::object::{etag_of, Bucket, Object, ObjectSummary, PartialUpload, PutResult};
+use crate::object::{Bucket, Object, ObjectSummary, PartialUpload, PutResult};
 
 use std::collections::BTreeMap;
 
@@ -36,6 +36,9 @@ pub struct ObjectStore {
     /// global one.
     scope_ops: Mutex<BTreeMap<String, LimiterId>>,
     next_upload: AtomicU64,
+    /// The etag the next committed write gets: a store-wide version
+    /// number, so compare-and-swap needs no content hash.
+    next_version: AtomicU64,
     trace: Mutex<TraceSink>,
     inflight: AtomicU64,
 }
@@ -63,6 +66,7 @@ impl ObjectStore {
             ops,
             scope_ops: Mutex::new(BTreeMap::new()),
             next_upload: AtomicU64::new(1),
+            next_version: AtomicU64::new(1),
             trace: Mutex::new(TraceSink::disabled()),
             inflight: AtomicU64::new(0),
         })
@@ -101,7 +105,10 @@ impl ObjectStore {
     /// Opens a connection from the calling process, tagged for metrics
     /// attribution. The connection gets its own per-connection bandwidth
     /// link.
-    pub async fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<String>) -> StoreClient {
+    ///
+    /// Many connections share one tag: pass a clone of one `Arc<str>`
+    /// to share it, or any string to copy it once.
+    pub async fn connect(self: &Arc<Self>, ctx: &Ctx, tag: impl Into<Arc<str>>) -> StoreClient {
         self.connect_via(ctx, tag, &[]).await
     }
 
@@ -111,12 +118,12 @@ impl ObjectStore {
     pub async fn connect_via(
         self: &Arc<Self>,
         ctx: &Ctx,
-        tag: impl Into<String>,
+        tag: impl Into<Arc<str>>,
         host_links: &[LinkId],
     ) -> StoreClient {
         let conn = ctx.link_create(self.cfg.per_connection_bw).await;
-        let mut links = vec![conn, self.aggregate];
-        links.extend_from_slice(host_links);
+        let mut links = FlowLinks::from([conn, self.aggregate].as_slice());
+        links.extend(host_links.iter().copied());
         let tag = tag.into();
         let scope_ops = {
             let scopes = self.scope_ops.lock();
@@ -177,17 +184,22 @@ impl ObjectStore {
             .ok_or_else(|| StoreError::NoSuchBucket {
                 bucket: bucket.to_string(),
             })?;
-        let etag = etag_of(&data);
+        Ok(self.commit(b, key, data, SimTime::ZERO))
+    }
+
+    /// Stores `data` at `key` as a new version and returns its etag.
+    fn commit(&self, b: &mut Bucket, key: &str, data: Bytes, created: SimTime) -> PutResult {
+        let etag = self.next_version.fetch_add(1, Ordering::SeqCst);
         let len = ByteSize::new(data.len() as u64);
         b.objects.insert(
             key.to_string(),
             Object {
                 data,
                 etag,
-                created: SimTime::ZERO,
+                created,
             },
         );
-        Ok(PutResult { etag, len })
+        PutResult { etag, len }
     }
 
     /// Lists keys under a prefix **outside virtual time** (verification
@@ -247,8 +259,9 @@ impl ObjectStore {
 /// latency, and a fair-share payload transfer.
 pub struct StoreClient {
     store: Arc<ObjectStore>,
-    links: Vec<LinkId>,
-    tag: String,
+    /// Connection link, store backbone, then the host links.
+    links: FlowLinks,
+    tag: Arc<str>,
     /// The tenant's ops bucket, resolved from the tag at connect time.
     scope_ops: Option<LimiterId>,
     trace: TraceSink,
@@ -435,17 +448,7 @@ impl StoreClient {
             .ok_or_else(|| StoreError::NoSuchBucket {
                 bucket: bucket.to_string(),
             })?;
-        let etag = etag_of(&data);
-        let len = ByteSize::new(data.len() as u64);
-        b.objects.insert(
-            key.to_string(),
-            Object {
-                data,
-                etag,
-                created: ctx.now(),
-            },
-        );
-        Ok(PutResult { etag, len })
+        Ok(self.store.commit(b, key, data, ctx.now()))
     }
 
     /// Uploads an object only if the key does not exist yet (atomic
@@ -481,17 +484,7 @@ impl StoreClient {
                             key: key.to_string(),
                         })
                     } else {
-                        let etag = etag_of(&data);
-                        let len = ByteSize::new(data.len() as u64);
-                        b.objects.insert(
-                            key.to_string(),
-                            Object {
-                                data,
-                                etag,
-                                created: ctx.now(),
-                            },
-                        );
-                        Ok(PutResult { etag, len })
+                        Ok(self.store.commit(b, key, data, ctx.now()))
                     }
                 }
             }
@@ -500,10 +493,10 @@ impl StoreClient {
         result
     }
 
-    /// Replaces an object only if its current content hash equals
-    /// `expected_etag` (compare-and-swap, the moral equivalent of
-    /// `If-Match`). The building block for optimistic coordination
-    /// between functions.
+    /// Replaces an object only if its current etag (the version number
+    /// its last write got) equals `expected_etag` (compare-and-swap, the
+    /// moral equivalent of `If-Match`). The building block for optimistic
+    /// coordination between functions.
     ///
     /// # Errors
     /// [`StoreError::PreconditionFailed`] when the stored ETag differs or
@@ -535,17 +528,7 @@ impl StoreClient {
                 }),
                 Some(b) => match b.objects.get(key) {
                     Some(o) if o.etag == expected_etag => {
-                        let etag = etag_of(&data);
-                        let len = ByteSize::new(data.len() as u64);
-                        b.objects.insert(
-                            key.to_string(),
-                            Object {
-                                data,
-                                etag,
-                                created: ctx.now(),
-                            },
-                        );
-                        Ok(PutResult { etag, len })
+                        Ok(self.store.commit(b, key, data, ctx.now()))
                     }
                     _ => Err(StoreError::PreconditionFailed {
                         key: key.to_string(),

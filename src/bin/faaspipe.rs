@@ -35,7 +35,7 @@ use faaspipe::exchange::ExchangeKind;
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::synth::Synthesizer;
-use faaspipe::methcomp::Dataset;
+use faaspipe::methcomp::{Dataset, MethRecord};
 use faaspipe::shuffle::{SortConfig, SortRecord, TuningModel, TuningPrices, WorkModel};
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::trace::{chrome_trace_json, critical_path, Category, SpanId, TraceData, TraceSink};
@@ -107,8 +107,24 @@ where
     }
 }
 
+/// Parses `--records`, rejecting a count whose record buffers cannot be
+/// sized: the records must fit in `isize::MAX` bytes both in memory and
+/// in their wire form, or generating them panics.
+fn records_flag(args: &[String], default: usize) -> Result<usize, String> {
+    let records: usize = flag_parse(args, "--records", default)?;
+    let widest = MethRecord::WIRE_SIZE.max(std::mem::size_of::<MethRecord>());
+    match records.checked_mul(widest) {
+        Some(bytes) if bytes <= isize::MAX as usize => Ok(records),
+        _ => Err(format!(
+            "--records {} is too large: a record buffer holds at most {} records",
+            records,
+            isize::MAX as usize / widest
+        )),
+    }
+}
+
 fn cmd_table1(args: &[String]) -> Result<(), String> {
-    let records: usize = flag_parse(args, "--records", 150_000)?;
+    let records = records_flag(args, 150_000)?;
     let exchange: ExchangeKind = flag_parse(args, "--exchange", ExchangeKind::Scatter)?;
     let io_concurrency: usize = flag_parse(
         args,
@@ -177,7 +193,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("run requires a spec file")?;
-    let records: usize = flag_parse(args, "--records", 50_000)?;
+    let records = records_flag(args, 50_000)?;
     let seed: u64 = flag_parse(args, "--seed", 7)?;
     let io_concurrency: usize = flag_parse(
         args,
@@ -294,7 +310,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_synth(args: &[String]) -> Result<(), String> {
-    let records: usize = flag_parse(args, "--records", 0)?;
+    let records = records_flag(args, 0)?;
     if records == 0 {
         return Err("synth requires --records N".into());
     }
@@ -416,7 +432,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             horizon, max_horizon_s
         ));
     }
-    let records: usize = flag_parse(args, "--records", 20_000)?;
+    let records = records_flag(args, 20_000)?;
     let exchange: ExchangeKind = flag_parse(args, "--exchange", ExchangeKind::Scatter)?;
     let max_concurrent: Option<String> = flag(args, "--max-concurrent")?;
     let store_ops: Option<String> = flag(args, "--store-ops")?;

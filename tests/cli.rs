@@ -206,6 +206,42 @@ fn tune_rejects_unusable_sizes_and_budgets() {
 }
 
 #[test]
+fn oversized_record_counts_exit_with_an_error() {
+    // 2^64 − 1 records cannot be sized in memory; every command that
+    // synthesizes records rejects the count instead of panicking.
+    let spec = tmp("oversized-records-spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "big", "bucket": "data", "stages": [
+            { "name": "encode", "kind": "encode", "codec": "methcomp",
+              "workers": 1, "input": "in/", "output": "enc/" } ]}"#,
+    )
+    .expect("write spec");
+    let out_file = tmp("oversized.bed");
+    let spec = spec.to_str().expect("utf-8 path");
+    let out_file = out_file.to_str().expect("utf-8 path");
+    let huge = "18446744073709551615";
+    let commands: [&[&str]; 4] = [
+        &["table1", "--records", huge],
+        &["run", spec, "--records", huge],
+        &["synth", "--records", huge, "--out", out_file],
+        &["cluster", "--records", huge],
+    ];
+    for args in commands {
+        let out = bin().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{:?} must exit 1", args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--records 18446744073709551615 is too large"),
+            "{:?}: {}",
+            args,
+            stderr
+        );
+        assert!(!stderr.contains("panicked"), "{:?}: {}", args, stderr);
+    }
+}
+
+#[test]
 fn run_executes_a_spec_file() {
     let spec = tmp("spec.json");
     std::fs::write(

@@ -16,10 +16,10 @@
 //!   "same work, slower" and a memory blow-up is visible per width.
 //!
 //! `--check` additionally applies warn-only scheduler-health ceilings:
-//! the event loop context-switches only for CPU-offload handoffs, so a
-//! process thread count past the offload cap or switch rates far above
-//! the event-loop baseline flag a scheduler regression even when the
-//! wall clock still passes.
+//! a simulation runs on one thread and context-switches only when the
+//! host preempts it, so a process thread count past that one thread (plus
+//! slack) or switch rates far above the event-loop baseline flag a
+//! scheduler regression even when the wall clock still passes.
 //!
 //! Both files also carry one **cluster** row (`scenario = "cluster"`): a
 //! fixed multi-tenant [`faaspipe_cluster`] service run whose concurrent
@@ -475,16 +475,17 @@ fn bench_host(jobs: usize) -> Vec<HostRow> {
 }
 
 /// Context-switch ceiling for `--check`, in switches per 1000 dispatched
-/// events. The stackless loop measures ~3–30 (allocator and offload
-/// housekeeping plus CI-runner noise); the old thread-per-process
+/// events. The stackless loop measures ~3–30 (allocator housekeeping
+/// plus CI-runner noise); the old thread-per-process
 /// scheduler sat near 10_000. 100 splits those regimes with wide margin
 /// on both sides.
 const CTXSW_PER_KEVENT_CEILING: f64 = 100.0;
 
-/// Process thread-count ceiling for `--check`: the event-loop thread,
-/// the CPU-offload pool (capped at min(cores, 8)), and slack for the
-/// harness. Warn-only, like the other health ceilings.
-const THREADS_CEILING: usize = 16;
+/// Process thread-count ceiling for `--check`: the event-loop thread plus
+/// slack for threads the runtime or a profiler may add (the sweep
+/// engine's scoped workers have exited by then). Warn-only, like the
+/// other health ceilings.
+const THREADS_CEILING: usize = 4;
 
 /// Current `Threads:` count from /proc/self/status (0 off-Linux).
 fn host_threads() -> usize {
@@ -522,7 +523,7 @@ fn health_warnings(rows: &[HostRow]) {
     if threads > THREADS_CEILING {
         eprintln!(
             "warning: process holds {} threads after the trajectory (ceiling {}) — \
-             expected only the event loop plus the capped offload pool",
+             expected only the event-loop thread",
             threads, THREADS_CEILING
         );
     }

@@ -866,8 +866,8 @@ mod tests {
     #[test]
     fn a_panicking_run_is_reported_as_failed() {
         // A dataset whose in-memory records overflow `isize::MAX` bytes
-        // (while its wire size still fits) panics with "capacity
-        // overflow" in every run, without allocating anything.
+        // (while its wire size still fits) panics in every run, naming
+        // the count, without allocating anything.
         let records = isize::MAX as usize / MethRecord::WIRE_SIZE;
         assert!(records
             .checked_mul(std::mem::size_of::<MethRecord>())
@@ -893,7 +893,10 @@ mod tests {
                 .error
                 .as_deref()
                 .expect("a failed run carries its message");
-            assert!(error.contains("capacity overflow"), "{error}");
+            assert!(
+                error.contains(&format!("cannot hold {records} records")),
+                "{error}"
+            );
         }
     }
 }

@@ -30,6 +30,7 @@ impl BitModel {
         BitModel::default()
     }
 
+    #[inline]
     fn update(&mut self, bit: bool) {
         if bit {
             self.0 -= self.0 >> MOVE_BITS;
@@ -92,6 +93,9 @@ impl RangeEncoder {
         self.out.len()
     }
 
+    // Runs about once per output byte; keeping it out of line keeps the
+    // inlined per-bit paths small.
+    #[inline(never)]
     fn shift_low(&mut self) {
         if self.low < 0xFF00_0000 || self.low > 0xFFFF_FFFF {
             let carry = (self.low >> 32) as u8;
@@ -111,6 +115,7 @@ impl RangeEncoder {
     }
 
     /// Encodes one bit under an adaptive model.
+    #[inline]
     pub fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
         let bound = (self.range >> PROB_BITS) * model.0 as u32;
         if !bit {
@@ -127,6 +132,7 @@ impl RangeEncoder {
     }
 
     /// Encodes `count` raw bits (MSB first) without a model.
+    #[inline]
     pub fn encode_direct(&mut self, value: u64, count: u32) {
         for i in (0..count).rev() {
             self.range >>= 1;
@@ -181,6 +187,7 @@ impl<'a> RangeDecoder<'a> {
         })
     }
 
+    #[inline]
     fn next_byte(&mut self) -> u8 {
         // Reading past the end yields zeros; corrupt streams are caught by
         // the container's checksums/length checks.
@@ -201,6 +208,7 @@ impl<'a> RangeDecoder<'a> {
     /// # Errors
     /// Currently infallible in-band (overruns read as zeros) but kept
     /// fallible for container-level symmetry.
+    #[inline]
     pub fn decode_bit(&mut self, model: &mut BitModel) -> Result<bool, CodecError> {
         let bound = (self.range >> PROB_BITS) * model.0 as u32;
         let bit = if self.code < bound {
@@ -223,6 +231,7 @@ impl<'a> RangeDecoder<'a> {
     ///
     /// # Errors
     /// See [`RangeDecoder::decode_bit`].
+    #[inline]
     pub fn decode_direct(&mut self, count: u32) -> Result<u64, CodecError> {
         let mut value = 0u64;
         for _ in 0..count {
@@ -262,6 +271,7 @@ impl ByteModel {
     }
 
     /// Encodes a byte.
+    #[inline]
     pub fn encode(&mut self, enc: &mut RangeEncoder, byte: u8) {
         let mut node = 1usize;
         for i in (0..8).rev() {
@@ -275,6 +285,7 @@ impl ByteModel {
     ///
     /// # Errors
     /// See [`RangeDecoder::decode_bit`].
+    #[inline]
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<u8, CodecError> {
         let mut node = 1usize;
         for _ in 0..8 {
@@ -347,6 +358,7 @@ impl UIntModel {
     }
 
     /// Encodes an arbitrary `u64`.
+    #[inline]
     pub fn encode(&mut self, enc: &mut RangeEncoder, value: u64) {
         let width = 64 - value.leading_zeros(); // 0 for value 0
         debug_assert!(width <= 64);
@@ -367,6 +379,7 @@ impl UIntModel {
     ///
     /// # Errors
     /// [`CodecError::BadSymbol`] if the decoded width exceeds 64.
+    #[inline]
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<u64, CodecError> {
         let mut node = 1usize;
         for _ in 0..7 {

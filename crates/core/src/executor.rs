@@ -96,7 +96,7 @@ impl DagHandle {
 }
 
 /// The workflow root process: finishes when every stage driver has.
-fn root_driver(pids: Vec<ProcessId>) -> impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send {
+fn root_driver(pids: Vec<ProcessId>) -> impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> {
     move |ctx: Ctx| -> LocalBoxFuture<'static, ()> {
         Box::pin(async move {
             for pid in pids {
@@ -209,7 +209,7 @@ impl Executor {
         results: &ResultMap,
     ) -> (
         String,
-        impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + Send + 'static,
+        impl FnOnce(Ctx) -> LocalBoxFuture<'static, ()> + 'static,
     ) {
         let stage = dag.stages()[idx].clone();
         // The planner's makespan objective extends through any encode
@@ -838,33 +838,21 @@ impl Executor {
                             let records: Vec<MethRecord> = SortRecord::read_all(&data)
                                 .unwrap_or_else(|e| panic!("encode decode failed: {}", e));
                             let dataset = Dataset::new(records);
-                            // The codec kernels run on the offload pool;
-                            // the virtual charge is identical to the old
-                            // inline compute + kernel sequence.
+                            // Charge the encode compute, then run the
+                            // codec inline.
                             let packed = match codec {
                                 EncodeCodec::Methcomp => {
-                                    env.compute_offload(
-                                        fctx,
-                                        work.methcomp_encode_time(data.len()),
-                                        data.len(),
-                                        move || mc_codec::compress(&dataset),
-                                    )
-                                    .await
+                                    env.compute(fctx, work.methcomp_encode_time(data.len()))
+                                        .await;
+                                    mc_codec::compress(&dataset)
                                 }
                                 EncodeCodec::Gzipish => {
-                                    env.compute_offload(
-                                        fctx,
-                                        work.gzip_encode_time(data.len()),
-                                        data.len(),
-                                        move || {
-                                            faaspipe_codec::gzipish::compress(
-                                                dataset.to_text().as_bytes(),
-                                            )
-                                        },
-                                    )
-                                    .await
+                                    env.compute(fctx, work.gzip_encode_time(data.len())).await;
+                                    faaspipe_codec::gzipish::compress(dataset.to_text().as_bytes())
                                 }
                             };
+                            // Free the records before the write yields.
+                            drop(dataset);
                             *written.lock() += packed.len() as u64;
                             let leaf = key.rsplit('/').next().unwrap_or(key);
                             let out_key = format!("{}{}", output, leaf);

@@ -201,8 +201,8 @@ pub struct PipelineOutcome {
     /// Full execution trace (empty unless [`PipelineConfig::trace`]).
     pub trace: TraceData,
     /// The simulator's own execution report: events dispatched, peak
-    /// live processes, pool threads — the gauges the wall-clock
-    /// regression harness records alongside host timings.
+    /// live processes — the gauges the wall-clock regression harness
+    /// records alongside host timings.
     pub sim: SimReport,
 }
 

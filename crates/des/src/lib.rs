@@ -16,11 +16,10 @@
 //! scheduler services the request, and the continuation is re-polled when
 //! the virtual-time condition is met. A suspended process is one
 //! heap-allocated state machine — 100k concurrent processes cost 100k
-//! small allocations, not 100k OS threads. Genuinely CPU-heavy host
-//! kernels (sort/merge/encode) are dispatched to a small offload thread
-//! pool via [`Ctx::offload`] without perturbing the event schedule;
-//! kernels with less than [`INLINE_KERNEL_BYTES`] of input run inline at
-//! their wake instead, on the same schedule.
+//! small allocations, not 100k OS threads. CPU-heavy host kernels
+//! (sort/merge/encode) run inline after the [`Ctx::compute`] charge that
+//! stands for them, so a simulation never leaves the thread that called
+//! [`Sim::run`] and process bodies need not be `Send`.
 //!
 //! The scheduler resumes one process at a time, and virtual time, pid
 //! assignment and per-process RNG streams depend only on the event
@@ -47,7 +46,6 @@
 pub mod events;
 pub mod flow;
 pub mod inline;
-mod pool;
 pub mod process;
 pub mod resources;
 pub mod sim;
@@ -57,7 +55,6 @@ pub use flow::{FlowLinks, FlowSpec, LinkId};
 pub use inline::InlineList;
 pub use process::{
     catch_unwind_future, panic_message, CatchUnwind, Ctx, JoinError, LocalBoxFuture, ProcessId,
-    INLINE_KERNEL_BYTES,
 };
 pub use resources::{LimiterId, SemId};
 pub use sim::{Sim, SimError, SimReport};

@@ -9,16 +9,15 @@
 //! condition is met. A suspended process is one heap-allocated state
 //! machine, not a parked OS thread.
 //!
-//! The scheduler resumes exactly one process at a time, so host thread
-//! scheduling never influences simulation outcomes — and one mailbox
-//! serves every process (see `Shared`).
+//! A simulation runs on one OS thread and the scheduler resumes exactly
+//! one process at a time, so host scheduling never influences simulation
+//! outcomes — and one mailbox serves every process (see `Shared`).
 
-use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::task::{Context as PollContext, Poll};
 
 use rand::rngs::SmallRng;
@@ -66,35 +65,6 @@ impl std::error::Error for JoinError {}
 /// created and polled only there, so they need not be `Send`.
 pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// Input size, in bytes, below which [`Ctx::offload`] runs a kernel
-/// inline on the scheduler thread instead of handing it to the offload
-/// pool.
-///
-/// The pool buys wall clock, not CPU time: a pooled kernel runs beside
-/// the event loop. On a 2-vCPU x86-64 VM, running every kernel inline
-/// made the cluster service run (4,050 kernels of 4.6–184 KB) take
-/// 17 % more wall time and Table 1 (33 kernels of 0.4–3.4 MB) 20 %
-/// more, while the cluster run used 9 % less CPU time and Table 1 the
-/// same (EXPERIMENTS.md, "BENCH_host — fan-out's fixed costs"). A
-/// kernel only gains from the pool if it runs longer than the handoff
-/// (queue lock, futex wake of a pool thread, futex wait for the
-/// result), which costs about 2.5–3.5 µs of CPU per kernel: the CPU a
-/// W=2048 fan-out run saves by skipping it, divided by its 6,144
-/// kernels. The sort, merge and encode kernels process about 90–255
-/// bytes per µs (compress 87 MiB/s, merge 230 MiB/s, partition
-/// 243 MiB/s), so a kernel takes about as long as its handoff at a few
-/// hundred bytes to about 1 KB of input; the bound sits at the top of
-/// that band. Fan-out kernels (at most a few hundred bytes) fall below
-/// it; cluster and Table 1 kernels (4.6 KB and up) keep the pool, so
-/// any value in the band routes them the same way.
-pub const INLINE_KERNEL_BYTES: usize = 1024;
-
-/// A CPU-heavy kernel dispatched to the offload pool, type-erased.
-pub(crate) type OffloadJob = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send + 'static>;
-
-/// Result of an offload job: the kernel's output, or its panic payload.
-pub(crate) type OffloadOutcome = std::thread::Result<Box<dyn Any + Send>>;
-
 /// Requests a process sends to the scheduler. Every request is acknowledged
 /// before the process continues; "blocking" requests are acknowledged only
 /// when the condition is met.
@@ -115,10 +85,6 @@ pub(crate) enum YieldMsg {
         future: LocalBoxFuture<'static, ()>,
     },
     Join(ProcessId),
-    Offload {
-        d: SimDuration,
-        job: OffloadJob,
-    },
 }
 
 /// Scheduler replies.
@@ -129,11 +95,6 @@ pub(crate) enum ResumeMsg {
     Link(LinkId),
     Pid(ProcessId),
     JoinResult(Result<(), JoinError>),
-    /// Internal: the process sleeps until its offload deadline; the
-    /// scheduler converts this to [`ResumeMsg::OffloadDone`] at wake,
-    /// host-blocking for the kernel result only then.
-    OffloadWait(u64),
-    OffloadDone(OffloadOutcome),
 }
 
 impl std::fmt::Debug for ResumeMsg {
@@ -145,14 +106,6 @@ impl std::fmt::Debug for ResumeMsg {
             ResumeMsg::Link(id) => write!(f, "Link({:?})", id),
             ResumeMsg::Pid(pid) => write!(f, "Pid({:?})", pid),
             ResumeMsg::JoinResult(r) => write!(f, "JoinResult({:?})", r),
-            ResumeMsg::OffloadWait(t) => write!(f, "OffloadWait({})", t),
-            ResumeMsg::OffloadDone(r) => {
-                write!(
-                    f,
-                    "OffloadDone({})",
-                    if r.is_ok() { "ok" } else { "panicked" }
-                )
-            }
         }
     }
 }
@@ -343,44 +296,12 @@ impl Ctx {
     }
 
     /// Charges `d` of virtual CPU time. Identical to [`Ctx::sleep`]; the
-    /// distinct name keeps call sites self-describing.
+    /// distinct name keeps call sites self-describing. The host kernel a
+    /// charge stands for (a sort, a merge, an encode) runs after the
+    /// `.await`, inline on the scheduler thread, so its host time never
+    /// moves virtual time.
     pub async fn compute(&self, d: SimDuration) {
         self.sleep(d).await;
-    }
-
-    /// Charges `d` of virtual CPU time *and* runs `job`, a CPU-heavy host
-    /// kernel reading `input_bytes` bytes, on the offload thread pool.
-    ///
-    /// The virtual-time schedule is byte-for-byte identical to
-    /// `ctx.compute(d)` followed by running `job()` inline: the process
-    /// wakes at `now + d` exactly as a sleep would, and the kernel result
-    /// is collected (host-blocking if the kernel is still running) only at
-    /// that wake.
-    ///
-    /// A kernel whose input is below [`INLINE_KERNEL_BYTES`] is too small
-    /// to pay for the pool's thread handoff, so it runs inline at the
-    /// wake instead. Both paths schedule the wake at `now + d` in the same
-    /// order, so events, virtual time and spans are identical on either
-    /// side of the rule: `input_bytes` only decides which host thread runs
-    /// the kernel. A panicking kernel fails the process with the same
-    /// message on both paths.
-    pub async fn offload<R, J>(&self, d: SimDuration, input_bytes: usize, job: J) -> R
-    where
-        R: Send + 'static,
-        J: FnOnce() -> R + Send + 'static,
-    {
-        if input_bytes < INLINE_KERNEL_BYTES {
-            self.sleep(d).await;
-            return job();
-        }
-        let erased: OffloadJob = Box::new(move || Box::new(job()) as Box<dyn Any + Send>);
-        match self.call(YieldMsg::Offload { d, job: erased }).await {
-            ResumeMsg::OffloadDone(Ok(any)) => *any
-                .downcast::<R>()
-                .expect("offload job returned a value of the wrong type"),
-            ResumeMsg::OffloadDone(Err(payload)) => std::panic::resume_unwind(payload),
-            other => unreachable!("unexpected resume for offload: {:?}", other),
-        }
     }
 
     /// Creates a counting semaphore with `permits` initial permits.
@@ -452,7 +373,7 @@ impl Ctx {
     /// which is boxed once and first polled when the child first runs.
     pub async fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> ProcessId
     where
-        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         self.spawn_named(ProcName::Given(name.into()), f).await
@@ -460,7 +381,7 @@ impl Ctx {
 
     async fn spawn_named<F, Fut>(&self, name: ProcName, f: F) -> ProcessId
     where
-        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         // The child's pid is reserved by the scheduler: it services this
@@ -529,8 +450,8 @@ impl Ctx {
         jobs: Vec<F>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -565,8 +486,8 @@ impl Ctx {
         mut fill: impl FnMut() -> T,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if total == 0 {
             return Ok(Vec::new());
@@ -599,8 +520,8 @@ impl Ctx {
         jobs: Vec<F>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
         if logical_total == 0 {
             return Ok(Vec::new());
@@ -622,32 +543,34 @@ impl Ctx {
         slots: Vec<Option<T>>,
     ) -> Result<Vec<T>, JoinError>
     where
-        T: Send + 'static,
-        F: AsyncFnOnce(&mut Ctx) -> T + Send + 'static,
+        T: 'static,
+        F: AsyncFnOnce(&mut Ctx) -> T + 'static,
     {
-        let queue: Arc<std::sync::Mutex<std::collections::VecDeque<(usize, F)>>> =
-            Arc::new(std::sync::Mutex::new(jobs.into_iter().collect()));
-        let results: Arc<std::sync::Mutex<Vec<Option<T>>>> = Arc::new(std::sync::Mutex::new(slots));
+        // Every worker runs on the scheduler thread and none holds a
+        // borrow across an `.await`, so plain `RefCell`s suffice.
+        let queue: Rc<RefCell<VecDeque<(usize, F)>>> =
+            Rc::new(RefCell::new(jobs.into_iter().collect()));
+        let results: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(slots));
         let base: Rc<str> = Rc::from(name);
         let mut pids = Vec::with_capacity(workers);
         for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let slot = Arc::clone(&results);
+            let queue = Rc::clone(&queue);
+            let slot = Rc::clone(&results);
             let worker = ProcName::Worker(Rc::clone(&base), w as u32);
             let pid = self
                 .spawn_named(worker, move |mut cctx: Ctx| async move {
                     loop {
-                        let next = queue.lock().expect("fan_out queue").pop_front();
+                        let next = queue.borrow_mut().pop_front();
                         let Some((i, job)) = next else { break };
                         let value = job(&mut cctx).await;
-                        slot.lock().expect("fan_out slot")[i] = Some(value);
+                        slot.borrow_mut()[i] = Some(value);
                     }
                 })
                 .await;
             pids.push(pid);
         }
         self.join_all(&pids).await?;
-        let mut slots = results.lock().expect("fan_out results");
+        let mut slots = results.borrow_mut();
         collect_fan_out(name, &mut slots)
     }
 }

@@ -9,7 +9,6 @@ use std::task::{Context as PollContext, Poll, Waker};
 use crate::events::{EventId, EventQueue, Wake};
 use crate::flow::{FlowNet, LinkId};
 use crate::inline::InlineList;
-use crate::pool::OffloadPool;
 use crate::process::{
     panic_message, Ctx, JoinError, LocalBoxFuture, ProcName, ProcessId, ResumeMsg, Shared, YieldMsg,
 };
@@ -79,9 +78,6 @@ pub struct SimReport {
     /// Most processes simultaneously created-but-not-finished at any
     /// instant of the run.
     pub peak_live_processes: usize,
-    /// OS threads the CPU-offload pool created over the whole run
-    /// (lazy, capped at `min(host cores, 8)`).
-    pub offload_workers: usize,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +126,6 @@ pub struct Sim {
     /// First fatal condition observed while dispatching (e.g. a stalled
     /// flow); checked after every event and terminates the run loudly.
     fatal: Option<SimError>,
-    offload: OffloadPool,
     events_dispatched: u64,
     live_now: usize,
     peak_live: usize,
@@ -174,7 +169,6 @@ impl Sim {
             flow_seq: None,
             tick_woken: Vec::new(),
             fatal: None,
-            offload: OffloadPool::new(),
             events_dispatched: 0,
             live_now: 0,
             peak_live: 0,
@@ -214,7 +208,7 @@ impl Sim {
     /// process's first wake on, and costs no OS thread while suspended.
     pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessId
     where
-        F: FnOnce(Ctx) -> Fut + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
         let future = self.shared.build_process(f);
@@ -326,7 +320,6 @@ impl Sim {
             processes: self.procs.len(),
             events: self.events_dispatched,
             peak_live_processes: self.peak_live,
-            offload_workers: self.offload.worker_count(),
         };
         self.teardown();
         Ok(report)
@@ -412,13 +405,8 @@ impl Sim {
             return;
         }
         // A started, unfinished process is always suspended in exactly
-        // one op; deliver the answer it is waiting for, then poll. Offload
-        // results are collected here — at the virtual-time deadline — so
-        // host completion order never reorders events.
-        let msg = match std::mem::replace(&mut slot.resume_with, ResumeMsg::Go) {
-            ResumeMsg::OffloadWait(token) => ResumeMsg::OffloadDone(self.offload.wait(token)),
-            m => m,
-        };
+        // one op; deliver the answer it is waiting for, then poll.
+        let msg = std::mem::replace(&mut slot.resume_with, ResumeMsg::Go);
         self.reply(msg);
         self.poll_task(pidx);
     }
@@ -575,17 +563,6 @@ impl Sim {
                     }
                 }
             }
-            YieldMsg::Offload { d, job } => {
-                // The kernel starts on the offload pool *now* (in host
-                // time) but the process sleeps until `now + d` in virtual
-                // time — the event this schedules is indistinguishable
-                // from a plain `Sleep(d)`, so offloading a kernel can
-                // never change the event schedule.
-                let token = self.offload.submit(job);
-                self.procs[pidx as usize].resume_with = ResumeMsg::OffloadWait(token);
-                self.queue.schedule(now + d, Wake::Process(pidx));
-                Flow::Blocked
-            }
         }
     }
 
@@ -615,14 +592,12 @@ impl Sim {
         }
     }
 
-    /// Drops every suspended or never-started process future, then exits
-    /// and joins the offload threads. No process code runs again: a
-    /// dropped future is never polled.
+    /// Drops every suspended or never-started process future. No process
+    /// code runs again: a dropped future is never polled.
     fn teardown(&mut self) {
         for slot in &mut self.procs {
             slot.future = None;
         }
-        self.offload.shutdown();
     }
 }
 
@@ -643,7 +618,6 @@ enum Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::INLINE_KERNEL_BYTES;
     use crate::units::{Bandwidth, ByteSize, SimDuration};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1121,102 +1095,33 @@ mod tests {
         assert_eq!(report.peak_live_processes, 2000);
     }
 
-    /// `compute(d)` then the kernel inline then a sleep: `(end ns,
-    /// events, kernel result)`.
-    fn run_compute_then_kernel() -> (u64, u64, u64) {
-        let out = Arc::new(AtomicU64::new(0));
+    #[test]
+    fn a_panicking_kernel_fails_its_process_with_its_message() {
+        // A kernel runs inline after its compute charge; its panic fails
+        // the process that ran it, with the kernel's message, at the
+        // instant the charge ends.
+        fn kernel(input: &[u64]) -> u64 {
+            assert!(input.is_empty(), "kernel died");
+            0
+        }
+        let seen = Arc::new(Mutex::new(None));
+        let seen2 = Arc::clone(&seen);
         let mut sim = Sim::new();
-        let out2 = Arc::clone(&out);
-        sim.spawn("k", move |ctx| async move {
-            ctx.compute(SimDuration::from_millis(7)).await;
-            let v = (0..1000u64).sum::<u64>();
-            ctx.sleep(SimDuration::from_millis(3)).await;
-            out2.store(v, Ordering::SeqCst);
-        });
-        let report = sim.run().expect("run");
-        (
-            report.end_time.as_nanos(),
-            report.events,
-            out.load(Ordering::SeqCst),
-        )
-    }
-
-    /// The same sequence through `offload` with a kernel input of
-    /// `input_bytes`: the same triple, plus the offload threads started.
-    fn run_offloaded(input_bytes: usize) -> ((u64, u64, u64), usize) {
-        let out = Arc::new(AtomicU64::new(0));
-        let mut sim = Sim::new();
-        let out2 = Arc::clone(&out);
-        sim.spawn("k", move |ctx| async move {
-            let v = ctx
-                .offload(SimDuration::from_millis(7), input_bytes, || {
-                    (0..1000u64).sum::<u64>()
+        sim.spawn("parent", move |ctx| async move {
+            let child = ctx
+                .spawn("kern", |cctx| async move {
+                    cctx.compute(SimDuration::from_millis(1)).await;
+                    kernel(&[1]);
                 })
                 .await;
-            ctx.sleep(SimDuration::from_millis(3)).await;
-            out2.store(v, Ordering::SeqCst);
+            let err = ctx.join(child).await.expect_err("kernel panic");
+            *seen2.lock().unwrap() = Some((err, ctx.now()));
         });
-        let report = sim.run().expect("run");
-        (
-            (
-                report.end_time.as_nanos(),
-                report.events,
-                out.load(Ordering::SeqCst),
-            ),
-            report.offload_workers,
-        )
-    }
-
-    #[test]
-    fn offload_matches_compute_schedule_exactly() {
-        // compute(d) + inline kernel and offload(d, kernel) must yield
-        // identical end times and event counts.
-        let (pooled, workers) = run_offloaded(INLINE_KERNEL_BYTES);
-        assert!(workers >= 1, "a kernel at the bound runs on the pool");
-        assert_eq!(run_compute_then_kernel(), pooled);
-    }
-
-    #[test]
-    fn kernels_below_the_bound_run_inline_on_the_same_schedule() {
-        let (inline, workers) = run_offloaded(INLINE_KERNEL_BYTES - 1);
-        assert_eq!(workers, 0, "a kernel below the bound starts no pool thread");
-        assert_eq!(inline, run_offloaded(INLINE_KERNEL_BYTES).0);
-        assert_eq!(inline, run_compute_then_kernel());
-    }
-
-    #[test]
-    fn offload_panic_propagates_into_the_task() {
-        // An inline and a pooled kernel fail their process with the same
-        // message.
-        let message = |input_bytes: usize| {
-            let seen = Arc::new(Mutex::new(String::new()));
-            let seen2 = Arc::clone(&seen);
-            let mut sim = Sim::new();
-            sim.spawn("parent", move |ctx| async move {
-                let child = ctx
-                    .spawn("kern", move |cctx| async move {
-                        let _: u64 = cctx
-                            .offload(SimDuration::from_millis(1), input_bytes, || {
-                                panic!("kernel died")
-                            })
-                            .await;
-                    })
-                    .await;
-                let err = ctx.join(child).await.expect_err("kernel panic");
-                *seen2.lock().unwrap() = err.message;
-            });
-            let report = sim.run().expect("observed panic is fine");
-            assert_eq!(
-                report.offload_workers >= 1,
-                input_bytes >= INLINE_KERNEL_BYTES,
-                "input of {input_bytes} bytes"
-            );
-            let m = seen.lock().unwrap().clone();
-            m
-        };
-        let inline = message(0);
-        assert!(inline.contains("kernel died"), "{inline}");
-        assert_eq!(inline, message(INLINE_KERNEL_BYTES));
+        sim.run().expect("observed panic is fine");
+        let (err, at) = seen.lock().unwrap().take().expect("joined");
+        assert_eq!(err.process, "kern");
+        assert!(err.message.contains("kernel died"), "{}", err.message);
+        assert_eq!(at.as_nanos(), 1_000_000);
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl FetchShared {
     fn job(
         self: &Arc<Self>,
         plan: Fetch,
-    ) -> impl AsyncFnOnce(&mut Ctx) -> Result<Bytes, ExchangeError> + Send + 'static {
+    ) -> impl AsyncFnOnce(&mut Ctx) -> Result<Bytes, ExchangeError> + 'static {
         let shared = Arc::clone(self);
         async move |cctx: &mut Ctx| {
             let s = &*shared;

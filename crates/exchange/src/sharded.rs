@@ -59,7 +59,7 @@ impl Default for ShardedRelayConfig {
 /// of N (and N× the per-second bill); with
 /// [`prewarm`](ShardedRelayConfig::prewarm) it costs nothing up front.
 pub struct ShardedRelayExchange {
-    shards: Vec<RelayShard>,
+    shards: Vec<Arc<RelayShard>>,
     prewarm: bool,
 }
 
@@ -78,12 +78,12 @@ impl ShardedRelayExchange {
         let relay = Arc::new(cfg.relay);
         let shards = (0..cfg.shards.max(1))
             .map(|i| {
-                RelayShard::new(
+                Arc::new(RelayShard::new(
                     fleet.clone(),
                     Arc::clone(&relay),
                     format!("relay-{:02}", i),
                     "sharded-relay",
-                )
+                ))
             })
             .collect();
         ShardedRelayExchange {
@@ -95,7 +95,7 @@ impl ShardedRelayExchange {
     /// Routes the shards' request spans and gauges to `sink`.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         for shard in &mut self.shards {
-            shard.set_trace(sink.clone());
+            Arc::make_mut(shard).set_trace(sink.clone());
         }
         self
     }
@@ -103,7 +103,7 @@ impl ShardedRelayExchange {
     /// The shard holding `(map, part)`: FNV-1a over the pair's
     /// little-endian bytes, mod the shard count. Byte-for-byte
     /// deterministic — no platform-dependent hasher state.
-    fn route(&self, map: usize, part: usize) -> &RelayShard {
+    fn route(&self, map: usize, part: usize) -> &Arc<RelayShard> {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -166,7 +166,7 @@ impl DataExchange for ShardedRelayExchange {
                 let items = parts
                     .into_iter()
                     .enumerate()
-                    .map(|(j, data)| (self.route(map, j).clone(), map, j, data))
+                    .map(|(j, data)| (Arc::clone(self.route(map, j)), map, j, data))
                     .collect();
                 relay_puts_windowed(ctx, env, items).await?;
                 return Ok(written);
@@ -214,7 +214,7 @@ impl DataExchange for ShardedRelayExchange {
             }
             let items = reqs
                 .iter()
-                .map(|&(map, part)| (self.route(map, part).clone(), map, part))
+                .map(|&(map, part)| (Arc::clone(self.route(map, part)), map, part))
                 .collect();
             relay_gets_windowed(ctx, env, items).await
         })

@@ -97,8 +97,9 @@ struct RelayState {
 /// request latency, NIC transfers, disk spill) happens here so the two
 /// backends cannot drift apart.
 ///
-/// Cloning a shard is cheap and shares the underlying VM/object table —
-/// the windowed read/write paths clone it into fan-out children.
+/// The exchanges hold each shard in an `Arc`, and the windowed read/write
+/// paths hand fan-out children that `Arc`, so a job costs a refcount, not
+/// a copy of the shard's strings. A clone shares the VM/object table.
 #[derive(Clone)]
 pub(crate) struct RelayShard {
     fleet: VmFleet,
@@ -513,7 +514,7 @@ impl RelayShard {
 /// scale-out counterfactual). Objects beyond `memory_capacity` spill to
 /// the VM's disk and pay `disk_bw` on both sides.
 pub struct VmRelayExchange {
-    shard: RelayShard,
+    shard: Arc<RelayShard>,
 }
 
 impl std::fmt::Debug for VmRelayExchange {
@@ -529,13 +530,18 @@ impl VmRelayExchange {
     /// Creates a relay backend provisioning through `fleet`.
     pub fn new(fleet: VmFleet, cfg: RelayConfig) -> VmRelayExchange {
         VmRelayExchange {
-            shard: RelayShard::new(fleet, Arc::new(cfg), "relay".to_string(), "vm-relay"),
+            shard: Arc::new(RelayShard::new(
+                fleet,
+                Arc::new(cfg),
+                "relay".to_string(),
+                "vm-relay",
+            )),
         }
     }
 
     /// Routes the relay's request spans and gauges to `sink`.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        self.shard.set_trace(sink);
+        Arc::make_mut(&mut self.shard).set_trace(sink);
         self
     }
 }
@@ -547,7 +553,7 @@ impl VmRelayExchange {
 pub(crate) async fn relay_puts_windowed(
     ctx: &mut Ctx,
     env: &ExchangeEnv,
-    items: Vec<(RelayShard, usize, usize, Bytes)>,
+    items: Vec<(Arc<RelayShard>, usize, usize, Bytes)>,
 ) -> Result<(), ExchangeError> {
     let Some((first, ..)) = items.first() else {
         return Ok(());
@@ -585,7 +591,7 @@ pub(crate) async fn relay_puts_windowed(
 pub(crate) async fn relay_gets_windowed(
     ctx: &mut Ctx,
     env: &ExchangeEnv,
-    items: Vec<(RelayShard, usize, usize)>,
+    items: Vec<(Arc<RelayShard>, usize, usize)>,
 ) -> Result<Vec<Bytes>, ExchangeError> {
     let Some((first, ..)) = items.first() else {
         return Ok(Vec::new());
@@ -654,7 +660,7 @@ impl DataExchange for VmRelayExchange {
                 let items = parts
                     .into_iter()
                     .enumerate()
-                    .map(|(j, data)| (self.shard.clone(), map, j, data))
+                    .map(|(j, data)| (Arc::clone(&self.shard), map, j, data))
                     .collect();
                 relay_puts_windowed(ctx, env, items).await?;
                 return Ok(written);
@@ -700,7 +706,7 @@ impl DataExchange for VmRelayExchange {
             }
             let items = reqs
                 .iter()
-                .map(|&(map, part)| (self.shard.clone(), map, part))
+                .map(|&(map, part)| (Arc::clone(&self.shard), map, part))
                 .collect();
             relay_gets_windowed(ctx, env, items).await
         })

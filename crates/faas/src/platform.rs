@@ -84,29 +84,6 @@ impl FunctionEnv {
         self.trace.span_end(span, ctx.now());
     }
 
-    /// Charges compute like [`FunctionEnv::compute`] while running
-    /// the CPU-heavy host `job`, which reads `input_bytes` bytes, through
-    /// [`Ctx::offload`]. The virtual schedule (and the emitted span) is
-    /// identical to charging the compute and running the kernel inline.
-    pub async fn compute_offload<R, J>(
-        &self,
-        ctx: &Ctx,
-        work: SimDuration,
-        input_bytes: usize,
-        job: J,
-    ) -> R
-    where
-        R: Send + 'static,
-        J: FnOnce() -> R + Send + 'static,
-    {
-        let span = self.compute_span(ctx);
-        let out = ctx
-            .offload(work.mul_f64(1.0 / self.cpu_share), input_bytes, job)
-            .await;
-        self.trace.span_end(span, ctx.now());
-        out
-    }
-
     fn compute_span(&self, ctx: &Ctx) -> SpanId {
         if self.trace.is_enabled() {
             self.trace.span_start(
@@ -248,7 +225,7 @@ impl FunctionPlatform {
         body: F,
     ) -> ProcessId
     where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let platform = Arc::clone(self);
         let function = function.into();
@@ -279,7 +256,7 @@ impl FunctionPlatform {
         parent: SpanId,
         body: F,
     ) where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let tracing = trace.is_enabled();
         let (inv, lane) = if tracing {
@@ -441,7 +418,7 @@ mod tests {
         body: F,
     ) -> Result<(), faaspipe_des::JoinError>
     where
-        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
     {
         let pid = p.invoke(ctx, function, tag, body).await;
         ctx.join(pid).await

@@ -14,6 +14,8 @@
 //!
 //! Generation is deterministic per seed.
 
+use std::collections::TryReserveError;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,6 +33,19 @@ const CHROM_MB: [u32; 24] = [
 /// Average serialized bytes per bedMethyl record (used to size datasets by
 /// target bytes). Measured on synthetic output; see tests.
 pub const APPROX_BYTES_PER_RECORD: usize = 52;
+
+/// An empty record buffer with room for `n` records, or the error the
+/// allocator reported: a count the host cannot hold fails here instead of
+/// aborting the process.
+///
+/// # Errors
+/// When `n` records overflow the address space or the allocator cannot
+/// provide them.
+pub fn reserve_records(n: usize) -> Result<Vec<MethRecord>, TryReserveError> {
+    let mut records = Vec::new();
+    records.try_reserve_exact(n)?;
+    Ok(records)
+}
 
 /// Deterministic WGBS dataset generator.
 #[derive(Debug)]
@@ -81,9 +96,13 @@ impl Synthesizer {
     }
 
     /// Generates `n` records in genome order (sorted).
+    ///
+    /// # Panics
+    /// When the host cannot hold `n` records (see [`reserve_records`]).
     pub fn generate_records(&mut self, n: usize) -> Dataset {
         let total_mb: u64 = CHROM_MB.iter().map(|&m| m as u64).sum();
-        let mut records = Vec::with_capacity(n);
+        let mut records =
+            reserve_records(n).unwrap_or_else(|e| panic!("cannot hold {} records: {}", n, e));
         // Allocate record counts per chromosome proportional to length.
         for (ci, &mb) in CHROM_MB.iter().enumerate() {
             let share = ((n as u64 * mb as u64) / total_mb) as usize;

@@ -576,35 +576,24 @@ pub async fn serverless_sort<R: SortRecord>(
                             .unwrap_or_else(|e| panic!("map read failed: {}", e));
                         read_bytes = chunks.iter().map(Bytes::len).sum();
                     }
-                    // Sort + range-partition straight over the wire bytes,
-                    // offloaded to the simulator's worker pool while the
-                    // partition compute is charged in virtual time — the
-                    // schedule and span are identical to charging the
-                    // compute and running the kernel inline. The kernel's
-                    // (chunk, offset) tie-break keeps equal keys in global
-                    // input order. The range partitioner is monotone over
-                    // the sort order, so the sorted run IS the partitions
+                    // Sort + range-partition straight over the wire bytes:
+                    // charge the partition compute in virtual time, then
+                    // run the kernel inline. The kernel's (chunk, offset)
+                    // tie-break keeps equal keys in global input order.
+                    // The range partitioner is monotone over the sort
+                    // order, so the sorted run IS the partitions
                     // concatenated in part order — the kernel hands back
                     // that one buffer plus the sparse cut list, and the
                     // write side never materialises W per-partition
                     // buffers (the mapper-side O(W) term of the old W²
                     // host cost).
-                    let (run, cuts) = {
-                        let partitioner = Arc::clone(&partitioner);
-                        let chunks = std::mem::take(&mut chunks);
-                        env.compute_offload(
-                            fctx,
-                            cfg.work.partition_time(read_bytes),
-                            read_bytes,
-                            move || {
-                                kernel::partition_sorted_run::<R>(&chunks, w, |k| {
-                                    partitioner.part(k)
-                                })
-                            },
-                        )
-                        .await
-                        .unwrap_or_else(|e| panic!("map decode failed: {}", e))
-                    };
+                    env.compute(fctx, cfg.work.partition_time(read_bytes)).await;
+                    let (run, cuts) =
+                        kernel::partition_sorted_run::<R>(&chunks, w, |k| partitioner.part(k))
+                            .unwrap_or_else(|e| panic!("map decode failed: {}", e));
+                    // Free the kernel's input before the exchange write
+                    // yields to the other functions.
+                    drop(chunks);
                     let xenv = ExchangeEnv {
                         host_links: [env.nic].as_slice().into(),
                         tag,
@@ -674,15 +663,12 @@ pub async fn serverless_sort<R: SortRecord>(
                         .await
                         .unwrap_or_else(|e| panic!("reduce gather failed: {}", e));
                     let gathered: usize = runs.iter().map(Bytes::len).sum();
-                    // The merge kernel runs on the offload pool while the
-                    // merge compute is charged in virtual time — same
-                    // schedule and span as the inline form.
-                    let merged = env
-                        .compute_offload(fctx, cfg.work.merge_time(gathered), gathered, move || {
-                            streaming_merge::<R>(&runs)
-                        })
-                        .await
+                    // Charge the merge compute, then merge inline.
+                    env.compute(fctx, cfg.work.merge_time(gathered)).await;
+                    let merged = streaming_merge::<R>(&runs)
                         .unwrap_or_else(|e| panic!("reduce decode failed: {}", e));
+                    // Free the gathered runs before the write yields.
+                    drop(runs);
                     let records = (merged.len() / R::WIRE_SIZE) as u64;
                     // One shared buffer: `Bytes::clone` inside the retry
                     // loop is a refcount bump, not a copy of the run.
@@ -829,7 +815,7 @@ fn spawn_invocation<'a, F>(
     body: F,
 ) -> LocalBoxFuture<'a, ProcessId>
 where
-    F: AsyncFnOnce(&mut Ctx, FunctionEnv) + Send + 'static,
+    F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
 {
     Box::pin(async move { faas.invoke(ctx, function, tag, body).await })
 }

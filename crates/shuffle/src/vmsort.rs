@@ -137,24 +137,20 @@ pub async fn vm_sort<R: SortRecord>(
     phase_end(ctx, &trace, p_download);
     let downloaded = ctx.now();
 
-    // In-memory sort using every core. The zero-copy kernel validates
-    // and sorts the wire bytes directly; its (chunk, offset) tie-break
-    // reproduces the stable decoded-record sort byte for byte. The
-    // kernel itself runs on the simulator's offload pool.
+    // In-memory sort using every core: charge the parallel compute, then
+    // sort inline. The zero-copy kernel validates and sorts the wire
+    // bytes directly; its (chunk, offset) tie-break reproduces the stable
+    // decoded-record sort byte for byte.
     let p_sort = phase_begin(ctx, &trace, "sort", SimDuration::ZERO).await;
-    let sorted_bytes = {
-        let chunks = std::mem::take(&mut chunks);
-        let sorted: Result<Vec<u8>, ShuffleError> = vm
-            .compute_parallel_offload(
-                ctx,
-                cfg.work.sort_time(input_bytes as usize),
-                cfg.profile.vcpus,
-                input_bytes as usize,
-                move || crate::kernel::sort_concat::<R>(&chunks),
-            )
-            .await;
-        Bytes::from(sorted?)
-    };
+    vm.compute_parallel(
+        ctx,
+        cfg.work.sort_time(input_bytes as usize),
+        cfg.profile.vcpus,
+    )
+    .await;
+    let sorted_bytes = Bytes::from(crate::kernel::sort_concat::<R>(&chunks)?);
+    // Free the input chunks before the uploads yield.
+    drop(chunks);
     phase_end(ctx, &trace, p_sort);
     let sorted = ctx.now();
 

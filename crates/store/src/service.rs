@@ -1036,7 +1036,7 @@ mod tests {
     /// store and the end time.
     fn run_with<F>(cfg: StoreConfig, f: F) -> (Arc<ObjectStore>, SimTime)
     where
-        F: AsyncFnOnce(&mut Ctx, &StoreClient) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx, &StoreClient) + 'static,
     {
         let mut sim = Sim::new();
         let store = ObjectStore::install(&mut sim, cfg);

@@ -70,34 +70,6 @@ impl VmInstance {
         self.trace.span_end(span, ctx.now());
     }
 
-    /// Charges compute time for a CPU-heavy host kernel: the virtual
-    /// charge (and the emitted span) is identical to
-    /// [`VmInstance::compute_parallel`], while the real `job`, which
-    /// reads `input_bytes` bytes, runs through [`Ctx::offload`].
-    pub async fn compute_parallel_offload<R, J>(
-        &self,
-        ctx: &Ctx,
-        work: SimDuration,
-        threads: u32,
-        input_bytes: usize,
-        job: J,
-    ) -> R
-    where
-        R: Send + 'static,
-        J: FnOnce() -> R + Send + 'static,
-    {
-        let span = self.compute_span(ctx, threads);
-        let out = ctx
-            .offload(
-                work.mul_f64(1.0 / self.profile.speedup(threads)),
-                input_bytes,
-                job,
-            )
-            .await;
-        self.trace.span_end(span, ctx.now());
-        out
-    }
-
     fn compute_span(&self, ctx: &Ctx, threads: u32) -> SpanId {
         if !self.trace.is_enabled() {
             return SpanId::NONE;

@@ -34,7 +34,7 @@ use faaspipe::des::{Sim, SimTime};
 use faaspipe::exchange::ExchangeKind;
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
-use faaspipe::methcomp::synth::Synthesizer;
+use faaspipe::methcomp::synth::{reserve_records, Synthesizer};
 use faaspipe::methcomp::{Dataset, MethRecord};
 use faaspipe::shuffle::{SortConfig, SortRecord, TuningModel, TuningPrices, WorkModel};
 use faaspipe::store::{ObjectStore, StoreConfig};
@@ -107,21 +107,22 @@ where
     }
 }
 
-/// Parses `--records`, rejecting a count whose record buffers cannot be
-/// sized: the records must fit in `isize::MAX` bytes both in memory and
-/// in their wire form, or generating them panics.
+/// Parses `--records`, rejecting a count whose record buffer the host
+/// cannot hold: the buffer is reserved fallibly, as synthesis reserves
+/// it, and released at once, so the command fails here instead of
+/// panicking or aborting mid-run.
 fn records_flag(args: &[String], default: usize) -> Result<usize, String> {
     let records: usize = flag_parse(args, "--records", default)?;
-    let widest = MethRecord::WIRE_SIZE.max(std::mem::size_of::<MethRecord>());
-    match records.checked_mul(widest) {
-        Some(bytes) if bytes <= isize::MAX as usize => Ok(records),
-        _ => Err(format!(
-            "--records {} is too large: a record buffer holds at most {} records",
-            records,
-            isize::MAX as usize / widest
-        )),
+    match reserve_records(records) {
+        Ok(_) => Ok(records),
+        Err(e) => Err(format!("--records {} is too large: {}", records, e)),
     }
 }
+
+// A record is at least as wide in memory as on the wire, so a count whose
+// in-memory buffer `records_flag` could reserve fits its wire buffers in
+// the address space too.
+const _: () = assert!(std::mem::size_of::<MethRecord>() >= MethRecord::WIRE_SIZE);
 
 fn cmd_table1(args: &[String]) -> Result<(), String> {
     let records = records_flag(args, 150_000)?;

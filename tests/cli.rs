@@ -207,8 +207,9 @@ fn tune_rejects_unusable_sizes_and_budgets() {
 
 #[test]
 fn oversized_record_counts_exit_with_an_error() {
-    // 2^64 − 1 records cannot be sized in memory; every command that
-    // synthesizes records rejects the count instead of panicking.
+    // 2^64 − 1 records cannot be sized in memory, and 10^15 (24 PB)
+    // exceed any host's; every command that synthesizes records rejects
+    // the count instead of panicking or aborting.
     let spec = tmp("oversized-records-spec.json");
     std::fs::write(
         &spec,
@@ -220,24 +221,25 @@ fn oversized_record_counts_exit_with_an_error() {
     let out_file = tmp("oversized.bed");
     let spec = spec.to_str().expect("utf-8 path");
     let out_file = out_file.to_str().expect("utf-8 path");
-    let huge = "18446744073709551615";
-    let commands: [&[&str]; 4] = [
-        &["table1", "--records", huge],
-        &["run", spec, "--records", huge],
-        &["synth", "--records", huge, "--out", out_file],
-        &["cluster", "--records", huge],
-    ];
-    for args in commands {
-        let out = bin().args(args).output().expect("run");
-        assert_eq!(out.status.code(), Some(1), "{:?} must exit 1", args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--records 18446744073709551615 is too large"),
-            "{:?}: {}",
-            args,
-            stderr
-        );
-        assert!(!stderr.contains("panicked"), "{:?}: {}", args, stderr);
+    for huge in ["18446744073709551615", "1000000000000000"] {
+        let commands: [&[&str]; 4] = [
+            &["table1", "--records", huge],
+            &["run", spec, "--records", huge],
+            &["synth", "--records", huge, "--out", out_file],
+            &["cluster", "--records", huge],
+        ];
+        for args in commands {
+            let out = bin().args(args).output().expect("run");
+            assert_eq!(out.status.code(), Some(1), "{:?} must exit 1", args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("--records {huge} is too large")),
+                "{:?}: {}",
+                args,
+                stderr
+            );
+            assert!(!stderr.contains("panicked"), "{:?}: {}", args, stderr);
+        }
     }
 }
 

@@ -15,7 +15,7 @@ use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::synth::Synthesizer;
 use faaspipe::methcomp::MethRecord;
-use faaspipe::shuffle::{ExchangeKind, SortRecord, WorkModel};
+use faaspipe::shuffle::{SortRecord, WorkModel};
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::vm::VmFleet;
 
@@ -197,24 +197,4 @@ fn gzip_encode_pipeline_spec_also_runs() {
         let unpacked = faaspipe::codec::gzipish::decompress(&archive).expect("gz");
         assert_eq!(unpacked, text.as_bytes());
     }
-}
-
-/// Kernels below `INLINE_KERNEL_BYTES` of input run inline and start no
-/// offload thread; larger ones keep the pool. At 2,000 records a W=256
-/// fan-out gives its kernels about 180 B each (the largest a few times
-/// that), W=8 about 5.7 KB each, so the two runs sit on either side.
-#[test]
-fn tiny_kernels_run_inline_and_large_ones_on_the_offload_pool() {
-    let offload_workers = |workers: usize| {
-        let mut cfg = PipelineConfig::paper_table1();
-        cfg.mode = PipelineMode::PureServerless;
-        cfg.physical_records = 2_000;
-        cfg.workers = WorkerChoice::Fixed(workers);
-        cfg.exchange = ExchangeKind::Coalesced;
-        let out = run_methcomp_pipeline(&cfg).expect("pipeline ok");
-        assert!(out.verified, "W={} run must verify", workers);
-        out.sim.offload_workers
-    };
-    assert_eq!(offload_workers(256), 0, "W=256 kernels all run inline");
-    assert!(offload_workers(8) >= 1, "W=8 kernels keep the pool");
 }

@@ -7,8 +7,7 @@
 //!    while the surviving workers keep draining the shared queue.
 //! 2. Tens of thousands of short-lived processes (nested spawn/join plus
 //!    fan_out) run to completion deterministically on the event-loop
-//!    thread alone: host thread count stays bounded by the CPU-offload
-//!    pool cap.
+//!    thread alone: the run starts no host thread.
 //!
 //! This file is deliberately its own integration-test binary: the
 //! `/proc/self/status` thread-count assertions would be polluted by the
@@ -29,14 +28,6 @@ fn host_threads() -> Option<usize> {
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
-}
-
-/// The CPU-offload pool's thread ceiling (mirrors `OffloadPool::new`).
-fn offload_cap() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
 }
 
 // ---------------------------------------------------------------------------
@@ -159,9 +150,9 @@ fn run_once(seed: u64) -> (u64, u64, usize, u64, usize) {
             batches.push(pid);
         }
         ctx.join_all(&batches).await.expect("batches complete");
-        // Sample the host thread count while the event loop is live —
-        // after run() returns the pools have been dropped, so this is
-        // the only honest observation point.
+        // Sample the host thread count while the event loop is live:
+        // a thread the run started and stopped again by its end would
+        // be invisible after run() returns.
         if let Some(t) = host_threads() {
             peak2.fetch_max(t, Ordering::SeqCst);
         }
@@ -188,15 +179,14 @@ fn fifty_thousand_stackless_processes_complete_deterministically() {
         "stress run must exercise ≥50k processes, got {procs_a}"
     );
 
-    // Host thread count observed mid-run stays within the offload-pool
-    // cap of the baseline: the 54k processes must not map to OS threads.
+    // The host thread count observed mid-run has not grown: the 54k
+    // processes map to no OS thread. (It may fall: the sibling test's
+    // harness thread can exit meanwhile.)
     if let (Some(before), live) = (baseline, live_threads) {
         if live > 0 {
             assert!(
-                live <= before + offload_cap(),
-                "host threads grew past the offload cap: {before} -> {live} \
-                 (cap {})",
-                offload_cap()
+                live <= before,
+                "the run started host threads: {before} -> {live}"
             );
         }
     }

@@ -13,12 +13,7 @@ use faaspipe_shuffle::ExchangeKind;
 
 fn table1_workload() -> Workload {
     // 3.5 GB modeled input split into 8 chunks, as in the Table-1 run.
-    Workload {
-        data_bytes: 3_500_000_000.0,
-        input_chunks: 8,
-        sample_read_bytes: 65_536.0,
-        encode_workers: 8,
-    }
+    Workload::new(3_500_000_000.0, 8, 1.0, 8)
 }
 
 fn bench_plan(c: &mut Criterion) {

@@ -1,12 +1,12 @@
-//! Criterion micro-benchmarks of the shuffle kernels: partitioning,
-//! k-way merging (via the public sort path), record wire codecs, and the
-//! autotuner's analytic model.
+//! Criterion micro-benchmarks of the shuffle kernels: partitioning and
+//! record wire codecs. The planner's model has its own bench
+//! (`benches/plan.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use faaspipe_methcomp::synth::Synthesizer;
 use faaspipe_methcomp::MethRecord;
-use faaspipe_shuffle::{RangePartitioner, SortRecord, TuningModel};
+use faaspipe_shuffle::{RangePartitioner, SortRecord};
 
 fn bench_partitioner(c: &mut Criterion) {
     let keys: Vec<u64> = (0..100_000u64)
@@ -44,29 +44,5 @@ fn bench_record_wire(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tuning_model(c: &mut Criterion) {
-    let model = TuningModel {
-        data_bytes: 3.5e9,
-        input_chunks: 8,
-        request_latency_s: 0.028,
-        conn_bw: 95.0 * 1024.0 * 1024.0,
-        agg_bw: 25e9,
-        ops_per_sec: 3_000.0,
-        startup_s: 0.52,
-        cpu_share: 1.0,
-        sort_bps: 1e8,
-        merge_bps: 1.8e8,
-        max_workers: 256,
-    };
-    c.bench_function("autotune/best_workers_256", |b| {
-        b.iter(|| black_box(&model).best_workers())
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_partitioner,
-    bench_record_wire,
-    bench_tuning_model
-);
+criterion_group!(benches, bench_partitioner, bench_record_wire);
 criterion_main!(benches);

@@ -115,19 +115,15 @@ fn base_cfg(records: usize, modeled: u64) -> PipelineConfig {
     cfg
 }
 
-/// The wire bytes one sample-phase range read fetches for this shape.
-fn sample_read_bytes(cfg: &PipelineConfig) -> f64 {
-    let chunk_wire = cfg.modeled_bytes as f64 / cfg.parallelism as f64;
-    (64.0 * 1024.0 * cfg.size_scale()).min(chunk_wire)
-}
-
+/// The shape the model sees for `cfg`: the sort stage plus its encode
+/// tail.
 fn workload(cfg: &PipelineConfig) -> Workload {
-    Workload {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        sample_read_bytes: sample_read_bytes(cfg),
-        encode_workers: cfg.parallelism,
-    }
+    Workload::new(
+        cfg.modeled_bytes as f64,
+        cfg.parallelism,
+        cfg.size_scale(),
+        cfg.parallelism,
+    )
 }
 
 /// Runs one fixed configuration; returns end-to-end simulated seconds.
@@ -161,14 +157,14 @@ fn probe(
     k: usize,
     exchange: ExchangeKind,
 ) -> (ProbeSpec, TraceData) {
-    let cfg = base_cfg(records, modeled);
+    let wl = workload(&base_cfg(records, modeled));
     let spec = ProbeSpec {
         label: format!("W{}-K{}-{}", workers, k, exchange),
         workers,
         io_concurrency: k,
-        data_bytes: modeled as f64,
-        input_chunks: cfg.parallelism,
-        sample_read_bytes: sample_read_bytes(&cfg),
+        data_bytes: wl.data_bytes,
+        input_chunks: wl.input_chunks,
+        sample_read_bytes: wl.sample_read_bytes,
     };
     let (_, trace) = simulate(records, modeled, workers, k, exchange, true);
     (spec, trace)

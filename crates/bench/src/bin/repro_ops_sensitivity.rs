@@ -3,7 +3,8 @@
 //! (e.g., IBM COS only supports a few thousand operations/s)" for
 //! all-to-all bottlenecks. This sweep throttles the budget and watches
 //! an over-parallelised shuffle (64 fixed workers) degrade — and the
-//! autotuned worker count shrink to compensate.
+//! `"workers": "auto"` pick (the planner's cost model, which knows the
+//! store's ops/s budget) shrink to compensate.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin repro_ops_sensitivity
@@ -36,7 +37,7 @@ fn run(ops: f64, workers: WorkerChoice) -> (usize, f64) {
 fn main() {
     let budgets = [100.0f64, 250.0, 500.0, 1_000.0, 3_000.0, 10_000.0];
     let mut rows = Vec::new();
-    println!("ops/s   fixed-64-workers(s)   autotuned(workers -> s)");
+    println!("ops/s   fixed-64-workers(s)   workers: auto(workers -> s)");
     for &ops in &budgets {
         let (_, fixed) = run(ops, WorkerChoice::Fixed(64));
         let (auto_w, auto_l) = run(ops, WorkerChoice::Auto);
@@ -53,7 +54,7 @@ fn main() {
         });
     }
     // Shape: a starved ops budget punishes the W² request pattern; the
-    // autotuner compensates by picking fewer workers.
+    // planner compensates by picking fewer workers.
     let starved = &rows[0];
     let rich = rows.last().expect("non-empty");
     assert!(
@@ -64,11 +65,11 @@ fn main() {
     );
     assert!(
         starved.autotuned_workers < rich.autotuned_workers,
-        "the tuner must pick fewer workers when ops are scarce"
+        "workers: auto must pick fewer workers when ops are scarce"
     );
     assert!(
         starved.autotuned_latency_s < starved.latency_s,
-        "tuned latency must beat the naive fixed-64 under throttling: {} vs {}",
+        "workers: auto must beat the naive fixed-64 under throttling: {} vs {}",
         starved.autotuned_latency_s,
         starved.latency_s
     );

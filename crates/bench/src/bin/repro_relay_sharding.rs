@@ -76,11 +76,7 @@ fn run(workers: usize, records: usize, backend: ExchangeKind) -> Row {
         .find(|s| s.stage == "sort")
         .expect("sort stage");
     let b = critical_path(&outcome.trace).expect("breakdown");
-    let (shards, prewarm) = match backend {
-        ExchangeKind::ShardedRelay { shards, prewarm } => (shards, prewarm),
-        ExchangeKind::VmRelay => (1, false),
-        _ => (0, false),
-    };
+    let (shards, prewarm) = backend.relay_shards().unwrap_or((0, false));
     Row {
         workers,
         backend: backend.to_string(),

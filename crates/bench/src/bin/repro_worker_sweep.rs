@@ -3,14 +3,16 @@
 //! used** in shuffling stages."
 //!
 //! Sweeps the shuffle worker count, measures pipeline latency and cost at
-//! each point, and compares the Primula-style autotuner's pick against
-//! the empirical optimum.
+//! each point, and compares the `"workers": "auto"` pick (the planner's
+//! cost model over the worker ladder, backend and I/O window pinned)
+//! against the empirical optimum. The model column is that model's
+//! sort-stage makespan at each W.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin repro_worker_sweep [-- --jobs N]
 //! ```
 //!
-//! The 12-point worker sweep plus the autotuned run are 13 independent
+//! The 12-point worker sweep plus the `workers: auto` run are 13 independent
 //! sims; they run through the [`faaspipe_sweep`] engine (`--jobs` worker
 //! threads, default `FAASPIPE_JOBS` / core count) with serial-identical
 //! output.
@@ -18,7 +20,8 @@
 use faaspipe_bench::{write_json, SWEEP_RECORDS};
 use faaspipe_core::dag::WorkerChoice;
 use faaspipe_core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
-use faaspipe_shuffle::{TuningModel, WorkModel};
+use faaspipe_exchange::{DirectConfig, ExchangeKind, RelayConfig};
+use faaspipe_plan::{Candidate, ModelParams, Workload};
 use faaspipe_sweep::Sweep;
 use faaspipe_trace::{critical_path, Breakdown};
 
@@ -38,40 +41,34 @@ struct SweepRow {
 
 faaspipe_json::json_object! { SweepRow { req workers, req latency_s, req sort_latency_s, req model_sort_s, req cost_dollars, req autotuned, req compute_s, req store_io_s, req cold_start_s, req queueing_s, req other_s } }
 
-/// The analytic model instantiated with the sweep's platform parameters
-/// (used to validate the autotuner's predictions against measurements).
-fn analytic_model() -> TuningModel {
-    let cfg = PipelineConfig::paper_table1();
-    let work = WorkModel::default();
-    TuningModel {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        request_latency_s: cfg.store.first_byte_latency.as_secs_f64(),
-        // Effective per-function bandwidth: the tighter of the store's
-        // per-connection cap and the container NIC.
-        conn_bw: cfg
-            .store
-            .per_connection_bw
-            .as_bytes_per_sec()
-            .min(cfg.faas.nic_bw.as_bytes_per_sec()),
-        agg_bw: cfg.store.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: cfg.store.ops_per_sec,
-        startup_s: cfg.faas.cold_start.as_secs_f64(),
-        cpu_share: cfg.faas.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers: 128,
-    }
-}
-
-/// Driver-side orchestration on the sort stage's critical path (three
-/// phases), which the per-function model does not cover.
-const ORCHESTRATION_S: f64 = 3.0 * 8.0;
-
-fn run(workers: WorkerChoice) -> (usize, f64, f64, f64, Breakdown) {
+/// The sweep's configuration: the paper's Table-1 pipeline, serverless.
+fn sweep_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::paper_table1();
     cfg.mode = PipelineMode::PureServerless;
     cfg.physical_records = SWEEP_RECORDS;
+    cfg
+}
+
+/// The planner's predicted sort-stage makespan at `workers`, with the
+/// parameters a `workers: auto` stage plans with (derived from the
+/// sweep's service configurations) and no encode tail.
+fn model_sort_s(params: &ModelParams, cfg: &PipelineConfig, workers: usize) -> f64 {
+    let wl = Workload::new(
+        cfg.modeled_bytes as f64,
+        cfg.parallelism,
+        cfg.size_scale(),
+        0,
+    );
+    let cand = Candidate {
+        workers,
+        io_concurrency: cfg.io_concurrency,
+        exchange: cfg.exchange,
+    };
+    params.estimate(&wl, &cand).makespan_s
+}
+
+fn run(workers: WorkerChoice) -> (usize, f64, f64, f64, Breakdown) {
+    let mut cfg = sweep_cfg();
     cfg.workers = workers;
     cfg.trace = true;
     let outcome = run_methcomp_pipeline(&cfg).expect("pipeline run");
@@ -101,9 +98,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = faaspipe_sweep::jobs_from_args_or_exit(&args);
     let sweep = [1usize, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128];
-    let model = analytic_model();
+    let cfg = sweep_cfg();
+    assert_eq!(cfg.exchange, ExchangeKind::Scatter);
+    let params = ModelParams::from_configs(
+        &cfg.store,
+        &cfg.faas,
+        &RelayConfig::default(),
+        &DirectConfig::default(),
+        &cfg.work,
+    );
 
-    // The fixed-W grid plus the autotuned run, all independent sims.
+    // The fixed-W grid plus the `workers: auto` run, all independent sims.
     let mut grid: Sweep<(usize, f64, f64, f64, Breakdown)> = Sweep::new();
     for &w in &sweep {
         grid.push(format!("W={}", w), move || run(WorkerChoice::Fixed(w)));
@@ -119,7 +124,7 @@ fn main() {
     );
     for &w in &sweep {
         let (_, latency, sort, cost, b) = results.next().expect("one row per W");
-        let predicted = model.breakdown(w).total_s() + ORCHESTRATION_S;
+        let predicted = model_sort_s(&params, &cfg, w);
         let err = (predicted - sort).abs() / sort * 100.0;
         max_model_err = max_model_err.max(err);
         println!(
@@ -152,7 +157,7 @@ fn main() {
         });
     }
     println!(
-        "analytic model tracks the measured sort stage within {:.0}% across the sweep",
+        "the planner's model tracks the measured sort stage within {:.0}% across the sweep",
         max_model_err
     );
     let best = rows
@@ -167,9 +172,9 @@ fn main() {
     let best_latency = best.latency_s;
     let worst_latency = rows.iter().map(|r| r.latency_s).fold(f64::MIN, f64::max);
 
-    let (picked, latency, sort, cost, b) = results.next().expect("autotuned row");
+    let (picked, latency, sort, cost, b) = results.next().expect("workers: auto row");
     println!(
-        "autotuner picked {} workers: {:.2}s (sort {:.2}s, ${:.4})",
+        "workers: auto picked {} workers: {:.2}s (sort {:.2}s, ${:.4})",
         picked, latency, sort, cost
     );
     println!("{}", b.render());
@@ -177,7 +182,7 @@ fn main() {
         workers: picked,
         latency_s: latency,
         sort_latency_s: sort,
-        model_sort_s: model.breakdown(picked).total_s() + ORCHESTRATION_S,
+        model_sort_s: model_sort_s(&params, &cfg, picked),
         cost_dollars: cost,
         autotuned: true,
         compute_s: b.compute.as_secs_f64(),
@@ -188,12 +193,12 @@ fn main() {
     });
     assert!(
         max_model_err < 30.0,
-        "the analytic model must stay predictive; worst error {:.0}%",
+        "the planner's model must stay predictive; worst error {:.0}%",
         max_model_err
     );
 
     // The claim: a well-chosen worker count makes object storage
-    // competitive; bad counts are much worse; the autotuner lands near
+    // competitive; bad counts are much worse; `workers: auto` lands near
     // the optimum.
     assert!(
         worst_latency > best_latency * 1.5,
@@ -203,7 +208,7 @@ fn main() {
     );
     assert!(
         latency <= best_latency * 1.25,
-        "autotuner ({} w, {:.1}s) should be within 25% of the oracle ({} w, {:.1}s)",
+        "workers: auto ({} w, {:.1}s) should be within 25% of the oracle ({} w, {:.1}s)",
         picked,
         latency,
         best_workers,

@@ -7,7 +7,7 @@
 //! |--------|-----------|
 //! | `repro_table1` | E1 — Table 1 (latency & cost, both configurations) |
 //! | `repro_figure1` | E2 — Figure 1 (per-stage timeline of both architectures) |
-//! | `repro_worker_sweep` | E3 — "appropriate number of functions" sweep + autotuner |
+//! | `repro_worker_sweep` | E3 — "appropriate number of functions" sweep + the `workers: auto` (planner) pick and model column |
 //! | `repro_compression` | E4 — METHCOMP vs gzip-class compression ratio |
 //! | `repro_aggregate_bw` | E5 — aggregate object-storage bandwidth vs #functions |
 //! | `repro_cost_breakdown` | E6 — §2.4 per-stage cost display |

@@ -14,12 +14,20 @@ use faaspipe_vm::VmProfile;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageId(pub(crate) usize);
 
+/// The most functions (or VM-sort runs) one stage may ask for. Every
+/// fleet the repository runs fits (the widest host-benchmark row is
+/// W = 16,384); a larger count is rejected when the stage is added
+/// instead of failing inside the run on a per-worker allocation.
+pub const MAX_STAGE_WORKERS: usize = 65_536;
+
 /// How many functions a shuffle stage should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerChoice {
     /// Exactly this many workers.
     Fixed(usize),
-    /// Let the Primula-style autotuner pick ("on the fly").
+    /// Let the planner pick ("on the fly"): its cost model walks the
+    /// worker-count ladder with the stage's backend and I/O window
+    /// pinned (or open too, under `exchange: auto`).
     Auto,
 }
 
@@ -232,6 +240,12 @@ fn validate_kind(name: &str, kind: &StageKind) -> Result<(), DagError> {
         stage: name.to_string(),
         reason: reason.to_string(),
     };
+    let too_many = |field: &str, n: usize| {
+        bad(&format!(
+            "{} {} exceeds the ceiling of {}",
+            field, n, MAX_STAGE_WORKERS
+        ))
+    };
     match kind {
         StageKind::ShuffleSort {
             workers,
@@ -240,8 +254,12 @@ fn validate_kind(name: &str, kind: &StageKind) -> Result<(), DagError> {
             output,
             ..
         } => {
-            if matches!(workers, WorkerChoice::Fixed(0)) {
-                return Err(bad("zero workers"));
+            match *workers {
+                WorkerChoice::Fixed(0) => return Err(bad("zero workers")),
+                WorkerChoice::Fixed(n) if n > MAX_STAGE_WORKERS => {
+                    return Err(too_many("workers", n))
+                }
+                _ => {}
             }
             if *io_concurrency == Some(0) {
                 return Err(bad("zero io_concurrency"));
@@ -261,6 +279,9 @@ fn validate_kind(name: &str, kind: &StageKind) -> Result<(), DagError> {
         } => {
             if *runs == 0 {
                 return Err(bad("zero runs"));
+            }
+            if *runs > MAX_STAGE_WORKERS {
+                return Err(too_many("runs", *runs));
             }
             if input.is_empty() || output.is_empty() {
                 return Err(bad("empty prefix"));
@@ -282,6 +303,9 @@ fn validate_kind(name: &str, kind: &StageKind) -> Result<(), DagError> {
         } => {
             if *workers == 0 {
                 return Err(bad("zero workers"));
+            }
+            if *workers > MAX_STAGE_WORKERS {
+                return Err(too_many("workers", *workers));
             }
             if input.is_empty() || output.is_empty() {
                 return Err(bad("empty prefix"));
@@ -385,6 +409,61 @@ mod tests {
             )
             .expect_err("same prefix");
         assert!(matches!(err, DagError::BadStage { .. }));
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_against_one_ceiling() {
+        let huge = MAX_STAGE_WORKERS + 1;
+        let kinds = [
+            StageKind::ShuffleSort {
+                workers: WorkerChoice::Fixed(huge),
+                exchange: ExchangeKind::Scatter,
+                io_concurrency: None,
+                input: "in/".into(),
+                output: "out/".into(),
+            },
+            StageKind::VmSort {
+                profile: VmProfile::bx2_8x32(),
+                runs: huge,
+                input: "in/".into(),
+                output: "out/".into(),
+            },
+            StageKind::Encode {
+                codec: EncodeCodec::Methcomp,
+                workers: huge,
+                input: "in/".into(),
+                output: "out/".into(),
+            },
+            StageKind::Decode {
+                workers: huge,
+                input: "in/".into(),
+                output: "out/".into(),
+            },
+        ];
+        for kind in kinds {
+            let err = Dag::new("w", "b")
+                .add_stage("s", kind, &[])
+                .expect_err("count above the ceiling");
+            assert!(
+                err.to_string().contains("exceeds the ceiling of 65536"),
+                "{}",
+                err
+            );
+        }
+        // The ceiling itself is a valid fleet.
+        Dag::new("w", "b")
+            .add_stage(
+                "s",
+                StageKind::ShuffleSort {
+                    workers: WorkerChoice::Fixed(MAX_STAGE_WORKERS),
+                    exchange: ExchangeKind::Scatter,
+                    io_concurrency: None,
+                    input: "in/".into(),
+                    output: "out/".into(),
+                },
+                &[],
+            )
+            .expect("the ceiling is allowed");
     }
 
     #[test]

@@ -13,14 +13,12 @@ use parking_lot::Mutex;
 use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, Sim, SimDuration, SimTime};
 use faaspipe_exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
-    ShardedRelayExchange, VmRelayExchange,
+    ShardedRelayExchange,
 };
 use faaspipe_faas::FunctionPlatform;
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
-use faaspipe_shuffle::{
-    serverless_sort, vm_sort, Autotuner, SortConfig, SortRecord, VmSortConfig, WorkModel,
-};
+use faaspipe_shuffle::{serverless_sort, vm_sort, SortConfig, SortRecord, VmSortConfig, WorkModel};
 use faaspipe_store::ObjectStore;
 use faaspipe_trace::Category;
 use faaspipe_vm::VmFleet;
@@ -54,8 +52,8 @@ pub struct StageResult {
     pub started: SimTime,
     /// When the stage finished.
     pub finished: SimTime,
-    /// Workers actually used (autotuned shuffles may differ from the
-    /// request).
+    /// Workers actually used (a `workers: auto` shuffle reports the
+    /// planner's pick).
     pub workers_used: usize,
     /// Real output bytes written.
     pub output_bytes: u64,
@@ -106,6 +104,10 @@ fn root_driver(pids: Vec<ProcessId>) -> impl FnOnce(Ctx) -> LocalBoxFuture<'stat
     }
 }
 
+/// The default ceiling on the worker count a `workers: auto` stage
+/// plans ([`Executor::max_autotune_workers`]).
+pub const DEFAULT_MAX_AUTO_WORKERS: usize = 64;
+
 /// Workflow executor. Construct once per simulation.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -115,7 +117,7 @@ pub struct Executor {
     pub work: WorkModel,
     /// Job tracker receiving progress events.
     pub tracker: Tracker,
-    /// Upper bound the autotuner may pick.
+    /// Upper bound a `workers: auto` stage may plan.
     pub max_autotune_workers: usize,
     /// Default per-function I/O window for shuffle stages that don't
     /// pin one (`StageKind::ShuffleSort::io_concurrency`). `1` is the
@@ -138,7 +140,7 @@ impl Executor {
             services,
             work,
             tracker,
-            max_autotune_workers: 64,
+            max_autotune_workers: DEFAULT_MAX_AUTO_WORKERS,
             io_concurrency: SortConfig::default().io_concurrency,
             orchestration: SimDuration::from_millis(8_000),
             plan_params: None,
@@ -471,24 +473,14 @@ impl Executor {
     /// constructs its default [`ObjectStoreExchange`]
     /// (faaspipe_exchange::ObjectStoreExchange) over the stage's own
     /// `part_prefix`. The relay and direct backends share the store's
-    /// size scale so wire bytes stay comparable, and the relay VM comes
-    /// from the executor's fleet so its billing lands in the cost report.
+    /// size scale so wire bytes stay comparable, and the relay VMs come
+    /// from the executor's fleet so their billing lands in the cost
+    /// report. `vm_relay` is a cold one-shard relay fleet.
     fn exchange_backend(&self, exchange: ExchangeKind) -> Option<Arc<dyn DataExchange>> {
         let scale = self.services.store.config().size_scale;
         let trace = self.services.store.trace_sink();
         match exchange {
             ExchangeKind::Scatter | ExchangeKind::Coalesced => None,
-            ExchangeKind::VmRelay => {
-                let relay = VmRelayExchange::new(
-                    self.services.fleet.clone(),
-                    RelayConfig {
-                        size_scale: scale,
-                        ..RelayConfig::default()
-                    },
-                )
-                .with_trace(trace);
-                Some(Arc::new(relay))
-            }
             ExchangeKind::Direct => {
                 let direct = DirectExchange::new(DirectConfig {
                     keep_alive: self.services.faas.config().keep_alive,
@@ -498,7 +490,8 @@ impl Executor {
                 .with_trace(trace);
                 Some(Arc::new(direct))
             }
-            ExchangeKind::ShardedRelay { shards, prewarm } => {
+            ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
+                let (shards, prewarm) = exchange.relay_shards().expect("a relay backend");
                 let sharded = ShardedRelayExchange::new(
                     self.services.fleet.clone(),
                     ShardedRelayConfig {
@@ -519,12 +512,12 @@ impl Executor {
         }
     }
 
-    /// Resolves `--exchange auto` for one shuffle stage: LISTs the
-    /// stage's inputs to size the [`Workload`], runs the
-    /// [`Planner`] over the calibrated parameters (or config-derived
-    /// defaults), and records the decision as a zero-width
-    /// [`Category::Planner`] span plus a tracker note. Dimensions the
-    /// spec pins (a fixed worker count, an explicit `io_concurrency`)
+    /// Plans the open dimensions of one shuffle stage: LISTs the
+    /// stage's inputs to size the [`Workload`], runs the [`Planner`]
+    /// over the calibrated parameters (or config-derived defaults), and
+    /// records the decision as a zero-width [`Category::Planner`] span
+    /// plus a tracker note. Dimensions the spec pins (a fixed worker
+    /// count, an explicit backend, an explicit `io_concurrency`)
     /// constrain the search instead of being overridden.
     #[allow(clippy::too_many_arguments)]
     async fn plan_stage(
@@ -534,6 +527,7 @@ impl Executor {
         stage: &str,
         input: &str,
         choice: WorkerChoice,
+        exchange: ExchangeKind,
         io_concurrency: Option<usize>,
         downstream_encode: usize,
     ) -> Result<Plan, String> {
@@ -547,23 +541,11 @@ impl Executor {
             return Err(format!("no shuffle inputs under '{}'", input));
         }
         let cfg = store.config();
-        let scaled: Vec<f64> = inputs
+        let data_bytes: f64 = inputs
             .iter()
             .map(|o| cfg.scaled_len(o.len.as_u64() as usize) as f64)
-            .collect();
-        let data_bytes: f64 = scaled.iter().sum();
-        // The sample phase range-reads at most `sample_bytes` physical
-        // bytes per chunk; on the wire that is the scaled cap, clamped
-        // to the (scaled) chunk itself.
-        let sample_cap = cfg.scaled_len(SortConfig::default().sample_bytes as usize) as f64;
-        let sample_read_bytes =
-            scaled.iter().map(|&s| s.min(sample_cap)).sum::<f64>() / scaled.len() as f64;
-        let workload = Workload {
-            data_bytes,
-            input_chunks: inputs.len(),
-            sample_read_bytes,
-            encode_workers: downstream_encode,
-        };
+            .sum();
+        let workload = Workload::new(data_bytes, inputs.len(), cfg.size_scale, downstream_encode);
         let params = self.plan_params.clone().unwrap_or_else(|| {
             let mut p = ModelParams::from_configs(
                 cfg,
@@ -578,6 +560,9 @@ impl Executor {
         let mut space = SearchSpace::default().cap_workers(self.max_autotune_workers);
         if let WorkerChoice::Fixed(n) = choice {
             space = space.pin_workers(n);
+        }
+        if exchange != ExchangeKind::Auto {
+            space = space.pin_backend(exchange);
         }
         if let Some(k) = io_concurrency {
             space = space.pin_io(k);
@@ -620,6 +605,11 @@ impl Executor {
         Ok(plan)
     }
 
+    /// Resolves a shuffle stage's knobs and runs it. A fixed worker
+    /// count with an explicit backend runs as specified; `"exchange":
+    /// "auto"` or `"workers": "auto"` first plans every open dimension
+    /// ([`Executor::plan_stage`]). An explicit backend always runs at
+    /// its pinned (or the executor's default) I/O window.
     #[allow(clippy::too_many_arguments)]
     async fn exec_shuffle(
         &self,
@@ -633,87 +623,31 @@ impl Executor {
         input: &str,
         output: &str,
     ) -> Result<(usize, u64), String> {
-        // `auto` resolves every open dimension up front; explicit
-        // backends keep the historical path (and its virtual timings)
-        // untouched.
-        let planned = if exchange == ExchangeKind::Auto {
-            Some(
-                self.plan_stage(
-                    ctx,
-                    bucket,
-                    stage,
-                    input,
-                    choice,
-                    io_concurrency,
-                    downstream_encode,
-                )
-                .await?,
-            )
-        } else {
-            None
-        };
-        if let Some(plan) = &planned {
-            return self
-                .run_shuffle(
-                    ctx,
-                    bucket,
-                    stage,
-                    plan.workers,
-                    plan.exchange,
-                    plan.io_concurrency,
-                    input,
-                    output,
-                )
-                .await;
-        }
-        let io_concurrency = io_concurrency.unwrap_or(self.io_concurrency);
-        let workers = match choice {
-            WorkerChoice::Fixed(n) => n,
-            WorkerChoice::Auto => {
-                let store = &self.services.store;
-                let tuner = Autotuner::probe(ctx, store, bucket)
-                    .await
-                    .map_err(|e| format!("autotune probe failed: {}", e))?;
-                let client = store.connect(ctx, format!("{}/autotune", stage)).await;
-                let inputs = client
-                    .list(ctx, bucket, input)
-                    .await
-                    .map_err(|e| format!("autotune list failed: {}", e))?;
-                let modeled: f64 = inputs
-                    .iter()
-                    .map(|o| store.config().scaled_len(o.len.as_u64() as usize) as f64)
-                    .sum();
-                let faas_cfg = self.services.faas.config();
-                // The probe measured the driver's connection; functions
-                // are additionally capped by their container NIC.
-                let tuner = Autotuner {
-                    measured_conn_bw: tuner
-                        .measured_conn_bw
-                        .min(faas_cfg.nic_bw.as_bytes_per_sec()),
-                    ..tuner
+        let (workers, exchange, io_concurrency) = match choice {
+            WorkerChoice::Fixed(n) if exchange != ExchangeKind::Auto => {
+                (n, exchange, io_concurrency.unwrap_or(self.io_concurrency))
+            }
+            _ => {
+                // An explicit backend keeps its window pinned; `auto`
+                // plans the window too unless the spec pins it.
+                let io_concurrency = if exchange == ExchangeKind::Auto {
+                    io_concurrency
+                } else {
+                    Some(io_concurrency.unwrap_or(self.io_concurrency))
                 };
-                let model = tuner.model(
-                    modeled,
-                    inputs.len(),
-                    store,
-                    faas_cfg.cold_start.as_secs_f64(),
-                    faas_cfg.cpu_share(),
-                    self.work.sort_mibps * 1024.0 * 1024.0,
-                    self.work.merge_mibps * 1024.0 * 1024.0,
-                    self.max_autotune_workers,
-                );
-                let w = model.best_workers();
-                self.tracker.note(
-                    ctx,
-                    stage,
-                    format!(
-                        "autotuner picked {} workers (measured {:.0} ms latency, {:.0} MiB/s)",
-                        w,
-                        tuner.measured_latency_s * 1e3,
-                        tuner.measured_conn_bw / (1024.0 * 1024.0)
-                    ),
-                );
-                w
+                let plan = self
+                    .plan_stage(
+                        ctx,
+                        bucket,
+                        stage,
+                        input,
+                        choice,
+                        exchange,
+                        io_concurrency,
+                        downstream_encode,
+                    )
+                    .await?;
+                (plan.workers, plan.exchange, plan.io_concurrency)
             }
         };
         self.run_shuffle(
@@ -997,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn autotuned_shuffle_picks_plausible_workers() {
+    fn auto_workers_are_planned_with_backend_and_window_pinned() {
         let (mut sim, services, _) = setup(6_000, 4);
         let tracker = Tracker::new();
         let exec = Executor::new(services.clone(), WorkModel::default(), tracker.clone());
@@ -1018,7 +952,13 @@ mod tests {
         sim.run().expect("sim ok");
         let results = handle.ok_results().expect("ok");
         assert!((1..=64).contains(&results[0].workers_used));
-        assert!(tracker.render().contains("autotuner picked"));
+        let log = tracker.render();
+        assert!(log.contains("planner picked W="), "{}", log);
+        assert!(
+            log.contains("K=4, coalesced"),
+            "backend and K stay pinned: {}",
+            log
+        );
     }
 
     #[test]

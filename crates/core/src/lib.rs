@@ -42,8 +42,10 @@ pub mod report;
 pub mod spec;
 pub mod tracker;
 
-pub use dag::{Dag, DagError, EncodeCodec, Stage, StageId, StageKind, WorkerChoice};
-pub use executor::{Executor, Services, StageResult};
+pub use dag::{
+    Dag, DagError, EncodeCodec, Stage, StageId, StageKind, WorkerChoice, MAX_STAGE_WORKERS,
+};
+pub use executor::{Executor, Services, StageResult, DEFAULT_MAX_AUTO_WORKERS};
 pub use pipeline::{
     run_methcomp_pipeline, PipelineConfig, PipelineError, PipelineMode, PipelineOutcome,
 };

@@ -38,7 +38,7 @@ pub enum WorkersSpec {
 /// The literal `"auto"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AutoTag {
-    /// Autotuned worker count.
+    /// Planned worker count (`"auto"`).
     Auto,
 }
 

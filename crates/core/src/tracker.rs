@@ -25,7 +25,7 @@ pub enum TrackKind {
     StageStart,
     /// A stage finished.
     StageEnd,
-    /// Free-form progress note (e.g. "autotuner picked 13 workers").
+    /// Free-form progress note (e.g. "planner picked W=13, ...").
     Note(String),
 }
 
@@ -290,7 +290,7 @@ mod tests {
             let ctx = &mut ctx;
             t2.stage_start(ctx, "sort");
             ctx.sleep(SimDuration::from_secs(3)).await;
-            t2.note(ctx, "sort", "autotuner picked 13 workers");
+            t2.note(ctx, "sort", "planner picked W=13");
             ctx.sleep(SimDuration::from_secs(2)).await;
             t2.stage_end(ctx, "sort");
             t2.stage_start(ctx, "encode");
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(spans[1].duration(), SimDuration::from_secs(1));
         let rendered = tracker.render();
         assert!(rendered.contains("sort"));
-        assert!(rendered.contains("autotuner picked 13 workers"));
+        assert!(rendered.contains("planner picked W=13"));
         assert!(rendered.contains("finished"));
         assert_eq!(tracker.events().len(), 5);
     }

@@ -36,7 +36,9 @@ pub enum ExchangeKind {
     Scatter,
     /// Object store, one coalesced object per mapper.
     Coalesced,
-    /// Pocket-style in-memory relay on a provisioned VM.
+    /// Pocket-style in-memory relay on one provisioned VM: the paper's
+    /// VM-driven exchange, run as a cold one-shard relay fleet (the
+    /// same backend as `ShardedRelay { shards: 1, prewarm: false }`).
     VmRelay,
     /// Rendezvous function-to-function streaming.
     Direct,
@@ -77,6 +79,16 @@ impl ExchangeKind {
             ExchangeKind::Direct => "direct",
             ExchangeKind::ShardedRelay { .. } => "sharded_relay",
             ExchangeKind::Auto => "auto",
+        }
+    }
+
+    /// The relay fleet this kind runs on, as `(shards, prewarm)`:
+    /// `vm_relay` is one cold shard. `None` for every other backend.
+    pub fn relay_shards(self) -> Option<(usize, bool)> {
+        match self {
+            ExchangeKind::VmRelay => Some((1, false)),
+            ExchangeKind::ShardedRelay { shards, prewarm } => Some((shards, prewarm)),
+            _ => None,
         }
     }
 
@@ -217,12 +229,12 @@ impl ExchangeEnv {
 /// object-safe.
 pub trait DataExchange: fmt::Debug + Send + Sync {
     /// A short stable name for traces and tables (e.g. `"cos"`,
-    /// `"vm-relay"`, `"direct"`).
+    /// `"sharded-relay"`, `"direct"`).
     fn name(&self) -> &'static str;
 
     /// Driver-side setup before the map phase: allocates bookkeeping for
-    /// a `maps` × `parts` exchange and provisions backing resources (the
-    /// VM-relay backend pays its provisioning delay here).
+    /// a `maps` × `parts` exchange and provisions backing resources (a
+    /// cold relay fleet pays its provisioning delay here).
     fn prepare<'a>(
         &'a self,
         ctx: &'a mut Ctx,

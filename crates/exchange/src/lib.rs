@@ -10,17 +10,17 @@
 //!   moves through the simulated COS, either as W² scatter objects or as
 //!   W coalesced blobs with byte-range reads
 //!   ([`ExchangeStrategy`]).
-//! - [`VmRelayExchange`] — a Pocket-style in-memory relay hosted on a
-//!   simulated VM: provisioning delay, per-second billing, its own NIC
-//!   bandwidth, and a capacity limit with disk spill.
+//! - [`ShardedRelayExchange`] — Pocket-style in-memory relays hosted on
+//!   simulated VMs: provisioning delay, per-second billing, each VM's own
+//!   NIC bandwidth, and a capacity limit with disk spill. N shards sit
+//!   behind one exchange with deterministic `(map, part)` → shard
+//!   routing, so aggregate relay NIC bandwidth scales with the shard
+//!   count; its pre-warming mode overlaps provisioning with the caller's
+//!   next phase instead of blocking `prepare`. The paper's single relay
+//!   VM ([`ExchangeKind::VmRelay`]) is one cold shard.
 //! - [`DirectExchange`] — rendezvous function-to-function streaming
 //!   through the DES fluid-flow network, gated on the sender's container
 //!   still being warm.
-//! - [`ShardedRelayExchange`] — N relay VMs behind one exchange with
-//!   deterministic `(map, part)` → shard routing, so aggregate relay NIC
-//!   bandwidth scales with the shard count; its pre-warming mode overlaps
-//!   provisioning with the caller's next phase instead of blocking
-//!   `prepare`.
 //!
 //! All backends charge virtual time for every operation, record
 //! [`faaspipe_trace`] spans on the same `StoreRequest`/`Flow` categories
@@ -42,4 +42,4 @@ pub use error::{ExchangeError, ExchangeParseError, ExchangeParseIssue, EXCHANGE_
 pub use object_store::ObjectStoreExchange;
 pub use retry::{with_retry, Retryable};
 pub use sharded::{ShardedRelayConfig, ShardedRelayExchange};
-pub use vm_relay::{RelayConfig, VmRelayExchange};
+pub use vm_relay::RelayConfig;

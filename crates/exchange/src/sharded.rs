@@ -1,5 +1,5 @@
-//! A fleet of relay VMs behind one exchange: the scale-out
-//! counterfactual to the paper's single-relay comparison.
+//! A fleet of relay VMs behind one exchange: the paper's single relay
+//! VM (`vm_relay`, one cold shard) and its scale-out counterfactual.
 //!
 //! One relay VM loses to coalesced COS because all W² transfers funnel
 //! through one NIC. [`ShardedRelayExchange`] runs N [`RelayShard`]s and
@@ -82,7 +82,6 @@ impl ShardedRelayExchange {
                     fleet.clone(),
                     Arc::clone(&relay),
                     format!("relay-{:02}", i),
-                    "sharded-relay",
                 ))
             })
             .collect();
@@ -254,7 +253,8 @@ impl DataExchange for ShardedRelayExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faaspipe_des::{Sim, SimDuration};
+    use faaspipe_des::{ByteSize, Sim, SimDuration};
+    use faaspipe_store::FailurePolicy;
     use faaspipe_trace::Category;
     use parking_lot::Mutex;
 
@@ -487,5 +487,391 @@ mod tests {
         assert_eq!(ok + down, 16);
         assert_eq!(ok, 10, "each shard serves 5 requests before dying");
         assert_eq!(down, 6);
+    }
+
+    // ---- The paper's single relay VM (`vm_relay`): one cold shard. ----
+
+    /// A cold one-shard fleet: the backend `vm_relay` runs on.
+    fn single(fleet: VmFleet, relay: RelayConfig) -> ShardedRelayExchange {
+        ShardedRelayExchange::new(
+            fleet,
+            ShardedRelayConfig {
+                relay,
+                shards: 1,
+                prewarm: false,
+            },
+        )
+    }
+
+    #[test]
+    fn single_shard_roundtrips_partitions_and_bills_the_vm() {
+        let mut sim = Sim::new();
+        let fleet = VmFleet::new();
+        let ex = Arc::new(single(fleet.clone(), RelayConfig::default()));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = driver_env();
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
+            assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
+            for m in 0..2usize {
+                let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
+                let written = ex2
+                    .write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("write");
+                assert_eq!(written, 150);
+            }
+            assert_eq!(
+                ex2.list(ctx, &env).await.expect("list"),
+                vec![
+                    "relay-00/00000/00000",
+                    "relay-00/00000/00001",
+                    "relay-00/00001/00000",
+                    "relay-00/00001/00001"
+                ]
+            );
+            let data = ex2.read_partition(ctx, &env, 1, 0).await.expect("read");
+            assert_eq!(data, Bytes::from(vec![1u8; 100]));
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
+        });
+        sim.run().expect("sim ok");
+        let records = fleet.records();
+        assert_eq!(records.len(), 1, "one relay VM provisioned");
+        assert!(records[0].released.is_some(), "cleanup released it");
+    }
+
+    /// Regression (lifecycle bug 1): two processes calling `prepare`
+    /// concurrently used to both observe `vm: None`, both provision,
+    /// and double-bill — one VM leaked unreleased. The in-flight guard
+    /// must make the second caller wait on the first boot.
+    #[test]
+    fn concurrent_prepares_provision_exactly_one_vm() {
+        let mut sim = Sim::new();
+        let fleet = VmFleet::new();
+        let ex = Arc::new(single(fleet.clone(), RelayConfig::default()));
+        for name in ["worker-a", "worker-b"] {
+            let ex2 = Arc::clone(&ex);
+            sim.spawn(name, move |mut ctx| async move {
+                let ctx = &mut ctx;
+                ex2.prepare(ctx, 2, 2).await.expect("prepare");
+                assert_eq!(
+                    ctx.now().as_secs_f64(),
+                    44.0,
+                    "both callers resume when the shared VM is ready"
+                );
+            });
+        }
+        sim.run().expect("sim ok");
+        assert_eq!(fleet.records().len(), 1, "exactly one VM provisioned");
+    }
+
+    /// Regression (lifecycle bug 2): `list` used to answer before
+    /// `prepare` (returning `Ok(vec![])` instead of `NotPrepared`) and
+    /// bypassed the request counter, so it could never trip
+    /// `crash_after_requests`. It must be metered like PUT/GET.
+    #[test]
+    fn list_requires_prepare_and_counts_toward_crash() {
+        let mut sim = Sim::new();
+        let cfg = RelayConfig {
+            crash_after_requests: Some(2),
+            ..RelayConfig::default()
+        };
+        let ex = Arc::new(single(VmFleet::new(), cfg));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = driver_env();
+            let err = ex2.list(ctx, &env).await.expect_err("list before prepare");
+            assert_eq!(
+                err,
+                ExchangeError::NotPrepared {
+                    backend: "sharded-relay"
+                }
+            );
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
+            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
+                .expect("request 1");
+            assert_eq!(ex2.list(ctx, &env).await.expect("request 2").len(), 1);
+            let err = ex2
+                .list(ctx, &env)
+                .await
+                .expect_err("request 3 trips the crash");
+            assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
+        });
+        sim.run().expect("sim ok");
+    }
+
+    /// Regression (lifecycle bug 3): failure paths in the request
+    /// overhead used to return before `ctx.sleep(request_latency).await`, so
+    /// retry storms against a crashed (or never-prepared) relay cost
+    /// nothing in virtual time. A caller must pay the round-trip before
+    /// observing the failure.
+    #[test]
+    fn requests_against_a_dead_relay_still_pay_latency() {
+        let mut sim = Sim::new();
+        let cfg = RelayConfig {
+            crash_after_requests: Some(0),
+            ..RelayConfig::default()
+        };
+        let latency = cfg.request_latency.as_secs_f64();
+        let ex = Arc::new(single(VmFleet::new(), cfg));
+        let unprepared = Arc::new(single(VmFleet::new(), RelayConfig::default()));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = ExchangeEnv::driver("test", 1);
+            ex2.prepare(ctx, 1, 1).await.expect("prepare");
+            let before = ctx.now();
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("first request crashes the relay");
+            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
+            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
+            assert!(
+                (paid - latency).abs() < 1e-9,
+                "crashing request paid {}s, want the {}s round-trip",
+                paid,
+                latency
+            );
+            let before = ctx.now();
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("relay stays down");
+            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
+            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
+            assert!(
+                (paid - latency).abs() < 1e-9,
+                "dead-relay request paid {}s, want {}s",
+                paid,
+                latency
+            );
+            // NotPrepared pays the round-trip too.
+            let before = ctx.now();
+            unprepared
+                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
+                .expect_err("not prepared");
+            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
+            assert!(
+                (paid - latency).abs() < 1e-9,
+                "unprepared request paid {}s, want {}s",
+                paid,
+                latency
+            );
+        });
+        sim.run().expect("sim ok");
+    }
+
+    #[test]
+    fn over_capacity_objects_spill_to_disk_and_cost_more() {
+        fn read_time(capacity: ByteSize) -> f64 {
+            let mut sim = Sim::new();
+            let cfg = RelayConfig {
+                memory_capacity: capacity,
+                ..RelayConfig::default()
+            };
+            let ex = Arc::new(single(VmFleet::new(), cfg));
+            let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
+            let out2 = Arc::clone(&out);
+            let ex2 = Arc::clone(&ex);
+            sim.spawn("driver", move |mut ctx| async move {
+                let ctx = &mut ctx;
+                let env = driver_env();
+                ex2.prepare(ctx, 1, 1).await.expect("prepare");
+                let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
+                ex2.write_partitions(ctx, &env, 0, vec![blob])
+                    .await
+                    .expect("write");
+                let before = ctx.now();
+                ex2.read_partition(ctx, &env, 0, 0).await.expect("read");
+                *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
+            });
+            sim.run().expect("sim ok");
+            let took = *out.lock();
+            took
+        }
+        let in_memory = read_time(ByteSize::gib(1));
+        let spilled = read_time(ByteSize::new(1024));
+        // 8 MiB at 350 MiB/s disk ≈ 23 ms extra.
+        assert!(
+            spilled > in_memory + 0.02,
+            "spilled read {} must exceed in-memory {} by the disk time",
+            spilled,
+            in_memory
+        );
+    }
+
+    /// Overwrites must keep the memory ledger exact whichever side of
+    /// the spill boundary the old and new copies land on: a spilled
+    /// object's re-write cannot double-free memory it never held, and a
+    /// resident object's re-write frees its bytes before re-admitting.
+    #[test]
+    fn overwriting_a_spilled_object_keeps_accounting_exact() {
+        let mut sim = Sim::new();
+        let cfg = RelayConfig {
+            memory_capacity: ByteSize::new(100),
+            ..RelayConfig::default()
+        };
+        let ex = Arc::new(single(VmFleet::new(), cfg));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            ex2.prepare(ctx, 1, 2).await.expect("prepare");
+            let shard = &ex2.shards[0];
+            let put = async |ctx: &mut Ctx, part: usize, len: usize| {
+                let env = driver_env();
+                let data = Bytes::from(vec![9u8; len]);
+                shard
+                    .put_part(ctx, &env, 0, part, &data)
+                    .await
+                    .expect("put");
+            };
+            put(ctx, 0, 100).await; // fills memory exactly
+            assert_eq!(shard.mem_used(), 100);
+            assert_eq!(shard.is_spilled(0, 0), Some(false));
+            put(ctx, 1, 80).await; // over capacity → disk
+            assert_eq!(shard.mem_used(), 100, "spill leaves memory untouched");
+            assert_eq!(shard.is_spilled(0, 1), Some(true));
+            put(ctx, 1, 80).await; // overwrite of the spilled copy
+            assert_eq!(shard.mem_used(), 100, "no double-free of spilled bytes");
+            assert_eq!(shard.is_spilled(0, 1), Some(true));
+            put(ctx, 0, 60).await; // resident overwrite shrinks the ledger
+            assert_eq!(shard.mem_used(), 60);
+            put(ctx, 1, 40).await; // now fits: the spilled key comes back resident
+            assert_eq!(shard.mem_used(), 100);
+            assert_eq!(shard.is_spilled(0, 1), Some(false));
+            assert_eq!(shard.object_count(), 2);
+        });
+        sim.run().expect("sim ok");
+    }
+
+    /// The shard's `mem_bytes` gauge must never exceed the configured
+    /// capacity (overwrites included) and must return to zero on
+    /// cleanup.
+    #[test]
+    fn mem_gauge_stays_within_capacity_and_resets_on_cleanup() {
+        let mut sim = Sim::new();
+        let capacity = 100u64;
+        let cfg = RelayConfig {
+            memory_capacity: ByteSize::new(capacity),
+            ..RelayConfig::default()
+        };
+        let sink = TraceSink::recording();
+        let ex = Arc::new(single(VmFleet::new(), cfg).with_trace(sink.clone()));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = driver_env();
+            ex2.prepare(ctx, 2, 2).await.expect("prepare");
+            for round in 0..3usize {
+                for m in 0..2usize {
+                    let parts = vec![
+                        Bytes::from(vec![round as u8; 40]),
+                        Bytes::from(vec![round as u8; 35]),
+                    ];
+                    ex2.write_partitions(ctx, &env, m, parts)
+                        .await
+                        .expect("write");
+                }
+            }
+            ex2.cleanup(ctx, &env).await.expect("cleanup");
+        });
+        sim.run().expect("sim ok");
+        let data = sink.snapshot();
+        let series = data.counter("relay-00.mem_bytes").expect("gauge recorded");
+        assert!(
+            series
+                .points
+                .iter()
+                .all(|&(_, v)| v >= 0.0 && v <= capacity as f64),
+            "gauge must stay within [0, capacity]: {:?}",
+            series.points
+        );
+        assert_eq!(series.last_value(), 0.0, "cleanup resets the gauge");
+    }
+
+    #[test]
+    fn transient_faults_are_absorbed_by_retries() {
+        let mut sim = Sim::new();
+        let cfg = RelayConfig {
+            failure: FailurePolicy::with_error_rate(0.3),
+            ..RelayConfig::default()
+        };
+        let ex = Arc::new(single(VmFleet::new(), cfg));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = ExchangeEnv::driver("test", 20);
+            ex2.prepare(ctx, 4, 4).await.expect("prepare");
+            for m in 0..4usize {
+                let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
+                ex2.write_partitions(ctx, &env, m, parts)
+                    .await
+                    .expect("writes survive 30% faults");
+            }
+            for m in 0..4usize {
+                for j in 0..4usize {
+                    ex2.read_partition(ctx, &env, m, j)
+                        .await
+                        .expect("reads survive 30% faults");
+                }
+            }
+        });
+        sim.run().expect("sim ok");
+    }
+
+    #[test]
+    fn crash_is_permanent_and_loses_data() {
+        let mut sim = Sim::new();
+        let cfg = RelayConfig {
+            crash_after_requests: Some(3),
+            ..RelayConfig::default()
+        };
+        let ex = Arc::new(single(VmFleet::new(), cfg));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = ExchangeEnv::driver("test", 5);
+            ex2.prepare(ctx, 1, 4).await.expect("prepare");
+            let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
+            let err = ex2
+                .write_partitions(ctx, &env, 0, parts)
+                .await
+                .expect_err("crash kills the exchange");
+            assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
+            // Retries cannot resurrect a dead relay.
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("still down");
+            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
+        });
+        sim.run().expect("sim ok");
+    }
+
+    #[test]
+    fn unprepared_relay_is_rejected() {
+        let mut sim = Sim::new();
+        let ex = Arc::new(single(VmFleet::new(), RelayConfig::default()));
+        let ex2 = Arc::clone(&ex);
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let env = driver_env();
+            let err = ex2
+                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+                .await
+                .expect_err("not prepared");
+            assert_eq!(
+                err,
+                ExchangeError::NotPrepared {
+                    backend: "sharded-relay"
+                }
+            );
+        });
+        sim.run().expect("sim ok");
     }
 }

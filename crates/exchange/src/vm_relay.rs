@@ -2,27 +2,27 @@
 //!
 //! The per-VM mechanics — provisioning lifecycle, request overhead with
 //! failure injection, memory capacity with disk spill — live in
-//! [`RelayShard`] so that [`ShardedRelayExchange`](crate::ShardedRelayExchange)
-//! can run N of them behind one exchange. [`VmRelayExchange`] is the
-//! single-shard backend from the paper's comparison.
+//! [`RelayShard`], and [`ShardedRelayExchange`](crate::ShardedRelayExchange)
+//! runs N of them behind one exchange. The paper's single relay VM
+//! (`vm_relay`) is that exchange with one cold shard.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use faaspipe_des::{Bandwidth, ByteSize, Ctx, LinkId, LocalBoxFuture, ProcessId, SimDuration};
+use faaspipe_des::{Bandwidth, ByteSize, Ctx, LinkId, ProcessId, SimDuration};
 use faaspipe_store::failure::Fate;
 use faaspipe_store::FailurePolicy;
 use faaspipe_trace::{Category, SpanId, TraceSink};
 use faaspipe_vm::{VmFleet, VmInstance, VmProfile};
 use parking_lot::Mutex;
 
-use crate::api::{DataExchange, ExchangeEnv};
+use crate::api::ExchangeEnv;
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
 
-/// Tuning of the [`VmRelayExchange`] (and, per shard, of the
-/// [`ShardedRelayExchange`](crate::ShardedRelayExchange)).
+/// Per-shard tuning of the
+/// [`ShardedRelayExchange`](crate::ShardedRelayExchange).
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
     /// VM shape the relay runs on (provisioning delay, NIC, billing).
@@ -92,12 +92,11 @@ struct RelayState {
 
 /// One relay VM plus its object table: the unit of sharding.
 ///
-/// [`VmRelayExchange`] wraps a single shard; the sharded exchange routes
-/// partitions across many. All virtual-time charging (provisioning,
-/// request latency, NIC transfers, disk spill) happens here so the two
-/// backends cannot drift apart.
+/// The sharded exchange routes partitions across one or more shards.
+/// All virtual-time charging (provisioning, request latency, NIC
+/// transfers, disk spill) happens here.
 ///
-/// The exchanges hold each shard in an `Arc`, and the windowed read/write
+/// The exchange holds each shard in an `Arc`, and the windowed read/write
 /// paths hand fan-out children that `Arc`, so a job costs a refcount, not
 /// a copy of the shard's strings. A clone shares the VM/object table.
 #[derive(Clone)]
@@ -105,10 +104,8 @@ pub(crate) struct RelayShard {
     fleet: VmFleet,
     cfg: Arc<RelayConfig>,
     trace: TraceSink,
-    /// Key prefix / trace lane: `"relay"` or `"relay-03"`.
+    /// Key prefix / trace lane: `"relay-03"`.
     label: String,
-    /// Backend name reported in [`ExchangeError::NotPrepared`].
-    backend: &'static str,
     /// `"{label}.mem_bytes"` / `"{label}.spilled_bytes"`, precomputed —
     /// the put path is hot.
     mem_gauge: String,
@@ -118,12 +115,7 @@ pub(crate) struct RelayShard {
 }
 
 impl RelayShard {
-    pub(crate) fn new(
-        fleet: VmFleet,
-        cfg: Arc<RelayConfig>,
-        label: String,
-        backend: &'static str,
-    ) -> RelayShard {
+    pub(crate) fn new(fleet: VmFleet, cfg: Arc<RelayConfig>, label: String) -> RelayShard {
         RelayShard {
             fleet,
             cfg,
@@ -131,7 +123,6 @@ impl RelayShard {
             mem_gauge: format!("{}.mem_bytes", label),
             spill_counter: format!("{}.spilled_bytes", label),
             label,
-            backend,
             state: Arc::new(Mutex::new(RelayState::default())),
         }
     }
@@ -249,7 +240,7 @@ impl RelayShard {
                 }
             } else {
                 Err(ExchangeError::NotPrepared {
-                    backend: self.backend,
+                    backend: "sharded-relay",
                 })
             }
         };
@@ -472,14 +463,6 @@ impl RelayShard {
         }
     }
 
-    pub(crate) fn debug_entry(&self, f: &mut std::fmt::DebugStruct<'_, '_>) {
-        let state = self.state.lock();
-        f.field("label", &self.label)
-            .field("objects", &state.objects.len())
-            .field("mem_used", &state.mem_used)
-            .field("crashed", &state.crashed);
-    }
-
     #[cfg(test)]
     pub(crate) fn mem_used(&self) -> u64 {
         self.state.lock().mem_used
@@ -497,52 +480,6 @@ impl RelayShard {
             .objects
             .get(&(map, part))
             .map(|p| p.spilled)
-    }
-}
-
-/// Exchange through an in-memory relay server on a provisioned VM — the
-/// Pocket/ephemeral-storage point in the design space.
-///
-/// [`prepare`](DataExchange::prepare) provisions the VM through the
-/// [`VmFleet`] (charging the profile's provisioning delay and starting
-/// its billing clock); concurrent `prepare` callers share the one boot.
-/// [`cleanup`](DataExchange::cleanup) releases it. Every request pays a
-/// small fixed latency plus a fluid-flow transfer that contends for the
-/// caller's NIC **and** the relay VM's NIC — at high fan-in, the single
-/// relay NIC is the bottleneck the paper's VM-driven exchange runs into
-/// (see [`ShardedRelayExchange`](crate::ShardedRelayExchange) for the
-/// scale-out counterfactual). Objects beyond `memory_capacity` spill to
-/// the VM's disk and pay `disk_bw` on both sides.
-pub struct VmRelayExchange {
-    shard: Arc<RelayShard>,
-}
-
-impl std::fmt::Debug for VmRelayExchange {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("VmRelayExchange");
-        d.field("cfg", &self.shard.cfg);
-        self.shard.debug_entry(&mut d);
-        d.finish()
-    }
-}
-
-impl VmRelayExchange {
-    /// Creates a relay backend provisioning through `fleet`.
-    pub fn new(fleet: VmFleet, cfg: RelayConfig) -> VmRelayExchange {
-        VmRelayExchange {
-            shard: Arc::new(RelayShard::new(
-                fleet,
-                Arc::new(cfg),
-                "relay".to_string(),
-                "vm-relay",
-            )),
-        }
-    }
-
-    /// Routes the relay's request spans and gauges to `sink`.
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        Arc::make_mut(&mut self.shard).set_trace(sink);
-        self
     }
 }
 
@@ -621,496 +558,4 @@ pub(crate) async fn relay_gets_windowed(
         .unwrap_or_else(|e| panic!("windowed relay read crashed: {}", e))
         .into_iter()
         .collect()
-}
-
-impl DataExchange for VmRelayExchange {
-    fn name(&self) -> &'static str {
-        "vm-relay"
-    }
-
-    fn prepare<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        _maps: usize,
-        _parts: usize,
-    ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
-        Box::pin(async move {
-            // Provisioning charges the profile's delay and opens the VM's
-            // billing + trace spans through the fleet. The boot runs in a
-            // provisioner process so that every concurrent caller — not
-            // just the first — waits on the *same* VM instead of racing to
-            // provision its own.
-            if let Some(pid) = self.shard.begin_provision(ctx, false).await {
-                let _ = ctx.join(pid).await;
-            }
-            Ok(())
-        })
-    }
-
-    fn write_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
-        Box::pin(async move {
-            let written = parts.iter().map(|d| d.len() as u64).sum();
-            if env.io_window > 1 && parts.len() > 1 {
-                let items = parts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, data)| (Arc::clone(&self.shard), map, j, data))
-                    .collect();
-                relay_puts_windowed(ctx, env, items).await?;
-                return Ok(written);
-            }
-            for (j, data) in parts.into_iter().enumerate() {
-                with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                    self.shard.put_part(c, env, map, j, &data).await
-                })
-                .await?;
-            }
-            Ok(written)
-        })
-    }
-
-    fn read_partition<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                self.shard.get_part(c, env, map, part).await
-            })
-            .await
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
-                }
-                return Ok(out);
-            }
-            let items = reqs
-                .iter()
-                .map(|&(map, part)| (Arc::clone(&self.shard), map, part))
-                .collect();
-            relay_gets_windowed(ctx, env, items).await
-        })
-    }
-
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move { self.shard.list_keys(ctx, env).await })
-    }
-
-    fn cleanup<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        _env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
-        Box::pin(async move {
-            self.shard.shutdown(ctx).await;
-            Ok(())
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use faaspipe_des::Sim;
-
-    fn driver_env() -> ExchangeEnv {
-        ExchangeEnv::driver("test", 3)
-    }
-
-    #[test]
-    fn roundtrips_partitions_and_bills_the_vm() {
-        let mut sim = Sim::new();
-        let fleet = VmFleet::new();
-        let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = driver_env();
-            ex2.prepare(ctx, 2, 2).await.expect("prepare");
-            assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
-            for m in 0..2usize {
-                let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
-                let written = ex2
-                    .write_partitions(ctx, &env, m, parts)
-                    .await
-                    .expect("write");
-                assert_eq!(written, 150);
-            }
-            assert_eq!(
-                ex2.list(ctx, &env).await.expect("list"),
-                vec![
-                    "relay/00000/00000",
-                    "relay/00000/00001",
-                    "relay/00001/00000",
-                    "relay/00001/00001"
-                ]
-            );
-            let data = ex2.read_partition(ctx, &env, 1, 0).await.expect("read");
-            assert_eq!(data, Bytes::from(vec![1u8; 100]));
-            ex2.cleanup(ctx, &env).await.expect("cleanup");
-        });
-        sim.run().expect("sim ok");
-        let records = fleet.records();
-        assert_eq!(records.len(), 1, "one relay VM provisioned");
-        assert!(records[0].released.is_some(), "cleanup released it");
-    }
-
-    /// Regression (lifecycle bug 1): two processes calling `prepare`
-    /// concurrently used to both observe `vm: None`, both provision,
-    /// and double-bill — one VM leaked unreleased. The in-flight guard
-    /// must make the second caller wait on the first boot.
-    #[test]
-    fn concurrent_prepares_provision_exactly_one_vm() {
-        let mut sim = Sim::new();
-        let fleet = VmFleet::new();
-        let ex = Arc::new(VmRelayExchange::new(fleet.clone(), RelayConfig::default()));
-        for name in ["worker-a", "worker-b"] {
-            let ex2 = Arc::clone(&ex);
-            sim.spawn(name, move |mut ctx| async move {
-                let ctx = &mut ctx;
-                ex2.prepare(ctx, 2, 2).await.expect("prepare");
-                assert_eq!(
-                    ctx.now().as_secs_f64(),
-                    44.0,
-                    "both callers resume when the shared VM is ready"
-                );
-            });
-        }
-        sim.run().expect("sim ok");
-        assert_eq!(fleet.records().len(), 1, "exactly one VM provisioned");
-    }
-
-    /// Regression (lifecycle bug 2): `list` used to answer before
-    /// `prepare` (returning `Ok(vec![])` instead of `NotPrepared`) and
-    /// bypassed the request counter, so it could never trip
-    /// `crash_after_requests`. It must be metered like PUT/GET.
-    #[test]
-    fn list_requires_prepare_and_counts_toward_crash() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            crash_after_requests: Some(2),
-            ..RelayConfig::default()
-        };
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = driver_env();
-            let err = ex2.list(ctx, &env).await.expect_err("list before prepare");
-            assert_eq!(
-                err,
-                ExchangeError::NotPrepared {
-                    backend: "vm-relay"
-                }
-            );
-            ex2.prepare(ctx, 1, 1).await.expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
-                .await
-                .expect("request 1");
-            assert_eq!(ex2.list(ctx, &env).await.expect("request 2").len(), 1);
-            let err = ex2
-                .list(ctx, &env)
-                .await
-                .expect_err("request 3 trips the crash");
-            assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
-        });
-        sim.run().expect("sim ok");
-    }
-
-    /// Regression (lifecycle bug 3): failure paths in the request
-    /// overhead used to return before `ctx.sleep(request_latency).await`, so
-    /// retry storms against a crashed (or never-prepared) relay cost
-    /// nothing in virtual time. A caller must pay the round-trip before
-    /// observing the failure.
-    #[test]
-    fn requests_against_a_dead_relay_still_pay_latency() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            crash_after_requests: Some(0),
-            ..RelayConfig::default()
-        };
-        let latency = cfg.request_latency.as_secs_f64();
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-        let unprepared = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = ExchangeEnv::driver("test", 1);
-            ex2.prepare(ctx, 1, 1).await.expect("prepare");
-            let before = ctx.now();
-            let err = ex2
-                .read_partition(ctx, &env, 0, 0)
-                .await
-                .expect_err("first request crashes the relay");
-            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
-            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
-            assert!(
-                (paid - latency).abs() < 1e-9,
-                "crashing request paid {}s, want the {}s round-trip",
-                paid,
-                latency
-            );
-            let before = ctx.now();
-            let err = ex2
-                .read_partition(ctx, &env, 0, 0)
-                .await
-                .expect_err("relay stays down");
-            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
-            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
-            assert!(
-                (paid - latency).abs() < 1e-9,
-                "dead-relay request paid {}s, want {}s",
-                paid,
-                latency
-            );
-            // NotPrepared pays the round-trip too.
-            let before = ctx.now();
-            unprepared
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
-                .await
-                .expect_err("not prepared");
-            let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
-            assert!(
-                (paid - latency).abs() < 1e-9,
-                "unprepared request paid {}s, want {}s",
-                paid,
-                latency
-            );
-        });
-        sim.run().expect("sim ok");
-    }
-
-    #[test]
-    fn over_capacity_objects_spill_to_disk_and_cost_more() {
-        fn read_time(capacity: ByteSize) -> f64 {
-            let mut sim = Sim::new();
-            let cfg = RelayConfig {
-                memory_capacity: capacity,
-                ..RelayConfig::default()
-            };
-            let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-            let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-            let out2 = Arc::clone(&out);
-            let ex2 = Arc::clone(&ex);
-            sim.spawn("driver", move |mut ctx| async move {
-                let ctx = &mut ctx;
-                let env = driver_env();
-                ex2.prepare(ctx, 1, 1).await.expect("prepare");
-                let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
-                ex2.write_partitions(ctx, &env, 0, vec![blob])
-                    .await
-                    .expect("write");
-                let before = ctx.now();
-                ex2.read_partition(ctx, &env, 0, 0).await.expect("read");
-                *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
-            });
-            sim.run().expect("sim ok");
-            let took = *out.lock();
-            took
-        }
-        let in_memory = read_time(ByteSize::gib(1));
-        let spilled = read_time(ByteSize::new(1024));
-        // 8 MiB at 350 MiB/s disk ≈ 23 ms extra.
-        assert!(
-            spilled > in_memory + 0.02,
-            "spilled read {} must exceed in-memory {} by the disk time",
-            spilled,
-            in_memory
-        );
-    }
-
-    /// Overwrites must keep the memory ledger exact whichever side of
-    /// the spill boundary the old and new copies land on: a spilled
-    /// object's re-write cannot double-free memory it never held, and a
-    /// resident object's re-write frees its bytes before re-admitting.
-    #[test]
-    fn overwriting_a_spilled_object_keeps_accounting_exact() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            memory_capacity: ByteSize::new(100),
-            ..RelayConfig::default()
-        };
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = driver_env();
-            ex2.prepare(ctx, 1, 2).await.expect("prepare");
-            let put = async |ctx: &mut Ctx, part: usize, len: usize| {
-                let env = driver_env();
-                let data = Bytes::from(vec![9u8; len]);
-                ex2.shard
-                    .put_part(ctx, &env, 0, part, &data)
-                    .await
-                    .expect("put");
-            };
-            let _ = env;
-            put(ctx, 0, 100).await; // fills memory exactly
-            assert_eq!(ex2.shard.mem_used(), 100);
-            assert_eq!(ex2.shard.is_spilled(0, 0), Some(false));
-            put(ctx, 1, 80).await; // over capacity → disk
-            assert_eq!(ex2.shard.mem_used(), 100, "spill leaves memory untouched");
-            assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 1, 80).await; // overwrite of the spilled copy
-            assert_eq!(ex2.shard.mem_used(), 100, "no double-free of spilled bytes");
-            assert_eq!(ex2.shard.is_spilled(0, 1), Some(true));
-            put(ctx, 0, 60).await; // resident overwrite shrinks the ledger
-            assert_eq!(ex2.shard.mem_used(), 60);
-            put(ctx, 1, 40).await; // now fits: the spilled key comes back resident
-            assert_eq!(ex2.shard.mem_used(), 100);
-            assert_eq!(ex2.shard.is_spilled(0, 1), Some(false));
-            assert_eq!(ex2.shard.object_count(), 2);
-        });
-        sim.run().expect("sim ok");
-    }
-
-    /// The `relay.mem_bytes` gauge must never exceed the configured
-    /// capacity (overwrites included) and must return to zero on
-    /// cleanup.
-    #[test]
-    fn mem_gauge_stays_within_capacity_and_resets_on_cleanup() {
-        let mut sim = Sim::new();
-        let capacity = 100u64;
-        let cfg = RelayConfig {
-            memory_capacity: ByteSize::new(capacity),
-            ..RelayConfig::default()
-        };
-        let sink = TraceSink::recording();
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg).with_trace(sink.clone()));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = driver_env();
-            ex2.prepare(ctx, 2, 2).await.expect("prepare");
-            for round in 0..3usize {
-                for m in 0..2usize {
-                    let parts = vec![
-                        Bytes::from(vec![round as u8; 40]),
-                        Bytes::from(vec![round as u8; 35]),
-                    ];
-                    ex2.write_partitions(ctx, &env, m, parts)
-                        .await
-                        .expect("write");
-                }
-            }
-            ex2.cleanup(ctx, &env).await.expect("cleanup");
-        });
-        sim.run().expect("sim ok");
-        let data = sink.snapshot();
-        let series = data.counter("relay.mem_bytes").expect("gauge recorded");
-        assert!(
-            series
-                .points
-                .iter()
-                .all(|&(_, v)| v >= 0.0 && v <= capacity as f64),
-            "gauge must stay within [0, capacity]: {:?}",
-            series.points
-        );
-        assert_eq!(series.last_value(), 0.0, "cleanup resets the gauge");
-    }
-
-    #[test]
-    fn transient_faults_are_absorbed_by_retries() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            failure: FailurePolicy::with_error_rate(0.3),
-            ..RelayConfig::default()
-        };
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = ExchangeEnv::driver("test", 20);
-            ex2.prepare(ctx, 4, 4).await.expect("prepare");
-            for m in 0..4usize {
-                let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts)
-                    .await
-                    .expect("writes survive 30% faults");
-            }
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    ex2.read_partition(ctx, &env, m, j)
-                        .await
-                        .expect("reads survive 30% faults");
-                }
-            }
-        });
-        sim.run().expect("sim ok");
-    }
-
-    #[test]
-    fn crash_is_permanent_and_loses_data() {
-        let mut sim = Sim::new();
-        let cfg = RelayConfig {
-            crash_after_requests: Some(3),
-            ..RelayConfig::default()
-        };
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), cfg));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = ExchangeEnv::driver("test", 5);
-            ex2.prepare(ctx, 1, 4).await.expect("prepare");
-            let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
-            let err = ex2
-                .write_partitions(ctx, &env, 0, parts)
-                .await
-                .expect_err("crash kills the exchange");
-            assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
-            // Retries cannot resurrect a dead relay.
-            let err = ex2
-                .read_partition(ctx, &env, 0, 0)
-                .await
-                .expect_err("still down");
-            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
-        });
-        sim.run().expect("sim ok");
-    }
-
-    #[test]
-    fn unprepared_relay_is_rejected() {
-        let mut sim = Sim::new();
-        let ex = Arc::new(VmRelayExchange::new(VmFleet::new(), RelayConfig::default()));
-        let ex2 = Arc::clone(&ex);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let env = driver_env();
-            let err = ex2
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
-                .await
-                .expect_err("not prepared");
-            assert_eq!(
-                err,
-                ExchangeError::NotPrepared {
-                    backend: "vm-relay"
-                }
-            );
-        });
-        sim.run().expect("sim ok");
-    }
 }

@@ -273,9 +273,9 @@ fn phase_of(tag: &str) -> Option<PhaseTag> {
 }
 
 /// Fits model parameters from `probes`, inheriting `defaults` for every
-/// parameter without trace evidence (the relay request latency and the
-/// reserved snapshot start class never have probe evidence and always
-/// pass through; the relay NIC/memory/disk and the direct handshake are
+/// parameter without trace evidence (the relay request latency never
+/// has probe evidence and always passes through; the relay
+/// NIC/memory/disk and the direct handshake are
 /// fitted when the probe set includes relay/direct runs that exercise
 /// them — see the module docs for the saturation and spill
 /// requirements).
@@ -555,7 +555,6 @@ pub fn calibrate(probes: &[ProbeRun<'_>], defaults: &ModelParams) -> Calibration
 
     let params = ModelParams {
         cold_start_s: cold.get(defaults.cold_start_s),
-        snapshot_start_s: defaults.snapshot_start_s,
         warm_start_s: warm.get(defaults.warm_start_s),
         orchestration_s: orch.get(defaults.orchestration_s),
         store_latency_s,

@@ -9,7 +9,7 @@
 //! 1. [`model`] — an **analytical cost/latency model**: closed-form
 //!    per-phase makespan and bill estimates for the serverless sort +
 //!    encode pipeline, parameterized by start-class latencies
-//!    (cold/snapshot/warm), per-request overheads, bandwidth shares
+//!    (cold/warm), per-request overheads, bandwidth shares
 //!    under W-way fair sharing, relay NIC/memory limits, and K-windowed
 //!    I/O overlap ([`ModelParams`], [`Workload`], [`Candidate`],
 //!    [`Estimate`]).

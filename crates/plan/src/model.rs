@@ -16,7 +16,7 @@
 
 use faaspipe_exchange::{DirectConfig, ExchangeKind, RelayConfig};
 use faaspipe_faas::FaasConfig;
-use faaspipe_shuffle::WorkModel;
+use faaspipe_shuffle::{SortConfig, WorkModel};
 use faaspipe_store::StoreConfig;
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -29,10 +29,6 @@ pub struct ModelParams {
     /// Container cold-start latency (seconds). Paid by the first
     /// invocation wave of every distinct function name.
     pub cold_start_s: f64,
-    /// Snapshot-restore start latency (seconds). Third start class
-    /// reserved for the CRIU/Firecracker-style restore model (ROADMAP
-    /// item 4); no current backend schedules it.
-    pub snapshot_start_s: f64,
     /// Warm-container pickup latency (seconds).
     pub warm_start_s: f64,
     /// Driver orchestration overhead per execution phase (seconds).
@@ -83,7 +79,6 @@ pub struct ModelParams {
 faaspipe_json::json_object! {
     ModelParams {
         req cold_start_s,
-        req snapshot_start_s,
         req warm_start_s,
         req orchestration_s,
         req store_latency_s,
@@ -128,6 +123,30 @@ faaspipe_json::json_object! {
         req input_chunks,
         req sample_read_bytes,
         req encode_workers,
+    }
+}
+
+impl Workload {
+    /// Sizes a sort stage of `data_bytes` wire bytes staged as
+    /// `input_chunks` objects, at `size_scale` wire bytes per physical
+    /// byte, feeding an encode gang of `encode_workers` (0 = none). The
+    /// sample phase range-reads at most the sort's physical
+    /// `sample_bytes` per chunk: on the wire that is the scaled cap,
+    /// clamped to the mean chunk.
+    pub fn new(
+        data_bytes: f64,
+        input_chunks: usize,
+        size_scale: f64,
+        encode_workers: usize,
+    ) -> Workload {
+        let chunk_wire = data_bytes / input_chunks.max(1) as f64;
+        let sample_cap = SortConfig::default().sample_bytes as f64 * size_scale;
+        Workload {
+            data_bytes,
+            input_chunks,
+            sample_read_bytes: sample_cap.min(chunk_wire),
+            encode_workers,
+        }
     }
 }
 
@@ -241,7 +260,6 @@ impl ModelParams {
         let eff = |mibps: f64| mibps * MIB * cpu;
         ModelParams {
             cold_start_s: faas.cold_start.as_secs_f64(),
-            snapshot_start_s: 0.25,
             warm_start_s: faas.warm_start.as_secs_f64(),
             orchestration_s: 8.0,
             store_latency_s: store.first_byte_latency.as_secs_f64(),
@@ -335,10 +353,9 @@ impl ModelParams {
         let d = wl.data_bytes / w; // per-function bytes
         let lat = self.store_latency_s;
         let bw = self.store_bw(w);
-        let (relay_shards, relay_prewarm) = match cand.exchange {
-            ExchangeKind::VmRelay => (1.0, false),
-            ExchangeKind::ShardedRelay { shards, prewarm } => (shards.max(1) as f64, prewarm),
-            _ => (0.0, false),
+        let (relay_shards, relay_prewarm) = match cand.exchange.relay_shards() {
+            Some((shards, prewarm)) => (shards.max(1) as f64, prewarm),
+            None => (0.0, false),
         };
 
         // ---- prepare: driver LIST, plus blocking relay provisioning. ----
@@ -508,16 +525,12 @@ impl ModelParams {
         let req_cost = class_a / 1_000.0 * p.class_a_per_k + class_b / 1_000.0 * p.class_b_per_k;
 
         // Relay VMs bill from provisioning start to stage cleanup.
-        let vm_cost = match cand.exchange {
-            ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
-                let shards = match cand.exchange {
-                    ExchangeKind::ShardedRelay { shards, .. } => shards.max(1) as f64,
-                    _ => 1.0,
-                };
+        let vm_cost = match cand.exchange.relay_shards() {
+            Some((shards, _)) => {
                 let billed = self.relay_provision_s + prepare_s + sample_s + map_s + reduce_s;
-                shards * billed / 3_600.0 * p.vm_per_hour
+                shards.max(1) as f64 * billed / 3_600.0 * p.vm_per_hour
             }
-            _ => 0.0,
+            None => 0.0,
         };
         fn_cost + req_cost + vm_cost
     }

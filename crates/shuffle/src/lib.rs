@@ -9,11 +9,6 @@
 //!   mappers locally sort their chunk and scatter `W` partition objects;
 //!   reducers gather `W` objects each and k-way merge them into globally
 //!   ordered runs ([`sort`]);
-//! * **worker-count autotuning** ([`autotune`]): an analytic makespan
-//!   model over the measured storage parameters picks "the optimal number
-//!   of functions for a given shuffle data size on the fly" — the paper's
-//!   central claim is that object storage performs well *iff* this number
-//!   is chosen appropriately;
 //! * a **VM-driven baseline** ([`vmsort`]): download everything into one
 //!   big instance, sort with all cores, upload — the hybrid pipeline's
 //!   shuffle stage;
@@ -25,8 +20,13 @@
 //!
 //! The operator is generic over [`SortRecord`]; an implementation for
 //! methylation BED records is provided (the paper's workload).
+//!
+//! Choosing "the optimal number of functions for a given shuffle data
+//! size" — the paper's central claim is that object storage performs
+//! well *iff* this number is chosen appropriately — is the planner's job
+//! (`faaspipe-plan`): a stage with `"workers": "auto"` runs its
+//! calibrated cost model over the worker-count ladder.
 
-pub mod autotune;
 pub mod error;
 pub mod kernel;
 pub mod partitioner;
@@ -37,7 +37,6 @@ pub mod sort;
 pub mod vmsort;
 pub mod work;
 
-pub use autotune::{Autotuner, CostBreakdown, TuningModel, TuningPrices};
 pub use error::ShuffleError;
 // Re-exported so downstream callers keep their `faaspipe_shuffle::{...}`
 // paths after the exchange machinery moved into its own crate.

@@ -91,7 +91,8 @@ pub struct SortConfig {
     pub exchange: ExchangeStrategy,
     /// The intermediate data-exchange backend. `None` (the default)
     /// exchanges through the object store under `part_prefix` with the
-    /// `exchange` layout; pass a [`VmRelayExchange`](faaspipe_exchange::VmRelayExchange)
+    /// `exchange` layout; pass a
+    /// [`ShardedRelayExchange`](faaspipe_exchange::ShardedRelayExchange)
     /// or [`DirectExchange`](faaspipe_exchange::DirectExchange) to move
     /// the shuffle off the store.
     pub backend: Option<Arc<dyn DataExchange>>,

@@ -9,7 +9,10 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use faaspipe_des::{Sim, SimDuration};
-use faaspipe_exchange::{DataExchange, DirectConfig, DirectExchange, RelayConfig, VmRelayExchange};
+use faaspipe_exchange::{
+    DataExchange, DirectConfig, DirectExchange, RelayConfig, ShardedRelayConfig,
+    ShardedRelayExchange,
+};
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_shuffle::{serverless_sort, ShuffleError, SortConfig, SortRecord};
 use faaspipe_store::{FailurePolicy, ObjectStore, StoreConfig};
@@ -27,6 +30,18 @@ fn upload(store: &Arc<ObjectStore>, values: &[u64], chunks: usize) {
 }
 
 type SortOutcome = Result<Vec<u64>, ShuffleError>;
+
+/// The paper's single relay VM (`vm_relay`): a cold one-shard fleet.
+fn single_relay(relay: RelayConfig) -> ShardedRelayExchange {
+    ShardedRelayExchange::new(
+        VmFleet::new(),
+        ShardedRelayConfig {
+            relay,
+            shards: 1,
+            prewarm: false,
+        },
+    )
+}
 
 /// Runs a 4-worker sort over `backend` and returns the result (the
 /// concatenated output on success).
@@ -70,13 +85,10 @@ fn sort_with(backend: Arc<dyn DataExchange>, retries: u32, task_attempts: u32) -
 
 #[test]
 fn relay_transient_faults_recover_through_retries() {
-    let relay = VmRelayExchange::new(
-        VmFleet::new(),
-        RelayConfig {
-            failure: FailurePolicy::with_error_rate(0.2),
-            ..RelayConfig::default()
-        },
-    );
+    let relay = single_relay(RelayConfig {
+        failure: FailurePolicy::with_error_rate(0.2),
+        ..RelayConfig::default()
+    });
     let sorted = sort_with(Arc::new(relay), 20, 2).expect("retries absorb 20% relay faults");
     assert_eq!(sorted, (0..3_000u64).collect::<Vec<_>>());
 }
@@ -86,13 +98,10 @@ fn relay_crash_mid_shuffle_fails_loudly() {
     // The relay VM dies after a handful of requests; the crash is
     // terminal (RelayDown is not retryable), so task re-invocation
     // cannot save the phase and the sort must surface TaskFailed.
-    let relay = VmRelayExchange::new(
-        VmFleet::new(),
-        RelayConfig {
-            crash_after_requests: Some(6),
-            ..RelayConfig::default()
-        },
-    );
+    let relay = single_relay(RelayConfig {
+        crash_after_requests: Some(6),
+        ..RelayConfig::default()
+    });
     let err = sort_with(Arc::new(relay), 8, 3).expect_err("crashed relay cannot complete");
     match err {
         ShuffleError::TaskFailed { message, .. } => {

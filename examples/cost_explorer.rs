@@ -10,62 +10,54 @@
 //! ```
 
 use faaspipe::core::pipeline::PipelineConfig;
-use faaspipe::shuffle::{TuningModel, TuningPrices, WorkModel};
-
-fn model() -> TuningModel {
-    let cfg = PipelineConfig::paper_table1();
-    let work = WorkModel::default();
-    TuningModel {
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        request_latency_s: cfg.store.first_byte_latency.as_secs_f64(),
-        conn_bw: cfg
-            .store
-            .per_connection_bw
-            .as_bytes_per_sec()
-            .min(cfg.faas.nic_bw.as_bytes_per_sec()),
-        agg_bw: cfg.store.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: cfg.store.ops_per_sec,
-        startup_s: cfg.faas.cold_start.as_secs_f64(),
-        cpu_share: cfg.faas.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers: 128,
-    }
-}
+use faaspipe::exchange::{DirectConfig, ExchangeKind, RelayConfig};
+use faaspipe::plan::{ModelParams, Planner, SearchSpace, Workload};
 
 fn main() {
-    let m = model();
-    let prices = TuningPrices::default();
+    // The paper's Table-1 shuffle, planned as a `"workers": "auto"`
+    // scatter stage plans it.
+    let cfg = PipelineConfig::paper_table1();
+    let params = ModelParams::from_configs(
+        &cfg.store,
+        &cfg.faas,
+        &RelayConfig::default(),
+        &DirectConfig::default(),
+        &cfg.work,
+    );
+    let planner = Planner::new(params).with_space(
+        SearchSpace::default()
+            .pin_backend(ExchangeKind::Scatter)
+            .pin_io(cfg.io_concurrency),
+    );
+    let wl = Workload::new(
+        cfg.modeled_bytes as f64,
+        cfg.parallelism,
+        cfg.size_scale(),
+        0,
+    );
 
-    println!("Pareto frontier for the paper's 3.5 GB shuffle (sampled):");
+    println!("Pareto frontier for the paper's 3.5 GB shuffle:");
     println!("workers  modelled latency(s)  modelled cost($)");
-    let frontier = m.pareto(&prices);
-    let step = frontier.len().div_ceil(14).max(1);
-    for (i, (w, latency, cost)) in frontier.iter().enumerate() {
-        if i % step == 0 || i == frontier.len() - 1 {
-            println!("{:>7}  {:>19.1}  {:>15.4}", w, latency, cost);
-        }
+    for (c, e) in planner.pareto(&wl) {
+        println!(
+            "{:>7}  {:>19.1}  {:>15.4}",
+            c.workers, e.makespan_s, e.cost_dollars
+        );
     }
 
     println!("\nwhat a budget buys:");
     println!("budget($)   workers  latency(s)  cost($)");
     for budget in [0.005f64, 0.01, 0.02, 0.04, 0.10] {
-        let w = m.best_workers_under_budget(budget, &prices);
+        let p = planner.plan_within_budget(&wl, budget);
         println!(
             "{:>9.3}  {:>8}  {:>10.1}  {:>7.4}",
-            budget,
-            w,
-            m.breakdown(w).total_s(),
-            m.cost_with(w, &prices)
+            budget, p.workers, p.predicted.makespan_s, p.predicted.cost_dollars
         );
     }
 
-    let unconstrained = m.best_workers();
+    let fastest = planner.plan(&wl);
     println!(
         "\nlatency-optimal (no budget): {} workers, {:.1}s, ${:.4}",
-        unconstrained,
-        m.breakdown(unconstrained).total_s(),
-        m.cost_with(unconstrained, &prices)
+        fastest.workers, fastest.predicted.makespan_s, fastest.predicted.cost_dollars
     );
 }

@@ -8,7 +8,7 @@
 //! faaspipe synth --records N --out F      generate synthetic WGBS bedMethyl
 //! faaspipe compress <in.bed> <out.mc>     METHCOMP-compress a bedMethyl file
 //! faaspipe decompress <in.mc> <out.bed>   decompress a METHCOMP archive
-//! faaspipe tune --gb X [--chunks N]       recommend a shuffle worker count
+//! faaspipe tune --gb X [--chunks N]       plan a shuffle's worker count
 //! faaspipe cluster [--tenants N] [--rate R] [--horizon S]
 //!                                         multi-tenant cluster simulation
 //! ```
@@ -24,7 +24,7 @@ use faaspipe::cluster::{
     MAX_ARRIVAL_NS,
 };
 use faaspipe::core::dag::WorkerChoice;
-use faaspipe::core::executor::{Executor, Services};
+use faaspipe::core::executor::{Executor, Services, DEFAULT_MAX_AUTO_WORKERS};
 use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
 use faaspipe::core::pricing::PriceBook;
 use faaspipe::core::report::{render_table1, Table1Row};
@@ -36,7 +36,8 @@ use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::synth::{reserve_records, Synthesizer};
 use faaspipe::methcomp::{Dataset, MethRecord};
-use faaspipe::shuffle::{SortConfig, SortRecord, TuningModel, TuningPrices, WorkModel};
+use faaspipe::plan::{Estimate, ModelParams, Planner, SearchSpace, Workload};
+use faaspipe::shuffle::{SortConfig, SortRecord, WorkModel};
 use faaspipe::store::{ObjectStore, StoreConfig};
 use faaspipe::trace::{chrome_trace_json, critical_path, Category, SpanId, TraceData, TraceSink};
 use faaspipe::vm::VmFleet;
@@ -52,6 +53,8 @@ const USAGE: &str = "usage:
   faaspipe index <input.bed> <output.mcx>
   faaspipe query <archive.mcx> <chrom> <start> <end>
   faaspipe tune --gb <size> [--chunks N] [--max-workers N] [--budget $]
+                 (plans W for a scatter stage at the default I/O window, as \"workers\": \"auto\" does;
+                  --max-workers defaults to the executor's \"workers\": \"auto\" ceiling)
   faaspipe cluster [--tenants N] [--rate R] [--horizon S] [--records N] [--seed S]
                    [--exchange B] [--arrivals <trace.txt>] [--max-concurrent N]
                    [--store-ops OPS] [--stream-trace <out.jsonl>] [--verify]";
@@ -490,38 +493,40 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Plans what a `"workers": "auto"` scatter stage plans at the default
+/// I/O window: the planner's cost model over the worker-count ladder,
+/// with default service configurations and no encode tail.
 fn cmd_tune(args: &[String]) -> Result<(), String> {
-    if flag(args, "--gb")?.is_none() {
+    let Some(raw) = flag(args, "--gb")? else {
         return Err("tune requires --gb <size>".into());
-    }
+    };
     let gb: f64 = flag_parse(args, "--gb", 0.0)?;
     if !(gb.is_finite() && gb > 0.0) {
         return Err(format!("--gb must be a finite, positive size, got {}", gb));
     }
+    let too_large = || format!("--gb {} is too large to model", raw);
+    let data_bytes = gb * 1e9;
+    if !data_bytes.is_finite() {
+        return Err(too_large());
+    }
     let chunks: usize = flag_parse(args, "--chunks", 8)?;
-    let max_workers: usize = flag_parse(args, "--max-workers", 128)?;
+    if chunks == 0 {
+        return Err("--chunks must be at least 1".into());
+    }
+    let max_workers: usize = flag_parse(args, "--max-workers", DEFAULT_MAX_AUTO_WORKERS)?;
     if max_workers == 0 {
         return Err("--max-workers must be at least 1".into());
     }
-    let store_cfg = StoreConfig::default();
-    let faas_cfg = FaasConfig::default();
-    let work = WorkModel::default();
-    let model = TuningModel {
-        data_bytes: gb * 1e9,
-        input_chunks: chunks,
-        request_latency_s: store_cfg.first_byte_latency.as_secs_f64(),
-        conn_bw: store_cfg.per_connection_bw.as_bytes_per_sec(),
-        agg_bw: store_cfg.aggregate_bw.as_bytes_per_sec(),
-        ops_per_sec: store_cfg.ops_per_sec,
-        startup_s: faas_cfg.cold_start.as_secs_f64(),
-        cpu_share: faas_cfg.cpu_share(),
-        sort_bps: work.sort_mibps * 1024.0 * 1024.0,
-        merge_bps: work.merge_mibps * 1024.0 * 1024.0,
-        max_workers,
-    };
-    let prices = TuningPrices::default();
-    let best = match flag(args, "--budget")? {
-        None => model.best_workers(),
+    let k = SortConfig::default().io_concurrency;
+    let planner = Planner::new(ModelParams::default()).with_space(
+        SearchSpace::default()
+            .cap_workers(max_workers)
+            .pin_backend(ExchangeKind::Scatter)
+            .pin_io(k),
+    );
+    let wl = Workload::new(data_bytes, chunks, 1.0, 0);
+    let plan = match flag(args, "--budget")? {
+        None => planner.plan(&wl),
         Some(v) => {
             let budget: f64 = v
                 .parse()
@@ -532,23 +537,30 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
                     budget
                 ));
             }
-            model.best_workers_under_budget(budget, &prices)
+            planner.plan_within_budget(&wl, budget)
         }
     };
-    let b = model.breakdown(best);
-    println!("recommended workers for a {:.1} GB shuffle: {}", gb, best);
+    let frontier = planner.pareto(&wl);
+    let finite = |e: &Estimate| e.makespan_s.is_finite() && e.cost_dollars.is_finite();
+    if !finite(&plan.predicted) || !frontier.iter().all(|(_, e)| finite(e)) {
+        return Err(too_large());
+    }
+    let e = &plan.predicted;
     println!(
-        "modelled makespan {:.1}s (startup {:.1}, transfer {:.1}, requests {:.1}, compute {:.1})",
-        b.total_s(),
-        b.startup_s,
-        b.transfer_s,
-        b.request_s,
-        b.compute_s
+        "recommended workers for a {:.1} GB shuffle: {} (scatter, K={})",
+        gb, plan.workers, k
     );
-    println!("modelled cost ${:.4}", model.cost_with(best, &prices));
+    println!(
+        "modelled makespan {:.1}s (prepare {:.1}, sample {:.1}, map {:.1}, reduce {:.1})",
+        e.makespan_s, e.prepare_s, e.sample_s, e.map_s, e.reduce_s
+    );
+    println!("modelled cost ${:.4}", e.cost_dollars);
     println!("pareto frontier (workers, latency s, cost $):");
-    for (w, l, c) in model.pareto(&prices) {
-        println!("  {:>4}  {:>7.1}  {:>8.4}", w, l, c);
+    for (c, e) in &frontier {
+        println!(
+            "  {:>4}  {:>7.1}  {:>8.4}",
+            c.workers, e.makespan_s, e.cost_dollars
+        );
     }
     Ok(())
 }

@@ -173,21 +173,41 @@ fn index_and_query_round_trip() {
 
 #[test]
 fn tune_recommends_workers() {
-    let out = bin().args(["tune", "--gb", "3.5"]).output().expect("tune");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("recommended workers"));
-    assert!(text.contains("modelled makespan"));
+    // An absurd ceiling costs nothing: the planner walks a fixed worker
+    // ladder instead of enumerating every count up to the ceiling.
+    let cases: [&[&str]; 2] = [
+        &["--gb", "3.5"],
+        &["--gb", "1", "--max-workers", "100000000000"],
+    ];
+    for flags in cases {
+        let out = bin().arg("tune").args(flags).output().expect("tune");
+        assert!(
+            out.status.success(),
+            "tune {:?}: {}",
+            flags,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("recommended workers"), "{}", text);
+        assert!(text.contains("(scatter, K=4)"), "{}", text);
+        assert!(text.contains("modelled makespan"), "{}", text);
+    }
 }
 
 #[test]
 fn tune_rejects_unusable_sizes_and_budgets() {
     const GB: &str = "--gb must be a finite, positive size";
     const BUDGET: &str = "--budget must be a finite, positive amount";
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--gb", "nan"], GB),
         (&["--gb", "inf"], GB),
         (&["--gb", "-2"], GB),
+        // Finite as an f64, but not as a byte count (1e309 bytes).
+        (&["--gb", "1e300"], "--gb 1e300 is too large to model"),
+        (
+            &["--gb", "1", "--chunks", "0"],
+            "--chunks must be at least 1",
+        ),
         (&["--gb", "1", "--budget", "nan"], BUDGET),
         (&["--gb", "1", "--budget", "-1"], BUDGET),
         (&["--gb", "1", "--budget", "0"], BUDGET),
@@ -202,6 +222,43 @@ fn tune_rejects_unusable_sizes_and_budgets() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(message), "tune {:?}: {}", flags, stderr);
         assert!(out.stdout.is_empty(), "tune {:?} printed a plan", flags);
+    }
+}
+
+#[test]
+fn run_rejects_worker_counts_above_the_stage_ceiling() {
+    // A count past the ceiling used to abort (exit 134) on a 400 GB
+    // per-mapper allocation inside the run; it is now a spec error.
+    let cases = [
+        r#"{ "name": "sort", "kind": "shuffle_sort", "workers": 100000000000,
+             "input": "in/", "output": "sorted/" }"#,
+        r#"{ "name": "encode", "kind": "encode", "codec": "methcomp",
+             "workers": 100000000000, "input": "in/", "output": "enc/" }"#,
+    ];
+    for (i, stage) in cases.iter().enumerate() {
+        let spec = tmp(&format!("oversized-workers-{}.json", i));
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"name": "wide", "bucket": "data", "stages": [ {} ]}}"#,
+                stage
+            ),
+        )
+        .expect("write spec");
+        let out = bin()
+            .arg("run")
+            .arg(&spec)
+            .args(["--records", "2000"])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(1), "{}", stage);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("workers 100000000000 exceeds the ceiling of 65536"),
+            "{}",
+            stderr
+        );
+        assert!(out.stdout.is_empty(), "{}", stage);
     }
 }
 

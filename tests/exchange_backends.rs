@@ -10,11 +10,12 @@ use parking_lot::Mutex;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use faaspipe::core::dag::WorkerChoice;
 use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
 use faaspipe::des::{Money, Sim};
 use faaspipe::exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
-    ShardedRelayExchange, VmRelayExchange,
+    ShardedRelayExchange,
 };
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::shuffle::{serverless_sort, SortConfig, SortRecord};
@@ -58,12 +59,9 @@ fn run_bytes_k(
     }
     let backend: Option<Arc<dyn DataExchange>> = match kind {
         ExchangeKind::Scatter | ExchangeKind::Coalesced => None,
-        ExchangeKind::VmRelay => Some(Arc::new(VmRelayExchange::new(
-            VmFleet::new(),
-            RelayConfig::default(),
-        ))),
         ExchangeKind::Direct => Some(Arc::new(DirectExchange::new(DirectConfig::default()))),
-        ExchangeKind::ShardedRelay { shards, prewarm } => {
+        ExchangeKind::VmRelay | ExchangeKind::ShardedRelay { .. } => {
+            let (shards, prewarm) = kind.relay_shards().expect("a relay backend");
             Some(Arc::new(ShardedRelayExchange::new(
                 VmFleet::new(),
                 ShardedRelayConfig {
@@ -260,4 +258,57 @@ fn sharded_pipeline_bills_every_shard_and_prewarm_is_faster() {
         warm.latency,
         cold.latency
     );
+}
+
+/// `vm_relay` is a cold one-shard relay fleet. These Table-1
+/// pure-serverless runs (15,000 records) pin its simulated latency,
+/// event count and bill to the values the dedicated single-relay
+/// backend produced, and `sharded_relay:1` must give the same triple.
+///
+/// Re-capture (after an *intentional* model change only) with:
+/// `FAASPIPE_PRINT_GOLDEN=1 cargo test --release --test exchange_backends vm_relay -- --nocapture`
+#[test]
+fn vm_relay_is_a_cold_single_shard_relay() {
+    // (W, K, latency ns, events, bill in micro-dollars)
+    let goldens: [(usize, usize, u64, u64, i64); 3] = [
+        (8, 1, 128_480_272_944, 609, 23_959),
+        (8, 4, 125_851_523_579, 999, 23_012),
+        (32, 4, 106_641_803_295, 8_136, 22_473),
+    ];
+    let print = std::env::var_os("FAASPIPE_PRINT_GOLDEN").is_some();
+    for (workers, k, latency_ns, events, bill) in goldens {
+        for kind in [
+            ExchangeKind::VmRelay,
+            ExchangeKind::ShardedRelay {
+                shards: 1,
+                prewarm: false,
+            },
+        ] {
+            let mut cfg = PipelineConfig::paper_table1();
+            cfg.mode = PipelineMode::PureServerless;
+            cfg.physical_records = 15_000;
+            cfg.exchange = kind;
+            cfg.workers = WorkerChoice::Fixed(workers);
+            cfg.io_concurrency = k;
+            let out = run_methcomp_pipeline(&cfg).expect("pipeline ok");
+            assert!(out.verified, "{} W={} K={} must verify", kind, workers, k);
+            let got = (
+                out.latency.as_nanos(),
+                out.sim.events,
+                out.cost.total().as_micros(),
+            );
+            if print {
+                println!("{} W={} K={}: {:?}", kind, workers, k, got);
+                continue;
+            }
+            assert_eq!(
+                got,
+                (latency_ns, events, bill),
+                "{} W={} K={}: (latency ns, events, bill µ$) drifted",
+                kind,
+                workers,
+                k
+            );
+        }
+    }
 }

@@ -54,7 +54,13 @@ fn autotuned_pipeline_runs() {
     let outcome = run_methcomp_pipeline(&cfg).expect("pipeline");
     assert!(outcome.verified);
     assert!(outcome.sort_workers >= 1);
-    assert!(outcome.tracker_log.contains("autotuner picked"));
+    // The planner picks W with the stage's backend and window pinned.
+    assert!(
+        outcome.tracker_log.contains("planner picked W="),
+        "{}",
+        outcome.tracker_log
+    );
+    assert!(outcome.tracker_log.contains("K=4, scatter"));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use faaspipe::core::dag::WorkerChoice;
 use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
 use faaspipe::core::spec::PipelineSpec;
-use faaspipe::plan::{calibrate, Calibration, ModelParams, ProbeRun, ProbeSpec};
+use faaspipe::plan::{calibrate, Calibration, ModelParams, ProbeRun, ProbeSpec, Workload};
 use faaspipe::shuffle::ExchangeKind;
 use faaspipe::trace::{Category, TraceData, Value};
 
@@ -27,14 +27,19 @@ fn probe(workers: usize, k: usize, exchange: ExchangeKind) -> (ProbeSpec, TraceD
     cfg.io_concurrency = k;
     cfg.exchange = exchange;
     cfg.trace = true;
-    let chunk_wire = cfg.modeled_bytes as f64 / cfg.parallelism as f64;
+    let wl = Workload::new(
+        cfg.modeled_bytes as f64,
+        cfg.parallelism,
+        cfg.size_scale(),
+        cfg.parallelism,
+    );
     let spec = ProbeSpec {
         label: format!("W{}-K{}-{}", workers, k, exchange),
         workers,
         io_concurrency: k,
-        data_bytes: cfg.modeled_bytes as f64,
-        input_chunks: cfg.parallelism,
-        sample_read_bytes: (64.0 * 1024.0 * cfg.size_scale()).min(chunk_wire),
+        data_bytes: wl.data_bytes,
+        input_chunks: wl.input_chunks,
+        sample_read_bytes: wl.sample_read_bytes,
     };
     let outcome = run_methcomp_pipeline(&cfg).expect("probe run");
     assert!(outcome.verified);

@@ -15,7 +15,7 @@
 use faaspipe::codec::checksum::Crc32;
 use faaspipe::core::dag::WorkerChoice;
 use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
-use faaspipe::plan::{calibrate, Calibration, ModelParams, ProbeRun, ProbeSpec};
+use faaspipe::plan::{calibrate, Calibration, ModelParams, ProbeRun, ProbeSpec, Workload};
 use faaspipe::shuffle::ExchangeKind;
 use faaspipe::sweep::Sweep;
 use faaspipe::trace::{chrome_trace_json, TraceData};
@@ -120,14 +120,19 @@ fn calibrate_at(jobs: usize) -> Calibration {
                 cfg.io_concurrency = k;
                 cfg.exchange = exchange;
                 cfg.trace = true;
-                let chunk_wire = cfg.modeled_bytes as f64 / cfg.parallelism as f64;
+                let wl = Workload::new(
+                    cfg.modeled_bytes as f64,
+                    cfg.parallelism,
+                    cfg.size_scale(),
+                    cfg.parallelism,
+                );
                 let spec = ProbeSpec {
                     label: format!("W{}-K{}-{}", workers, k, exchange),
                     workers,
                     io_concurrency: k,
-                    data_bytes: cfg.modeled_bytes as f64,
-                    input_chunks: cfg.parallelism,
-                    sample_read_bytes: (64.0 * 1024.0 * cfg.size_scale()).min(chunk_wire),
+                    data_bytes: wl.data_bytes,
+                    input_chunks: wl.input_chunks,
+                    sample_read_bytes: wl.sample_read_bytes,
                 };
                 let outcome = run_methcomp_pipeline(&cfg).expect("probe run");
                 assert!(outcome.verified);

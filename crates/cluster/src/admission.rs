@@ -2,17 +2,15 @@
 //!
 //! Admission is what separates "the cluster is saturated" from "this
 //! tenant saturates the cluster for everyone": a concurrency cap bounds
-//! how many of a tenant's runs execute at once, a token bucket bounds how
-//! fast new runs may start, and a per-tenant store-ops budget (installed
-//! via
+//! how many of a tenant's runs execute at once, and a per-tenant
+//! store-ops budget (installed via
 //! [`ObjectStore::set_scope_ops_limit`](faaspipe_store::ObjectStore::set_scope_ops_limit))
-//! bounds how hard
-//! the tenant's running functions can hammer the shared store. Arrivals
-//! are open-loop, so admission waits count toward the tenant's own
-//! sojourn — throttling a noisy tenant hurts the noisy tenant, not its
-//! victims.
+//! bounds how hard the tenant's running functions can hammer the shared
+//! store. Arrivals are open-loop, so admission waits count toward the
+//! tenant's own sojourn — throttling a noisy tenant hurts the noisy
+//! tenant, not its victims.
 
-use faaspipe_des::{Ctx, LimiterId, SemId, Sim};
+use faaspipe_des::{Ctx, SemId, Sim};
 
 /// Limits applied to one tenant's runs. The default is unlimited: every
 /// arrival is admitted immediately.
@@ -21,8 +19,6 @@ pub struct AdmissionPolicy {
     /// At most this many of the tenant's runs execute concurrently;
     /// excess arrivals queue (FIFO).
     pub max_concurrent_runs: Option<u64>,
-    /// Token bucket `(rate_per_sec, burst)` on run starts.
-    pub run_rate: Option<(f64, f64)>,
     /// Token bucket `(ops_per_sec, burst)` on the tenant's object-store
     /// requests, carved out of the shared store's global budget.
     pub store_ops: Option<(f64, f64)>,
@@ -40,21 +36,10 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Rate-limits run starts.
-    pub fn with_run_rate(mut self, rate_per_sec: f64, burst: f64) -> AdmissionPolicy {
-        self.run_rate = Some((rate_per_sec, burst));
-        self
-    }
-
     /// Rate-limits the tenant's store requests.
     pub fn with_store_ops(mut self, ops_per_sec: f64, burst: f64) -> AdmissionPolicy {
         self.store_ops = Some((ops_per_sec, burst));
         self
-    }
-
-    /// Whether any limit is configured.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_concurrent_runs.is_none() && self.run_rate.is_none() && self.store_ops.is_none()
     }
 }
 
@@ -65,28 +50,20 @@ impl AdmissionPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct TenantGate {
     sem: Option<SemId>,
-    rate: Option<LimiterId>,
 }
 
 impl TenantGate {
-    /// Creates the semaphore/limiter backing `policy`.
+    /// Creates the semaphore backing `policy`'s concurrency cap.
     pub fn install(sim: &mut Sim, policy: &AdmissionPolicy) -> TenantGate {
         TenantGate {
             sem: policy.max_concurrent_runs.map(|n| sim.create_semaphore(n)),
-            rate: policy
-                .run_rate
-                .map(|(rate, burst)| sim.create_limiter(rate, burst)),
         }
     }
 
-    /// Blocks until the run may start: first a concurrency slot, then a
-    /// rate token (so a queued run does not burn tokens while waiting).
+    /// Blocks until the run may start: a concurrency slot.
     pub async fn admit(&self, ctx: &Ctx) {
         if let Some(sem) = self.sem {
             ctx.sem_acquire(sem, 1).await;
-        }
-        if let Some(rate) = self.rate {
-            ctx.limiter_acquire(rate, 1.0).await;
         }
     }
 
@@ -136,38 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn run_rate_spaces_out_starts() {
-        let mut sim = Sim::new();
-        // 1 run per 100 s, burst 1: starts at 0, 100, 200.
-        let gate = TenantGate::install(
-            &mut sim,
-            &AdmissionPolicy::unlimited().with_run_rate(0.01, 1.0),
-        );
-        let starts: Arc<Mutex<Vec<SimTime>>> = Arc::new(Mutex::new(Vec::new()));
-        for _ in 0..3 {
-            let starts = Arc::clone(&starts);
-            sim.spawn("run", move |mut ctx| async move {
-                let ctx = &mut ctx;
-                gate.admit(ctx).await;
-                starts.lock().push(ctx.now());
-            });
-        }
-        sim.run().expect("sim ok");
-        let starts = starts.lock();
-        assert_eq!(starts.len(), 3);
-        assert_eq!(starts[0], SimTime::ZERO);
-        // Token refills carry a few ns of float residue.
-        let third = starts[2]
-            .saturating_duration_since(SimTime::ZERO)
-            .as_secs_f64();
-        assert!((third - 200.0).abs() < 1e-3, "third start at {third} s");
-    }
-
-    #[test]
     fn unlimited_gate_is_a_no_op() {
         let mut sim = Sim::new();
         let gate = TenantGate::install(&mut sim, &AdmissionPolicy::unlimited());
-        assert!(AdmissionPolicy::unlimited().is_unlimited());
         sim.spawn("run", move |mut ctx| async move {
             let ctx = &mut ctx;
             gate.admit(ctx).await;

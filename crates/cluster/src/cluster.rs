@@ -88,10 +88,15 @@ pub enum TraceMode {
     Stream(PathBuf),
 }
 
+/// The most tenants one cluster may hold. Each tenant is a spec, an
+/// admission gate and a pool partition, so a count from outside the
+/// process is checked against this before anything is sized by it.
+pub const MAX_TENANTS: usize = 1_024;
+
 /// Configuration of one cluster experiment.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// The tenants (at least one).
+    /// The tenants (at least one, at most [`MAX_TENANTS`]).
     pub tenants: Vec<TenantSpec>,
     /// The open-loop submission schedule.
     pub arrivals: ArrivalProcess,
@@ -462,6 +467,13 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
     if cfg.tenants.is_empty() {
         return bad("at least one tenant is required".into());
     }
+    if cfg.tenants.len() > MAX_TENANTS {
+        return bad(format!(
+            "{} tenants exceeds the ceiling of {}",
+            cfg.tenants.len(),
+            MAX_TENANTS
+        ));
+    }
     if cfg.physical_records == 0 {
         return bad("physical_records must be positive".into());
     }
@@ -485,20 +497,15 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
                 spec.name
             ));
         }
-        // Every run start and every store request takes one token, so a
-        // bucket must refill and hold at least one.
-        for (what, bucket) in [
-            ("run_rate", policy.run_rate),
-            ("store_ops", policy.store_ops),
-        ] {
-            if let Some((rate, burst)) = bucket {
-                if !(rate.is_finite() && rate > 0.0 && burst.is_finite() && burst >= 1.0) {
-                    return bad(format!(
-                        "tenant {}: {} needs a finite positive rate and a finite burst \
-                         of at least 1, got rate {} and burst {}",
-                        spec.name, what, rate, burst
-                    ));
-                }
+        // Every store request takes one token, so the bucket must refill
+        // and hold at least one.
+        if let Some((rate, burst)) = policy.store_ops {
+            if !(rate.is_finite() && rate > 0.0 && burst.is_finite() && burst >= 1.0) {
+                return bad(format!(
+                    "tenant {}: store_ops needs a finite positive rate and a finite burst \
+                     of at least 1, got rate {} and burst {}",
+                    spec.name, rate, burst
+                ));
             }
         }
     }
@@ -845,7 +852,6 @@ mod tests {
         let limited = unlimited
             .clone()
             .with_max_concurrent(2)
-            .with_run_rate(0.5, 1.0)
             .with_store_ops(100.0, 100.0);
         assert!(validate(&with_admission(limited)).is_ok());
 
@@ -856,11 +862,14 @@ mod tests {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 0.5] {
             let store = with_admission(unlimited.clone().with_store_ops(bad, bad));
             assert!(reason(&store).contains("store_ops"), "store_ops {bad}");
-            let run = with_admission(unlimited.clone().with_run_rate(1.0, bad));
-            assert!(reason(&run).contains("run_rate"), "run_rate burst {bad}");
+            let burst = with_admission(unlimited.clone().with_store_ops(1.0, bad));
+            assert!(
+                reason(&burst).contains("store_ops"),
+                "store_ops burst {bad}"
+            );
         }
-        let run = with_admission(unlimited.with_run_rate(f64::NAN, 1.0));
-        assert!(reason(&run).contains("run_rate"));
+        let nan_rate = with_admission(unlimited.with_store_ops(f64::NAN, 1.0));
+        assert!(reason(&nan_rate).contains("store_ops"));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   saturated, so queueing shows up as sojourn time, exactly like a
 //!   production ingest queue;
 //! * subjects each tenant to optional **admission control**
-//!   ([`AdmissionPolicy`]): a concurrency cap, a token bucket on run
-//!   starts, and a per-tenant slice of the store's ops/s budget;
+//!   ([`AdmissionPolicy`]): a concurrency cap and a per-tenant slice of
+//!   the store's ops/s budget;
 //! * executes every admitted run as a concurrent DES process tree via
 //!   [`Executor::spawn_dag_in`](faaspipe_core::Executor::spawn_dag_in),
 //!   with all stage tags prefixed `tenant/rN/...` so store metrics,
@@ -50,6 +50,6 @@ pub use admission::AdmissionPolicy;
 pub use arrival::{Arrival, ArrivalProcess, MAX_ARRIVAL_NS};
 pub use cluster::{
     run_cluster, Cluster, ClusterConfig, ClusterError, ClusterReport, RunOutcome, TenantReport,
-    TenantSpec, TraceMode,
+    TenantSpec, TraceMode, MAX_TENANTS,
 };
 pub use metrics::{jain_fairness, percentile};

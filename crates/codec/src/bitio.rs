@@ -36,11 +36,6 @@ impl BitWriter {
         self.out.len()
     }
 
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.out.len() as u64 * 8 + self.nbits as u64
-    }
-
     /// Appends the low `count` bits of `value`, most significant first.
     ///
     /// # Panics
@@ -107,11 +102,6 @@ impl<'a> BitReader<'a> {
             acc: 0,
             nbits: 0,
         }
-    }
-
-    /// Bits still available.
-    pub fn remaining_bits(&self) -> u64 {
-        (self.data.len() - self.pos) as u64 * 8 + self.nbits as u64
     }
 
     /// Reads `count` bits, most significant first.
@@ -247,17 +237,16 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(4).expect("bits"), 0xF);
         assert_eq!(r.read_bytes(2).expect("bytes"), &[0xDE, 0xAD]);
-        assert_eq!(r.remaining_bits(), 0);
+        assert_eq!(r.read_bits(1), Err(CodecError::UnexpectedEof));
     }
 
     #[test]
-    fn bit_len_tracks_progress() {
+    fn byte_len_counts_whole_bytes() {
         let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
+        assert_eq!(w.byte_len(), 0);
         w.write_bits(0b101, 3);
-        assert_eq!(w.bit_len(), 3);
+        assert_eq!(w.byte_len(), 0);
         w.write_bits(0, 13);
-        assert_eq!(w.bit_len(), 16);
         assert_eq!(w.byte_len(), 2);
     }
 

@@ -20,7 +20,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::checksum::crc32;
 use crate::error::CodecError;
 use crate::huffman::{self, Decoder, Encoder};
-use crate::lz77::{self, Lz77Config, Token};
+use crate::lz77::{self, Token};
 use crate::varint;
 
 const MAGIC: &[u8; 4] = b"FZ01";
@@ -75,23 +75,8 @@ fn dist_symbol(dist: u16) -> (usize, u8, u16) {
     (sym, DIST_EXTRA[sym], dist - DIST_BASE[sym])
 }
 
-/// Compresses `data` with default effort.
+/// Compresses `data`.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_with(data, &Lz77Config::default())
-}
-
-/// Compresses `data` with the fast preset (like `gzip -1`).
-pub fn compress_fast(data: &[u8]) -> Vec<u8> {
-    compress_with(data, &Lz77Config::fast())
-}
-
-/// Compresses `data` with the best-ratio preset (like `gzip -9`).
-pub fn compress_best(data: &[u8]) -> Vec<u8> {
-    compress_with(data, &Lz77Config::best())
-}
-
-/// Compresses `data` with a specific LZ77 configuration.
-pub fn compress_with(data: &[u8], cfg: &Lz77Config) -> Vec<u8> {
     let mut w = BitWriter::new();
     w.write_bytes(MAGIC);
     let mut header = Vec::new();
@@ -109,7 +94,7 @@ pub fn compress_with(data: &[u8], cfg: &Lz77Config) -> Vec<u8> {
         let blocks: Vec<&[u8]> = data.chunks(BLOCK_INPUT).collect();
         for (bi, block) in blocks.iter().enumerate() {
             let is_final = bi == blocks.len() - 1;
-            write_block(&mut w, block, is_final, cfg);
+            write_block(&mut w, block, is_final);
         }
     }
     w.align();
@@ -118,8 +103,8 @@ pub fn compress_with(data: &[u8], cfg: &Lz77Config) -> Vec<u8> {
     out
 }
 
-fn write_block(w: &mut BitWriter, block: &[u8], is_final: bool, cfg: &Lz77Config) {
-    let tokens = lz77::tokenize(block, cfg);
+fn write_block(w: &mut BitWriter, block: &[u8], is_final: bool) {
+    let tokens = lz77::tokenize(block);
     // Histogram both alphabets.
     let mut lit_freq = vec![0u64; LITLEN_SYMS];
     let mut dist_freq = vec![0u64; DIST_SYMS];
@@ -381,19 +366,6 @@ mod tests {
         assert_eq!(dist_symbol(6), (4, 1, 1));
         assert_eq!(dist_symbol(24577), (29, 13, 0));
         assert_eq!(dist_symbol(32768), (29, 13, 8191));
-    }
-
-    #[test]
-    fn effort_levels_round_trip_and_order() {
-        let data = b"compression effort levels change ratio not correctness ".repeat(300);
-        let fast = compress_fast(&data);
-        let default = compress(&data);
-        let best = compress_best(&data);
-        for packed in [&fast, &default, &best] {
-            assert_eq!(decompress(packed).expect("round trip"), data);
-        }
-        assert!(best.len() <= default.len());
-        assert!(default.len() <= fast.len());
     }
 
     #[test]

@@ -26,46 +26,10 @@ pub enum Token {
     },
 }
 
-/// Match-finder effort knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct Lz77Config {
-    /// Maximum hash-chain positions probed per match attempt.
-    pub max_chain: usize,
-    /// Stop searching once a match of this length is found.
-    pub good_enough: usize,
-    /// Enable one-step lazy matching.
-    pub lazy: bool,
-}
-
-impl Default for Lz77Config {
-    fn default() -> Self {
-        Lz77Config {
-            max_chain: 128,
-            good_enough: 96,
-            lazy: true,
-        }
-    }
-}
-
-impl Lz77Config {
-    /// Fast preset: short chains, greedy matching (like `gzip -1`).
-    pub fn fast() -> Lz77Config {
-        Lz77Config {
-            max_chain: 8,
-            good_enough: 16,
-            lazy: false,
-        }
-    }
-
-    /// Best-ratio preset: deep chains, lazy matching (like `gzip -9`).
-    pub fn best() -> Lz77Config {
-        Lz77Config {
-            max_chain: 1024,
-            good_enough: MAX_MATCH,
-            lazy: true,
-        }
-    }
-}
+/// Maximum hash-chain positions probed per match attempt.
+const MAX_CHAIN: usize = 128;
+/// Stop searching once a match of this length is found.
+const GOOD_ENOUGH: usize = 96;
 
 fn hash3(data: &[u8], i: usize) -> usize {
     let v = u32::from(data[i]) | u32::from(data[i + 1]) << 8 | u32::from(data[i + 2]) << 16;
@@ -80,10 +44,10 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     n
 }
 
-/// Tokenizes `data` with the given configuration.
+/// Tokenizes `data`.
 ///
 /// The output, expanded by [`expand`], reproduces `data` exactly.
-pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
+pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let n = data.len();
     let mut out = Vec::new();
     if n < MIN_MATCH {
@@ -109,7 +73,7 @@ pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut cand = head[hash3(data, i)];
-        let mut chain = cfg.max_chain;
+        let mut chain = MAX_CHAIN;
         while cand != NO_POS && chain > 0 {
             let c = cand as usize;
             if c >= i {
@@ -124,7 +88,7 @@ pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
             if l > best_len {
                 best_len = l;
                 best_dist = i - c;
-                if l >= cfg.good_enough || l == max {
+                if l >= GOOD_ENOUGH || l == max {
                     break;
                 }
             }
@@ -148,24 +112,16 @@ pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
                 i += 1;
             }
             Some((len, dist)) => {
+                insert(&mut head, &mut prev, i);
                 // Lazy: if the next position has a strictly longer match,
                 // emit a literal now and take the longer match next round.
-                let mut inserted_i = false;
-                let mut defer = false;
-                if cfg.lazy && i + 1 < n && len < MAX_MATCH {
-                    insert(&mut head, &mut prev, i);
-                    inserted_i = true;
-                    if let Some((next_len, _)) = find(&head, &prev, i + 1) {
-                        defer = next_len > len;
-                    }
-                }
+                let defer = i + 1 < n
+                    && len < MAX_MATCH
+                    && find(&head, &prev, i + 1).is_some_and(|(next_len, _)| next_len > len);
                 if defer {
                     out.push(Token::Literal(data[i]));
                     i += 1; // position i already inserted above
                     continue;
-                }
-                if !inserted_i {
-                    insert(&mut head, &mut prev, i);
                 }
                 out.push(Token::Match {
                     len: len as u16,
@@ -211,22 +167,22 @@ pub fn expand(tokens: &[Token]) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn round_trip(data: &[u8], cfg: &Lz77Config) {
-        let tokens = tokenize(data, cfg);
+    fn round_trip(data: &[u8]) {
+        let tokens = tokenize(data);
         assert_eq!(expand(&tokens), data);
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         for data in [&b""[..], b"a", b"ab", b"abc"] {
-            round_trip(data, &Lz77Config::default());
+            round_trip(data);
         }
     }
 
     #[test]
     fn repetitive_input_uses_matches() {
         let data = b"abcabcabcabcabcabc";
-        let tokens = tokenize(data, &Lz77Config::default());
+        let tokens = tokenize(data);
         assert!(
             tokens.iter().any(|t| matches!(t, Token::Match { .. })),
             "expected at least one match: {:?}",
@@ -238,7 +194,7 @@ mod tests {
     #[test]
     fn run_of_one_byte_overlapping_copy() {
         let data = vec![7u8; 1000];
-        let tokens = tokenize(&data, &Lz77Config::default());
+        let tokens = tokenize(&data);
         assert!(
             tokens.len() < 20,
             "run should collapse, got {}",
@@ -259,7 +215,7 @@ mod tests {
                 x as u8
             })
             .collect();
-        round_trip(&data, &Lz77Config::default());
+        round_trip(&data);
     }
 
     #[test]
@@ -269,7 +225,7 @@ mod tests {
         data.extend_from_slice(&chunk);
         data.extend(std::iter::repeat_n(9u8, 20_000));
         data.extend_from_slice(&chunk); // 20 KiB back, within window
-        round_trip(&data, &Lz77Config::default());
+        round_trip(&data);
     }
 
     #[test]
@@ -278,7 +234,7 @@ mod tests {
         // within the window.
         let mut data = b"0123456789abcdef".repeat(3000); // 48 KiB
         data.extend_from_slice(b"0123456789abcdef");
-        let tokens = tokenize(&data, &Lz77Config::default());
+        let tokens = tokenize(&data);
         for t in &tokens {
             if let Token::Match { dist, .. } = t {
                 assert!((*dist as usize) <= MAX_DISTANCE);
@@ -288,53 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_config_round_trips() {
-        let cfg = Lz77Config {
-            lazy: false,
-            ..Lz77Config::default()
-        };
-        let data = b"the quick brown fox the quick brown dog the quick".repeat(10);
-        round_trip(&data, &cfg);
-    }
-
-    #[test]
-    fn lazy_matching_not_worse_than_greedy() {
-        let data = b"aabcaabcabcabcd".repeat(100);
-        let lazy = tokenize(&data, &Lz77Config::default());
-        let greedy = tokenize(
-            &data,
-            &Lz77Config {
-                lazy: false,
-                ..Lz77Config::default()
-            },
-        );
-        assert!(
-            lazy.len() <= greedy.len() + 2,
-            "lazy {} greedy {}",
-            lazy.len(),
-            greedy.len()
-        );
-        assert_eq!(expand(&lazy), data);
-        assert_eq!(expand(&greedy), data);
-    }
-
-    #[test]
-    fn presets_round_trip_and_order_by_ratio() {
-        let data = b"the quick brown fox jumps over the lazy dog. ".repeat(200);
-        let fast = tokenize(&data, &Lz77Config::fast());
-        let default = tokenize(&data, &Lz77Config::default());
-        let best = tokenize(&data, &Lz77Config::best());
-        assert_eq!(expand(&fast), data);
-        assert_eq!(expand(&default), data);
-        assert_eq!(expand(&best), data);
-        assert!(best.len() <= default.len());
-        assert!(default.len() <= fast.len() + 4);
-    }
-
-    #[test]
     fn match_lengths_capped() {
         let data = vec![1u8; 100_000];
-        let tokens = tokenize(&data, &Lz77Config::default());
+        let tokens = tokenize(&data);
         for t in &tokens {
             if let Token::Match { len, .. } = t {
                 assert!((*len as usize) <= MAX_MATCH);

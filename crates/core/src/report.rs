@@ -55,18 +55,6 @@ pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
     faaspipe_json::to_string_pretty(value)
 }
 
-/// Renders `(x, y)` series as CSV with a header.
-pub fn render_csv(header: &str, rows: &[Vec<String>]) -> String {
-    let mut out = String::with_capacity(rows.len() * 32 + header.len() + 1);
-    out.push_str(header);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats a money value for tables.
 pub fn dollars(m: Money) -> String {
     format!("{:.4}", m.as_dollars())
@@ -97,18 +85,6 @@ mod tests {
         assert!(table.contains("142.77"));
         assert!(table.contains("0.0080"));
         assert!(table.lines().count() == 4);
-    }
-
-    #[test]
-    fn csv_renders_rows() {
-        let csv = render_csv(
-            "workers,latency_s",
-            &[
-                vec!["1".into(), "120.5".into()],
-                vec!["8".into(), "41.2".into()],
-            ],
-        );
-        assert_eq!(csv, "workers,latency_s\n1,120.5\n8,41.2\n");
     }
 
     #[test]

@@ -245,37 +245,6 @@ impl Tracker {
     }
 }
 
-impl Tracker {
-    /// Renders completed stage spans as an ASCII Gantt chart (the
-    /// tracker's "workflow progress" display, and the executable stand-in
-    /// for the paper's Figure 1 timelines).
-    pub fn render_gantt(&self, width: usize) -> String {
-        let spans = self.spans();
-        let Some(total_end) = spans.iter().map(|s| s.finished).max() else {
-            return String::new();
-        };
-        let total = total_end.as_secs_f64().max(1e-9);
-        let mut out = String::new();
-        for s in &spans {
-            let a = ((s.started.as_secs_f64() / total) * width as f64) as usize;
-            let b = (((s.finished.as_secs_f64() / total) * width as f64) as usize).max(a + 1);
-            let a = a.min(width);
-            let b = b.min(width);
-            out.push_str(&format!(
-                "{:<12} [{}{}{}] {:>8.2}s..{:>8.2}s
-",
-                s.stage,
-                " ".repeat(a),
-                "#".repeat(b - a),
-                " ".repeat(width - b),
-                s.started.as_secs_f64(),
-                s.finished.as_secs_f64(),
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,38 +278,6 @@ mod tests {
         assert!(rendered.contains("planner picked W=13"));
         assert!(rendered.contains("finished"));
         assert_eq!(tracker.events().len(), 5);
-    }
-
-    #[test]
-    fn gantt_renders_proportional_bars() {
-        let tracker = Tracker::new();
-        let t2 = tracker.clone();
-        let mut sim = Sim::new();
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            t2.stage_start(ctx, "sort");
-            ctx.sleep(SimDuration::from_secs(8)).await;
-            t2.stage_end(ctx, "sort");
-            t2.stage_start(ctx, "encode");
-            ctx.sleep(SimDuration::from_secs(2)).await;
-            t2.stage_end(ctx, "encode");
-        });
-        sim.run().expect("sim ok");
-        let gantt = tracker.render_gantt(40);
-        let lines: Vec<&str> = gantt.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("sort"));
-        // Sort occupies ~80% of the width, encode ~20%.
-        let sort_hashes = lines[0].matches('#').count();
-        let enc_hashes = lines[1].matches('#').count();
-        assert!(
-            sort_hashes > enc_hashes * 3,
-            "{} vs {}",
-            sort_hashes,
-            enc_hashes
-        );
-        // Empty tracker renders empty.
-        assert_eq!(Tracker::new().render_gantt(40), "");
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl EventQueue {
         None
     }
 
-    /// The number of live (non-cancelled) events still queued.
-    pub fn live_len(&self) -> usize {
-        self.live
-    }
-
     /// Whether no live events remain.
     pub fn is_empty(&self) -> bool {
         self.live == 0
@@ -207,6 +202,13 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventQueue {
+        /// The number of live (non-cancelled) events still queued.
+        fn live_len(&self) -> usize {
+            self.live
+        }
+    }
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

@@ -108,12 +108,6 @@ impl RateLimiter {
         }
     }
 
-    /// Tokens currently in the bucket at `now` (after refill).
-    pub fn tokens_at(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
     /// Number of processes waiting.
     pub fn queue_len(&self) -> usize {
         self.waiters.len()
@@ -265,8 +259,10 @@ mod tests {
     fn limiter_refill_caps_at_burst() {
         let mut l = RateLimiter::new(100.0, 10.0);
         assert!(l.acquire(t(0), 0, 10.0));
-        // A long wait should not accrue more than burst.
-        assert!((l.tokens_at(t(60_000)) - 10.0).abs() < 1e-9);
+        // A long wait should not accrue more than burst: the full burst
+        // is granted at once, and not a token more.
+        assert!(l.acquire(t(60_000), 1, 10.0));
+        assert!(!l.acquire(t(60_000), 2, 1.0));
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Whether the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Addition that clamps at [`SimDuration::MAX`].
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
@@ -297,11 +292,6 @@ impl ByteSize {
     /// Byte count as `f64` (for rate computations).
     pub fn as_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Size in mebibytes as a float, for reporting.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// Addition that clamps at `u64::MAX`.

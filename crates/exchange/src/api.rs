@@ -25,6 +25,11 @@ pub enum ExchangeStrategy {
     Coalesced,
 }
 
+/// The most relay shards an exchange string may ask for. Each shard is a
+/// provisioned VM and a relay built per shard, so an unchecked count sizes
+/// an allocation; this ceiling is far above the 8 shards E16 sweeps.
+pub const MAX_RELAY_SHARDS: usize = 1_024;
+
 /// The full exchange-backend menu a pipeline stage can pick from: the
 /// two object-store layouts plus the VM-relay and direct-streaming
 /// backends. This is the value that flows through DAG specs, pipeline
@@ -45,7 +50,8 @@ pub enum ExchangeKind {
     /// A fleet of relay VMs with hashed partition routing; `prewarm`
     /// overlaps provisioning with the caller's next phase.
     ShardedRelay {
-        /// Number of relay VMs (clamped to at least 1).
+        /// Number of relay VMs (clamped to at least 1; parsing rejects
+        /// counts above [`MAX_RELAY_SHARDS`]).
         shards: usize,
         /// Boot the shards in the background instead of blocking
         /// `prepare`.
@@ -146,6 +152,9 @@ impl FromStr for ExchangeKind {
                         } else if let Ok(n) = part.parse::<usize>() {
                             if n == 0 {
                                 return fail(ExchangeParseIssue::ZeroShards);
+                            }
+                            if n > MAX_RELAY_SHARDS {
+                                return fail(ExchangeParseIssue::TooManyShards { shards: n });
                             }
                             shards = n;
                         } else {
@@ -355,13 +364,6 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         })
     }
 
-    /// Lists the exchange's current intermediate objects (diagnostic).
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>>;
-
     /// Driver-side teardown after the reduce phase: releases backing
     /// resources (the VM-relay backend stops its billing clock here).
     fn cleanup<'a>(
@@ -480,6 +482,30 @@ mod tests {
         );
         assert!("sharded_relay:0".parse::<ExchangeKind>().is_err());
         assert!("sharded_relay:fast".parse::<ExchangeKind>().is_err());
+    }
+
+    #[test]
+    fn shard_counts_stop_at_the_ceiling() {
+        let top = format!("sharded_relay:{}", MAX_RELAY_SHARDS);
+        assert_eq!(
+            top.parse::<ExchangeKind>().unwrap(),
+            ExchangeKind::ShardedRelay {
+                shards: MAX_RELAY_SHARDS,
+                prewarm: false
+            }
+        );
+        for shards in [MAX_RELAY_SHARDS + 1, 100_000_000_000] {
+            let text = format!("sharded_relay:{}:prewarm", shards);
+            let err = text.parse::<ExchangeKind>().unwrap_err();
+            assert_eq!(err.issue, ExchangeParseIssue::TooManyShards { shards });
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("ceiling of {}", MAX_RELAY_SHARDS)),
+                "{}",
+                msg
+            );
+            assert!(msg.contains(EXCHANGE_KIND_FORMS));
+        }
     }
 
     #[test]

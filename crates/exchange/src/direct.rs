@@ -357,24 +357,6 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        _env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            ctx.sleep(self.core.cfg.handshake).await;
-            Ok(self
-                .core
-                .state
-                .lock()
-                .parts
-                .keys()
-                .map(|(m, j)| format!("direct/{:05}/{:05}", m, j))
-                .collect())
-        })
-    }
-
     fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -430,12 +412,12 @@ mod tests {
                 }
             }
             assert_eq!(
-                ex2.list(ctx, &env).await.expect("list").len(),
+                ex2.core.state.lock().parts.len(),
                 4,
                 "all four partitions registered"
             );
             ex2.cleanup(ctx, &env).await.expect("cleanup");
-            assert!(ex2.list(ctx, &env).await.expect("list").is_empty());
+            assert!(ex2.core.state.lock().parts.is_empty());
         });
         sim.run().expect("sim ok");
     }

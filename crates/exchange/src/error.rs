@@ -91,6 +91,11 @@ pub enum ExchangeParseIssue {
     UnknownKind,
     /// `sharded_relay:0` — a relay fleet needs at least one shard.
     ZeroShards,
+    /// A shard count above [`MAX_RELAY_SHARDS`](crate::MAX_RELAY_SHARDS).
+    TooManyShards {
+        /// The requested shard count.
+        shards: usize,
+    },
     /// A `sharded_relay` parameter was neither a shard count nor
     /// `prewarm`.
     UnknownParameter {
@@ -121,6 +126,15 @@ impl fmt::Display for ExchangeParseError {
                     f,
                     "exchange '{}': shard count must be at least 1",
                     self.input
+                )?;
+            }
+            ExchangeParseIssue::TooManyShards { shards } => {
+                write!(
+                    f,
+                    "exchange '{}': {} shards exceeds the ceiling of {}",
+                    self.input,
+                    shards,
+                    crate::MAX_RELAY_SHARDS
                 )?;
             }
             ExchangeParseIssue::UnknownParameter { parameter } => {

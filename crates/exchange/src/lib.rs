@@ -36,7 +36,7 @@ mod retry;
 mod sharded;
 mod vm_relay;
 
-pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy};
+pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy, MAX_RELAY_SHARDS};
 pub use direct::{DirectConfig, DirectExchange};
 pub use error::{ExchangeError, ExchangeParseError, ExchangeParseIssue, EXCHANGE_KIND_FORMS};
 pub use object_store::ObjectStoreExchange;

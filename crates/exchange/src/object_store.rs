@@ -604,24 +604,6 @@ impl DataExchange for ObjectStoreExchange {
         })
     }
 
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            let client = self
-                .store
-                .connect_via(ctx, Arc::clone(&env.tag), &env.host_links)
-                .await;
-            let objects = with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                client.list(c, &self.bucket, &self.prefix).await
-            })
-            .await?;
-            Ok(objects.into_iter().map(|o| o.key).collect())
-        })
-    }
-
     fn cleanup<'a>(
         &'a self,
         _ctx: &'a mut Ctx,
@@ -863,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn list_names_the_intermediates() {
+    fn intermediates_use_the_map_part_key_layout() {
         let mut sim = Sim::new();
         let store = ObjectStore::install(&mut sim, StoreConfig::default());
         store.create_bucket("data").expect("bucket");
@@ -880,9 +862,11 @@ mod tests {
             ex.write_partitions(ctx, &env, 0, vec![Bytes::from("a")])
                 .await
                 .expect("write");
-            let keys = ex.list(ctx, &env).await.expect("list");
-            assert_eq!(keys, vec!["part/00000/00000"]);
         });
         sim.run().expect("sim ok");
+        assert_eq!(
+            store.keys_untimed("data", "part/"),
+            vec!["part/00000/00000"]
+        );
     }
 }

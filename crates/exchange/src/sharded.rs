@@ -219,23 +219,6 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn list<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-    ) -> LocalBoxFuture<'a, Result<Vec<String>, ExchangeError>> {
-        Box::pin(async move {
-            // One metered LIST per shard; the concatenation is sorted so
-            // output does not depend on shard layout.
-            let mut keys = Vec::new();
-            for shard in &self.shards {
-                keys.extend(shard.list_keys(ctx, env).await?);
-            }
-            keys.sort();
-            Ok(keys)
-        })
-    }
-
     fn cleanup<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -310,7 +293,8 @@ mod tests {
                     .await
                     .expect("write");
             }
-            assert_eq!(ex2.list(ctx, &env).await.expect("list").len(), 16);
+            let stored: usize = ex2.shards.iter().map(|s| s.object_count()).sum();
+            assert_eq!(stored, 16);
             for m in 0..4usize {
                 for j in 0..4usize {
                     let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
@@ -522,15 +506,16 @@ mod tests {
                     .expect("write");
                 assert_eq!(written, 150);
             }
-            assert_eq!(
-                ex2.list(ctx, &env).await.expect("list"),
-                vec![
-                    "relay-00/00000/00000",
-                    "relay-00/00000/00001",
-                    "relay-00/00001/00000",
-                    "relay-00/00001/00001"
-                ]
-            );
+            let shard = &ex2.shards[0];
+            assert_eq!(shard.label(), "relay-00");
+            assert_eq!(shard.object_count(), 4);
+            for (m, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                assert_eq!(
+                    shard.is_spilled(m, j),
+                    Some(false),
+                    "cell ({m}, {j}) in memory"
+                );
+            }
             let data = ex2.read_partition(ctx, &env, 1, 0).await.expect("read");
             assert_eq!(data, Bytes::from(vec![1u8; 100]));
             ex2.cleanup(ctx, &env).await.expect("cleanup");
@@ -566,12 +551,11 @@ mod tests {
         assert_eq!(fleet.records().len(), 1, "exactly one VM provisioned");
     }
 
-    /// Regression (lifecycle bug 2): `list` used to answer before
-    /// `prepare` (returning `Ok(vec![])` instead of `NotPrepared`) and
-    /// bypassed the request counter, so it could never trip
-    /// `crash_after_requests`. It must be metered like PUT/GET.
+    /// Regression (lifecycle bug 2): a request before `prepare` must
+    /// fail with `NotPrepared` instead of answering from an empty table,
+    /// and reads are metered toward `crash_after_requests` like writes.
     #[test]
-    fn list_requires_prepare_and_counts_toward_crash() {
+    fn reads_require_prepare_and_count_toward_crash() {
         let mut sim = Sim::new();
         let cfg = RelayConfig {
             crash_after_requests: Some(2),
@@ -582,7 +566,10 @@ mod tests {
         sim.spawn("driver", move |mut ctx| async move {
             let ctx = &mut ctx;
             let env = driver_env();
-            let err = ex2.list(ctx, &env).await.expect_err("list before prepare");
+            let err = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect_err("read before prepare");
             assert_eq!(
                 err,
                 ExchangeError::NotPrepared {
@@ -593,12 +580,16 @@ mod tests {
             ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect("request 1");
-            assert_eq!(ex2.list(ctx, &env).await.expect("request 2").len(), 1);
+            let data = ex2
+                .read_partition(ctx, &env, 0, 0)
+                .await
+                .expect("request 2");
+            assert_eq!(data, Bytes::from("x"));
             let err = ex2
-                .list(ctx, &env)
+                .read_partition(ctx, &env, 0, 0)
                 .await
                 .expect_err("request 3 trips the crash");
-            assert_eq!(err, ExchangeError::RelayDown { op: "LIST" });
+            assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
         });
         sim.run().expect("sim ok");
     }

@@ -416,31 +416,6 @@ impl RelayShard {
         Ok(data)
     }
 
-    /// Lists this shard's objects as one metered relay request: it
-    /// requires a live VM, bumps the request counter (so it can trip
-    /// `crash_after_requests`), and is subject to failure injection —
-    /// exactly like PUT/GET.
-    pub(crate) async fn list_keys(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-    ) -> Result<Vec<String>, ExchangeError> {
-        let span = self.span_begin(ctx, "LIST", &env.tag, None);
-        if let Err(e) = self.request_overhead(ctx, "LIST").await {
-            self.span_end(ctx, span, 0, true);
-            return Err(e);
-        }
-        let keys: Vec<String> = self
-            .state
-            .lock()
-            .objects
-            .keys()
-            .map(|(m, j)| format!("{}/{:05}/{:05}", self.label, m, j))
-            .collect();
-        self.span_end(ctx, span, 0, false);
-        Ok(keys)
-    }
-
     /// Waits out any in-flight boot (releasing mid-boot would leak the
     /// billing record), clears the object table, and releases the VM.
     pub(crate) async fn shutdown(&self, ctx: &Ctx) {

@@ -190,22 +190,6 @@ impl FunctionPlatform {
             .sum()
     }
 
-    /// Number of warm containers parked for `function` in one tenant's
-    /// pool partition (`scope` is the tag's first `/`-segment; use `""`
-    /// when [`FaasConfig::tenant_scoped_pool`] is off).
-    pub fn warm_count_scoped(&self, scope: &str, function: &str) -> usize {
-        self.pool
-            .lock()
-            .get(&(Arc::from(scope), Arc::from(function)))
-            .map_or(0, |v| v.len())
-    }
-
-    /// Drops all warm containers (simulates a platform-wide reset, used by
-    /// the cold-vs-warm experiment).
-    pub fn flush_pool(&self) {
-        self.pool.lock().clear();
-    }
-
     /// Invokes `function` from the calling process and returns the child
     /// process id; `ctx.join` it to rendezvous.
     ///
@@ -763,8 +747,7 @@ mod tests {
             .unwrap();
         });
         sim.run().expect("run");
-        assert_eq!(faas.warm_count_scoped("t0", "f"), 1);
-        assert_eq!(faas.warm_count_scoped("t1", "f"), 1);
+        // One parked container per tenant partition.
         assert_eq!(faas.warm_count("f"), 2);
     }
 
@@ -797,23 +780,6 @@ mod tests {
                 0,
                 "expired container must not survive an interleaved claim"
             );
-        });
-        sim.run().expect("run");
-    }
-
-    #[test]
-    fn flush_pool_forces_cold_again() {
-        let (mut sim, faas) = platform_sim(FaasConfig::default());
-        let p = faas.clone();
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            invoke_and_join(&p, ctx, "f", "a", async |_, _| {})
-                .await
-                .unwrap();
-            p.flush_pool();
-            invoke_and_join(&p, ctx, "f", "b", async |_, env| assert!(env.cold))
-                .await
-                .unwrap();
         });
         sim.run().expect("run");
     }

@@ -219,48 +219,6 @@ pub fn decompress(input: &[u8]) -> Result<Dataset, CodecError> {
     Ok(Dataset::new(records))
 }
 
-/// Merges several archives of *sorted* datasets into one archive of the
-/// globally sorted union (k-way merge by the canonical sort key).
-///
-/// This is how a consumer folds the pipeline's per-run archives into a
-/// single file without re-sorting from scratch.
-///
-/// # Errors
-/// [`CodecError`] if any input archive is invalid.
-pub fn merge_archives(archives: &[&[u8]]) -> Result<Vec<u8>, CodecError> {
-    let mut datasets = Vec::with_capacity(archives.len());
-    for a in archives {
-        datasets.push(decompress(a)?);
-    }
-    let total: usize = datasets.iter().map(Dataset::len).sum();
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut merged = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, ds) in datasets.iter().enumerate() {
-            if cursors[i] >= ds.len() {
-                continue;
-            }
-            let candidate = &ds.records[cursors[i]];
-            best = match best {
-                None => Some(i),
-                Some(b) if candidate.sort_key() < datasets[b].records[cursors[b]].sort_key() => {
-                    Some(i)
-                }
-                other => other,
-            };
-        }
-        match best {
-            None => break,
-            Some(i) => {
-                merged.push(datasets[i].records[cursors[i]]);
-                cursors[i] += 1;
-            }
-        }
-    }
-    Ok(compress(&Dataset::new(merged)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,35 +365,6 @@ mod tests {
         }]);
         let packed = compress(&ds);
         assert_eq!(decompress(&packed).expect("round trip"), ds);
-    }
-
-    #[test]
-    fn merge_archives_produces_the_global_sort() {
-        let full = Synthesizer::new(19).generate_records(6_000);
-        // Split round-robin so each piece is itself sorted but interleaved.
-        let mut pieces: Vec<Dataset> = (0..3).map(|_| Dataset::default()).collect();
-        for (i, r) in full.records.iter().enumerate() {
-            pieces[i % 3].records.push(*r);
-        }
-        let archives: Vec<Vec<u8>> = pieces.iter().map(compress).collect();
-        let refs: Vec<&[u8]> = archives.iter().map(Vec::as_slice).collect();
-        let merged = merge_archives(&refs).expect("merge");
-        let decoded = decompress(&merged).expect("decode");
-        assert_eq!(decoded, full, "merge must reproduce the global order");
-        // And the merged archive is about as tight as compressing whole.
-        let direct = compress(&full);
-        assert!(merged.len() <= direct.len() + direct.len() / 20);
-    }
-
-    #[test]
-    fn merge_rejects_corrupt_member() {
-        let ds = Synthesizer::new(20).generate_records(100);
-        let good = compress(&ds);
-        let bad = b"MCxx not an archive".to_vec();
-        assert!(merge_archives(&[&good, &bad]).is_err());
-        // Merging nothing yields an empty archive.
-        let empty = merge_archives(&[]).expect("empty merge");
-        assert_eq!(decompress(&empty).expect("decode"), Dataset::default());
     }
 
     #[test]

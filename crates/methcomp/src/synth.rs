@@ -30,10 +30,6 @@ const CHROM_MB: [u32; 24] = [
     47, 51, 156, 57,
 ];
 
-/// Average serialized bytes per bedMethyl record (used to size datasets by
-/// target bytes). Measured on synthetic output; see tests.
-pub const APPROX_BYTES_PER_RECORD: usize = 52;
-
 /// An empty record buffer with room for `n` records, or the error the
 /// allocator reported: a count the host cannot hold fails here instead of
 /// aborting the process.
@@ -165,11 +161,6 @@ impl Synthesizer {
         }
     }
 
-    /// Generates roughly `target_bytes` of serialized bedMethyl text.
-    pub fn generate_bytes(&mut self, target_bytes: usize) -> Dataset {
-        self.generate_records(target_bytes / APPROX_BYTES_PER_RECORD)
-    }
-
     /// Generates `n` records and then deterministically shuffles them —
     /// the pipeline input shape (unsorted calls straight from the caller).
     pub fn generate_shuffled(&mut self, n: usize) -> Dataset {
@@ -244,31 +235,6 @@ mod tests {
                 c
             );
         }
-    }
-
-    #[test]
-    fn bytes_per_record_estimate_close() {
-        let mut synth = Synthesizer::new(6);
-        let ds = synth.generate_records(5_000);
-        let actual = ds.to_text().len() as f64 / ds.len() as f64;
-        let est = APPROX_BYTES_PER_RECORD as f64;
-        assert!(
-            (actual - est).abs() / est < 0.15,
-            "bytes/record {} vs estimate {}",
-            actual,
-            est
-        );
-    }
-
-    #[test]
-    fn generate_bytes_hits_target_roughly() {
-        let ds = Synthesizer::new(7).generate_bytes(1_000_000);
-        let actual = ds.to_text().len();
-        assert!(
-            (700_000..1_300_000).contains(&actual),
-            "got {} bytes",
-            actual
-        );
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ mod tests {
 
     #[test]
     fn spans_cover_everything_exactly_once_and_balance() {
-        use faaspipe_des::{ByteSize, SimTime};
+        use faaspipe_des::ByteSize;
         use faaspipe_store::ObjectSummary;
         let inputs: Vec<ObjectSummary> = [800u64, 160, 2_400, 8]
             .iter()
@@ -1064,8 +1064,6 @@ mod tests {
             .map(|(i, &len)| ObjectSummary {
                 key: format!("in/{}", i),
                 len: ByteSize::new(len),
-                etag: 0,
-                created: SimTime::ZERO,
             })
             .collect();
         let w = 7;

@@ -31,16 +31,6 @@ pub enum StoreError {
         /// Actual object size.
         object_len: u64,
     },
-    /// The referenced multipart upload does not exist.
-    NoSuchUpload {
-        /// The unknown upload id.
-        upload_id: u64,
-    },
-    /// A conditional operation's precondition did not hold.
-    PreconditionFailed {
-        /// The key the condition applied to.
-        key: String,
-    },
     /// A fault injected by the configured [`FailurePolicy`](crate::FailurePolicy).
     Injected {
         /// The operation that failed (e.g. `"GET"`).
@@ -69,12 +59,6 @@ impl fmt::Display for StoreError {
                 offset + len,
                 object_len
             ),
-            StoreError::NoSuchUpload { upload_id } => {
-                write!(f, "no such multipart upload {}", upload_id)
-            }
-            StoreError::PreconditionFailed { key } => {
-                write!(f, "precondition failed for key '{}'", key)
-            }
             StoreError::Injected { op } => write!(f, "injected {} failure", op),
         }
     }

@@ -45,5 +45,5 @@ pub use config::StoreConfig;
 pub use error::StoreError;
 pub use failure::FailurePolicy;
 pub use metrics::{RequestClass, StoreMetrics, TagMetrics};
-pub use object::{ObjectSummary, PutResult};
-pub use service::{MultipartUpload, ObjectStore, StoreClient};
+pub use object::ObjectSummary;
+pub use service::{ObjectStore, StoreClient};

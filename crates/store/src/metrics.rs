@@ -11,12 +11,10 @@ use faaspipe_des::ByteSize;
 /// Billing class of a request, mirroring COS/S3 pricing tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RequestClass {
-    /// Mutating/listing requests: PUT, COPY, LIST, multipart operations.
+    /// Write and list requests: PUT, LIST.
     ClassA,
-    /// Read requests: GET, HEAD.
+    /// Read requests: GET, ranged GET.
     ClassB,
-    /// Deletes (free on most providers, tracked anyway).
-    Delete,
 }
 
 /// Counters for one client tag.
@@ -26,8 +24,6 @@ pub struct TagMetrics {
     pub class_a: u64,
     /// Class-B (read) request count.
     pub class_b: u64,
-    /// Delete request count.
-    pub deletes: u64,
     /// Modelled bytes uploaded.
     pub bytes_in: ByteSize,
     /// Modelled bytes downloaded.
@@ -39,14 +35,13 @@ pub struct TagMetrics {
 impl TagMetrics {
     /// Total request count across classes.
     pub fn total_requests(&self) -> u64 {
-        self.class_a + self.class_b + self.deletes
+        self.class_a + self.class_b
     }
 
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &TagMetrics) {
         self.class_a += other.class_a;
         self.class_b += other.class_b;
-        self.deletes += other.deletes;
         self.bytes_in = self.bytes_in.saturating_add(other.bytes_in);
         self.bytes_out = self.bytes_out.saturating_add(other.bytes_out);
         self.errors += other.errors;
@@ -82,7 +77,6 @@ impl StoreMetrics {
         match class {
             RequestClass::ClassA => m.class_a += 1,
             RequestClass::ClassB => m.class_b += 1,
-            RequestClass::Delete => m.deletes += 1,
         }
         m.bytes_in = m.bytes_in.saturating_add(ByteSize::new(bytes_in));
         m.bytes_out = m.bytes_out.saturating_add(ByteSize::new(bytes_out));
@@ -149,7 +143,7 @@ mod tests {
     #[test]
     fn iter_is_sorted_by_tag() {
         let mut m = StoreMetrics::new();
-        m.record("z", RequestClass::Delete, 0, 0, false);
+        m.record("z", RequestClass::ClassB, 0, 0, false);
         m.record("a", RequestClass::ClassA, 0, 0, false);
         let tags: Vec<&str> = m.iter().map(|(t, _)| t).collect();
         assert_eq!(tags, vec!["a", "z"]);
@@ -160,7 +154,6 @@ mod tests {
         let mut a = TagMetrics {
             class_a: 1,
             class_b: 2,
-            deletes: 3,
             bytes_in: ByteSize::new(10),
             bytes_out: ByteSize::new(20),
             errors: 1,
@@ -168,7 +161,7 @@ mod tests {
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.class_a, 2);
-        assert_eq!(a.total_requests(), 12);
+        assert_eq!(a.total_requests(), 6);
         assert_eq!(a.bytes_in.as_u64(), 20);
     }
 }

@@ -1,42 +1,12 @@
-//! Objects, buckets, and related value types.
+//! Buckets and listing entries.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use faaspipe_des::{ByteSize, SimTime};
+use faaspipe_des::ByteSize;
 
-/// A stored object.
-#[derive(Debug, Clone)]
-pub(crate) struct Object {
-    pub data: Bytes,
-    pub etag: u64,
-    pub created: SimTime,
-}
-
-/// A bucket: an ordered key → object map plus in-flight multipart uploads.
-#[derive(Debug, Default)]
-pub(crate) struct Bucket {
-    pub objects: BTreeMap<String, Object>,
-    pub uploads: BTreeMap<u64, PartialUpload>,
-}
-
-/// An in-progress multipart upload.
-#[derive(Debug, Default)]
-pub(crate) struct PartialUpload {
-    pub key: String,
-    pub parts: BTreeMap<u32, Bytes>,
-}
-
-/// Result of a successful PUT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutResult {
-    /// Version of the stored object: a store-wide number that every
-    /// committed write takes fresh, so two writes never share one — even
-    /// of identical bytes. Not a content hash.
-    pub etag: u64,
-    /// Real (unscaled) stored size.
-    pub len: ByteSize,
-}
+/// A bucket: an ordered key → object-bytes map.
+pub(crate) type Bucket = BTreeMap<String, Bytes>;
 
 /// Listing entry returned by `list`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +15,4 @@ pub struct ObjectSummary {
     pub key: String,
     /// Real (unscaled) stored size.
     pub len: ByteSize,
-    /// Version of the object (see [`PutResult::etag`]).
-    pub etag: u64,
-    /// Virtual time the object was written.
-    pub created: SimTime,
 }

@@ -6,14 +6,14 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{ByteSize, Ctx, FlowLinks, LimiterId, LinkId, Sim, SimTime};
+use faaspipe_des::{ByteSize, Ctx, FlowLinks, LimiterId, LinkId, Sim};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::StoreConfig;
 use crate::error::StoreError;
 use crate::failure::Fate;
 use crate::metrics::{RequestClass, StoreMetrics};
-use crate::object::{Bucket, Object, ObjectSummary, PartialUpload, PutResult};
+use crate::object::{Bucket, ObjectSummary};
 
 use std::collections::BTreeMap;
 
@@ -35,10 +35,6 @@ pub struct ObjectStore {
     /// scope limits; requests then pay the scope's bucket *after* the
     /// global one.
     scope_ops: Mutex<BTreeMap<String, LimiterId>>,
-    next_upload: AtomicU64,
-    /// The etag the next committed write gets: a store-wide version
-    /// number, so compare-and-swap needs no content hash.
-    next_version: AtomicU64,
     trace: Mutex<TraceSink>,
     inflight: AtomicU64,
 }
@@ -65,8 +61,6 @@ impl ObjectStore {
             aggregate,
             ops,
             scope_ops: Mutex::new(BTreeMap::new()),
-            next_upload: AtomicU64::new(1),
-            next_version: AtomicU64::new(1),
             trace: Mutex::new(TraceSink::disabled()),
             inflight: AtomicU64::new(0),
         })
@@ -172,34 +166,20 @@ impl ObjectStore {
     ///
     /// # Errors
     /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub fn put_untimed(
-        &self,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        let mut buckets = self.buckets.lock();
-        let b = buckets
+    pub fn put_untimed(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
+        self.commit(bucket, key, data)
+    }
+
+    /// Stores `data` at `key`, replacing any object there.
+    fn commit(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
+        self.buckets
+            .lock()
             .get_mut(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket {
                 bucket: bucket.to_string(),
-            })?;
-        Ok(self.commit(b, key, data, SimTime::ZERO))
-    }
-
-    /// Stores `data` at `key` as a new version and returns its etag.
-    fn commit(&self, b: &mut Bucket, key: &str, data: Bytes, created: SimTime) -> PutResult {
-        let etag = self.next_version.fetch_add(1, Ordering::SeqCst);
-        let len = ByteSize::new(data.len() as u64);
-        b.objects.insert(
-            key.to_string(),
-            Object {
-                data,
-                etag,
-                created,
-            },
-        );
-        PutResult { etag, len }
+            })?
+            .insert(key.to_string(), data);
+        Ok(())
     }
 
     /// Lists keys under a prefix **outside virtual time** (verification
@@ -209,8 +189,7 @@ impl ObjectStore {
             .lock()
             .get(bucket)
             .map(|b| {
-                b.objects
-                    .range(prefix.to_string()..)
+                b.range(prefix.to_string()..)
                     .take_while(|(k, _)| k.starts_with(prefix))
                     .map(|(k, _)| k.clone())
                     .collect()
@@ -223,28 +202,13 @@ impl ObjectStore {
         self.buckets
             .lock()
             .get(bucket)
-            .and_then(|b| b.objects.get(key))
-            .map(|o| o.data.clone())
+            .and_then(|b| b.get(key))
+            .cloned()
     }
 
     /// Number of objects in a bucket (0 for unknown buckets).
     pub fn object_count(&self, bucket: &str) -> usize {
-        self.buckets
-            .lock()
-            .get(bucket)
-            .map_or(0, |b| b.objects.len())
-    }
-
-    /// Total real bytes stored across all buckets.
-    pub fn stored_bytes(&self) -> ByteSize {
-        let buckets = self.buckets.lock();
-        ByteSize::new(
-            buckets
-                .values()
-                .flat_map(|b| b.objects.values())
-                .map(|o| o.data.len() as u64)
-                .sum(),
-        )
+        self.buckets.lock().get(bucket).map_or(0, |b| b.len())
     }
 
     fn record(&self, tag: &str, class: RequestClass, bin: u64, bout: u64, failed: bool) {
@@ -275,24 +239,7 @@ impl std::fmt::Debug for StoreClient {
     }
 }
 
-/// Identifier of a multipart upload in progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MultipartUpload {
-    /// Opaque upload id.
-    pub id: u64,
-}
-
 impl StoreClient {
-    /// The metrics tag this client reports under.
-    pub fn tag(&self) -> &str {
-        &self.tag
-    }
-
-    /// A reference to the owning store.
-    pub fn store(&self) -> &Arc<ObjectStore> {
-        &self.store
-    }
-
     /// Charges the fixed request overhead: an ops/s slot plus first-byte
     /// latency (possibly inflated by fault injection). Returns an injected
     /// error without touching state when the failure policy says so.
@@ -355,7 +302,6 @@ impl StoreClient {
         let class_name = match class {
             RequestClass::ClassA => "class-a",
             RequestClass::ClassB => "class-b",
-            RequestClass::Delete => "delete",
         };
         self.trace.attr(span, "class", class_name);
         if bytes_in > 0 {
@@ -422,7 +368,7 @@ impl StoreClient {
         bucket: &str,
         key: &str,
         data: Bytes,
-    ) -> Result<PutResult, StoreError> {
+    ) -> Result<(), StoreError> {
         let wire = self.store.cfg.scaled_len(data.len());
         let span = self.trace_begin(ctx, "PUT", key);
         if let Err(e) = self.request_overhead(ctx, "PUT").await {
@@ -430,112 +376,8 @@ impl StoreClient {
             return Err(e);
         }
         self.transfer_scaled(ctx, data.len(), span).await;
-        let result = self.commit_put(ctx, bucket, key, data);
-        self.finish(ctx, span, RequestClass::ClassA, wire, 0, result.is_err());
-        result
-    }
-
-    fn commit_put(
-        &self,
-        ctx: &Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        let mut buckets = self.store.buckets.lock();
-        let b = buckets
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            })?;
-        Ok(self.store.commit(b, key, data, ctx.now()))
-    }
-
-    /// Uploads an object only if the key does not exist yet (atomic
-    /// create, the moral equivalent of `If-None-Match: *`).
-    ///
-    /// # Errors
-    /// [`StoreError::PreconditionFailed`] if the key already exists.
-    pub async fn put_if_absent(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        let span = self.trace_begin(ctx, "PUT", key);
-        if let Err(e) = self.request_overhead(ctx, "PUT").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let wire = self.store.cfg.scaled_len(data.len());
-        self.transfer_scaled(ctx, data.len(), span).await;
-        // Validated atomically at commit (see put_if_match): checking
-        // before the blocking transfer would let two creators race.
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => {
-                    if b.objects.contains_key(key) {
-                        Err(StoreError::PreconditionFailed {
-                            key: key.to_string(),
-                        })
-                    } else {
-                        Ok(self.store.commit(b, key, data, ctx.now()))
-                    }
-                }
-            }
-        };
-        self.finish(ctx, span, RequestClass::ClassA, wire, 0, result.is_err());
-        result
-    }
-
-    /// Replaces an object only if its current etag (the version number
-    /// its last write got) equals `expected_etag` (compare-and-swap, the
-    /// moral equivalent of `If-Match`). The building block for optimistic
-    /// coordination between functions.
-    ///
-    /// # Errors
-    /// [`StoreError::PreconditionFailed`] when the stored ETag differs or
-    /// the key is missing; the usual lookup and injection errors
-    /// otherwise.
-    pub async fn put_if_match(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-        expected_etag: u64,
-        data: Bytes,
-    ) -> Result<PutResult, StoreError> {
-        let span = self.trace_begin(ctx, "PUT", key);
-        if let Err(e) = self.request_overhead(ctx, "PUT").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let wire = self.store.cfg.scaled_len(data.len());
-        self.transfer_scaled(ctx, data.len(), span).await;
-        // The condition is validated atomically at commit time — checking
-        // before the (blocking, virtual-time) transfer would be a TOCTOU
-        // hole letting two writers race past each other.
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => match b.objects.get(key) {
-                    Some(o) if o.etag == expected_etag => {
-                        Ok(self.store.commit(b, key, data, ctx.now()))
-                    }
-                    _ => Err(StoreError::PreconditionFailed {
-                        key: key.to_string(),
-                    }),
-                },
-            }
-        };
+        // The write lands once its payload has arrived.
+        let result = self.store.commit(bucket, key, data);
         self.finish(ctx, span, RequestClass::ClassA, wire, 0, result.is_err());
         result
     }
@@ -617,67 +459,10 @@ impl StoreClient {
             .ok_or_else(|| StoreError::NoSuchBucket {
                 bucket: bucket.to_string(),
             })?;
-        b.objects
-            .get(key)
-            .map(|o| o.data.clone())
-            .ok_or_else(|| StoreError::NoSuchKey {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            })
-    }
-
-    /// Fetches object metadata without the payload.
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when missing.
-    pub async fn head(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<ObjectSummary, StoreError> {
-        let span = self.trace_begin(ctx, "HEAD", key);
-        if let Err(e) = self.request_overhead(ctx, "HEAD").await {
-            self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
-            return Err(e);
-        }
-        let result = {
-            let buckets = self.store.buckets.lock();
-            buckets
-                .get(bucket)
-                .ok_or_else(|| StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                })
-                .and_then(|b| {
-                    b.objects
-                        .get(key)
-                        .map(|o| ObjectSummary {
-                            key: key.to_string(),
-                            len: ByteSize::new(o.data.len() as u64),
-                            etag: o.etag,
-                            created: o.created,
-                        })
-                        .ok_or_else(|| StoreError::NoSuchKey {
-                            bucket: bucket.to_string(),
-                            key: key.to_string(),
-                        })
-                })
-        };
-        self.finish(ctx, span, RequestClass::ClassB, 0, 0, result.is_err());
-        result
-    }
-
-    /// Whether an object exists (a HEAD that maps "missing" to `false`).
-    ///
-    /// # Errors
-    /// Only infrastructure errors ([`StoreError::Injected`],
-    /// [`StoreError::NoSuchBucket`]) are returned.
-    pub async fn exists(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<bool, StoreError> {
-        match self.head(ctx, bucket, key).await {
-            Ok(_) => Ok(true),
-            Err(StoreError::NoSuchKey { .. }) => Ok(false),
-            Err(e) => Err(e),
-        }
+        b.get(key).cloned().ok_or_else(|| StoreError::NoSuchKey {
+            bucket: bucket.to_string(),
+            key: key.to_string(),
+        })
     }
 
     /// Lists objects whose key starts with `prefix`, in key order.
@@ -703,311 +488,16 @@ impl StoreClient {
                     bucket: bucket.to_string(),
                 })
                 .map(|b| {
-                    b.objects
-                        .range(prefix.to_string()..)
+                    b.range(prefix.to_string()..)
                         .take_while(|(k, _)| k.starts_with(prefix))
-                        .map(|(k, o)| ObjectSummary {
+                        .map(|(k, data)| ObjectSummary {
                             key: k.clone(),
-                            len: ByteSize::new(o.data.len() as u64),
-                            etag: o.etag,
-                            created: o.created,
+                            len: ByteSize::new(data.len() as u64),
                         })
                         .collect::<Vec<_>>()
                 })
         };
         self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
-        result
-    }
-
-    /// Paginated listing: returns up to `max_keys` objects with keys
-    /// strictly greater than `start_after` (pass `""` for the first
-    /// page), plus the last key to continue from when more remain.
-    ///
-    /// Each page is one class-A request, like S3's `ListObjectsV2`
-    /// continuation protocol.
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn list_page(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        prefix: &str,
-        start_after: &str,
-        max_keys: usize,
-    ) -> Result<(Vec<ObjectSummary>, Option<String>), StoreError> {
-        let span = self.trace_begin(ctx, "LIST", prefix);
-        if let Err(e) = self.request_overhead(ctx, "LIST").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let result = {
-            let buckets = self.store.buckets.lock();
-            buckets
-                .get(bucket)
-                .ok_or_else(|| StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                })
-                .map(|b| {
-                    let lower = if start_after.is_empty() {
-                        prefix.to_string()
-                    } else {
-                        start_after.to_string()
-                    };
-                    let mut page: Vec<ObjectSummary> = b
-                        .objects
-                        .range(lower..)
-                        .filter(|(k, _)| k.as_str() > start_after)
-                        .take_while(|(k, _)| k.starts_with(prefix))
-                        .take(max_keys + 1)
-                        .map(|(k, o)| ObjectSummary {
-                            key: k.clone(),
-                            len: ByteSize::new(o.data.len() as u64),
-                            etag: o.etag,
-                            created: o.created,
-                        })
-                        .collect();
-                    let more = page.len() > max_keys;
-                    page.truncate(max_keys);
-                    let token = if more {
-                        page.last().map(|o| o.key.clone())
-                    } else {
-                        None
-                    };
-                    (page, token)
-                })
-        };
-        self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
-        result
-    }
-
-    /// Deletes an object. Deleting a missing key succeeds (like S3).
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn delete(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<(), StoreError> {
-        let span = self.trace_begin(ctx, "DELETE", key);
-        if let Err(e) = self.request_overhead(ctx, "DELETE").await {
-            self.finish(ctx, span, RequestClass::Delete, 0, 0, true);
-            return Err(e);
-        }
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => {
-                    b.objects.remove(key);
-                    Ok(())
-                }
-            }
-        };
-        self.finish(ctx, span, RequestClass::Delete, 0, 0, result.is_err());
-        result
-    }
-
-    /// Server-side copy. The payload moves over the store backbone only,
-    /// not over this client's connection.
-    ///
-    /// # Errors
-    /// Standard lookup errors for the source; [`StoreError::NoSuchBucket`]
-    /// for the destination.
-    pub async fn copy(
-        &self,
-        ctx: &mut Ctx,
-        src_bucket: &str,
-        src_key: &str,
-        dst_bucket: &str,
-        dst_key: &str,
-    ) -> Result<PutResult, StoreError> {
-        let span = self.trace_begin(ctx, "COPY", src_key);
-        if let Err(e) = self.request_overhead(ctx, "COPY").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let data = match self.lookup(src_bucket, src_key) {
-            Ok(d) => d,
-            Err(e) => {
-                self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-                return Err(e);
-            }
-        };
-        // Internal move: backbone only.
-        let wire = self.store.cfg.scaled_len(data.len());
-        let flow = if self.trace.is_enabled() {
-            let flow =
-                self.trace
-                    .span_start(Category::Flow, "copy", "store", &self.tag, span, ctx.now());
-            self.trace.attr(flow, "wire_bytes", wire);
-            flow
-        } else {
-            SpanId::NONE
-        };
-        ctx.transfer(ByteSize::new(wire), &self.links[1..2]).await;
-        self.trace.span_end(flow, ctx.now());
-        let result = self.commit_put(ctx, dst_bucket, dst_key, data);
-        self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
-        result
-    }
-
-    /// Starts a multipart upload for `key`.
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn create_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        key: &str,
-    ) -> Result<MultipartUpload, StoreError> {
-        let span = self.trace_begin(ctx, "POST", key);
-        if let Err(e) = self.request_overhead(ctx, "POST").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => {
-                    let id = self.store.next_upload.fetch_add(1, Ordering::SeqCst);
-                    b.uploads.insert(
-                        id,
-                        PartialUpload {
-                            key: key.to_string(),
-                            parts: BTreeMap::new(),
-                        },
-                    );
-                    Ok(MultipartUpload { id })
-                }
-            }
-        };
-        self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
-        result
-    }
-
-    /// Uploads one part (parts are keyed by number; re-uploading a number
-    /// replaces it).
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub async fn upload_part(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-        part_number: u32,
-        data: Bytes,
-    ) -> Result<(), StoreError> {
-        let wire = self.store.cfg.scaled_len(data.len());
-        let span = self.trace_begin(ctx, "PUT", "");
-        self.trace.attr(span, "upload_id", upload.id);
-        self.trace.attr(span, "part", part_number);
-        if let Err(e) = self.request_overhead(ctx, "PUT").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        self.transfer_scaled(ctx, data.len(), span).await;
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => match b.uploads.get_mut(&upload.id) {
-                    None => Err(StoreError::NoSuchUpload {
-                        upload_id: upload.id,
-                    }),
-                    Some(u) => {
-                        u.parts.insert(part_number, data);
-                        Ok(())
-                    }
-                },
-            }
-        };
-        self.finish(ctx, span, RequestClass::ClassA, wire, 0, result.is_err());
-        result
-    }
-
-    /// Completes a multipart upload, concatenating parts in part-number
-    /// order into the final object.
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchUpload`] if the upload id is unknown.
-    pub async fn complete_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<PutResult, StoreError> {
-        let span = self.trace_begin(ctx, "POST", "");
-        self.trace.attr(span, "upload_id", upload.id);
-        if let Err(e) = self.request_overhead(ctx, "POST").await {
-            self.finish(ctx, span, RequestClass::ClassA, 0, 0, true);
-            return Err(e);
-        }
-        let assembled = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => match b.uploads.remove(&upload.id) {
-                    None => Err(StoreError::NoSuchUpload {
-                        upload_id: upload.id,
-                    }),
-                    Some(u) => {
-                        let total: usize = u.parts.values().map(|p| p.len()).sum();
-                        let mut buf = Vec::with_capacity(total);
-                        for part in u.parts.values() {
-                            buf.extend_from_slice(part);
-                        }
-                        Ok((u.key, Bytes::from(buf)))
-                    }
-                },
-            }
-        };
-        let result = match assembled {
-            Err(e) => Err(e),
-            Ok((key, data)) => self.commit_put(ctx, bucket, &key, data),
-        };
-        self.finish(ctx, span, RequestClass::ClassA, 0, 0, result.is_err());
-        result
-    }
-
-    /// Abandons a multipart upload, discarding its parts. Unknown ids are
-    /// ignored (idempotent, like S3 abort).
-    ///
-    /// # Errors
-    /// [`StoreError::NoSuchBucket`] if the bucket is unknown.
-    pub async fn abort_multipart(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        upload: MultipartUpload,
-    ) -> Result<(), StoreError> {
-        let span = self.trace_begin(ctx, "DELETE", "");
-        self.trace.attr(span, "upload_id", upload.id);
-        if let Err(e) = self.request_overhead(ctx, "DELETE").await {
-            self.finish(ctx, span, RequestClass::Delete, 0, 0, true);
-            return Err(e);
-        }
-        let result = {
-            let mut buckets = self.store.buckets.lock();
-            match buckets.get_mut(bucket) {
-                None => Err(StoreError::NoSuchBucket {
-                    bucket: bucket.to_string(),
-                }),
-                Some(b) => {
-                    b.uploads.remove(&upload.id);
-                    Ok(())
-                }
-            }
-        };
-        self.finish(ctx, span, RequestClass::Delete, 0, 0, result.is_err());
         result
     }
 }
@@ -1054,11 +544,9 @@ mod tests {
     #[test]
     fn put_get_round_trip() {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            let put = c
-                .put(ctx, "b", "k", Bytes::from("payload"))
+            c.put(ctx, "b", "k", Bytes::from("payload"))
                 .await
                 .expect("put");
-            assert_eq!(put.len.as_u64(), 7);
             let got = c.get(ctx, "b", "k").await.expect("get");
             assert_eq!(&got[..], b"payload");
         });
@@ -1089,112 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn put_if_absent_enforces_precondition() {
-        run_with(quiet_config(), async |ctx, c| {
-            c.put_if_absent(ctx, "b", "k", Bytes::from("x"))
-                .await
-                .expect("first");
-            let err = c
-                .put_if_absent(ctx, "b", "k", Bytes::from("y"))
-                .await
-                .expect_err("second");
-            assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"x");
-        });
-    }
-
-    #[test]
-    fn concurrent_put_if_absent_has_exactly_one_winner() {
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        store.create_bucket("b").expect("bucket");
-        let wins = Arc::new(StdMutex::new(0usize));
-        for i in 0..4 {
-            let store = Arc::clone(&store);
-            let wins = Arc::clone(&wins);
-            sim.spawn(format!("creator{}", i), move |mut ctx| async move {
-                let ctx = &mut ctx;
-                let c = store.connect(ctx, "race").await;
-                match c
-                    .put_if_absent(ctx, "b", "lock", Bytes::from(format!("{}", i)))
-                    .await
-                {
-                    Ok(_) => *wins.lock().unwrap() += 1,
-                    Err(StoreError::PreconditionFailed { .. }) => {}
-                    Err(e) => panic!("unexpected: {}", e),
-                }
-            });
-        }
-        sim.run().expect("sim ok");
-        assert_eq!(*wins.lock().unwrap(), 1, "exactly one creator wins");
-        assert_eq!(store.object_count("b"), 1);
-    }
-
-    #[test]
-    fn put_if_match_is_a_cas() {
-        run_with(quiet_config(), async |ctx, c| {
-            let v1 = c.put(ctx, "b", "k", Bytes::from("one")).await.expect("put");
-            // Matching etag swaps.
-            let v2 = c
-                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("two"))
-                .await
-                .expect("cas");
-            assert_ne!(v1.etag, v2.etag);
-            // Stale etag fails and leaves the value intact.
-            let err = c
-                .put_if_match(ctx, "b", "k", v1.etag, Bytes::from("three"))
-                .await
-                .expect_err("stale");
-            assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-            assert_eq!(&c.get(ctx, "b", "k").await.expect("get")[..], b"two");
-            // Missing key fails too.
-            let err = c
-                .put_if_match(ctx, "b", "nope", 0, Bytes::from("x"))
-                .await
-                .expect_err("missing");
-            assert!(matches!(err, StoreError::PreconditionFailed { .. }));
-        });
-    }
-
-    #[test]
-    fn cas_serializes_concurrent_incrementers() {
-        // Two processes CAS-increment a counter; retries resolve the race
-        // and no update is lost.
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        store.create_bucket("b").expect("bucket");
-        store
-            .put_untimed("b", "counter", Bytes::from("0"))
-            .expect("init");
-        for i in 0..2 {
-            let store = Arc::clone(&store);
-            sim.spawn(format!("inc{}", i), move |mut ctx| async move {
-                let ctx = &mut ctx;
-                let c = store.connect(ctx, "cas").await;
-                for _ in 0..5 {
-                    loop {
-                        let meta = c.head(ctx, "b", "counter").await.expect("head");
-                        let cur: u64 = String::from_utf8_lossy(
-                            &c.get(ctx, "b", "counter").await.expect("get"),
-                        )
-                        .parse()
-                        .expect("number");
-                        let next = Bytes::from((cur + 1).to_string());
-                        match c.put_if_match(ctx, "b", "counter", meta.etag, next).await {
-                            Ok(_) => break,
-                            Err(StoreError::PreconditionFailed { .. }) => continue,
-                            Err(e) => panic!("unexpected: {}", e),
-                        }
-                    }
-                }
-            });
-        }
-        sim.run().expect("sim ok");
-        let final_value = store.peek("b", "counter").expect("counter");
-        assert_eq!(&final_value[..], b"10", "no lost updates");
-    }
-
-    #[test]
     fn range_get_slices_and_validates() {
         run_with(quiet_config(), async |ctx, c| {
             c.put(ctx, "b", "k", Bytes::from("0123456789"))
@@ -1215,154 +597,20 @@ mod tests {
     #[test]
     fn list_filters_by_prefix_in_order() {
         run_with(quiet_config(), async |ctx, c| {
-            for key in ["a/1", "a/2", "b/1", "a10"] {
-                c.put(ctx, "b", key, Bytes::from("x")).await.expect("put");
+            for (key, len) in [("a/2", 2), ("a/1", 1), ("b/1", 3), ("a10", 4)] {
+                c.put(ctx, "b", key, Bytes::from(vec![0u8; len]))
+                    .await
+                    .expect("put");
             }
             let got = c.list(ctx, "b", "a/").await.expect("list");
-            let keys: Vec<&str> = got.iter().map(|o| o.key.as_str()).collect();
-            assert_eq!(keys, vec!["a/1", "a/2"]);
+            let entries: Vec<(&str, u64)> = got
+                .iter()
+                .map(|o| (o.key.as_str(), o.len.as_u64()))
+                .collect();
+            assert_eq!(entries, vec![("a/1", 1), ("a/2", 2)]);
             let all = c.list(ctx, "b", "").await.expect("list all");
             assert_eq!(all.len(), 4);
         });
-    }
-
-    #[test]
-    fn paginated_listing_walks_all_keys() {
-        run_with(quiet_config(), async |ctx, c| {
-            for i in 0..23 {
-                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
-                    .await
-                    .expect("put");
-            }
-            c.put(ctx, "b", "q/other", Bytes::from("x"))
-                .await
-                .expect("put");
-            let mut seen = Vec::new();
-            let mut after = String::new();
-            let mut pages = 0;
-            loop {
-                let (page, token) = c.list_page(ctx, "b", "p/", &after, 10).await.expect("page");
-                assert!(page.len() <= 10);
-                seen.extend(page.iter().map(|o| o.key.clone()));
-                pages += 1;
-                match token {
-                    Some(t) => after = t,
-                    None => break,
-                }
-            }
-            assert_eq!(pages, 3, "23 keys at 10/page");
-            assert_eq!(seen.len(), 23);
-            assert!(seen.windows(2).all(|w| w[0] < w[1]), "sorted, no dupes");
-            assert!(seen.iter().all(|k| k.starts_with("p/")));
-        });
-    }
-
-    #[test]
-    fn pagination_exact_page_boundary_has_no_extra_page() {
-        run_with(quiet_config(), async |ctx, c| {
-            for i in 0..10 {
-                c.put(ctx, "b", &format!("p/{:03}", i), Bytes::from("x"))
-                    .await
-                    .expect("put");
-            }
-            let (page, token) = c.list_page(ctx, "b", "p/", "", 10).await.expect("page");
-            assert_eq!(page.len(), 10);
-            assert!(token.is_none(), "exactly one page");
-        });
-    }
-
-    #[test]
-    fn pagination_counts_class_a_per_page() {
-        let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            for i in 0..5 {
-                c.put(ctx, "b", &format!("p/{}", i), Bytes::from("x"))
-                    .await
-                    .expect("put");
-            }
-            let (_, t) = c.list_page(ctx, "b", "p/", "", 2).await.expect("p1");
-            let (_, t) = c
-                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
-                .await
-                .expect("p2");
-            let (_, t) = c
-                .list_page(ctx, "b", "p/", &t.expect("more"), 2)
-                .await
-                .expect("p3");
-            assert!(t.is_none());
-        });
-        // 5 puts + 3 list pages.
-        assert_eq!(store.metrics().total().class_a, 8);
-    }
-
-    #[test]
-    fn delete_is_idempotent() {
-        let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
-            c.delete(ctx, "b", "k").await.expect("delete");
-            c.delete(ctx, "b", "k").await.expect("delete again");
-            assert!(!c.exists(ctx, "b", "k").await.expect("exists"));
-        });
-        assert_eq!(store.object_count("b"), 0);
-    }
-
-    #[test]
-    fn head_reports_metadata() {
-        run_with(quiet_config(), async |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("abcd"))
-                .await
-                .expect("put");
-            let meta = c.head(ctx, "b", "k").await.expect("head");
-            assert_eq!(meta.len.as_u64(), 4);
-            assert_eq!(meta.key, "k");
-        });
-    }
-
-    #[test]
-    fn copy_duplicates_server_side() {
-        run_with(quiet_config(), async |ctx, c| {
-            c.put(ctx, "b", "src", Bytes::from("data"))
-                .await
-                .expect("put");
-            c.copy(ctx, "b", "src", "b", "dst").await.expect("copy");
-            assert_eq!(&c.get(ctx, "b", "dst").await.expect("get")[..], b"data");
-        });
-    }
-
-    #[test]
-    fn multipart_concatenates_in_part_order() {
-        run_with(quiet_config(), async |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "big").await.expect("create");
-            // Upload out of order.
-            c.upload_part(ctx, "b", up, 2, Bytes::from("world"))
-                .await
-                .expect("p2");
-            c.upload_part(ctx, "b", up, 1, Bytes::from("hello "))
-                .await
-                .expect("p1");
-            let done = c.complete_multipart(ctx, "b", up).await.expect("complete");
-            assert_eq!(done.len.as_u64(), 11);
-            assert_eq!(
-                &c.get(ctx, "b", "big").await.expect("get")[..],
-                b"hello world"
-            );
-        });
-    }
-
-    #[test]
-    fn multipart_abort_discards() {
-        let (store, _) = run_with(quiet_config(), async |ctx, c| {
-            let up = c.create_multipart(ctx, "b", "gone").await.expect("create");
-            c.upload_part(ctx, "b", up, 1, Bytes::from("x"))
-                .await
-                .expect("p1");
-            c.abort_multipart(ctx, "b", up).await.expect("abort");
-            let err = c
-                .complete_multipart(ctx, "b", up)
-                .await
-                .expect_err("aborted");
-            assert!(matches!(err, StoreError::NoSuchUpload { .. }));
-        });
-        assert_eq!(store.object_count("b"), 0);
     }
 
     #[test]
@@ -1427,7 +675,7 @@ mod tests {
         // 100 real bytes modelled as 1000 wire bytes, twice (put+get) at
         // 1000 B/s => 2 s.
         assert!((end.as_secs_f64() - 2.0).abs() < 1e-7);
-        assert_eq!(store.stored_bytes().as_u64(), 100);
+        assert_eq!(store.peek("b", "k").map(|d| d.len()), Some(100));
         let total = store.metrics().total();
         assert_eq!(total.bytes_in.as_u64(), 1000);
         assert_eq!(total.bytes_out.as_u64(), 1000);
@@ -1438,14 +686,13 @@ mod tests {
         let (store, _) = run_with(quiet_config(), async |ctx, c| {
             c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
             c.get(ctx, "b", "k").await.expect("get");
+            c.get_range(ctx, "b", "k", 0, 1).await.expect("range");
             c.list(ctx, "b", "").await.expect("list");
-            c.delete(ctx, "b", "k").await.expect("delete");
         });
         let m = store.metrics();
         let t = m.tag("test").expect("tag recorded");
         assert_eq!(t.class_a, 2); // put + list
-        assert_eq!(t.class_b, 1); // get
-        assert_eq!(t.deletes, 1);
+        assert_eq!(t.class_b, 2); // get + ranged get
         assert_eq!(t.errors, 0);
     }
 

@@ -53,14 +53,6 @@ impl CounterSeries {
         self.points.last().map(|&(_, v)| v).unwrap_or(0.0)
     }
 
-    /// The value in effect at `t` (0.0 before the first sample).
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        match self.points.partition_point(|&(pt, _)| pt <= t) {
-            0 => 0.0,
-            n => self.points[n - 1].1,
-        }
-    }
-
     /// The maximum value the counter ever held.
     pub fn max_value(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
@@ -96,10 +88,7 @@ mod tests {
         c.record(t(1), 1.0);
         c.record(t(2), 1.0);
         c.record(t(3), 2.0);
-        assert_eq!(c.points.len(), 2);
-        assert_eq!(c.value_at(t(2)), 1.0);
-        assert_eq!(c.value_at(t(3)), 2.0);
-        assert_eq!(c.value_at(t(0)), 0.0);
+        assert_eq!(c.points, vec![(t(1), 1.0), (t(3), 2.0)]);
         assert_eq!(c.max_value(), 2.0);
     }
 

@@ -118,13 +118,6 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// Whether this sink streams completed spans to a writer.
-    pub fn is_streaming(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.lock().stream.is_some())
-    }
-
     /// Opens a span at virtual time `at`; returns its id
     /// ([`SpanId::NONE`] when disabled).
     pub fn span_start(
@@ -635,7 +628,6 @@ mod tests {
         let buf = SharedBuf::default();
         let sink = TraceSink::streaming(Box::new(buf.clone()));
         assert!(sink.is_enabled());
-        assert!(sink.is_streaming());
         let run = sink.span_start(Category::Run, "run", "driver", "driver", SpanId::NONE, t(0));
         let stage = sink.span_start(Category::Stage, "sort", "driver", "driver", run, t(1));
         sink.attr(stage, "workers", 8u64);

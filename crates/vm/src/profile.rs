@@ -68,13 +68,6 @@ impl VmProfile {
             t * self.parallel_efficiency
         }
     }
-
-    /// Returns the profile with a different provisioning delay (used by
-    /// experiments probing pre-provisioned VMs).
-    pub fn with_provisioning(mut self, d: SimDuration) -> Self {
-        self.provisioning = d;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use bytes::Bytes;
 
 use faaspipe::cluster::{
     run_cluster, AdmissionPolicy, ArrivalProcess, ClusterConfig, TenantSpec, TraceMode,
-    MAX_ARRIVAL_NS,
+    MAX_ARRIVAL_NS, MAX_TENANTS,
 };
 use faaspipe::core::dag::WorkerChoice;
 use faaspipe::core::executor::{Executor, Services, DEFAULT_MAX_AUTO_WORKERS};
@@ -426,6 +426,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     let tenants: usize = flag_parse(args, "--tenants", 2)?;
     if tenants == 0 {
         return Err("--tenants must be at least 1".into());
+    }
+    if tenants > MAX_TENANTS {
+        return Err(format!(
+            "--tenants {} exceeds the ceiling of {}",
+            tenants, MAX_TENANTS
+        ));
     }
     let rate: f64 = flag_parse(args, "--rate", 0.02)?;
     let horizon: u64 = flag_parse(args, "--horizon", 300)?;

@@ -418,6 +418,41 @@ fn table1_accepts_a_parameterized_sharded_exchange() {
 }
 
 #[test]
+fn oversized_relay_shard_counts_exit_with_an_error() {
+    // A shard count past the ceiling used to build one relay per shard
+    // and abort (exit 134) on an 800 GB allocation; as a CLI flag and as
+    // a spec's `"exchange"` it is now a parse error naming the ceiling.
+    let want = "100000000000 shards exceeds the ceiling of 1024";
+    let spec = tmp("oversized-shards.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "wide", "bucket": "data", "stages": [
+            { "name": "sort", "kind": "shuffle_sort", "workers": 2,
+              "exchange": "sharded_relay:100000000000",
+              "input": "in/", "output": "sorted/" } ]}"#,
+    )
+    .expect("write spec");
+    let spec = spec.to_str().expect("utf-8 path");
+    let commands: [&[&str]; 2] = [
+        &[
+            "table1",
+            "--records",
+            "2000",
+            "--exchange",
+            "sharded_relay:100000000000",
+        ],
+        &["run", spec, "--records", "2000"],
+    ];
+    for args in commands {
+        let out = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{:?}: {}", args, stderr);
+        assert!(stderr.contains(want), "{:?}: {}", args, stderr);
+        assert!(out.stdout.is_empty(), "{:?}", args);
+    }
+}
+
+#[test]
 fn run_executes_a_spec_with_a_direct_exchange() {
     let spec = tmp("spec-direct.json");
     std::fs::write(
@@ -535,6 +570,12 @@ fn cluster_rejects_unusable_limits_and_arrival_times_with_an_error() {
     fails_with(
         &["--max-concurrent", "0"],
         "max_concurrent_runs must be positive",
+    );
+    // A count past the ceiling used to size a 20.8 TB tenant list and
+    // abort (exit 134).
+    fails_with(
+        &["--tenants", "100000000000"],
+        "--tenants 100000000000 exceeds the ceiling of 1024",
     );
     // Horizons past 2^62 ns, including ones whose nanoseconds would
     // overflow `u64` (and wrapped in release builds).

@@ -1,7 +1,7 @@
 //! Model-based testing of the object store: a random sequence of
-//! operations is applied both to the simulated store (inside a sim) and
-//! to a plain `BTreeMap` reference model; every observable result must
-//! agree.
+//! PUT, GET, ranged GET and LIST is applied both to the simulated store
+//! (inside a sim) and to a plain `BTreeMap` reference model; every
+//! observable result must agree.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,14 +14,11 @@ use proptest::prelude::*;
 use faaspipe::des::Sim;
 use faaspipe::store::{ObjectStore, StoreConfig, StoreError};
 
-/// The operations the model covers.
+/// The operations the model covers: every request the pipelines issue.
 #[derive(Debug, Clone)]
 enum Op {
     Put(u8, Vec<u8>),
-    PutIfAbsent(u8, Vec<u8>),
     Get(u8),
-    Head(u8),
-    Delete(u8),
     List(u8),
     Range(u8, u8, u8),
 }
@@ -33,22 +30,19 @@ fn key(k: u8) -> String {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), vec(any::<u8>(), 0..64)).prop_map(|(k, d)| Op::Put(k, d)),
-        (any::<u8>(), vec(any::<u8>(), 0..64)).prop_map(|(k, d)| Op::PutIfAbsent(k, d)),
         any::<u8>().prop_map(Op::Get),
-        any::<u8>().prop_map(Op::Head),
-        any::<u8>().prop_map(Op::Delete),
         any::<u8>().prop_map(Op::List),
         (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(k, o, l)| Op::Range(k, o, l)),
     ]
 }
 
 /// Observable outcome of one op, comparable across implementations.
+/// A listing is `(key, len)` pairs: `len` is what the shuffle's input
+/// assignment reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Observed {
     Bytes(Option<Vec<u8>>),
-    Exists(bool),
-    Created(bool),
-    Keys(Vec<String>),
+    Listing(Vec<(String, u64)>),
     Unit,
 }
 
@@ -61,28 +55,14 @@ fn run_reference(ops: &[Op]) -> Vec<Observed> {
                 state.insert(key(*k), d.clone());
                 Observed::Unit
             }
-            Op::PutIfAbsent(k, d) => {
-                let k = key(*k);
-                if let std::collections::btree_map::Entry::Vacant(e) = state.entry(k) {
-                    e.insert(d.clone());
-                    Observed::Created(true)
-                } else {
-                    Observed::Created(false)
-                }
-            }
             Op::Get(k) => Observed::Bytes(state.get(&key(*k)).cloned()),
-            Op::Head(k) => Observed::Exists(state.contains_key(&key(*k))),
-            Op::Delete(k) => {
-                state.remove(&key(*k));
-                Observed::Unit
-            }
             Op::List(prefix_k) => {
                 let prefix = format!("k/{:01}", prefix_k % 10);
-                Observed::Keys(
+                Observed::Listing(
                     state
-                        .keys()
-                        .filter(|k| k.starts_with(&prefix))
-                        .cloned()
+                        .iter()
+                        .filter(|(k, _)| k.starts_with(&prefix))
+                        .map(|(k, d)| (k.clone(), d.len() as u64))
                         .collect(),
                 )
             }
@@ -124,34 +104,19 @@ fn run_simulated(ops: Vec<Op>) -> Vec<Observed> {
                         .expect("put");
                     Observed::Unit
                 }
-                Op::PutIfAbsent(k, d) => {
-                    match c
-                        .put_if_absent(ctx, "b", &key(*k), Bytes::from(d.clone()))
-                        .await
-                    {
-                        Ok(_) => Observed::Created(true),
-                        Err(StoreError::PreconditionFailed { .. }) => Observed::Created(false),
-                        Err(e) => panic!("unexpected: {}", e),
-                    }
-                }
                 Op::Get(k) => match c.get(ctx, "b", &key(*k)).await {
                     Ok(d) => Observed::Bytes(Some(d.to_vec())),
                     Err(StoreError::NoSuchKey { .. }) => Observed::Bytes(None),
                     Err(e) => panic!("unexpected: {}", e),
                 },
-                Op::Head(k) => Observed::Exists(c.exists(ctx, "b", &key(*k)).await.expect("head")),
-                Op::Delete(k) => {
-                    c.delete(ctx, "b", &key(*k)).await.expect("delete");
-                    Observed::Unit
-                }
                 Op::List(prefix_k) => {
                     let prefix = format!("k/{:01}", prefix_k % 10);
-                    Observed::Keys(
+                    Observed::Listing(
                         c.list(ctx, "b", &prefix)
                             .await
                             .expect("list")
                             .into_iter()
-                            .map(|o| o.key)
+                            .map(|o| (o.key, o.len.as_u64()))
                             .collect(),
                     )
                 }

@@ -75,10 +75,12 @@ fn bench_varint(c: &mut Criterion) {
             for &v in &values {
                 varint::write_u64(&mut buf, v);
             }
-            let mut r = varint::VarintReader::new(&buf);
+            let mut pos = 0;
             let mut sum = 0u64;
-            while !r.is_empty() {
-                sum = sum.wrapping_add(r.u64().expect("valid"));
+            while pos < buf.len() {
+                let (v, used) = varint::read_u64(&buf[pos..]).expect("valid");
+                sum = sum.wrapping_add(v);
+                pos += used;
             }
             sum
         })

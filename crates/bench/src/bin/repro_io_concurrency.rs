@@ -3,13 +3,14 @@
 //!
 //! Sweeps `io_concurrency` (K) — how many store reads / exchange
 //! transfers each shuffle function keeps in flight — across exchange
-//! backends and worker counts. `K = 1` is the historical strictly
-//! sequential data plane; raising K overlaps transfer latency with
-//! compute and with other transfers until the function NIC or the
-//! store's aggregate bandwidth saturates, after which the curve goes
-//! flat. The sorted-run bytes are identical at every K (the window is a
-//! schedule knob, not a transform — `tests/exchange_backends.rs` pins
-//! that); what moves is the critical path's store-I/O share.
+//! backends and worker counts. `K = 1` keeps one request in flight per
+//! function, so downloads and compute never overlap; raising K overlaps
+//! transfer latency with compute and with other transfers until the
+//! function NIC or the store's aggregate bandwidth saturates, after
+//! which the curve goes flat. The sorted-run bytes are identical at
+//! every K (the window is a schedule knob, not a transform —
+//! `tests/exchange_backends.rs` pins that); what moves is the critical
+//! path's store-I/O share.
 //!
 //! ```text
 //! cargo run --release -p faaspipe-bench --bin repro_io_concurrency [-- --quick] [--jobs N]

@@ -45,6 +45,13 @@ const ARRIVAL_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 /// for the runs themselves before the clock's `u64` nanoseconds overflow.
 pub const MAX_ARRIVAL_NS: u64 = 1 << 62;
 
+/// The most runs one arrival schedule may submit, from a Poisson process
+/// (about rate × horizon) or a trace. Every arrival becomes a run with
+/// its own dataset and bucket, so an unchecked count sizes the schedule
+/// and then per-run state past any host's memory; the ceiling is far
+/// above the ~90 runs of the benchmark's cluster workload.
+pub const MAX_ARRIVALS: usize = 1_000_000;
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
@@ -65,7 +72,9 @@ impl ArrivalProcess {
     ///
     /// # Errors
     /// A message when the configuration is unusable (non-positive rate
-    /// or weights, out-of-range tenant index, unsorted trace).
+    /// or weights, out-of-range tenant index, unsorted trace, or more
+    /// than [`MAX_ARRIVALS`] arrivals — a Poisson process stops drawing
+    /// as soon as it passes the ceiling).
     pub fn generate(&self, seed: u64, weights: &[f64]) -> Result<Vec<Arrival>, String> {
         if weights.is_empty() {
             return Err("at least one tenant is required".to_string());
@@ -95,6 +104,12 @@ impl ArrivalProcess {
                     if t >= horizon_s {
                         break;
                     }
+                    if out.len() == MAX_ARRIVALS {
+                        return Err(format!(
+                            "a rate of {rate_per_sec}/s over {horizon_s} s submits more than \
+                             {MAX_ARRIVALS} runs, the ceiling on arrivals"
+                        ));
+                    }
                     let mut pick = uniform01(&mut state) * total;
                     let mut tenant = weights.len() - 1;
                     for (i, w) in weights.iter().enumerate() {
@@ -112,6 +127,12 @@ impl ArrivalProcess {
                 Ok(out)
             }
             ArrivalProcess::Trace(rows) => {
+                if rows.len() > MAX_ARRIVALS {
+                    return Err(format!(
+                        "the trace submits {} runs, above the ceiling of {MAX_ARRIVALS} arrivals",
+                        rows.len()
+                    ));
+                }
                 for (i, a) in rows.iter().enumerate() {
                     if a.tenant >= weights.len() {
                         return Err(format!(
@@ -242,6 +263,40 @@ mod tests {
             .generate(0, &[1.0])
             .expect("gen");
         assert_eq!(rows[0].at, SimTime::from_nanos(4_611_686_018_000_000_000));
+    }
+
+    #[test]
+    fn arrival_counts_stop_at_the_ceiling() {
+        // 10^9 runs/s for 1 s: the draw fails once it passes the
+        // ceiling instead of growing a billion-row schedule.
+        let flood = ArrivalProcess::Poisson {
+            rate_per_sec: 1e9,
+            horizon: SimDuration::from_secs(1),
+        };
+        let err = flood.generate(1, &[1.0]).expect_err("past the ceiling");
+        assert!(err.contains("more than 1000000 runs"), "{err}");
+
+        let row = Arrival {
+            at: SimTime::ZERO,
+            tenant: 0,
+        };
+        let mut rows = vec![row; MAX_ARRIVALS];
+        let at_ceiling = ArrivalProcess::Trace(rows.clone());
+        assert_eq!(
+            at_ceiling
+                .generate(0, &[1.0])
+                .expect("at the ceiling")
+                .len(),
+            MAX_ARRIVALS
+        );
+        rows.push(row);
+        let err = ArrivalProcess::Trace(rows)
+            .generate(0, &[1.0])
+            .expect_err("one row past the ceiling");
+        assert_eq!(
+            err,
+            "the trace submits 1000001 runs, above the ceiling of 1000000 arrivals"
+        );
     }
 
     #[test]

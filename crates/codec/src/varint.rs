@@ -58,64 +58,6 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Appends a signed integer as zigzag + LEB128.
-pub fn write_i64(out: &mut Vec<u8>, value: i64) {
-    write_u64(out, zigzag(value));
-}
-
-/// Reads a signed zigzag + LEB128 integer.
-///
-/// # Errors
-/// Same conditions as [`read_u64`].
-pub fn read_i64(input: &[u8]) -> Result<(i64, usize), CodecError> {
-    let (raw, used) = read_u64(input)?;
-    Ok((unzigzag(raw), used))
-}
-
-/// A cursor for reading consecutive varints out of a slice.
-#[derive(Debug, Clone)]
-pub struct VarintReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> VarintReader<'a> {
-    /// Creates a cursor at the start of `data`.
-    pub fn new(data: &'a [u8]) -> Self {
-        VarintReader { data, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Whether all input has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.data.len()
-    }
-
-    /// Reads the next unsigned varint.
-    ///
-    /// # Errors
-    /// Same conditions as [`read_u64`].
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let (v, used) = read_u64(&self.data[self.pos..])?;
-        self.pos += used;
-        Ok(v)
-    }
-
-    /// Reads the next signed varint.
-    ///
-    /// # Errors
-    /// Same conditions as [`read_u64`].
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
-        let (v, used) = read_i64(&self.data[self.pos..])?;
-        self.pos += used;
-        Ok(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,13 +84,9 @@ mod tests {
     }
 
     #[test]
-    fn i64_round_trip_edges() {
+    fn zigzag_round_trips_edges() {
         for v in [0i64, 1, -1, 63, -64, i32::MIN as i64, i64::MAX, i64::MIN] {
-            let mut buf = Vec::new();
-            write_i64(&mut buf, v);
-            let (got, used) = read_i64(&buf).expect("valid varint");
-            assert_eq!(got, v);
-            assert_eq!(used, buf.len());
+            assert_eq!(unzigzag(zigzag(v)), v);
         }
     }
 
@@ -183,19 +121,5 @@ mod tests {
             read_u64(&buf),
             Err(CodecError::LengthOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn cursor_reads_sequence() {
-        let mut buf = Vec::new();
-        write_u64(&mut buf, 7);
-        write_i64(&mut buf, -9);
-        write_u64(&mut buf, 1 << 40);
-        let mut r = VarintReader::new(&buf);
-        assert_eq!(r.u64().expect("first"), 7);
-        assert_eq!(r.i64().expect("second"), -9);
-        assert_eq!(r.u64().expect("third"), 1 << 40);
-        assert!(r.is_empty());
-        assert_eq!(r.position(), buf.len());
     }
 }

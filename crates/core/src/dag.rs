@@ -53,8 +53,8 @@ pub enum StageKind {
         /// function-to-function streaming.
         exchange: ExchangeKind,
         /// Per-function I/O window for store reads and exchange
-        /// transfers (`None` = the executor's default). `Some(1)`
-        /// reproduces the historical strictly-sequential data plane.
+        /// transfers (`None` = the executor's default). `Some(1)` keeps
+        /// one request in flight per function.
         io_concurrency: Option<usize>,
         /// Input prefix of binary record chunks.
         input: String,

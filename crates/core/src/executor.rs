@@ -120,8 +120,8 @@ pub struct Executor {
     /// Upper bound a `workers: auto` stage may plan.
     pub max_autotune_workers: usize,
     /// Default per-function I/O window for shuffle stages that don't
-    /// pin one (`StageKind::ShuffleSort::io_concurrency`). `1` is the
-    /// historical strictly-sequential data plane.
+    /// pin one (`StageKind::ShuffleSort::io_concurrency`). `1` keeps one
+    /// request in flight per function.
     pub io_concurrency: usize,
     /// Lithops-style driver orchestration overhead per execution phase
     /// (job serialization + upload, invoke fan-out, COS future polling).

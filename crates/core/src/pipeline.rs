@@ -85,7 +85,8 @@ pub struct PipelineConfig {
     pub exchange: ExchangeKind,
     /// Per-function I/O window for the serverless shuffle: how many
     /// store reads / exchange transfers each function keeps in flight.
-    /// `1` reproduces the historical strictly-sequential data plane.
+    /// `1` is one request at a time (one helper per phase, the same
+    /// windowed path as every other K).
     pub io_concurrency: usize,
     /// Codec for the encode stage (METHCOMP, or the gzip-class baseline
     /// for the end-to-end codec comparison).

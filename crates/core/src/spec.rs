@@ -95,7 +95,7 @@ pub struct StageSpec {
     pub exchange: Option<String>,
     /// Per-function I/O window for `shuffle_sort` (how many store
     /// reads / exchange transfers each function keeps in flight).
-    /// Omitted = the executor's default; `1` = strictly sequential.
+    /// Omitted = the executor's default; `1` = one request at a time.
     pub io_concurrency: Option<usize>,
     /// Input prefix.
     pub input: String,

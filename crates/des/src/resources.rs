@@ -108,11 +108,6 @@ impl RateLimiter {
         }
     }
 
-    /// Number of processes waiting.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
     fn refill(&mut self, now: SimTime) {
         let dt = now
             .saturating_duration_since(self.last_refill)

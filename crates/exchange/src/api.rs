@@ -195,18 +195,18 @@ pub struct ExchangeEnv {
     /// Attempts per exchange request (fed to
     /// [`with_retry`](crate::with_retry)).
     pub retries: u32,
-    /// Maximum concurrent in-flight requests a batched exchange call
-    /// ([`DataExchange::read_partitions`], and the batched write paths)
-    /// may keep open at once. `1` (the historical behavior) means
-    /// strictly sequential requests on the caller's process — backends
-    /// must not spawn helpers in that case so request ordering and rng
-    /// draws are bit-identical to the pre-windowed code.
+    /// Maximum concurrent in-flight requests one
+    /// [`write_run`](DataExchange::write_run) or
+    /// [`read_gather`](DataExchange::read_gather) call keeps open. A call
+    /// that issues several requests runs them on helper processes
+    /// through its backend's one windowed path; a window of `1` (or `0`)
+    /// is one helper issuing one request at a time.
     pub io_window: usize,
 }
 
 impl ExchangeEnv {
     /// An env for driver-side calls (no NIC, a bare tag, `retries`
-    /// attempts, sequential I/O).
+    /// attempts, a window of one).
     pub fn driver(tag: impl Into<Arc<str>>, retries: u32) -> ExchangeEnv {
         ExchangeEnv {
             host_links: FlowLinks::new(),
@@ -221,18 +221,19 @@ impl ExchangeEnv {
 /// reducers.
 ///
 /// The shuffle calls [`prepare`](DataExchange::prepare) once from the
-/// driver, then every mapper hands its partition vector to
-/// [`write_partitions`](DataExchange::write_partitions), every reducer
-/// pulls its column with [`read_partition`](DataExchange::read_partition),
-/// and the driver ends with [`cleanup`](DataExchange::cleanup). All
-/// methods charge virtual time (latency, bandwidth via the fluid-flow
-/// network, provisioning where applicable) and record trace spans; all
-/// transient faults are absorbed by the shared retry helper using
-/// `env.retries`.
+/// driver, then every mapper hands its sorted run and cut list to
+/// [`write_run`](DataExchange::write_run), every reducer pulls its
+/// column with [`read_gather`](DataExchange::read_gather), and the
+/// driver ends with [`cleanup`](DataExchange::cleanup). Each backend has
+/// exactly one write path and one read path; wherever a call issues
+/// several requests, at most `env.io_window` are in flight. All methods
+/// charge virtual time (latency, bandwidth via the fluid-flow network,
+/// provisioning where applicable) and record trace spans; all transient
+/// faults are absorbed by the shared retry helper using `env.retries`.
 ///
 /// Implementations must be idempotent under re-invocation: a crashed
-/// mapper's re-run re-writes the same partitions, a reducer may read the
-/// same partition twice.
+/// mapper's re-run re-writes the same partitions, a reducer may gather
+/// the same column twice.
 ///
 /// Every method returns a boxed local future, so the trait stays
 /// object-safe.
@@ -251,35 +252,16 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         parts: usize,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
 
-    /// Stores mapper `map`'s partitions (`parts[j]` goes to reducer
-    /// `j`). Returns the number of payload bytes written.
-    fn write_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        parts: Vec<Bytes>,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
-
-    /// Stores mapper `map`'s partitions given as one contiguous `run`
+    /// Stores mapper `map`'s partitions, given as one contiguous `run`
     /// buffer plus its sparse cut list: `cuts[i] = (part, offset, len)`
     /// says partition `part` is `run[offset..offset + len]`, cuts are
     /// part-ascending and non-overlapping, and every partition in
-    /// `0..parts_len` absent from `cuts` is empty. Equivalent to
-    /// [`DataExchange::write_partitions`] with the reconstructed dense
-    /// vector — same bytes on the wire, same virtual time — but a
-    /// backend that stores the concatenation anyway (the coalesced
-    /// object-store layout) does O(cuts) host work instead of
-    /// O(parts_len). Returns the number of payload bytes written.
+    /// `0..parts_len` absent from `cuts` is empty. Returns the number of
+    /// payload bytes written.
     ///
-    /// The default implementation reconstructs the dense partition
-    /// vector (cheap zero-copy [`Bytes::slice`]s of `run`, empty slots
-    /// for absent cuts) and delegates to
-    /// [`write_partitions`](DataExchange::write_partitions), so every
-    /// backend's store traffic — and therefore its virtual time — is
-    /// exactly what the dense write produced. Backends whose wire format
-    /// already concatenates the partitions override it to skip the dense
-    /// vector entirely.
+    /// A backend that stores the concatenation anyway (the coalesced
+    /// object-store layout) does O(cuts) host work; the others store or
+    /// register one object per partition, empty ones included.
     fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
@@ -288,81 +270,31 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         run: Bytes,
         cuts: Vec<(u32, u64, u64)>,
         parts_len: usize,
-    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
-        Box::pin(async move {
-            let mut parts = vec![Bytes::new(); parts_len];
-            for &(part, off, len) in &cuts {
-                parts[part as usize] = run.slice(off as usize..(off + len) as usize);
-            }
-            self.write_partitions(ctx, env, map, parts).await
-        })
-    }
-
-    /// Fetches the partition mapper `map` wrote for reducer `part`.
-    fn read_partition<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        map: usize,
-        part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>>;
-
-    /// Fetches a batch of partitions, `reqs[i] = (map, part)`, returning
-    /// the payloads in request order.
-    ///
-    /// Backends keep up to `env.io_window` requests in flight
-    /// concurrently (sharing the caller's NIC links); with
-    /// `env.io_window <= 1` every implementation must fall back to the
-    /// exact sequential behavior. The default implementation is a
-    /// sequential loop.
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            let mut out = Vec::with_capacity(reqs.len());
-            for &(map, part) in reqs {
-                out.push(self.read_partition(ctx, env, map, part).await?);
-            }
-            Ok(out)
-        })
-    }
+    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>>;
 
     /// A reducer's whole-column gather: the non-empty runs of partition
-    /// `part` from mappers `0..maps`, in ascending mapper order.
+    /// `part` from mappers `0..maps`, in ascending mapper order, with up
+    /// to `env.io_window` requests in flight (sharing the caller's NIC
+    /// links).
     ///
-    /// Virtual time is identical to reading the column with
-    /// [`DataExchange::read_partitions`] — the same store requests go
-    /// out, over the same windowed schedule — but the return value skips
-    /// zero-length runs, so a W-wide gather whose column holds k
-    /// non-empty partitions costs O(k) host work on backends that
-    /// override it, not O(W). Dropping empty runs is merge-neutral: a
-    /// k-way merge's output never depends on the empty runs' positions.
-    ///
-    /// The default implementation is the dense batch read over
-    /// `(m, part)` for every `m < maps` with the zero-length runs dropped
-    /// afterwards; backends whose bookkeeping knows which partitions are
-    /// empty override it to do work proportional to the *non-empty* runs
-    /// only.
+    /// Zero-length runs are left out of the result. Dropping them is
+    /// merge-neutral: a k-way merge's output never depends on the empty
+    /// runs' positions. A backend whose bookkeeping knows which
+    /// partitions are empty (the coalesced layout) issues no request for
+    /// them and does work proportional to the non-empty runs only.
     ///
     /// # Errors
     /// [`ExchangeError::MissingPartition`] if any mapper in `0..maps`
-    /// never wrote partition `part`.
+    /// never wrote partition `part` (the direct backend waits out its
+    /// rendezvous window for a late writer and then fails with
+    /// [`ExchangeError::PeerTimeout`]).
     fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
-        Box::pin(async move {
-            let reqs: Vec<(usize, usize)> = (0..maps).map(|m| (m, part)).collect();
-            let runs = self.read_partitions(ctx, env, &reqs).await?;
-            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
-        })
-    }
+    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>>;
 
     /// Driver-side teardown after the reduce phase: releases backing
     /// resources (the VM-relay backend stops its billing clock here).
@@ -371,6 +303,46 @@ pub trait DataExchange: fmt::Debug + Send + Sync {
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
     ) -> LocalBoxFuture<'a, Result<(), ExchangeError>>;
+}
+
+/// The dense partition vector of a [`DataExchange::write_run`] call:
+/// zero-copy slices of `run` for the cut partitions, empty buffers for
+/// the other slots of `0..parts_len`.
+pub(crate) fn dense_parts(run: &Bytes, cuts: &[(u32, u64, u64)], parts_len: usize) -> Vec<Bytes> {
+    let mut parts = vec![Bytes::new(); parts_len];
+    for &(part, off, len) in cuts {
+        parts[part as usize] = run.slice(off as usize..(off + len) as usize);
+    }
+    parts
+}
+
+/// The inverse of [`dense_parts`], for tests that state partitions
+/// densely: the concatenated run and the cuts of its non-empty parts.
+#[cfg(test)]
+pub(crate) fn run_of(parts: &[Bytes]) -> (Bytes, Vec<(u32, u64, u64)>) {
+    let mut run = Vec::new();
+    let mut cuts = Vec::new();
+    for (j, data) in parts.iter().enumerate() {
+        if !data.is_empty() {
+            cuts.push((j as u32, run.len() as u64, data.len() as u64));
+        }
+        run.extend_from_slice(data);
+    }
+    (Bytes::from(run), cuts)
+}
+
+/// Writes mapper `map`'s dense `parts` through
+/// [`DataExchange::write_run`], as the shuffle's mappers do.
+#[cfg(test)]
+pub(crate) async fn write_parts(
+    ex: &dyn DataExchange,
+    ctx: &mut Ctx,
+    env: &ExchangeEnv,
+    map: usize,
+    parts: Vec<Bytes>,
+) -> Result<u64, ExchangeError> {
+    let (run, cuts) = run_of(&parts);
+    ex.write_run(ctx, env, map, run, cuts, parts.len()).await
 }
 
 #[cfg(test)]
@@ -540,11 +512,25 @@ mod tests {
     }
 
     #[test]
+    fn dense_parts_inverts_run_of() {
+        let parts = vec![
+            Bytes::from("aa"),
+            Bytes::new(),
+            Bytes::from("cccc"),
+            Bytes::new(),
+        ];
+        let (run, cuts) = run_of(&parts);
+        assert_eq!(run, Bytes::from("aacccc"));
+        assert_eq!(cuts, vec![(0, 0, 2), (2, 2, 4)]);
+        assert_eq!(dense_parts(&run, &cuts, parts.len()), parts);
+    }
+
+    #[test]
     fn driver_env_has_no_links() {
         let env = ExchangeEnv::driver("sort/driver", 3);
         assert!(env.host_links.is_empty());
         assert_eq!(&*env.tag, "sort/driver");
         assert_eq!(env.retries, 3);
-        assert_eq!(env.io_window, 1, "driver calls stay sequential");
+        assert_eq!(env.io_window, 1, "driver calls keep a window of one");
     }
 }

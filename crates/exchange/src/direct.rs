@@ -9,7 +9,7 @@ use faaspipe_store::FailurePolicy;
 use faaspipe_trace::{Category, SpanId, TraceSink};
 use parking_lot::Mutex;
 
-use crate::api::{DataExchange, ExchangeEnv};
+use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
 
@@ -87,8 +87,8 @@ pub struct DirectExchange {
 }
 
 /// The shareable innards of [`DirectExchange`]: cloning is cheap and
-/// shares the rendezvous table, so the windowed read path can hand a
-/// clone to each fan-out child.
+/// shares the rendezvous table, so the gather can hand a clone to each
+/// fan-out child.
 #[derive(Clone)]
 struct DirectCore {
     cfg: std::sync::Arc<DirectConfig>,
@@ -250,27 +250,31 @@ impl DataExchange for DirectExchange {
         Box::pin(async { Ok(()) })
     }
 
-    fn write_partitions<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         map: usize,
-        parts: Vec<Bytes>,
+        run: Bytes,
+        cuts: Vec<(u32, u64, u64)>,
+        parts_len: usize,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
         Box::pin(async move {
             // Registration is one cheap rendezvous call: the data itself
             // stays in the sender's memory, so no bytes move here (and
-            // there is nothing to parallelize — `io_window` is moot).
+            // there is nothing to window — `io_window` is moot). Every
+            // partition is registered, empty ones included, so a reader
+            // finds each cell of its column.
             let span = self
                 .core
-                .span_begin(ctx, "REGISTER", &env.tag, map, parts.len());
+                .span_begin(ctx, "REGISTER", &env.tag, map, parts_len);
             ctx.sleep(self.core.cfg.handshake).await;
             let sender_nic = env.host_links.first().copied();
             let now = ctx.now();
             let mut written = 0u64;
             {
                 let mut state = self.core.state.lock();
-                for (j, data) in parts.into_iter().enumerate() {
+                for (j, data) in dense_parts(&run, &cuts, parts_len).into_iter().enumerate() {
                     written += data.len() as u64;
                     let wire = self.core.scaled(data.len());
                     // Idempotent overwrite for re-invoked mappers.
@@ -299,40 +303,21 @@ impl DataExchange for DirectExchange {
         })
     }
 
-    fn read_partition<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
-        map: usize,
+        maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                self.core.stream_part(c, env, map, part).await
-            })
-            .await
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
-                }
-                return Ok(out);
-            }
+            // One retried stream per sender, at most `io_window` in
+            // flight; empty partitions stream too (the rendezvous still
+            // has to confirm them).
             let trace = self.core.trace.clone();
             let parent = trace.current(ctx.pid());
-            let jobs: Vec<_> = reqs
-                .iter()
-                .map(|&(map, part)| {
+            let jobs: Vec<_> = (0..maps)
+                .map(|map| {
                     let core = self.core.clone();
                     let env = env.clone();
                     let trace = trace.clone();
@@ -349,11 +334,13 @@ impl DataExchange for DirectExchange {
                 })
                 .collect();
             let name = format!("{}-get", env.tag);
-            ctx.fan_out(&name, env.io_window, jobs)
+            let runs = ctx
+                .fan_out(&name, env.io_window, jobs)
                 .await
                 .unwrap_or_else(|e| panic!("windowed direct read crashed: {}", e))
                 .into_iter()
-                .collect()
+                .collect::<Result<Vec<Bytes>, ExchangeError>>()?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -377,6 +364,7 @@ impl DataExchange for DirectExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::write_parts;
     use faaspipe_des::Sim;
     use std::sync::Arc;
 
@@ -396,7 +384,7 @@ mod tests {
                     Bytes::from(format!("m{}p1", m)),
                 ];
                 assert_eq!(
-                    ex2.write_partitions(ctx, &env, m, parts)
+                    write_parts(&*ex2, ctx, &env, m, parts)
                         .await
                         .expect("write"),
                     8
@@ -405,11 +393,12 @@ mod tests {
             // Writes cost only the handshake, not a transfer.
             let write_cost = ctx.now().saturating_duration_since(before);
             assert!(write_cost <= SimDuration::from_millis(2));
-            for m in 0..2usize {
-                for j in 0..2usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
-                    assert_eq!(data, Bytes::from(format!("m{}p{}", m, j)));
-                }
+            for j in 0..2usize {
+                let column = ex2.read_gather(ctx, &env, 2, j).await.expect("read");
+                let want: Vec<Bytes> = (0..2)
+                    .map(|m| Bytes::from(format!("m{}p{}", m, j)))
+                    .collect();
+                assert_eq!(column, want);
             }
             assert_eq!(
                 ex2.core.state.lock().parts.len(),
@@ -435,14 +424,11 @@ mod tests {
             let ctx = &mut ctx;
             let env = ExchangeEnv::driver("test", 3);
             ex2.prepare(ctx, 1, 1).await.expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            write_parts(&*ex2, ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect("write");
             ctx.sleep(SimDuration::from_secs(10)).await;
-            let err = ex2
-                .read_partition(ctx, &env, 0, 0)
-                .await
-                .expect_err("evicted");
+            let err = ex2.read_gather(ctx, &env, 1, 0).await.expect_err("evicted");
             assert_eq!(err, ExchangeError::PeerGone { map: 0, part: 0 });
         });
         sim.run().expect("sim ok");
@@ -463,7 +449,7 @@ mod tests {
             ex2.prepare(ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("nobody wrote");
             assert_eq!(err, ExchangeError::PeerTimeout { map: 0, part: 0 });
@@ -485,8 +471,7 @@ mod tests {
             let env = ExchangeEnv::driver("w", 3);
             writer.prepare(ctx, 1, 1).await.expect("prepare");
             ctx.sleep(SimDuration::from_secs(2)).await;
-            writer
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("late")])
+            write_parts(&*writer, ctx, &env, 0, vec![Bytes::from("late")])
                 .await
                 .expect("write");
         });
@@ -495,8 +480,8 @@ mod tests {
             // Starts before the writer has registered anything.
             ctx.sleep(SimDuration::from_millis(10)).await;
             let env = ExchangeEnv::driver("r", 3);
-            let data = reader.read_partition(ctx, &env, 0, 0).await.expect("read");
-            assert_eq!(data, Bytes::from("late"));
+            let column = reader.read_gather(ctx, &env, 1, 0).await.expect("read");
+            assert_eq!(column, vec![Bytes::from("late")]);
         });
         sim.run().expect("sim ok");
     }
@@ -516,16 +501,16 @@ mod tests {
             ex2.prepare(ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts)
+                write_parts(&*ex2, ctx, &env, m, parts)
                     .await
                     .expect("write");
             }
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    ex2.read_partition(ctx, &env, m, j)
-                        .await
-                        .expect("reads survive 40% injected timeouts");
-                }
+            for j in 0..4usize {
+                let column = ex2
+                    .read_gather(ctx, &env, 4, j)
+                    .await
+                    .expect("reads survive 40% injected timeouts");
+                assert_eq!(column.len(), 4);
             }
         });
         sim.run().expect("sim ok");

@@ -19,9 +19,8 @@ use faaspipe_des::{Ctx, LocalBoxFuture};
 use faaspipe_trace::TraceSink;
 use faaspipe_vm::VmFleet;
 
-use crate::api::{DataExchange, ExchangeEnv};
+use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
 use crate::vm_relay::{relay_gets_windowed, relay_puts_windowed, RelayConfig, RelayShard};
 
 /// Tuning of the [`ShardedRelayExchange`].
@@ -149,73 +148,42 @@ impl DataExchange for ShardedRelayExchange {
         })
     }
 
-    fn write_partitions<'a>(
+    fn write_run<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
         map: usize,
-        parts: Vec<Bytes>,
+        run: Bytes,
+        cuts: Vec<(u32, u64, u64)>,
+        parts_len: usize,
     ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
         Box::pin(async move {
-            let written = parts.iter().map(|d| d.len() as u64).sum();
-            if env.io_window > 1 && parts.len() > 1 {
-                // Routing happens here in the caller; children only move
-                // bytes, so the cell→shard mapping stays identical to the
-                // sequential path.
-                let items = parts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, data)| (Arc::clone(self.route(map, j)), map, j, data))
-                    .collect();
-                relay_puts_windowed(ctx, env, items).await?;
-                return Ok(written);
-            }
-            for (j, data) in parts.into_iter().enumerate() {
-                let shard = self.route(map, j);
-                with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                    shard.put_part(c, env, map, j, &data).await
-                })
-                .await?;
-            }
+            let written = cuts.iter().map(|&(_, _, len)| len).sum();
+            // One PUT per partition, empty ones included. Routing happens
+            // here in the caller; children only move bytes.
+            let items = dense_parts(&run, &cuts, parts_len)
+                .into_iter()
+                .enumerate()
+                .map(|(j, data)| (Arc::clone(self.route(map, j)), map, j, data))
+                .collect();
+            relay_puts_windowed(ctx, env, items).await?;
             Ok(written)
         })
     }
 
-    fn read_partition<'a>(
+    fn read_gather<'a>(
         &'a self,
         ctx: &'a mut Ctx,
         env: &'a ExchangeEnv,
-        map: usize,
+        maps: usize,
         part: usize,
-    ) -> LocalBoxFuture<'a, Result<Bytes, ExchangeError>> {
-        Box::pin(async move {
-            let shard = self.route(map, part);
-            with_retry(ctx, env.retries, async |c: &mut Ctx| {
-                shard.get_part(c, env, map, part).await
-            })
-            .await
-        })
-    }
-
-    fn read_partitions<'a>(
-        &'a self,
-        ctx: &'a mut Ctx,
-        env: &'a ExchangeEnv,
-        reqs: &'a [(usize, usize)],
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            if env.io_window <= 1 || reqs.len() <= 1 {
-                let mut out = Vec::with_capacity(reqs.len());
-                for &(map, part) in reqs {
-                    out.push(self.read_partition(ctx, env, map, part).await?);
-                }
-                return Ok(out);
-            }
-            let items = reqs
-                .iter()
-                .map(|&(map, part)| (Arc::clone(self.route(map, part)), map, part))
+            let items = (0..maps)
+                .map(|map| (Arc::clone(self.route(map, part)), map, part))
                 .collect();
-            relay_gets_windowed(ctx, env, items).await
+            let runs = relay_gets_windowed(ctx, env, items).await?;
+            Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }
 
@@ -236,6 +204,7 @@ impl DataExchange for ShardedRelayExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::write_parts;
     use faaspipe_des::{ByteSize, Sim, SimDuration};
     use faaspipe_store::FailurePolicy;
     use faaspipe_trace::Category;
@@ -289,17 +258,18 @@ mod tests {
                 let parts = (0..4)
                     .map(|j| Bytes::from(vec![(m * 4 + j) as u8; 64]))
                     .collect();
-                ex2.write_partitions(ctx, &env, m, parts)
+                write_parts(&*ex2, ctx, &env, m, parts)
                     .await
                     .expect("write");
             }
             let stored: usize = ex2.shards.iter().map(|s| s.object_count()).sum();
             assert_eq!(stored, 16);
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    let data = ex2.read_partition(ctx, &env, m, j).await.expect("read");
-                    assert_eq!(data, Bytes::from(vec![(m * 4 + j) as u8; 64]));
-                }
+            for j in 0..4usize {
+                let column = ex2.read_gather(ctx, &env, 4, j).await.expect("read");
+                let want: Vec<Bytes> = (0..4usize)
+                    .map(|m| Bytes::from(vec![(m * 4 + j) as u8; 64]))
+                    .collect();
+                assert_eq!(column, want);
             }
             ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
@@ -329,7 +299,8 @@ mod tests {
             );
             // 10 s of "sample phase" overlap the 44 s boots...
             ctx.sleep(SimDuration::from_secs(10)).await;
-            ex2.write_partitions(
+            write_parts(
+                &*ex2,
                 ctx,
                 &env,
                 0,
@@ -368,7 +339,8 @@ mod tests {
             let env = driver_env();
             ex2.prepare(ctx, 2, 2).await.expect("prepare");
             ctx.sleep(SimDuration::from_secs(10)).await;
-            ex2.write_partitions(
+            write_parts(
+                &*ex2,
                 ctx,
                 &env,
                 0,
@@ -500,8 +472,7 @@ mod tests {
             assert_eq!(ctx.now().as_secs_f64(), 44.0, "provisioning charged");
             for m in 0..2usize {
                 let parts = vec![Bytes::from(vec![m as u8; 100]), Bytes::from(vec![0u8; 50])];
-                let written = ex2
-                    .write_partitions(ctx, &env, m, parts)
+                let written = write_parts(&*ex2, ctx, &env, m, parts)
                     .await
                     .expect("write");
                 assert_eq!(written, 150);
@@ -516,8 +487,11 @@ mod tests {
                     "cell ({m}, {j}) in memory"
                 );
             }
-            let data = ex2.read_partition(ctx, &env, 1, 0).await.expect("read");
-            assert_eq!(data, Bytes::from(vec![1u8; 100]));
+            let column = ex2.read_gather(ctx, &env, 2, 0).await.expect("read");
+            assert_eq!(
+                column,
+                vec![Bytes::from(vec![0u8; 100]), Bytes::from(vec![1u8; 100])]
+            );
             ex2.cleanup(ctx, &env).await.expect("cleanup");
         });
         sim.run().expect("sim ok");
@@ -567,7 +541,7 @@ mod tests {
             let ctx = &mut ctx;
             let env = driver_env();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("read before prepare");
             assert_eq!(
@@ -577,16 +551,13 @@ mod tests {
                 }
             );
             ex2.prepare(ctx, 1, 1).await.expect("prepare");
-            ex2.write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            write_parts(&*ex2, ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect("request 1");
-            let data = ex2
-                .read_partition(ctx, &env, 0, 0)
-                .await
-                .expect("request 2");
-            assert_eq!(data, Bytes::from("x"));
+            let column = ex2.read_gather(ctx, &env, 1, 0).await.expect("request 2");
+            assert_eq!(column, vec![Bytes::from("x")]);
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("request 3 trips the crash");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -616,7 +587,7 @@ mod tests {
             ex2.prepare(ctx, 1, 1).await.expect("prepare");
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("first request crashes the relay");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -629,7 +600,7 @@ mod tests {
             );
             let before = ctx.now();
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("relay stays down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -642,8 +613,7 @@ mod tests {
             );
             // NotPrepared pays the round-trip too.
             let before = ctx.now();
-            unprepared
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            write_parts(&*unprepared, ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect_err("not prepared");
             let paid = ctx.now().saturating_duration_since(before).as_secs_f64();
@@ -674,11 +644,11 @@ mod tests {
                 let env = driver_env();
                 ex2.prepare(ctx, 1, 1).await.expect("prepare");
                 let blob = Bytes::from(vec![7u8; 8 * 1024 * 1024]);
-                ex2.write_partitions(ctx, &env, 0, vec![blob])
+                write_parts(&*ex2, ctx, &env, 0, vec![blob])
                     .await
                     .expect("write");
                 let before = ctx.now();
-                ex2.read_partition(ctx, &env, 0, 0).await.expect("read");
+                ex2.read_gather(ctx, &env, 1, 0).await.expect("read");
                 *out2.lock() = ctx.now().saturating_duration_since(before).as_secs_f64();
             });
             sim.run().expect("sim ok");
@@ -764,7 +734,7 @@ mod tests {
                         Bytes::from(vec![round as u8; 40]),
                         Bytes::from(vec![round as u8; 35]),
                     ];
-                    ex2.write_partitions(ctx, &env, m, parts)
+                    write_parts(&*ex2, ctx, &env, m, parts)
                         .await
                         .expect("write");
                 }
@@ -800,16 +770,16 @@ mod tests {
             ex2.prepare(ctx, 4, 4).await.expect("prepare");
             for m in 0..4usize {
                 let parts = (0..4).map(|_| Bytes::from(vec![1u8; 64])).collect();
-                ex2.write_partitions(ctx, &env, m, parts)
+                write_parts(&*ex2, ctx, &env, m, parts)
                     .await
                     .expect("writes survive 30% faults");
             }
-            for m in 0..4usize {
-                for j in 0..4usize {
-                    ex2.read_partition(ctx, &env, m, j)
-                        .await
-                        .expect("reads survive 30% faults");
-                }
+            for j in 0..4usize {
+                let column = ex2
+                    .read_gather(ctx, &env, 4, j)
+                    .await
+                    .expect("reads survive 30% faults");
+                assert_eq!(column.len(), 4);
             }
         });
         sim.run().expect("sim ok");
@@ -829,14 +799,13 @@ mod tests {
             let env = ExchangeEnv::driver("test", 5);
             ex2.prepare(ctx, 1, 4).await.expect("prepare");
             let parts = (0..4).map(|_| Bytes::from(vec![1u8; 16])).collect();
-            let err = ex2
-                .write_partitions(ctx, &env, 0, parts)
+            let err = write_parts(&*ex2, ctx, &env, 0, parts)
                 .await
                 .expect_err("crash kills the exchange");
             assert_eq!(err, ExchangeError::RelayDown { op: "PUT" });
             // Retries cannot resurrect a dead relay.
             let err = ex2
-                .read_partition(ctx, &env, 0, 0)
+                .read_gather(ctx, &env, 1, 0)
                 .await
                 .expect_err("still down");
             assert_eq!(err, ExchangeError::RelayDown { op: "GET" });
@@ -852,8 +821,7 @@ mod tests {
         sim.spawn("driver", move |mut ctx| async move {
             let ctx = &mut ctx;
             let env = driver_env();
-            let err = ex2
-                .write_partitions(ctx, &env, 0, vec![Bytes::from("x")])
+            let err = write_parts(&*ex2, ctx, &env, 0, vec![Bytes::from("x")])
                 .await
                 .expect_err("not prepared");
             assert_eq!(

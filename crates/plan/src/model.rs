@@ -326,9 +326,10 @@ impl ModelParams {
         DIRECT_CONVOY_WINDOWS * (w - k.min(w)).max(0.0) * part / self.fn_nic_bps
     }
 
-    /// Download/compute overlap for a K-windowed phase: sequential when
-    /// K = 1; pipelined otherwise, with one ~`1/(2K)` chunk of the
-    /// shorter side left un-hidden (the pipeline fill).
+    /// Download/compute overlap for a K-windowed phase: none when K = 1
+    /// (one helper downloads and computes in turn); pipelined otherwise,
+    /// with one ~`1/(2K)` chunk of the shorter side left un-hidden (the
+    /// pipeline fill).
     fn overlap(&self, io_s: f64, compute_s: f64, k: f64) -> f64 {
         if k <= 1.0 {
             io_s + compute_s
@@ -378,10 +379,9 @@ impl ModelParams {
                 .max(self.ops_floor_s(chunks));
 
         // ---- map: download ∥ sort, then partition, then exchange write. ----
-        // K = 1 issues one ranged GET per assigned span; K > 1 splits the
-        // spans into ~2K record-aligned chunks and keeps K in flight.
-        let spans_per_fn = (chunks / w).ceil().max(1.0);
-        let dl_requests = if k <= 1.0 { spans_per_fn } else { 2.0 * k };
+        // Every mapper splits its spans into ~2K record-aligned chunks
+        // and keeps K in flight.
+        let dl_requests = 2.0 * k;
         let map_dl = windows(dl_requests, k) * lat + d / bw;
         let map_sort = d / self.sort_bps;
         let map_io_compute = self.overlap(map_dl, map_sort, k);
@@ -500,11 +500,7 @@ impl ModelParams {
         let fn_cost = fn_seconds * p.fn_memory_gb * p.fn_gb_second;
 
         // Store request classes: A = mutations (PUT/LIST), B = reads.
-        let dl_requests = if k <= 1.0 {
-            (chunks / w).ceil().max(1.0)
-        } else {
-            2.0 * k
-        };
+        let dl_requests = 2.0 * k;
         let mut class_a = 1.0 + w; // driver LISTs + reduce run PUTs
         let mut class_b = chunks + w * dl_requests; // sample + map reads
         match cand.exchange {

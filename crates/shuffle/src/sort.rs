@@ -104,12 +104,13 @@ pub struct SortConfig {
     /// (one extra timed PUT).
     pub manifest_key: Option<String>,
     /// Concurrent transfers per function (the intra-function parallel
-    /// I/O window). `1` reproduces the historical strictly-sequential
-    /// data plane bit-for-bit; higher values fan sample range-reads
-    /// out, overlap mapper chunk downloads with decode/sort compute,
-    /// window reducer gathers, and parallelise exchange writes — each
-    /// connection gets its own store link, so per-function throughput
-    /// climbs toward the NIC cap (or the store's aggregate cap).
+    /// I/O window, K). Every phase runs its requests on K helper
+    /// processes: sample range-reads, mapper chunk downloads (~2·K
+    /// chunks, overlapped with the sort compute), exchange writes and
+    /// reducer gathers. `1` (or `0`) is one helper issuing one request
+    /// at a time; wider windows give each connection its own store
+    /// link, so per-function throughput climbs toward the NIC cap (or
+    /// the store's aggregate cap).
     pub io_concurrency: usize,
 }
 
@@ -272,10 +273,11 @@ pub fn streaming_merge<R: SortRecord>(runs: &[Bytes]) -> Result<Vec<u8>, Shuffle
 
 /// Splits a mapper's assigned `(key, offset, len)` spans into
 /// record-aligned download chunks sized so a window of `k` transfers
-/// yields roughly two chunks per slot (`total / 2k`) — small enough to
-/// keep the pipeline full, large enough to amortize per-request
-/// latency. Spans are split in order, so concatenating the chunk
-/// payloads reproduces the sequential read byte for byte.
+/// (`0` counts as `1`) yields roughly two chunks per slot
+/// (`total / 2k`, never below one record) — small enough to keep the
+/// pipeline full, large enough to amortize per-request latency. Spans are split in order, so
+/// concatenating the chunk payloads reproduces the assignment byte for
+/// byte.
 fn split_chunks(
     assigned: &[(Arc<str>, u64, u64)],
     k: usize,
@@ -283,7 +285,7 @@ fn split_chunks(
 ) -> Vec<(Arc<str>, u64, u64)> {
     let total: u64 = assigned.iter().map(|(_, _, len)| len).sum();
     let target = total
-        .div_ceil((k * 2) as u64)
+        .div_ceil(k.max(1).saturating_mul(2) as u64)
         .max(rec)
         .div_ceil(rec)
         .saturating_mul(rec);
@@ -392,78 +394,54 @@ pub async fn serverless_sort<R: SortRecord>(
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
                     let mut reservoir = Reservoir::new(cfg.sample_capacity);
                     // Seeded from the logical mapper index, and offered
-                    // to in assignment order on both I/O paths below, so
-                    // the partition boundaries are invariant to
-                    // `io_concurrency`.
+                    // to in assignment order below, so the partition
+                    // boundaries are invariant to `io_concurrency`.
                     let mut rng = SmallRng::seed_from_u64(cfg.sample_seed ^ splitmix(m as u64));
-                    if cfg.io_concurrency <= 1 {
-                        let client = store.connect_via(fctx, tag, &[env.nic]).await;
-                        for (key, len) in assigned.iter() {
-                            let span = cfg.sample_bytes.min(*len);
-                            let span = span - span % R::WIRE_SIZE as u64;
-                            if span == 0 {
-                                continue;
-                            }
-                            let data = with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
-                                client.get_range(c, &cfg.bucket, key, 0, span).await
+                    // Fan the per-input range reads out; parsing
+                    // serializes on the single vCPU while other reads
+                    // stream in. The reservoir draws stay on this
+                    // process, in assignment order.
+                    let trace = store.trace_sink();
+                    let parent = trace.current(fctx.pid());
+                    let cpu = fctx.sem_create(1).await;
+                    let mut jobs = Vec::new();
+                    for (key, len) in assigned.iter() {
+                        let span = cfg.sample_bytes.min(*len);
+                        let span = span - span % R::WIRE_SIZE as u64;
+                        if span == 0 {
+                            continue;
+                        }
+                        let store = Arc::clone(&store);
+                        let cfg = Arc::clone(&cfg);
+                        let env = env.clone();
+                        let trace = trace.clone();
+                        let key = key.clone();
+                        let tag = Arc::clone(&tag);
+                        jobs.push(async move |cctx: &mut Ctx| {
+                            trace.enter(cctx.pid(), parent);
+                            let client = store.connect_via(cctx, tag, &[env.nic]).await;
+                            let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                                client.get_range(c, &cfg.bucket, &key, 0, span).await
                             })
                             .await
                             .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                            env.compute(fctx, cfg.work.parse_time(data.len())).await;
-                            // Keys feed the reservoir straight off the
-                            // wire, in buffer order — same draws as the
-                            // decoded-record loop this replaces.
-                            kernel::scan_keys::<R>(&data, |k| reservoir.offer(k, &mut rng))
-                                .unwrap_or_else(|e| panic!("sample decode failed: {}", e));
-                        }
-                    } else {
-                        // Fan the per-input range reads out; parsing
-                        // serializes on the single vCPU while other
-                        // reads stream in. The reservoir draws stay on
-                        // this process, in assignment order.
-                        let trace = store.trace_sink();
-                        let parent = trace.current(fctx.pid());
-                        let cpu = fctx.sem_create(1).await;
-                        let mut jobs = Vec::new();
-                        for (key, len) in assigned.iter() {
-                            let span = cfg.sample_bytes.min(*len);
-                            let span = span - span % R::WIRE_SIZE as u64;
-                            if span == 0 {
-                                continue;
-                            }
-                            let store = Arc::clone(&store);
-                            let cfg = Arc::clone(&cfg);
-                            let env = env.clone();
-                            let trace = trace.clone();
-                            let key = key.clone();
-                            let tag = Arc::clone(&tag);
-                            jobs.push(async move |cctx: &mut Ctx| {
-                                trace.enter(cctx.pid(), parent);
-                                let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                                let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                                    client.get_range(c, &cfg.bucket, &key, 0, span).await
-                                })
-                                .await
-                                .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                                cctx.sem_acquire(cpu, 1).await;
-                                env.compute(cctx, cfg.work.parse_time(data.len())).await;
-                                cctx.sem_release(cpu, 1).await;
-                                trace.exit(cctx.pid());
-                                data
-                            });
-                        }
-                        let name = format!("{}/sample-io", cfg.tag);
-                        let chunks = fctx
-                            .fan_out(&name, cfg.io_concurrency, jobs)
-                            .await
-                            .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                        // Keys stream off the wire in assignment order —
-                        // the reservoir sees the exact sequence the
-                        // decoded-record loop produced.
-                        for data in &chunks {
-                            kernel::scan_keys::<R>(data, |k| reservoir.offer(k, &mut rng))
-                                .unwrap_or_else(|e| panic!("sample decode failed: {}", e));
-                        }
+                            cctx.sem_acquire(cpu, 1).await;
+                            env.compute(cctx, cfg.work.parse_time(data.len())).await;
+                            cctx.sem_release(cpu, 1).await;
+                            trace.exit(cctx.pid());
+                            data
+                        });
+                    }
+                    let name = format!("{}/sample-io", cfg.tag);
+                    let chunks = fctx
+                        .fan_out(&name, cfg.io_concurrency, jobs)
+                        .await
+                        .unwrap_or_else(|e| panic!("sample read failed: {}", e));
+                    // Keys stream off the wire in assignment order, so
+                    // the reservoir sees the same sequence at every K.
+                    for data in &chunks {
+                        kernel::scan_keys::<R>(data, |k| reservoir.offer(k, &mut rng))
+                            .unwrap_or_else(|e| panic!("sample decode failed: {}", e));
                     }
                     samples.lock().extend(reservoir.into_items());
                 },
@@ -511,72 +489,54 @@ pub async fn serverless_sort<R: SortRecord>(
                 Arc::clone(&map_fn),
                 Arc::clone(&tag),
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    // Downloaded chunks stay in wire form: the kernel sorts
-                    // and partitions views into these buffers, so record
-                    // payloads are copied once (chunk → partition bucket)
-                    // instead of decoded, sorted, and re-encoded.
-                    let mut chunks: Vec<Bytes> = Vec::new();
-                    let mut read_bytes = 0usize;
-                    if cfg.io_concurrency <= 1 {
-                        let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
-                        for (key, off, len) in assigned.iter() {
-                            let data = with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
-                                client.get_range(c, &cfg.bucket, key, *off, *len).await
-                            })
-                            .await
-                            .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                            read_bytes += data.len();
-                            chunks.push(data);
-                        }
-                        env.compute(fctx, cfg.work.sort_time(read_bytes)).await;
-                    } else {
-                        // Double-buffered pipeline: split the assignment into
-                        // ~2·K record-aligned chunks, keep K downloads in
-                        // flight on separate store connections, and charge
-                        // each chunk's share of the sort compute on the
-                        // single vCPU as it lands — downloads overlap
-                        // compute, compute never overlaps itself. The chunks
-                        // concatenate in assignment order, so the record
-                        // sequence (and after the kernel's order-preserving
-                        // sort below, the output bytes) is identical to the
-                        // sequential path.
-                        let splits =
-                            split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
-                        let trace = store.trace_sink();
-                        let parent = trace.current(fctx.pid());
-                        let cpu = fctx.sem_create(1).await;
-                        let jobs: Vec<_> = splits
-                            .into_iter()
-                            .map(|(key, off, len)| {
-                                let store = Arc::clone(&store);
-                                let cfg = Arc::clone(&cfg);
-                                let env = env.clone();
-                                let trace = trace.clone();
-                                let tag = Arc::clone(&tag);
-                                async move |cctx: &mut Ctx| {
-                                    trace.enter(cctx.pid(), parent);
-                                    let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                                    let data =
-                                        with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                                            client.get_range(c, &cfg.bucket, &key, off, len).await
-                                        })
-                                        .await
-                                        .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                                    cctx.sem_acquire(cpu, 1).await;
-                                    env.compute(cctx, cfg.work.sort_time(data.len())).await;
-                                    cctx.sem_release(cpu, 1).await;
-                                    trace.exit(cctx.pid());
-                                    data
-                                }
-                            })
-                            .collect();
-                        let name = format!("{}/map-io", cfg.tag);
-                        chunks = fctx
-                            .fan_out(&name, cfg.io_concurrency, jobs)
-                            .await
-                            .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                        read_bytes = chunks.iter().map(Bytes::len).sum();
-                    }
+                    // Double-buffered pipeline: split the assignment into
+                    // ~2·K record-aligned chunks, keep K downloads in
+                    // flight on separate store connections, and charge
+                    // each chunk's share of the sort compute on the
+                    // single vCPU as it lands — downloads overlap compute,
+                    // compute never overlaps itself (with K = 1 one helper
+                    // downloads and sorts the chunks in turn). The chunks
+                    // concatenate in assignment order, so the record
+                    // sequence — and after the kernel's order-preserving
+                    // sort below, the output bytes — is the same at every
+                    // K. Downloaded chunks stay in wire form: the kernel
+                    // sorts and partitions views into these buffers, so
+                    // record payloads are copied once (chunk → partition
+                    // bucket) instead of decoded, sorted, and re-encoded.
+                    let splits = split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
+                    let trace = store.trace_sink();
+                    let parent = trace.current(fctx.pid());
+                    let cpu = fctx.sem_create(1).await;
+                    let jobs: Vec<_> = splits
+                        .into_iter()
+                        .map(|(key, off, len)| {
+                            let store = Arc::clone(&store);
+                            let cfg = Arc::clone(&cfg);
+                            let env = env.clone();
+                            let trace = trace.clone();
+                            let tag = Arc::clone(&tag);
+                            async move |cctx: &mut Ctx| {
+                                trace.enter(cctx.pid(), parent);
+                                let client = store.connect_via(cctx, tag, &[env.nic]).await;
+                                let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                                    client.get_range(c, &cfg.bucket, &key, off, len).await
+                                })
+                                .await
+                                .unwrap_or_else(|e| panic!("map read failed: {}", e));
+                                cctx.sem_acquire(cpu, 1).await;
+                                env.compute(cctx, cfg.work.sort_time(data.len())).await;
+                                cctx.sem_release(cpu, 1).await;
+                                trace.exit(cctx.pid());
+                                data
+                            }
+                        })
+                        .collect();
+                    let name = format!("{}/map-io", cfg.tag);
+                    let chunks = fctx
+                        .fan_out(&name, cfg.io_concurrency, jobs)
+                        .await
+                        .unwrap_or_else(|e| panic!("map read failed: {}", e));
+                    let read_bytes: usize = chunks.iter().map(Bytes::len).sum();
                     // Sort + range-partition straight over the wire bytes:
                     // charge the partition compute in virtual time, then
                     // run the kernel inline. The kernel's (chunk, offset)
@@ -599,7 +559,7 @@ pub async fn serverless_sort<R: SortRecord>(
                         host_links: [env.nic].as_slice().into(),
                         tag,
                         retries: cfg.retries,
-                        io_window: cfg.io_concurrency.max(1),
+                        io_window: cfg.io_concurrency,
                     };
                     let written = backend
                         .write_run(fctx, &xenv, m, Bytes::from(run), cuts, w)
@@ -648,15 +608,13 @@ pub async fn serverless_sort<R: SortRecord>(
                         host_links: [env.nic].as_slice().into(),
                         tag,
                         retries: cfg.retries,
-                        io_window: cfg.io_concurrency.max(1),
+                        io_window: cfg.io_concurrency,
                     };
                     // Gather this partition's non-empty map outputs
-                    // through the backend's sparse column read (the same
-                    // store requests as a dense W-wide batch read — a
-                    // sequential loop when io_concurrency == 1 — but
-                    // O(non-empty) host work), keeping the raw wire
-                    // bytes so the merge can stream without decoding
-                    // whole runs up front. Dropping empty runs is
+                    // through the backend's column read (at most K
+                    // requests in flight), keeping the raw wire bytes so
+                    // the merge can stream without decoding whole runs
+                    // up front. Dropping empty runs is
                     // merge-neutral: the (key, run) tie-break preserves
                     // the non-empty runs' relative order.
                     let runs = backend
@@ -1260,6 +1218,29 @@ mod tests {
         let merged = streaming_merge::<u64>(&encoded).expect("merge");
         let expect = SortRecord::write_all(&kway_merge(runs));
         assert_eq!(merged, expect);
+    }
+
+    #[test]
+    fn split_chunks_cuts_two_record_aligned_chunks_per_window_slot() {
+        let key: Arc<str> = Arc::from("in/0");
+        let assigned = vec![(Arc::clone(&key), 0u64, 800u64)];
+        let chunks = |k: usize| -> Vec<(u64, u64)> {
+            split_chunks(&assigned, k, 8)
+                .into_iter()
+                .map(|(_, off, len)| (off, len))
+                .collect()
+        };
+        // A window of one (or zero) still reads two chunks.
+        assert_eq!(chunks(1), vec![(0, 400), (400, 400)]);
+        assert_eq!(chunks(0), chunks(1));
+        assert_eq!(chunks(4).len(), 8);
+        // A window too wide to double cuts one record per chunk instead
+        // of dividing by a wrapped zero.
+        for k in [1usize << 63, usize::MAX] {
+            let one_per_record = chunks(k);
+            assert_eq!(one_per_record.len(), 100);
+            assert!(one_per_record.iter().all(|&(_, len)| len == 8));
+        }
     }
 
     #[test]

@@ -577,6 +577,12 @@ fn cluster_rejects_unusable_limits_and_arrival_times_with_an_error() {
         &["--tenants", "100000000000"],
         "--tenants 100000000000 exceeds the ceiling of 1024",
     );
+    // A rate × horizon past the arrival ceiling used to grow a
+    // billion-row schedule and abort (exit 134).
+    fails_with(
+        &["--rate", "1e9", "--horizon", "1"],
+        "more than 1000000 runs, the ceiling on arrivals",
+    );
     // Horizons past 2^62 ns, including ones whose nanoseconds would
     // overflow `u64` (and wrapped in release builds).
     for horizon in ["4611686019", "18446744074", "20000000000"] {

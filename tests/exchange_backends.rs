@@ -3,6 +3,7 @@
 //! same input, and every backend must be trace-deterministic — two runs
 //! with the same seed export byte-identical traces.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -20,7 +21,7 @@ use faaspipe::exchange::{
 use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::shuffle::{serverless_sort, SortConfig, SortRecord};
 use faaspipe::store::{ObjectStore, StoreConfig};
-use faaspipe::trace::{chrome_trace_json, counters_csv, Category};
+use faaspipe::trace::{chrome_trace_json, counters_csv, Category, SpanId, TraceData};
 use faaspipe::vm::VmFleet;
 
 /// Runs the serverless sort through `kind` with the default I/O window
@@ -175,6 +176,85 @@ fn io_window_never_changes_output_bytes() {
     }
 }
 
+/// The most `StoreRequest` spans any one function invocation has open at
+/// once. Each request is charged to the invocation found by walking its
+/// parents (fan-out helpers parent their requests to the invocation that
+/// spawned them); a request that ends when another starts does not
+/// overlap it.
+fn peak_requests_per_invocation(trace: &TraceData) -> usize {
+    let by_id: HashMap<SpanId, _> = trace.spans.iter().map(|s| (s.id, s)).collect();
+    let mut edges: HashMap<SpanId, Vec<(u64, i32)>> = HashMap::new();
+    for span in &trace.spans {
+        if span.category != Category::StoreRequest {
+            continue;
+        }
+        let mut up = span.parent;
+        while let Some(id) = up {
+            let parent = by_id[&id];
+            if parent.category == Category::Invocation {
+                let end = span.end.expect("every request closes").as_nanos();
+                let list = edges.entry(id).or_default();
+                list.push((span.start.as_nanos(), 1));
+                list.push((end, -1));
+                break;
+            }
+            up = parent.parent;
+        }
+    }
+    let mut peak = 0;
+    for list in edges.values_mut() {
+        // Ends sort before starts at the same instant.
+        list.sort_unstable();
+        let mut open = 0i32;
+        for &(_, delta) in list.iter() {
+            open += delta;
+            peak = peak.max(open as usize);
+        }
+    }
+    peak
+}
+
+/// A window of one is one request at a time: with `io_concurrency = 1`
+/// no function invocation ever has two store, relay or direct requests
+/// open at once, whichever backend carries the shuffle — and with K = 4
+/// some invocation does reach four, so the check is not vacuous.
+#[test]
+fn a_window_of_one_keeps_one_request_in_flight_per_invocation() {
+    for kind in [
+        ExchangeKind::Scatter,
+        ExchangeKind::Coalesced,
+        ExchangeKind::VmRelay,
+        ExchangeKind::Direct,
+        ExchangeKind::ShardedRelay {
+            shards: 3,
+            prewarm: false,
+        },
+        ExchangeKind::ShardedRelay {
+            shards: 2,
+            prewarm: true,
+        },
+    ] {
+        for (k, want) in [(1usize, 1usize), (4, 4)] {
+            let mut cfg = PipelineConfig::paper_table1();
+            cfg.mode = PipelineMode::PureServerless;
+            cfg.physical_records = 6_000;
+            cfg.workers = WorkerChoice::Fixed(8);
+            cfg.exchange = kind;
+            cfg.io_concurrency = k;
+            cfg.trace = true;
+            let out = run_methcomp_pipeline(&cfg).expect("pipeline ok");
+            assert!(out.verified, "{} K={}: output must verify", kind, k);
+            assert_eq!(
+                peak_requests_per_invocation(&out.trace),
+                want,
+                "{} K={}: peak requests in flight per invocation",
+                kind,
+                k
+            );
+        }
+    }
+}
+
 /// Two identically-seeded pipeline runs must export byte-identical
 /// traces, whichever exchange backend carries the shuffle — the sharded
 /// fleet's hashed routing and background boots included.
@@ -196,8 +276,8 @@ fn same_seed_runs_are_trace_deterministic_for_every_backend() {
             cfg.mode = PipelineMode::PureServerless;
             cfg.physical_records = 15_000;
             cfg.exchange = kind;
-            // Pin a parallel data plane: determinism must hold with
-            // windowed I/O, not just the sequential fallback.
+            // Pin a window of four: determinism must hold with several
+            // requests in flight per function, not just one.
             cfg.io_concurrency = 4;
             cfg.trace = true;
             run_methcomp_pipeline(&cfg).expect("pipeline ok")
@@ -271,7 +351,7 @@ fn sharded_pipeline_bills_every_shard_and_prewarm_is_faster() {
 fn vm_relay_is_a_cold_single_shard_relay() {
     // (W, K, latency ns, events, bill in micro-dollars)
     let goldens: [(usize, usize, u64, u64, i64); 3] = [
-        (8, 1, 128_480_272_944, 609, 23_959),
+        (8, 1, 128_508_272_945, 698, 23_973),
         (8, 4, 125_851_523_579, 999, 23_012),
         (32, 4, 106_641_803_295, 8_136, 22_473),
     ];

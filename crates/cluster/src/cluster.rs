@@ -366,6 +366,14 @@ struct Shared {
 /// [`ClusterError::Sim`] when the simulation deadlocks or panics,
 /// [`ClusterError::Trace`] when the streaming trace file fails.
 pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
+    simulate(cfg).map(|(report, _store)| report)
+}
+
+/// [`run_cluster`], also handing back the shared store as the
+/// simulation left it.
+pub(crate) fn simulate(
+    cfg: &ClusterConfig,
+) -> Result<(ClusterReport, Arc<ObjectStore>), ClusterError> {
     validate(cfg)?;
     let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight).collect();
     let arrivals = cfg
@@ -457,9 +465,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport, ClusterError> {
     let mut runs = outcomes.lock().clone();
     runs.sort_by_key(|r| (r.arrived, r.seq));
 
-    Ok(aggregate(
-        cfg, &arrivals, runs, &store, &faas, &fleet, report, sink,
-    ))
+    let report = aggregate(cfg, &arrivals, runs, &store, &faas, &fleet, report, sink);
+    Ok((report, store))
 }
 
 fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
@@ -519,7 +526,8 @@ fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
 }
 
 /// The body of one run's root process: admission, input staging, the
-/// two-stage DAG via [`Executor::spawn_dag_in`], and outcome recording.
+/// two-stage DAG via [`Executor::spawn_dag_in`], freeing the run's bucket,
+/// and outcome recording.
 async fn execute_run(
     ctx: &mut Ctx,
     shared: &Shared,
@@ -569,11 +577,15 @@ async fn execute_run(
     // A panic in the run (a dataset that cannot be allocated, say) fails
     // this run only: it still releases its admission slot and records an
     // outcome, as a crashed invocation does on the functions platform.
-    let run = drive_run(ctx, shared, spec, &run_name, seq);
+    let bucket = format!("{}-r{}", spec.name, seq);
+    let run = drive_run(ctx, shared, spec, &run_name, &bucket, seq);
     let result = match catch_unwind_future(std::panic::AssertUnwindSafe(run)).await {
         Ok(result) => result,
         Err(payload) => Err(format!("run panicked: {}", panic_message(payload.as_ref()))),
     };
+    // Nothing reads a run's objects once it has ended, verified, failed
+    // or panicked, so its bucket is freed now, without a request.
+    shared.store.drop_bucket_untimed(&bucket);
     match result {
         Ok((started, finished)) => {
             outcome.started = started;
@@ -593,36 +605,22 @@ async fn execute_run(
     shared.outcomes.lock().push(outcome);
 }
 
-/// Stages the input, runs the DAG, and (optionally) verifies outputs.
-/// Returns `(first stage start, last stage end)`.
+/// Stages the input into the run's `bucket`, runs the DAG, and
+/// (optionally) verifies outputs. Returns `(first stage start, last stage
+/// end)`.
 async fn drive_run(
     ctx: &mut Ctx,
     shared: &Shared,
     spec: &TenantSpec,
     run_name: &str,
+    bucket: &str,
     seq: usize,
 ) -> Result<(SimTime, SimTime), String> {
-    // Per-run bucket: key layout inside it is identical to the
-    // standalone pipeline's ("in/NNNN", "sorted/j", "enc/j").
-    let bucket = format!("{}-r{}", spec.name, seq);
-    shared
-        .store
-        .create_bucket(bucket.clone())
-        .map_err(|e| e.to_string())?;
-    let dataset =
-        Synthesizer::new(run_seed(shared.seed, seq)).generate_shuffled(shared.physical_records);
-    let per = dataset.records.len().div_ceil(spec.parallelism);
-    for (i, chunk) in dataset.records.chunks(per).enumerate() {
-        let data = SortRecord::write_all(chunk);
-        shared
-            .store
-            .put_untimed(&bucket, &format!("in/{:04}", i), Bytes::from(data))
-            .map_err(|e| e.to_string())?;
-    }
+    stage_inputs(shared, spec, bucket, seq)?;
 
     let sort_name = format!("{}/sort", run_name);
     let encode_name = format!("{}/encode", run_name);
-    let mut dag = Dag::new(run_name.to_string(), bucket.clone());
+    let mut dag = Dag::new(run_name.to_string(), bucket.to_string());
     let sort_kind = match spec.mode {
         PipelineMode::PureServerless => StageKind::ShuffleSort {
             workers: spec.workers,
@@ -689,9 +687,37 @@ async fn drive_run(
         .expect("stages exist");
 
     if shared.verify {
-        verify_run(shared, &bucket)?;
+        verify_run(shared, bucket)?;
     }
     Ok((started, finished))
+}
+
+/// Creates the run's bucket and stages its synthesized dataset there as
+/// the `in/` chunks, untimed. Key layout inside the bucket is identical
+/// to the standalone pipeline's ("in/NNNN", "sorted/j", "enc/j"). The
+/// dataset is freed on return, before the run's first `.await`: the
+/// staged chunks are the only copy the run reads.
+fn stage_inputs(
+    shared: &Shared,
+    spec: &TenantSpec,
+    bucket: &str,
+    seq: usize,
+) -> Result<(), String> {
+    shared
+        .store
+        .create_bucket(bucket)
+        .map_err(|e| e.to_string())?;
+    let dataset =
+        Synthesizer::new(run_seed(shared.seed, seq)).generate_shuffled(shared.physical_records);
+    let per = dataset.records.len().div_ceil(spec.parallelism);
+    for (i, chunk) in dataset.records.chunks(per).enumerate() {
+        let data = SortRecord::write_all(chunk);
+        shared
+            .store
+            .put_untimed(bucket, &format!("in/{:04}", i), Bytes::from(data))
+            .map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 /// Cheap per-run output check: sorted runs exist, concatenate in
@@ -831,6 +857,7 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faaspipe_store::{FailurePolicy, StoreError};
 
     fn with_admission(admission: AdmissionPolicy) -> ClusterConfig {
         let mut tenant = TenantSpec::new("t0");
@@ -872,18 +899,12 @@ mod tests {
         assert!(reason(&nan_rate).contains("store_ops"));
     }
 
-    #[test]
-    fn a_panicking_run_is_reported_as_failed() {
-        // A dataset whose in-memory records overflow `isize::MAX` bytes
-        // (while its wire size still fits) panics in every run, naming
-        // the count, without allocating anything.
-        let records = isize::MAX as usize / MethRecord::WIRE_SIZE;
-        assert!(records
-            .checked_mul(std::mem::size_of::<MethRecord>())
-            .is_none_or(|b| b > isize::MAX as usize));
+    /// One tenant `t0` submitting two runs one second apart, one run at
+    /// a time.
+    fn two_runs() -> ClusterConfig {
         let mut tenant = TenantSpec::new("t0");
-        // One run at a time: a panicked run that kept its slot would
-        // leave the second queued forever.
+        // One run at a time: a failed run that kept its slot would leave
+        // the second queued forever.
         tenant.admission = AdmissionPolicy::unlimited().with_max_concurrent(1);
         let arrivals: Vec<Arrival> = (0..2u64)
             .map(|i| Arrival {
@@ -891,8 +912,26 @@ mod tests {
                 tenant: 0,
             })
             .collect();
-        let mut cfg = ClusterConfig::new(vec![tenant], ArrivalProcess::Trace(arrivals));
+        ClusterConfig::new(vec![tenant], ArrivalProcess::Trace(arrivals))
+    }
+
+    /// [`two_runs`] with a dataset whose in-memory records overflow
+    /// `isize::MAX` bytes (while its wire size still fits): every run
+    /// panics, naming the count, without allocating anything.
+    fn two_panicking_runs() -> ClusterConfig {
+        let records = isize::MAX as usize / MethRecord::WIRE_SIZE;
+        assert!(records
+            .checked_mul(std::mem::size_of::<MethRecord>())
+            .is_none_or(|b| b > isize::MAX as usize));
+        let mut cfg = two_runs();
         cfg.physical_records = records;
+        cfg
+    }
+
+    #[test]
+    fn a_panicking_run_is_reported_as_failed() {
+        let cfg = two_panicking_runs();
+        let records = cfg.physical_records;
         let report = run_cluster(&cfg).expect("panicking runs do not fail the simulation");
         assert_eq!(report.submitted, 2);
         assert_eq!(report.failed, 2);
@@ -906,6 +945,39 @@ mod tests {
                 error.contains(&format!("cannot hold {records} records")),
                 "{error}"
             );
+        }
+    }
+
+    #[test]
+    fn every_exit_path_frees_the_run_bucket() {
+        let mut completed = two_runs();
+        completed.physical_records = 2_000;
+        let mut verified = completed.clone();
+        verified.verify = true;
+        // Every request fails, so the shuffle's first request exhausts
+        // its retries and the sort stage fails.
+        let mut failing = completed.clone();
+        failing.store = failing
+            .store
+            .with_failure(FailurePolicy::with_error_rate(1.0));
+        let cases = [
+            ("completed", completed, true),
+            ("completed and verified", verified, true),
+            ("failed", failing, false),
+            ("panicked", two_panicking_runs(), false),
+        ];
+        for (case, cfg, ok) in cases {
+            let (report, store) = simulate(&cfg).expect("the simulation runs");
+            assert_eq!(report.submitted, 2, "{case}");
+            assert_eq!(report.completed, if ok { 2 } else { 0 }, "{case}");
+            for run in &report.runs {
+                let bucket = format!("{}-r{}", run.tenant, run.seq);
+                let probe = store.put_untimed(&bucket, "probe", Bytes::new());
+                assert!(
+                    matches!(probe, Err(StoreError::NoSuchBucket { .. })),
+                    "{case}: bucket {bucket} outlived its run"
+                );
+            }
         }
     }
 }

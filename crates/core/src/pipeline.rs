@@ -22,7 +22,7 @@ use faaspipe_exchange::ExchangeKind;
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_methcomp::codec as mc_codec;
 use faaspipe_methcomp::synth::Synthesizer;
-use faaspipe_methcomp::MethRecord;
+use faaspipe_methcomp::{Dataset, MethRecord};
 use faaspipe_shuffle::{SortConfig, SortRecord, WorkModel};
 use faaspipe_store::{ObjectStore, StoreConfig};
 use faaspipe_trace::{Category, SpanId, TraceData, TraceSink};
@@ -360,74 +360,12 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
         .map_or(0, |s| s.output_bytes);
 
     // Verification + compression accounting on the physical data.
-    let mut verified = false;
-    let mut text_bytes = 0usize;
-    let mut archive_bytes = 0usize;
-    if cfg.verify {
-        let mut expect = dataset.clone();
-        expect.sort();
-        let mut all: Vec<MethRecord> = Vec::with_capacity(dataset.len());
-        let run_keys = store.keys_untimed("data", "sorted/");
-        if run_keys.is_empty() {
-            return Err(PipelineError::Verification {
-                message: "no sorted runs produced".to_string(),
-            });
-        }
-        for key in &run_keys {
-            let j = key.trim_start_matches("sorted/").to_string();
-            let run = store
-                .peek("data", key)
-                .ok_or_else(|| PipelineError::Verification {
-                    message: format!("missing sorted run {}", j),
-                })?;
-            let records: Vec<MethRecord> =
-                SortRecord::read_all(&run).map_err(|e| PipelineError::Verification {
-                    message: format!("sorted run {} corrupt: {}", j, e),
-                })?;
-            let archive = store.peek("data", &format!("enc/{}", j)).ok_or_else(|| {
-                PipelineError::Verification {
-                    message: format!("missing archive {}", j),
-                }
-            })?;
-            archive_bytes += archive.len();
-            match cfg.encode_codec {
-                EncodeCodec::Methcomp => {
-                    let decoded = mc_codec::decompress(&archive).map_err(|e| {
-                        PipelineError::Verification {
-                            message: format!("archive {} corrupt: {}", j, e),
-                        }
-                    })?;
-                    if decoded.records != records {
-                        return Err(PipelineError::Verification {
-                            message: format!("archive {} does not round-trip", j),
-                        });
-                    }
-                    text_bytes += decoded.text_len();
-                }
-                EncodeCodec::Gzipish => {
-                    let text = faaspipe_codec::gzipish::decompress(&archive).map_err(|e| {
-                        PipelineError::Verification {
-                            message: format!("archive {} corrupt: {}", j, e),
-                        }
-                    })?;
-                    let expect_text = faaspipe_methcomp::Dataset::new(records.clone()).to_text();
-                    if text != expect_text.as_bytes() {
-                        return Err(PipelineError::Verification {
-                            message: format!("archive {} does not round-trip", j),
-                        });
-                    }
-                    text_bytes += text.len();
-                }
-            }
-            all.extend(records);
-        }
-        if all != expect.records {
-            return Err(PipelineError::Verification {
-                message: "concatenated runs are not the sorted input".to_string(),
-            });
-        }
-        verified = true;
-    }
+    let (verified, text_bytes, archive_bytes) = if cfg.verify {
+        let (text_bytes, archive_bytes) = verify_outputs(&store, dataset, cfg.encode_codec)?;
+        (true, text_bytes, archive_bytes)
+    } else {
+        (false, 0, 0)
+    };
 
     Ok(PipelineOutcome {
         mode: cfg.mode,
@@ -449,6 +387,68 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
     })
 }
 
+/// Checks the outputs in bucket `data` against the input `expect`: the
+/// sorted runs, in key order, concatenate to `expect` sorted, and each
+/// run's archive decodes back to the run. Returns the bedMethyl text
+/// bytes and the archive bytes. Makes no copy of the dataset: each run is
+/// compared with its slice of the sorted input as it is read.
+fn verify_outputs(
+    store: &ObjectStore,
+    mut expect: Dataset,
+    codec: EncodeCodec,
+) -> Result<(usize, usize), PipelineError> {
+    let fail = |message: String| PipelineError::Verification { message };
+    expect.sort();
+    let run_keys = store.keys_untimed("data", "sorted/");
+    if run_keys.is_empty() {
+        return Err(fail("no sorted runs produced".to_string()));
+    }
+    let mut text_bytes = 0usize;
+    let mut archive_bytes = 0usize;
+    // A mismatch is reported after the loop, so a fault of a later run
+    // itself (missing, corrupt, no archive) is named first.
+    let mut covered = 0usize;
+    let mut concatenation_matches = true;
+    for key in &run_keys {
+        let j = key.trim_start_matches("sorted/");
+        let run = store
+            .peek("data", key)
+            .ok_or_else(|| fail(format!("missing sorted run {}", j)))?;
+        let records: Vec<MethRecord> = SortRecord::read_all(&run)
+            .map_err(|e| fail(format!("sorted run {} corrupt: {}", j, e)))?;
+        let archive = store
+            .peek("data", &format!("enc/{}", j))
+            .ok_or_else(|| fail(format!("missing archive {}", j)))?;
+        archive_bytes += archive.len();
+        let corrupt = |e: &dyn fmt::Display| fail(format!("archive {} corrupt: {}", j, e));
+        let round_trips = match codec {
+            EncodeCodec::Methcomp => {
+                let decoded = mc_codec::decompress(&archive).map_err(|e| corrupt(&e))?;
+                text_bytes += decoded.text_len();
+                decoded.records == records
+            }
+            EncodeCodec::Gzipish => {
+                let text =
+                    faaspipe_codec::gzipish::decompress(&archive).map_err(|e| corrupt(&e))?;
+                text_bytes += text.len();
+                text == Dataset::new(records.clone()).to_text().as_bytes()
+            }
+        };
+        if !round_trips {
+            return Err(fail(format!("archive {} does not round-trip", j)));
+        }
+        let end = covered + records.len();
+        concatenation_matches &= expect.records.get(covered..end) == Some(&records[..]);
+        covered = end;
+    }
+    if !concatenation_matches || covered != expect.records.len() {
+        return Err(fail(
+            "concatenated runs are not the sorted input".to_string(),
+        ));
+    }
+    Ok((text_bytes, archive_bytes))
+}
+
 impl PipelineOutcome {
     /// The Table-1 row for this run: `(configuration, latency s, cost $)`.
     pub fn table1_row(&self) -> (String, f64, Money) {
@@ -463,6 +463,7 @@ impl PipelineOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn quick(mode: PipelineMode) -> PipelineConfig {
         let mut cfg = PipelineConfig::paper_table1();
@@ -554,6 +555,64 @@ mod tests {
         let untraced = run_methcomp_pipeline(&quick(PipelineMode::VmHybrid)).expect("pipeline ok");
         assert!(untraced.trace.spans.is_empty());
         assert!(untraced.trace.counters.is_empty());
+    }
+
+    /// A bucket `data` holding `runs` as the sorted runs `sorted/0000j`,
+    /// each with its METHCOMP archive.
+    fn outputs(runs: &[&[MethRecord]]) -> Arc<ObjectStore> {
+        let store = ObjectStore::install(&mut Sim::new(), StoreConfig::default());
+        store.create_bucket("data").expect("bucket");
+        for (j, run) in runs.iter().enumerate() {
+            let sorted = Bytes::from(SortRecord::write_all(run));
+            let archive = Bytes::from(mc_codec::compress(&Dataset::new(run.to_vec())));
+            store
+                .put_untimed("data", &format!("sorted/{j:05}"), sorted)
+                .expect("run");
+            store
+                .put_untimed("data", &format!("enc/{j:05}"), archive)
+                .expect("archive");
+        }
+        store
+    }
+
+    /// What [`verify_outputs`] says of `store`'s outputs for `input`.
+    fn verdict(store: &ObjectStore, input: &Dataset) -> String {
+        match verify_outputs(store, input.clone(), EncodeCodec::Methcomp) {
+            Ok(_) => "ok".to_string(),
+            Err(PipelineError::Verification { message }) => message,
+            Err(other) => panic!("not a verification error: {other}"),
+        }
+    }
+
+    #[test]
+    fn verification_rejects_outputs_that_are_not_the_sorted_input() {
+        let input = Synthesizer::new(7).generate_shuffled(60);
+        let mut sorted = input.clone();
+        sorted.sort();
+        let r = &sorted.records;
+        assert_eq!(verdict(&outputs(&[&r[..20], &r[20..]]), &input), "ok");
+
+        let mismatch = "concatenated runs are not the sorted input";
+        let swapped = outputs(&[&r[20..], &r[..20]]);
+        assert_eq!(verdict(&swapped, &input), mismatch);
+        let short = outputs(&[&r[..20], &r[20..59]]);
+        assert_eq!(verdict(&short, &input), mismatch);
+        let mut longer = r.clone();
+        longer.push(r[59]);
+        let overrun = outputs(&[&r[..20], &longer[20..]]);
+        assert_eq!(verdict(&overrun, &input), mismatch);
+        assert_eq!(verdict(&outputs(&[]), &input), "no sorted runs produced");
+
+        // A later run's own fault is named before an earlier mismatch.
+        let unarchived = outputs(&[&r[20..]]);
+        unarchived
+            .put_untimed(
+                "data",
+                "sorted/00001",
+                Bytes::from(SortRecord::write_all(&r[..20])),
+            )
+            .expect("run");
+        assert_eq!(verdict(&unarchived, &input), "missing archive 00001");
     }
 
     #[test]

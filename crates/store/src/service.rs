@@ -170,6 +170,14 @@ impl ObjectStore {
         self.commit(bucket, key, data)
     }
 
+    /// Removes a bucket and every object in it **outside virtual time and
+    /// billing**: no request, no metrics. The host memory holding its
+    /// objects is freed once no reader still shares their bytes. A later
+    /// request to the bucket fails with [`StoreError::NoSuchBucket`].
+    pub fn drop_bucket_untimed(&self, bucket: &str) {
+        self.buckets.lock().remove(bucket);
+    }
+
     /// Stores `data` at `key`, replacing any object there.
     fn commit(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
         self.buckets
@@ -755,6 +763,22 @@ mod tests {
         for t in finish.lock().unwrap().iter() {
             assert!((t - 2.0).abs() < 1e-6, "got {}", t);
         }
+    }
+
+    #[test]
+    fn dropping_a_bucket_is_untimed_and_frees_its_objects() {
+        let (store, _) = run_with(quiet_config(), async |ctx, c| {
+            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
+        });
+        let before = store.metrics().total();
+        store.drop_bucket_untimed("b");
+        assert_eq!(store.metrics().total(), before, "no request is booked");
+        let err = store
+            .put_untimed("b", "k", Bytes::from("y"))
+            .expect_err("bucket dropped");
+        assert!(matches!(err, StoreError::NoSuchBucket { .. }));
+        store.create_bucket("b").expect("the name is free again");
+        assert_eq!(store.object_count("b"), 0);
     }
 
     #[test]

@@ -1,47 +1,71 @@
-//! Pins the simulator's host heap allocations per simulated event.
+//! Pins the simulator's host heap allocations per simulated event, and
+//! the high-water mark of the heap bytes a cluster run holds.
 //!
 //! A counting global allocator wraps the system allocator for this test
 //! binary only. It counts allocations and reallocations made by the
-//! calling thread, so the test harness's own threads do not disturb the
-//! count. A simulation runs every process and kernel on the thread that
-//! calls it, so that count holds all of a run's allocations.
+//! calling thread, and the bytes that thread holds live and their peak,
+//! so the test harness's own threads do not disturb the counts. A
+//! simulation runs every process and kernel on the thread that calls it,
+//! so those counts hold all of a run's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use faaspipe::cluster::{run_cluster, Arrival, ArrivalProcess, ClusterConfig, TenantSpec};
 use faaspipe::core::{run_methcomp_pipeline, PipelineConfig, WorkerChoice};
+use faaspipe::des::SimTime;
 use faaspipe::exchange::ExchangeKind;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread. Signed: a thread
+    /// may free what another one allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since a measurement last set it to `LIVE`.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // `try_with`: a thread being torn down has no counter left.
+/// Books one allocation or reallocation that changes the live bytes by
+/// `delta`.
+fn count(delta: i64) {
+    // `try_with`: a thread being torn down has no counters left.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+/// Changes this thread's live bytes by `delta`, raising their peak.
+fn grow(delta: i64) {
+    let Ok(live) = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    }) else {
+        return;
+    };
+    let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live)));
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a thread-local `Cell`, which never allocates.
+// only thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -50,13 +74,13 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Allocations per simulated event above which the `fanout` run fails.
-/// The control-plane-heavy run below makes 1.26 (23,841 allocations and
+/// The control-plane-heavy run below makes 1.24 (23,583 allocations and
 /// reallocations over 18,954 events); before the simulator stopped
 /// allocating per store request and per process name it made 4.54.
 const FANOUT_CEILING_PER_EVENT: f64 = 1.35;
 
 /// Allocations per simulated event above which the `sharded_relay` run
-/// fails. It makes 0.57 (4,503 over 7,901 events); while every windowed
+/// fails. It makes 0.55 (4,373 over 7,901 events); while every windowed
 /// relay job cloned its shard (three strings plus the fleet's scope
 /// string) it made 1.35 (10,645).
 const SHARDED_RELAY_CEILING_PER_EVENT: f64 = 0.62;
@@ -117,4 +141,55 @@ fn sharded_relay_allocations_per_event_stay_under_the_ceiling() {
         },
     );
     check_allocations_per_event("sharded_relay", &cfg, SHARDED_RELAY_CEILING_PER_EVENT);
+}
+
+/// Live heap bytes above which the `cluster` run below fails at its
+/// peak. It peaks at 2,484,491 bytes (2.37 MiB) above what the thread
+/// held before the run, and 70 kB more for every earlier run (1,359,437
+/// bytes with 16 runs instead of 32): what the simulator keeps per
+/// process and per store connection ever made. While every run's bucket
+/// (inputs, sorted runs and archives) stayed in the store until the
+/// cluster ended, it peaked at 7,297,635 bytes (6.96 MiB), 224 kB more
+/// per earlier run.
+const CLUSTER_PEAK_CEILING_BYTES: i64 = 2_600_000;
+
+/// The highest live heap bytes of one cluster run on this thread, above
+/// what the thread held when the run began.
+fn peak_live_bytes_of_one_run(cfg: &ClusterConfig) -> i64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let report = run_cluster(cfg).expect("cluster runs");
+    assert_eq!(report.completed, report.submitted, "every run completes");
+    PEAK.with(Cell::get) - before
+}
+
+#[test]
+fn cluster_peak_live_bytes_stay_under_the_ceiling() {
+    // One tenant, 32 verified runs of 2,000 records, 1,000 s apart: the
+    // runs never overlap, so the peak is one run's live data plus what
+    // the cluster keeps of the runs before it.
+    let arrivals = (0..32u64)
+        .map(|i| Arrival {
+            at: SimTime::from_nanos(i * 1_000_000_000_000),
+            tenant: 0,
+        })
+        .collect();
+    let tenant = TenantSpec::new("t0");
+    let mut cfg = ClusterConfig::new(vec![tenant], ArrivalProcess::Trace(arrivals));
+    cfg.physical_records = 2_000;
+    cfg.verify = true;
+
+    peak_live_bytes_of_one_run(&cfg);
+    let first = peak_live_bytes_of_one_run(&cfg);
+    let second = peak_live_bytes_of_one_run(&cfg);
+    assert_eq!(first, second, "a repeated run reaches the same peak");
+    println!(
+        "cluster: peak {first} live bytes ({:.2} MiB)",
+        first as f64 / (1024.0 * 1024.0)
+    );
+    assert!(
+        first <= CLUSTER_PEAK_CEILING_BYTES,
+        "cluster: peak of {first} live bytes is above the ceiling of \
+         {CLUSTER_PEAK_CEILING_BYTES}"
+    );
 }

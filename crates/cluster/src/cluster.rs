@@ -323,28 +323,6 @@ impl ClusterReport {
     }
 }
 
-/// A configured cluster, ready to run.
-#[derive(Debug, Clone)]
-pub struct Cluster {
-    cfg: ClusterConfig,
-}
-
-impl Cluster {
-    /// Wraps a configuration.
-    pub fn new(cfg: ClusterConfig) -> Cluster {
-        Cluster { cfg }
-    }
-
-    /// Runs the cluster to completion. See [`run_cluster`].
-    ///
-    /// # Errors
-    /// [`ClusterError`] on invalid configuration, simulation failure, or
-    /// trace-stream I/O errors.
-    pub fn run(&self) -> Result<ClusterReport, ClusterError> {
-        run_cluster(&self.cfg)
-    }
-}
-
 /// State shared by every run process.
 struct Shared {
     store: Arc<ObjectStore>,
@@ -656,14 +634,11 @@ async fn drive_run(
     )
     .map_err(|e| e.to_string())?;
 
-    let tracker = if shared.tracing {
-        // Parent the run's stage spans to nothing cluster-global: the
-        // run span above already carries tenant/seq, and the tracker
-        // labels stages with the full `{tenant}/r{seq}/{stage}` names.
-        Tracker::with_sink(shared.sink.clone(), SpanId::NONE)
-    } else {
-        Tracker::new()
-    };
+    // Parent the run's stage spans to nothing cluster-global: the run
+    // span above already carries tenant/seq, and the tracker labels
+    // stages with the full `{tenant}/r{seq}/{stage}` names. Untraced, the
+    // sink is disabled and the tracker records nothing.
+    let tracker = Tracker::with_sink(shared.sink.clone(), SpanId::NONE);
     let services = Services {
         store: shared.store.clone(),
         faas: shared.faas.clone(),
@@ -977,6 +952,12 @@ mod tests {
                     matches!(probe, Err(StoreError::NoSuchBucket { .. })),
                     "{case}: bucket {bucket} outlived its run"
                 );
+                if case == "failed" {
+                    // The run reports the sort's store error, not the
+                    // skipped encode's "dependency failed".
+                    let error = run.error.as_deref().unwrap_or_default();
+                    assert!(error.contains("injected"), "{case}: {error}");
+                }
             }
         }
     }

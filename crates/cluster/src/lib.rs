@@ -7,7 +7,7 @@
 //! warm-container pool, one VM fleet — and contend for all of it. This
 //! crate turns the single-run executor into that service.
 //!
-//! A [`Cluster`] run:
+//! A cluster run ([`run_cluster`]):
 //!
 //! * installs **one** [`ObjectStore`](faaspipe_store::ObjectStore), **one**
 //!   [`FunctionPlatform`](faaspipe_faas::FunctionPlatform) (with the
@@ -49,7 +49,7 @@ pub mod metrics;
 pub use admission::AdmissionPolicy;
 pub use arrival::{Arrival, ArrivalProcess, MAX_ARRIVALS, MAX_ARRIVAL_NS};
 pub use cluster::{
-    run_cluster, Cluster, ClusterConfig, ClusterError, ClusterReport, RunOutcome, TenantReport,
-    TenantSpec, TraceMode, MAX_TENANTS,
+    run_cluster, ClusterConfig, ClusterError, ClusterReport, RunOutcome, TenantReport, TenantSpec,
+    TraceMode, MAX_TENANTS,
 };
 pub use metrics::{jain_fairness, percentile};

@@ -84,16 +84,6 @@ pub enum StageKind {
         /// Output prefix for archives.
         output: String,
     },
-    /// Embarrassingly parallel decode of METHCOMP archives back into
-    /// binary record runs (the consumer side of the pipeline).
-    Decode {
-        /// Number of decoder functions.
-        workers: usize,
-        /// Input prefix of archives.
-        input: String,
-        /// Output prefix for decoded record runs.
-        output: String,
-    },
 }
 
 /// One node of the workflow.
@@ -295,11 +285,6 @@ fn validate_kind(name: &str, kind: &StageKind) -> Result<(), DagError> {
             input,
             output,
             ..
-        }
-        | StageKind::Decode {
-            workers,
-            input,
-            output,
         } => {
             if *workers == 0 {
                 return Err(bad("zero workers"));
@@ -430,11 +415,6 @@ mod tests {
             },
             StageKind::Encode {
                 codec: EncodeCodec::Methcomp,
-                workers: huge,
-                input: "in/".into(),
-                output: "out/".into(),
-            },
-            StageKind::Decode {
                 workers: huge,
                 input: "in/".into(),
                 output: "out/".into(),

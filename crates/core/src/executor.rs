@@ -4,13 +4,12 @@
 //! runs the stage (a gang of function invocations, or a VM task), and
 //! publishes a [`StageResult`]. Independent stages overlap naturally.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, Sim, SimDuration, SimTime};
+use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, Sim, SimTime};
 use faaspipe_exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
     ShardedRelayExchange,
@@ -18,6 +17,7 @@ use faaspipe_exchange::{
 use faaspipe_faas::FunctionPlatform;
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
+use faaspipe_shuffle::sort::DRIVER_ORCHESTRATION;
 use faaspipe_shuffle::{serverless_sort, vm_sort, SortConfig, SortRecord, VmSortConfig, WorkModel};
 use faaspipe_store::ObjectStore;
 use faaspipe_trace::Category;
@@ -59,7 +59,9 @@ pub struct StageResult {
     pub output_bytes: u64,
 }
 
-type ResultMap = Arc<Mutex<BTreeMap<String, Result<StageResult, String>>>>;
+/// Per-stage outcomes, indexed like [`Dag::stages`]; `None` until the
+/// stage's driver finishes.
+type ResultMap = Arc<Mutex<Vec<Option<Result<StageResult, String>>>>>;
 
 /// Handle to a spawned workflow: join `root` (or run the sim to
 /// completion) and collect results.
@@ -71,25 +73,15 @@ pub struct DagHandle {
 }
 
 impl DagHandle {
-    /// Per-stage results; `Err` holds the failure message.
-    pub fn results(&self) -> BTreeMap<String, Result<StageResult, String>> {
-        self.results.lock().clone()
-    }
-
-    /// Convenience: all stage results, or the first failure.
+    /// All stage results in DAG order, or the first failure in that
+    /// order.
     ///
     /// # Errors
-    /// The first stage error message.
+    /// The first stage error message. A failed stage comes before the
+    /// dependents it skipped, so the message is the failing stage's own
+    /// cause, not a dependent's "dependency failed".
     pub fn ok_results(&self) -> Result<Vec<StageResult>, String> {
-        let map = self.results.lock();
-        let mut out = Vec::with_capacity(map.len());
-        for (_, r) in map.iter() {
-            match r {
-                Ok(s) => out.push(s.clone()),
-                Err(e) => return Err(e.clone()),
-            }
-        }
-        Ok(out)
+        self.results.lock().iter().flatten().cloned().collect()
     }
 }
 
@@ -104,8 +96,7 @@ fn root_driver(pids: Vec<ProcessId>) -> impl FnOnce(Ctx) -> LocalBoxFuture<'stat
     }
 }
 
-/// The default ceiling on the worker count a `workers: auto` stage
-/// plans ([`Executor::max_autotune_workers`]).
+/// The ceiling on the worker count a `workers: auto` stage plans.
 pub const DEFAULT_MAX_AUTO_WORKERS: usize = 64;
 
 /// Workflow executor. Construct once per simulation.
@@ -117,16 +108,10 @@ pub struct Executor {
     pub work: WorkModel,
     /// Job tracker receiving progress events.
     pub tracker: Tracker,
-    /// Upper bound a `workers: auto` stage may plan.
-    pub max_autotune_workers: usize,
     /// Default per-function I/O window for shuffle stages that don't
     /// pin one (`StageKind::ShuffleSort::io_concurrency`). `1` keeps one
     /// request in flight per function.
     pub io_concurrency: usize,
-    /// Lithops-style driver orchestration overhead per execution phase
-    /// (job serialization + upload, invoke fan-out, COS future polling).
-    /// Unbilled, but on the critical path.
-    pub orchestration: SimDuration,
     /// Calibrated model parameters for `--exchange auto` planning.
     /// `None` derives parameters from the service configurations at
     /// plan time ([`ModelParams::from_configs`]).
@@ -140,9 +125,7 @@ impl Executor {
             services,
             work,
             tracker,
-            max_autotune_workers: DEFAULT_MAX_AUTO_WORKERS,
             io_concurrency: SortConfig::default().io_concurrency,
-            orchestration: SimDuration::from_millis(8_000),
             plan_params: None,
         }
     }
@@ -171,7 +154,7 @@ impl Executor {
     /// to make that impossible).
     pub fn spawn_dag(&self, sim: &mut Sim, dag: &Dag) -> DagHandle {
         dag.validate().expect("DAG must be valid");
-        let results = ResultMap::default();
+        let results: ResultMap = Arc::new(Mutex::new(vec![None; dag.len()]));
         let mut pids = Vec::with_capacity(dag.len());
         for idx in 0..dag.len() {
             let (name, body) = self.stage_driver(dag, idx, &pids, &results);
@@ -190,7 +173,7 @@ impl Executor {
     /// Panics if the DAG fails validation.
     pub async fn spawn_dag_in(&self, ctx: &Ctx, dag: &Dag) -> DagHandle {
         dag.validate().expect("DAG must be valid");
-        let results = ResultMap::default();
+        let results: ResultMap = Arc::new(Mutex::new(vec![None; dag.len()]));
         let mut pids = Vec::with_capacity(dag.len());
         for idx in 0..dag.len() {
             let (name, body) = self.stage_driver(dag, idx, &pids, &results);
@@ -227,11 +210,11 @@ impl Executor {
             })
             .max()
             .unwrap_or(0);
-        let dep_pids: Vec<ProcessId> = stage.deps.iter().map(|d| pids[d.0]).collect();
-        let dep_names: Vec<String> = stage
+        // (index, driver pid, name) of every dependency.
+        let deps: Vec<(usize, ProcessId, String)> = stage
             .deps
             .iter()
-            .map(|d| dag.stages()[d.0].name.clone())
+            .map(|d| (d.0, pids[d.0], dag.stages()[d.0].name.clone()))
             .collect();
         let bucket = dag.bucket.clone();
         let exec = self.clone();
@@ -241,27 +224,19 @@ impl Executor {
             Box::pin(async move {
                 let ctx = &mut ctx;
                 // Wait for dependencies; skip if any failed.
-                for (pid, name) in dep_pids.iter().zip(&dep_names) {
+                for (_, pid, name) in &deps {
                     if ctx.join(*pid).await.is_err() {
-                        results.lock().insert(
-                            stage.name.clone(),
-                            Err(format!("dependency driver '{}' crashed", name)),
-                        );
+                        results.lock()[idx] =
+                            Some(Err(format!("dependency driver '{}' crashed", name)));
                         return;
                     }
                 }
-                {
-                    let map = results.lock();
-                    for name in &dep_names {
-                        if matches!(map.get(name), Some(Err(_)) | None) {
-                            drop(map);
-                            results.lock().insert(
-                                stage.name.clone(),
-                                Err(format!("dependency '{}' failed", name)),
-                            );
-                            return;
-                        }
-                    }
+                let failed = deps
+                    .iter()
+                    .find(|(dep, _, _)| !matches!(results.lock()[*dep], Some(Ok(_))));
+                if let Some((_, _, name)) = failed {
+                    results.lock()[idx] = Some(Err(format!("dependency '{}' failed", name)));
+                    return;
                 }
                 exec.tracker.stage_start(ctx, &stage.name);
                 let started = ctx.now();
@@ -277,19 +252,19 @@ impl Executor {
                     workers_used,
                     output_bytes,
                 });
-                results.lock().insert(stage.name.clone(), entry);
+                results.lock()[idx] = Some(entry);
             })
         };
         (name, body)
     }
 
-    /// Charges one driver orchestration phase (job serialization,
-    /// invoke fan-out, future polling), recording it as an
-    /// [`Category::Orchestration`] span when tracing is on.
+    /// Charges one driver orchestration phase ([`DRIVER_ORCHESTRATION`]:
+    /// job serialization, invoke fan-out, future polling), recording it
+    /// as an [`Category::Orchestration`] span when tracing is on.
     async fn orchestrate(&self, ctx: &Ctx) {
         let trace = self.services.store.trace_sink();
         if !trace.is_enabled() {
-            ctx.sleep(self.orchestration).await;
+            ctx.sleep(DRIVER_ORCHESTRATION).await;
             return;
         }
         let parent = trace.current(ctx.pid());
@@ -301,7 +276,7 @@ impl Executor {
             parent,
             ctx.now(),
         );
-        ctx.sleep(self.orchestration).await;
+        ctx.sleep(DRIVER_ORCHESTRATION).await;
         trace.span_end(span, ctx.now());
     }
 
@@ -349,9 +324,6 @@ impl Executor {
                     profile: profile.clone(),
                     tag: stage.name.clone(),
                     work: self.work.clone(),
-                    retries: 3,
-                    release: true,
-                    manifest_key: None,
                 };
                 let stats =
                     vm_sort::<MethRecord>(ctx, &self.services.fleet, &self.services.store, &cfg)
@@ -379,93 +351,7 @@ impl Executor {
                 self.exec_encode(ctx, bucket, &stage.name, *codec, *workers, input, output)
                     .await
             }
-            StageKind::Decode {
-                workers,
-                input,
-                output,
-            } => {
-                self.exec_decode(ctx, bucket, &stage.name, *workers, input, output)
-                    .await
-            }
         }
-    }
-
-    async fn exec_decode(
-        &self,
-        ctx: &mut Ctx,
-        bucket: &str,
-        stage: &str,
-        workers: usize,
-        input: &str,
-        output: &str,
-    ) -> Result<(usize, u64), String> {
-        self.orchestrate(ctx).await;
-        let store = &self.services.store;
-        let client = store.connect(ctx, format!("{}/driver", stage)).await;
-        let inputs = client
-            .list(ctx, bucket, input)
-            .await
-            .map_err(|e| format!("decode list failed: {}", e))?;
-        if inputs.is_empty() {
-            return Err(format!("no decode inputs under '{}'", input));
-        }
-        let written: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-        // One tag for the stage's invocations and their connections.
-        let tag: Arc<str> = format!("{}/dec", stage).into();
-        let mut handles = Vec::with_capacity(workers);
-        for wi in 0..workers {
-            let assigned: Vec<String> = inputs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers == wi)
-                .map(|(_, o)| o.key.clone())
-                .collect();
-            if assigned.is_empty() {
-                continue;
-            }
-            let store = Arc::clone(store);
-            let work = self.work.clone();
-            let written = Arc::clone(&written);
-            let bucket = bucket.to_string();
-            let output = output.to_string();
-            let conn_tag = Arc::clone(&tag);
-            let h = self
-                .services
-                .faas
-                .invoke(
-                    ctx,
-                    "decode",
-                    Arc::clone(&tag),
-                    async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
-                        let client = store.connect_via(fctx, conn_tag, &[env.nic]).await;
-                        for key in &assigned {
-                            let archive = client
-                                .get(fctx, &bucket, key)
-                                .await
-                                .unwrap_or_else(|e| panic!("decode read failed: {}", e));
-                            let dataset = mc_codec::decompress(&archive)
-                                .unwrap_or_else(|e| panic!("archive corrupt: {}", e));
-                            let data = SortRecord::write_all(&dataset.records);
-                            env.compute(fctx, work.methcomp_decode_time(data.len()))
-                                .await;
-                            *written.lock() += data.len() as u64;
-                            let leaf = key.rsplit('/').next().unwrap_or(key);
-                            let out_key = format!("{}{}", output, leaf);
-                            client
-                                .put(fctx, &bucket, &out_key, Bytes::from(data))
-                                .await
-                                .unwrap_or_else(|e| panic!("decode write failed: {}", e));
-                        }
-                    },
-                )
-                .await;
-            handles.push(h);
-        }
-        ctx.join_all(&handles)
-            .await
-            .map_err(|e| format!("decode task failed: {}", e))?;
-        let bytes = *written.lock();
-        Ok((workers.min(inputs.len()), bytes))
     }
 
     /// Builds the intermediate data-exchange backend a shuffle stage
@@ -547,17 +433,15 @@ impl Executor {
             .sum();
         let workload = Workload::new(data_bytes, inputs.len(), cfg.size_scale, downstream_encode);
         let params = self.plan_params.clone().unwrap_or_else(|| {
-            let mut p = ModelParams::from_configs(
+            ModelParams::from_configs(
                 cfg,
                 self.services.faas.config(),
                 &RelayConfig::default(),
                 &DirectConfig::default(),
                 &self.work,
-            );
-            p.orchestration_s = self.orchestration.as_secs_f64();
-            p
+            )
         });
-        let mut space = SearchSpace::default().cap_workers(self.max_autotune_workers);
+        let mut space = SearchSpace::default().cap_workers(DEFAULT_MAX_AUTO_WORKERS);
         if let WorkerChoice::Fixed(n) = choice {
             space = space.pin_workers(n);
         }
@@ -683,18 +567,14 @@ impl Executor {
             input_prefix: input.to_string(),
             output_prefix: output.to_string(),
             part_prefix: format!("tmp/{}/", stage),
-            sample_capacity: 512,
-            sample_bytes: 64 * 1024,
-            sample_seed: SortConfig::default().sample_seed,
             tag: stage.to_string(),
             work: self.work.clone(),
             retries: 3,
-            orchestration: self.orchestration,
+            orchestration: DRIVER_ORCHESTRATION,
             exchange: exchange.layout(),
             backend: self.exchange_backend(exchange),
             task_attempts: 2,
             io_concurrency: io_concurrency.max(1),
-            manifest_key: None,
         };
         let stats =
             serverless_sort::<MethRecord>(ctx, &self.services.faas, &self.services.store, &cfg)
@@ -962,62 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_dag_sort_encode_decode() {
-        // sort -> encode -> decode: the decoded runs must be byte-equal to
-        // the sorted runs (the full producer/consumer loop).
-        let (mut sim, services, _) = setup(4_000, 4);
-        let exec = Executor::new(services.clone(), WorkModel::default(), Tracker::new());
-        let mut dag = Dag::new("roundtrip", "data");
-        dag.add_stage(
-            "sort",
-            StageKind::ShuffleSort {
-                workers: WorkerChoice::Fixed(4),
-                exchange: ExchangeKind::Coalesced,
-                io_concurrency: None,
-                input: "in/".into(),
-                output: "sorted/".into(),
-            },
-            &[],
-        )
-        .expect("sort");
-        dag.add_stage(
-            "encode",
-            StageKind::Encode {
-                codec: EncodeCodec::Methcomp,
-                workers: 4,
-                input: "sorted/".into(),
-                output: "enc/".into(),
-            },
-            &["sort"],
-        )
-        .expect("encode");
-        dag.add_stage(
-            "decode",
-            StageKind::Decode {
-                workers: 4,
-                input: "enc/".into(),
-                output: "dec/".into(),
-            },
-            &["encode"],
-        )
-        .expect("decode");
-        let handle = exec.spawn_dag(&mut sim, &dag);
-        sim.run().expect("sim ok");
-        handle.ok_results().expect("all stages ok");
-        let runs = services.store.keys_untimed("data", "sorted/");
-        assert_eq!(runs.len(), 4);
-        for key in runs {
-            let leaf = key.trim_start_matches("sorted/");
-            let original = services.store.peek("data", &key).expect("run");
-            let decoded = services
-                .store
-                .peek("data", &format!("dec/{}", leaf))
-                .expect("decoded run");
-            assert_eq!(original, decoded, "decode must invert encode for {}", leaf);
-        }
-    }
-
-    #[test]
     fn diamond_dag_branches_run_concurrently() {
         // sort -> (encode-mc, encode-gz) both depend on sort and must
         // overlap in virtual time.
@@ -1144,7 +968,8 @@ mod tests {
     #[test]
     fn failed_stage_skips_dependents() {
         let (mut sim, services, _) = setup(1_000, 2);
-        let exec = Executor::new(services.clone(), WorkModel::default(), Tracker::new());
+        let tracker = Tracker::new();
+        let exec = Executor::new(services.clone(), WorkModel::default(), tracker.clone());
         let mut dag = Dag::new("broken", "data");
         dag.add_stage(
             "sort",
@@ -1171,10 +996,13 @@ mod tests {
         .expect("encode");
         let handle = exec.spawn_dag(&mut sim, &dag);
         sim.run().expect("sim ok");
-        let results = handle.results();
-        assert!(results["sort"].is_err());
-        let enc_err = results["encode"].as_ref().expect_err("skipped");
-        assert!(enc_err.contains("dependency"), "{}", enc_err);
+        // The error is the sort's own cause, not the skipped encode's
+        // "dependency 'sort' failed".
+        let err = handle.ok_results().expect_err("sort fails");
+        assert!(err.contains("missing/"), "{}", err);
+        // The encode stage never started.
+        let started: Vec<String> = tracker.spans().into_iter().map(|s| s.stage).collect();
+        assert_eq!(started, ["sort"]);
     }
 
     #[test]

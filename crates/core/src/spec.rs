@@ -78,7 +78,7 @@ impl From<WorkersSpec> for WorkerChoice {
 pub struct StageSpec {
     /// Unique stage name.
     pub name: String,
-    /// `"shuffle_sort"`, `"vm_sort"`, `"encode"`, or `"decode"`.
+    /// `"shuffle_sort"`, `"vm_sort"`, or `"encode"`.
     pub kind: String,
     /// Worker policy (`shuffle_sort`, `encode`).
     pub workers: Option<WorkersSpec>,
@@ -250,17 +250,6 @@ impl PipelineSpec {
                     };
                     StageKind::Encode {
                         codec,
-                        workers,
-                        input: s.input.clone(),
-                        output: s.output.clone(),
-                    }
-                }
-                "decode" => {
-                    let workers = match s.workers {
-                        Some(WorkersSpec::Fixed(n)) => n,
-                        _ => return Err(invalid("decode requires a fixed 'workers' count")),
-                    };
-                    StageKind::Decode {
                         workers,
                         input: s.input.clone(),
                         output: s.output.clone(),

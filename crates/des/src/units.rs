@@ -163,7 +163,7 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 
-    /// Scales by a float factor (used by slowdown fault injection).
+    /// Scales by a float factor.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }

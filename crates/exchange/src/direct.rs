@@ -174,11 +174,7 @@ impl DirectCore {
     ) -> Result<Bytes, ExchangeError> {
         let span = self.span_begin(ctx, "STREAM", &env.tag, map, part);
         let fate = self.cfg.failure.draw(ctx.rng());
-        let handshake = match fate {
-            Fate::Slow(factor) => self.cfg.handshake.mul_f64(factor),
-            _ => self.cfg.handshake,
-        };
-        ctx.sleep(handshake).await;
+        ctx.sleep(self.cfg.handshake).await;
         if matches!(fate, Fate::Fail) {
             self.span_end(ctx, span, 0, true);
             return Err(ExchangeError::PeerTimeout { map, part });

@@ -254,11 +254,7 @@ impl RelayShard {
             }
         };
         let fate = self.cfg.failure.draw(ctx.rng());
-        let latency = match fate {
-            Fate::Slow(factor) => self.cfg.request_latency.mul_f64(factor),
-            _ => self.cfg.request_latency,
-        };
-        ctx.sleep(latency).await;
+        ctx.sleep(self.cfg.request_latency).await;
         if matches!(fate, Fate::Fail) {
             return Err(ExchangeError::RelayUnavailable { op });
         }

@@ -39,7 +39,6 @@
 pub mod bed;
 pub mod codec;
 pub mod index;
-pub mod stats;
 pub mod synth;
 
 pub use bed::{BedError, Dataset, MethRecord, Strand, CHROM_NAMES};

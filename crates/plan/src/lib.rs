@@ -34,5 +34,5 @@ pub mod model;
 pub mod planner;
 
 pub use calibrate::{calibrate, Calibration, CalibrationEvidence, ProbeRun, ProbeSpec};
-pub use model::{Candidate, Estimate, ModelParams, PlanPrices, Workload};
+pub use model::{Candidate, Estimate, ModelParams, Workload};
 pub use planner::{Plan, Planner, SearchSpace};

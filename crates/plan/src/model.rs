@@ -16,7 +16,8 @@
 
 use faaspipe_exchange::{DirectConfig, ExchangeKind, RelayConfig};
 use faaspipe_faas::FaasConfig;
-use faaspipe_shuffle::{SortConfig, WorkModel};
+use faaspipe_shuffle::sort::{DRIVER_ORCHESTRATION, SAMPLE_BYTES};
+use faaspipe_shuffle::WorkModel;
 use faaspipe_store::StoreConfig;
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -110,7 +111,7 @@ pub struct Workload {
     /// Number of staged input objects.
     pub input_chunks: usize,
     /// Wire bytes one sample-phase range read fetches (the physical
-    /// `sample_bytes` cap times the size scale, clamped to the chunk).
+    /// [`SAMPLE_BYTES`] cap times the size scale, clamped to the chunk).
     pub sample_read_bytes: f64,
     /// Encode-stage gang size downstream of the sort (0 = no encode
     /// tail in the objective).
@@ -131,7 +132,7 @@ impl Workload {
     /// `input_chunks` objects, at `size_scale` wire bytes per physical
     /// byte, feeding an encode gang of `encode_workers` (0 = none). The
     /// sample phase range-reads at most the sort's physical
-    /// `sample_bytes` per chunk: on the wire that is the scaled cap,
+    /// [`SAMPLE_BYTES`] per chunk: on the wire that is the scaled cap,
     /// clamped to the mean chunk.
     pub fn new(
         data_bytes: f64,
@@ -140,7 +141,7 @@ impl Workload {
         encode_workers: usize,
     ) -> Workload {
         let chunk_wire = data_bytes / input_chunks.max(1) as f64;
-        let sample_cap = SortConfig::default().sample_bytes as f64 * size_scale;
+        let sample_cap = SAMPLE_BYTES as f64 * size_scale;
         Workload {
             data_bytes,
             input_chunks,
@@ -184,34 +185,15 @@ pub struct Estimate {
     pub cost_dollars: f64,
 }
 
-/// Unit prices for the bill estimate. Defaults mirror the pricing used
-/// by the cost report (`PriceBook`): IBM Cloud Functions GB-seconds,
-/// COS class A/B requests, and the `bx2-8x32` hourly rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanPrices {
-    /// Dollars per function GB-second.
-    pub fn_gb_second: f64,
-    /// Function memory in GB (converts busy-seconds to GB-seconds).
-    pub fn_memory_gb: f64,
-    /// Dollars per 1 000 class-A (mutating) store requests.
-    pub class_a_per_k: f64,
-    /// Dollars per 1 000 class-B (read) store requests.
-    pub class_b_per_k: f64,
-    /// Dollars per relay-VM hour.
-    pub vm_per_hour: f64,
-}
-
-impl Default for PlanPrices {
-    fn default() -> PlanPrices {
-        PlanPrices {
-            fn_gb_second: 0.000017,
-            fn_memory_gb: 2.0,
-            class_a_per_k: 0.005,
-            class_b_per_k: 0.0004,
-            vm_per_hour: 0.34,
-        }
-    }
-}
+// Unit prices of the bill estimate, after the cost report's `PriceBook`:
+// IBM Cloud Functions GB-seconds at 2 GB per function, COS class A
+// (mutating) and class B (read) requests per 1 000, and the relay VM's
+// hourly rate.
+const FN_GB_SECOND: f64 = 0.000017;
+const FN_MEMORY_GB: f64 = 2.0;
+const CLASS_A_PER_K: f64 = 0.005;
+const CLASS_B_PER_K: f64 = 0.0004;
+const VM_PER_HOUR: f64 = 0.34;
 
 /// `ceil(n / k)` in f64 for latency-amortization terms.
 fn windows(n: f64, k: f64) -> f64 {
@@ -261,7 +243,7 @@ impl ModelParams {
         ModelParams {
             cold_start_s: faas.cold_start.as_secs_f64(),
             warm_start_s: faas.warm_start.as_secs_f64(),
-            orchestration_s: 8.0,
+            orchestration_s: DRIVER_ORCHESTRATION.as_secs_f64(),
             store_latency_s: store.first_byte_latency.as_secs_f64(),
             store_conn_bps: store.per_connection_bw.as_bytes_per_sec(),
             store_agg_bps: store.aggregate_bw.as_bytes_per_sec(),
@@ -467,8 +449,8 @@ impl ModelParams {
         }
     }
 
-    /// Itemized bill for one candidate, using [`PlanPrices::default`]
-    /// rates (functions GB-seconds + store requests + relay VM hours).
+    /// Itemized bill for one candidate at the model's unit prices
+    /// (functions GB-seconds + store requests + relay VM hours).
     #[allow(clippy::too_many_arguments)]
     fn cost(
         &self,
@@ -480,7 +462,6 @@ impl ModelParams {
         encode_s: f64,
         prepare_s: f64,
     ) -> f64 {
-        let p = PlanPrices::default();
         let w = cand.workers.max(1) as f64;
         let k = cand.io_concurrency.max(1) as f64;
         let chunks = wl.input_chunks.max(1) as f64;
@@ -497,7 +478,7 @@ impl ModelParams {
             } else {
                 gang * (encode_s - overhead).max(0.0)
             };
-        let fn_cost = fn_seconds * p.fn_memory_gb * p.fn_gb_second;
+        let fn_cost = fn_seconds * FN_MEMORY_GB * FN_GB_SECOND;
 
         // Store request classes: A = mutations (PUT/LIST), B = reads.
         let dl_requests = 2.0 * k;
@@ -518,13 +499,13 @@ impl ModelParams {
             class_a += w; // archive PUTs
             class_b += w; // run GETs
         }
-        let req_cost = class_a / 1_000.0 * p.class_a_per_k + class_b / 1_000.0 * p.class_b_per_k;
+        let req_cost = class_a / 1_000.0 * CLASS_A_PER_K + class_b / 1_000.0 * CLASS_B_PER_K;
 
         // Relay VMs bill from provisioning start to stage cleanup.
         let vm_cost = match cand.exchange.relay_shards() {
             Some((shards, _)) => {
                 let billed = self.relay_provision_s + prepare_s + sample_s + map_s + reduce_s;
-                shards.max(1) as f64 * billed / 3_600.0 * p.vm_per_hour
+                shards.max(1) as f64 * billed / 3_600.0 * VM_PER_HOUR
             }
             None => 0.0,
         };

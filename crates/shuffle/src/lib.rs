@@ -30,7 +30,6 @@
 pub mod error;
 pub mod kernel;
 pub mod partitioner;
-pub mod plan;
 pub mod record;
 pub mod sampler;
 pub mod sort;
@@ -45,7 +44,6 @@ pub use faaspipe_exchange::{
 };
 pub use kernel::{partition_sorted, scan_keys, sort_concat};
 pub use partitioner::RangePartitioner;
-pub use plan::{RunInfo, SortManifest};
 pub use record::SortRecord;
 pub use sort::{serverless_sort, streaming_merge, SortConfig, SortStats};
 pub use vmsort::{vm_sort, VmSortConfig, VmSortStats};

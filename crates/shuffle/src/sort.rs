@@ -35,7 +35,6 @@ use rand::SeedableRng;
 use crate::error::ShuffleError;
 use crate::kernel;
 use crate::partitioner::RangePartitioner;
-use crate::plan::{RunInfo, SortManifest};
 use crate::record::SortRecord;
 use crate::sampler::Reservoir;
 use crate::work::WorkModel;
@@ -48,6 +47,29 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// The Lithops-style driver's orchestration overhead per execution
+/// phase: job serialization and upload, invocation fan-out, and the
+/// COS-polling result detection. The executor charges it at the start of
+/// every phase of every stage, and the planner's config-derived model
+/// assumes it. Unbilled (the driver is not a function), but on the
+/// critical path.
+pub const DRIVER_ORCHESTRATION: SimDuration = SimDuration::from_secs(8);
+
+/// Bytes each sampler range-reads from the start of every input chunk.
+pub const SAMPLE_BYTES: u64 = 64 * 1024;
+
+/// Reservoir capacity of each sampler.
+const SAMPLE_CAPACITY: usize = 512;
+
+/// Seed of the samplers' reservoir draws. Each mapper derives its rng
+/// from this seed and its *logical* index — never from its process id —
+/// so the partition boundaries are a pure function of the input data and
+/// the worker count. That keeps sorted output byte-identical across
+/// exchange backends even when a backend runs helper processes (relay
+/// provisioners) that perturb process-id allocation, and makes
+/// re-invoked sample tasks idempotent.
+const SAMPLE_SEED: u64 = 0x5A3D_5EED;
 
 /// Configuration of one serverless sort run.
 #[derive(Debug, Clone)]
@@ -63,18 +85,6 @@ pub struct SortConfig {
     pub output_prefix: String,
     /// Prefix for intermediate partition objects.
     pub part_prefix: String,
-    /// Reservoir capacity per sampler.
-    pub sample_capacity: usize,
-    /// Bytes range-read from each input chunk when sampling.
-    pub sample_bytes: u64,
-    /// Seed for the samplers' reservoir draws. Each mapper derives its
-    /// rng from this seed and its *logical* index — never from its
-    /// process id — so the partition boundaries are a pure function of
-    /// input data and configuration. That keeps sorted output
-    /// byte-identical across exchange backends even when a backend runs
-    /// helper processes (relay provisioners) that perturb process-id
-    /// allocation, and makes re-invoked sample tasks idempotent.
-    pub sample_seed: u64,
     /// Metrics/billing tag.
     pub tag: String,
     /// CPU-work calibration.
@@ -82,9 +92,8 @@ pub struct SortConfig {
     /// Attempts per store request (fault-injection resilience).
     pub retries: u32,
     /// Driver-side orchestration overhead charged at the start of each
-    /// phase: job serialization/upload, invocation fan-out, and the
-    /// COS-polling result detection of a Lithops-style client. Unbilled
-    /// (the driver is not a function), but on the critical path.
+    /// phase (the executor passes [`DRIVER_ORCHESTRATION`]; zero by
+    /// default).
     pub orchestration: SimDuration,
     /// Object-store layout used when `backend` is `None` (the default
     /// [`ObjectStoreExchange`] path).
@@ -100,9 +109,6 @@ pub struct SortConfig {
     /// to this many times (Lithops-style task retry), on top of the
     /// per-request `retries`.
     pub task_attempts: u32,
-    /// When set, a [`SortManifest`] is written to this key after the runs
-    /// (one extra timed PUT).
-    pub manifest_key: Option<String>,
     /// Concurrent transfers per function (the intra-function parallel
     /// I/O window, K). Every phase runs its requests on K helper
     /// processes: sample range-reads, mapper chunk downloads (~2·K
@@ -122,9 +128,6 @@ impl Default for SortConfig {
             input_prefix: "in/".to_string(),
             output_prefix: "out/".to_string(),
             part_prefix: "part/".to_string(),
-            sample_capacity: 512,
-            sample_bytes: 64 * 1024,
-            sample_seed: 0x5A3D_5EED,
             tag: "sort".to_string(),
             work: WorkModel::default(),
             retries: 3,
@@ -132,7 +135,6 @@ impl Default for SortConfig {
             exchange: ExchangeStrategy::default(),
             backend: None,
             task_attempts: 2,
-            manifest_key: None,
             io_concurrency: 4,
         }
     }
@@ -392,11 +394,11 @@ pub async fn serverless_sort<R: SortRecord>(
                 Arc::clone(&sample_fn),
                 Arc::clone(&tag),
                 async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    let mut reservoir = Reservoir::new(cfg.sample_capacity);
+                    let mut reservoir = Reservoir::new(SAMPLE_CAPACITY);
                     // Seeded from the logical mapper index, and offered
                     // to in assignment order below, so the partition
                     // boundaries are invariant to `io_concurrency`.
-                    let mut rng = SmallRng::seed_from_u64(cfg.sample_seed ^ splitmix(m as u64));
+                    let mut rng = SmallRng::seed_from_u64(SAMPLE_SEED ^ splitmix(m as u64));
                     // Fan the per-input range reads out; parsing
                     // serializes on the single vCPU while other reads
                     // stream in. The reservoir draws stay on this
@@ -406,7 +408,7 @@ pub async fn serverless_sort<R: SortRecord>(
                     let cpu = fctx.sem_create(1).await;
                     let mut jobs = Vec::new();
                     for (key, len) in assigned.iter() {
-                        let span = cfg.sample_bytes.min(*len);
+                        let span = SAMPLE_BYTES.min(*len);
                         let span = span - span % R::WIRE_SIZE as u64;
                         if span == 0 {
                             continue;
@@ -577,7 +579,6 @@ pub async fn serverless_sort<R: SortRecord>(
     // ---- Phase 2: reduce — gather, k-way merge, write runs. ----
     let p_reduce = phase_begin(ctx, &trace, "reduce", cfg.orchestration).await;
     let out_bytes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let run_infos: Arc<Mutex<Vec<Option<RunInfo>>>> = Arc::new(Mutex::new(vec![None; w]));
     let reduce_fn: Arc<str> = Arc::from("reduce");
     let reduce_tag: Arc<str> = format!("{}/reduce", cfg.tag).into();
     let mut tasks: Vec<TaskFactory> = Vec::new();
@@ -588,13 +589,11 @@ pub async fn serverless_sort<R: SortRecord>(
         let store = Arc::clone(store);
         let cfg = Arc::clone(&cfg);
         let out_bytes = Arc::clone(&out_bytes);
-        let run_infos = Arc::clone(&run_infos);
         let backend = Arc::clone(&backend);
         tasks.push(Box::new(move |ctx| {
             let store = Arc::clone(&store);
             let cfg = Arc::clone(&cfg);
             let out_bytes = Arc::clone(&out_bytes);
-            let run_infos = Arc::clone(&run_infos);
             let backend = Arc::clone(&backend);
             let tag = Arc::clone(&reduce_tag);
             spawn_invocation(
@@ -628,17 +627,11 @@ pub async fn serverless_sort<R: SortRecord>(
                         .unwrap_or_else(|e| panic!("reduce decode failed: {}", e));
                     // Free the gathered runs before the write yields.
                     drop(runs);
-                    let records = (merged.len() / R::WIRE_SIZE) as u64;
                     // One shared buffer: `Bytes::clone` inside the retry
                     // loop is a refcount bump, not a copy of the run.
                     let data = Bytes::from(merged);
                     *out_bytes.lock() += data.len() as u64;
                     let key = format!("{}{:05}", cfg.output_prefix, j);
-                    run_infos.lock()[j] = Some(RunInfo {
-                        key: key.clone(),
-                        records,
-                        bytes: data.len() as u64,
-                    });
                     with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
                         client.put(c, &cfg.bucket, &key, data.clone()).await
                     })
@@ -655,18 +648,6 @@ pub async fn serverless_sort<R: SortRecord>(
     let xenv = ExchangeEnv::driver(format!("{}/driver", cfg.tag), cfg.retries);
     backend.cleanup(ctx, &xenv).await?;
     let output_bytes = *out_bytes.lock();
-    if let Some(manifest_key) = &cfg.manifest_key {
-        let manifest = SortManifest {
-            operator: "serverless".to_string(),
-            workers: w,
-            input_bytes,
-            output_bytes,
-            runs: run_infos.lock().iter().flatten().cloned().collect(),
-        };
-        manifest
-            .write(ctx, &driver, &cfg.bucket, manifest_key)
-            .await?;
-    }
     let finished = ctx.now();
 
     Ok(SortStats {
@@ -1076,43 +1057,6 @@ mod tests {
                 m
             );
         }
-    }
-
-    #[test]
-    fn manifest_describes_the_runs() {
-        let values: Vec<u64> = (0..2_000u64).rev().collect();
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
-        upload_chunks(&mut sim, &store, &values, 4);
-        let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            ctx.sleep(SimDuration::from_secs(120)).await;
-            let cfg = SortConfig {
-                workers: 4,
-                manifest_key: Some("out/_manifest.json".to_string()),
-                ..SortConfig::default()
-            };
-            serverless_sort::<u64>(ctx, &faas, &store2, &cfg)
-                .await
-                .expect("sort");
-            let client = store2.connect(ctx, "verify").await;
-            let manifest = SortManifest::read(ctx, &client, "data", "out/_manifest.json")
-                .await
-                .expect("manifest readable");
-            assert_eq!(manifest.operator, "serverless");
-            assert_eq!(manifest.workers, 4);
-            assert_eq!(manifest.total_records(), 2_000);
-            assert_eq!(manifest.runs.len(), 4);
-            assert_eq!(manifest.output_bytes, 2_000 * 8);
-            // Every run the manifest names exists with the declared size.
-            for run in &manifest.runs {
-                let data = client.get(ctx, "data", &run.key).await.expect("run exists");
-                assert_eq!(data.len() as u64, run.bytes);
-            }
-        });
-        sim.run().expect("sim ok");
     }
 
     #[test]

@@ -15,11 +15,13 @@ use faaspipe_store::ObjectStore;
 use faaspipe_vm::{VmFleet, VmProfile};
 
 use crate::error::ShuffleError;
-use crate::plan::{RunInfo, SortManifest};
 use crate::record::SortRecord;
 use crate::sort::{phase_begin, phase_end};
 use crate::work::WorkModel;
 use faaspipe_exchange::with_retry;
+
+/// Attempts per store request.
+const RETRIES: u32 = 3;
 
 /// Configuration of one VM-driven sort.
 #[derive(Debug, Clone)]
@@ -38,12 +40,6 @@ pub struct VmSortConfig {
     pub tag: String,
     /// CPU-work calibration.
     pub work: WorkModel,
-    /// Attempts per store request.
-    pub retries: u32,
-    /// Release (stop billing) the VM when done.
-    pub release: bool,
-    /// When set, a [`SortManifest`] is written to this key after the runs.
-    pub manifest_key: Option<String>,
 }
 
 impl Default for VmSortConfig {
@@ -56,9 +52,6 @@ impl Default for VmSortConfig {
             profile: VmProfile::bx2_8x32(),
             tag: "vmsort".to_string(),
             work: WorkModel::default(),
-            retries: 3,
-            release: true,
-            manifest_key: None,
         }
     }
 }
@@ -127,7 +120,7 @@ pub async fn vm_sort<R: SortRecord>(
     let mut chunks: Vec<Bytes> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     for obj in &inputs {
-        let data = with_retry(ctx, cfg.retries, async |c: &mut Ctx| {
+        let data = with_retry(ctx, RETRIES, async |c: &mut Ctx| {
             client.get(c, &cfg.bucket, &obj.key).await
         })
         .await?;
@@ -159,7 +152,6 @@ pub async fn vm_sort<R: SortRecord>(
     // not record bytes.
     let p_upload = phase_begin(ctx, &trace, "upload", SimDuration::ZERO).await;
     let mut run_keys = Vec::with_capacity(cfg.runs);
-    let mut run_infos = Vec::with_capacity(cfg.runs);
     let total_records = sorted_bytes.len() / R::WIRE_SIZE;
     let per = total_records.div_ceil(cfg.runs).max(1);
     let mut output_bytes = 0u64;
@@ -169,34 +161,15 @@ pub async fn vm_sort<R: SortRecord>(
         let data = sorted_bytes.slice(lo * R::WIRE_SIZE..hi * R::WIRE_SIZE);
         output_bytes += data.len() as u64;
         let key = format!("{}{:05}", cfg.output_prefix, j);
-        run_infos.push(RunInfo {
-            key: key.clone(),
-            records: (hi - lo) as u64,
-            bytes: data.len() as u64,
-        });
-        with_retry(ctx, cfg.retries, async |c: &mut Ctx| {
+        with_retry(ctx, RETRIES, async |c: &mut Ctx| {
             client.put(c, &cfg.bucket, &key, data.clone()).await
         })
         .await?;
         run_keys.push(key);
     }
-    if let Some(manifest_key) = &cfg.manifest_key {
-        let manifest = SortManifest {
-            operator: "vm".to_string(),
-            workers: 1,
-            input_bytes,
-            output_bytes,
-            runs: run_infos,
-        };
-        manifest
-            .write(ctx, &client, &cfg.bucket, manifest_key)
-            .await?;
-    }
     phase_end(ctx, &trace, p_upload);
     let finished = ctx.now();
-    if cfg.release {
-        fleet.release(ctx, vm);
-    }
+    fleet.release(ctx, vm);
     Ok(VmSortStats {
         input_bytes,
         output_bytes,
@@ -308,42 +281,6 @@ mod tests {
                 .await
                 .expect_err("bad cfg");
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
-        });
-        sim.run().expect("sim ok");
-    }
-
-    #[test]
-    fn vm_sort_manifest_matches_runs() {
-        let values: Vec<u64> = (0..1_500u64).rev().collect();
-        let mut sim = Sim::new();
-        let store = ObjectStore::install(&mut sim, StoreConfig::default());
-        let fleet = VmFleet::new();
-        store.create_bucket("data").expect("bucket");
-        store
-            .put_untimed(
-                "data",
-                "in/0000",
-                Bytes::from(SortRecord::write_all(&values)),
-            )
-            .expect("stage");
-        let store2 = Arc::clone(&store);
-        sim.spawn("driver", move |mut ctx| async move {
-            let ctx = &mut ctx;
-            let cfg = VmSortConfig {
-                runs: 3,
-                manifest_key: Some("out/_manifest.json".to_string()),
-                ..VmSortConfig::default()
-            };
-            vm_sort::<u64>(ctx, &fleet, &store2, &cfg)
-                .await
-                .expect("vm sort");
-            let client = store2.connect(ctx, "verify").await;
-            let manifest = SortManifest::read(ctx, &client, "data", "out/_manifest.json")
-                .await
-                .expect("manifest readable");
-            assert_eq!(manifest.operator, "vm");
-            assert_eq!(manifest.total_records(), 1_500);
-            assert_eq!(manifest.runs.len(), 3);
         });
         sim.run().expect("sim ok");
     }

@@ -21,8 +21,6 @@ pub struct WorkModel {
     pub merge_mibps: f64,
     /// METHCOMP columnar encoding.
     pub methcomp_encode_mibps: f64,
-    /// METHCOMP decoding.
-    pub methcomp_decode_mibps: f64,
     /// gzip-class LZ77+Huffman encoding.
     pub gzip_encode_mibps: f64,
     /// Parsing bedMethyl text into records.
@@ -39,7 +37,6 @@ impl Default for WorkModel {
             partition_mibps: 160.0,
             merge_mibps: 180.0,
             methcomp_encode_mibps: 85.0,
-            methcomp_decode_mibps: 110.0,
             gzip_encode_mibps: 36.0,
             parse_mibps: 140.0,
             size_scale: 1.0,
@@ -84,11 +81,6 @@ impl WorkModel {
     /// Single-vCPU time to METHCOMP-encode `real_bytes`.
     pub fn methcomp_encode_time(&self, real_bytes: usize) -> SimDuration {
         self.time(real_bytes, self.methcomp_encode_mibps)
-    }
-
-    /// Single-vCPU time to METHCOMP-decode `real_bytes` (of decoded size).
-    pub fn methcomp_decode_time(&self, real_bytes: usize) -> SimDuration {
-        self.time(real_bytes, self.methcomp_decode_mibps)
     }
 
     /// Single-vCPU time to gzip-encode `real_bytes`.

@@ -6,26 +6,11 @@ use rand::Rng;
 ///
 /// Used by failure-injection tests and the resilience experiments: a
 /// request may fail outright (the client sees
-/// [`StoreError::Injected`](crate::StoreError::Injected)) or be slowed
-/// down by a multiplicative factor on its first-byte latency.
-#[derive(Debug, Clone)]
+/// [`StoreError::Injected`](crate::StoreError::Injected)).
+#[derive(Debug, Clone, Default)]
 pub struct FailurePolicy {
     /// Probability in `[0, 1]` that a request fails.
     pub error_rate: f64,
-    /// Probability in `[0, 1]` that a request is slowed down.
-    pub slow_rate: f64,
-    /// Latency multiplier applied to slowed requests.
-    pub slow_factor: f64,
-}
-
-impl Default for FailurePolicy {
-    fn default() -> Self {
-        FailurePolicy {
-            error_rate: 0.0,
-            slow_rate: 0.0,
-            slow_factor: 1.0,
-        }
-    }
 }
 
 impl FailurePolicy {
@@ -40,43 +25,17 @@ impl FailurePolicy {
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn with_error_rate(rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "error_rate must be in [0,1]");
-        FailurePolicy {
-            error_rate: rate,
-            ..FailurePolicy::default()
-        }
+        FailurePolicy { error_rate: rate }
     }
 
-    /// A policy slowing requests with probability `rate` by `factor`.
-    ///
-    /// # Panics
-    /// Panics if `rate` is outside `[0, 1]` or `factor < 1`.
-    pub fn with_slowdown(rate: f64, factor: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "slow_rate must be in [0,1]");
-        assert!(factor >= 1.0, "slow_factor must be >= 1");
-        FailurePolicy {
-            slow_rate: rate,
-            slow_factor: factor,
-            ..FailurePolicy::default()
-        }
-    }
-
-    /// Whether any fault can ever fire (fast path check).
-    pub fn is_active(&self) -> bool {
-        self.error_rate > 0.0 || self.slow_rate > 0.0
-    }
-
-    /// Draws the fate of one request.
+    /// Draws the fate of one request. An inactive policy (error rate 0)
+    /// draws nothing from `rng`.
     pub fn draw(&self, rng: &mut impl Rng) -> Fate {
-        if !self.is_active() {
-            return Fate::Ok;
-        }
         if self.error_rate > 0.0 && rng.gen::<f64>() < self.error_rate {
-            return Fate::Fail;
+            Fate::Fail
+        } else {
+            Fate::Ok
         }
-        if self.slow_rate > 0.0 && rng.gen::<f64>() < self.slow_rate {
-            return Fate::Slow(self.slow_factor);
-        }
-        Fate::Ok
     }
 }
 
@@ -87,8 +46,6 @@ pub enum Fate {
     Ok,
     /// Fail with an injected error.
     Fail,
-    /// Proceed with first-byte latency multiplied by the factor.
-    Slow(f64),
 }
 
 #[cfg(test)]
@@ -116,24 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_distribution_roughly_matches_rate() {
-        let p = FailurePolicy::with_slowdown(0.5, 3.0);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let slow = (0..10_000)
-            .filter(|_| matches!(p.draw(&mut rng), Fate::Slow(_)))
-            .count();
-        assert!((4_000..6_000).contains(&slow), "got {}", slow);
-    }
-
-    #[test]
     #[should_panic(expected = "error_rate")]
     fn rejects_bad_rate() {
         FailurePolicy::with_error_rate(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "slow_factor")]
-    fn rejects_bad_factor() {
-        FailurePolicy::with_slowdown(0.5, 0.5);
     }
 }

@@ -249,8 +249,8 @@ impl std::fmt::Debug for StoreClient {
 
 impl StoreClient {
     /// Charges the fixed request overhead: an ops/s slot plus first-byte
-    /// latency (possibly inflated by fault injection). Returns an injected
-    /// error without touching state when the failure policy says so.
+    /// latency. Returns an injected error without touching state when the
+    /// failure policy says so.
     async fn request_overhead(&self, ctx: &mut Ctx, op: &'static str) -> Result<(), StoreError> {
         let cfg = &self.store.cfg;
         ctx.limiter_acquire(self.store.ops, 1.0).await;
@@ -258,11 +258,7 @@ impl StoreClient {
             ctx.limiter_acquire(scope_ops, 1.0).await;
         }
         let fate = cfg.failure.draw(ctx.rng());
-        let latency = match fate {
-            Fate::Slow(factor) => cfg.first_byte_latency.mul_f64(factor),
-            _ => cfg.first_byte_latency,
-        };
-        ctx.sleep(latency).await;
+        ctx.sleep(cfg.first_byte_latency).await;
         if matches!(fate, Fate::Fail) {
             return Err(StoreError::Injected { op });
         }
@@ -716,19 +712,6 @@ mod tests {
         });
         assert_eq!(store.object_count("b"), 0, "failed put must not commit");
         assert_eq!(store.metrics().total().errors, 1);
-    }
-
-    #[test]
-    fn slowdown_injection_inflates_latency() {
-        let cfg = StoreConfig {
-            first_byte_latency: SimDuration::from_millis(10),
-            ..quiet_config()
-        }
-        .with_failure(FailurePolicy::with_slowdown(1.0, 5.0));
-        let (_, end) = run_with(cfg, async |ctx, c| {
-            c.put(ctx, "b", "k", Bytes::from("x")).await.expect("put");
-        });
-        assert_eq!(end, SimTime::from_nanos(50_000_000));
     }
 
     #[test]

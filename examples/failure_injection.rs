@@ -1,5 +1,5 @@
 //! Resilience demo: run the serverless sort against an object store that
-//! randomly fails and slows requests, and watch retries absorb it.
+//! randomly fails requests, and watch retries absorb it.
 //!
 //! ```text
 //! cargo run --release --example failure_injection
@@ -17,11 +17,7 @@ use faaspipe::store::{FailurePolicy, ObjectStore, StoreConfig};
 
 fn run(error_rate: f64) -> Result<(f64, u64), Box<dyn std::error::Error>> {
     let mut sim = Sim::new();
-    let store_cfg = StoreConfig::default().with_failure(FailurePolicy {
-        error_rate,
-        slow_rate: 0.05,
-        slow_factor: 4.0,
-    });
+    let store_cfg = StoreConfig::default().with_failure(FailurePolicy::with_error_rate(error_rate));
     let store = ObjectStore::install(&mut sim, store_cfg);
     let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
     store.create_bucket("data")?;

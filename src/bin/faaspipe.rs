@@ -224,8 +224,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let input_prefix = match dag.stages().first().map(|s| &s.kind) {
         Some(faaspipe::core::StageKind::ShuffleSort { input, .. })
         | Some(faaspipe::core::StageKind::VmSort { input, .. })
-        | Some(faaspipe::core::StageKind::Encode { input, .. })
-        | Some(faaspipe::core::StageKind::Decode { input, .. }) => input.clone(),
+        | Some(faaspipe::core::StageKind::Encode { input, .. }) => input.clone(),
         None => return Err("workflow has no stages".into()),
     };
     let dataset = Synthesizer::new(seed).generate_shuffled(records);

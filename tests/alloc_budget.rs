@@ -74,13 +74,13 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Allocations per simulated event above which the `fanout` run fails.
-/// The control-plane-heavy run below makes 1.24 (23,583 allocations and
+/// The control-plane-heavy run below makes 1.23 (23,317 allocations and
 /// reallocations over 18,954 events); before the simulator stopped
 /// allocating per store request and per process name it made 4.54.
 const FANOUT_CEILING_PER_EVENT: f64 = 1.35;
 
 /// Allocations per simulated event above which the `sharded_relay` run
-/// fails. It makes 0.55 (4,373 over 7,901 events); while every windowed
+/// fails. It makes 0.55 (4,331 over 7,901 events); while every windowed
 /// relay job cloned its shard (three strings plus the fleet's scope
 /// string) it made 1.35 (10,645).
 const SHARDED_RELAY_CEILING_PER_EVENT: f64 = 0.62;
@@ -144,8 +144,8 @@ fn sharded_relay_allocations_per_event_stay_under_the_ceiling() {
 }
 
 /// Live heap bytes above which the `cluster` run below fails at its
-/// peak. It peaks at 2,484,491 bytes (2.37 MiB) above what the thread
-/// held before the run, and 70 kB more for every earlier run (1,359,437
+/// peak. It peaks at 2,481,343 bytes (2.37 MiB) above what the thread
+/// held before the run, and 70 kB more for every earlier run (1,356,289
 /// bytes with 16 runs instead of 32): what the simulator keeps per
 /// process and per store connection ever made. While every run's bucket
 /// (inputs, sorted runs and archives) stayed in the store until the

@@ -263,6 +263,31 @@ fn run_rejects_worker_counts_above_the_stage_ceiling() {
 }
 
 #[test]
+fn run_rejects_a_decode_stage() {
+    // A stage is a shuffle_sort, a vm_sort or an encode; a "decode"
+    // stage is a spec error (exit 1), not a panic.
+    let spec = tmp("decode-spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "dec", "bucket": "data", "stages": [
+            { "name": "decode", "kind": "decode", "workers": 2,
+              "input": "enc/", "output": "dec/" } ]}"#,
+    )
+    .expect("write spec");
+    let out = bin()
+        .arg("run")
+        .arg(&spec)
+        .args(["--records", "2000"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown stage kind 'decode'"), "{}", stderr);
+    assert!(!stderr.contains("panicked"), "{}", stderr);
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn oversized_record_counts_exit_with_an_error() {
     // 2^64 − 1 records cannot be sized in memory, and 10^15 (24 PB)
     // exceed any host's; every command that synthesizes records rejects

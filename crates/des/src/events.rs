@@ -48,7 +48,7 @@ impl EventId {
 /// kernel-owned resources (flow network, rate limiters) get ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
-    /// Resume the process with this index.
+    /// Resume the process in this scheduler slot.
     Process(u32),
     /// Re-evaluate the fluid-flow network (a flow is due to complete).
     FlowTick,

@@ -46,7 +46,7 @@
 //! * **Components.** With slack links removed the flows fall into
 //!   components, and progressive filling solves each one independently
 //!   bit for bit: a component's links only see freezes of its own flows,
-//!   in the same `(share, ascending link id)` order and ascending slot
+//!   in the same `(share, link creation order)` order and ascending slot
 //!   order as one global solve.
 //! * **The region.** `start`/`tick` record the started flows and the
 //!   links whose membership changed. A solve seeds its region with the
@@ -65,13 +65,13 @@
 //!   round freeze exactly the flows crossing the bottleneck instead of
 //!   re-scanning every unfrozen flow;
 //! * the bottleneck itself comes from a min-heap of `(fair share, link
-//!   id)` keys, built in one heapify, instead of a scan over every
-//!   link per round. Keys are **lazy lower bounds**: freezing flows at the
-//!   minimum share never lowers another link's share in exact arithmetic,
-//!   so a freeze queues a link's new share only when rounding pushed it
-//!   below the link's lowest queued key (`low`); a popped key that no
-//!   longer matches its link's live share is re-queued at the live value
-//!   if it is that lowest key, and dropped otherwise;
+//!   creation order)` keys, built in one heapify, instead of a scan over
+//!   every link per round. Keys are **lazy lower bounds**: freezing flows
+//!   at the minimum share never lowers another link's share in exact
+//!   arithmetic, so a freeze queues a link's new share only when rounding
+//!   pushed it below the link's lowest queued key (`low`); a popped key
+//!   that no longer matches its link's live share is re-queued at the
+//!   live value if it is that lowest key, and dropped otherwise;
 //! * every solve ends with one pass over all active flows that keeps
 //!   the smallest drain time `remaining / rate` and converts it to a
 //!   delay once, so the scheduler's `next_completion` query is O(1)
@@ -87,10 +87,21 @@
 //! * `settle`, `tick` and `link_rate` walk the active-flow / member lists,
 //!   not every slot ever allocated.
 //!
+//! # Released links
+//!
+//! A link held for part of a run (a store connection's cap, made through
+//! [`Ctx::link_create_owned`](crate::Ctx::link_create_owned)) is released
+//! when its owner drops it, and its slot is reused once no flow crosses it
+//! and no pending solve has it in `changed`. The link tables and the
+//! solver's link-indexed scratch therefore size to the most links live at
+//! once, not to every link ever made. A reused slot holds a later link
+//! than its id suggests, so ties between equal shares break by each link's
+//! creation order (its rank), never by its id.
+//!
 //! All of it is bit-identity-preserving. Every live link always has a
 //! queued key no larger than its live share, so the first popped key that
-//! equals its link's live `residual/count` is the same `(share, ascending
-//! link id)` minimum the dense scan picks; freezing walks members in
+//! equals its link's live `residual/count` is the same `(share, link
+//! creation order)` minimum the dense scan picks; freezing walks members in
 //! ascending slot order (the dense scan's flow order); and the accepted
 //! share is re-derived from the live `residual/count` at pop time, so
 //! every floating-point operation happens on the same operands in the
@@ -143,6 +154,10 @@ type Members = InlineList<u32, 3>;
 #[derive(Debug)]
 struct Link {
     capacity: f64, // bytes/sec, may be infinite
+    /// Creation order: the `n`-th link added to the network has rank `n`.
+    /// A reused slot holds a later link than its id suggests, so ties
+    /// between equal shares break by rank, not by id.
+    rank: u32,
     /// Σ over member occurrences of [`cover_of`]: an exact integer bound,
     /// in bytes/sec, on what the members can ever push through the link.
     cover: u128,
@@ -168,7 +183,7 @@ impl Link {
 struct Flow {
     remaining: f64, // bytes
     links: FlowLinks,
-    waker: u32, // process index to resume on completion
+    waker: u32, // process slot to resume on completion
     rate: f64,  // current fair-share rate, bytes/sec
 }
 
@@ -197,14 +212,15 @@ fn cover_of(links: &[Link], flow_links: &[LinkId], l: LinkId) -> Option<u64> {
 }
 
 /// Min-heap key for the bottleneck search. Orders by fair share first and
-/// ascending link id second, which is exactly the dense scan's tie-break
-/// (`s <= share` kept the incumbent, and the incumbent had the lowest id
-/// because the scan ran in ascending id order). Shares are never NaN —
-/// residuals are clamped non-negative and counts are positive — so the
-/// partial order is total here.
+/// link creation order (`rank`) second, which is exactly the dense scan's
+/// tie-break (`s <= share` kept the incumbent, and the incumbent was the
+/// earliest-created link because the scan ran in creation order). Shares
+/// are never NaN — residuals are clamped non-negative and counts are
+/// positive — so the partial order is total here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ShareKey {
     share: f64,
+    rank: u32,
     li: u32,
 }
 
@@ -221,7 +237,7 @@ impl Ord for ShareKey {
         self.share
             .partial_cmp(&other.share)
             .expect("fair shares are never NaN")
-            .then(self.li.cmp(&other.li))
+            .then(self.rank.cmp(&other.rank))
     }
 }
 
@@ -229,7 +245,16 @@ impl Ord for ShareKey {
 /// interact with it through [`Ctx::transfer`](crate::Ctx::transfer).
 #[derive(Debug, Default)]
 pub struct FlowNet {
+    /// Link slots: as many as were ever live at once.
     links: Vec<Link>,
+    /// Rank of the next link added.
+    next_rank: u32,
+    /// Slots of released links that no flow or pending solve refers to;
+    /// the next `add_link` takes the last one.
+    free_links: Vec<u32>,
+    /// Released links still crossed by a flow or queued in `changed`;
+    /// each solve frees those no flow crosses any more.
+    retired: Vec<u32>,
     flows: Vec<Option<Flow>>,
     free: Vec<usize>,
     last_settle: SimTime,
@@ -292,18 +317,42 @@ impl FlowNet {
         FlowNet::default()
     }
 
-    /// Adds a link with the given capacity and returns its id.
+    /// Adds a link with the given capacity and returns its id: the slot
+    /// of a released link if one is free.
     pub fn add_link(&mut self, capacity: Bandwidth) -> LinkId {
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link {
+        let link = Link {
             capacity: capacity.as_bytes_per_sec(),
+            rank: self.next_rank,
             cover: 0,
             uncovered: 0,
             binds: false,
             changed: false,
-        });
-        self.members.push(Members::new());
-        id
+        };
+        self.next_rank = self.next_rank.checked_add(1).expect("link ranks exhausted");
+        match self.free_links.pop() {
+            Some(li) => {
+                debug_assert!(self.members[li as usize].is_empty());
+                self.links[li as usize] = link;
+                LinkId(li)
+            }
+            None => {
+                self.links.push(link);
+                self.members.push(Members::new());
+                LinkId(self.links.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// Releases `link`: no flow may start across it any more, and its
+    /// slot is reused once no flow crosses it and no pending solve refers
+    /// to it. Changes no rate.
+    pub fn release_link(&mut self, link: LinkId) {
+        let li = link.0 as usize;
+        if self.members[li].is_empty() && !self.links[li].changed {
+            self.free_links.push(link.0);
+        } else {
+            self.retired.push(link.0);
+        }
     }
 
     /// Number of flows currently in progress.
@@ -587,13 +636,16 @@ impl FlowNet {
     /// of each filling round comes from a min-heap of lazy lower-bound
     /// keys, and each round freezes only the members of the bottleneck
     /// link. Tie-breaking and floating-point evaluation order are kept
-    /// exactly as the dense scan had them (ascending link id, ascending
+    /// exactly as the dense scan had them (link creation order, ascending
     /// flow slot, shares derived from the live residual/count at selection
     /// time), so computed rates — and therefore virtual time — are
-    /// bit-identical.
+    /// bit-identical. It ends by freeing the released links no flow
+    /// crosses any more.
     fn recompute(&mut self) {
         let FlowNet {
             links,
+            free_links,
+            retired,
             flows,
             active,
             members,
@@ -671,6 +723,7 @@ impl FlowNet {
                 low[li] = residual[li] / counts[li] as f64;
                 keys.push(Reverse(ShareKey {
                     share: low[li],
+                    rank: links[li].rank,
                     li: l.0,
                 }));
                 for &m in &members[li] {
@@ -700,7 +753,7 @@ impl FlowNet {
                     // The link's share rose since its lowest key was
                     // queued; queue the live value in its place.
                     low[l] = share;
-                    heap.push(Reverse(ShareKey { share, li: key.li }));
+                    heap.push(Reverse(ShareKey { share, ..key }));
                 }
             }
             match bottleneck {
@@ -749,7 +802,11 @@ impl FlowNet {
                                 let s = residual[li] / counts[li] as f64;
                                 if s < low[li] {
                                     low[li] = s;
-                                    heap.push(Reverse(ShareKey { share: s, li: l.0 }));
+                                    heap.push(Reverse(ShareKey {
+                                        share: s,
+                                        rank: links[li].rank,
+                                        li: l.0,
+                                    }));
                                 }
                             }
                         }
@@ -775,6 +832,16 @@ impl FlowNet {
         // deadline is re-derived, not only the region's.
         *earliest = Self::earliest_delay(active, flows);
         *earliest_fresh = true;
+
+        // No link is queued in `changed` any more, so a released link is
+        // free once its last flow has left.
+        retired.retain(|&li| {
+            let crossed = !members[li as usize].is_empty();
+            if !crossed {
+                free_links.push(li);
+            }
+            crossed
+        });
     }
 
     /// The earliest completion delay among the `active` flows, the
@@ -942,6 +1009,62 @@ mod tests {
         tick(&mut net, done);
         net.start(done, spec, 1);
         assert_eq!(net.flows.len(), 1, "slot should be recycled");
+    }
+
+    #[test]
+    fn equal_shares_break_ties_by_creation_order_when_slots_are_reused() {
+        // Links `a` and `b` both share 1 B/s among three flows, one flow
+        // crossing both. The link solved first gives its flows exactly
+        // 1/3; the other's own flows get (1 − 1/3)/2, one ulp more. `b`
+        // takes the slot `a`'s predecessor released, so its id is lower,
+        // but `a` was created first and must still be solved first.
+        let cap = Bandwidth::bytes_per_sec(1.0);
+        let rates_of = |net: &mut FlowNet, a: LinkId, b: LinkId| {
+            for (waker, links) in [[a].as_slice(), &[a, b], &[a], &[b], &[b]]
+                .into_iter()
+                .enumerate()
+            {
+                net.start(t(0), FlowSpec::new(ByteSize::new(100), links), waker as u32);
+            }
+            rates(net)
+        };
+        let mut recycled = FlowNet::new();
+        let gone = recycled.add_link(cap);
+        let a = recycled.add_link(cap);
+        recycled.release_link(gone);
+        let b = recycled.add_link(cap);
+        assert_eq!(b, gone, "b reuses the released slot");
+        let got = rates_of(&mut recycled, a, b);
+
+        let mut fresh = FlowNet::new();
+        fresh.add_link(cap);
+        let (a, b) = (fresh.add_link(cap), fresh.add_link(cap));
+        let want = rates_of(&mut fresh, a, b);
+        assert_eq!(
+            got, want,
+            "every rate matches the net that released nothing"
+        );
+        assert_eq!(got[0], 1.0 / 3.0, "a, created first, is solved first");
+        assert_ne!(got[3], got[0], "the tie-break shows in the rates");
+    }
+
+    #[test]
+    fn released_links_cycle_through_a_constant_table() {
+        let mut net = FlowNet::new();
+        let backbone = net.add_link(Bandwidth::bytes_per_sec(1000.0));
+        let mut now = t(0);
+        for i in 0..10_000u32 {
+            let conn = net.add_link(Bandwidth::bytes_per_sec(100.0));
+            net.start(now, FlowSpec::new(ByteSize::new(100), &[conn, backbone]), i);
+            now = net.next_completion(now).expect("one flow");
+            assert_eq!(tick(&mut net, now), vec![i]);
+            // The finished flow left `conn` queued for the next solve, so
+            // its slot is reclaimed by that solve, not here.
+            net.release_link(conn);
+        }
+        assert_eq!(net.links.len(), 3, "the backbone and two connection slots");
+        assert_eq!(net.members.len(), 3);
+        assert!(net.scratch.residual.len() <= 3);
     }
 
     #[test]

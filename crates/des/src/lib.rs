@@ -54,7 +54,8 @@ pub mod units;
 pub use flow::{FlowLinks, FlowSpec, LinkId};
 pub use inline::InlineList;
 pub use process::{
-    catch_unwind_future, panic_message, CatchUnwind, Ctx, JoinError, LocalBoxFuture, ProcessId,
+    catch_unwind_future, panic_message, CatchUnwind, Ctx, JoinError, LocalBoxFuture, OwnedLink,
+    ProcessId,
 };
 pub use resources::{LimiterId, SemId};
 pub use sim::{Sim, SimError, SimReport};

@@ -28,19 +28,29 @@ use crate::resources::{LimiterId, SemId};
 use crate::units::{Bandwidth, ByteSize, SimDuration, SimTime};
 
 /// Identifies a process within one simulation.
+///
+/// Holds the process's pid and the scheduler slot it runs in. Pids are
+/// handed out in spawn order and never reused; a slot is reused once its
+/// process has finished, so the pid tells a later occupant apart, the way
+/// an [`EventId`](crate::events::EventId)'s generation does. Ordered by
+/// pid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcessId(pub(crate) u32);
+pub struct ProcessId {
+    pub(crate) pid: u32,
+    pub(crate) slot: u32,
+}
 
 impl ProcessId {
-    /// The dense index of this process.
+    /// This process's pid: unique within the simulation and never handed
+    /// to another process, even after this one finishes.
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.pid as usize
     }
 }
 
 impl std::fmt::Display for ProcessId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}", self.0)
+        write!(f, "p{}", self.pid)
     }
 }
 
@@ -130,8 +140,9 @@ impl std::fmt::Display for ProcName {
 }
 
 /// Scheduler state every [`Ctx`] reads through one `Rc`: the virtual
-/// clock, the op mailbox, the seed of the per-process random streams and
-/// the pid the next spawned process gets.
+/// clock, the op mailbox, the seed of the per-process random streams,
+/// the pid and slot the next spawned process gets, and the links whose
+/// [`OwnedLink`] dropped.
 ///
 /// The mailbox has one slot per direction for the whole simulation: the
 /// polled process's pending operation goes in `request`, the scheduler's
@@ -147,6 +158,10 @@ pub(crate) struct Shared {
     pub(crate) seed: u64,
     /// The pid the scheduler assigns to the next process it creates.
     pub(crate) next_pid: Cell<u32>,
+    /// The slot the scheduler puts the next process it creates in.
+    pub(crate) next_slot: Cell<u32>,
+    /// Links released since the scheduler last created a link.
+    pub(crate) released_links: RefCell<Vec<LinkId>>,
 }
 
 impl Shared {
@@ -157,19 +172,25 @@ impl Shared {
             reply: Cell::new(None),
             seed,
             next_pid: Cell::new(0),
+            next_slot: Cell::new(0),
+            released_links: RefCell::new(Vec::new()),
         }
     }
 
     /// The context and boxed future of the next process to be created:
-    /// `body` receives the context of pid `next_pid`, and the future it
-    /// returns is boxed once, as is. Creating a future runs none of its
-    /// code; that starts at its first poll.
+    /// `body` receives the context of pid `next_pid` in slot `next_slot`,
+    /// and the future it returns is boxed once, as is. Creating a future
+    /// runs none of its code; that starts at its first poll.
     pub(crate) fn build_process<F, Fut>(self: &Rc<Self>, body: F) -> LocalBoxFuture<'static, ()>
     where
         F: FnOnce(Ctx) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let ctx = Ctx::new(ProcessId(self.next_pid.get()), Rc::clone(self));
+        let pid = ProcessId {
+            pid: self.next_pid.get(),
+            slot: self.next_slot.get(),
+        };
+        let ctx = Ctx::new(pid, Rc::clone(self));
         Box::pin(body(ctx))
     }
 }
@@ -255,7 +276,7 @@ impl std::fmt::Debug for Ctx {
 
 impl Ctx {
     pub(crate) fn new(pid: ProcessId, shared: Rc<Shared>) -> Self {
-        let stream = shared.seed ^ (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let stream = shared.seed ^ (pid.pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Ctx {
             pid,
             shared,
@@ -348,10 +369,20 @@ impl Ctx {
     }
 
     /// Creates a bandwidth-constrained link in the fluid-flow network.
+    /// It lasts for the rest of the run.
     pub async fn link_create(&self, capacity: Bandwidth) -> LinkId {
         match self.call(YieldMsg::LinkCreate(capacity)).await {
             ResumeMsg::Link(id) => id,
             other => unreachable!("unexpected resume for link_create: {:?}", other),
+        }
+    }
+
+    /// Creates a link that lasts as long as the returned [`OwnedLink`],
+    /// such as the bandwidth cap of one store connection.
+    pub async fn link_create_owned(&self, capacity: Bandwidth) -> OwnedLink {
+        OwnedLink {
+            id: self.link_create(capacity).await,
+            shared: Rc::clone(&self.shared),
         }
     }
 
@@ -530,6 +561,34 @@ impl Ctx {
         self.join_all(&pids).await?;
         let mut slots = results.borrow_mut();
         collect_fan_out(name, &mut slots)
+    }
+}
+
+/// A link made by [`Ctx::link_create_owned`]. Dropping it releases the
+/// link: no transfer may name it afterwards, and the flow network reuses
+/// its slot once no flow crosses it. Releasing costs no virtual time and
+/// no event.
+pub struct OwnedLink {
+    id: LinkId,
+    shared: Rc<Shared>,
+}
+
+impl OwnedLink {
+    /// The link, to name in transfers while this handle lives.
+    pub fn id(&self) -> LinkId {
+        self.id
+    }
+}
+
+impl std::fmt::Debug for OwnedLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("OwnedLink").field(&self.id).finish()
+    }
+}
+
+impl Drop for OwnedLink {
+    fn drop(&mut self) {
+        self.shared.released_links.borrow_mut().push(self.id);
     }
 }
 

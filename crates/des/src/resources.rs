@@ -24,7 +24,7 @@ pub struct LimiterId(pub(crate) u32);
 #[derive(Debug)]
 pub struct Semaphore {
     permits: u64,
-    waiters: VecDeque<(u32, u64)>, // (process index, permits wanted)
+    waiters: VecDeque<(u32, u64)>, // (process slot, permits wanted)
 }
 
 impl Semaphore {
@@ -87,7 +87,7 @@ pub struct RateLimiter {
     burst: f64, // bucket capacity
     tokens: f64,
     last_refill: SimTime,
-    waiters: VecDeque<(u32, f64)>,
+    waiters: VecDeque<(u32, f64)>, // (process slot, tokens wanted)
 }
 
 impl RateLimiter {

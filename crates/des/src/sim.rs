@@ -80,14 +80,24 @@ pub struct SimReport {
     pub peak_live_processes: usize,
 }
 
+/// Where a process stands with respect to its wakes. A process has at
+/// most one wake pending at a time, so a slot can be handed to a new
+/// process the moment its old one finishes: no wake for the old one is
+/// left to reach it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PState {
+    /// Its one wake is in the event queue.
     Ready,
+    /// Running, or waiting in a semaphore, limiter, flow or join with no
+    /// wake queued.
     Blocked,
     Finished(Result<(), String>),
 }
 
 struct Slot {
+    /// The pid of the process in this slot, or of the last one to leave
+    /// it.
+    pid: u32,
     name: ProcName,
     state: PState,
     /// What to send when this blocked process is next woken.
@@ -107,10 +117,17 @@ struct Slot {
 ///
 /// See the [crate docs](crate) for the execution model and an example.
 pub struct Sim {
-    /// Clock, op mailbox, seed and next pid, shared with every [`Ctx`].
+    /// Clock, op mailbox, seed, next pid and slot, and released links,
+    /// shared with every [`Ctx`].
     shared: Rc<Shared>,
     queue: EventQueue,
+    /// Process slots, indexed by [`ProcessId::slot`]: as many as were
+    /// ever live at once. A process that finished normally leaves its
+    /// slot on `free_slots` for the next spawn; one that panicked keeps
+    /// it for the rest of the run, so joins and the end-of-run report
+    /// still read its result and name.
     procs: Vec<Slot>,
+    free_slots: Vec<u32>,
     sems: Vec<Semaphore>,
     limiters: Vec<RateLimiter>,
     limiter_events: Vec<Option<EventId>>,
@@ -136,7 +153,7 @@ impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now())
-            .field("processes", &self.procs.len())
+            .field("processes", &self.shared.next_pid.get())
             .field("events_dispatched", &self.events_dispatched)
             .finish()
     }
@@ -161,6 +178,7 @@ impl Sim {
             shared: Rc::new(Shared::new(seed)),
             queue: EventQueue::new(),
             procs: Vec::new(),
+            free_slots: Vec::new(),
             sems: Vec::new(),
             limiters: Vec::new(),
             limiter_events: Vec::new(),
@@ -212,34 +230,52 @@ impl Sim {
         Fut: Future<Output = ()> + 'static,
     {
         let future = self.shared.build_process(f);
-        let pid = self.create_process(ProcName::Given(name.into()), future);
-        self.queue.schedule(self.now(), Wake::Process(pid.0));
-        pid
+        self.create_process(ProcName::Given(name.into()), future)
     }
 
-    /// Registers a process slot for a future built for the next pid
-    /// (see `Shared::build_process`). The future is first polled when the
-    /// process first wakes — see [`Sim::run_process`].
+    /// Puts a future built for the next pid and slot (see
+    /// `Shared::build_process`) in its slot, and queues its first wake.
+    /// The future is first polled then — see [`Sim::run_process`].
     fn create_process(&mut self, name: ProcName, future: LocalBoxFuture<'static, ()>) -> ProcessId {
-        let pid = ProcessId(self.procs.len() as u32);
+        let pid = ProcessId {
+            pid: self.shared.next_pid.get(),
+            slot: self.free_slots.pop().unwrap_or(self.procs.len() as u32),
+        };
         debug_assert_eq!(
-            pid.0,
-            self.shared.next_pid.get(),
-            "pid reserved out of order"
+            pid.slot,
+            self.shared.next_slot.get(),
+            "slot reserved out of order"
         );
-        self.shared.next_pid.set(pid.0 + 1);
-        self.procs.push(Slot {
+        let next_pid = pid.pid.checked_add(1).expect("pids exhausted");
+        self.shared.next_pid.set(next_pid);
+        let slot = Slot {
+            pid: pid.pid,
             name,
-            state: PState::Ready,
+            state: PState::Blocked,
             resume_with: ResumeMsg::Go,
             join_waiters: InlineList::new(),
             future: Some(future),
             started: false,
             panic_observed: false,
-        });
+        };
+        match self.procs.get_mut(pid.slot as usize) {
+            Some(free) => *free = slot,
+            None => self.procs.push(slot),
+        }
+        self.publish_next_slot();
         self.live_now += 1;
         self.peak_live = self.peak_live.max(self.live_now);
+        self.schedule_wake(pid.slot);
         pid
+    }
+
+    /// Publishes the slot the next process will take: the last one freed,
+    /// or a new one.
+    fn publish_next_slot(&self) {
+        let next = self.free_slots.last().copied();
+        self.shared
+            .next_slot
+            .set(next.unwrap_or(self.procs.len() as u32));
     }
 
     /// Runs the simulation until no events remain.
@@ -291,33 +327,40 @@ impl Sim {
         }
         self.finished = true;
         let end_time = self.now();
-        // Surface unobserved panics.
-        for slot in &self.procs {
-            if let PState::Finished(Err(message)) = &slot.state {
-                if !slot.panic_observed {
-                    let err = SimError::ProcessPanicked {
-                        process: slot.name.to_string(),
-                        message: message.clone(),
-                    };
-                    self.teardown();
-                    return Err(err);
-                }
-            }
+        // Surface the first unobserved panic, in pid order.
+        let unobserved = self
+            .procs
+            .iter()
+            .filter(|s| !s.panic_observed)
+            .filter_map(|s| match &s.state {
+                PState::Finished(Err(message)) => Some((s.pid, s, message)),
+                _ => None,
+            })
+            .min_by_key(|&(pid, ..)| pid);
+        if let Some((_, slot, message)) = unobserved {
+            let err = SimError::ProcessPanicked {
+                process: slot.name.to_string(),
+                message: message.clone(),
+            };
+            self.teardown();
+            return Err(err);
         }
         // Detect deadlock: blocked processes with no pending events.
-        let blocked: Vec<String> = self
+        let mut blocked: Vec<(u32, String)> = self
             .procs
             .iter()
             .filter(|s| !matches!(s.state, PState::Finished(_)))
-            .map(|s| s.name.to_string())
+            .map(|s| (s.pid, s.name.to_string()))
             .collect();
         if !blocked.is_empty() {
+            blocked.sort_unstable_by_key(|&(pid, _)| pid);
+            let blocked = blocked.into_iter().map(|(_, name)| name).collect();
             self.teardown();
             return Err(SimError::Deadlock { blocked });
         }
         let report = SimReport {
             end_time,
-            processes: self.procs.len(),
+            processes: self.shared.next_pid.get() as usize,
             events: self.events_dispatched,
             peak_live_processes: self.peak_live,
         };
@@ -325,9 +368,18 @@ impl Sim {
         Ok(report)
     }
 
+    /// Queues the one wake of the process in slot `pidx` at the current
+    /// instant.
     fn schedule_wake(&mut self, pidx: u32) {
-        self.procs[pidx as usize].state = PState::Ready;
-        self.queue.schedule(self.now(), Wake::Process(pidx));
+        self.wake_at(pidx, self.now());
+    }
+
+    /// Queues the one wake of the process in slot `pidx` at `at`.
+    fn wake_at(&mut self, pidx: u32, at: SimTime) {
+        let slot = &mut self.procs[pidx as usize];
+        debug_assert_eq!(slot.state, PState::Blocked, "a second wake for one process");
+        slot.state = PState::Ready;
+        self.queue.schedule(at, Wake::Process(pidx));
     }
 
     /// Records a fatal error if the current rates starve a flow; the run
@@ -384,17 +436,24 @@ impl Sim {
         }
     }
 
-    /// Resumes process `pidx` and services its requests until it blocks or
-    /// finishes.
+    /// Resumes the process in slot `pidx` and services its requests until
+    /// it blocks or finishes.
     ///
     /// A process's first wake polls its future for the first time; that
     /// is where its code starts to run. A process that is spawned but
     /// never scheduled costs only its slot and its boxed future.
     fn run_process(&mut self, pidx: u32) {
         let slot = &mut self.procs[pidx as usize];
-        if matches!(slot.state, PState::Finished(_)) {
-            return;
-        }
+        // The wake being delivered is the one `wake_at` queued for this
+        // slot's process: it had no other, and cannot have finished (or
+        // left the slot) while it was queued.
+        debug_assert_eq!(
+            slot.state,
+            PState::Ready,
+            "a wake reached slot {} with no wake queued",
+            pidx
+        );
+        slot.state = PState::Blocked;
         if !slot.started {
             debug_assert!(
                 matches!(slot.resume_with, ResumeMsg::Go),
@@ -445,9 +504,7 @@ impl Sim {
                         return;
                     };
                     if self.handle_yield(pidx, msg) == Flow::Blocked {
-                        let slot = &mut self.procs[pidx as usize];
-                        slot.future = Some(future);
-                        slot.state = PState::Blocked;
+                        self.procs[pidx as usize].future = Some(future);
                         return;
                     }
                 }
@@ -477,7 +534,7 @@ impl Sim {
         match msg {
             YieldMsg::Sleep(d) => {
                 self.procs[pidx as usize].resume_with = ResumeMsg::Go;
-                self.queue.schedule(now + d, Wake::Process(pidx));
+                self.wake_at(pidx, now + d);
                 Flow::Blocked
             }
             YieldMsg::SemCreate(permits) => {
@@ -525,6 +582,9 @@ impl Sim {
                 }
             }
             YieldMsg::LinkCreate(bw) => {
+                for link in self.shared.released_links.borrow_mut().drain(..) {
+                    self.flownet.release_link(link);
+                }
                 let id = self.flownet.add_link(bw);
                 self.reply(ResumeMsg::Link(id));
                 Flow::Continue
@@ -537,19 +597,25 @@ impl Sim {
             }
             YieldMsg::Spawn { name, future } => {
                 let pid = self.create_process(name, future);
-                self.queue.schedule(now, Wake::Process(pid.0));
                 self.reply(ResumeMsg::Pid(pid));
                 Flow::Continue
             }
             YieldMsg::Join(target) => {
                 assert!(
-                    (target.0 as usize) < self.procs.len(),
+                    target.pid < self.shared.next_pid.get(),
                     "join on unknown process {:?}",
                     target
                 );
-                let result = match &self.procs[target.index()].state {
-                    PState::Finished(res) => Some(res.clone()),
-                    _ => None,
+                let slot = &self.procs[target.slot as usize];
+                let result = if slot.pid != target.pid {
+                    // The slot has a new process: the target finished
+                    // normally (a panicked one keeps its slot).
+                    Some(Ok(()))
+                } else {
+                    match &slot.state {
+                        PState::Finished(res) => Some(res.clone()),
+                        _ => None,
+                    }
                 };
                 match result {
                     Some(res) => {
@@ -558,7 +624,7 @@ impl Sim {
                         Flow::Continue
                     }
                     None => {
-                        self.procs[target.index()].join_waiters.push(pidx);
+                        self.procs[target.slot as usize].join_waiters.push(pidx);
                         Flow::Blocked
                     }
                 }
@@ -566,16 +632,28 @@ impl Sim {
         }
     }
 
-    /// Marks `pidx` finished and wakes joiners. The caller has already
-    /// dropped the process future.
+    /// Marks the process in slot `pidx` finished and wakes its joiners.
+    /// The caller has already dropped the process future. A process that
+    /// finished normally frees its slot for the next spawn.
     fn finish_process(&mut self, pidx: u32, result: Result<(), String>) {
-        self.procs[pidx as usize].state = PState::Finished(result.clone());
+        let slot = &mut self.procs[pidx as usize];
+        slot.state = PState::Finished(result.clone());
+        let target = ProcessId {
+            pid: slot.pid,
+            slot: pidx,
+        };
+        let waiters = std::mem::take(&mut slot.join_waiters);
         self.live_now -= 1;
-        let waiters = std::mem::take(&mut self.procs[pidx as usize].join_waiters);
         for &w in &waiters {
-            let jr = self.join_result(ProcessId(pidx), result.clone());
+            let jr = self.join_result(target, result.clone());
             self.procs[w as usize].resume_with = ResumeMsg::JoinResult(jr);
             self.schedule_wake(w);
+        }
+        if result.is_ok() {
+            // The name is the only heap state a finished slot still holds.
+            self.procs[pidx as usize].name = ProcName::Given(String::new());
+            self.free_slots.push(pidx);
+            self.publish_next_slot();
         }
     }
 
@@ -583,9 +661,10 @@ impl Sim {
         match res {
             Ok(()) => Ok(()),
             Err(message) => {
-                self.procs[target.index()].panic_observed = true;
+                let slot = &mut self.procs[target.slot as usize];
+                slot.panic_observed = true;
                 Err(JoinError {
-                    process: self.procs[target.index()].name.to_string(),
+                    process: slot.name.to_string(),
                     message,
                 })
             }
@@ -1096,6 +1175,156 @@ mod tests {
     }
 
     #[test]
+    fn finished_processes_hand_their_slots_to_later_spawns() {
+        // 100,000 children one after another, never more than the root
+        // and one child live: every child runs in slot 1, and each draws
+        // the random stream of its own never-reused pid.
+        use rand::Rng;
+        const CHILDREN: u32 = 100_000;
+        let seen = Arc::new(Mutex::new(Vec::with_capacity(CHILDREN as usize)));
+        let mut sim = Sim::new();
+        let seen2 = Arc::clone(&seen);
+        sim.spawn("root", move |ctx| async move {
+            for i in 0..CHILDREN {
+                let seen = Arc::clone(&seen2);
+                let child = ctx
+                    .spawn(format!("c{}", i), move |mut c| async move {
+                        let draw: u64 = c.rng().gen();
+                        seen.lock().unwrap().push((c.pid(), draw));
+                    })
+                    .await;
+                ctx.join(child).await.expect("child ok");
+            }
+        });
+        let report = sim.run().expect("run");
+        assert_eq!(report.processes, CHILDREN as usize + 1);
+        assert_eq!(report.peak_live_processes, 2);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), CHILDREN as usize);
+        let shared = Rc::new(Shared::new(DEFAULT_SEED));
+        for (i, &(pid, draw)) in seen.iter().enumerate() {
+            assert_eq!(pid.index(), i + 1, "pids are handed out in spawn order");
+            assert_eq!(pid.slot, 1, "the slot table stays at the live count");
+            let mut fresh = Ctx::new(pid, Rc::clone(&shared));
+            assert_eq!(
+                draw,
+                fresh.rng().gen::<u64>(),
+                "pid {} drew another stream",
+                pid
+            );
+        }
+    }
+
+    #[test]
+    fn join_on_a_process_whose_slot_was_reused_returns_its_own_result() {
+        let mut sim = Sim::new();
+        sim.spawn("parent", |ctx| async move {
+            let first = ctx.spawn("quick", |_| async {}).await;
+            ctx.sleep(SimDuration::from_secs(1)).await;
+            let second = ctx
+                .spawn("doomed", |c| async move {
+                    c.sleep(SimDuration::from_secs(1)).await;
+                    panic!("second occupant failed");
+                })
+                .await;
+            assert_eq!(
+                second.slot, first.slot,
+                "the finished process's slot is reused"
+            );
+            assert_ne!(second, first);
+            ctx.join(first)
+                .await
+                .expect("the first occupant finished normally");
+            let err = ctx.join(second).await.expect_err("second panicked");
+            assert_eq!(err.process, "doomed");
+        });
+        sim.run().expect("every panic is observed");
+    }
+
+    #[test]
+    fn join_on_an_earlier_panicked_process_returns_its_join_error() {
+        let mut sim = Sim::new();
+        sim.spawn("parent", |ctx| async move {
+            let bad = ctx.spawn("bad", |_| async { panic!("boom") }).await;
+            for i in 0..10 {
+                let child = ctx.spawn(format!("c{}", i), |_| async {}).await;
+                assert_ne!(child.slot, bad.slot, "a panicked process keeps its slot");
+                ctx.join(child).await.expect("child ok");
+            }
+            for _ in 0..2 {
+                let err = ctx.join(bad).await.expect_err("bad panicked");
+                assert_eq!(err.process, "bad");
+                assert!(err.message.contains("boom"));
+            }
+        });
+        sim.run().expect("the panic is observed");
+    }
+
+    #[test]
+    fn end_of_run_reports_name_processes_in_pid_order_across_reused_slots() {
+        // "early-bad" (pid 3) panics in slot 2, "late-bad" (pid 4) in slot
+        // 1: the report names the earlier pid, not the lower slot.
+        let mut sim = Sim::new();
+        sim.spawn("root", |ctx| async move {
+            ctx.spawn(
+                "a",
+                |c| async move { c.sleep(SimDuration::from_secs(1)).await },
+            )
+            .await;
+            ctx.spawn("b", |_| async {}).await;
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            let early = ctx.spawn("early-bad", |_| async { panic!("early") }).await;
+            ctx.sleep(SimDuration::from_secs(2)).await;
+            let late = ctx.spawn("late-bad", |_| async { panic!("late") }).await;
+            assert!(early < late && early.slot > late.slot);
+        });
+        match sim.run().expect_err("unobserved panics") {
+            SimError::ProcessPanicked { process, message } => {
+                assert_eq!(process, "early-bad");
+                assert!(message.contains("early"));
+            }
+            other => panic!("unexpected error {:?}", other),
+        }
+
+        // "b" (pid 2) blocks in slot 2 and "c" (pid 3) in slot 1.
+        let mut sim = Sim::new();
+        let sem = sim.create_semaphore(0);
+        sim.spawn("root", move |ctx| async move {
+            ctx.spawn("a", |_| async {}).await;
+            ctx.spawn("b", move |c| async move { c.sem_acquire(sem, 1).await })
+                .await;
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            ctx.spawn("c", move |c| async move { c.sem_acquire(sem, 1).await })
+                .await;
+        });
+        match sim.run().expect_err("deadlock") {
+            SimError::Deadlock { blocked } => assert_eq!(blocked, vec!["b", "c"]),
+            other => panic!("unexpected error {:?}", other),
+        }
+    }
+
+    #[test]
+    fn closed_connections_keep_the_link_table_at_a_constant_size() {
+        // 10,000 owned links, each carrying one transfer and dropped
+        // before the next is made, cycle through the same few slots.
+        let ids = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let mut sim = Sim::new();
+        let backbone = sim.create_link(Bandwidth::bytes_per_sec(1_000.0));
+        let ids2 = Arc::clone(&ids);
+        sim.spawn("client", move |ctx| async move {
+            for _ in 0..10_000 {
+                let conn = ctx.link_create_owned(Bandwidth::bytes_per_sec(100.0)).await;
+                ctx.transfer(ByteSize::new(100), &[conn.id(), backbone])
+                    .await;
+                ids2.lock().unwrap().insert(conn.id().0);
+            }
+        });
+        let report = sim.run().expect("run");
+        assert_eq!(report.end_time.as_nanos(), 10_000 * 1_000_000_001);
+        assert_eq!(*ids.lock().unwrap(), [1, 2].into_iter().collect());
+    }
+
+    #[test]
     fn a_panicking_kernel_fails_its_process_with_its_message() {
         // A kernel runs inline after its compute charge; its panic fails
         // the process that ran it, with the kernel's message, at the
@@ -1214,7 +1443,7 @@ mod tests {
                     }
                     log.lock()
                         .unwrap()
-                        .push((ctx.now().as_nanos(), ctx.pid().0));
+                        .push((ctx.now().as_nanos(), ctx.pid().index()));
                 }
             });
         }

@@ -51,9 +51,11 @@ pub trait SortRecord: Clone + Send + Sync + 'static {
                 what: "record buffer length",
             });
         }
-        data.chunks_exact(Self::WIRE_SIZE)
-            .map(Self::read_from)
-            .collect()
+        let mut records = Vec::with_capacity(data.len() / Self::WIRE_SIZE);
+        for wire in data.chunks_exact(Self::WIRE_SIZE) {
+            records.push(Self::read_from(wire)?);
+        }
+        Ok(records)
     }
 
     /// Serializes a whole slice of records.

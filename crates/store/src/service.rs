@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{ByteSize, Ctx, FlowLinks, LimiterId, LinkId, Sim};
+use faaspipe_des::{ByteSize, Ctx, FlowLinks, LimiterId, LinkId, OwnedLink, Sim};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::StoreConfig;
@@ -98,7 +98,7 @@ impl ObjectStore {
 
     /// Opens a connection from the calling process, tagged for metrics
     /// attribution. The connection gets its own per-connection bandwidth
-    /// link.
+    /// link, released when the client drops.
     ///
     /// Many connections share one tag: pass a clone of one `Arc<str>`
     /// to share it, or any string to copy it once.
@@ -115,8 +115,8 @@ impl ObjectStore {
         tag: impl Into<Arc<str>>,
         host_links: &[LinkId],
     ) -> StoreClient {
-        let conn = ctx.link_create(self.cfg.per_connection_bw).await;
-        let mut links = FlowLinks::from([conn, self.aggregate].as_slice());
+        let conn = ctx.link_create_owned(self.cfg.per_connection_bw).await;
+        let mut links = FlowLinks::from([conn.id(), self.aggregate].as_slice());
         links.extend(host_links.iter().copied());
         let tag = tag.into();
         let scope_ops = {
@@ -131,6 +131,7 @@ impl ObjectStore {
         };
         StoreClient {
             store: Arc::clone(self),
+            _conn: conn,
             links,
             tag,
             scope_ops,
@@ -231,6 +232,8 @@ impl ObjectStore {
 /// latency, and a fair-share payload transfer.
 pub struct StoreClient {
     store: Arc<ObjectStore>,
+    /// The connection's link, released when the client drops.
+    _conn: OwnedLink,
     /// Connection link, store backbone, then the host links.
     links: FlowLinks,
     tag: Arc<str>,

@@ -9,6 +9,11 @@
 //!    fan_out) run to completion deterministically on the event-loop
 //!    thread alone: the run starts no host thread.
 //!
+//! The seed-`0xFAA5_0001` run's `(end ns, events, processes, checksum)`
+//! is pinned below. Re-capture (after an *intentional* change to the
+//! simulation kernel only) with:
+//! `FAASPIPE_PRINT_GOLDEN=1 cargo test --release --test stackless_stress -- --nocapture`
+//!
 //! This file is deliberately its own integration-test binary: the
 //! `/proc/self/status` thread-count assertions would be polluted by the
 //! libtest harness threads of unrelated tests sharing a process.
@@ -194,6 +199,27 @@ fn fifty_thousand_stackless_processes_complete_deterministically() {
     // Determinism: a second seed-equal run reproduces the virtual end
     // time, the event count, the process count, and the checksum folded
     // from every child's rng draw and finish stamp.
+    // The run itself is pinned: every child's rng stream is seeded by its
+    // pid, so handing out pids in any other order, or handing one out
+    // twice, moves the checksum.
+    if std::env::var_os("FAASPIPE_PRINT_GOLDEN").is_some() {
+        println!(
+            "GOLDEN stackless stress: end_ns={end_a} events={events_a} \
+             processes={procs_a} checksum=0x{sum_a:016X}"
+        );
+    } else {
+        assert_eq!(
+            (end_a, events_a, procs_a, sum_a),
+            (
+                GOLDEN_END_NS,
+                GOLDEN_EVENTS,
+                GOLDEN_PROCESSES,
+                GOLDEN_CHECKSUM
+            ),
+            "(end ns, events, processes, checksum) drifted"
+        );
+    }
+
     let (end_b, events_b, procs_b, sum_b, _) = run_once(0xFAA5_0001);
     assert_eq!(end_a, end_b, "virtual end time must be seed-deterministic");
     assert_eq!(events_a, events_b, "event count must be seed-deterministic");
@@ -208,3 +234,8 @@ fn fifty_thousand_stackless_processes_complete_deterministically() {
     let (_, _, _, sum_c, _) = run_once(0xDEAD_BEEF);
     assert_ne!(sum_a, sum_c, "checksum must depend on the sim seed");
 }
+
+const GOLDEN_END_NS: u64 = 97_000;
+const GOLDEN_EVENTS: u64 = 118_652;
+const GOLDEN_PROCESSES: usize = 54_501;
+const GOLDEN_CHECKSUM: u64 = 0xA1D6_CC2D_913E_5A86;

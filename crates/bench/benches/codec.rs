@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use faaspipe_codec::{gzipish, huffman, range, rle, varint};
+use faaspipe_codec::{gzipish, huffman, range, varint};
 use faaspipe_methcomp::codec as mc;
 use faaspipe_methcomp::synth::Synthesizer;
 
@@ -87,20 +87,12 @@ fn bench_varint(c: &mut Criterion) {
     });
 }
 
-fn bench_rle(c: &mut Criterion) {
-    let data: Vec<u8> = (0..100_000).map(|i| (i / 1000) as u8).collect();
-    c.bench_function("rle/compress_100k_runs", |b| {
-        b.iter(|| rle::compress(black_box(&data)))
-    });
-}
-
 criterion_group!(
     benches,
     bench_gzipish,
     bench_methcomp,
     bench_huffman,
     bench_range_coder,
-    bench_varint,
-    bench_rle
+    bench_varint
 );
 criterion_main!(benches);

@@ -5,25 +5,24 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use faaspipe_core::pricing::StageCost;
 use faaspipe_core::{
-    CostReport, Dag, EncodeCodec, Executor, PipelineMode, PriceBook, Services, StageKind, Tracker,
-    WorkerChoice,
+    size_scale, stage_input, stage_window, CostReport, EncodeCodec, Executor, Figure1,
+    PipelineMode, PriceBook, Services, Tracker, WorkerChoice,
 };
 use faaspipe_des::{
     catch_unwind_future, panic_message, Ctx, Money, Sim, SimDuration, SimError, SimReport, SimTime,
 };
 use faaspipe_exchange::ExchangeKind;
-use faaspipe_faas::{FaasConfig, FunctionPlatform};
+use faaspipe_faas::FaasConfig;
 use faaspipe_methcomp::synth::Synthesizer;
 use faaspipe_methcomp::MethRecord;
 use faaspipe_shuffle::{SortConfig, SortRecord, WorkModel};
 use faaspipe_store::{ObjectStore, StoreConfig, TagMetrics};
 use faaspipe_trace::{Category, SpanId, TraceData, TraceSink};
-use faaspipe_vm::{VmFleet, VmProfile};
+use faaspipe_vm::VmProfile;
 
 use crate::admission::{AdmissionPolicy, TenantGate};
 use crate::arrival::{run_seed, Arrival, ArrivalProcess};
@@ -71,6 +70,19 @@ impl TenantSpec {
             encode_codec: EncodeCodec::Methcomp,
             vm_profile: VmProfile::bx2_8x32(),
             admission: AdmissionPolicy::unlimited(),
+        }
+    }
+
+    /// The tenant's Figure-1 pipeline shape.
+    fn figure1(&self) -> Figure1<'_> {
+        Figure1 {
+            mode: self.mode,
+            parallelism: self.parallelism,
+            workers: self.workers,
+            exchange: self.exchange,
+            io_concurrency: self.io_concurrency,
+            encode_codec: self.encode_codec,
+            vm_profile: &self.vm_profile,
         }
     }
 }
@@ -147,8 +159,7 @@ impl ClusterConfig {
     /// The wire/compute scale factor of one run (see
     /// [`PipelineConfig::size_scale`](faaspipe_core::PipelineConfig::size_scale)).
     pub fn size_scale(&self) -> f64 {
-        let physical = (self.physical_records * MethRecord::WIRE_SIZE) as f64;
-        self.modeled_bytes as f64 / physical
+        size_scale(self.modeled_bytes, self.physical_records)
     }
 }
 
@@ -325,9 +336,7 @@ impl ClusterReport {
 
 /// State shared by every run process.
 struct Shared {
-    store: Arc<ObjectStore>,
-    faas: Arc<FunctionPlatform>,
-    fleet: VmFleet,
+    services: Services,
     work: WorkModel,
     sink: TraceSink,
     tracing: bool,
@@ -361,9 +370,11 @@ pub(crate) fn simulate(
 
     let scale = cfg.size_scale();
     let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, cfg.store.clone().with_size_scale(scale));
-    let faas = FunctionPlatform::install(&mut sim, cfg.faas.clone().with_tenant_scoped_pool(true));
-    let fleet = VmFleet::new();
+    let services = Services::install(
+        &mut sim,
+        cfg.store.clone().with_size_scale(scale),
+        cfg.faas.clone().with_tenant_scoped_pool(true),
+    );
 
     let (sink, tracing) = match &cfg.trace {
         TraceMode::Off => (TraceSink::disabled(), false),
@@ -374,24 +385,22 @@ pub(crate) fn simulate(
         ),
     };
     if tracing {
-        store.set_trace_sink(sink.clone());
-        faas.set_trace_sink(sink.clone());
-        fleet.set_trace_sink(sink.clone());
+        services.set_trace_sink(&sink);
     }
 
     let mut gates = Vec::with_capacity(cfg.tenants.len());
     for spec in &cfg.tenants {
         gates.push(TenantGate::install(&mut sim, &spec.admission));
         if let Some((ops, burst)) = spec.admission.store_ops {
-            store.set_scope_ops_limit(&mut sim, spec.name.clone(), ops, burst);
+            services
+                .store
+                .set_scope_ops_limit(&mut sim, spec.name.clone(), ops, burst);
         }
     }
 
     let outcomes: Arc<Mutex<Vec<RunOutcome>>> = Arc::new(Mutex::new(Vec::new()));
     let shared = Arc::new(Shared {
-        store: store.clone(),
-        faas: faas.clone(),
-        fleet: fleet.clone(),
+        services: services.clone(),
         work: cfg.work.clone().with_size_scale(scale),
         sink: sink.clone(),
         tracing,
@@ -443,8 +452,8 @@ pub(crate) fn simulate(
     let mut runs = outcomes.lock().clone();
     runs.sort_by_key(|r| (r.arrived, r.seq));
 
-    let report = aggregate(cfg, &arrivals, runs, &store, &faas, &fleet, report, sink);
-    Ok((report, store))
+    let report = aggregate(cfg, &arrivals, runs, &services, report, sink);
+    Ok((report, services.store))
 }
 
 fn validate(cfg: &ClusterConfig) -> Result<(), ClusterError> {
@@ -563,7 +572,7 @@ async fn execute_run(
     };
     // Nothing reads a run's objects once it has ended, verified, failed
     // or panicked, so its bucket is freed now, without a request.
-    shared.store.drop_bucket_untimed(&bucket);
+    shared.services.store.drop_bucket_untimed(&bucket);
     match result {
         Ok((started, finished)) => {
             outcome.started = started;
@@ -584,8 +593,7 @@ async fn execute_run(
 }
 
 /// Stages the input into the run's `bucket`, runs the DAG, and
-/// (optionally) verifies outputs. Returns `(first stage start, last stage
-/// end)`.
+/// (optionally) verifies outputs. Returns the run's stage window.
 async fn drive_run(
     ctx: &mut Ctx,
     shared: &Shared,
@@ -594,45 +602,24 @@ async fn drive_run(
     bucket: &str,
     seq: usize,
 ) -> Result<(SimTime, SimTime), String> {
-    stage_inputs(shared, spec, bucket, seq)?;
-
-    let sort_name = format!("{}/sort", run_name);
-    let encode_name = format!("{}/encode", run_name);
-    let mut dag = Dag::new(run_name.to_string(), bucket.to_string());
-    let sort_kind = match spec.mode {
-        PipelineMode::PureServerless => StageKind::ShuffleSort {
-            workers: spec.workers,
-            exchange: spec.exchange,
-            // Under `auto` the planner owns the I/O window; an explicit
-            // backend keeps the tenant's configured one.
-            io_concurrency: if spec.exchange == ExchangeKind::Auto {
-                None
-            } else {
-                Some(spec.io_concurrency.max(1))
-            },
-            input: "in/".into(),
-            output: "sorted/".into(),
-        },
-        PipelineMode::VmHybrid => StageKind::VmSort {
-            profile: spec.vm_profile.clone(),
-            runs: spec.parallelism,
-            input: "in/".into(),
-            output: "sorted/".into(),
-        },
-    };
-    dag.add_stage(sort_name.clone(), sort_kind, &[])
+    let dag = spec
+        .figure1()
+        .dag(run_name, bucket, &format!("{}/", run_name))
         .map_err(|e| e.to_string())?;
-    dag.add_stage(
-        encode_name,
-        StageKind::Encode {
-            codec: spec.encode_codec,
-            workers: spec.parallelism,
-            input: "sorted/".into(),
-            output: "enc/".into(),
-        },
-        &[sort_name.as_str()],
-    )
-    .map_err(|e| e.to_string())?;
+    // The key layout inside the bucket is the standalone pipeline's. The
+    // dataset is freed before the run's first `.await`: the staged chunks
+    // are the only copy the run reads.
+    let dataset =
+        Synthesizer::new(run_seed(shared.seed, seq)).generate_shuffled(shared.physical_records);
+    let staged = stage_input(
+        &shared.services.store,
+        bucket,
+        dag.stages()[0].kind.input(),
+        &dataset.records,
+        spec.parallelism,
+    );
+    drop(dataset);
+    staged.map_err(|e| e.to_string())?;
 
     // Parent the run's stage spans to nothing cluster-global: the run
     // span above already carries tenant/seq, and the tracker labels
@@ -640,66 +627,28 @@ async fn drive_run(
     // sink is disabled and the tracker records nothing.
     let tracker = Tracker::with_sink(shared.sink.clone(), SpanId::NONE);
     let services = Services {
-        store: shared.store.clone(),
-        faas: shared.faas.clone(),
+        store: shared.services.store.clone(),
+        faas: shared.services.faas.clone(),
         // The shared fleet, with this tenant stamped on every VM record.
-        fleet: shared.fleet.scoped(spec.name.clone()),
+        fleet: shared.services.fleet.scoped(spec.name.clone()),
     };
     let executor = Executor::new(services, shared.work.clone(), tracker);
     let handle = executor.spawn_dag_in(ctx, &dag).await;
     ctx.join(handle.root).await.map_err(|e| e.to_string())?;
-    let mut stages = handle.ok_results()?;
-    stages.sort_by_key(|s| s.started);
-    let started = stages
-        .iter()
-        .map(|s| s.started)
-        .min()
-        .expect("stages exist");
-    let finished = stages
-        .iter()
-        .map(|s| s.finished)
-        .max()
-        .expect("stages exist");
+    let window = stage_window(&handle.ok_results()?);
 
     if shared.verify {
         verify_run(shared, bucket)?;
     }
-    Ok((started, finished))
-}
-
-/// Creates the run's bucket and stages its synthesized dataset there as
-/// the `in/` chunks, untimed. Key layout inside the bucket is identical
-/// to the standalone pipeline's ("in/NNNN", "sorted/j", "enc/j"). The
-/// dataset is freed on return, before the run's first `.await`: the
-/// staged chunks are the only copy the run reads.
-fn stage_inputs(
-    shared: &Shared,
-    spec: &TenantSpec,
-    bucket: &str,
-    seq: usize,
-) -> Result<(), String> {
-    shared
-        .store
-        .create_bucket(bucket)
-        .map_err(|e| e.to_string())?;
-    let dataset =
-        Synthesizer::new(run_seed(shared.seed, seq)).generate_shuffled(shared.physical_records);
-    let per = dataset.records.len().div_ceil(spec.parallelism);
-    for (i, chunk) in dataset.records.chunks(per).enumerate() {
-        let data = SortRecord::write_all(chunk);
-        shared
-            .store
-            .put_untimed(bucket, &format!("in/{:04}", i), Bytes::from(data))
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(())
+    Ok(window)
 }
 
 /// Cheap per-run output check: sorted runs exist, concatenate in
 /// globally sorted order, and every run has its archive. (Full decode
 /// round-trips are covered by the standalone pipeline's tests.)
 fn verify_run(shared: &Shared, bucket: &str) -> Result<(), String> {
-    let keys = shared.store.keys_untimed(bucket, "sorted/");
+    let store = &shared.services.store;
+    let keys = store.keys_untimed(bucket, "sorted/");
     if keys.is_empty() {
         return Err("no sorted runs produced".to_string());
     }
@@ -707,8 +656,7 @@ fn verify_run(shared: &Shared, bucket: &str) -> Result<(), String> {
     let mut total = 0usize;
     for key in &keys {
         let j = key.trim_start_matches("sorted/");
-        let run = shared
-            .store
+        let run = store
             .peek(bucket, key)
             .ok_or_else(|| format!("missing sorted run {}", j))?;
         let records: Vec<MethRecord> =
@@ -722,7 +670,7 @@ fn verify_run(shared: &Shared, bucket: &str) -> Result<(), String> {
             last = Some(rec);
             total += 1;
         }
-        if shared.store.peek(bucket, &format!("enc/{}", j)).is_none() {
+        if store.peek(bucket, &format!("enc/{}", j)).is_none() {
             return Err(format!("missing archive {}", j));
         }
     }
@@ -735,14 +683,11 @@ fn verify_run(shared: &Shared, bucket: &str) -> Result<(), String> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn aggregate(
     cfg: &ClusterConfig,
     arrivals: &[Arrival],
     runs: Vec<RunOutcome>,
-    store: &Arc<ObjectStore>,
-    faas: &Arc<FunctionPlatform>,
-    fleet: &VmFleet,
+    Services { store, faas, fleet }: &Services,
     report: SimReport,
     sink: TraceSink,
 ) -> ClusterReport {
@@ -832,6 +777,7 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use faaspipe_store::{FailurePolicy, StoreError};
 
     fn with_admission(admission: AdmissionPolicy) -> ClusterConfig {

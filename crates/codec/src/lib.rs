@@ -7,7 +7,6 @@
 //!
 //! * [`bitio`] — MSB-first bit-level readers and writers
 //! * [`varint`] — LEB128 varints and zigzag signed encoding
-//! * [`rle`] — byte-wise run-length coding
 //! * [`checksum`] — CRC-32 (IEEE)
 //! * [`huffman`] — canonical, length-limited Huffman codes
 //! * [`lz77`] — hash-chain match finder over a sliding window
@@ -38,7 +37,6 @@ pub mod gzipish;
 pub mod huffman;
 pub mod lz77;
 pub mod range;
-pub mod rle;
 pub mod varint;
 
 pub use error::CodecError;

@@ -86,6 +86,17 @@ pub enum StageKind {
     },
 }
 
+impl StageKind {
+    /// The object-store prefix the stage reads.
+    pub fn input(&self) -> &str {
+        match self {
+            StageKind::ShuffleSort { input, .. }
+            | StageKind::VmSort { input, .. }
+            | StageKind::Encode { input, .. } => input,
+        }
+    }
+}
+
 /// One node of the workflow.
 #[derive(Debug, Clone)]
 pub struct Stage {

@@ -14,13 +14,13 @@ use faaspipe_exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
     ShardedRelayExchange,
 };
-use faaspipe_faas::FunctionPlatform;
+use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
 use faaspipe_shuffle::sort::DRIVER_ORCHESTRATION;
 use faaspipe_shuffle::{serverless_sort, vm_sort, SortConfig, SortRecord, VmSortConfig, WorkModel};
-use faaspipe_store::ObjectStore;
-use faaspipe_trace::Category;
+use faaspipe_store::{ObjectStore, StoreConfig};
+use faaspipe_trace::{Category, TraceSink};
 use faaspipe_vm::VmFleet;
 
 use crate::dag::{Dag, EncodeCodec, Stage, StageKind, WorkerChoice};
@@ -35,6 +35,26 @@ pub struct Services {
     pub faas: Arc<FunctionPlatform>,
     /// VM fleet.
     pub fleet: VmFleet,
+}
+
+impl Services {
+    /// Installs the object store, then the functions platform, into
+    /// `sim`, beside an empty VM fleet: the services every run starts
+    /// from.
+    pub fn install(sim: &mut Sim, store: StoreConfig, faas: FaasConfig) -> Services {
+        Services {
+            store: ObjectStore::install(sim, store),
+            faas: FunctionPlatform::install(sim, faas),
+            fleet: VmFleet::new(),
+        }
+    }
+
+    /// Records the spans and counters of all three services into `sink`.
+    pub fn set_trace_sink(&self, sink: &TraceSink) {
+        self.store.set_trace_sink(sink.clone());
+        self.faas.set_trace_sink(sink.clone());
+        self.fleet.set_trace_sink(sink.clone());
+    }
 }
 
 impl std::fmt::Debug for Services {
@@ -57,6 +77,17 @@ pub struct StageResult {
     pub workers_used: usize,
     /// Real output bytes written.
     pub output_bytes: u64,
+}
+
+/// A run's stage window: the first stage's start and the last stage's
+/// end. Table 1's latency is its length, startups included.
+///
+/// # Panics
+/// Panics if `stages` is empty (a validated DAG has a stage).
+pub fn stage_window(stages: &[StageResult]) -> (SimTime, SimTime) {
+    let started = stages.iter().map(|s| s.started).min();
+    let finished = stages.iter().map(|s| s.finished).max();
+    started.zip(finished).expect("a run has stages")
 }
 
 /// Per-stage outcomes, indexed like [`Dag::stages`]; `None` until the

@@ -16,7 +16,11 @@
 //!   **purely serverless** (A-in-paper-figure: functions + Primula-style
 //!   shuffle) and **VM-hybrid** (sort inside a `bx2-8x32`), both returning
 //!   latency, verified outputs, and itemized cost — the generators behind
-//!   Table 1;
+//!   Table 1. [`run_methcomp_pipeline`] builds the Figure-1 DAG and runs
+//!   it through [`run_pipeline`], the one run path, which runs any DAG
+//!   (a JSON spec's too): it installs the services, stages the input,
+//!   runs the simulation, and assembles latency, the bill and, on
+//!   request, verification;
 //! * [`report`] — Table-1-style reports and machine-readable emitters.
 //!
 //! ## Example
@@ -45,9 +49,10 @@ pub mod tracker;
 pub use dag::{
     Dag, DagError, EncodeCodec, Stage, StageId, StageKind, WorkerChoice, MAX_STAGE_WORKERS,
 };
-pub use executor::{Executor, Services, StageResult, DEFAULT_MAX_AUTO_WORKERS};
+pub use executor::{stage_window, Executor, Services, StageResult, DEFAULT_MAX_AUTO_WORKERS};
 pub use pipeline::{
-    run_methcomp_pipeline, PipelineConfig, PipelineError, PipelineMode, PipelineOutcome,
+    run_methcomp_pipeline, run_pipeline, size_scale, stage_input, Figure1, PipelineConfig,
+    PipelineError, PipelineMode, PipelineOutcome,
 };
 pub use pricing::{CostReport, PriceBook};
 pub use tracker::Tracker;

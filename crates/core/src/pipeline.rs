@@ -1,5 +1,5 @@
-//! The paper's two METHCOMP pipeline incarnations (Figure 1) and the
-//! Table-1 measurement harness.
+//! The paper's two METHCOMP pipeline incarnations (Figure 1), the
+//! Table-1 measurement harness, and the one run path every caller takes.
 //!
 //! * **Purely serverless** (paper Figure 1 "B"): Primula-style shuffle
 //!   sort between cloud functions through object storage, then parallel
@@ -12,6 +12,10 @@
 //! scaled up to the modelled size (see `StoreConfig::size_scale` and
 //! DESIGN.md §2). The data plane is real — outputs are verified to be the
 //! sorted input and to decompress losslessly.
+//!
+//! [`run_methcomp_pipeline`] is [`Figure1::dag`] run by [`run_pipeline`],
+//! which runs any workflow DAG (a JSON spec's too); a cluster run shares
+//! its pieces.
 
 use std::fmt;
 
@@ -19,17 +23,17 @@ use bytes::Bytes;
 
 use faaspipe_des::{Money, Sim, SimDuration, SimError, SimReport, SimTime};
 use faaspipe_exchange::ExchangeKind;
-use faaspipe_faas::{FaasConfig, FunctionPlatform};
+use faaspipe_faas::FaasConfig;
 use faaspipe_methcomp::codec as mc_codec;
 use faaspipe_methcomp::synth::Synthesizer;
 use faaspipe_methcomp::{Dataset, MethRecord};
 use faaspipe_shuffle::{SortConfig, SortRecord, WorkModel};
-use faaspipe_store::{ObjectStore, StoreConfig};
+use faaspipe_store::{ObjectStore, StoreConfig, StoreError};
 use faaspipe_trace::{Category, SpanId, TraceData, TraceSink};
-use faaspipe_vm::{VmFleet, VmProfile};
+use faaspipe_vm::VmProfile;
 
-use crate::dag::{Dag, EncodeCodec, StageKind, WorkerChoice};
-use crate::executor::{Executor, Services, StageResult};
+use crate::dag::{Dag, DagError, EncodeCodec, StageKind, WorkerChoice};
+use crate::executor::{stage_window, Executor, Services, StageResult};
 use crate::pricing::{CostReport, PriceBook};
 use crate::tracker::Tracker;
 
@@ -127,9 +131,125 @@ impl PipelineConfig {
 
     /// The scale factor mapping physical wire bytes to modelled bytes.
     pub fn size_scale(&self) -> f64 {
-        let physical = (self.physical_records * MethRecord::WIRE_SIZE) as f64;
-        self.modeled_bytes as f64 / physical
+        size_scale(self.modeled_bytes, self.physical_records)
     }
+
+    /// This configuration's Figure-1 pipeline shape.
+    fn figure1(&self) -> Figure1<'_> {
+        Figure1 {
+            mode: self.mode,
+            parallelism: self.parallelism,
+            workers: self.workers,
+            exchange: self.exchange,
+            io_concurrency: self.io_concurrency,
+            encode_codec: self.encode_codec,
+            vm_profile: &self.vm_profile,
+        }
+    }
+}
+
+/// The scale factor that maps the wire bytes of `physical_records`
+/// records to `modeled_bytes`: every wire size and compute charge of a
+/// run is multiplied by it.
+pub fn size_scale(modeled_bytes: u64, physical_records: usize) -> f64 {
+    let physical = (physical_records * MethRecord::WIRE_SIZE) as f64;
+    modeled_bytes as f64 / physical
+}
+
+/// The shape of the paper's Figure-1 pipeline, as a [`PipelineConfig`]
+/// or a cluster tenant declares it: a sort stage (a serverless shuffle,
+/// or a sort inside a VM) feeding an encode stage.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure1<'a> {
+    /// Which incarnation: the shuffle in functions, or the sort in a VM.
+    pub mode: PipelineMode,
+    /// Sorted runs of the VM sort, and encode workers.
+    pub parallelism: usize,
+    /// Worker policy for the serverless shuffle.
+    pub workers: WorkerChoice,
+    /// Exchange backend of the serverless shuffle.
+    pub exchange: ExchangeKind,
+    /// I/O window of the serverless shuffle (unused under `auto`).
+    pub io_concurrency: usize,
+    /// Codec of the encode stage.
+    pub encode_codec: EncodeCodec,
+    /// VM type of the hybrid sort.
+    pub vm_profile: &'a VmProfile,
+}
+
+impl Figure1<'_> {
+    /// The two-stage DAG `name` in `bucket`: `{stage_prefix}sort` reads
+    /// `in/` and writes `sorted/`, then `{stage_prefix}encode` writes
+    /// `enc/`.
+    ///
+    /// # Errors
+    /// [`DagError`] when a stage parameter is invalid (zero workers, say).
+    pub fn dag(
+        &self,
+        name: impl Into<String>,
+        bucket: impl Into<String>,
+        stage_prefix: &str,
+    ) -> Result<Dag, DagError> {
+        let sort_kind = match self.mode {
+            PipelineMode::PureServerless => StageKind::ShuffleSort {
+                workers: self.workers,
+                exchange: self.exchange,
+                // Under `auto` the planner owns the I/O window; an explicit
+                // backend keeps the configured one.
+                io_concurrency: (self.exchange != ExchangeKind::Auto)
+                    .then_some(self.io_concurrency.max(1)),
+                input: "in/".into(),
+                output: "sorted/".into(),
+            },
+            PipelineMode::VmHybrid => StageKind::VmSort {
+                profile: self.vm_profile.clone(),
+                runs: self.parallelism,
+                input: "in/".into(),
+                output: "sorted/".into(),
+            },
+        };
+        let encode_kind = StageKind::Encode {
+            codec: self.encode_codec,
+            workers: self.parallelism,
+            input: "sorted/".into(),
+            output: "enc/".into(),
+        };
+        let sort = format!("{stage_prefix}sort");
+        let mut dag = Dag::new(name, bucket);
+        dag.add_stage(sort.as_str(), sort_kind, &[])?;
+        dag.add_stage(
+            format!("{stage_prefix}encode"),
+            encode_kind,
+            &[sort.as_str()],
+        )?;
+        Ok(dag)
+    }
+}
+
+/// Creates `bucket` and stages `records` in it untimed, as the objects
+/// `{prefix}0000`, `{prefix}0001`, … of `records.len().div_ceil(parts)`
+/// records each: the input a pipeline finds in object storage when it
+/// starts.
+///
+/// # Errors
+/// [`StoreError`] when the bucket already exists.
+///
+/// # Panics
+/// Panics if `parts` is zero.
+pub fn stage_input(
+    store: &ObjectStore,
+    bucket: &str,
+    prefix: &str,
+    records: &[MethRecord],
+    parts: usize,
+) -> Result<(), StoreError> {
+    store.create_bucket(bucket)?;
+    let per = records.len().div_ceil(parts).max(1);
+    for (i, chunk) in records.chunks(per).enumerate() {
+        let data = Bytes::from(SortRecord::write_all(chunk));
+        store.put_untimed(bucket, &format!("{prefix}{i:04}"), data)?;
+    }
+    Ok(())
 }
 
 /// Errors from a pipeline run.
@@ -184,7 +304,7 @@ pub struct PipelineOutcome {
     pub latency: SimDuration,
     /// Itemized cost (the Table-1 metric).
     pub cost: CostReport,
-    /// Per-stage results in execution order.
+    /// Per-stage results in DAG order (a stage after its dependencies).
     pub stages: Vec<StageResult>,
     /// Workers used by the shuffle stage.
     pub sort_workers: usize,
@@ -207,169 +327,134 @@ pub struct PipelineOutcome {
     pub sim: SimReport,
 }
 
-/// Runs one METHCOMP pipeline measurement end to end.
+/// Runs one METHCOMP pipeline measurement end to end: the Figure-1 DAG
+/// of `cfg` through [`run_pipeline`].
 ///
 /// # Errors
 /// [`PipelineError`] on invalid configuration, stage failures,
 /// simulation errors, or (with `verify`) output mismatches.
 pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, PipelineError> {
+    let dag = cfg
+        .figure1()
+        .dag("methcomp", "data", "")
+        .map_err(bad_config)?;
+    run_pipeline(cfg, &dag)
+}
+
+/// Runs a workflow DAG end to end on freshly installed services, with
+/// `cfg.physical_records` synthesized records staged under the first
+/// stage's input prefix in `cfg.parallelism` chunks. `cfg.io_concurrency`
+/// is the I/O window of every shuffle stage that leaves it open; a
+/// `vm_sort` stage makes the run VM-hybrid. `cfg.verify` checks the
+/// outputs in Figure 1's layout (`sorted/` runs, `enc/` archives).
+///
+/// # Errors
+/// [`PipelineError`] on invalid configuration (an empty DAG included),
+/// stage failures, simulation errors, or (with `verify`) output
+/// mismatches.
+pub fn run_pipeline(cfg: &PipelineConfig, dag: &Dag) -> Result<PipelineOutcome, PipelineError> {
     if cfg.parallelism == 0 || cfg.physical_records == 0 {
-        return Err(PipelineError::BadConfig {
-            reason: "parallelism and physical_records must be positive".to_string(),
-        });
+        return Err(bad_config(
+            "parallelism and physical_records must be positive",
+        ));
     }
+    dag.validate().map_err(bad_config)?;
+    let hybrid = dag
+        .stages()
+        .iter()
+        .any(|s| matches!(s.kind, StageKind::VmSort { .. }));
+    let mode = if hybrid {
+        PipelineMode::VmHybrid
+    } else {
+        PipelineMode::PureServerless
+    };
     let scale = cfg.size_scale();
     let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, cfg.store.clone().with_size_scale(scale));
-    let faas = FunctionPlatform::install(&mut sim, cfg.faas.clone());
-    let fleet = VmFleet::new();
-    store
-        .create_bucket("data")
-        .map_err(|e| PipelineError::BadConfig {
-            reason: e.to_string(),
-        })?;
+    let services = Services::install(
+        &mut sim,
+        cfg.store.clone().with_size_scale(scale),
+        cfg.faas.clone(),
+    );
 
-    // Stage the input dataset (already "in COS" when the pipeline starts).
+    // Stage the input dataset (already "in COS" when the pipeline
+    // starts). Only verification reads it again.
     let dataset = Synthesizer::new(cfg.seed).generate_shuffled(cfg.physical_records);
-    let per = dataset.records.len().div_ceil(cfg.parallelism);
-    for (i, chunk) in dataset.records.chunks(per).enumerate() {
-        let data = SortRecord::write_all(chunk);
-        store
-            .put_untimed("data", &format!("in/{:04}", i), Bytes::from(data))
-            .map_err(|e| PipelineError::BadConfig {
-                reason: e.to_string(),
-            })?;
-    }
+    let input = dag.stages()[0].kind.input();
+    stage_input(
+        &services.store,
+        &dag.bucket,
+        input,
+        &dataset.records,
+        cfg.parallelism,
+    )
+    .map_err(bad_config)?;
+    let dataset = cfg.verify.then_some(dataset);
 
-    // Build the two-stage DAG of Figure 1. When tracing, every service
-    // records into one shared sink under a root Run span; otherwise the
-    // services keep their default disabled sinks and only the tracker's
-    // private sink (for the rendered log) is live.
-    let sink = if cfg.trace {
-        TraceSink::recording()
-    } else {
-        TraceSink::disabled()
-    };
-    let run = if cfg.trace {
+    // When tracing, every service records into one shared sink under a
+    // root Run span; otherwise the services keep their default disabled
+    // sinks and only the tracker's private sink (for the rendered log) is
+    // live.
+    let (sink, run, tracker) = if cfg.trace {
+        let sink = TraceSink::recording();
         let run = sink.span_start(
             Category::Run,
-            "methcomp",
+            dag.name.as_str(),
             "driver",
             "driver",
             SpanId::NONE,
             SimTime::ZERO,
         );
-        sink.attr(run, "mode", cfg.mode.to_string());
+        sink.attr(run, "mode", mode.to_string());
         sink.attr(run, "seed", cfg.seed);
-        store.set_trace_sink(sink.clone());
-        faas.set_trace_sink(sink.clone());
-        fleet.set_trace_sink(sink.clone());
-        run
+        services.set_trace_sink(&sink);
+        let tracker = Tracker::with_sink(sink.clone(), run);
+        (sink, run, tracker)
     } else {
-        SpanId::NONE
-    };
-    let tracker = if cfg.trace {
-        Tracker::with_sink(sink.clone(), run)
-    } else {
-        Tracker::new()
-    };
-    let services = Services {
-        store: store.clone(),
-        faas: faas.clone(),
-        fleet: fleet.clone(),
+        (TraceSink::disabled(), SpanId::NONE, Tracker::new())
     };
     let work = cfg.work.clone().with_size_scale(scale);
-    let mut executor = Executor::new(services, work, tracker.clone());
+    let mut executor =
+        Executor::new(services, work, tracker.clone()).with_io_concurrency(cfg.io_concurrency);
     if let Some(params) = &cfg.plan_params {
         executor = executor.with_plan_params(params.clone());
     }
-    let mut dag = Dag::new("methcomp", "data");
-    let sort_kind = match cfg.mode {
-        PipelineMode::PureServerless => StageKind::ShuffleSort {
-            workers: cfg.workers,
-            exchange: cfg.exchange,
-            // Under `auto` the planner owns the I/O window; an explicit
-            // backend keeps the configured one.
-            io_concurrency: if cfg.exchange == ExchangeKind::Auto {
-                None
-            } else {
-                Some(cfg.io_concurrency.max(1))
-            },
-            input: "in/".into(),
-            output: "sorted/".into(),
-        },
-        PipelineMode::VmHybrid => StageKind::VmSort {
-            profile: cfg.vm_profile.clone(),
-            runs: cfg.parallelism,
-            input: "in/".into(),
-            output: "sorted/".into(),
-        },
-    };
-    dag.add_stage("sort", sort_kind, &[])
-        .map_err(|e| PipelineError::BadConfig {
-            reason: e.to_string(),
-        })?;
-    dag.add_stage(
-        "encode",
-        StageKind::Encode {
-            codec: cfg.encode_codec,
-            workers: cfg.parallelism,
-            input: "sorted/".into(),
-            output: "enc/".into(),
-        },
-        &["sort"],
-    )
-    .map_err(|e| PipelineError::BadConfig {
-        reason: e.to_string(),
-    })?;
-
-    let handle = executor.spawn_dag(&mut sim, &dag);
+    let handle = executor.spawn_dag(&mut sim, dag);
     let report = sim.run()?;
     sink.span_end(run, report.end_time);
-    let mut stages = handle
+    let stages = handle
         .ok_results()
         .map_err(|message| PipelineError::Stage { message })?;
-    stages.sort_by_key(|s| s.started);
+    let (started, finished) = stage_window(&stages);
 
-    // Latency: first stage start to last stage end (includes startups).
-    let started = stages
-        .iter()
-        .map(|s| s.started)
-        .min()
-        .expect("stages exist");
-    let finished = stages
-        .iter()
-        .map(|s| s.finished)
-        .max()
-        .expect("stages exist");
-    let latency = finished.saturating_duration_since(started);
-
+    let Services { store, faas, fleet } = &executor.services;
     let cost = cfg.pricing.assemble(
         &faas.records(),
         &store.metrics(),
         &fleet.records(),
         report.end_time,
     );
-    let sort_workers = stages
-        .iter()
-        .find(|s| s.stage == "sort")
-        .map_or(0, |s| s.workers_used);
-    let physical_out: u64 = stages
-        .iter()
-        .find(|s| s.stage == "encode")
-        .map_or(0, |s| s.output_bytes);
+    // The sort stage's workers, and the encode stage's archives (a DAG
+    // without one fails verification on its first missing archive).
+    let (mut sort_workers, mut physical_out, mut codec) = (0, 0, cfg.encode_codec);
+    for (stage, result) in dag.stages().iter().zip(&stages) {
+        match stage.kind {
+            StageKind::Encode { codec: c, .. } => {
+                physical_out = result.output_bytes;
+                codec = c;
+            }
+            _ => sort_workers = result.workers_used,
+        }
+    }
 
     // Verification + compression accounting on the physical data.
-    let (verified, text_bytes, archive_bytes) = if cfg.verify {
-        let (text_bytes, archive_bytes) = verify_outputs(&store, dataset, cfg.encode_codec)?;
-        (true, text_bytes, archive_bytes)
-    } else {
-        (false, 0, 0)
+    let (text_bytes, archive_bytes) = match dataset {
+        Some(dataset) => verify_outputs(store, &dag.bucket, dataset, codec)?,
+        None => (0, 0),
     };
 
     Ok(PipelineOutcome {
-        mode: cfg.mode,
-        latency,
+        mode,
+        latency: finished.saturating_duration_since(started),
         cost,
         stages,
         sort_workers,
@@ -380,26 +465,33 @@ pub fn run_methcomp_pipeline(cfg: &PipelineConfig) -> Result<PipelineOutcome, Pi
         } else {
             0.0
         },
-        verified,
+        verified: cfg.verify,
         tracker_log: tracker.render(),
         trace: sink.snapshot(),
         sim: report,
     })
 }
 
-/// Checks the outputs in bucket `data` against the input `expect`: the
+fn bad_config(reason: impl fmt::Display) -> PipelineError {
+    PipelineError::BadConfig {
+        reason: reason.to_string(),
+    }
+}
+
+/// Checks the outputs in `bucket` against the input `expect`: the
 /// sorted runs, in key order, concatenate to `expect` sorted, and each
 /// run's archive decodes back to the run. Returns the bedMethyl text
 /// bytes and the archive bytes. Makes no copy of the dataset: each run is
 /// compared with its slice of the sorted input as it is read.
 fn verify_outputs(
     store: &ObjectStore,
+    bucket: &str,
     mut expect: Dataset,
     codec: EncodeCodec,
 ) -> Result<(usize, usize), PipelineError> {
     let fail = |message: String| PipelineError::Verification { message };
     expect.sort();
-    let run_keys = store.keys_untimed("data", "sorted/");
+    let run_keys = store.keys_untimed(bucket, "sorted/");
     if run_keys.is_empty() {
         return Err(fail("no sorted runs produced".to_string()));
     }
@@ -412,12 +504,12 @@ fn verify_outputs(
     for key in &run_keys {
         let j = key.trim_start_matches("sorted/");
         let run = store
-            .peek("data", key)
+            .peek(bucket, key)
             .ok_or_else(|| fail(format!("missing sorted run {}", j)))?;
         let records: Vec<MethRecord> = SortRecord::read_all(&run)
             .map_err(|e| fail(format!("sorted run {} corrupt: {}", j, e)))?;
         let archive = store
-            .peek("data", &format!("enc/{}", j))
+            .peek(bucket, &format!("enc/{}", j))
             .ok_or_else(|| fail(format!("missing archive {}", j)))?;
         archive_bytes += archive.len();
         let corrupt = |e: &dyn fmt::Display| fail(format!("archive {} corrupt: {}", j, e));
@@ -577,7 +669,7 @@ mod tests {
 
     /// What [`verify_outputs`] says of `store`'s outputs for `input`.
     fn verdict(store: &ObjectStore, input: &Dataset) -> String {
-        match verify_outputs(store, input.clone(), EncodeCodec::Methcomp) {
+        match verify_outputs(store, "data", input.clone(), EncodeCodec::Methcomp) {
             Ok(_) => "ok".to_string(),
             Err(PipelineError::Verification { message }) => message,
             Err(other) => panic!("not a verification error: {other}"),

@@ -696,8 +696,23 @@ pub fn field_or_default<T: FromJson + Default>(v: &Json, name: &str) -> Result<T
 /// fields: `req` fields must be present, `opt` fields default when
 /// missing or null.
 ///
-/// ```ignore
-/// json_object! { StageSpec { req name, req kind, opt workers } }
+/// ```
+/// use faaspipe_json::{from_str, json_object, FromJson, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Stage {
+///     name: String,
+///     workers: u64,
+/// }
+/// json_object! { Stage { req name, opt workers } }
+///
+/// let sort = Stage { name: "sort".into(), workers: 8 };
+/// assert_eq!(Stage::from_json(&sort.to_json()).unwrap(), sort);
+///
+/// // A missing `opt` field takes its default; a missing `req` field fails.
+/// let encode: Stage = from_str(r#"{"name": "encode"}"#).unwrap();
+/// assert_eq!(encode, Stage { name: "encode".into(), workers: 0 });
+/// assert!(from_str::<Stage>(r#"{"workers": 2}"#).is_err());
 /// ```
 #[macro_export]
 macro_rules! json_object {

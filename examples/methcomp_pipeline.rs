@@ -5,83 +5,36 @@
 //! ```text
 //! cargo run --release --example methcomp_pipeline
 //! ```
+//!
+//! The two specs are `examples/methcomp-serverless.json` and
+//! `examples/methcomp-hybrid.json`; `faaspipe run` takes them too.
 
-use bytes::Bytes;
-
-use faaspipe::core::executor::{Executor, Services};
-use faaspipe::core::pricing::PriceBook;
+use faaspipe::core::pipeline::{run_pipeline, PipelineConfig};
 use faaspipe::core::spec::PipelineSpec;
-use faaspipe::core::tracker::Tracker;
-use faaspipe::des::Sim;
-use faaspipe::faas::{FaasConfig, FunctionPlatform};
-use faaspipe::methcomp::synth::Synthesizer;
-use faaspipe::shuffle::{SortRecord, WorkModel};
-use faaspipe::store::{ObjectStore, StoreConfig};
-use faaspipe::vm::VmFleet;
+use faaspipe::methcomp::MethRecord;
+use faaspipe::shuffle::SortRecord;
 
 /// Figure 1 B: purely serverless — declared in JSON.
-const SERVERLESS_SPEC: &str = r#"{
-    "name": "methcomp-serverless",
-    "bucket": "data",
-    "stages": [
-        { "name": "sort", "kind": "shuffle_sort", "workers": 8,
-          "input": "in/", "output": "sorted/" },
-        { "name": "encode", "kind": "encode", "codec": "methcomp",
-          "workers": 8, "input": "sorted/", "output": "enc/",
-          "deps": ["sort"] }
-    ]
-}"#;
+const SERVERLESS_SPEC: &str = include_str!("methcomp-serverless.json");
 
 /// Figure 1 A: hybrid — the sort stage runs inside a bx2-8x32 VM.
-const HYBRID_SPEC: &str = r#"{
-    "name": "methcomp-hybrid",
-    "bucket": "data",
-    "stages": [
-        { "name": "sort", "kind": "vm_sort", "profile": "bx2-8x32",
-          "runs": 8, "input": "in/", "output": "sorted/" },
-        { "name": "encode", "kind": "encode", "codec": "methcomp",
-          "workers": 8, "input": "sorted/", "output": "enc/",
-          "deps": ["sort"] }
-    ]
-}"#;
+const HYBRID_SPEC: &str = include_str!("methcomp-hybrid.json");
 
 fn run_spec(json: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = PipelineSpec::from_json(json)?;
-    let dag = spec.to_dag()?;
+    let dag = PipelineSpec::from_json(json)?.to_dag()?;
     println!("=== workflow '{}' ({} stages) ===", dag.name, dag.len());
 
-    let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
-    let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
-    let fleet = VmFleet::new();
-    store.create_bucket("data")?;
+    // ~50k unsorted methylation records as 8 input chunks, at size
+    // scale 1 (every wire byte and compute charge is physical).
+    let mut cfg = PipelineConfig::paper_table1();
+    cfg.physical_records = 50_000;
+    cfg.modeled_bytes = (50_000 * MethRecord::WIRE_SIZE) as u64;
+    cfg.seed = 7;
+    cfg.verify = false;
+    let outcome = run_pipeline(&cfg, &dag)?;
 
-    // Stage ~50k unsorted methylation records as 8 input chunks.
-    let dataset = Synthesizer::new(7).generate_shuffled(50_000);
-    for (i, chunk) in dataset.records.chunks(50_000usize.div_ceil(8)).enumerate() {
-        store.put_untimed(
-            "data",
-            &format!("in/{:04}", i),
-            Bytes::from(SortRecord::write_all(chunk)),
-        )?;
-    }
-
-    let tracker = Tracker::new();
-    let executor = Executor::new(
-        Services {
-            store: store.clone(),
-            faas: faas.clone(),
-            fleet: fleet.clone(),
-        },
-        WorkModel::default(),
-        tracker.clone(),
-    );
-    let handle = executor.spawn_dag(&mut sim, &dag);
-    let report = sim.run()?;
-
-    let results = handle.ok_results().map_err(std::io::Error::other)?;
-    println!("{}", tracker.render());
-    for stage in &results {
+    println!("{}", outcome.tracker_log);
+    for stage in &outcome.stages {
         println!(
             "stage '{}' took {} with {} workers",
             stage.stage,
@@ -89,13 +42,7 @@ fn run_spec(json: &str) -> Result<(), Box<dyn std::error::Error>> {
             stage.workers_used
         );
     }
-    let cost = PriceBook::default().assemble(
-        &faas.records(),
-        &store.metrics(),
-        &fleet.records(),
-        report.end_time,
-    );
-    println!("{}", cost.render());
+    println!("{}", outcome.cost.render());
     Ok(())
 }
 

@@ -17,30 +17,22 @@
 
 use std::process::ExitCode;
 
-use bytes::Bytes;
-
 use faaspipe::cluster::{
     run_cluster, AdmissionPolicy, ArrivalProcess, ClusterConfig, TenantSpec, TraceMode,
     MAX_ARRIVAL_NS, MAX_TENANTS,
 };
 use faaspipe::core::dag::WorkerChoice;
-use faaspipe::core::executor::{Executor, Services, DEFAULT_MAX_AUTO_WORKERS};
-use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
-use faaspipe::core::pricing::PriceBook;
+use faaspipe::core::executor::DEFAULT_MAX_AUTO_WORKERS;
+use faaspipe::core::pipeline::{run_methcomp_pipeline, run_pipeline, PipelineConfig, PipelineMode};
 use faaspipe::core::report::{render_table1, Table1Row};
 use faaspipe::core::spec::PipelineSpec;
-use faaspipe::core::tracker::Tracker;
-use faaspipe::des::{Sim, SimTime};
 use faaspipe::exchange::ExchangeKind;
-use faaspipe::faas::{FaasConfig, FunctionPlatform};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::synth::{reserve_records, Synthesizer};
 use faaspipe::methcomp::{Dataset, MethRecord};
 use faaspipe::plan::{Estimate, ModelParams, Planner, SearchSpace, Workload};
-use faaspipe::shuffle::{SortConfig, SortRecord, WorkModel};
-use faaspipe::store::{ObjectStore, StoreConfig};
-use faaspipe::trace::{chrome_trace_json, critical_path, Category, SpanId, TraceData, TraceSink};
-use faaspipe::vm::VmFleet;
+use faaspipe::shuffle::{SortConfig, SortRecord};
+use faaspipe::trace::{chrome_trace_json, critical_path, TraceData};
 
 const USAGE: &str = "usage:
   faaspipe table1 [--records N] [--exchange scatter|coalesced|vm_relay|direct|sharded_relay[:N][:prewarm]|auto] [--io-concurrency K] [--trace-out <trace.json>] [--jobs N]
@@ -212,80 +204,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let spec = PipelineSpec::from_json(&text).map_err(|e| e.to_string())?;
     let dag = spec.to_dag().map_err(|e| e.to_string())?;
 
-    let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
-    let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
-    let fleet = VmFleet::new();
-    store
-        .create_bucket(&dag.bucket)
-        .map_err(|e| e.to_string())?;
-
-    // Stage synthetic input under the first stage's input prefix.
-    let input_prefix = match dag.stages().first().map(|s| &s.kind) {
-        Some(faaspipe::core::StageKind::ShuffleSort { input, .. })
-        | Some(faaspipe::core::StageKind::VmSort { input, .. })
-        | Some(faaspipe::core::StageKind::Encode { input, .. }) => input.clone(),
-        None => return Err("workflow has no stages".into()),
-    };
-    let dataset = Synthesizer::new(seed).generate_shuffled(records);
-    let chunks = 8usize;
-    for (i, chunk) in dataset
-        .records
-        .chunks(records.div_ceil(chunks).max(1))
-        .enumerate()
-    {
-        store
-            .put_untimed(
-                &dag.bucket,
-                &format!("{}{:04}", input_prefix, i),
-                Bytes::from(SortRecord::write_all(chunk)),
-            )
-            .map_err(|e| e.to_string())?;
-    }
-
-    let sink = if trace_out.is_some() {
-        TraceSink::recording()
-    } else {
-        TraceSink::disabled()
-    };
-    let run_span = if trace_out.is_some() {
-        let run = sink.span_start(
-            Category::Run,
-            &dag.name,
-            "driver",
-            "driver",
-            SpanId::NONE,
-            SimTime::ZERO,
-        );
-        sink.attr(run, "seed", seed);
-        store.set_trace_sink(sink.clone());
-        faas.set_trace_sink(sink.clone());
-        fleet.set_trace_sink(sink.clone());
-        run
-    } else {
-        SpanId::NONE
-    };
-    let tracker = if trace_out.is_some() {
-        Tracker::with_sink(sink.clone(), run_span)
-    } else {
-        Tracker::new()
-    };
-    let executor = Executor::new(
-        Services {
-            store: store.clone(),
-            faas: faas.clone(),
-            fleet: fleet.clone(),
-        },
-        WorkModel::default(),
-        tracker.clone(),
-    )
-    .with_io_concurrency(io_concurrency);
-    let handle = executor.spawn_dag(&mut sim, &dag);
-    let report = sim.run().map_err(|e| e.to_string())?;
-    sink.span_end(run_span, report.end_time);
-    let results = handle.ok_results()?;
-    println!("{}", tracker.render());
-    for s in &results {
+    // Synthetic input in 8 chunks under the first stage's input prefix,
+    // at size scale 1: every wire byte and compute charge is physical.
+    let mut cfg = PipelineConfig::paper_table1();
+    cfg.physical_records = records;
+    cfg.modeled_bytes = (records * MethRecord::WIRE_SIZE) as u64;
+    cfg.seed = seed;
+    cfg.io_concurrency = io_concurrency;
+    cfg.verify = false;
+    cfg.trace = trace_out.is_some();
+    let outcome = run_pipeline(&cfg, &dag).map_err(|e| e.to_string())?;
+    println!("{}", outcome.tracker_log);
+    for s in &outcome.stages {
         println!(
             "stage '{}': {} ({} workers, {} output bytes)",
             s.stage,
@@ -294,19 +224,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             s.output_bytes
         );
     }
-    let cost = PriceBook::default().assemble(
-        &faas.records(),
-        &store.metrics(),
-        &fleet.records(),
-        report.end_time,
-    );
-    println!("{}", cost.render());
+    println!("{}", outcome.cost.render());
     if let Some(path) = trace_out {
-        let data = sink.snapshot();
-        if let Some(breakdown) = critical_path(&data) {
+        if let Some(breakdown) = critical_path(&outcome.trace) {
             println!("{}", breakdown.render());
         }
-        std::fs::write(&path, chrome_trace_json(&data)).map_err(|e| format!("{}: {}", path, e))?;
+        std::fs::write(&path, chrome_trace_json(&outcome.trace))
+            .map_err(|e| format!("{}: {}", path, e))?;
         eprintln!("wrote {}", path);
     }
     Ok(())

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use faaspipe::codec::bitio::{BitReader, BitWriter};
 use faaspipe::codec::range::{ByteModel, Order1Model, RangeDecoder, RangeEncoder, UIntModel};
-use faaspipe::codec::{gzipish, huffman, rle, varint};
+use faaspipe::codec::{gzipish, huffman, varint};
 use faaspipe::methcomp::codec as mc;
 use faaspipe::methcomp::{Dataset, MethRecord, Strand};
 
@@ -46,12 +46,6 @@ proptest! {
     #[test]
     fn zigzag_is_a_bijection(v in any::<i64>()) {
         prop_assert_eq!(varint::unzigzag(varint::zigzag(v)), v);
-    }
-
-    #[test]
-    fn rle_round_trips(data in vec(any::<u8>(), 0..10_000)) {
-        let packed = rle::compress(&data);
-        prop_assert_eq!(rle::decompress(&packed, 1 << 24).expect("round trip"), data);
     }
 
     #[test]

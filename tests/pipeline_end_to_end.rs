@@ -5,7 +5,7 @@
 use bytes::Bytes;
 
 use faaspipe::core::executor::{Executor, Services};
-use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
+use faaspipe::core::pipeline::{run_methcomp_pipeline, run_pipeline, PipelineConfig, PipelineMode};
 use faaspipe::core::pricing::PriceBook;
 use faaspipe::core::spec::PipelineSpec;
 use faaspipe::core::tracker::Tracker;
@@ -146,6 +146,40 @@ fn json_spec_drives_the_same_pipeline() {
     assert!(cost.by_stage.contains_key("sort"));
     assert!(cost.by_stage.contains_key("encode"));
     assert!(cost.total() > Money::ZERO);
+}
+
+/// The JSON Figure-1 specs the `methcomp_pipeline` example runs and the
+/// built-in Figure-1 pipeline are one run: the same latency, bill and
+/// event count, and both verify.
+#[test]
+fn json_figure1_specs_and_the_builtin_pipeline_are_one_run() {
+    for (mode, json) in [
+        (
+            PipelineMode::PureServerless,
+            include_str!("../examples/methcomp-serverless.json"),
+        ),
+        (
+            PipelineMode::VmHybrid,
+            include_str!("../examples/methcomp-hybrid.json"),
+        ),
+    ] {
+        let cfg = quick(mode);
+        let dag = PipelineSpec::from_json(json)
+            .expect("parse")
+            .to_dag()
+            .expect("dag");
+        let spec = run_pipeline(&cfg, &dag).expect("spec run");
+        let builtin = run_methcomp_pipeline(&cfg).expect("built-in run");
+        assert!(spec.verified && builtin.verified, "{mode}");
+        assert_eq!(spec.mode, mode);
+        assert_eq!(
+            spec.latency.as_nanos(),
+            builtin.latency.as_nanos(),
+            "{mode}"
+        );
+        assert_eq!(spec.cost.total(), builtin.cost.total(), "{mode}");
+        assert_eq!(spec.sim.events, builtin.sim.events, "{mode}");
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@ use faaspipe_exchange::{
     DataExchange, DirectConfig, DirectExchange, ExchangeKind, RelayConfig, ShardedRelayConfig,
     ShardedRelayExchange,
 };
-use faaspipe_faas::{FaasConfig, FunctionPlatform};
+use faaspipe_faas::{FaasConfig, FunctionEnv, FunctionPlatform};
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
 use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
 use faaspipe_shuffle::sort::DRIVER_ORCHESTRATION;
@@ -646,10 +646,9 @@ impl Executor {
         if inputs.is_empty() {
             return Err(format!("no encode inputs under '{}'", input));
         }
-        let written: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
         // One tag for the stage's invocations and their connections.
         let tag: Arc<str> = format!("{}/enc", stage).into();
-        let mut handles = Vec::with_capacity(workers);
+        let mut bodies = Vec::with_capacity(workers);
         for wi in 0..workers {
             let assigned: Vec<String> = inputs
                 .iter()
@@ -662,60 +661,52 @@ impl Executor {
             }
             let store = Arc::clone(store);
             let work = self.work.clone();
-            let written = Arc::clone(&written);
             let bucket = bucket.to_string();
             let output = output.to_string();
-            let conn_tag = Arc::clone(&tag);
-            let h = self
-                .services
-                .faas
-                .invoke(
-                    ctx,
-                    "encode",
-                    Arc::clone(&tag),
-                    async move |fctx: &mut Ctx, env: faaspipe_faas::FunctionEnv| {
-                        let client = store.connect_via(fctx, conn_tag, &[env.nic]).await;
-                        for key in &assigned {
-                            let data = client
-                                .get(fctx, &bucket, key)
-                                .await
-                                .unwrap_or_else(|e| panic!("encode read failed: {}", e));
-                            let records: Vec<MethRecord> = SortRecord::read_all(&data)
-                                .unwrap_or_else(|e| panic!("encode decode failed: {}", e));
-                            let dataset = Dataset::new(records);
-                            // Charge the encode compute, then run the
-                            // codec inline.
-                            let packed = match codec {
-                                EncodeCodec::Methcomp => {
-                                    env.compute(fctx, work.methcomp_encode_time(data.len()))
-                                        .await;
-                                    mc_codec::compress(&dataset)
-                                }
-                                EncodeCodec::Gzipish => {
-                                    env.compute(fctx, work.gzip_encode_time(data.len())).await;
-                                    faaspipe_codec::gzipish::compress(dataset.to_text().as_bytes())
-                                }
-                            };
-                            // Free the records before the write yields.
-                            drop(dataset);
-                            *written.lock() += packed.len() as u64;
-                            let leaf = key.rsplit('/').next().unwrap_or(key);
-                            let out_key = format!("{}{}", output, leaf);
-                            client
-                                .put(fctx, &bucket, &out_key, Bytes::from(packed))
-                                .await
-                                .unwrap_or_else(|e| panic!("encode write failed: {}", e));
+            let tag = Arc::clone(&tag);
+            bodies.push(async move |fctx: &mut Ctx, env: FunctionEnv| {
+                let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
+                let mut written = 0;
+                for key in &assigned {
+                    let data = client
+                        .get(fctx, &bucket, key)
+                        .await
+                        .unwrap_or_else(|e| panic!("encode read failed: {}", e));
+                    let records: Vec<MethRecord> = SortRecord::read_all(&data)
+                        .unwrap_or_else(|e| panic!("encode decode failed: {}", e));
+                    let dataset = Dataset::new(records);
+                    // Charge the encode compute, then run the codec inline.
+                    let packed = match codec {
+                        EncodeCodec::Methcomp => {
+                            env.compute(fctx, work.methcomp_encode_time(data.len()))
+                                .await;
+                            mc_codec::compress(&dataset)
                         }
-                    },
-                )
-                .await;
-            handles.push(h);
+                        EncodeCodec::Gzipish => {
+                            env.compute(fctx, work.gzip_encode_time(data.len())).await;
+                            faaspipe_codec::gzipish::compress(dataset.to_text().as_bytes())
+                        }
+                    };
+                    // Free the records before the write yields.
+                    drop(dataset);
+                    written += packed.len() as u64;
+                    let leaf = key.rsplit('/').next().unwrap_or(key);
+                    let out_key = format!("{}{}", output, leaf);
+                    client
+                        .put(fctx, &bucket, &out_key, Bytes::from(packed))
+                        .await
+                        .unwrap_or_else(|e| panic!("encode write failed: {}", e));
+                }
+                written
+            });
         }
-        ctx.join_all(&handles)
+        let written = self
+            .services
+            .faas
+            .invoke_all(ctx, "encode", tag, 1, bodies)
             .await
             .map_err(|e| format!("encode task failed: {}", e))?;
-        let bytes = *written.lock();
-        Ok((workers.min(inputs.len()), bytes))
+        Ok((workers.min(inputs.len()), written.iter().sum()))
     }
 }
 

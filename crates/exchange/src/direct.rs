@@ -5,13 +5,14 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use faaspipe_des::{ByteSize, Ctx, LinkId, LocalBoxFuture, SimDuration, SimTime};
 use faaspipe_store::failure::Fate;
-use faaspipe_store::FailurePolicy;
+use faaspipe_store::{scaled_len, FailurePolicy};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 use parking_lot::Mutex;
 
 use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
+use crate::span::{request_begin, request_end};
 
 /// Tuning of the [`DirectExchange`].
 #[derive(Debug, Clone)]
@@ -127,43 +128,6 @@ impl DirectExchange {
 }
 
 impl DirectCore {
-    fn scaled(&self, real_len: usize) -> u64 {
-        (real_len as f64 * self.cfg.size_scale).round() as u64
-    }
-
-    fn span_begin(
-        &self,
-        ctx: &Ctx,
-        op: &'static str,
-        tag: &str,
-        map: usize,
-        part: usize,
-    ) -> SpanId {
-        if !self.trace.is_enabled() {
-            return SpanId::NONE;
-        }
-        let parent = self.trace.current(ctx.pid());
-        let span =
-            self.trace
-                .span_start(Category::StoreRequest, op, "direct", tag, parent, ctx.now());
-        self.trace
-            .attr(span, "key", format!("direct/{:05}/{:05}", map, part));
-        span
-    }
-
-    fn span_end(&self, ctx: &Ctx, span: SpanId, bytes: u64, failed: bool) {
-        if span.is_none() {
-            return;
-        }
-        if bytes > 0 {
-            self.trace.attr(span, "bytes", bytes);
-        }
-        if failed {
-            self.trace.attr(span, "failed", true);
-        }
-        self.trace.span_end(span, ctx.now());
-    }
-
     /// One rendezvous + stream attempt for a single partition.
     async fn stream_part(
         &self,
@@ -172,11 +136,12 @@ impl DirectCore {
         map: usize,
         part: usize,
     ) -> Result<Bytes, ExchangeError> {
-        let span = self.span_begin(ctx, "STREAM", &env.tag, map, part);
+        let key = ("direct", map, part);
+        let span = request_begin(&self.trace, ctx, "STREAM", "direct", &env.tag, key);
         let fate = self.cfg.failure.draw(ctx.rng());
         ctx.sleep(self.cfg.handshake).await;
         if matches!(fate, Fate::Fail) {
-            self.span_end(ctx, span, 0, true);
+            request_end(&self.trace, ctx, span, 0, true);
             return Err(ExchangeError::PeerTimeout { map, part });
         }
         // Rendezvous: wait for the sender to register the partition.
@@ -185,7 +150,7 @@ impl DirectCore {
             match self.lookup(map, part) {
                 Some(found) => break found,
                 None if waited >= self.cfg.rendezvous_timeout => {
-                    self.span_end(ctx, span, 0, true);
+                    request_end(&self.trace, ctx, span, 0, true);
                     return Err(ExchangeError::PeerTimeout { map, part });
                 }
                 None => {
@@ -197,7 +162,7 @@ impl DirectCore {
         let (data, wire, sender_nic, written_at) = found;
         // Warmth gate: the sender's container must still be alive.
         if ctx.now().saturating_duration_since(written_at) > self.cfg.keep_alive {
-            self.span_end(ctx, span, 0, true);
+            request_end(&self.trace, ctx, span, 0, true);
             return Err(ExchangeError::PeerGone { map, part });
         }
         // Stream through both NICs on the fluid-flow network.
@@ -216,7 +181,7 @@ impl DirectCore {
         if !flow.is_none() {
             self.trace.span_end(flow, ctx.now());
         }
-        self.span_end(ctx, span, wire, false);
+        request_end(&self.trace, ctx, span, wire, false);
         Ok(data)
     }
 
@@ -261,9 +226,8 @@ impl DataExchange for DirectExchange {
             // there is nothing to window — `io_window` is moot). Every
             // partition is registered, empty ones included, so a reader
             // finds each cell of its column.
-            let span = self
-                .core
-                .span_begin(ctx, "REGISTER", &env.tag, map, parts_len);
+            let key = ("direct", map, parts_len);
+            let span = request_begin(&self.core.trace, ctx, "REGISTER", "direct", &env.tag, key);
             ctx.sleep(self.core.cfg.handshake).await;
             let sender_nic = env.host_links.first().copied();
             let now = ctx.now();
@@ -272,7 +236,7 @@ impl DataExchange for DirectExchange {
                 let mut state = self.core.state.lock();
                 for (j, data) in dense_parts(&run, &cuts, parts_len).into_iter().enumerate() {
                     written += data.len() as u64;
-                    let wire = self.core.scaled(data.len());
+                    let wire = scaled_len(data.len(), self.core.cfg.size_scale);
                     // Idempotent overwrite for re-invoked mappers.
                     if let Some(old) = state.parts.remove(&(map, j)) {
                         state.buffered -= old.wire;
@@ -294,7 +258,7 @@ impl DataExchange for DirectExchange {
                         .gauge("direct.buffered_bytes", now, state.buffered as f64);
                 }
             }
-            self.core.span_end(ctx, span, written, false);
+            request_end(&self.core.trace, ctx, span, written, false);
             Ok(written)
         })
     }

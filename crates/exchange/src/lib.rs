@@ -34,6 +34,7 @@ mod error;
 mod object_store;
 mod retry;
 mod sharded;
+mod span;
 mod vm_relay;
 
 pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy, MAX_RELAY_SHARDS};

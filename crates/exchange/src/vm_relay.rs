@@ -12,7 +12,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use faaspipe_des::{Bandwidth, ByteSize, Ctx, LinkId, ProcessId, SimDuration};
 use faaspipe_store::failure::Fate;
-use faaspipe_store::FailurePolicy;
+use faaspipe_store::{scaled_len, FailurePolicy};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 use faaspipe_vm::{VmFleet, VmInstance, VmProfile};
 use parking_lot::Mutex;
@@ -20,6 +20,7 @@ use parking_lot::Mutex;
 use crate::api::ExchangeEnv;
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
+use crate::span::{request_begin, request_end};
 
 /// Per-shard tuning of the
 /// [`ShardedRelayExchange`](crate::ShardedRelayExchange).
@@ -134,10 +135,6 @@ impl RelayShard {
     #[cfg(test)]
     pub(crate) fn label(&self) -> &str {
         &self.label
-    }
-
-    fn scaled(&self, real_len: usize) -> u64 {
-        (real_len as f64 * self.cfg.size_scale).round() as u64
     }
 
     /// Starts this shard's VM boot unless one is ready or already in
@@ -261,43 +258,6 @@ impl RelayShard {
         Ok(nic)
     }
 
-    fn span_begin(
-        &self,
-        ctx: &Ctx,
-        op: &'static str,
-        tag: &str,
-        key: Option<(usize, usize)>,
-    ) -> SpanId {
-        if !self.trace.is_enabled() {
-            return SpanId::NONE;
-        }
-        let parent = self.trace.current(ctx.pid());
-        let span =
-            self.trace
-                .span_start(Category::StoreRequest, op, "relay", tag, parent, ctx.now());
-        if let Some((map, part)) = key {
-            self.trace.attr(
-                span,
-                "key",
-                format!("{}/{:05}/{:05}", self.label, map, part),
-            );
-        }
-        span
-    }
-
-    fn span_end(&self, ctx: &Ctx, span: SpanId, bytes: u64, failed: bool) {
-        if span.is_none() {
-            return;
-        }
-        if bytes > 0 {
-            self.trace.attr(span, "bytes", bytes);
-        }
-        if failed {
-            self.trace.attr(span, "failed", true);
-        }
-        self.trace.span_end(span, ctx.now());
-    }
-
     /// Moves `wire` scaled bytes between the caller and the relay,
     /// recording a flow span.
     async fn transfer(&self, ctx: &Ctx, env: &ExchangeEnv, nic: LinkId, wire: u64, parent: SpanId) {
@@ -326,15 +286,16 @@ impl RelayShard {
         part: usize,
         data: &Bytes,
     ) -> Result<(), ExchangeError> {
-        let span = self.span_begin(ctx, "PUT", &env.tag, Some((map, part)));
+        let key = (self.label.as_str(), map, part);
+        let span = request_begin(&self.trace, ctx, "PUT", "relay", &env.tag, key);
         let nic = match self.request_overhead(ctx, "PUT").await {
             Ok(nic) => nic,
             Err(e) => {
-                self.span_end(ctx, span, 0, true);
+                request_end(&self.trace, ctx, span, 0, true);
                 return Err(e);
             }
         };
-        let wire = self.scaled(data.len());
+        let wire = scaled_len(data.len(), self.cfg.size_scale);
         self.transfer(ctx, env, nic, wire, span).await;
         let spilled = {
             let mut state = self.state.lock();
@@ -372,7 +333,7 @@ impl RelayShard {
             ctx.sleep(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
                 .await;
         }
-        self.span_end(ctx, span, wire, false);
+        request_end(&self.trace, ctx, span, wire, false);
         Ok(())
     }
 
@@ -383,11 +344,12 @@ impl RelayShard {
         map: usize,
         part: usize,
     ) -> Result<Bytes, ExchangeError> {
-        let span = self.span_begin(ctx, "GET", &env.tag, Some((map, part)));
+        let key = (self.label.as_str(), map, part);
+        let span = request_begin(&self.trace, ctx, "GET", "relay", &env.tag, key);
         let nic = match self.request_overhead(ctx, "GET").await {
             Ok(nic) => nic,
             Err(e) => {
-                self.span_end(ctx, span, 0, true);
+                request_end(&self.trace, ctx, span, 0, true);
                 return Err(e);
             }
         };
@@ -397,7 +359,7 @@ impl RelayShard {
                 Some(p) => (p.data.clone(), p.wire, p.spilled),
                 None => {
                     drop(state);
-                    self.span_end(ctx, span, 0, true);
+                    request_end(&self.trace, ctx, span, 0, true);
                     return Err(ExchangeError::MissingPartition { map, part });
                 }
             }
@@ -408,7 +370,7 @@ impl RelayShard {
                 .await;
         }
         self.transfer(ctx, env, nic, wire, span).await;
-        self.span_end(ctx, span, wire, false);
+        request_end(&self.trace, ctx, span, wire, false);
         Ok(data)
     }
 

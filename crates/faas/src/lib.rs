@@ -17,7 +17,10 @@
 //! Function *bodies are real Rust async closures*: they move real bytes
 //! through the simulated store and charge virtual CPU time via
 //! [`FunctionEnv::compute`]. [`FunctionPlatform::invoke`] spawns the
-//! invocation as a simulation process and returns its id to join.
+//! invocation as a simulation process and returns its id to join;
+//! [`FunctionPlatform::invoke_all`] runs a stage the way Lithops' `map()`
+//! does: one invocation per body, crashed ones re-invoked, the outputs
+//! returned in body order.
 //!
 //! ## Example
 //!

@@ -1,13 +1,17 @@
 //! The functions platform: container pool, invoker, and billing records.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::Rng;
 
-use faaspipe_des::{catch_unwind_future, Ctx, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime};
+use faaspipe_des::{
+    catch_unwind_future, Ctx, JoinError, LinkId, ProcessId, SemId, Sim, SimDuration, SimTime,
+};
 use faaspipe_trace::{Category, SpanId, TraceSink};
 
 use crate::config::FaasConfig;
@@ -100,14 +104,21 @@ impl FunctionEnv {
     }
 }
 
-/// The simulated functions platform.
-///
-/// See the [crate docs](crate) for the model and an example.
+/// The bodies of one [`FunctionPlatform::invoke_all`] call and the
+/// output slot of each, shared by its invocations.
+struct Gang<B, T> {
+    bodies: Vec<B>,
+    outputs: RefCell<Vec<Option<T>>>,
+}
+
 /// Warm-pool key: `(tenant scope, function name)`. The scope is `""`
 /// unless [`FaasConfig::tenant_scoped_pool`] is set, in which case it is
 /// the invocation tag's first `/`-segment.
 type PoolKey = (Arc<str>, Arc<str>);
 
+/// The simulated functions platform.
+///
+/// See the [crate docs](crate) for the model and an example.
 pub struct FunctionPlatform {
     cfg: FaasConfig,
     concurrency: SemId,
@@ -227,6 +238,72 @@ impl FunctionPlatform {
                 .await;
         })
         .await
+    }
+
+    /// Invokes `function` once per body, the way Lithops' `map()` runs a
+    /// stage, and returns each invocation's output in body order.
+    ///
+    /// Spawns one invocation per body in body order, then joins them in
+    /// that order. Each body whose invocation crashed (an injected
+    /// platform failure or a panic in the body) is re-invoked once the
+    /// whole round is joined, in body order, until it has had `attempts`
+    /// tries in all (`0` counts as `1`). A retry runs the same body
+    /// again, so a body must be idempotent.
+    ///
+    /// # Errors
+    /// When a body fails all its attempts, the [`JoinError`] of the
+    /// final round's first failure in body order.
+    pub async fn invoke_all<B, T>(
+        self: &Arc<Self>,
+        ctx: &Ctx,
+        function: impl Into<Arc<str>>,
+        tag: impl Into<Arc<str>>,
+        attempts: u32,
+        bodies: Vec<B>,
+    ) -> Result<Vec<T>, JoinError>
+    where
+        B: AsyncFn(&mut Ctx, FunctionEnv) -> T + 'static,
+        T: 'static,
+    {
+        let function = function.into();
+        let tag = tag.into();
+        let gang = Rc::new(Gang {
+            outputs: RefCell::new(bodies.iter().map(|_| None).collect()),
+            bodies,
+        });
+        let body = |i: usize| {
+            let gang = Rc::clone(&gang);
+            async move |fctx: &mut Ctx, env: FunctionEnv| {
+                let out = (gang.bodies[i])(fctx, env).await;
+                gang.outputs.borrow_mut()[i] = Some(out);
+            }
+        };
+        let mut round: Vec<usize> = (0..gang.bodies.len()).collect();
+        for attempt in 1..=attempts.max(1) {
+            let mut pids = Vec::with_capacity(round.len());
+            for &i in &round {
+                let (function, tag) = (Arc::clone(&function), Arc::clone(&tag));
+                pids.push(self.invoke(ctx, function, tag, body(i)).await);
+            }
+            let mut failed = Vec::new();
+            let mut first_error = None;
+            for (i, pid) in round.into_iter().zip(pids) {
+                if let Err(e) = ctx.join(pid).await {
+                    first_error.get_or_insert(e);
+                    failed.push(i);
+                }
+            }
+            match first_error {
+                None => break,
+                Some(error) if attempt >= attempts => return Err(error),
+                Some(_) => round = failed,
+            }
+        }
+        let outputs = gang.outputs.take();
+        Ok(outputs
+            .into_iter()
+            .map(|out| out.expect("every joined invocation stored its output"))
+            .collect())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -782,5 +859,132 @@ mod tests {
             );
         });
         sim.run().expect("run");
+    }
+
+    /// Runs one `invoke_all` of `bodies` from a driver and returns its
+    /// result, with the platform for inspection.
+    fn run_gang<B, T>(
+        cfg: FaasConfig,
+        attempts: u32,
+        bodies: Vec<B>,
+    ) -> (Result<Vec<T>, JoinError>, Arc<FunctionPlatform>)
+    where
+        B: AsyncFn(&mut Ctx, FunctionEnv) -> T + 'static,
+        T: 'static,
+    {
+        let (mut sim, faas) = platform_sim(cfg);
+        let p = faas.clone();
+        let out = Rc::new(RefCell::new(None));
+        let out2 = Rc::clone(&out);
+        sim.spawn("driver", move |ctx| async move {
+            let result = p.invoke_all(&ctx, "f", "stage", attempts, bodies).await;
+            *out2.borrow_mut() = Some(result);
+        });
+        sim.run().expect("run");
+        let result = out.borrow_mut().take().expect("driver ran");
+        (result, faas)
+    }
+
+    #[test]
+    fn invoke_all_returns_outputs_in_body_order() {
+        // Later bodies finish first; the outputs still come back in body
+        // order.
+        let bodies: Vec<_> = (0..4u64)
+            .map(|i| {
+                async move |fctx: &mut Ctx, _: FunctionEnv| {
+                    fctx.sleep(SimDuration::from_secs(4 - i)).await;
+                    i * 10
+                }
+            })
+            .collect();
+        let (outputs, faas) = run_gang(FaasConfig::default(), 1, bodies);
+        assert_eq!(outputs.expect("no crash"), vec![0, 10, 20, 30]);
+        assert_eq!(faas.records().len(), 4);
+    }
+
+    #[test]
+    fn invoke_all_spawns_in_body_order() {
+        // Pids are handed out in spawn order.
+        let pids = Rc::new(RefCell::new(vec![None; 5]));
+        let bodies: Vec<_> = (0..5)
+            .map(|i| {
+                let pids = Rc::clone(&pids);
+                async move |fctx: &mut Ctx, _: FunctionEnv| {
+                    pids.borrow_mut()[i] = Some(fctx.pid());
+                }
+            })
+            .collect();
+        let (result, _) = run_gang(FaasConfig::default(), 1, bodies);
+        result.expect("no crash");
+        let pids: Vec<ProcessId> = pids.borrow().iter().map(|p| p.expect("ran")).collect();
+        assert!(pids.windows(2).all(|w| w[0] < w[1]), "{:?}", pids);
+    }
+
+    #[test]
+    fn invoke_all_re_invokes_a_crashed_body_once_per_crash() {
+        // Body i crashes on its first i tries; with 4 attempts each, body
+        // i is re-invoked exactly i times and every body succeeds.
+        let tries = Rc::new(RefCell::new(vec![0u32; 4]));
+        let bodies: Vec<_> = (0..4u32)
+            .map(|i| {
+                let tries = Rc::clone(&tries);
+                async move |_: &mut Ctx, _: FunctionEnv| {
+                    let t = {
+                        let mut tries = tries.borrow_mut();
+                        tries[i as usize] += 1;
+                        tries[i as usize]
+                    };
+                    if t <= i {
+                        panic!("body {} crashed on try {}", i, t);
+                    }
+                    i
+                }
+            })
+            .collect();
+        let (outputs, faas) = run_gang(FaasConfig::default(), 4, bodies);
+        assert_eq!(outputs.expect("every body succeeds"), vec![0, 1, 2, 3]);
+        assert_eq!(*tries.borrow(), vec![1, 2, 3, 4]);
+        // Only the successful invocation of each body is billed.
+        assert_eq!(faas.records().len(), 4);
+    }
+
+    #[test]
+    fn invoke_all_reports_the_final_rounds_first_failure() {
+        // Bodies 1 and 2 crash on every try; body 0 succeeds. The error
+        // is body 1's (the first failure in body order) from its last
+        // attempt.
+        let bodies: Vec<_> = (0..3u32)
+            .map(|i| {
+                let tries = Rc::new(RefCell::new(0u32));
+                async move |_: &mut Ctx, _: FunctionEnv| {
+                    *tries.borrow_mut() += 1;
+                    if i > 0 {
+                        panic!("body {} crashed on try {}", i, *tries.borrow());
+                    }
+                }
+            })
+            .collect();
+        let (result, faas) = run_gang(FaasConfig::default(), 3, bodies);
+        let err = result.expect_err("bodies 1 and 2 exhaust their attempts");
+        assert_eq!(err.process, "fn:f:stage");
+        assert!(
+            err.message.contains("body 1 crashed on try 3"),
+            "{}",
+            err.message
+        );
+        assert_eq!(faas.records().len(), 1);
+        // Zero attempts count as one: a crashed body is not re-invoked.
+        let tries = Rc::new(RefCell::new(0u32));
+        let counted = Rc::clone(&tries);
+        let bodies = vec![async move |_: &mut Ctx, _: FunctionEnv| {
+            *counted.borrow_mut() += 1;
+            panic!("only try");
+        }];
+        let (result, _) = run_gang::<_, ()>(FaasConfig::default(), 0, bodies);
+        assert!(result
+            .expect_err("the one try crashes")
+            .message
+            .contains("only try"));
+        assert_eq!(*tries.borrow(), 1);
     }
 }

@@ -36,8 +36,12 @@ pub struct ModelParams {
     pub orchestration_s: f64,
     /// Object-store first-byte latency per request (seconds).
     pub store_latency_s: f64,
-    /// Per-connection store bandwidth cap (wire bytes/sec). All of a
-    /// function's windowed requests share one connection link.
+    /// Per-connection store bandwidth cap (wire bytes/sec). Each slot
+    /// of a function's I/O window opens its own store connection, so K
+    /// windowed requests can move up to K times this through the
+    /// function's NIC; the model caps a function at one connection's
+    /// rate or its NIC's, whichever is lower (the NIC, at the default
+    /// configs).
     pub store_conn_bps: f64,
     /// Store aggregate backbone bandwidth (wire bytes/sec), shared
     /// W-ways under fair sharing.
@@ -268,8 +272,8 @@ impl ModelParams {
     }
 
     /// A function's aggregate store transfer rate with `w` active
-    /// functions: its own connection and NIC links cap it (shared by its
-    /// windowed flows, so independent of K), and the store backbone is
+    /// functions: one connection's cap and its NIC cap it, whatever K
+    /// (see [`ModelParams::store_conn_bps`]), and the store backbone is
     /// shared W-ways.
     fn store_bw(&self, w: f64) -> f64 {
         self.store_conn_bps

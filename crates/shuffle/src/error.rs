@@ -29,6 +29,18 @@ pub enum ShuffleError {
         /// The final failure message.
         message: String,
     },
+    /// A phase handed on a different number of bytes than it was given
+    /// (`map`: assigned input vs bytes the mappers wrote; `exchange`:
+    /// bytes written vs bytes the reducers gathered; `reduce`: bytes
+    /// gathered vs sorted-run bytes).
+    Conservation {
+        /// The phase that lost or gained bytes.
+        phase: &'static str,
+        /// Bytes the phase was given.
+        input: u64,
+        /// Bytes it handed on.
+        output: u64,
+    },
 }
 
 impl fmt::Display for ShuffleError {
@@ -41,6 +53,15 @@ impl fmt::Display for ShuffleError {
             ShuffleError::TaskFailed { phase, message } => {
                 write!(f, "{} task failed after retries: {}", phase, message)
             }
+            ShuffleError::Conservation {
+                phase,
+                input,
+                output,
+            } => write!(
+                f,
+                "{} phase broke byte conservation: {} bytes in, {} bytes out",
+                phase, input, output
+            ),
         }
     }
 }

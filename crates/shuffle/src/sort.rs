@@ -20,9 +20,8 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
-use faaspipe_des::{Ctx, LocalBoxFuture, ProcessId, SimDuration, SimTime};
+use faaspipe_des::{Ctx, JoinError, SimDuration, SimTime};
 use faaspipe_exchange::{
     with_retry, DataExchange, ExchangeEnv, ExchangeStrategy, ObjectStoreExchange,
 };
@@ -332,7 +331,6 @@ pub async fn serverless_sort<R: SortRecord>(
             reason: format!("no inputs under '{}'", cfg.input_prefix),
         });
     }
-    let input_keys: Vec<String> = inputs.iter().map(|o| o.key.clone()).collect();
     let input_bytes: u64 = inputs.iter().map(|o| o.len.as_u64()).sum();
     let w = cfg.workers;
     // Phase spans nest under whatever span the driver is inside (the
@@ -358,297 +356,265 @@ pub async fn serverless_sort<R: SortRecord>(
 
     // ---- Phase 0: sample keys with range reads (one fn per mapper). ----
     let p_sample = phase_begin(ctx, &trace, "sample", cfg.orchestration).await;
-    let samples: Arc<Mutex<Vec<R::Key>>> = Arc::new(Mutex::new(Vec::new()));
-    // One function name and tag per stage, shared by every invocation
-    // and connection.
-    let sample_fn: Arc<str> = Arc::from("sample");
+    // One tag per phase, shared by every invocation and connection.
     let sample_tag: Arc<str> = format!("{}/sample", cfg.tag).into();
-    let mut tasks: Vec<TaskFactory> = Vec::new();
+    let mut bodies = Vec::new();
     for m in 0..w {
-        let assigned: Arc<Vec<(String, u64)>> = Arc::new(
-            input_keys
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % w == m)
-                .map(|(i, k)| (k.clone(), inputs[i].len.as_u64()))
-                .collect(),
-        );
+        let assigned: Vec<(String, u64)> = inputs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % w == m)
+            .map(|(_, o)| (o.key.clone(), o.len.as_u64()))
+            .collect();
         if assigned.is_empty() {
             continue;
         }
-        let faas = Arc::clone(faas);
         let store = Arc::clone(store);
-        let samples = Arc::clone(&samples);
         let cfg = Arc::clone(&cfg);
-        let sample_fn = Arc::clone(&sample_fn);
-        let sample_tag = Arc::clone(&sample_tag);
-        tasks.push(Box::new(move |ctx| {
-            let store = Arc::clone(&store);
-            let samples = Arc::clone(&samples);
-            let cfg = Arc::clone(&cfg);
-            let assigned = Arc::clone(&assigned);
-            let tag = Arc::clone(&sample_tag);
-            spawn_invocation(
-                Arc::clone(&faas),
-                ctx,
-                Arc::clone(&sample_fn),
-                Arc::clone(&tag),
-                async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    let mut reservoir = Reservoir::new(SAMPLE_CAPACITY);
-                    // Seeded from the logical mapper index, and offered
-                    // to in assignment order below, so the partition
-                    // boundaries are invariant to `io_concurrency`.
-                    let mut rng = SmallRng::seed_from_u64(SAMPLE_SEED ^ splitmix(m as u64));
-                    // Fan the per-input range reads out; parsing
-                    // serializes on the single vCPU while other reads
-                    // stream in. The reservoir draws stay on this
-                    // process, in assignment order.
-                    let trace = store.trace_sink();
-                    let parent = trace.current(fctx.pid());
-                    let cpu = fctx.sem_create(1).await;
-                    let mut jobs = Vec::new();
-                    for (key, len) in assigned.iter() {
-                        let span = SAMPLE_BYTES.min(*len);
-                        let span = span - span % R::WIRE_SIZE as u64;
-                        if span == 0 {
-                            continue;
-                        }
-                        let store = Arc::clone(&store);
-                        let cfg = Arc::clone(&cfg);
-                        let env = env.clone();
-                        let trace = trace.clone();
-                        let key = key.clone();
-                        let tag = Arc::clone(&tag);
-                        jobs.push(async move |cctx: &mut Ctx| {
-                            trace.enter(cctx.pid(), parent);
-                            let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                            let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                                client.get_range(c, &cfg.bucket, &key, 0, span).await
-                            })
-                            .await
-                            .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                            cctx.sem_acquire(cpu, 1).await;
-                            env.compute(cctx, cfg.work.parse_time(data.len())).await;
-                            cctx.sem_release(cpu, 1).await;
-                            trace.exit(cctx.pid());
-                            data
-                        });
-                    }
-                    let name = format!("{}/sample-io", cfg.tag);
-                    let chunks = fctx
-                        .fan_out(&name, cfg.io_concurrency, jobs)
-                        .await
-                        .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                    // Keys stream off the wire in assignment order, so
-                    // the reservoir sees the same sequence at every K.
-                    for data in &chunks {
-                        kernel::scan_keys::<R>(data, |k| reservoir.offer(k, &mut rng))
-                            .unwrap_or_else(|e| panic!("sample decode failed: {}", e));
-                    }
-                    samples.lock().extend(reservoir.into_items());
-                },
-            )
-        }));
+        let tag = Arc::clone(&sample_tag);
+        bodies.push(async move |fctx: &mut Ctx, env: FunctionEnv| {
+            let mut reservoir = Reservoir::new(SAMPLE_CAPACITY);
+            // Seeded from the logical mapper index, and offered to in
+            // assignment order below, so the partition boundaries are
+            // invariant to `io_concurrency`.
+            let mut rng = SmallRng::seed_from_u64(SAMPLE_SEED ^ splitmix(m as u64));
+            // Fan the per-input range reads out; parsing serializes on
+            // the single vCPU while other reads stream in. The reservoir
+            // draws stay on this process, in assignment order.
+            let trace = store.trace_sink();
+            let parent = trace.current(fctx.pid());
+            let cpu = fctx.sem_create(1).await;
+            let mut jobs = Vec::new();
+            for (key, len) in &assigned {
+                let span = SAMPLE_BYTES.min(*len);
+                let span = span - span % R::WIRE_SIZE as u64;
+                if span == 0 {
+                    continue;
+                }
+                let store = Arc::clone(&store);
+                let cfg = Arc::clone(&cfg);
+                let env = env.clone();
+                let trace = trace.clone();
+                let key = key.clone();
+                let tag = Arc::clone(&tag);
+                jobs.push(async move |cctx: &mut Ctx| {
+                    trace.enter(cctx.pid(), parent);
+                    let client = store.connect_via(cctx, tag, &[env.nic]).await;
+                    let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                        client.get_range(c, &cfg.bucket, &key, 0, span).await
+                    })
+                    .await
+                    .unwrap_or_else(|e| panic!("sample read failed: {}", e));
+                    cctx.sem_acquire(cpu, 1).await;
+                    env.compute(cctx, cfg.work.parse_time(data.len())).await;
+                    cctx.sem_release(cpu, 1).await;
+                    trace.exit(cctx.pid());
+                    data
+                });
+            }
+            let name = format!("{}/sample-io", cfg.tag);
+            let chunks = fctx
+                .fan_out(&name, cfg.io_concurrency, jobs)
+                .await
+                .unwrap_or_else(|e| panic!("sample read failed: {}", e));
+            // Keys stream off the wire in assignment order, so the
+            // reservoir sees the same sequence at every K.
+            for data in &chunks {
+                kernel::scan_keys::<R>(data, |k| reservoir.offer(k, &mut rng))
+                    .unwrap_or_else(|e| panic!("sample decode failed: {}", e));
+            }
+            reservoir.into_items()
+        });
     }
-    run_phase(ctx, "sample", cfg.task_attempts, &tasks).await?;
+    let samples = faas
+        .invoke_all(ctx, "sample", sample_tag, cfg.task_attempts, bodies)
+        .await
+        .map_err(task_failed("sample"))?;
     phase_end(ctx, &trace, p_sample);
     let sample_done = ctx.now();
-    let sample = std::mem::take(&mut *samples.lock());
+    let sample = samples.into_iter().flatten().collect();
     let partitioner = Arc::new(RangePartitioner::from_sample(sample, w));
 
     // ---- Phase 1: map — local sort, range partition, exchange write. ----
     let p_map = phase_begin(ctx, &trace, "map", cfg.orchestration).await;
-    let map_bytes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
     // Byte-range input assignment: every mapper reads an equal,
     // record-aligned slice of the input space regardless of how the data
     // is chunked into objects — the map phase parallelises with W, not
     // with the object count (Primula reads partitions with range GETs).
     let spans = assign_spans(&inputs, w, R::WIRE_SIZE as u64);
-    let map_fn: Arc<str> = Arc::from("map");
+    let assigned_bytes: u64 = spans.iter().flatten().map(|&(_, _, len)| len).sum();
     let map_tag: Arc<str> = format!("{}/map", cfg.tag).into();
-    let mut tasks: Vec<TaskFactory> = Vec::new();
-    for (m, span) in spans.into_iter().enumerate() {
-        let assigned = Arc::new(span);
-        let map_fn = Arc::clone(&map_fn);
-        let map_tag = Arc::clone(&map_tag);
-        let faas = Arc::clone(faas);
-        let store = Arc::clone(store);
-        let partitioner = Arc::clone(&partitioner);
-        let cfg = Arc::clone(&cfg);
-        let map_bytes = Arc::clone(&map_bytes);
-        let backend = Arc::clone(&backend);
-        tasks.push(Box::new(move |ctx| {
-            let store = Arc::clone(&store);
+    let bodies: Vec<_> = spans
+        .into_iter()
+        .enumerate()
+        .map(|(m, assigned)| {
+            let store = Arc::clone(store);
             let partitioner = Arc::clone(&partitioner);
             let cfg = Arc::clone(&cfg);
-            let map_bytes = Arc::clone(&map_bytes);
             let backend = Arc::clone(&backend);
-            let assigned = Arc::clone(&assigned);
             let tag = Arc::clone(&map_tag);
-            spawn_invocation(
-                Arc::clone(&faas),
-                ctx,
-                Arc::clone(&map_fn),
-                Arc::clone(&tag),
-                async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    // Double-buffered pipeline: split the assignment into
-                    // ~2·K record-aligned chunks, keep K downloads in
-                    // flight on separate store connections, and charge
-                    // each chunk's share of the sort compute on the
-                    // single vCPU as it lands — downloads overlap compute,
-                    // compute never overlaps itself (with K = 1 one helper
-                    // downloads and sorts the chunks in turn). The chunks
-                    // concatenate in assignment order, so the record
-                    // sequence — and after the kernel's order-preserving
-                    // sort below, the output bytes — is the same at every
-                    // K. Downloaded chunks stay in wire form: the kernel
-                    // sorts and partitions views into these buffers, so
-                    // record payloads are copied once (chunk → partition
-                    // bucket) instead of decoded, sorted, and re-encoded.
-                    let splits = split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
-                    let trace = store.trace_sink();
-                    let parent = trace.current(fctx.pid());
-                    let cpu = fctx.sem_create(1).await;
-                    let jobs: Vec<_> = splits
-                        .into_iter()
-                        .map(|(key, off, len)| {
-                            let store = Arc::clone(&store);
-                            let cfg = Arc::clone(&cfg);
-                            let env = env.clone();
-                            let trace = trace.clone();
-                            let tag = Arc::clone(&tag);
-                            async move |cctx: &mut Ctx| {
-                                trace.enter(cctx.pid(), parent);
-                                let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                                let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                                    client.get_range(c, &cfg.bucket, &key, off, len).await
-                                })
-                                .await
-                                .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                                cctx.sem_acquire(cpu, 1).await;
-                                env.compute(cctx, cfg.work.sort_time(data.len())).await;
-                                cctx.sem_release(cpu, 1).await;
-                                trace.exit(cctx.pid());
-                                data
-                            }
-                        })
-                        .collect();
-                    let name = format!("{}/map-io", cfg.tag);
-                    let chunks = fctx
-                        .fan_out(&name, cfg.io_concurrency, jobs)
-                        .await
-                        .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                    let read_bytes: usize = chunks.iter().map(Bytes::len).sum();
-                    // Sort + range-partition straight over the wire bytes:
-                    // charge the partition compute in virtual time, then
-                    // run the kernel inline. The kernel's (chunk, offset)
-                    // tie-break keeps equal keys in global input order.
-                    // The range partitioner is monotone over the sort
-                    // order, so the sorted run IS the partitions
-                    // concatenated in part order — the kernel hands back
-                    // that one buffer plus the sparse cut list, and the
-                    // write side never materialises W per-partition
-                    // buffers (the mapper-side O(W) term of the old W²
-                    // host cost).
-                    env.compute(fctx, cfg.work.partition_time(read_bytes)).await;
-                    let (run, cuts) =
-                        kernel::partition_sorted_run::<R>(&chunks, w, |k| partitioner.part(k))
-                            .unwrap_or_else(|e| panic!("map decode failed: {}", e));
-                    // Free the kernel's input before the exchange write
-                    // yields to the other functions.
-                    drop(chunks);
-                    let xenv = ExchangeEnv {
-                        host_links: [env.nic].as_slice().into(),
-                        tag,
-                        retries: cfg.retries,
-                        io_window: cfg.io_concurrency,
-                    };
-                    let written = backend
-                        .write_run(fctx, &xenv, m, Bytes::from(run), cuts, w)
-                        .await
-                        .unwrap_or_else(|e| panic!("map exchange write failed: {}", e));
-                    *map_bytes.lock() += written;
-                },
-            )
-        }));
-    }
-    run_phase(ctx, "map", cfg.task_attempts, &tasks).await?;
+            async move |fctx: &mut Ctx, env: FunctionEnv| {
+                // Double-buffered pipeline: split the assignment into ~2·K
+                // record-aligned chunks, keep K downloads in flight on
+                // separate store connections, and charge each chunk's
+                // share of the sort compute on the single vCPU as it lands
+                // — downloads overlap compute, compute never overlaps
+                // itself (with K = 1 one helper downloads and sorts the
+                // chunks in turn). The chunks concatenate in assignment
+                // order, so the record sequence — and after the kernel's
+                // order-preserving sort below, the output bytes — is the
+                // same at every K. Downloaded chunks stay in wire form: the
+                // kernel sorts and partitions views into these buffers, so
+                // record payloads are copied once (chunk → partition
+                // bucket) instead of decoded, sorted, and re-encoded.
+                let splits = split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
+                let trace = store.trace_sink();
+                let parent = trace.current(fctx.pid());
+                let cpu = fctx.sem_create(1).await;
+                let jobs: Vec<_> = splits
+                    .into_iter()
+                    .map(|(key, off, len)| {
+                        let store = Arc::clone(&store);
+                        let cfg = Arc::clone(&cfg);
+                        let env = env.clone();
+                        let trace = trace.clone();
+                        let tag = Arc::clone(&tag);
+                        async move |cctx: &mut Ctx| {
+                            trace.enter(cctx.pid(), parent);
+                            let client = store.connect_via(cctx, tag, &[env.nic]).await;
+                            let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                                client.get_range(c, &cfg.bucket, &key, off, len).await
+                            })
+                            .await
+                            .unwrap_or_else(|e| panic!("map read failed: {}", e));
+                            cctx.sem_acquire(cpu, 1).await;
+                            env.compute(cctx, cfg.work.sort_time(data.len())).await;
+                            cctx.sem_release(cpu, 1).await;
+                            trace.exit(cctx.pid());
+                            data
+                        }
+                    })
+                    .collect();
+                let name = format!("{}/map-io", cfg.tag);
+                let chunks = fctx
+                    .fan_out(&name, cfg.io_concurrency, jobs)
+                    .await
+                    .unwrap_or_else(|e| panic!("map read failed: {}", e));
+                let read_bytes: usize = chunks.iter().map(Bytes::len).sum();
+                // Sort + range-partition straight over the wire bytes:
+                // charge the partition compute in virtual time, then run
+                // the kernel inline. The kernel's (chunk, offset)
+                // tie-break keeps equal keys in global input order. The
+                // range partitioner is monotone over the sort order, so
+                // the sorted run IS the partitions concatenated in part
+                // order — the kernel hands back that one buffer plus the
+                // sparse cut list, and the write side never materialises
+                // W per-partition buffers (the mapper-side O(W) term of
+                // the old W² host cost).
+                env.compute(fctx, cfg.work.partition_time(read_bytes)).await;
+                let (run, cuts) =
+                    kernel::partition_sorted_run::<R>(&chunks, w, |k| partitioner.part(k))
+                        .unwrap_or_else(|e| panic!("map decode failed: {}", e));
+                // Free the kernel's input before the exchange write yields
+                // to the other functions.
+                drop(chunks);
+                let xenv = ExchangeEnv {
+                    host_links: [env.nic].as_slice().into(),
+                    tag: Arc::clone(&tag),
+                    retries: cfg.retries,
+                    io_window: cfg.io_concurrency,
+                };
+                backend
+                    .write_run(fctx, &xenv, m, Bytes::from(run), cuts, w)
+                    .await
+                    .unwrap_or_else(|e| panic!("map exchange write failed: {}", e))
+            }
+        })
+        .collect();
+    let mapped = faas
+        .invoke_all(ctx, "map", map_tag, cfg.task_attempts, bodies)
+        .await
+        .map_err(task_failed("map"))?;
     phase_end(ctx, &trace, p_map);
     let map_done = ctx.now();
 
     // ---- Phase 2: reduce — gather, k-way merge, write runs. ----
     let p_reduce = phase_begin(ctx, &trace, "reduce", cfg.orchestration).await;
-    let out_bytes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let reduce_fn: Arc<str> = Arc::from("reduce");
     let reduce_tag: Arc<str> = format!("{}/reduce", cfg.tag).into();
-    let mut tasks: Vec<TaskFactory> = Vec::new();
-    for j in 0..w {
-        let reduce_fn = Arc::clone(&reduce_fn);
-        let reduce_tag = Arc::clone(&reduce_tag);
-        let faas = Arc::clone(faas);
-        let store = Arc::clone(store);
-        let cfg = Arc::clone(&cfg);
-        let out_bytes = Arc::clone(&out_bytes);
-        let backend = Arc::clone(&backend);
-        tasks.push(Box::new(move |ctx| {
-            let store = Arc::clone(&store);
+    let bodies: Vec<_> = (0..w)
+        .map(|j| {
+            let store = Arc::clone(store);
             let cfg = Arc::clone(&cfg);
-            let out_bytes = Arc::clone(&out_bytes);
             let backend = Arc::clone(&backend);
             let tag = Arc::clone(&reduce_tag);
-            spawn_invocation(
-                Arc::clone(&faas),
-                ctx,
-                Arc::clone(&reduce_fn),
-                Arc::clone(&tag),
-                async move |fctx: &mut Ctx, env: FunctionEnv| {
-                    let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
-                    let xenv = ExchangeEnv {
-                        host_links: [env.nic].as_slice().into(),
-                        tag,
-                        retries: cfg.retries,
-                        io_window: cfg.io_concurrency,
-                    };
-                    // Gather this partition's non-empty map outputs
-                    // through the backend's column read (at most K
-                    // requests in flight), keeping the raw wire bytes so
-                    // the merge can stream without decoding whole runs
-                    // up front. Dropping empty runs is
-                    // merge-neutral: the (key, run) tie-break preserves
-                    // the non-empty runs' relative order.
-                    let runs = backend
-                        .read_gather(fctx, &xenv, w, j)
-                        .await
-                        .unwrap_or_else(|e| panic!("reduce gather failed: {}", e));
-                    let gathered: usize = runs.iter().map(Bytes::len).sum();
-                    // Charge the merge compute, then merge inline.
-                    env.compute(fctx, cfg.work.merge_time(gathered)).await;
-                    let merged = streaming_merge::<R>(&runs)
-                        .unwrap_or_else(|e| panic!("reduce decode failed: {}", e));
-                    // Free the gathered runs before the write yields.
-                    drop(runs);
-                    // One shared buffer: `Bytes::clone` inside the retry
-                    // loop is a refcount bump, not a copy of the run.
-                    let data = Bytes::from(merged);
-                    *out_bytes.lock() += data.len() as u64;
-                    let key = format!("{}{:05}", cfg.output_prefix, j);
-                    with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
-                        client.put(c, &cfg.bucket, &key, data.clone()).await
-                    })
+            async move |fctx: &mut Ctx, env: FunctionEnv| {
+                let client = store.connect_via(fctx, Arc::clone(&tag), &[env.nic]).await;
+                let xenv = ExchangeEnv {
+                    host_links: [env.nic].as_slice().into(),
+                    tag: Arc::clone(&tag),
+                    retries: cfg.retries,
+                    io_window: cfg.io_concurrency,
+                };
+                // Gather this partition's non-empty map outputs through
+                // the backend's column read (at most K requests in
+                // flight), keeping the raw wire bytes so the merge can
+                // stream without decoding whole runs up front. Dropping
+                // empty runs is merge-neutral: the (key, run) tie-break
+                // preserves the non-empty runs' relative order.
+                let runs = backend
+                    .read_gather(fctx, &xenv, w, j)
                     .await
-                    .unwrap_or_else(|e| panic!("reduce write failed: {}", e));
-                },
-            )
-        }));
-    }
-    run_phase(ctx, "reduce", cfg.task_attempts, &tasks).await?;
+                    .unwrap_or_else(|e| panic!("reduce gather failed: {}", e));
+                let gathered: usize = runs.iter().map(Bytes::len).sum();
+                // Charge the merge compute, then merge inline.
+                env.compute(fctx, cfg.work.merge_time(gathered)).await;
+                let merged = streaming_merge::<R>(&runs)
+                    .unwrap_or_else(|e| panic!("reduce decode failed: {}", e));
+                // Free the gathered runs before the write yields.
+                drop(runs);
+                // One shared buffer: `Bytes::clone` inside the retry loop
+                // is a refcount bump, not a copy of the run.
+                let data = Bytes::from(merged);
+                let written = data.len() as u64;
+                let key = format!("{}{:05}", cfg.output_prefix, j);
+                with_retry(fctx, cfg.retries, async |c: &mut Ctx| {
+                    client.put(c, &cfg.bucket, &key, data.clone()).await
+                })
+                .await
+                .unwrap_or_else(|e| panic!("reduce write failed: {}", e));
+                (gathered as u64, written)
+            }
+        })
+        .collect();
+    let reduced = faas
+        .invoke_all(ctx, "reduce", reduce_tag, cfg.task_attempts, bodies)
+        .await
+        .map_err(task_failed("reduce"))?;
     phase_end(ctx, &trace, p_reduce);
     // Release exchange resources (the relay VM stops billing here; the
     // object-store backend keeps its intermediates for inspection).
     let xenv = ExchangeEnv::driver(format!("{}/driver", cfg.tag), cfg.retries);
     backend.cleanup(ctx, &xenv).await?;
-    let output_bytes = *out_bytes.lock();
     let finished = ctx.now();
+
+    // Byte conservation: every assigned input byte is written by a
+    // mapper, gathered by a reducer and written to a sorted run.
+    let written: u64 = mapped.iter().sum();
+    let gathered: u64 = reduced.iter().map(|&(gathered, _)| gathered).sum();
+    let output_bytes: u64 = reduced.iter().map(|&(_, written)| written).sum();
+    for (phase, input, output) in [
+        ("map", assigned_bytes, written),
+        ("exchange", written, gathered),
+        ("reduce", gathered, output_bytes),
+    ] {
+        if input != output {
+            return Err(ShuffleError::Conservation {
+                phase,
+                input,
+                output,
+            });
+        }
+    }
 
     Ok(SortStats {
         workers: w,
@@ -663,6 +629,14 @@ pub async fn serverless_sort<R: SortRecord>(
         started,
         finished,
     })
+}
+
+/// Maps a phase's failed invocation to [`ShuffleError::TaskFailed`].
+fn task_failed(phase: &'static str) -> impl FnOnce(JoinError) -> ShuffleError {
+    move |e| ShuffleError::TaskFailed {
+        phase,
+        message: e.to_string(),
+    }
 }
 
 /// Splits the input objects into `w` equal, record-aligned byte spans:
@@ -739,65 +713,6 @@ pub(crate) fn phase_end(ctx: &Ctx, trace: &TraceSink, span: SpanId) {
     trace.span_end(span, ctx.now());
 }
 
-/// A re-invocable task: every call spawns a fresh invocation of the same
-/// work (all captured state is shared and idempotent).
-type TaskFactory = Box<dyn for<'a> Fn(&'a Ctx) -> LocalBoxFuture<'a, ProcessId>>;
-
-/// Spawns one invocation through
-/// [`FunctionPlatform::invoke`], boxing the spawn future so task
-/// factories can be stored type-erased. Everything the invocation body
-/// needs is owned by `body`, so the returned future borrows only `ctx`.
-fn spawn_invocation<'a, F>(
-    faas: Arc<FunctionPlatform>,
-    ctx: &'a Ctx,
-    function: Arc<str>,
-    tag: Arc<str>,
-    body: F,
-) -> LocalBoxFuture<'a, ProcessId>
-where
-    F: AsyncFnOnce(&mut Ctx, FunctionEnv) + 'static,
-{
-    Box::pin(async move { faas.invoke(ctx, function, tag, body).await })
-}
-
-/// Spawns every task, joins them, and re-invokes crashed tasks up to
-/// `attempts` total tries each — the Lithops-style task retry that makes
-/// the operator survive injected invocation failures.
-async fn run_phase(
-    ctx: &Ctx,
-    phase: &'static str,
-    attempts: u32,
-    tasks: &[TaskFactory],
-) -> Result<(), ShuffleError> {
-    let attempts = attempts.max(1);
-    let mut pending: Vec<(usize, ProcessId)> = Vec::with_capacity(tasks.len());
-    for (i, spawn) in tasks.iter().enumerate() {
-        pending.push((i, spawn(ctx).await));
-    }
-    let mut last_error = String::new();
-    for attempt in 1..=attempts {
-        let mut failed = Vec::new();
-        for (i, pid) in pending.drain(..) {
-            if let Err(e) = ctx.join(pid).await {
-                last_error = e.to_string();
-                failed.push(i);
-            }
-        }
-        if failed.is_empty() {
-            return Ok(());
-        }
-        if attempt < attempts {
-            for i in failed {
-                pending.push((i, tasks[i](ctx).await));
-            }
-        }
-    }
-    Err(ShuffleError::TaskFailed {
-        phase,
-        message: last_error,
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::type_complexity)]
 mod tests {
@@ -805,6 +720,7 @@ mod tests {
     use faaspipe_des::Sim;
     use faaspipe_faas::FaasConfig;
     use faaspipe_store::StoreConfig;
+    use parking_lot::Mutex;
 
     fn upload_chunks(sim: &mut Sim, store: &Arc<ObjectStore>, values: &[u64], chunks: usize) {
         store.create_bucket("data").expect("bucket");
@@ -1059,6 +975,16 @@ mod tests {
         }
     }
 
+    /// The crash-and-re-invoke schedule of
+    /// [`survives_injected_function_crashes_with_task_retries`]: its end
+    /// time (ns), event count and billed invocations. Every crash is
+    /// drawn from a pid-seeded random stream, so a change to the order
+    /// in which a phase's functions are spawned, joined or re-invoked
+    /// moves all three. Re-capture (after an *intentional* change only)
+    /// with `FAASPIPE_PRINT_GOLDEN=1 cargo test -p faaspipe-shuffle
+    /// survives_injected_function_crashes -- --nocapture`.
+    const GOLDEN_TASK_RETRIES: (u64, u64, usize) = (302_613_096_818, 389, 12);
+
     #[test]
     fn survives_injected_function_crashes_with_task_retries() {
         // 40% of invocations crash before user code; task-level
@@ -1072,7 +998,9 @@ mod tests {
         let ok = Arc::new(Mutex::new(false));
         let ok2 = Arc::clone(&ok);
         let store2 = Arc::clone(&store);
+        let faas2 = Arc::clone(&faas);
         sim.spawn("driver", move |mut ctx| async move {
+            let faas = faas2;
             let ctx = &mut ctx;
             ctx.sleep(SimDuration::from_secs(300)).await;
             let cfg = SortConfig {
@@ -1093,8 +1021,24 @@ mod tests {
             assert_eq!(all, (0..3_000u64).collect::<Vec<_>>());
             *ok2.lock() = true;
         });
-        sim.run().expect("sim ok");
+        let report = sim.run().expect("sim ok");
         assert!(*ok.lock());
+        let digest = (
+            report.end_time.as_nanos(),
+            report.events,
+            faas.records().len(),
+        );
+        if std::env::var("FAASPIPE_PRINT_GOLDEN").is_ok() {
+            println!(
+                "GOLDEN task retries: end_ns={} events={} invocations={}",
+                digest.0, digest.1, digest.2
+            );
+            return;
+        }
+        assert_eq!(
+            digest, GOLDEN_TASK_RETRIES,
+            "re-invocation schedule drifted"
+        );
     }
 
     #[test]

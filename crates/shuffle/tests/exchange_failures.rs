@@ -1,17 +1,18 @@
 //! Failure injection against the non-store exchange backends: transient
 //! faults must be absorbed by the shared retry helper, terminal faults
 //! (relay VM crash, expired direct-stream peer) must fail the sort
-//! loudly instead of producing silent corruption.
+//! loudly instead of producing silent corruption, and so must a backend
+//! that silently loses data.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use faaspipe_des::{Sim, SimDuration};
+use faaspipe_des::{Ctx, LocalBoxFuture, Sim, SimDuration};
 use faaspipe_exchange::{
-    DataExchange, DirectConfig, DirectExchange, RelayConfig, ShardedRelayConfig,
-    ShardedRelayExchange,
+    DataExchange, DirectConfig, DirectExchange, ExchangeEnv, ExchangeError, RelayConfig,
+    ShardedRelayConfig, ShardedRelayExchange,
 };
 use faaspipe_faas::{FaasConfig, FunctionPlatform};
 use faaspipe_shuffle::{serverless_sort, ShuffleError, SortConfig, SortRecord};
@@ -145,5 +146,87 @@ fn direct_expired_senders_fail_loudly() {
             );
         }
         other => panic!("expected TaskFailed, got {:?}", other),
+    }
+}
+
+/// A backend that silently loses data: it forwards every call to
+/// `inner`, but drops the first non-empty run of partition 0's column
+/// from the reducer's gather and reports no error.
+#[derive(Debug)]
+struct DropsARun {
+    inner: DirectExchange,
+}
+
+impl DataExchange for DropsARun {
+    fn name(&self) -> &'static str {
+        "drops-a-run"
+    }
+
+    fn prepare<'a>(
+        &'a self,
+        ctx: &'a mut Ctx,
+        maps: usize,
+        parts: usize,
+    ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
+        self.inner.prepare(ctx, maps, parts)
+    }
+
+    fn write_run<'a>(
+        &'a self,
+        ctx: &'a mut Ctx,
+        env: &'a ExchangeEnv,
+        map: usize,
+        run: Bytes,
+        cuts: Vec<(u32, u64, u64)>,
+        parts_len: usize,
+    ) -> LocalBoxFuture<'a, Result<u64, ExchangeError>> {
+        self.inner.write_run(ctx, env, map, run, cuts, parts_len)
+    }
+
+    fn read_gather<'a>(
+        &'a self,
+        ctx: &'a mut Ctx,
+        env: &'a ExchangeEnv,
+        maps: usize,
+        part: usize,
+    ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
+        Box::pin(async move {
+            let mut runs = self.inner.read_gather(ctx, env, maps, part).await?;
+            if part == 0 && !runs.is_empty() {
+                runs.remove(0);
+            }
+            Ok(runs)
+        })
+    }
+
+    fn cleanup<'a>(
+        &'a self,
+        ctx: &'a mut Ctx,
+        env: &'a ExchangeEnv,
+    ) -> LocalBoxFuture<'a, Result<(), ExchangeError>> {
+        self.inner.cleanup(ctx, env)
+    }
+}
+
+#[test]
+fn a_gather_that_drops_a_run_fails_byte_conservation() {
+    // Every function succeeds and the sorted runs are well formed, but
+    // the smallest keys never reach a reducer: only the byte totals
+    // show the loss.
+    let lossy = DropsARun {
+        inner: DirectExchange::new(DirectConfig::default()),
+    };
+    let err = sort_with(Arc::new(lossy), 3, 2).expect_err("a lost run must not pass as sorted");
+    match err {
+        ShuffleError::Conservation {
+            phase,
+            input,
+            output,
+        } => {
+            assert_eq!(phase, "exchange");
+            assert_eq!(input, 3_000 * 8, "the mappers wrote every input byte");
+            assert!(output < input && output > 0, "{} of {}", output, input);
+        }
+        other => panic!("expected Conservation, got {:?}", other),
     }
 }

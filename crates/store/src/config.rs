@@ -75,8 +75,15 @@ impl StoreConfig {
 
     /// The modelled wire size for a payload of `real_len` bytes.
     pub fn scaled_len(&self, real_len: usize) -> u64 {
-        (real_len as f64 * self.size_scale).round() as u64
+        scaled_len(real_len, self.size_scale)
     }
+}
+
+/// The modelled wire size of a `real_len`-byte payload at `size_scale`,
+/// rounded to the nearest byte: the one rounding the store and the
+/// exchange backends share.
+pub fn scaled_len(real_len: usize, size_scale: f64) -> u64 {
+    (real_len as f64 * size_scale).round() as u64
 }
 
 #[cfg(test)]

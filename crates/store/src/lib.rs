@@ -41,7 +41,7 @@ pub mod metrics;
 pub mod object;
 pub mod service;
 
-pub use config::StoreConfig;
+pub use config::{scaled_len, StoreConfig};
 pub use error::StoreError;
 pub use failure::FailurePolicy;
 pub use metrics::{RequestClass, StoreMetrics, TagMetrics};

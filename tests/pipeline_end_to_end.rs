@@ -2,22 +2,14 @@
 //! public API, both Figure-1 incarnations, driven natively and from JSON
 //! specs.
 
-use bytes::Bytes;
-
-use faaspipe::core::executor::{Executor, Services};
-use faaspipe::core::pipeline::{run_methcomp_pipeline, run_pipeline, PipelineConfig, PipelineMode};
-use faaspipe::core::pricing::PriceBook;
+use faaspipe::core::pipeline::{
+    run_methcomp_pipeline, run_pipeline, PipelineConfig, PipelineMode, PipelineOutcome,
+};
 use faaspipe::core::spec::PipelineSpec;
-use faaspipe::core::tracker::Tracker;
 use faaspipe::core::WorkerChoice;
-use faaspipe::des::{Money, Sim};
-use faaspipe::faas::{FaasConfig, FunctionPlatform};
-use faaspipe::methcomp::codec as mc;
-use faaspipe::methcomp::synth::Synthesizer;
+use faaspipe::des::Money;
 use faaspipe::methcomp::MethRecord;
-use faaspipe::shuffle::{SortRecord, WorkModel};
-use faaspipe::store::{ObjectStore, StoreConfig};
-use faaspipe::vm::VmFleet;
+use faaspipe::shuffle::SortRecord;
 
 fn quick(mode: PipelineMode) -> PipelineConfig {
     let mut cfg = PipelineConfig::paper_table1();
@@ -72,6 +64,31 @@ fn identical_configs_are_bit_identical() {
     assert_eq!(a.tracker_log, b.tracker_log);
 }
 
+/// Runs `spec` through [`run_pipeline`] with verification on:
+/// `records` synthesized records from `seed`, staged in 2,000-record
+/// chunks, at size scale 1 (the modelled bytes are the physical ones).
+/// Verification checks that the sorted runs concatenate to the sorted
+/// input and that each run's archive decodes back to it.
+fn run_spec(spec: &str, records: usize, seed: u64) -> PipelineOutcome {
+    let dag = PipelineSpec::from_json(spec)
+        .expect("parse")
+        .to_dag()
+        .expect("dag");
+    let mut cfg = PipelineConfig::paper_table1();
+    cfg.physical_records = records;
+    cfg.parallelism = records / 2_000;
+    cfg.modeled_bytes = (records * MethRecord::WIRE_SIZE) as u64;
+    cfg.seed = seed;
+    let outcome = run_pipeline(&cfg, &dag).expect("stages ok and outputs verify");
+    assert!(outcome.verified);
+    assert_eq!(outcome.stages.len(), 2);
+    // The cost report is itemized per stage, named from the spec.
+    assert!(outcome.cost.by_stage.contains_key("sort"));
+    assert!(outcome.cost.by_stage.contains_key("encode"));
+    assert!(outcome.cost.total() > Money::ZERO);
+    outcome
+}
+
 #[test]
 fn json_spec_drives_the_same_pipeline() {
     const SPEC: &str = r#"{
@@ -85,67 +102,7 @@ fn json_spec_drives_the_same_pipeline() {
               "deps": ["sort"] }
         ]
     }"#;
-    let dag = PipelineSpec::from_json(SPEC)
-        .expect("parse")
-        .to_dag()
-        .expect("dag");
-
-    let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
-    let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
-    let fleet = VmFleet::new();
-    store.create_bucket("data").expect("bucket");
-    let dataset = Synthesizer::new(99).generate_shuffled(8_000);
-    for (i, chunk) in dataset.records.chunks(2_000).enumerate() {
-        store
-            .put_untimed(
-                "data",
-                &format!("in/{:04}", i),
-                Bytes::from(SortRecord::write_all(chunk)),
-            )
-            .expect("stage input");
-    }
-    let tracker = Tracker::new();
-    let executor = Executor::new(
-        Services {
-            store: store.clone(),
-            faas: faas.clone(),
-            fleet: fleet.clone(),
-        },
-        WorkModel::default(),
-        tracker.clone(),
-    );
-    let handle = executor.spawn_dag(&mut sim, &dag);
-    let report = sim.run().expect("sim");
-    handle.ok_results().expect("stages ok");
-
-    // Verify: every archive decodes, concatenation equals sorted input.
-    let mut expect = dataset.clone();
-    expect.sort();
-    let mut all: Vec<MethRecord> = Vec::new();
-    for key in store.keys_untimed("data", "sorted/") {
-        let run = store.peek("data", &key).expect("run");
-        let records: Vec<MethRecord> = SortRecord::read_all(&run).expect("decode");
-        let leaf = key.trim_start_matches("sorted/");
-        let archive = store
-            .peek("data", &format!("enc/{}", leaf))
-            .expect("archive");
-        let decoded = mc::decompress(&archive).expect("lossless");
-        assert_eq!(decoded.records, records);
-        all.extend(records);
-    }
-    assert_eq!(all, expect.records);
-
-    // Cost report is itemized per stage, named from the spec.
-    let cost = PriceBook::default().assemble(
-        &faas.records(),
-        &store.metrics(),
-        &fleet.records(),
-        report.end_time,
-    );
-    assert!(cost.by_stage.contains_key("sort"));
-    assert!(cost.by_stage.contains_key("encode"));
-    assert!(cost.total() > Money::ZERO);
+    run_spec(SPEC, 8_000, 99);
 }
 
 /// The JSON Figure-1 specs the `methcomp_pipeline` example runs and the
@@ -195,46 +152,7 @@ fn gzip_encode_pipeline_spec_also_runs() {
               "deps": ["sort"] }
         ]
     }"#;
-    let dag = PipelineSpec::from_json(SPEC)
-        .expect("parse")
-        .to_dag()
-        .expect("dag");
-    let mut sim = Sim::new();
-    let store = ObjectStore::install(&mut sim, StoreConfig::default());
-    let faas = FunctionPlatform::install(&mut sim, FaasConfig::default());
-    store.create_bucket("data").expect("bucket");
-    let dataset = Synthesizer::new(5).generate_shuffled(4_000);
-    for (i, chunk) in dataset.records.chunks(2_000).enumerate() {
-        store
-            .put_untimed(
-                "data",
-                &format!("in/{:04}", i),
-                Bytes::from(SortRecord::write_all(chunk)),
-            )
-            .expect("stage input");
-    }
-    let executor = Executor::new(
-        Services {
-            store: store.clone(),
-            faas,
-            fleet: VmFleet::new(),
-        },
-        WorkModel::default(),
-        Tracker::new(),
-    );
-    let handle = executor.spawn_dag(&mut sim, &dag);
-    sim.run().expect("sim");
-    handle.ok_results().expect("stages ok");
-    // gzipish archives decompress to the sorted runs' text.
-    for key in store.keys_untimed("data", "sorted/") {
-        let run = store.peek("data", &key).expect("run");
-        let records: Vec<MethRecord> = SortRecord::read_all(&run).expect("decode");
-        let text = faaspipe::methcomp::Dataset::new(records).to_text();
-        let leaf = key.trim_start_matches("sorted/");
-        let archive = store
-            .peek("data", &format!("enc/{}", leaf))
-            .expect("archive");
-        let unpacked = faaspipe::codec::gzipish::decompress(&archive).expect("gz");
-        assert_eq!(unpacked, text.as_bytes());
-    }
+    // The gzipish archives decompress to the sorted runs' text.
+    let outcome = run_spec(SPEC, 4_000, 5);
+    assert!(outcome.compression_ratio_text > 1.0);
 }

@@ -38,6 +38,12 @@ fn bench_methcomp(c: &mut Criterion) {
     g.bench_function("decompress_bed_1mb", |b| {
         b.iter(|| mc::decompress(black_box(&packed)).expect("round trip"))
     });
+    // Unsorted records change chromosome and jump far, so the chromosome
+    // tree and wide payloads carry this row.
+    let shuffled = mc::compress(&Synthesizer::new(77).generate_shuffled(20_000));
+    g.bench_function("decompress_shuffled_1mb", |b| {
+        b.iter(|| mc::decompress(black_box(&shuffled)).expect("round trip"))
+    });
     g.finish();
 }
 
@@ -62,6 +68,35 @@ fn bench_range_coder(c: &mut Criterion) {
                 m.encode(&mut enc, black_box(v));
             }
             enc.finish()
+        })
+    });
+    let mut enc = range::RangeEncoder::new();
+    let mut m = range::UIntModel::new();
+    for &v in &values {
+        m.encode(&mut enc, v);
+    }
+    let packed = enc.finish();
+    g.bench_function("uint_model_decode_10k", |b| {
+        b.iter(|| {
+            let mut dec = range::RangeDecoder::new(black_box(&packed)).expect("stream");
+            let mut m = range::UIntModel::new();
+            (0..values.len()).fold(0u64, |sum, _| {
+                sum.wrapping_add(m.decode(&mut dec).expect("width"))
+            })
+        })
+    });
+    let bytes: Vec<u8> = values.iter().map(|&v| (v % 251) as u8).collect();
+    let mut enc = range::RangeEncoder::new();
+    let mut m = range::ByteModel::new();
+    for &v in &bytes {
+        m.encode(&mut enc, v);
+    }
+    let packed = enc.finish();
+    g.bench_function("byte_model_decode", |b| {
+        b.iter(|| {
+            let mut dec = range::RangeDecoder::new(black_box(&packed)).expect("stream");
+            let mut m = range::ByteModel::new();
+            (0..bytes.len()).fold(0u64, |sum, _| sum + m.decode(&mut dec) as u64)
         })
     });
     g.finish();

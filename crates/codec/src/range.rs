@@ -1,10 +1,22 @@
 //! Adaptive binary range coder (carry-less, LZMA-style) with bit-tree
-//! byte models, an order-1 context model, and adaptive integer coding.
+//! byte models and adaptive integer coding.
 //!
 //! This is METHCOMP's entropy stage in this reproduction: the per-field
 //! streams (coverage, methylation levels, position deltas) are coded with
 //! adaptive models that track their skewed, slowly-drifting distributions
 //! far better than a static Huffman table.
+//!
+//! Two facts keep the per-bit paths short:
+//!
+//! * A [`BitModel`] probability stays in [31, 2017] (of 2048), so one
+//!   modelled bit leaves at least 31/2048 of the range and one raw bit
+//!   half of it. A range of at least 2^24 is back there after a single
+//!   8-bit shift, so both coders normalize with one `if`, not a loop.
+//! * The decoder walks a bit tree (a [`ByteModel`] byte, the width tree
+//!   of a [`UIntModel`]) with both children's probabilities loaded before
+//!   the current bit resolves, and keeps the one the bit selects: the
+//!   next bit does not wait on a load whose address is the bit just
+//!   decoded.
 
 use crate::error::CodecError;
 
@@ -30,13 +42,19 @@ impl BitModel {
         BitModel::default()
     }
 
+    /// The model after coding `bit`: the probability moves 1/32 of its
+    /// distance towards 0 or 2048, rounded down, so from 1024 it never
+    /// leaves [31, 2017].
     #[inline]
-    fn update(&mut self, bit: bool) {
-        if bit {
-            self.0 -= self.0 >> MOVE_BITS;
+    fn after(self, bit: bool) -> BitModel {
+        let p = self.0;
+        let next = if bit {
+            p - (p >> MOVE_BITS)
         } else {
-            self.0 += (PROB_ONE - self.0) >> MOVE_BITS;
-        }
+            p + ((PROB_ONE - p) >> MOVE_BITS)
+        };
+        debug_assert!((31..=2017).contains(&next), "probability {next}");
+        BitModel(next)
     }
 }
 
@@ -56,7 +74,7 @@ impl BitModel {
 /// let mut dec = RangeDecoder::new(&packed)?;
 /// let mut m = BitModel::new();
 /// for &b in &bits {
-///     assert_eq!(dec.decode_bit(&mut m)?, b);
+///     assert_eq!(dec.decode_bit(&mut m), b);
 /// }
 /// # Ok(())
 /// # }
@@ -88,11 +106,6 @@ impl RangeEncoder {
         }
     }
 
-    /// Bytes emitted so far (excluding the unflushed tail).
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
-
     // Runs about once per output byte; keeping it out of line keeps the
     // inlined per-bit paths small.
     #[inline(never)]
@@ -114,6 +127,17 @@ impl RangeEncoder {
         self.low = (self.low << 8) & 0xFFFF_FFFF;
     }
 
+    /// Restores `range >= 2^24` after one coded bit (see the module docs
+    /// for why one shift is enough).
+    #[inline(always)]
+    fn normalize(&mut self) {
+        if self.range < TOP {
+            self.range <<= 8;
+            self.shift_low();
+        }
+        debug_assert!(self.range >= TOP);
+    }
+
     /// Encodes one bit under an adaptive model.
     #[inline]
     pub fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
@@ -124,11 +148,8 @@ impl RangeEncoder {
             self.low += bound as u64;
             self.range -= bound;
         }
-        model.update(bit);
-        while self.range < TOP {
-            self.range <<= 8;
-            self.shift_low();
-        }
+        *model = model.after(bit);
+        self.normalize();
     }
 
     /// Encodes `count` raw bits (MSB first) without a model.
@@ -140,10 +161,7 @@ impl RangeEncoder {
             // mispredicts half the time; add the half range under a mask.
             let bit = ((value >> i) & 1) as u32;
             self.low += (self.range & bit.wrapping_neg()) as u64;
-            while self.range < TOP {
-                self.range <<= 8;
-                self.shift_low();
-            }
+            self.normalize();
         }
     }
 
@@ -156,7 +174,9 @@ impl RangeEncoder {
     }
 }
 
-/// The range decoder (mirror of [`RangeEncoder`]).
+/// The range decoder (mirror of [`RangeEncoder`]). Decoding cannot fail:
+/// past the end of its input it reads zeros, and a container catches that
+/// with [`RangeDecoder::position`] and its checksum.
 #[derive(Debug)]
 pub struct RangeDecoder<'a> {
     range: u32,
@@ -189,8 +209,6 @@ impl<'a> RangeDecoder<'a> {
 
     #[inline]
     fn next_byte(&mut self) -> u8 {
-        // Reading past the end yields zeros; corrupt streams are caught by
-        // the container's checksums/length checks.
         let b = self.data.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
@@ -203,13 +221,19 @@ impl<'a> RangeDecoder<'a> {
         self.pos
     }
 
-    /// Decodes one bit under an adaptive model.
-    ///
-    /// # Errors
-    /// Currently infallible in-band (overruns read as zeros) but kept
-    /// fallible for container-level symmetry.
-    #[inline]
-    pub fn decode_bit(&mut self, model: &mut BitModel) -> Result<bool, CodecError> {
+    /// The mirror of [`RangeEncoder::normalize`].
+    #[inline(always)]
+    fn normalize(&mut self) {
+        if self.range < TOP {
+            self.range <<= 8;
+            self.code = (self.code << 8) | self.next_byte() as u32;
+        }
+        debug_assert!(self.range >= TOP);
+    }
+
+    /// Resolves one bit coded under `model`, without adapting it.
+    #[inline(always)]
+    fn bit(&mut self, model: BitModel) -> bool {
         let bound = (self.range >> PROB_BITS) * model.0 as u32;
         let bit = if self.code < bound {
             self.range = bound;
@@ -219,20 +243,21 @@ impl<'a> RangeDecoder<'a> {
             self.range -= bound;
             true
         };
-        model.update(bit);
-        while self.range < TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | self.next_byte() as u32;
-        }
-        Ok(bit)
+        self.normalize();
+        bit
+    }
+
+    /// Decodes one bit under an adaptive model.
+    #[inline]
+    pub fn decode_bit(&mut self, model: &mut BitModel) -> bool {
+        let bit = self.bit(*model);
+        *model = model.after(bit);
+        bit
     }
 
     /// Decodes `count` raw bits (MSB first).
-    ///
-    /// # Errors
-    /// See [`RangeDecoder::decode_bit`].
     #[inline]
-    pub fn decode_direct(&mut self, count: u32) -> Result<u64, CodecError> {
+    pub fn decode_direct(&mut self, count: u32) -> u64 {
         let mut value = 0u64;
         for _ in 0..count {
             self.range >>= 1;
@@ -240,12 +265,29 @@ impl<'a> RangeDecoder<'a> {
             let bit = (self.code >= self.range) as u32;
             self.code -= self.range & bit.wrapping_neg();
             value = (value << 1) | bit as u64;
-            while self.range < TOP {
-                self.range <<= 8;
-                self.code = (self.code << 8) | self.next_byte() as u32;
-            }
+            self.normalize();
         }
-        Ok(value)
+        value
+    }
+
+    /// Decodes one symbol of the bit tree `nodes` (node 1 is the root,
+    /// node `n` has children `2n` and `2n + 1`, so `N = 2^levels`) and
+    /// returns it, in `0..N`. Both children's models are loaded before
+    /// the current bit resolves and the bit only selects one of them.
+    #[inline(always)]
+    fn decode_tree<const N: usize>(&mut self, nodes: &mut [BitModel; N]) -> usize {
+        let mut node = 1;
+        let mut model = nodes[1];
+        for _ in 1..N.trailing_zeros() {
+            let (zero, one) = (nodes[2 * node], nodes[2 * node + 1]);
+            let bit = self.bit(model);
+            nodes[node] = model.after(bit);
+            node = 2 * node + bit as usize;
+            model = if bit { one } else { zero };
+        }
+        let bit = self.bit(model);
+        nodes[node] = model.after(bit);
+        2 * node + bit as usize - N
     }
 }
 
@@ -282,56 +324,9 @@ impl ByteModel {
     }
 
     /// Decodes a byte.
-    ///
-    /// # Errors
-    /// See [`RangeDecoder::decode_bit`].
     #[inline]
-    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<u8, CodecError> {
-        let mut node = 1usize;
-        for _ in 0..8 {
-            let bit = dec.decode_bit(&mut self.nodes[node])?;
-            node = (node << 1) | bit as usize;
-        }
-        Ok((node & 0xFF) as u8)
-    }
-}
-
-/// An order-1 byte model: one [`ByteModel`] per previous-byte context.
-#[derive(Debug)]
-pub struct Order1Model {
-    contexts: Vec<ByteModel>,
-    prev: u8,
-}
-
-impl Default for Order1Model {
-    fn default() -> Self {
-        Order1Model {
-            contexts: vec![ByteModel::new(); 256],
-            prev: 0,
-        }
-    }
-}
-
-impl Order1Model {
-    /// Creates a fresh model (context = 0).
-    pub fn new() -> Self {
-        Order1Model::default()
-    }
-
-    /// Encodes a byte in the running context.
-    pub fn encode(&mut self, enc: &mut RangeEncoder, byte: u8) {
-        self.contexts[self.prev as usize].encode(enc, byte);
-        self.prev = byte;
-    }
-
-    /// Decodes a byte in the running context.
-    ///
-    /// # Errors
-    /// See [`RangeDecoder::decode_bit`].
-    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<u8, CodecError> {
-        let byte = self.contexts[self.prev as usize].decode(dec)?;
-        self.prev = byte;
-        Ok(byte)
+    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u8 {
+        dec.decode_tree(&mut self.nodes) as u8
     }
 }
 
@@ -381,12 +376,7 @@ impl UIntModel {
     /// [`CodecError::BadSymbol`] if the decoded width exceeds 64.
     #[inline]
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<u64, CodecError> {
-        let mut node = 1usize;
-        for _ in 0..7 {
-            let bit = dec.decode_bit(&mut self.width_nodes[node])?;
-            node = (node << 1) | bit as usize;
-        }
-        let width = (node & 0x7F) as u32;
+        let width = dec.decode_tree(&mut self.width_nodes) as u32;
         if width > 64 {
             return Err(CodecError::BadSymbol {
                 value: width as u64,
@@ -395,7 +385,7 @@ impl UIntModel {
         Ok(match width {
             0 => 0,
             1 => 1,
-            w => (1u64 << (w - 1)) | dec.decode_direct(w - 1)?,
+            w => (1u64 << (w - 1)) | dec.decode_direct(w - 1),
         })
     }
 }
@@ -421,7 +411,7 @@ mod tests {
         let mut dec = RangeDecoder::new(&packed).expect("stream");
         let mut m = BitModel::new();
         for i in 0..n {
-            assert_eq!(dec.decode_bit(&mut m).expect("bit"), i % 100 == 0);
+            assert_eq!(dec.decode_bit(&mut m), i % 100 == 0);
         }
     }
 
@@ -441,7 +431,7 @@ mod tests {
         let packed = enc.finish();
         let mut dec = RangeDecoder::new(&packed).expect("stream");
         for &(v, n) in &values {
-            assert_eq!(dec.decode_direct(n).expect("bits"), v);
+            assert_eq!(dec.decode_direct(n), v);
         }
     }
 
@@ -464,44 +454,7 @@ mod tests {
         let mut dec = RangeDecoder::new(&packed).expect("stream");
         let mut m = ByteModel::new();
         for &b in &data {
-            assert_eq!(m.decode(&mut dec).expect("byte"), b);
-        }
-    }
-
-    #[test]
-    fn order1_model_beats_order0_on_markov_data() {
-        // Alternating structure: next byte strongly depends on previous.
-        let data: Vec<u8> = (0..8000)
-            .map(|i| if i % 2 == 0 { b'A' } else { b'B' })
-            .collect();
-        let o0 = {
-            let mut enc = RangeEncoder::new();
-            let mut m = ByteModel::new();
-            for &b in &data {
-                m.encode(&mut enc, b);
-            }
-            enc.finish().len()
-        };
-        let o1 = {
-            let mut enc = RangeEncoder::new();
-            let mut m = Order1Model::new();
-            for &b in &data {
-                m.encode(&mut enc, b);
-            }
-            enc.finish().len()
-        };
-        assert!(o1 < o0, "order-1 {} vs order-0 {}", o1, o0);
-        // Round trip.
-        let mut enc = RangeEncoder::new();
-        let mut m = Order1Model::new();
-        for &b in &data {
-            m.encode(&mut enc, b);
-        }
-        let packed = enc.finish();
-        let mut dec = RangeDecoder::new(&packed).expect("stream");
-        let mut m = Order1Model::new();
-        for &b in &data {
-            assert_eq!(m.decode(&mut dec).expect("byte"), b);
+            assert_eq!(m.decode(&mut dec), b);
         }
     }
 
@@ -529,6 +482,52 @@ mod tests {
         for &v in &values {
             assert_eq!(m.decode(&mut dec).expect("value"), v);
         }
+    }
+
+    fn print_golden(what: &str, packed: &[u8]) {
+        if std::env::var("FAASPIPE_PRINT_GOLDEN").is_ok() {
+            let crc = crate::checksum::crc32(packed);
+            println!(
+                "{what}: {} bytes, crc {crc:#010X}: {packed:?}",
+                packed.len()
+            );
+        }
+    }
+
+    #[test]
+    fn uint_model_stream_is_pinned() {
+        // Round trips cannot see an encoder and decoder that change in
+        // step; this pins the bytes of the width tree and payload bits.
+        let values = [0u64, 1, 2, 127, 128, u32::MAX as u64, u64::MAX];
+        let mut enc = RangeEncoder::new();
+        let mut m = UIntModel::new();
+        for &v in &values {
+            m.encode(&mut enc, v);
+        }
+        let packed = enc.finish();
+        print_golden("uint stream", &packed);
+        assert_eq!(
+            packed,
+            [
+                0, 0, 5, 17, 36, 125, 206, 183, 182, 148, 219, 254, 34, 91, 7, 255, 255, 255, 255,
+                255, 240, 214, 64, 0
+            ]
+        );
+    }
+
+    #[test]
+    fn byte_model_stream_is_pinned() {
+        let mut enc = RangeEncoder::new();
+        let mut m = ByteModel::new();
+        for b in 0..=255u8 {
+            m.encode(&mut enc, b);
+        }
+        let packed = enc.finish();
+        print_golden("byte stream", &packed);
+        assert_eq!(
+            (packed.len(), crate::checksum::crc32(&packed)),
+            (227, 0xA080_7808)
+        );
     }
 
     #[test]
@@ -573,9 +572,9 @@ mod tests {
         let mut by = ByteModel::new();
         let mut um = UIntModel::new();
         for i in 0..500u64 {
-            assert_eq!(dec.decode_bit(&mut bm).expect("bit"), i % 3 == 0);
-            assert_eq!(by.decode(&mut dec).expect("byte"), (i % 251) as u8);
-            assert_eq!(dec.decode_direct(4).expect("direct"), i % 16);
+            assert_eq!(dec.decode_bit(&mut bm), i % 3 == 0);
+            assert_eq!(by.decode(&mut dec), (i % 251) as u8);
+            assert_eq!(dec.decode_direct(4), i % 16);
             assert_eq!(um.decode(&mut dec).expect("uint"), i * i);
         }
     }

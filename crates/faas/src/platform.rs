@@ -207,7 +207,7 @@ impl FunctionPlatform {
     /// The invocation acquires a platform concurrency slot (FIFO), pays a
     /// cold or warm start, runs `body`, then parks its container back in
     /// the warm pool. A panic in `body` fails the invocation process, so
-    /// the joiner sees it as a [`JoinError`](faaspipe_des::JoinError).
+    /// the joiner sees it as a [`JoinError`].
     ///
     /// Invocations of one stage can share one `Arc<str>` tag (and function
     /// name): the platform keeps the shared copy in its warm-pool key and

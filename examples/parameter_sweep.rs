@@ -55,7 +55,9 @@ fn main() {
     // a poisoned cell reports its grid coordinates while every sibling
     // still finishes.
     let outcome = sweep.run(jobs);
-    println!(
+    // Host wall time goes to stderr: stdout is the grid alone, so two
+    // runs print the same bytes.
+    eprintln!(
         "{} cells on {} thread(s) in {:.0}ms",
         outcome.stats.cells,
         outcome.stats.jobs,

@@ -83,10 +83,6 @@ pub(crate) enum YieldMsg {
     SemCreate(u64),
     SemAcquire(SemId, u64),
     SemRelease(SemId, u64),
-    LimiterCreate {
-        rate: f64,
-        burst: f64,
-    },
     LimiterAcquire(LimiterId, f64),
     LinkCreate(Bandwidth),
     Transfer(FlowSpec),
@@ -101,7 +97,6 @@ pub(crate) enum YieldMsg {
 pub(crate) enum ResumeMsg {
     Go,
     Sem(SemId),
-    Limiter(LimiterId),
     Link(LinkId),
     Pid(ProcessId),
     JoinResult(Result<(), JoinError>),
@@ -112,7 +107,6 @@ impl std::fmt::Debug for ResumeMsg {
         match self {
             ResumeMsg::Go => write!(f, "Go"),
             ResumeMsg::Sem(id) => write!(f, "Sem({:?})", id),
-            ResumeMsg::Limiter(id) => write!(f, "Limiter({:?})", id),
             ResumeMsg::Link(id) => write!(f, "Link({:?})", id),
             ResumeMsg::Pid(pid) => write!(f, "Pid({:?})", pid),
             ResumeMsg::JoinResult(r) => write!(f, "JoinResult({:?})", r),
@@ -347,15 +341,6 @@ impl Ctx {
         match self.call(YieldMsg::SemRelease(id, n)).await {
             ResumeMsg::Go => {}
             other => unreachable!("unexpected resume for sem_release: {:?}", other),
-        }
-    }
-
-    /// Creates a token-bucket rate limiter refilling at `rate` tokens/sec
-    /// with capacity `burst`.
-    pub async fn limiter_create(&self, rate: f64, burst: f64) -> LimiterId {
-        match self.call(YieldMsg::LimiterCreate { rate, burst }).await {
-            ResumeMsg::Limiter(id) => id,
-            other => unreachable!("unexpected resume for limiter_create: {:?}", other),
         }
     }
 

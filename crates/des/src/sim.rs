@@ -564,13 +564,6 @@ impl Sim {
                 self.reply(ResumeMsg::Go);
                 Flow::Continue
             }
-            YieldMsg::LimiterCreate { rate, burst } => {
-                let id = LimiterId(self.limiters.len() as u32);
-                self.limiters.push(RateLimiter::new(rate, burst));
-                self.limiter_events.push(None);
-                self.reply(ResumeMsg::Limiter(id));
-                Flow::Continue
-            }
             YieldMsg::LimiterAcquire(id, tokens) => {
                 if self.limiters[id.0 as usize].acquire(now, pidx, tokens) {
                     self.reply(ResumeMsg::Go);

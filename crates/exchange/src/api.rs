@@ -199,8 +199,9 @@ pub struct ExchangeEnv {
     /// [`write_run`](DataExchange::write_run) or
     /// [`read_gather`](DataExchange::read_gather) call keeps open. A call
     /// that issues several requests runs them on helper processes
-    /// through its backend's one windowed path; a window of `1` (or `0`)
-    /// is one helper issuing one request at a time.
+    /// through one request window ([`windowed`](crate::windowed)); a
+    /// window of `1` (or `0`) is one helper issuing one request at a
+    /// time.
     pub io_window: usize,
 }
 

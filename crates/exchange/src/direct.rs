@@ -3,16 +3,17 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use faaspipe_des::{ByteSize, Ctx, LinkId, LocalBoxFuture, SimDuration, SimTime};
+use faaspipe_des::{Ctx, LinkId, LocalBoxFuture, SimDuration, SimTime};
 use faaspipe_store::failure::Fate;
 use faaspipe_store::{scaled_len, FailurePolicy};
-use faaspipe_trace::{Category, SpanId, TraceSink};
+use faaspipe_trace::TraceSink;
 use parking_lot::Mutex;
 
 use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
-use crate::span::{request_begin, request_end};
+use crate::span::{request_begin, request_end, transfer};
+use crate::window::windowed;
 
 /// Tuning of the [`DirectExchange`].
 #[derive(Debug, Clone)]
@@ -89,7 +90,7 @@ pub struct DirectExchange {
 
 /// The shareable innards of [`DirectExchange`]: cloning is cheap and
 /// shares the rendezvous table, so the gather can hand a clone to each
-/// fan-out child.
+/// job of its request window.
 #[derive(Clone)]
 struct DirectCore {
     cfg: std::sync::Arc<DirectConfig>,
@@ -166,21 +167,7 @@ impl DirectCore {
             return Err(ExchangeError::PeerGone { map, part });
         }
         // Stream through both NICs on the fluid-flow network.
-        let mut links = env.host_links.clone();
-        links.extend(sender_nic);
-        let flow = if self.trace.is_enabled() {
-            let flow =
-                self.trace
-                    .span_start(Category::Flow, "xfer", "direct", &env.tag, span, ctx.now());
-            self.trace.attr(flow, "wire_bytes", wire);
-            flow
-        } else {
-            SpanId::NONE
-        };
-        ctx.transfer(ByteSize::new(wire), &links).await;
-        if !flow.is_none() {
-            self.trace.span_end(flow, ctx.now());
-        }
+        transfer(&self.trace, ctx, "direct", env, sender_nic, wire, span).await;
         request_end(&self.trace, ctx, span, wire, false);
         Ok(data)
     }
@@ -274,30 +261,19 @@ impl DataExchange for DirectExchange {
             // One retried stream per sender, at most `io_window` in
             // flight; empty partitions stream too (the rendezvous still
             // has to confirm them).
-            let trace = self.core.trace.clone();
-            let parent = trace.current(ctx.pid());
-            let jobs: Vec<_> = (0..maps)
-                .map(|map| {
-                    let core = self.core.clone();
-                    let env = env.clone();
-                    let trace = trace.clone();
-                    async move |cctx: &mut Ctx| {
-                        trace.enter(cctx.pid(), parent);
-                        let res: Result<Bytes, ExchangeError> =
-                            with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                                core.stream_part(c, &env, map, part).await
-                            })
-                            .await;
-                        trace.exit(cctx.pid());
-                        res
-                    }
-                })
-                .collect();
+            let jobs = (0..maps).map(|map| {
+                let core = self.core.clone();
+                let env = env.clone();
+                async move |cctx: &mut Ctx| {
+                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
+                        core.stream_part(c, &env, map, part).await
+                    })
+                    .await
+                }
+            });
             let name = format!("{}-get", env.tag);
-            let runs = ctx
-                .fan_out(&name, env.io_window, jobs)
+            let runs = windowed(ctx, &self.core.trace, &name, env.io_window, maps, jobs)
                 .await
-                .unwrap_or_else(|e| panic!("windowed direct read crashed: {}", e))
                 .into_iter()
                 .collect::<Result<Vec<Bytes>, ExchangeError>>()?;
             Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())

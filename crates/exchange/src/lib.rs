@@ -27,6 +27,9 @@
 //! the store uses (so critical-path attribution keeps working), and route
 //! every fallible request through the shared [`with_retry`] helper with
 //! exponential backoff and deterministic jitter drawn from the DES rng.
+//! Every call that issues several requests runs them through one
+//! request window, [`windowed`], which the shuffle's chunk reads use
+//! too.
 
 mod api;
 mod direct;
@@ -36,6 +39,7 @@ mod retry;
 mod sharded;
 mod span;
 mod vm_relay;
+mod window;
 
 pub use api::{DataExchange, ExchangeEnv, ExchangeKind, ExchangeStrategy, MAX_RELAY_SHARDS};
 pub use direct::{DirectConfig, DirectExchange};
@@ -44,3 +48,4 @@ pub use object_store::ObjectStoreExchange;
 pub use retry::{with_retry, Retryable};
 pub use sharded::{ShardedRelayConfig, ShardedRelayExchange};
 pub use vm_relay::RelayConfig;
+pub use window::windowed;

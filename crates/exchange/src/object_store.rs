@@ -5,12 +5,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use faaspipe_des::{Ctx, FlowLinks, LocalBoxFuture};
 use faaspipe_store::ObjectStore;
-use faaspipe_trace::{SpanId, TraceSink};
 use parking_lot::Mutex;
 
 use crate::api::{dense_parts, DataExchange, ExchangeEnv, ExchangeStrategy};
 use crate::error::ExchangeError;
 use crate::retry::with_retry;
+use crate::window::windowed;
 
 /// Exchange through the simulated COS, in either the `Scatter` (W²
 /// objects) or `Coalesced` (W objects + byte-range reads) layout.
@@ -175,48 +175,20 @@ impl ObjectStoreExchange {
         format!("{}{:05}", self.prefix, map).into()
     }
 
-    /// Runs one store read per plan in child processes, at most
-    /// `env.io_window` in flight, each on its own store connection (so
-    /// aggregate throughput scales with the window until the caller's
-    /// NIC or the store's aggregate cap saturates). The worker count is
-    /// pinned to what a `logical_total`-plan fan-out would spawn, so a
-    /// coalesced gather that elided its empty column entries keeps the
-    /// exact virtual-time schedule of the dense one. Returns one payload
-    /// per plan, in plan order.
-    async fn fetch_pinned(
-        &self,
-        ctx: &mut Ctx,
-        env: &ExchangeEnv,
-        logical_total: usize,
-        plans: Vec<Fetch>,
-    ) -> Result<Vec<Bytes>, ExchangeError> {
-        let requests = self.requests(ctx, env);
-        let jobs: Vec<_> = plans.into_iter().map(|plan| requests.get(plan)).collect();
-        let name = format!("{}-get", env.tag);
-        let results = ctx
-            .fan_out_pinned(&name, env.io_window, logical_total, jobs)
-            .await
-            .unwrap_or_else(|e| panic!("windowed store read crashed: {}", e));
-        results.into_iter().collect()
-    }
-
-    /// What every job of one request fan-out by the calling process
+    /// What every job of one request window by the calling process
     /// shares.
-    fn requests(&self, ctx: &Ctx, env: &ExchangeEnv) -> Arc<Requests> {
-        let trace = self.store.trace_sink();
+    fn requests(&self, env: &ExchangeEnv) -> Arc<Requests> {
         Arc::new(Requests {
             store: Arc::clone(&self.store),
             bucket: Arc::clone(&self.bucket),
             tag: Arc::clone(&env.tag),
             links: env.host_links.clone(),
             retries: env.retries,
-            parent: trace.current(ctx.pid()),
-            trace,
         })
     }
 }
 
-/// The state the jobs of one request fan-out share: each job holds this
+/// The state the jobs of one request window share: each job holds this
 /// and its own request, instead of its own copies of bucket, tag and
 /// links.
 struct Requests {
@@ -225,13 +197,10 @@ struct Requests {
     tag: Arc<str>,
     links: FlowLinks,
     retries: u32,
-    trace: TraceSink,
-    /// The span the fan-out's requests parent to.
-    parent: SpanId,
 }
 
 impl Requests {
-    /// The fan-out job running the read `plan` on its own store
+    /// The window job running the read `plan` on its own store
     /// connection.
     fn get(
         self: &Arc<Self>,
@@ -240,7 +209,6 @@ impl Requests {
         let shared = Arc::clone(self);
         async move |cctx: &mut Ctx| {
             let s = &*shared;
-            s.trace.enter(cctx.pid(), s.parent);
             let client = s
                 .store
                 .connect_via(cctx, Arc::clone(&s.tag), &s.links)
@@ -259,12 +227,11 @@ impl Requests {
                     .await
                 }
             };
-            s.trace.exit(cctx.pid());
             res.map_err(ExchangeError::from)
         }
     }
 
-    /// The fan-out job PUTting `data` under `key` on its own store
+    /// The window job PUTting `data` under `key` on its own store
     /// connection.
     fn put(
         self: &Arc<Self>,
@@ -274,17 +241,15 @@ impl Requests {
         let shared = Arc::clone(self);
         async move |cctx: &mut Ctx| {
             let s = &*shared;
-            s.trace.enter(cctx.pid(), s.parent);
             let client = s
                 .store
                 .connect_via(cctx, Arc::clone(&s.tag), &s.links)
                 .await;
-            let res = with_retry(cctx, s.retries, async |c: &mut Ctx| {
+            with_retry(cctx, s.retries, async |c: &mut Ctx| {
                 client.put(c, &s.bucket, &key, data.clone()).await
             })
-            .await;
-            s.trace.exit(cctx.pid());
-            res.map(|_| ()).map_err(ExchangeError::from)
+            .await
+            .map_err(ExchangeError::from)
         }
     }
 }
@@ -331,16 +296,15 @@ impl DataExchange for ObjectStoreExchange {
                 // `io_window` in flight.
                 ExchangeStrategy::Scatter => {
                     let written = cuts.iter().map(|&(_, _, len)| len).sum();
-                    let requests = self.requests(ctx, env);
-                    let jobs: Vec<_> = dense_parts(&run, &cuts, parts_len)
+                    let requests = self.requests(env);
+                    let jobs = dense_parts(&run, &cuts, parts_len)
                         .into_iter()
                         .enumerate()
-                        .map(|(j, data)| requests.put(self.scatter_key(map, j), data))
-                        .collect();
+                        .map(|(j, data)| requests.put(self.scatter_key(map, j), data));
                     let name = format!("{}-put", env.tag);
-                    ctx.fan_out(&name, env.io_window, jobs)
+                    let trace = self.store.trace_sink();
+                    windowed(ctx, &trace, &name, env.io_window, parts_len, jobs)
                         .await
-                        .unwrap_or_else(|e| panic!("windowed store write crashed: {}", e))
                         .into_iter()
                         .collect::<Result<Vec<()>, ExchangeError>>()?;
                     Ok(written)
@@ -385,7 +349,16 @@ impl DataExchange for ObjectStoreExchange {
                 // the simulation.
                 ExchangeStrategy::Coalesced => self.index.lock().gather(maps, part)?,
             };
-            let runs = self.fetch_pinned(ctx, env, maps, plans).await?;
+            // A coalesced column elides its empty partitions but keeps
+            // the dense column's `maps`-job window.
+            let requests = self.requests(env);
+            let jobs = plans.into_iter().map(|plan| requests.get(plan));
+            let name = format!("{}-get", env.tag);
+            let trace = self.store.trace_sink();
+            let runs = windowed(ctx, &trace, &name, env.io_window, maps, jobs)
+                .await
+                .into_iter()
+                .collect::<Result<Vec<Bytes>, ExchangeError>>()?;
             Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }

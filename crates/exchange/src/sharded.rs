@@ -21,7 +21,9 @@ use faaspipe_vm::VmFleet;
 
 use crate::api::{dense_parts, DataExchange, ExchangeEnv};
 use crate::error::ExchangeError;
-use crate::vm_relay::{relay_gets_windowed, relay_puts_windowed, RelayConfig, RelayShard};
+use crate::retry::with_retry;
+use crate::vm_relay::{RelayConfig, RelayShard};
+use crate::window::windowed;
 
 /// Tuning of the [`ShardedRelayExchange`].
 #[derive(Debug, Clone)]
@@ -161,12 +163,26 @@ impl DataExchange for ShardedRelayExchange {
             let written = cuts.iter().map(|&(_, _, len)| len).sum();
             // One PUT per partition, empty ones included. Routing happens
             // here in the caller; children only move bytes.
-            let items = dense_parts(&run, &cuts, parts_len)
+            let jobs = dense_parts(&run, &cuts, parts_len)
                 .into_iter()
                 .enumerate()
-                .map(|(j, data)| (Arc::clone(self.route(map, j)), map, j, data))
-                .collect();
-            relay_puts_windowed(ctx, env, items).await?;
+                .map(|(j, data)| {
+                    let shard = Arc::clone(self.route(map, j));
+                    let env = env.clone();
+                    async move |cctx: &mut Ctx| {
+                        with_retry(cctx, env.retries, async |c: &mut Ctx| {
+                            shard.put_part(c, &env, map, j, &data).await
+                        })
+                        .await
+                    }
+                });
+            let name = format!("{}-put", env.tag);
+            // Every shard records to the one sink.
+            let trace = &self.shards[0].trace;
+            windowed(ctx, trace, &name, env.io_window, parts_len, jobs)
+                .await
+                .into_iter()
+                .collect::<Result<Vec<()>, ExchangeError>>()?;
             Ok(written)
         })
     }
@@ -179,10 +195,22 @@ impl DataExchange for ShardedRelayExchange {
         part: usize,
     ) -> LocalBoxFuture<'a, Result<Vec<Bytes>, ExchangeError>> {
         Box::pin(async move {
-            let items = (0..maps)
-                .map(|map| (Arc::clone(self.route(map, part)), map, part))
-                .collect();
-            let runs = relay_gets_windowed(ctx, env, items).await?;
+            let jobs = (0..maps).map(|map| {
+                let shard = Arc::clone(self.route(map, part));
+                let env = env.clone();
+                async move |cctx: &mut Ctx| {
+                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
+                        shard.get_part(c, &env, map, part).await
+                    })
+                    .await
+                }
+            });
+            let name = format!("{}-get", env.tag);
+            let trace = &self.shards[0].trace;
+            let runs = windowed(ctx, trace, &name, env.io_window, maps, jobs)
+                .await
+                .into_iter()
+                .collect::<Result<Vec<Bytes>, ExchangeError>>()?;
             Ok(runs.into_iter().filter(|r| !r.is_empty()).collect())
         })
     }

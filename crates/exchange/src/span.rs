@@ -1,8 +1,10 @@
-//! The trace span of one exchange request, shared by the relay and
-//! direct backends.
+//! The trace spans of one exchange request and of the bytes it moves,
+//! shared by the relay and direct backends.
 
-use faaspipe_des::Ctx;
+use faaspipe_des::{ByteSize, Ctx, LinkId};
 use faaspipe_trace::{Category, SpanId, TraceSink};
+
+use crate::api::ExchangeEnv;
 
 /// Opens a [`Category::StoreRequest`] span named `op` on `track`, in
 /// the caller's `tag` lane and under its current span, keyed
@@ -38,4 +40,32 @@ pub(crate) fn request_end(trace: &TraceSink, ctx: &Ctx, span: SpanId, bytes: u64
         trace.attr(span, "failed", true);
     }
     trace.span_end(span, ctx.now());
+}
+
+/// Moves `wire` scaled bytes over the caller's `env.host_links` plus
+/// `peer` (the relay's or the sender's NIC) on the fluid-flow network,
+/// recording an `xfer` [`Category::Flow`] span on `track`, in the
+/// caller's lane and under the `request` span.
+pub(crate) async fn transfer(
+    trace: &TraceSink,
+    ctx: &Ctx,
+    track: &'static str,
+    env: &ExchangeEnv,
+    peer: Option<LinkId>,
+    wire: u64,
+    request: SpanId,
+) {
+    let mut links = env.host_links.clone();
+    links.extend(peer);
+    let flow = if trace.is_enabled() {
+        let flow = trace.span_start(Category::Flow, "xfer", track, &env.tag, request, ctx.now());
+        trace.attr(flow, "wire_bytes", wire);
+        flow
+    } else {
+        SpanId::NONE
+    };
+    ctx.transfer(ByteSize::new(wire), &links).await;
+    if !flow.is_none() {
+        trace.span_end(flow, ctx.now());
+    }
 }

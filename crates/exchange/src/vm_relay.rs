@@ -19,8 +19,7 @@ use parking_lot::Mutex;
 
 use crate::api::ExchangeEnv;
 use crate::error::ExchangeError;
-use crate::retry::with_retry;
-use crate::span::{request_begin, request_end};
+use crate::span::{request_begin, request_end, transfer};
 
 /// Per-shard tuning of the
 /// [`ShardedRelayExchange`](crate::ShardedRelayExchange).
@@ -97,14 +96,14 @@ struct RelayState {
 /// All virtual-time charging (provisioning, request latency, NIC
 /// transfers, disk spill) happens here.
 ///
-/// The exchange holds each shard in an `Arc`, and the windowed read/write
-/// paths hand fan-out children that `Arc`, so a job costs a refcount, not
-/// a copy of the shard's strings. A clone shares the VM/object table.
+/// The exchange holds each shard in an `Arc`, and its request windows
+/// hand each job that `Arc`, so a job costs a refcount, not a copy of
+/// the shard's strings. A clone shares the VM/object table.
 #[derive(Clone)]
 pub(crate) struct RelayShard {
     fleet: VmFleet,
     cfg: Arc<RelayConfig>,
-    trace: TraceSink,
+    pub(crate) trace: TraceSink,
     /// Key prefix / trace lane: `"relay-03"`.
     label: String,
     /// `"{label}.mem_bytes"` / `"{label}.spilled_bytes"`, precomputed —
@@ -258,26 +257,6 @@ impl RelayShard {
         Ok(nic)
     }
 
-    /// Moves `wire` scaled bytes between the caller and the relay,
-    /// recording a flow span.
-    async fn transfer(&self, ctx: &Ctx, env: &ExchangeEnv, nic: LinkId, wire: u64, parent: SpanId) {
-        let mut links = env.host_links.clone();
-        links.push(nic);
-        let flow = if self.trace.is_enabled() {
-            let flow =
-                self.trace
-                    .span_start(Category::Flow, "xfer", "relay", &env.tag, parent, ctx.now());
-            self.trace.attr(flow, "wire_bytes", wire);
-            flow
-        } else {
-            SpanId::NONE
-        };
-        ctx.transfer(ByteSize::new(wire), &links).await;
-        if !flow.is_none() {
-            self.trace.span_end(flow, ctx.now());
-        }
-    }
-
     pub(crate) async fn put_part(
         &self,
         ctx: &mut Ctx,
@@ -296,7 +275,7 @@ impl RelayShard {
             }
         };
         let wire = scaled_len(data.len(), self.cfg.size_scale);
-        self.transfer(ctx, env, nic, wire, span).await;
+        transfer(&self.trace, ctx, "relay", env, Some(nic), wire, span).await;
         let spilled = {
             let mut state = self.state.lock();
             // Idempotent overwrite: drop the old copy's accounting first.
@@ -369,7 +348,7 @@ impl RelayShard {
             ctx.sleep(self.cfg.disk_bw.transfer_time(ByteSize::new(wire)))
                 .await;
         }
-        self.transfer(ctx, env, nic, wire, span).await;
+        transfer(&self.trace, ctx, "relay", env, Some(nic), wire, span).await;
         request_end(&self.trace, ctx, span, wire, false);
         Ok(data)
     }
@@ -414,81 +393,4 @@ impl RelayShard {
             .get(&(map, part))
             .map(|p| p.spilled)
     }
-}
-
-/// Windowed relay PUTs: runs one retried [`RelayShard::put_part`] per
-/// item in child processes, at most `env.io_window` in flight. Items
-/// carry their target shard so the sharded backend can mix shards in
-/// one batch. Request spans parent to the caller's current span.
-pub(crate) async fn relay_puts_windowed(
-    ctx: &mut Ctx,
-    env: &ExchangeEnv,
-    items: Vec<(Arc<RelayShard>, usize, usize, Bytes)>,
-) -> Result<(), ExchangeError> {
-    let Some((first, ..)) = items.first() else {
-        return Ok(());
-    };
-    let trace = first.trace.clone();
-    let parent = trace.current(ctx.pid());
-    let name = format!("{}-put", env.tag);
-    let jobs: Vec<_> = items
-        .into_iter()
-        .map(|(shard, map, part, data)| {
-            let env = env.clone();
-            let trace = trace.clone();
-            async move |cctx: &mut Ctx| {
-                trace.enter(cctx.pid(), parent);
-                let res: Result<(), ExchangeError> =
-                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                        shard.put_part(c, &env, map, part, &data).await
-                    })
-                    .await;
-                trace.exit(cctx.pid());
-                res
-            }
-        })
-        .collect();
-    ctx.fan_out(&name, env.io_window, jobs)
-        .await
-        .unwrap_or_else(|e| panic!("windowed relay write crashed: {}", e))
-        .into_iter()
-        .collect::<Result<Vec<()>, ExchangeError>>()?;
-    Ok(())
-}
-
-/// Windowed relay GETs: one retried [`RelayShard::get_part`] per item,
-/// at most `env.io_window` in flight; payloads return in item order.
-pub(crate) async fn relay_gets_windowed(
-    ctx: &mut Ctx,
-    env: &ExchangeEnv,
-    items: Vec<(Arc<RelayShard>, usize, usize)>,
-) -> Result<Vec<Bytes>, ExchangeError> {
-    let Some((first, ..)) = items.first() else {
-        return Ok(Vec::new());
-    };
-    let trace = first.trace.clone();
-    let parent = trace.current(ctx.pid());
-    let name = format!("{}-get", env.tag);
-    let jobs: Vec<_> = items
-        .into_iter()
-        .map(|(shard, map, part)| {
-            let env = env.clone();
-            let trace = trace.clone();
-            async move |cctx: &mut Ctx| {
-                trace.enter(cctx.pid(), parent);
-                let res: Result<Bytes, ExchangeError> =
-                    with_retry(cctx, env.retries, async |c: &mut Ctx| {
-                        shard.get_part(c, &env, map, part).await
-                    })
-                    .await;
-                trace.exit(cctx.pid());
-                res
-            }
-        })
-        .collect();
-    ctx.fan_out(&name, env.io_window, jobs)
-        .await
-        .unwrap_or_else(|e| panic!("windowed relay read crashed: {}", e))
-        .into_iter()
-        .collect()
 }

@@ -765,11 +765,6 @@ pub fn to_vec<T: ToJson + ?Sized>(value: &T) -> Vec<u8> {
     to_string(value).into_bytes()
 }
 
-/// Serializes to pretty JSON bytes.
-pub fn to_vec_pretty<T: ToJson + ?Sized>(value: &T) -> Vec<u8> {
-    to_string_pretty(value).into_bytes()
-}
-
 /// Parses a value from JSON text.
 ///
 /// # Errors

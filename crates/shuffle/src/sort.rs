@@ -23,7 +23,7 @@ use bytes::Bytes;
 
 use faaspipe_des::{Ctx, JoinError, SimDuration, SimTime};
 use faaspipe_exchange::{
-    with_retry, DataExchange, ExchangeEnv, ExchangeStrategy, ObjectStoreExchange,
+    windowed, with_retry, DataExchange, ExchangeEnv, ExchangeStrategy, ObjectStoreExchange,
 };
 use faaspipe_faas::{FunctionEnv, FunctionPlatform};
 use faaspipe_store::ObjectStore;
@@ -302,6 +302,50 @@ fn split_chunks(
     chunks
 }
 
+/// Reads `chunks`, each a `(key, offset, len)` range GET, for the
+/// calling function through one request window of `cfg.io_concurrency`
+/// helpers named `{tag}-io`, each request on its own store connection
+/// over the function's NIC. As a chunk lands, its helper charges
+/// `charge` of its length on the function's single vCPU behind a
+/// one-permit semaphore, so downloads overlap compute and compute never
+/// overlaps itself. Returns the payloads in chunk order; a read that
+/// fails every attempt panics with `"{what} read failed"`.
+#[allow(clippy::too_many_arguments)]
+async fn read_chunks(
+    fctx: &mut Ctx,
+    env: &FunctionEnv,
+    store: &Arc<ObjectStore>,
+    cfg: &Arc<SortConfig>,
+    tag: &Arc<str>,
+    what: &'static str,
+    charge: fn(&WorkModel, usize) -> SimDuration,
+    chunks: &[(Arc<str>, u64, u64)],
+) -> Vec<Bytes> {
+    let cpu = fctx.sem_create(1).await;
+    let jobs = chunks.iter().map(|(key, off, len)| {
+        let (key, off, len) = (Arc::clone(key), *off, *len);
+        let store = Arc::clone(store);
+        let cfg = Arc::clone(cfg);
+        let env = env.clone();
+        let tag = Arc::clone(tag);
+        async move |cctx: &mut Ctx| {
+            let client = store.connect_via(cctx, tag, &[env.nic]).await;
+            let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
+                client.get_range(c, &cfg.bucket, &key, off, len).await
+            })
+            .await
+            .unwrap_or_else(|e| panic!("{} read failed: {}", what, e));
+            cctx.sem_acquire(cpu, 1).await;
+            env.compute(cctx, charge(&cfg.work, data.len())).await;
+            cctx.sem_release(cpu, 1).await;
+            data
+        }
+    });
+    let name = format!("{}-io", tag);
+    let trace = store.trace_sink();
+    windowed(fctx, &trace, &name, cfg.io_concurrency, chunks.len(), jobs).await
+}
+
 /// Runs the full serverless sort from the calling (driver) process.
 ///
 /// Inputs under `cfg.input_prefix` must be objects of concatenated
@@ -359,16 +403,22 @@ pub async fn serverless_sort<R: SortRecord>(
     // One tag per phase, shared by every invocation and connection.
     let sample_tag: Arc<str> = format!("{}/sample", cfg.tag).into();
     let mut bodies = Vec::new();
-    for m in 0..w {
-        let assigned: Vec<(String, u64)> = inputs
+    // Sampler `m` reads inputs `m`, `m + w`, …, so with fewer inputs
+    // than workers the last samplers have nothing to read and are not
+    // invoked.
+    for m in 0..w.min(inputs.len()) {
+        // The first `SAMPLE_BYTES` of each assigned input, whole records
+        // only.
+        let reads: Vec<(Arc<str>, u64, u64)> = inputs
             .iter()
-            .enumerate()
-            .filter(|(i, _)| i % w == m)
-            .map(|(_, o)| (o.key.clone(), o.len.as_u64()))
+            .skip(m)
+            .step_by(w)
+            .filter_map(|o| {
+                let span = SAMPLE_BYTES.min(o.len.as_u64());
+                let span = span - span % R::WIRE_SIZE as u64;
+                (span > 0).then(|| (Arc::from(o.key.as_str()), 0, span))
+            })
             .collect();
-        if assigned.is_empty() {
-            continue;
-        }
         let store = Arc::clone(store);
         let cfg = Arc::clone(&cfg);
         let tag = Arc::clone(&sample_tag);
@@ -381,42 +431,17 @@ pub async fn serverless_sort<R: SortRecord>(
             // Fan the per-input range reads out; parsing serializes on
             // the single vCPU while other reads stream in. The reservoir
             // draws stay on this process, in assignment order.
-            let trace = store.trace_sink();
-            let parent = trace.current(fctx.pid());
-            let cpu = fctx.sem_create(1).await;
-            let mut jobs = Vec::new();
-            for (key, len) in &assigned {
-                let span = SAMPLE_BYTES.min(*len);
-                let span = span - span % R::WIRE_SIZE as u64;
-                if span == 0 {
-                    continue;
-                }
-                let store = Arc::clone(&store);
-                let cfg = Arc::clone(&cfg);
-                let env = env.clone();
-                let trace = trace.clone();
-                let key = key.clone();
-                let tag = Arc::clone(&tag);
-                jobs.push(async move |cctx: &mut Ctx| {
-                    trace.enter(cctx.pid(), parent);
-                    let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                    let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                        client.get_range(c, &cfg.bucket, &key, 0, span).await
-                    })
-                    .await
-                    .unwrap_or_else(|e| panic!("sample read failed: {}", e));
-                    cctx.sem_acquire(cpu, 1).await;
-                    env.compute(cctx, cfg.work.parse_time(data.len())).await;
-                    cctx.sem_release(cpu, 1).await;
-                    trace.exit(cctx.pid());
-                    data
-                });
-            }
-            let name = format!("{}/sample-io", cfg.tag);
-            let chunks = fctx
-                .fan_out(&name, cfg.io_concurrency, jobs)
-                .await
-                .unwrap_or_else(|e| panic!("sample read failed: {}", e));
+            let chunks = read_chunks(
+                fctx,
+                &env,
+                &store,
+                &cfg,
+                &tag,
+                "sample",
+                WorkModel::parse_time,
+                &reads,
+            )
+            .await;
             // Keys stream off the wire in assignment order, so the
             // reservoir sees the same sequence at every K.
             for data in &chunks {
@@ -468,38 +493,17 @@ pub async fn serverless_sort<R: SortRecord>(
                 // record payloads are copied once (chunk → partition
                 // bucket) instead of decoded, sorted, and re-encoded.
                 let splits = split_chunks(&assigned, cfg.io_concurrency, R::WIRE_SIZE as u64);
-                let trace = store.trace_sink();
-                let parent = trace.current(fctx.pid());
-                let cpu = fctx.sem_create(1).await;
-                let jobs: Vec<_> = splits
-                    .into_iter()
-                    .map(|(key, off, len)| {
-                        let store = Arc::clone(&store);
-                        let cfg = Arc::clone(&cfg);
-                        let env = env.clone();
-                        let trace = trace.clone();
-                        let tag = Arc::clone(&tag);
-                        async move |cctx: &mut Ctx| {
-                            trace.enter(cctx.pid(), parent);
-                            let client = store.connect_via(cctx, tag, &[env.nic]).await;
-                            let data = with_retry(cctx, cfg.retries, async |c: &mut Ctx| {
-                                client.get_range(c, &cfg.bucket, &key, off, len).await
-                            })
-                            .await
-                            .unwrap_or_else(|e| panic!("map read failed: {}", e));
-                            cctx.sem_acquire(cpu, 1).await;
-                            env.compute(cctx, cfg.work.sort_time(data.len())).await;
-                            cctx.sem_release(cpu, 1).await;
-                            trace.exit(cctx.pid());
-                            data
-                        }
-                    })
-                    .collect();
-                let name = format!("{}/map-io", cfg.tag);
-                let chunks = fctx
-                    .fan_out(&name, cfg.io_concurrency, jobs)
-                    .await
-                    .unwrap_or_else(|e| panic!("map read failed: {}", e));
+                let chunks = read_chunks(
+                    fctx,
+                    &env,
+                    &store,
+                    &cfg,
+                    &tag,
+                    "map",
+                    WorkModel::sort_time,
+                    &splits,
+                )
+                .await;
                 let read_bytes: usize = chunks.iter().map(Bytes::len).sum();
                 // Sort + range-partition straight over the wire bytes:
                 // charge the partition compute in virtual time, then run

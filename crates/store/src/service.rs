@@ -395,24 +395,7 @@ impl StoreClient {
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`] when
     /// missing; [`StoreError::Injected`] under fault injection.
     pub async fn get(&self, ctx: &mut Ctx, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        let span = self.trace_begin(ctx, "GET", key);
-        if let Err(e) = self.request_overhead(ctx, "GET").await {
-            self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
-            return Err(e);
-        }
-        let data = self.lookup(bucket, key);
-        match data {
-            Err(e) => {
-                self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
-                Err(e)
-            }
-            Ok(data) => {
-                let wire = self.store.cfg.scaled_len(data.len());
-                self.transfer_scaled(ctx, data.len(), span).await;
-                self.finish(ctx, span, RequestClass::ClassB, 0, wire, false);
-                Ok(data)
-            }
-        }
+        self.read(ctx, bucket, key, None).await
     }
 
     /// Downloads `len` bytes starting at `offset`.
@@ -427,14 +410,27 @@ impl StoreClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes, StoreError> {
+        self.read(ctx, bucket, key, Some((offset, len))).await
+    }
+
+    /// One GET: the whole object, or the `(offset, len)` slice of it.
+    async fn read(
+        &self,
+        ctx: &mut Ctx,
+        bucket: &str,
+        key: &str,
+        range: Option<(u64, u64)>,
+    ) -> Result<Bytes, StoreError> {
         let span = self.trace_begin(ctx, "GET", key);
         if let Err(e) = self.request_overhead(ctx, "GET").await {
             self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
             return Err(e);
         }
         let result = self.lookup(bucket, key).and_then(|data| {
-            let end = offset.checked_add(len);
-            match end {
+            let Some((offset, len)) = range else {
+                return Ok(data);
+            };
+            match offset.checked_add(len) {
                 Some(end) if end <= data.len() as u64 => {
                     Ok(data.slice(offset as usize..end as usize))
                 }
@@ -450,11 +446,11 @@ impl StoreClient {
                 self.finish(ctx, span, RequestClass::ClassB, 0, 0, true);
                 Err(e)
             }
-            Ok(slice) => {
-                let wire = self.store.cfg.scaled_len(slice.len());
-                self.transfer_scaled(ctx, slice.len(), span).await;
+            Ok(data) => {
+                let wire = self.store.cfg.scaled_len(data.len());
+                self.transfer_scaled(ctx, data.len(), span).await;
                 self.finish(ctx, span, RequestClass::ClassB, 0, wire, false);
-                Ok(slice)
+                Ok(data)
             }
         }
     }

@@ -24,41 +24,31 @@ use crate::counter::{CounterKind, CounterSeries};
 use crate::span::{Category, Span, SpanId, Value};
 
 /// Streaming-mode state: the JSONL writer plus the minimal residue kept
-/// in memory (open spans, last counter values).
+/// in memory (open spans; each counter keeps its last two points).
 struct Stream {
     out: Box<dyn Write + Send>,
     /// Spans started but not yet ended, keyed by raw id.
     open: BTreeMap<u64, Span>,
     /// Next span id to hand out (ids stay 1-based creation order).
     next_id: u64,
-    /// Per-counter pending point, mirroring [`CounterSeries::record`]'s
-    /// coalescing without retaining the series: the last point stays
-    /// buffered until a strictly later change supersedes it.
-    pending: BTreeMap<String, PendingCounter>,
     /// Completed spans flushed to the writer so far.
     written: u64,
     /// First write error, surfaced by [`TraceSink::finish`].
     error: Option<io::Error>,
 }
 
-struct PendingCounter {
-    kind: CounterKind,
-    /// Last value written to the stream, if any point was flushed yet.
-    flushed: Option<f64>,
-    /// The buffered most-recent point, if any.
-    point: Option<(SimTime, f64)>,
-}
-
-impl PendingCounter {
-    fn last_value(&self) -> f64 {
-        self.point.map(|(_, v)| v).or(self.flushed).unwrap_or(0.0)
-    }
+/// One counter's series. A streaming sink keeps only the series' last
+/// written point and the pending point after it.
+struct Counter {
+    series: CounterSeries,
+    /// Whether the writer already has the series' first point.
+    flushed: bool,
 }
 
 #[derive(Default)]
 struct State {
     spans: Vec<Span>,
-    counters: BTreeMap<String, CounterSeries>,
+    counters: BTreeMap<String, Counter>,
     /// Per-process stack of open spans, used to parent cross-crate
     /// recordings (a store request made inside a function body parents
     /// to that invocation's span without threading ids through APIs).
@@ -89,8 +79,9 @@ impl TraceSink {
 
     /// A sink that streams completed spans and counter points to `out`
     /// as JSON Lines instead of holding them in memory. Only open spans
-    /// and last counter values are retained; call [`TraceSink::finish`]
-    /// at the end of the run to flush buffered tail state.
+    /// and each counter's last two points are retained; call
+    /// [`TraceSink::finish`] at the end of the run to flush buffered tail
+    /// state.
     pub fn streaming(out: Box<dyn Write + Send>) -> TraceSink {
         TraceSink {
             inner: Some(Arc::new(Mutex::new(State {
@@ -98,7 +89,6 @@ impl TraceSink {
                     out,
                     open: BTreeMap::new(),
                     next_id: 1,
-                    pending: BTreeMap::new(),
                     written: 0,
                     error: None,
                 }),
@@ -216,37 +206,15 @@ impl TraceSink {
     /// the value changes).
     pub fn gauge(&self, name: &str, at: SimTime, value: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut state = inner.lock();
-        if let Some(stream) = &mut state.stream {
-            stream.record_counter(name, CounterKind::Gauge, at, value);
-            return;
-        }
-        state
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| CounterSeries::new(name, CounterKind::Gauge))
-            .record(at, value);
+        inner.lock().record(name, CounterKind::Gauge, at, |_| value);
     }
 
     /// Adds `delta` to a cumulative counter at time `at`.
     pub fn add(&self, name: &str, at: SimTime, delta: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut state = inner.lock();
-        if let Some(stream) = &mut state.stream {
-            let next = stream
-                .pending
-                .get(name)
-                .map_or(0.0, PendingCounter::last_value)
-                + delta;
-            stream.record_counter(name, CounterKind::Cumulative, at, next);
-            return;
-        }
-        let series = state
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| CounterSeries::new(name, CounterKind::Cumulative));
-        let next = series.last_value() + delta;
-        series.record(at, next);
+        inner
+            .lock()
+            .record(name, CounterKind::Cumulative, at, |last| last + delta);
     }
 
     /// Pushes span `id` onto `pid`'s open-span stack; spans recorded
@@ -288,14 +256,11 @@ impl TraceSink {
     /// Latest value of counter `name` (0.0 if never recorded).
     pub fn counter_value(&self, name: &str) -> f64 {
         let Some(inner) = &self.inner else { return 0.0 };
-        let state = inner.lock();
-        if let Some(stream) = &state.stream {
-            return stream
-                .pending
-                .get(name)
-                .map_or(0.0, PendingCounter::last_value);
-        }
-        state.counters.get(name).map_or(0.0, |c| c.last_value())
+        inner
+            .lock()
+            .counters
+            .get(name)
+            .map_or(0.0, |c| c.series.last_value())
     }
 
     /// Copies out everything recorded so far (empty for a disabled
@@ -313,7 +278,7 @@ impl TraceSink {
                 }
                 TraceData {
                     spans: state.spans.clone(),
-                    counters: state.counters.values().cloned().collect(),
+                    counters: state.counters.values().map(|c| c.series.clone()).collect(),
                 }
             }
         }
@@ -331,25 +296,19 @@ impl TraceSink {
             return Ok(());
         };
         let mut state = inner.lock();
-        let Some(stream) = &mut state.stream else {
+        let State {
+            counters, stream, ..
+        } = &mut *state;
+        let Some(stream) = stream else {
             return Ok(());
         };
         let open: Vec<Span> = std::mem::take(&mut stream.open).into_values().collect();
         for span in &open {
             stream.write_span(span);
         }
-        let tails: Vec<(String, CounterKind, SimTime, f64)> = stream
-            .pending
-            .iter_mut()
-            .filter_map(|(name, p)| {
-                p.point.take().map(|(t, v)| {
-                    p.flushed = Some(v);
-                    (name.clone(), p.kind, t, v)
-                })
-            })
-            .collect();
-        for (name, kind, t, v) in tails {
-            stream.write_counter(&name, kind, t, v);
+        for (name, counter) in counters.iter_mut() {
+            let len = counter.series.points.len();
+            stream.write_through(name, counter, len);
         }
         if stream.error.is_none() {
             if let Err(e) = stream.out.flush() {
@@ -363,38 +322,49 @@ impl TraceSink {
     }
 }
 
-impl Stream {
-    /// Applies one counter sample with [`CounterSeries::record`]'s
-    /// coalescing semantics, flushing the previously buffered point to
-    /// the writer once a strictly later change supersedes it.
-    fn record_counter(&mut self, name: &str, kind: CounterKind, at: SimTime, value: f64) {
-        let entry = self
-            .pending
+impl State {
+    /// Records counter `name` at `at` as `value` of its last value,
+    /// coalesced by [`CounterSeries::record`]; a streaming sink then
+    /// writes the point this settled.
+    fn record(
+        &mut self,
+        name: &str,
+        kind: CounterKind,
+        at: SimTime,
+        value: impl FnOnce(f64) -> f64,
+    ) {
+        let counter = self
+            .counters
             .entry(name.to_string())
-            .or_insert(PendingCounter {
-                kind,
-                flushed: None,
-                point: None,
+            .or_insert_with(|| Counter {
+                series: CounterSeries::new(name, kind),
+                flushed: false,
             });
-        match entry.point {
-            Some((t, _)) if t == at => {
-                // Same-instant updates coalesce to the final value; the
-                // point disappears entirely if that makes it redundant
-                // against the last flushed value.
-                if entry.flushed == Some(value) {
-                    entry.point = None;
-                } else {
-                    entry.point = Some((at, value));
-                }
-            }
-            Some((_, v)) if v == value => {} // unchanged: skip
-            Some((t, v)) => {
-                entry.flushed = Some(v);
-                entry.point = Some((at, value));
-                self.write_counter(name, kind, t, v);
-            }
-            None if entry.flushed == Some(value) => {} // unchanged: skip
-            None => entry.point = Some((at, value)),
+        let series = &mut counter.series;
+        series.record(at, value(series.last_value()));
+        if let Some(stream) = &mut self.stream {
+            // Every point but the last is settled: a point changes only
+            // until time moves past it.
+            let settled = series.points.len().saturating_sub(1);
+            stream.write_through(name, counter, settled);
+        }
+    }
+}
+
+impl Stream {
+    /// Writes the points of `counter` before index `upto` that the
+    /// writer does not have yet, then drops the points before the last
+    /// of them: the series keeps its last written point and what
+    /// follows it.
+    fn write_through(&mut self, name: &str, counter: &mut Counter, upto: usize) {
+        let series = &mut counter.series;
+        let unwritten = usize::from(counter.flushed)..upto;
+        for &(at, value) in series.points.get(unwritten).unwrap_or_default() {
+            self.write_counter(name, series.kind, at, value);
+        }
+        if upto > 0 {
+            series.points.drain(..upto - 1);
+            counter.flushed = true;
         }
     }
 

@@ -12,7 +12,8 @@
 //! 2. **Model error** — every point of the E15 (backend × W), E16
 //!    (relay shards × prewarm), and E17 (I/O window) grids is simulated
 //!    AND predicted; the report lists per-point relative makespan error
-//!    and asserts the mean stays ≤ 15%.
+//!    and asserts the mean stays ≤ 15%, and beside it the planned bill
+//!    against the simulated bill (both for the whole pipeline).
 //! 3. **Planner regret** — for three dataset sizes the pipeline runs end
 //!    to end with `exchange = auto` (worker count open too), and the
 //!    planner's pick is compared with the best configuration of a
@@ -49,6 +50,9 @@ struct ModelRow {
     sim_s: f64,
     model_s: f64,
     rel_err: f64,
+    sim_usd: f64,
+    model_usd: f64,
+    bill_rel_err: f64,
 }
 
 faaspipe_json::json_object! {
@@ -60,6 +64,9 @@ faaspipe_json::json_object! {
         req sim_s,
         req model_s,
         req rel_err,
+        req sim_usd,
+        req model_usd,
+        req bill_rel_err,
     }
 }
 
@@ -93,6 +100,8 @@ struct Report {
     mean_rel_err: f64,
     max_rel_err: f64,
     max_regret: f64,
+    mean_bill_rel_err: f64,
+    max_bill_rel_err: f64,
     model_rows: Vec<ModelRow>,
     regret_rows: Vec<RegretRow>,
 }
@@ -102,6 +111,8 @@ faaspipe_json::json_object! {
         req mean_rel_err,
         req max_rel_err,
         req max_regret,
+        req mean_bill_rel_err,
+        req max_bill_rel_err,
         req model_rows,
         req regret_rows,
     }
@@ -126,7 +137,8 @@ fn workload(cfg: &PipelineConfig) -> Workload {
     )
 }
 
-/// Runs one fixed configuration; returns end-to-end simulated seconds.
+/// Runs one fixed configuration; returns end-to-end simulated seconds
+/// and the run's bill in dollars.
 fn simulate(
     records: usize,
     modeled: u64,
@@ -134,7 +146,7 @@ fn simulate(
     k: usize,
     exchange: ExchangeKind,
     trace: bool,
-) -> (f64, TraceData) {
+) -> (f64, f64, TraceData) {
     let mut cfg = base_cfg(records, modeled);
     cfg.workers = WorkerChoice::Fixed(workers);
     cfg.io_concurrency = k;
@@ -146,7 +158,11 @@ fn simulate(
         "{} W={} K={} must verify",
         exchange, workers, k
     );
-    (outcome.latency.as_secs_f64(), outcome.trace)
+    (
+        outcome.latency.as_secs_f64(),
+        outcome.cost.total().as_dollars(),
+        outcome.trace,
+    )
 }
 
 /// One traced probe run for the calibrator.
@@ -166,7 +182,7 @@ fn probe(
         input_chunks: wl.input_chunks,
         sample_read_bytes: wl.sample_read_bytes,
     };
-    let (_, trace) = simulate(records, modeled, workers, k, exchange, true);
+    let (_, _, trace) = simulate(records, modeled, workers, k, exchange, true);
     (spec, trace)
 }
 
@@ -255,6 +271,7 @@ fn main() {
             &faaspipe_exchange::RelayConfig::default(),
             &faaspipe_exchange::DirectConfig::default(),
             &cfg.work,
+            &cfg.pricing,
         )
     };
     let probes: Vec<ProbeRun<'_>> = probes_raw
@@ -339,19 +356,20 @@ fn main() {
         grid.len()
     );
     println!(
-        "{:<5} {:>3} {:>3}  {:<22} {:>9} {:>9} {:>8}",
-        "exp", "W", "K", "backend", "sim", "model", "err"
+        "{:<5} {:>3} {:>3}  {:<22} {:>9} {:>9} {:>8} {:>9} {:>9} {:>8}",
+        "exp", "W", "K", "backend", "sim", "model", "err", "sim $", "model $", "err"
     );
     // Simulated ground truth for every grid point, via the sweep engine;
     // model estimates are closed-form and stay on this thread.
-    let mut sweep: Sweep<f64> = Sweep::new();
+    let mut sweep: Sweep<(f64, f64)> = Sweep::new();
     for &(exp, w, k, backend) in &grid {
         sweep.push(format!("{} W={} K={} {}", exp, w, k, backend), move || {
-            simulate(records, GB_3_5, w, k, backend, false).0
+            let (sim_s, sim_usd, _) = simulate(records, GB_3_5, w, k, backend, false);
+            (sim_s, sim_usd)
         });
     }
-    let sims: Vec<f64> = sweep.run_expect(jobs);
-    for (&(exp, w, k, backend), &sim_s) in grid.iter().zip(&sims) {
+    let sims: Vec<(f64, f64)> = sweep.run_expect(jobs);
+    for (&(exp, w, k, backend), &(sim_s, sim_usd)) in grid.iter().zip(&sims) {
         let est = params.estimate(
             &wl,
             &Candidate {
@@ -361,15 +379,19 @@ fn main() {
             },
         );
         let rel_err = (est.makespan_s - sim_s).abs() / sim_s;
+        let bill_rel_err = (est.cost_dollars - sim_usd).abs() / sim_usd;
         println!(
-            "{:<5} {:>3} {:>3}  {:<22} {:>8.2}s {:>8.2}s {:>7.1}%",
+            "{:<5} {:>3} {:>3}  {:<22} {:>8.2}s {:>8.2}s {:>7.1}% {:>9.5} {:>9.5} {:>7.1}%",
             exp,
             w,
             k,
             backend.to_string(),
             sim_s,
             est.makespan_s,
-            rel_err * 100.0
+            rel_err * 100.0,
+            sim_usd,
+            est.cost_dollars,
+            bill_rel_err * 100.0
         );
         model_rows.push(ModelRow {
             experiment: exp.to_string(),
@@ -379,6 +401,9 @@ fn main() {
             sim_s,
             model_s: est.makespan_s,
             rel_err,
+            sim_usd,
+            model_usd: est.cost_dollars,
+            bill_rel_err,
         });
     }
     let mean_rel_err = model_rows.iter().map(|r| r.rel_err).sum::<f64>() / model_rows.len() as f64;
@@ -387,6 +412,17 @@ fn main() {
         "mean relative makespan error {:.1}%, max {:.1}%",
         mean_rel_err * 100.0,
         max_rel_err * 100.0
+    );
+    let mean_bill_rel_err =
+        model_rows.iter().map(|r| r.bill_rel_err).sum::<f64>() / model_rows.len() as f64;
+    let max_bill_rel_err = model_rows
+        .iter()
+        .map(|r| r.bill_rel_err)
+        .fold(0.0, f64::max);
+    println!(
+        "mean relative bill error {:.1}%, max {:.1}%",
+        mean_bill_rel_err * 100.0,
+        max_bill_rel_err * 100.0
     );
 
     // ---- Act 3: planner regret at three dataset sizes. ----
@@ -519,6 +555,8 @@ fn main() {
             mean_rel_err,
             max_rel_err,
             max_regret,
+            mean_bill_rel_err,
+            max_bill_rel_err,
             model_rows,
             regret_rows,
         },

@@ -106,6 +106,7 @@ fn main() {
         &RelayConfig::default(),
         &DirectConfig::default(),
         &cfg.work,
+        &cfg.pricing,
     );
 
     // The fixed-W grid plus the `workers: auto` run, all independent sims.

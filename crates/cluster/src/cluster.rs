@@ -338,6 +338,8 @@ impl ClusterReport {
 struct Shared {
     services: Services,
     work: WorkModel,
+    /// The book the cluster is billed with; every run plans with it.
+    pricing: PriceBook,
     sink: TraceSink,
     tracing: bool,
     physical_records: usize,
@@ -402,6 +404,7 @@ pub(crate) fn simulate(
     let shared = Arc::new(Shared {
         services: services.clone(),
         work: cfg.work.clone().with_size_scale(scale),
+        pricing: cfg.pricing.clone(),
         sink: sink.clone(),
         tracing,
         physical_records: cfg.physical_records,
@@ -632,7 +635,8 @@ async fn drive_run(
         // The shared fleet, with this tenant stamped on every VM record.
         fleet: shared.services.fleet.scoped(spec.name.clone()),
     };
-    let executor = Executor::new(services, shared.work.clone(), tracker);
+    let executor =
+        Executor::new(services, shared.work.clone(), tracker).with_pricing(shared.pricing.clone());
     let handle = executor.spawn_dag_in(ctx, &dag).await;
     ctx.join(handle.root).await.map_err(|e| e.to_string())?;
     let window = stage_window(&handle.ok_results()?);

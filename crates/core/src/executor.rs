@@ -16,7 +16,7 @@ use faaspipe_exchange::{
 };
 use faaspipe_faas::{FaasConfig, FunctionEnv, FunctionPlatform};
 use faaspipe_methcomp::{codec as mc_codec, Dataset, MethRecord};
-use faaspipe_plan::{ModelParams, Plan, Planner, SearchSpace, Workload};
+use faaspipe_plan::{ModelParams, Plan, Planner, PriceBook, SearchSpace, Workload};
 use faaspipe_shuffle::sort::DRIVER_ORCHESTRATION;
 use faaspipe_shuffle::{serverless_sort, vm_sort, SortConfig, SortRecord, VmSortConfig, WorkModel};
 use faaspipe_store::{ObjectStore, StoreConfig};
@@ -144,13 +144,19 @@ pub struct Executor {
     /// request in flight per function.
     pub io_concurrency: usize,
     /// Calibrated model parameters for `--exchange auto` planning.
-    /// `None` derives parameters from the service configurations at
-    /// plan time ([`ModelParams::from_configs`]).
+    /// `None` derives parameters from the service configurations and
+    /// [`Executor::pricing`] at plan time ([`ModelParams::from_configs`]);
+    /// supplied parameters keep the prices they were derived with.
     pub plan_params: Option<ModelParams>,
+    /// The price book the planner prices a plan with: the book the run
+    /// is billed with.
+    pub pricing: PriceBook,
 }
 
 impl Executor {
-    /// Creates an executor with the given services and work model.
+    /// Creates an executor with the given services and work model. It
+    /// plans with the default [`PriceBook`] until
+    /// [`Executor::with_pricing`] supplies the run's.
     pub fn new(services: Services, work: WorkModel, tracker: Tracker) -> Executor {
         Executor {
             services,
@@ -158,7 +164,16 @@ impl Executor {
             tracker,
             io_concurrency: SortConfig::default().io_concurrency,
             plan_params: None,
+            pricing: PriceBook::default(),
         }
+    }
+
+    /// Sets the price book plans are priced with (see
+    /// [`Executor::pricing`]).
+    #[must_use]
+    pub fn with_pricing(mut self, pricing: PriceBook) -> Executor {
+        self.pricing = pricing;
+        self
     }
 
     /// Sets the default shuffle I/O window (see
@@ -470,6 +485,7 @@ impl Executor {
                 &RelayConfig::default(),
                 &DirectConfig::default(),
                 &self.work,
+                &self.pricing,
             )
         });
         let mut space = SearchSpace::default().cap_workers(DEFAULT_MAX_AUTO_WORKERS);

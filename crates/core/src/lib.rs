@@ -11,7 +11,9 @@
 //!   object store), one driver process per stage with dependency joins;
 //! * [`tracker`] — the job tracker: per-stage progress log and cost
 //!   breakdown (the demo's IPython tracker, rendered as text);
-//! * [`pricing`] — an IBM-Cloud-like price book and cost assembly;
+//! * [`pricing`] — the IBM-Cloud-like price book and cost assembly,
+//!   re-exported from `faaspipe-plan` (the planner prices plans with
+//!   the same book);
 //! * [`pipeline`] — the two METHCOMP pipeline incarnations of Figure 1:
 //!   **purely serverless** (A-in-paper-figure: functions + Primula-style
 //!   shuffle) and **VM-hybrid** (sort inside a `bx2-8x32`), both returning
@@ -41,7 +43,6 @@
 pub mod dag;
 pub mod executor;
 pub mod pipeline;
-pub mod pricing;
 pub mod report;
 pub mod spec;
 pub mod tracker;
@@ -50,6 +51,7 @@ pub use dag::{
     Dag, DagError, EncodeCodec, Stage, StageId, StageKind, WorkerChoice, MAX_STAGE_WORKERS,
 };
 pub use executor::{stage_window, Executor, Services, StageResult, DEFAULT_MAX_AUTO_WORKERS};
+pub use faaspipe_plan::pricing;
 pub use pipeline::{
     run_methcomp_pipeline, run_pipeline, size_scale, stage_input, Figure1, PipelineConfig,
     PipelineError, PipelineMode, PipelineOutcome,

@@ -28,7 +28,7 @@ use faaspipe_methcomp::codec as mc_codec;
 use faaspipe_methcomp::synth::Synthesizer;
 use faaspipe_methcomp::{Dataset, MethRecord};
 use faaspipe_shuffle::{SortConfig, SortRecord, WorkModel};
-use faaspipe_store::{ObjectStore, StoreConfig, StoreError};
+use faaspipe_store::{ObjectStore, StoreConfig, StoreError, StoreMetrics};
 use faaspipe_trace::{Category, SpanId, TraceData, TraceSink};
 use faaspipe_vm::VmProfile;
 
@@ -304,6 +304,9 @@ pub struct PipelineOutcome {
     pub latency: SimDuration,
     /// Itemized cost (the Table-1 metric).
     pub cost: CostReport,
+    /// The object store's requests by tag, which the cost's request
+    /// line prices.
+    pub store_metrics: StoreMetrics,
     /// Per-stage results in DAG order (a stage after its dependencies).
     pub stages: Vec<StageResult>,
     /// Workers used by the shuffle stage.
@@ -413,8 +416,9 @@ pub fn run_pipeline(cfg: &PipelineConfig, dag: &Dag) -> Result<PipelineOutcome, 
         (TraceSink::disabled(), SpanId::NONE, Tracker::new())
     };
     let work = cfg.work.clone().with_size_scale(scale);
-    let mut executor =
-        Executor::new(services, work, tracker.clone()).with_io_concurrency(cfg.io_concurrency);
+    let mut executor = Executor::new(services, work, tracker.clone())
+        .with_io_concurrency(cfg.io_concurrency)
+        .with_pricing(cfg.pricing.clone());
     if let Some(params) = &cfg.plan_params {
         executor = executor.with_plan_params(params.clone());
     }
@@ -427,9 +431,10 @@ pub fn run_pipeline(cfg: &PipelineConfig, dag: &Dag) -> Result<PipelineOutcome, 
     let (started, finished) = stage_window(&stages);
 
     let Services { store, faas, fleet } = &executor.services;
+    let store_metrics = store.metrics();
     let cost = cfg.pricing.assemble(
         &faas.records(),
-        &store.metrics(),
+        &store_metrics,
         &fleet.records(),
         report.end_time,
     );
@@ -456,6 +461,7 @@ pub fn run_pipeline(cfg: &PipelineConfig, dag: &Dag) -> Result<PipelineOutcome, 
         mode,
         latency: finished.saturating_duration_since(started),
         cost,
+        store_metrics,
         stages,
         sort_workers,
         modeled_input_bytes: cfg.modeled_bytes,

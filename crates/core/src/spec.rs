@@ -25,50 +25,26 @@ use faaspipe_exchange::ExchangeKind;
 
 use crate::dag::{Dag, DagError, EncodeCodec, StageKind, WorkerChoice};
 
-/// Worker policy as written in JSON: a number or `"auto"` (an untagged
-/// value — the JSON type discriminates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkersSpec {
-    /// Fixed worker count.
-    Fixed(usize),
-    /// The string `"auto"`.
-    Auto(AutoTag),
-}
-
-/// The literal `"auto"`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AutoTag {
-    /// Planned worker count (`"auto"`).
-    Auto,
-}
-
-impl ToJson for WorkersSpec {
+/// A worker policy is written in JSON as a number or `"auto"` (an
+/// untagged value — the JSON type discriminates).
+impl ToJson for WorkerChoice {
     fn to_json(&self) -> Json {
         match self {
-            WorkersSpec::Fixed(n) => Json::UInt(*n as u64),
-            WorkersSpec::Auto(_) => Json::Str("auto".to_string()),
+            WorkerChoice::Fixed(n) => Json::UInt(*n as u64),
+            WorkerChoice::Auto => Json::Str("auto".to_string()),
         }
     }
 }
 
-impl FromJson for WorkersSpec {
-    fn from_json(v: &Json) -> Result<WorkersSpec, JsonError> {
+impl FromJson for WorkerChoice {
+    fn from_json(v: &Json) -> Result<WorkerChoice, JsonError> {
         match v {
-            Json::Str(s) if s == "auto" => Ok(WorkersSpec::Auto(AutoTag::Auto)),
-            Json::UInt(_) | Json::Int(_) => usize::from_json(v).map(WorkersSpec::Fixed),
+            Json::Str(s) if s == "auto" => Ok(WorkerChoice::Auto),
+            Json::UInt(_) | Json::Int(_) => usize::from_json(v).map(WorkerChoice::Fixed),
             other => Err(JsonError::new(format!(
                 "expected worker count or \"auto\", found {}",
                 other.kind()
             ))),
-        }
-    }
-}
-
-impl From<WorkersSpec> for WorkerChoice {
-    fn from(w: WorkersSpec) -> WorkerChoice {
-        match w {
-            WorkersSpec::Fixed(n) => WorkerChoice::Fixed(n),
-            WorkersSpec::Auto(_) => WorkerChoice::Auto,
         }
     }
 }
@@ -81,7 +57,7 @@ pub struct StageSpec {
     /// `"shuffle_sort"`, `"vm_sort"`, or `"encode"`.
     pub kind: String,
     /// Worker policy (`shuffle_sort`, `encode`).
-    pub workers: Option<WorkersSpec>,
+    pub workers: Option<WorkerChoice>,
     /// Codec name for `encode`: `"methcomp"` or `"gzipish"`.
     pub codec: Option<String>,
     /// VM profile name for `vm_sort` (e.g. `"bx2-8x32"`).
@@ -209,10 +185,7 @@ impl PipelineSpec {
                             .map_err(|e| invalid(&e.to_string()))?,
                     };
                     StageKind::ShuffleSort {
-                        workers: s
-                            .workers
-                            .map(WorkerChoice::from)
-                            .unwrap_or(WorkerChoice::Auto),
+                        workers: s.workers.unwrap_or(WorkerChoice::Auto),
                         exchange,
                         io_concurrency: s.io_concurrency,
                         input: s.input.clone(),
@@ -242,8 +215,8 @@ impl PipelineSpec {
                         Some(other) => return Err(invalid(&format!("unknown codec '{}'", other))),
                     };
                     let workers = match s.workers {
-                        Some(WorkersSpec::Fixed(n)) => n,
-                        Some(WorkersSpec::Auto(_)) => {
+                        Some(WorkerChoice::Fixed(n)) => n,
+                        Some(WorkerChoice::Auto) => {
                             return Err(invalid("encode stages need a fixed worker count"))
                         }
                         None => return Err(invalid("encode requires 'workers'")),

@@ -273,8 +273,8 @@ fn phase_of(tag: &str) -> Option<PhaseTag> {
 }
 
 /// Fits model parameters from `probes`, inheriting `defaults` for every
-/// parameter without trace evidence (the relay request latency never
-/// has probe evidence and always passes through; the relay
+/// parameter without trace evidence (the relay request latency and the
+/// prices never have probe evidence and always pass through; the relay
 /// NIC/memory/disk and the direct handshake are
 /// fitted when the probe set includes relay/direct runs that exercise
 /// them — see the module docs for the saturation and spill
@@ -582,6 +582,12 @@ pub fn calibrate(probes: &[ProbeRun<'_>], defaults: &ModelParams) -> Calibration
         merge_bps: merge.get(defaults.merge_bps),
         encode_bps,
         encode_output_ratio,
+        // Prices are not fitted: they come from the book `defaults`
+        // was derived with.
+        fn_second_dollars: defaults.fn_second_dollars,
+        class_a_per_k_dollars: defaults.class_a_per_k_dollars,
+        class_b_per_k_dollars: defaults.class_b_per_k_dollars,
+        relay_hour_dollars: defaults.relay_hour_dollars,
     };
     Calibration {
         params,
@@ -650,13 +656,7 @@ mod tests {
     }
 
     fn defaults() -> ModelParams {
-        ModelParams::from_configs(
-            &faaspipe_store::StoreConfig::default(),
-            &faaspipe_faas::FaasConfig::default(),
-            &faaspipe_exchange::RelayConfig::default(),
-            &faaspipe_exchange::DirectConfig::default(),
-            &faaspipe_shuffle::WorkModel::default(),
-        )
+        ModelParams::default()
     }
 
     fn spec() -> ProbeSpec {

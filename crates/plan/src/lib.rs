@@ -23,6 +23,10 @@
 //!    predicted-optimal concrete configuration ([`Planner`], [`Plan`],
 //!    [`SearchSpace`]). The executor exposes it end to end as
 //!    `--exchange auto` / `"exchange": "auto"`.
+//! 4. [`pricing`] — the **price book** ([`PriceBook`]): the one place a
+//!    price lives. It bills a simulated run ([`CostReport`]) and the
+//!    model prices a plan from it, so a planned bill and the bill of the
+//!    run it plans use the same rates.
 //!
 //! The model mirrors the simulator's mechanics (see DESIGN.md
 //! "Planner" for the equations); E19 (`repro_autotuner`) validates its
@@ -32,7 +36,9 @@
 pub mod calibrate;
 pub mod model;
 pub mod planner;
+pub mod pricing;
 
 pub use calibrate::{calibrate, Calibration, CalibrationEvidence, ProbeRun, ProbeSpec};
 pub use model::{Candidate, Estimate, ModelParams, Workload};
 pub use planner::{Plan, Planner, SearchSpace};
+pub use pricing::{CostReport, PriceBook, StageCost};

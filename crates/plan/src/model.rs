@@ -12,13 +12,16 @@
 //! scale, after `size_scale`), all latencies in seconds, and the
 //! compute rates are *effective* throughputs — the CPU share of the
 //! container memory class is already folded in, which is exactly what a
-//! trace-fitted rate measures.
+//! trace-fitted rate measures. The bill's rates are in dollars, read
+//! from the [`PriceBook`] the run is billed with.
 
 use faaspipe_exchange::{DirectConfig, ExchangeKind, RelayConfig};
 use faaspipe_faas::FaasConfig;
 use faaspipe_shuffle::sort::{DRIVER_ORCHESTRATION, SAMPLE_BYTES};
 use faaspipe_shuffle::WorkModel;
 use faaspipe_store::StoreConfig;
+
+use crate::pricing::PriceBook;
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -79,6 +82,15 @@ pub struct ModelParams {
     /// Encode output ratio: archive bytes per input wire byte (< 1 when
     /// compression wins).
     pub encode_output_ratio: f64,
+    /// Dollars per busy function-second: the book's GB-second rate at
+    /// the functions' memory size.
+    pub fn_second_dollars: f64,
+    /// Dollars per 1 000 class-A (PUT, LIST) store requests.
+    pub class_a_per_k_dollars: f64,
+    /// Dollars per 1 000 class-B (GET) store requests.
+    pub class_b_per_k_dollars: f64,
+    /// Dollars per hour of one relay VM, boot volume included.
+    pub relay_hour_dollars: f64,
 }
 
 faaspipe_json::json_object! {
@@ -103,6 +115,10 @@ faaspipe_json::json_object! {
         req merge_bps,
         req encode_bps,
         req encode_output_ratio,
+        req fn_second_dollars,
+        req class_a_per_k_dollars,
+        req class_b_per_k_dollars,
+        req relay_hour_dollars,
     }
 }
 
@@ -168,6 +184,36 @@ pub struct Candidate {
     pub exchange: ExchangeKind,
 }
 
+impl Candidate {
+    /// The store requests the model bills this candidate for on `wl`, by
+    /// billing class: class A (PUT, LIST) and class B (GET). Whole
+    /// numbers, counted in `f64` like the rest of the model.
+    pub fn store_requests(&self, wl: &Workload) -> (f64, f64) {
+        let w = self.workers.max(1) as f64;
+        let chunks = wl.input_chunks.max(1) as f64;
+        // Every mapper splits its spans into ~2K ranged GETs.
+        let dl_requests = 2.0 * self.io_concurrency.max(1) as f64;
+        let mut class_a = 1.0 + w; // driver LIST + reduce run PUTs
+        let mut class_b = chunks + w * dl_requests; // sample + map reads
+        match self.exchange {
+            ExchangeKind::Scatter => {
+                class_a += w * w;
+                class_b += w * w;
+            }
+            ExchangeKind::Coalesced => {
+                class_a += w;
+                class_b += w * w;
+            }
+            _ => {}
+        }
+        if wl.encode_workers > 0 {
+            class_a += w; // archive PUTs
+            class_b += w; // run GETs
+        }
+        (class_a, class_b)
+    }
+}
+
 /// The model's prediction for one candidate: per-phase seconds, the
 /// end-to-end makespan, and an itemized bill.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,16 +235,6 @@ pub struct Estimate {
     pub cost_dollars: f64,
 }
 
-// Unit prices of the bill estimate, after the cost report's `PriceBook`:
-// IBM Cloud Functions GB-seconds at 2 GB per function, COS class A
-// (mutating) and class B (read) requests per 1 000, and the relay VM's
-// hourly rate.
-const FN_GB_SECOND: f64 = 0.000017;
-const FN_MEMORY_GB: f64 = 2.0;
-const CLASS_A_PER_K: f64 = 0.005;
-const CLASS_B_PER_K: f64 = 0.0004;
-const VM_PER_HOUR: f64 = 0.34;
-
 /// `ceil(n / k)` in f64 for latency-amortization terms.
 fn windows(n: f64, k: f64) -> f64 {
     (n / k.max(1.0)).ceil()
@@ -212,9 +248,10 @@ fn windows(n: f64, k: f64) -> f64 {
 const DIRECT_CONVOY_WINDOWS: f64 = 3.0;
 
 impl Default for ModelParams {
-    /// Parameters derived from every service's default configuration —
-    /// the right baseline when no deployment-specific configs are at
-    /// hand (tests, benches, documentation examples).
+    /// Parameters derived from every service's default configuration
+    /// and the default price book — the right baseline when no
+    /// deployment-specific configs are at hand (tests, benches,
+    /// documentation examples).
     fn default() -> ModelParams {
         ModelParams::from_configs(
             &StoreConfig::default(),
@@ -222,22 +259,27 @@ impl Default for ModelParams {
             &RelayConfig::default(),
             &DirectConfig::default(),
             &WorkModel::default(),
+            &PriceBook::default(),
         )
     }
 }
 
 impl ModelParams {
-    /// Derives a parameter set from the service configurations and work
-    /// model — the executor's fallback when no trace-fitted
-    /// [`Calibration`](crate::Calibration) was supplied. `work` must
-    /// carry the run's size scale so the effective compute rates come
-    /// out in wire bytes/sec.
+    /// Derives a parameter set from the service configurations, work
+    /// model and price book — the executor's fallback when no
+    /// trace-fitted [`Calibration`](crate::Calibration) was supplied.
+    /// `work` must carry the run's size scale so the effective compute
+    /// rates come out in wire bytes/sec; `prices` should be the book the
+    /// run is billed with, so the planned bill prices functions at
+    /// `faas`'s memory size and relay VMs at `relay`'s profile as the
+    /// run's bill does.
     pub fn from_configs(
         store: &StoreConfig,
         faas: &FaasConfig,
         relay: &RelayConfig,
         direct: &DirectConfig,
         work: &WorkModel,
+        prices: &PriceBook,
     ) -> ModelParams {
         let cpu = faas.cpu_share();
         // WorkModel rates are MiB of *physical* bytes per second and the
@@ -268,6 +310,10 @@ impl ModelParams {
             // out near a third of the wire size; calibration replaces
             // this with the traced PUT/GET ratio.
             encode_output_ratio: 0.35,
+            fn_second_dollars: prices.fn_second_dollars(faas.memory_mb),
+            class_a_per_k_dollars: prices.store_class_a_per_k.as_dollars(),
+            class_b_per_k_dollars: prices.store_class_b_per_k.as_dollars(),
+            relay_hour_dollars: prices.vm_hour_dollars(&relay.profile.name),
         }
     }
 
@@ -453,7 +499,7 @@ impl ModelParams {
         }
     }
 
-    /// Itemized bill for one candidate at the model's unit prices
+    /// Itemized bill for one candidate at the price book's rates
     /// (functions GB-seconds + store requests + relay VM hours).
     #[allow(clippy::too_many_arguments)]
     fn cost(
@@ -467,7 +513,6 @@ impl ModelParams {
         prepare_s: f64,
     ) -> f64 {
         let w = cand.workers.max(1) as f64;
-        let k = cand.io_concurrency.max(1) as f64;
         let chunks = wl.input_chunks.max(1) as f64;
         let overhead = self.orchestration_s + self.cold_start_s;
         // Busy function-seconds per phase (the per-function body time,
@@ -482,34 +527,17 @@ impl ModelParams {
             } else {
                 gang * (encode_s - overhead).max(0.0)
             };
-        let fn_cost = fn_seconds * FN_MEMORY_GB * FN_GB_SECOND;
+        let fn_cost = fn_seconds * self.fn_second_dollars;
 
-        // Store request classes: A = mutations (PUT/LIST), B = reads.
-        let dl_requests = 2.0 * k;
-        let mut class_a = 1.0 + w; // driver LISTs + reduce run PUTs
-        let mut class_b = chunks + w * dl_requests; // sample + map reads
-        match cand.exchange {
-            ExchangeKind::Scatter => {
-                class_a += w * w;
-                class_b += w * w;
-            }
-            ExchangeKind::Coalesced => {
-                class_a += w;
-                class_b += w * w;
-            }
-            _ => {}
-        }
-        if wl.encode_workers > 0 {
-            class_a += w; // archive PUTs
-            class_b += w; // run GETs
-        }
-        let req_cost = class_a / 1_000.0 * CLASS_A_PER_K + class_b / 1_000.0 * CLASS_B_PER_K;
+        let (class_a, class_b) = cand.store_requests(wl);
+        let req_cost = class_a / 1_000.0 * self.class_a_per_k_dollars
+            + class_b / 1_000.0 * self.class_b_per_k_dollars;
 
         // Relay VMs bill from provisioning start to stage cleanup.
         let vm_cost = match cand.exchange.relay_shards() {
             Some((shards, _)) => {
                 let billed = self.relay_provision_s + prepare_s + sample_s + map_s + reduce_s;
-                shards.max(1) as f64 * billed / 3_600.0 * VM_PER_HOUR
+                shards.max(1) as f64 * billed / 3_600.0 * self.relay_hour_dollars
             }
             None => 0.0,
         };
@@ -538,13 +566,7 @@ mod tests {
     use super::*;
 
     fn params() -> ModelParams {
-        ModelParams::from_configs(
-            &StoreConfig::default(),
-            &FaasConfig::default(),
-            &RelayConfig::default(),
-            &DirectConfig::default(),
-            &WorkModel::default(),
-        )
+        ModelParams::default()
     }
 
     fn workload() -> Workload {

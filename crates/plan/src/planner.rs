@@ -313,19 +313,9 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faaspipe_exchange::{DirectConfig, RelayConfig};
-    use faaspipe_faas::FaasConfig;
-    use faaspipe_shuffle::WorkModel;
-    use faaspipe_store::StoreConfig;
 
     fn params() -> ModelParams {
-        ModelParams::from_configs(
-            &StoreConfig::default(),
-            &FaasConfig::default(),
-            &RelayConfig::default(),
-            &DirectConfig::default(),
-            &WorkModel::default(),
-        )
+        ModelParams::default()
     }
 
     fn workload() -> Workload {

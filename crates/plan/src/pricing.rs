@@ -4,6 +4,10 @@
 //! cloud functions, storage requests, and the VM expenses — i.e.,
 //! execution time and storage volume". [`CostReport`] itemizes exactly
 //! those, per stage and in total.
+//!
+//! Every price lives here, in one [`PriceBook`]: a run is billed with
+//! it ([`PriceBook::assemble`]) and the model prices a plan with the
+//! same book ([`ModelParams::from_configs`](crate::ModelParams::from_configs)).
 
 use std::collections::BTreeMap;
 
@@ -59,15 +63,29 @@ impl PriceBook {
         )
     }
 
+    /// Dollars per second of one function of `memory_mb` memory: the
+    /// GB-second rate at that size, as [`PriceBook::function_cost`]
+    /// bills a record's GB-seconds.
+    pub fn fn_second_dollars(&self, memory_mb: u32) -> f64 {
+        memory_mb as f64 / 1024.0 * self.fn_gb_second.as_dollars()
+    }
+
+    /// Dollars per hour of one VM of profile `profile`: its compute
+    /// rate (a profile the book does not list pays $0.34) plus the boot
+    /// volume.
+    pub fn vm_hour_dollars(&self, profile: &str) -> f64 {
+        let hourly = self
+            .vm_hourly
+            .get(profile)
+            .copied()
+            .unwrap_or_else(|| Money::from_dollars(0.34));
+        hourly.as_dollars() + self.vm_storage_hourly.as_dollars()
+    }
+
     /// Cost of one VM record up to `upto` (used when unreleased).
     pub fn vm_cost(&self, rec: &VmRecord, upto: SimTime) -> Money {
         let hours = rec.billed_duration(upto).as_secs_f64() / 3600.0;
-        let hourly = self
-            .vm_hourly
-            .get(&rec.profile.name)
-            .copied()
-            .unwrap_or_else(|| Money::from_dollars(0.34));
-        Money::from_dollars(hours * (hourly.as_dollars() + self.vm_storage_hourly.as_dollars()))
+        Money::from_dollars(hours * self.vm_hour_dollars(&rec.profile.name))
     }
 
     /// Assembles the full itemized report. Stage attribution uses the tag

@@ -453,9 +453,9 @@ pub async fn serverless_sort<R: SortRecord>(
     }
     let samples = faas
         .invoke_all(ctx, "sample", sample_tag, cfg.task_attempts, bodies)
-        .await
-        .map_err(task_failed("sample"))?;
+        .await;
     phase_end(ctx, &trace, p_sample);
+    let samples = samples.map_err(task_failed("sample"))?;
     let sample_done = ctx.now();
     let sample = samples.into_iter().flatten().collect();
     let partitioner = Arc::new(RangePartitioner::from_sample(sample, w));
@@ -537,9 +537,9 @@ pub async fn serverless_sort<R: SortRecord>(
         .collect();
     let mapped = faas
         .invoke_all(ctx, "map", map_tag, cfg.task_attempts, bodies)
-        .await
-        .map_err(task_failed("map"))?;
+        .await;
     phase_end(ctx, &trace, p_map);
+    let mapped = mapped.map_err(task_failed("map"))?;
     let map_done = ctx.now();
 
     // ---- Phase 2: reduce — gather, k-way merge, write runs. ----
@@ -592,9 +592,9 @@ pub async fn serverless_sort<R: SortRecord>(
         .collect();
     let reduced = faas
         .invoke_all(ctx, "reduce", reduce_tag, cfg.task_attempts, bodies)
-        .await
-        .map_err(task_failed("reduce"))?;
+        .await;
     phase_end(ctx, &trace, p_reduce);
+    let reduced = reduced.map_err(task_failed("reduce"))?;
     // Release exchange resources (the relay VM stops billing here; the
     // object-store backend keeps its intermediates for inspection).
     let xenv = ExchangeEnv::driver(format!("{}/driver", cfg.tag), cfg.retries);
@@ -677,7 +677,9 @@ fn assign_spans(
 /// charges the phase's orchestration overhead inside it as an
 /// [`Category::Orchestration`] leaf. The phase is pushed onto the
 /// driver's open-span stack so invocations spawned during it nest under
-/// it. Pair with [`phase_end`].
+/// it. Pair with [`phase_end`] on every exit path, failed ones too: an
+/// unclosed phase stays on the driver's stack, and the caller's next
+/// `exit` would pop it instead of the caller's own span.
 pub(crate) async fn phase_begin(
     ctx: &Ctx,
     trace: &TraceSink,
@@ -1053,11 +1055,15 @@ mod tests {
             &mut sim,
             FaasConfig::default().with_failure_rate(1.0), // always crash
         );
+        let sink = TraceSink::recording();
+        store.set_trace_sink(sink.clone());
+        faas.set_trace_sink(sink.clone());
         let values: Vec<u64> = (0..500u64).collect();
         upload_chunks(&mut sim, &store, &values, 2);
         let saw = Arc::new(Mutex::new(false));
         let saw2 = Arc::clone(&saw);
         let store2 = Arc::clone(&store);
+        let sink2 = sink.clone();
         sim.spawn("driver", move |mut ctx| async move {
             let ctx = &mut ctx;
             ctx.sleep(SimDuration::from_secs(60)).await;
@@ -1076,10 +1082,19 @@ mod tests {
                     ..
                 }
             ));
+            // The failed phase left the driver's span stack.
+            assert_eq!(sink2.current(ctx.pid()), SpanId::NONE);
             *saw2.lock() = true;
         });
         sim.run().expect("sim ok");
         assert!(*saw.lock());
+        let trace = sink.snapshot();
+        let sample = trace
+            .spans
+            .iter()
+            .find(|s| s.category == Category::Phase && s.name == "sample")
+            .expect("traced sample phase");
+        assert!(sample.end.is_some(), "the failed sample phase must end");
     }
 
     #[test]

@@ -109,25 +109,31 @@ pub async fn vm_sort<R: SortRecord>(
     // All VM traffic flows through the instance's single NIC.
     let client = store.connect_via(ctx, cfg.tag.clone(), &[vm.nic]).await;
 
+    // Each phase closes its span before its error propagates.
     let p_download = phase_begin(ctx, &trace, "download", SimDuration::ZERO).await;
-    let inputs = client.list(ctx, &cfg.bucket, &cfg.input_prefix).await?;
-    if inputs.is_empty() {
-        return Err(ShuffleError::BadConfig {
-            reason: format!("no inputs under '{}'", cfg.input_prefix),
-        });
+    let downloaded: Result<_, ShuffleError> = async {
+        let inputs = client.list(ctx, &cfg.bucket, &cfg.input_prefix).await?;
+        if inputs.is_empty() {
+            return Err(ShuffleError::BadConfig {
+                reason: format!("no inputs under '{}'", cfg.input_prefix),
+            });
+        }
+        // Chunks stay in wire form; the kernel sorts over them in place.
+        let mut chunks: Vec<Bytes> = Vec::with_capacity(inputs.len());
+        let mut input_bytes = 0u64;
+        for obj in &inputs {
+            let data = with_retry(ctx, RETRIES, async |c: &mut Ctx| {
+                client.get(c, &cfg.bucket, &obj.key).await
+            })
+            .await?;
+            input_bytes += data.len() as u64;
+            chunks.push(data);
+        }
+        Ok((chunks, input_bytes))
     }
-    // Chunks stay in wire form; the kernel sorts over them in place.
-    let mut chunks: Vec<Bytes> = Vec::with_capacity(inputs.len());
-    let mut input_bytes = 0u64;
-    for obj in &inputs {
-        let data = with_retry(ctx, RETRIES, async |c: &mut Ctx| {
-            client.get(c, &cfg.bucket, &obj.key).await
-        })
-        .await?;
-        input_bytes += data.len() as u64;
-        chunks.push(data);
-    }
+    .await;
     phase_end(ctx, &trace, p_download);
+    let (chunks, input_bytes) = downloaded?;
     let downloaded = ctx.now();
 
     // In-memory sort using every core: charge the parallel compute, then
@@ -141,33 +147,39 @@ pub async fn vm_sort<R: SortRecord>(
         cfg.profile.vcpus,
     )
     .await;
-    let sorted_bytes = Bytes::from(crate::kernel::sort_concat::<R>(&chunks)?);
+    let sorted_bytes = crate::kernel::sort_concat::<R>(&chunks);
     // Free the input chunks before the uploads yield.
     drop(chunks);
     phase_end(ctx, &trace, p_sort);
+    let sorted_bytes = Bytes::from(sorted_bytes?);
     let sorted = ctx.now();
 
     // Upload equal-size record ranges as the sorted runs — O(1) slices
     // of the one sorted buffer, so the retried PUTs clone refcounts,
     // not record bytes.
     let p_upload = phase_begin(ctx, &trace, "upload", SimDuration::ZERO).await;
-    let mut run_keys = Vec::with_capacity(cfg.runs);
-    let total_records = sorted_bytes.len() / R::WIRE_SIZE;
-    let per = total_records.div_ceil(cfg.runs).max(1);
-    let mut output_bytes = 0u64;
-    for j in 0..cfg.runs {
-        let lo = (j * per).min(total_records);
-        let hi = ((j + 1) * per).min(total_records);
-        let data = sorted_bytes.slice(lo * R::WIRE_SIZE..hi * R::WIRE_SIZE);
-        output_bytes += data.len() as u64;
-        let key = format!("{}{:05}", cfg.output_prefix, j);
-        with_retry(ctx, RETRIES, async |c: &mut Ctx| {
-            client.put(c, &cfg.bucket, &key, data.clone()).await
-        })
-        .await?;
-        run_keys.push(key);
+    let uploaded: Result<_, ShuffleError> = async {
+        let mut run_keys = Vec::with_capacity(cfg.runs);
+        let total_records = sorted_bytes.len() / R::WIRE_SIZE;
+        let per = total_records.div_ceil(cfg.runs).max(1);
+        let mut output_bytes = 0u64;
+        for j in 0..cfg.runs {
+            let lo = (j * per).min(total_records);
+            let hi = ((j + 1) * per).min(total_records);
+            let data = sorted_bytes.slice(lo * R::WIRE_SIZE..hi * R::WIRE_SIZE);
+            output_bytes += data.len() as u64;
+            let key = format!("{}{:05}", cfg.output_prefix, j);
+            with_retry(ctx, RETRIES, async |c: &mut Ctx| {
+                client.put(c, &cfg.bucket, &key, data.clone()).await
+            })
+            .await?;
+            run_keys.push(key);
+        }
+        Ok((run_keys, output_bytes))
     }
+    .await;
     phase_end(ctx, &trace, p_upload);
+    let (run_keys, output_bytes) = uploaded?;
     let finished = ctx.now();
     fleet.release(ctx, vm);
     Ok(VmSortStats {
@@ -283,6 +295,42 @@ mod tests {
             assert!(matches!(err, ShuffleError::BadConfig { .. }));
         });
         sim.run().expect("sim ok");
+    }
+
+    #[test]
+    fn a_failed_phase_closes_its_span() {
+        use faaspipe_store::FailurePolicy;
+        use faaspipe_trace::{Category, SpanId, TraceSink};
+        // Every store request fails, so the download phase's LIST does.
+        let mut sim = Sim::new();
+        let store = ObjectStore::install(
+            &mut sim,
+            StoreConfig::default().with_failure(FailurePolicy::with_error_rate(1.0)),
+        );
+        let sink = TraceSink::recording();
+        store.set_trace_sink(sink.clone());
+        store.create_bucket("data").expect("bucket");
+        let data = SortRecord::write_all(&(0..100u64).collect::<Vec<_>>());
+        store
+            .put_untimed("data", "in/0000", Bytes::from(data))
+            .expect("stage input");
+        let sink2 = sink.clone();
+        sim.spawn("driver", move |mut ctx| async move {
+            let ctx = &mut ctx;
+            let err = vm_sort::<u64>(ctx, &VmFleet::new(), &store, &VmSortConfig::default())
+                .await
+                .expect_err("every request fails");
+            assert!(matches!(err, ShuffleError::Store(_)), "{:?}", err);
+            assert_eq!(sink2.current(ctx.pid()), SpanId::NONE);
+        });
+        sim.run().expect("sim ok");
+        let trace = sink.snapshot();
+        let download = trace
+            .spans
+            .iter()
+            .find(|s| s.category == Category::Phase && s.name == "download")
+            .expect("traced download phase");
+        assert!(download.end.is_some(), "the failed download phase must end");
     }
 
     #[test]

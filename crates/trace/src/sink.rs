@@ -397,16 +397,7 @@ impl Stream {
             let attrs = span
                 .attrs
                 .iter()
-                .map(|(k, v)| {
-                    let json = match v {
-                        Value::Str(s) => Json::Str(s.clone()),
-                        Value::U64(n) => Json::UInt(*n),
-                        Value::I64(n) => Json::Int(*n),
-                        Value::F64(x) => Json::Float(*x),
-                        Value::Bool(b) => Json::Bool(*b),
-                    };
-                    (k.clone(), json)
-                })
+                .map(|(k, v)| (k.clone(), crate::value_to_json(v)))
                 .collect();
             fields.push(("attrs".to_string(), Json::Object(attrs)));
         }

@@ -1,6 +1,5 @@
 //! VM provisioning, execution helpers, and billing records.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -50,6 +49,8 @@ pub struct VmInstance {
     /// `ObjectStore::connect_via` so store traffic contends for it.
     pub nic: LinkId,
     trace: TraceSink,
+    /// The instance's open [`Category::VmTask`] span (none untraced),
+    /// ended by [`VmFleet::release`].
     span: SpanId,
 }
 
@@ -103,8 +104,6 @@ struct FleetInner {
     next_id: AtomicU64,
     records: Mutex<Vec<VmRecord>>,
     trace: Mutex<TraceSink>,
-    /// Open [`Category::VmTask`] spans by instance id.
-    open: Mutex<BTreeMap<u64, SpanId>>,
     active: AtomicU64,
 }
 
@@ -187,7 +186,6 @@ impl VmFleet {
                 );
                 trace.span_end(boot, ready);
             }
-            self.inner.open.lock().insert(id, task);
             let active = self.inner.active.fetch_add(1, Ordering::SeqCst) + 1;
             trace.gauge("vm.active", ready, active as f64);
             task
@@ -224,8 +222,8 @@ impl VmFleet {
             .expect("released VM must have a record");
         assert!(rec.released.is_none(), "VM {} released twice", vm.id);
         rec.released = Some(ctx.now());
-        if let Some(task) = self.inner.open.lock().remove(&vm.id) {
-            vm.trace.span_end(task, ctx.now());
+        if !vm.span.is_none() {
+            vm.trace.span_end(vm.span, ctx.now());
             let active = self.inner.active.fetch_sub(1, Ordering::SeqCst) - 1;
             vm.trace.gauge("vm.active", ctx.now(), active as f64);
         }

@@ -23,6 +23,7 @@ fn main() {
         &RelayConfig::default(),
         &DirectConfig::default(),
         &cfg.work,
+        &cfg.pricing,
     );
     let planner = Planner::new(params).with_space(
         SearchSpace::default()

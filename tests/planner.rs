@@ -4,9 +4,15 @@
 //! and auto never degrades the pipeline's correctness guarantees.
 
 use faaspipe::core::dag::WorkerChoice;
-use faaspipe::core::pipeline::{run_methcomp_pipeline, PipelineConfig, PipelineMode};
+use faaspipe::core::pipeline::{
+    run_methcomp_pipeline, PipelineConfig, PipelineMode, PipelineOutcome,
+};
 use faaspipe::core::spec::PipelineSpec;
-use faaspipe::plan::{calibrate, Calibration, ModelParams, ProbeRun, ProbeSpec, Workload};
+use faaspipe::des::Money;
+use faaspipe::exchange::{DirectConfig, RelayConfig};
+use faaspipe::plan::{
+    calibrate, Calibration, Candidate, Estimate, ModelParams, ProbeRun, ProbeSpec, Workload,
+};
 use faaspipe::shuffle::ExchangeKind;
 use faaspipe::trace::{Category, TraceData, Value};
 
@@ -204,4 +210,115 @@ fn spec_rejects_unknown_exchange_with_the_valid_forms() {
         msg
     );
     assert!(msg.contains("auto"), "lists the valid forms: {}", msg);
+}
+
+/// The four backends the bill pins cover: both object-store layouts,
+/// the cold relay VM and direct streaming.
+const BILLED_BACKENDS: [ExchangeKind; 4] = [
+    ExchangeKind::Scatter,
+    ExchangeKind::Coalesced,
+    ExchangeKind::VmRelay,
+    ExchangeKind::Direct,
+];
+
+/// A Figure-1 run at W workers and window K on `exchange`, with `cfg`'s
+/// functions; returns the outcome and what the model predicts for it,
+/// priced with the book the run is billed with.
+fn planned_and_billed(
+    mut cfg: PipelineConfig,
+    workers: usize,
+    k: usize,
+    exchange: ExchangeKind,
+) -> (PipelineOutcome, Estimate, Candidate, Workload) {
+    cfg.workers = WorkerChoice::Fixed(workers);
+    cfg.io_concurrency = k;
+    cfg.exchange = exchange;
+    let outcome = run_methcomp_pipeline(&cfg).expect("pipeline run");
+    assert!(outcome.verified);
+    let params = ModelParams::from_configs(
+        &cfg.store,
+        &cfg.faas,
+        &RelayConfig::default(),
+        &DirectConfig::default(),
+        &cfg.work,
+        &cfg.pricing,
+    );
+    let wl = Workload::new(
+        cfg.modeled_bytes as f64,
+        cfg.parallelism,
+        cfg.size_scale(),
+        cfg.parallelism,
+    );
+    let cand = Candidate {
+        workers,
+        io_concurrency: k,
+        exchange,
+    };
+    (outcome, params.estimate(&wl, &cand), cand, wl)
+}
+
+/// The planned bill prices functions at their memory size and relay VMs
+/// at the book's rate, as the run's bill does, so its error does not
+/// grow with the memory ratio: every 1 GB and 4 GB error lies within the
+/// span of the 2 GB errors, widened by `MARGIN`. (A model that bills a
+/// fixed 2 GB plans +52 to +103 % over the bill at 1 GB and −23 to
+/// −50 % under it at 4 GB.) The bill itself equals its itemized parts.
+#[test]
+fn planned_bill_tracks_the_billed_bill_at_every_function_size() {
+    const MARGIN: f64 = 0.05;
+    let mut errors = Vec::new();
+    for memory_mb in [1024, 2048, 4096] {
+        for exchange in BILLED_BACKENDS {
+            let mut cfg = quick_cfg();
+            cfg.faas = cfg.faas.with_memory_mb(memory_mb);
+            let (outcome, est, _, _) = planned_and_billed(cfg, 8, 4, exchange);
+            let bill = &outcome.cost;
+            let parts = bill.functions + bill.requests + bill.vm;
+            let rows = bill
+                .by_stage
+                .values()
+                .fold(Money::ZERO, |sum, row| sum + row.total());
+            assert_eq!(rows, parts, "{memory_mb} MB {exchange}: stage rows");
+            assert_eq!(bill.total(), parts, "{memory_mb} MB {exchange}: total");
+            let err = est.cost_dollars / bill.total().as_dollars() - 1.0;
+            errors.push((memory_mb, exchange, err));
+        }
+    }
+    let at_2gb = errors.iter().filter(|(mb, _, _)| *mb == 2048);
+    let lo = at_2gb.clone().map(|e| e.2).fold(f64::INFINITY, f64::min) - MARGIN;
+    let hi = at_2gb.map(|e| e.2).fold(f64::NEG_INFINITY, f64::max) + MARGIN;
+    for (memory_mb, exchange, err) in errors {
+        assert!(
+            (lo..=hi).contains(&err),
+            "{memory_mb} MB {exchange}: planned bill {:+.1}% off, outside [{:+.1}%, {:+.1}%]",
+            err * 100.0,
+            lo * 100.0,
+            hi * 100.0
+        );
+    }
+}
+
+/// The model bills the requests the store counts, on every backend at
+/// K ∈ {1, 4}, but for one: the encode stage's driver LIST of the
+/// sorted runs (`encode/driver`, one class-A request per run).
+#[test]
+fn planned_request_counts_match_the_store() {
+    for k in [1, 4] {
+        for exchange in BILLED_BACKENDS {
+            let (outcome, _, cand, wl) = planned_and_billed(quick_cfg(), 8, k, exchange);
+            let (class_a, class_b) = cand.store_requests(&wl);
+            let store = outcome.store_metrics.total();
+            let left_out = outcome
+                .store_metrics
+                .iter()
+                .find(|(tag, _)| *tag == "encode/driver")
+                .map(|(_, m)| (m.class_a, m.class_b));
+            assert_eq!(left_out, Some((1, 0)), "K={k} {exchange}: encode LIST");
+            assert_eq!(
+                (class_a, class_b),
+                ((store.class_a - 1) as f64, store.class_b as f64),
+                "K={k} {exchange}: model vs store requests (A, B)"
+            );
+        }
+    }
 }
